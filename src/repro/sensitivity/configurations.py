@@ -18,7 +18,7 @@ from math import ceil, log2
 from repro.relational.hypergraph import JoinQuery
 from repro.relational.instance import Instance
 from repro.sensitivity.degrees import max_degree, t_upper_bound_symbolic
-from repro.sensitivity.residual import maximize_residual_objective
+from repro.sensitivity.residual import maximize_residual
 
 
 def bucket_index(value: float, lam: float) -> int:
@@ -158,12 +158,4 @@ def configuration_residual_upper_bound(
 
     if k_max is None:
         k_max = int(ceil((m - 1) / beta)) + 10
-
-    relation_indices = tuple(range(m))
-    best = 0.0
-    for i in relation_indices:
-        value, _per_k = maximize_residual_objective(
-            t_bounds, relation_indices, i, beta, k_max
-        )
-        best = max(best, value)
-    return best
+    return maximize_residual(t_bounds, m, beta, k_max)

@@ -118,6 +118,12 @@ class TestModeParity:
 
 
 class TestModeSelection:
+    """Pinned to one core: on two or more, ``prefetch`` replaces ``streaming``."""
+
+    @pytest.fixture(autouse=True)
+    def _one_core(self, monkeypatch):
+        monkeypatch.setattr("repro.queries.backends.effective_cpu_count", lambda: 1)
+
     def test_auto_picks_dense_under_budget(self, workload):
         assert WorkloadEvaluator(workload).mode == "dense"
 
@@ -129,6 +135,11 @@ class TestModeSelection:
     def test_auto_falls_back_to_streaming(self, workload):
         evaluator = WorkloadEvaluator(workload, cell_budget=10, sparse_cell_budget=10)
         assert evaluator.mode == "streaming"
+
+    def test_auto_falls_back_to_prefetch_on_two_cores(self, workload, monkeypatch):
+        monkeypatch.setattr("repro.queries.backends.effective_cpu_count", lambda: 2)
+        evaluator = WorkloadEvaluator(workload, cell_budget=10, sparse_cell_budget=10)
+        assert evaluator.mode == "prefetch"
 
     def test_materialize_flags_keep_legacy_meaning(self, workload):
         assert WorkloadEvaluator(workload, materialize=True).mode == "dense"

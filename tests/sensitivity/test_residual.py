@@ -1,11 +1,21 @@
 """Unit tests for residual sensitivity (Definition 3.6)."""
 
 import math
+import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.relational.hypergraph import path3_query, two_table_query
+from repro import telemetry
+from repro.core.multi_table import default_beta, multi_table_release
+from repro.core.pmw import PMWConfig
+from repro.mechanisms.spec import PrivacySpec
+from repro.queries.workload import Workload
+from repro.relational.hypergraph import chain_query, path3_query, two_table_query
 from repro.relational.instance import Instance
+from repro.sensitivity import residual
 from repro.sensitivity.boundary import all_boundary_queries
 from repro.sensitivity.local import local_sensitivity
 from repro.sensitivity.residual import (
@@ -154,3 +164,123 @@ class TestCutoffAndMaximizer:
         expected = max(math.exp(-k) * (3 + k) for k in range(6))
         assert value == pytest.approx(expected)
         assert per_k[0] == pytest.approx(3.0)
+
+
+def random_chain(seed: int, num_relations: int) -> Instance:
+    """A chain over domains of size 1–3 mixing empty, one-tuple and random relations."""
+    rng = np.random.default_rng(seed)
+    query = chain_query([int(rng.integers(1, 4)) for _ in range(num_relations + 1)])
+    frequencies = {}
+    for schema in query.relations:
+        kind = int(rng.integers(3))
+        if kind == 0:
+            continue
+        if kind == 1:
+            single = np.zeros(schema.shape, dtype=np.int64)
+            single.flat[rng.integers(single.size)] = 1
+            frequencies[schema.name] = single
+        else:
+            frequencies[schema.name] = rng.integers(0, 30, size=schema.shape)
+    return Instance.from_frequencies(query, frequencies)
+
+
+def one_tuple_chain(num_relations: int) -> Instance:
+    """The flat chain: one tuple per relation, so every ``T_E`` is 1."""
+    query = chain_query([1] * (num_relations + 1))
+    return Instance.from_frequencies(
+        query, {schema.name: np.ones(schema.shape, dtype=np.int64) for schema in query.relations}
+    )
+
+
+def dense_chain(num_relations: int, seed: int = 0) -> Instance:
+    """A chain over binary domains, every tuple with multiplicity ``100 + U{0..20}``."""
+    rng = np.random.default_rng(seed)
+    query = chain_query([2] * (num_relations + 1))
+    return Instance.from_frequencies(
+        query,
+        {schema.name: 100 + rng.integers(0, 21, size=schema.shape) for schema in query.relations},
+    )
+
+
+#: Search settings under test: the defaults, and blocks so small that every
+#: simplex runs the branch-and-bound and its depth-first fallback.
+SEARCH_SETTINGS = {
+    "default": {},
+    "tiny_blocks": {"_BLOCK_POINTS": 1, "_FRONTIER_BLOCK": 32, "_FRONTIER_CAP": 64},
+}
+
+
+class TestSearchMatchesEnumeration:
+    """``residual_sensitivity`` searches; the profile enumerates.  They agree bitwise."""
+
+    @pytest.mark.parametrize("search", sorted(SEARCH_SETTINGS))
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_relations=st.integers(1, 4),
+        beta=st.sampled_from([0.05, 0.2, 0.5, 1.0]),
+        k_max=st.none() | st.integers(0, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_chains(self, search, seed, num_relations, beta, k_max):
+        instance = random_chain(seed, num_relations)
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in SEARCH_SETTINGS[search].items():
+                patch.setattr(residual, name, value)
+            found = residual_sensitivity(instance, beta, k_max=k_max)
+        expected = residual_sensitivity_profile(instance, beta, k_max=k_max).value
+        assert type(found) is float
+        assert found == expected
+
+    def test_flat_four_relation_chain(self):
+        """Every ``T`` is 1, so the maximum lies deep inside the simplex."""
+        instance = one_tuple_chain(4)
+        beta = default_beta(0.2, 1e-6)
+        expected = residual_sensitivity_profile(instance, beta).value
+        assert residual_sensitivity(instance, beta) == expected
+
+
+class TestSearchAtSmallEpsilon:
+    """Five relations at (0.1, 1e-6): K = 557, a simplex of four billion points."""
+
+    @pytest.mark.parametrize(
+        "instance", [dense_chain(5), one_tuple_chain(5)], ids=["dense", "one_tuple"]
+    )
+    def test_five_relations_finish_and_dominate_local(self, instance):
+        start = time.perf_counter()
+        value = residual_sensitivity(instance, default_beta(0.1, 1e-6))
+        assert time.perf_counter() - start < 5.0
+        assert value >= local_sensitivity(instance)
+
+    def test_algorithm3_releases_five_relations(self):
+        instance = dense_chain(5)
+        result = multi_table_release(
+            instance,
+            Workload.counting(instance.query),
+            0.1,
+            1e-6,
+            seed=0,
+            pmw_config=PMWConfig(num_iterations=2),
+        )
+        assert result.privacy == PrivacySpec(0.1, 1e-6)
+
+    def test_profile_refuses_the_enumeration_before_allocating(self):
+        start = time.perf_counter()
+        with pytest.raises(MemoryError):
+            residual_sensitivity_profile(dense_chain(5), default_beta(0.1, 1e-6))
+        assert time.perf_counter() - start < 1.0
+
+
+class TestSearchSpan:
+    def test_span_records_the_search(self, path3_instance):
+        telemetry.configure()
+        try:
+            residual_sensitivity(path3_instance, 0.01)
+            spans = [s for s in telemetry.span_dicts() if s["name"] == "sensitivity.residual"]
+        finally:
+            telemetry.disable()
+        assert len(spans) == 1
+        attrs = spans[0]["attrs"]
+        assert attrs["m"] == 3
+        assert attrs["K"] == certified_cutoff(3, 0.01)
+        assert attrs["boxes"] > 0
+        assert 0 < attrs["points"] < math.comb(attrs["K"] + 2, 2)

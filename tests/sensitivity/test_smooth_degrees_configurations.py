@@ -1,10 +1,13 @@
 """Unit tests for smooth sensitivity, degrees/q-aggregate bounds, and configurations."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from repro.core.multi_table import default_beta
+from repro.experiments.e08_hierarchical import figure4_skewed_instance
 from repro.relational.hypergraph import figure4_query, two_table_query
 from repro.relational.instance import Instance
 from repro.sensitivity.boundary import boundary_query
@@ -14,6 +17,7 @@ from repro.sensitivity.configurations import (
     configuration_local_sensitivity,
     configuration_of_instance,
     configuration_residual_upper_bound,
+    configuration_t_upper_bound,
 )
 from repro.sensitivity.degrees import degree_vector, max_degree, t_upper_bound
 from repro.sensitivity.global_bound import (
@@ -21,7 +25,7 @@ from repro.sensitivity.global_bound import (
     local_sensitivity_global_sensitivity,
 )
 from repro.sensitivity.local import local_sensitivity
-from repro.sensitivity.residual import residual_sensitivity
+from repro.sensitivity.residual import maximize_residual_objective, residual_sensitivity
 from repro.sensitivity.smooth import (
     local_sensitivity_at_distance,
     smooth_sensitivity_bruteforce,
@@ -192,3 +196,23 @@ class TestConfigurations:
             configuration_residual_upper_bound(
                 figure4_instance.query, configuration, 0.0, 2.0
             )
+
+    def test_configuration_rs_is_the_enumeration_on_e08(self):
+        """E08's default instance: the search returns the enumeration's value bitwise."""
+        instance = figure4_skewed_instance(3, rng=np.random.default_rng(0))
+        query = instance.query
+        beta = default_beta(1.0, 1e-2)
+        lam = 1.0 / beta
+        configuration = configuration_of_instance(instance, lam)
+        m = query.num_relations
+        t_bounds = {frozenset(): 1.0}
+        for size in range(1, m + 1):
+            for subset in combinations(range(m), size):
+                key = frozenset(subset)
+                t_bounds[key] = configuration_t_upper_bound(query, configuration, key, lam)
+        k_max = math.ceil((m - 1) / beta) + 10
+        indices = tuple(range(m))
+        expected = max(
+            maximize_residual_objective(t_bounds, indices, i, beta, k_max)[0] for i in indices
+        )
+        assert configuration_residual_upper_bound(query, configuration, beta, lam) == expected
