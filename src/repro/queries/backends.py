@@ -501,6 +501,72 @@ class HistogramSeed:
         return self.cells(0, domain_size, domain_size)
 
 
+def _scipy_sparse():
+    """:mod:`scipy.sparse`, or ``None`` — through the vector backend's import probe.
+
+    One probe for the whole package, so a test that hides scipy from the
+    vector backend hides it from the column views too.
+    """
+    from repro.queries.vectorized import _import_scipy_sparse
+
+    return _import_scipy_sparse()
+
+
+def _scipy_index_bytes(*extents: int) -> int:
+    """Bytes per index scipy stores for a sparse matrix with these extents."""
+    return 4 if max(extents) <= np.iinfo(np.int32).max else 8
+
+
+class ColumnView:
+    """The workload matrix by columns: which queries read each joint-domain cell.
+
+    Wraps the workload CSR transposed once (scipy ``tocsc()``), so the
+    answer change of a support update, ``M[:, S]·Δh_S``, costs the stored
+    entries in the columns ``S`` instead of a whole-workload matvec.
+    Sessions of the sparse-family backends hand it each
+    ``scale_support`` delta.
+    """
+
+    def __init__(self, columns):
+        self._columns = columns
+        self._half = columns.nnz / 2
+
+    @classmethod
+    def from_csr(
+        cls, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, domain_size: int
+    ) -> "ColumnView | None":
+        """The view of a concatenated query CSR, or ``None`` without scipy."""
+        sparse = _scipy_sparse()
+        if sparse is None:
+            return None
+        rows = sparse.csr_matrix(
+            (values, indices, indptr), shape=(indptr.size - 1, int(domain_size))
+        )
+        return cls(rows.tocsc())
+
+    @staticmethod
+    def resident_bytes(entries: int, num_queries: int, domain_size: int) -> int:
+        """Bytes a view over ``entries`` stored entries holds: values, row indices, column pointers."""
+        index = _scipy_index_bytes(entries, num_queries, domain_size)
+        return (8 + index) * entries + index * (domain_size + 1)
+
+    def narrow(self, indices: np.ndarray) -> bool:
+        """Whether the columns ``indices`` hold at most half the stored entries.
+
+        Past half (the counting query, full-domain ±1 queries) a full
+        evaluation costs about as much as :meth:`answer_change`.
+        """
+        # Two gathers summed one at a time: a counting query's check then
+        # holds one |D|-length temporary, not three.
+        indptr = self._columns.indptr
+        touched = int(indptr[1:][indices].sum()) - int(indptr[indices].sum())
+        return touched <= self._half
+
+    def answer_change(self, indices: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """``M[:, indices] @ delta``: how every answer moves when cells ``indices`` move by ``delta``."""
+        return self._columns[:, indices] @ delta
+
+
 class HistogramSession:
     """The mutable-histogram operation protocol driven by the PMW loop.
 
@@ -517,12 +583,20 @@ class HistogramSession:
     The ops:
 
     ``answers()``
-        The workload answer vector against the current contents.
+        The workload answer vector against the current contents: always a
+        full evaluation.
     ``scale_support(indices, factors)``
         Multiply the cells at ``indices`` by ``factors`` — the PMW support
         delta.  ``indices`` must be sorted ascending (query supports are
         built that way); partitioned sessions split the delta per slice by
-        binary search and raise on unsorted input.
+        binary search and raise on unsorted input.  Returns the change in
+        every answer, ``M[:, indices]·(new − old)``, when the backend holds
+        a :class:`ColumnView` (``sparse``, ``vector`` on the NumPy engine
+        with scipy, ``sharded`` with CSR shards) and the touched columns
+        hold at most half the stored entries; otherwise ``None``, and the
+        caller must call ``answers()`` for the new answers.  ``dense``,
+        ``streaming``, ``prefetch``, ``domain``, the JAX session and a
+        process without scipy always return ``None``.
     ``scale(factor)`` / ``fill(value)``
         Uniform rescale / reset of every cell — for a partitioned session
         these are purely local slice ops.
@@ -544,8 +618,12 @@ class HistogramSession:
         """Answers of every query against the current histogram contents."""
         raise NotImplementedError
 
-    def scale_support(self, indices: np.ndarray, factors: np.ndarray) -> None:
-        """Multiply the cells at sorted ``indices`` by ``factors`` (a support delta)."""
+    def scale_support(self, indices: np.ndarray, factors: np.ndarray) -> np.ndarray | None:
+        """Multiply the cells at sorted ``indices`` by ``factors`` (a support delta).
+
+        Returns the change in every answer, or ``None`` when the session
+        did not compute it.
+        """
         raise NotImplementedError
 
     def scale(self, factor: float) -> None:
@@ -595,8 +673,15 @@ class ArrayHistogramSession(HistogramSession):
     def answers(self) -> np.ndarray:
         return self._backend.answers_on_histogram(self._array)
 
-    def scale_support(self, indices: np.ndarray, factors: np.ndarray) -> None:
-        self._array[indices] *= factors
+    def scale_support(self, indices: np.ndarray, factors: np.ndarray) -> np.ndarray | None:
+        columns = self._backend.column_view()
+        if columns is None or not columns.narrow(indices):
+            self._array[indices] *= factors
+            return None
+        old = self._array[indices]
+        new = old * factors
+        self._array[indices] = new
+        return columns.answer_change(indices, new - old)
 
     def scale(self, factor: float) -> None:
         self._array *= factor
@@ -716,6 +801,14 @@ class EvaluationBackend:
     def answers_on_histogram(self, flat: np.ndarray) -> np.ndarray:
         """Answers against a flat float64 histogram (validated by the facade)."""
         raise NotImplementedError
+
+    def column_view(self) -> ColumnView | None:
+        """The cell→query :class:`ColumnView` array sessions answer support deltas with.
+
+        ``None`` (the default) makes every ``scale_support`` return
+        ``None``, so the PMW loop re-evaluates the workload each round.
+        """
+        return None
 
     def session(self, initial: np.ndarray) -> HistogramSession:
         """Open a mutable histogram session seeded with a copy of ``initial``."""
@@ -975,7 +1068,12 @@ class DenseBackend(EvaluationBackend):
 
 @register_backend
 class SparseBackend(EvaluationBackend):
-    """One CSR-style support per query; answers are a batched sparse matvec."""
+    """One CSR-style support per query; answers are a batched sparse matvec.
+
+    The first evaluation also builds the :class:`ColumnView`, so set-up
+    pays for it and PMW rounds re-answer only the columns their update
+    touched.
+    """
 
     name = "sparse"
     speed_rank = 20
@@ -984,10 +1082,23 @@ class SparseBackend(EvaluationBackend):
     def __init__(self, context: EvaluatorContext):
         super().__init__(context)
         self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._row_ids: np.ndarray | None = None
+        self._columns: ColumnView | None = None
 
     @classmethod
     def is_eligible(cls, context: EvaluatorContext) -> bool:
         return context.supports_fit_budget()
+
+    @classmethod
+    def _resident_bytes(cls, context: EvaluatorContext) -> int:
+        """The CSR with its row ids (24 B per entry) and, with scipy, the column view."""
+        total = context.total_support_size()
+        columns = (
+            ColumnView.resident_bytes(total, context.num_queries, context.domain_size)
+            if _scipy_sparse() is not None
+            else 0
+        )
+        return 24 * total + 8 * (context.num_queries + 1) + columns
 
     @classmethod
     def estimate_cost(cls, context: EvaluatorContext) -> BackendCost:
@@ -997,7 +1108,7 @@ class SparseBackend(EvaluationBackend):
             backend=cls.name,
             eligible=eligible,
             speed_rank=cls.speed_rank,
-            memory_bytes=16 * total,
+            memory_bytes=cls._resident_bytes(context),
             reason=""
             if eligible
             else f"total support {total} exceeds sparse cell budget "
@@ -1005,13 +1116,12 @@ class SparseBackend(EvaluationBackend):
         )
 
     def _ensure_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated ``(row ids, indices, values)`` of all query supports."""
+        """Concatenated ``(indptr, indices, values)`` of all query supports."""
         if self._csr is None:
             supports = [
                 self.query_support(index) for index in range(self._context.num_queries)
             ]
             counts = np.array([indices.size for indices, _ in supports], dtype=np.int64)
-            row_ids = np.repeat(np.arange(len(supports), dtype=np.int64), counts)
             indices = (
                 np.concatenate([s[0] for s in supports])
                 if supports
@@ -1024,21 +1134,41 @@ class SparseBackend(EvaluationBackend):
             )
             # Re-point the per-query cache at zero-copy slices of the
             # concatenated arrays so both representations share storage.
-            offsets = np.concatenate(([0], np.cumsum(counts)))
+            indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
             for index in range(len(supports)):
-                lo, hi = int(offsets[index]), int(offsets[index + 1])
+                lo, hi = int(indptr[index]), int(indptr[index + 1])
                 self._supports[index] = (indices[lo:hi], values[lo:hi])
-            self._csr = (row_ids, indices, values)
+            self._csr = (indptr, indices, values)
         return self._csr
 
+    def _ensure_row_ids(self) -> np.ndarray:
+        """The query of every CSR entry, for the ``np.bincount`` matvecs."""
+        if self._row_ids is None:
+            indptr = self._ensure_csr()[0]
+            self._row_ids = np.repeat(
+                np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr)
+            )
+        return self._row_ids
+
+    def column_view(self) -> ColumnView | None:
+        if self._columns is None:
+            self._columns = ColumnView.from_csr(
+                *self._ensure_csr(), self._context.domain_size
+            )
+        return self._columns
+
     def answers_on_histogram(self, flat: np.ndarray) -> np.ndarray:
-        row_ids, indices, values = self._ensure_csr()
+        if self._row_ids is None:
+            self.column_view()  # compiled with the row ids, so set-up pays for it
+        _indptr, indices, values = self._ensure_csr()
         return np.bincount(
-            row_ids, weights=values * flat[indices], minlength=self._context.num_queries
+            self._ensure_row_ids(),
+            weights=values * flat[indices],
+            minlength=self._context.num_queries,
         )
 
     def estimated_memory(self) -> int:
-        return 16 * self._context.total_support_size()
+        return self._resident_bytes(self._context)
 
 
 @register_backend

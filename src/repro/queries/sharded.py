@@ -327,7 +327,8 @@ class ShardedBackend(SparseBackend):
         """
         workers = cls.normalize_workers(context.config.workers)
         if context.supports_fit_budget():
-            resident = 16 * context.total_support_size()
+            # The serial sparse arrays: supports, row ids, column view.
+            resident = super()._resident_bytes(context)
         else:
             # Each chunked-strategy worker pipelines its scan (prefetch=1 in
             # ``_eval_shard``): one chunk being consumed, one queued, one in
@@ -361,17 +362,24 @@ class ShardedBackend(SparseBackend):
         finally:
             self.caches_all_supports = saved
 
+    def column_view(self):
+        # Only row-sharded CSR has a CSR to transpose: chunked scans hold
+        # none, and the domain strategy's session never asks.
+        return super().column_view() if self.strategy == "csr" else None
+
     def _csr_shards(self) -> tuple[dict, int]:
         """The worker state for the ``csr`` strategy: balanced row shards."""
-        row_ids, indices, values = self._ensure_csr()
-        counts = np.bincount(row_ids, minlength=self._context.num_queries).astype(np.int64)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
+        offsets, indices, values = self._ensure_csr()
+        row_ids = self._ensure_row_ids()
+        self.column_view()  # built with the shards, so set-up pays for it
         total = int(offsets[-1])
         # Shard boundaries on row borders, targeting equal entry counts; a
         # query's entries are never split, preserving its serial sum order.
         targets = (total * np.arange(1, self._workers)) // self._workers
         row_bounds = np.unique(
-            np.concatenate(([0], np.searchsorted(offsets, targets, side="left"), [len(counts)]))
+            np.concatenate(
+                ([0], np.searchsorted(offsets, targets, side="left"), [offsets.size - 1])
+            )
         )
         shards = [
             (int(offsets[row_bounds[i]]), int(offsets[row_bounds[i + 1]]))
@@ -608,7 +616,8 @@ class DomainHistogramSession(HistogramSession):
     segments the workers map — the histogram never exists as one buffer:
 
     - ``scale_support`` splits the (sorted) support indices at the slice
-      bounds by binary search and rescales each slice locally;
+      bounds by binary search and rescales each slice locally; it returns
+      ``None`` (no column view), so the PMW loop re-evaluates every round;
     - ``scale`` / ``fill`` apply to each slice independently;
     - ``total`` sums one local scalar per slice (the one all-reduce a
       renormalisation needs);
@@ -759,7 +768,8 @@ class DomainShardedBackend(ShardedBackend):
         }
         if self.representation == "csr":
             slices = _plan_domain_slices(context.domain_size, self._workers)
-            row_ids, indices, values = self._ensure_csr()
+            _indptr, indices, values = self._ensure_csr()
+            row_ids = self._ensure_row_ids()
             slice_csr = []
             for lo, hi in slices:
                 mask = (indices >= lo) & (indices < hi)

@@ -23,8 +23,10 @@ kernel engines share that packed layout:
     ``scipy.sparse.csr_matrix`` whose matvec is a single C loop — the
     same per-row, in-index-order accumulation as the serial sparse
     backend's ``np.bincount``, so answers are **bitwise identical** to
-    ``mode="sparse"``; without scipy the padded buckets are evaluated by
-    ``np.einsum`` (1e-9 parity, exact same packed layout).
+    ``mode="sparse"`` — and that matrix transposed once is the
+    :class:`~repro.queries.backends.ColumnView` PMW sessions answer
+    support deltas with; without scipy the padded buckets are evaluated
+    by ``np.einsum`` (1e-9 parity, exact same packed layout).
 
 Padding a ragged support list into one rectangle can explode: a counting
 query touches all ``|D|`` cells while a marginal touches ``|D|/k``, so a
@@ -54,10 +56,12 @@ import numpy as np
 
 from repro.queries.backends import (
     BackendCost,
+    ColumnView,
     EvaluatorContext,
     HistogramSeed,
     HistogramSession,
     SparseBackend,
+    _scipy_index_bytes,
     register_backend,
 )
 from repro.telemetry import (
@@ -171,6 +175,12 @@ def resolve_engine(requested: str | None) -> str:
     return requested
 
 
+def _fused(engine: str | None) -> bool:
+    """Whether ``engine`` runs the NumPy engine's scipy kernel (fused matvec, column view)."""
+    numpy_engine = engine == "numpy" or (engine is None and not jax_available())
+    return numpy_engine and _import_scipy_sparse() is not None
+
+
 def plan_buckets(sizes) -> tuple[np.ndarray, tuple[tuple[int, int], ...], int]:
     """Group query indices into padding buckets by support size.
 
@@ -273,6 +283,10 @@ class NumpyKernel:
     ``mode="sparse"`` (``fused`` is True).  Without scipy the padded
     buckets are evaluated by ``np.einsum`` over gathered histogram rows
     (1e-9 parity with sparse; same packed layout, more scratch).
+
+    ``columns`` is the fused matrix transposed (a
+    :class:`~repro.queries.backends.ColumnView`), built with it and cached
+    with it; ``None`` without scipy.
     """
 
     engine = "numpy"
@@ -289,6 +303,7 @@ class NumpyKernel:
             if sparse is not None
             else None
         )
+        self.columns = ColumnView(self._matrix.tocsc()) if self._matrix is not None else None
 
     @property
     def fused(self) -> bool:
@@ -318,6 +333,8 @@ class JaxKernel:
     """
 
     engine = "jax"
+    #: The histogram lives on the device, so there is no host column view.
+    columns = None
 
     def __init__(self, packed: PackedWorkload, domain_size: int):
         jax = _import_jax()
@@ -531,19 +548,25 @@ class VectorizedBackend(SparseBackend):
                 f"{context.config.sparse_cell_budget}; nothing to pack",
             )
         total = context.total_support_size()
+        sizes = [context.support_size(index) for index in range(context.num_queries)]
+        padded = plan_buckets(sizes)[2] if sizes else 0
+        memory = cls._packed_bytes(
+            _fused(context.config.engine),
+            total,
+            padded,
+            context.num_queries,
+            context.domain_size,
+        )
         threshold = 0 if accelerator_available() else _MIN_PACKED_ENTRIES
         if total < threshold:
             return BackendCost(
                 backend=cls.name,
                 eligible=False,
                 speed_rank=cls.speed_rank,
-                memory_bytes=16 * total,
+                memory_bytes=memory,
                 reason=f"total support {total} is below the packing threshold "
                 f"({threshold} entries); kernel dispatch overhead would dominate",
             )
-        sizes = [context.support_size(index) for index in range(context.num_queries)]
-        _order, _spans, padded = plan_buckets(sizes)
-        memory = 16 * total + 16 * padded
         if padded > context.config.sparse_cell_budget:
             return BackendCost(
                 backend=cls.name,
@@ -575,6 +598,26 @@ class VectorizedBackend(SparseBackend):
         # disagree on eligibility.
         return cls.estimate_cost(context).eligible
 
+    @staticmethod
+    def _packed_bytes(
+        fused: bool, total: int, padded: int, num_queries: int, domain_size: int
+    ) -> int:
+        """The packed CSR (16 B per entry) plus what the kernel builds from it.
+
+        The fused scipy kernel adds its int32 index copy and the column
+        view; the einsum engines (JAX, or NumPy without scipy) the padded
+        buckets.  No row ids: no kernel reads them.
+        """
+        packed = 16 * total + 8 * (num_queries + 1)
+        if not fused:
+            return packed + 16 * padded
+        index = _scipy_index_bytes(total, num_queries, domain_size)
+        return (
+            packed
+            + index * (total + num_queries + 1)
+            + ColumnView.resident_bytes(total, num_queries, domain_size)
+        )
+
     # -- packed representation --------------------------------------------
     def _ensure_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._csr is None:
@@ -585,14 +628,11 @@ class VectorizedBackend(SparseBackend):
                 # Serve supports and the CSR triplet zero-copy from the
                 # cached packed tensors instead of rebuilding them.
                 counts = np.diff(cached.indptr)
-                row_ids = np.repeat(
-                    np.arange(cached.num_queries, dtype=np.int64), counts
-                )
                 for index in range(cached.num_queries):
                     self._supports[index] = cached.query_slice(index)
                     self._context.note_support_size(index, int(counts[index]))
                 self._cached_support_entries = cached.total_entries
-                self._csr = (row_ids, cached.indices, cached.values)
+                self._csr = (cached.indptr, cached.indices, cached.values)
                 self._packed = cached
             else:
                 super()._ensure_csr()
@@ -614,13 +654,7 @@ class VectorizedBackend(SparseBackend):
                     else _NULL_SPAN
                 )
                 with span_ctx:
-                    _row_ids, indices, values = self._ensure_csr()
-                    counts = np.array(
-                        [self._supports[index][0].size for index in range(self._context.num_queries)],
-                        dtype=np.int64,
-                    )
-                    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-                    packed = PackedWorkload(indptr, indices, values)
+                    packed = PackedWorkload(*self._ensure_csr())
                 cache["packed"] = packed
             else:
                 if recording:
@@ -673,6 +707,9 @@ class VectorizedBackend(SparseBackend):
     def answers_on_histogram(self, flat: np.ndarray) -> np.ndarray:
         return self._ensure_kernel().answers(flat)
 
+    def column_view(self) -> ColumnView | None:
+        return self._ensure_kernel().columns
+
     def session(self, initial: np.ndarray) -> HistogramSession:
         if self._engine != "jax":
             # The NumPy engine keeps the histogram host-side; the inherited
@@ -703,6 +740,10 @@ class VectorizedBackend(SparseBackend):
 
     def estimated_memory(self) -> int:
         packed = self._ensure_packed()
-        # The exact CSR plus the padded buckets — the einsum engines' upper
-        # bound; the fused CSR path never materialises the padding.
-        return 16 * packed.total_entries + 16 * packed.padded_entries
+        return self._packed_bytes(
+            _fused(self._engine),
+            packed.total_entries,
+            packed.padded_entries,
+            packed.num_queries,
+            self._context.domain_size,
+        )

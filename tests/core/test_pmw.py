@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.pmw import PMWConfig, _renormalize, private_multiplicative_weights
+from repro.core.pmw import (
+    PMWConfig,
+    _renormalize,
+    _update,
+    private_multiplicative_weights,
+)
+from repro.queries.backends import HistogramSeed
 from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import two_table_query
@@ -260,7 +266,7 @@ class TestRenormalisation:
 
     def test_zero_total_resets_to_uniform(self, query):
         session = self._session(query, 0.0)
-        _renormalize(session, 64.0, query.joint_domain_size)
+        assert _renormalize(session, 64.0, query.joint_domain_size) is None
         cells = self._cells(session)
         assert np.all(np.isfinite(cells))
         assert np.all(cells == 64.0 / query.joint_domain_size)
@@ -268,12 +274,101 @@ class TestRenormalisation:
     def test_nonfinite_total_resets_to_uniform(self, query):
         for poison in (np.nan, np.inf):
             session = self._session(query, poison)
-            _renormalize(session, 64.0, query.joint_domain_size)
+            assert _renormalize(session, 64.0, query.joint_domain_size) is None
             assert np.all(np.isfinite(self._cells(session))), poison
             assert session.total() == pytest.approx(64.0), poison
 
     def test_positive_total_rescales_mass(self, query):
         session = self._session(query, 2.0)
-        _renormalize(session, 64.0, query.joint_domain_size)
+        total = 2.0 * query.joint_domain_size
+        assert _renormalize(session, 64.0, query.joint_domain_size) == 64.0 / total
         assert session.total() == pytest.approx(64.0)
         assert np.all(self._cells(session) == 64.0 / query.joint_domain_size)
+
+
+def _one_way_marginals(query, *, include_counting):
+    workload = Workload.attribute_marginals(query, "A", include_counting=include_counting)
+    for name in ("B", "C"):
+        workload = workload.extended(
+            Workload.attribute_marginals(query, name, include_counting=False).queries
+        )
+    return workload
+
+
+class TestCarriedAnswers:
+    """Answers carried across rounds from the changes support updates report.
+
+    The loop re-evaluates the workload only without carried answers: round
+    one, after a renormalisation reset, and after an update whose session
+    reported no change.  Carrying must stay within 1e-9 of a full
+    evaluation without any periodic refresh, and must actually be taken on
+    the backends that hold a column view.
+    """
+
+    @pytest.mark.parametrize("backend, kwargs", [("sparse", {}), ("vector", {"engine": "numpy"})])
+    def test_drift_stays_within_1e9_over_1200_rounds(self, backend, kwargs):
+        query = two_table_query(12, 5, 6)
+        workload = _one_way_marginals(query, include_counting=True)
+        evaluator = WorkloadEvaluator(workload, mode=backend, **kwargs)
+        total, domain_size = 700.0, query.joint_domain_size
+        session = evaluator.histogram_session(seed=HistogramSeed.uniform(total))
+        rng = np.random.default_rng(3)
+        reset_round = 600
+        answers = session.answers()
+        fallbacks = []
+        for round_index in range(1200):
+            selected = int(rng.integers(len(workload)))
+            indices, values = evaluator.query_support(selected)
+            factors = np.exp(np.clip(values * rng.normal(scale=0.5), -1.0, 1.0))
+            if round_index == reset_round:
+                session.scale(0.0)  # an underflowed histogram: renormalisation resets it
+            answers = _update(session, indices, factors, total, domain_size, answers)
+            full = session.answers()
+            if answers is None:
+                fallbacks.append((round_index, selected))
+                answers = full
+            scale = max(1.0, float(np.abs(full).max()))
+            assert np.max(np.abs(answers - full)) <= 1e-9 * scale, round_index
+        # Falls back exactly on the counting query (index 0) and the reset.
+        assert fallbacks
+        assert all(selected == 0 or round_index == reset_round for round_index, selected in fallbacks)
+        assert reset_round in [round_index for round_index, _ in fallbacks]
+        assert len(fallbacks) < 100
+
+    @pytest.mark.parametrize(
+        "backend, kwargs, full_evaluations",
+        [
+            ("sparse", {}, 1),
+            ("vector", {"engine": "numpy"}, 1),
+            ("sharded", {"workers": 2}, 1),
+            ("dense", {}, 12),
+        ],
+    )
+    def test_full_evaluations_per_run(self, backend, kwargs, full_evaluations, monkeypatch):
+        query = two_table_query(12, 5, 6)
+        rng = np.random.default_rng(8)
+        r1 = [(int(rng.integers(12)), int(rng.integers(5))) for _ in range(90)]
+        r2 = [(int(rng.integers(5)), int(rng.integers(6))) for _ in range(110)]
+        instance = Instance.from_tuple_lists(query, {"R1": r1, "R2": r2})
+        workload = _one_way_marginals(query, include_counting=False)
+        evaluator = WorkloadEvaluator(workload, mode=backend, **kwargs)
+        calls = []
+        open_session = evaluator.histogram_session
+
+        def counted_session(*args, **kwargs):
+            session = open_session(*args, **kwargs)
+            answers = session.answers
+            monkeypatch.setattr(session, "answers", lambda: calls.append(1) or answers())
+            return session
+
+        monkeypatch.setattr(evaluator, "histogram_session", counted_session)
+        try:
+            result = private_multiplicative_weights(
+                instance, workload, 1.0, 1e-5, 2.0, seed=5, evaluator=evaluator,
+                config=PMWConfig(num_iterations=12),
+            )
+        finally:
+            evaluator.close()
+        assert result.iterations == 12
+        assert len(calls) == full_evaluations
+

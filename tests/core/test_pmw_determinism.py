@@ -6,10 +6,15 @@ sequence* and the *noisy total* must be bitwise identical no matter which of
 the seven evaluation backends answers the workload — dense, sparse, streaming,
 prefetch, sharded (csr and chunked), domain-partitioned at any worker count,
 or the vectorised batch kernels under either engine.  The
-released histograms agree to 1e-9 relative rather than bitwise: multi-shard
-and multi-slice backends reassociate floating-point partial sums, which is
-the one deviation the domain-partitioning design explicitly trades for its
-per-slice memory bound.
+released histograms agree to 1e-9 relative rather than bitwise, for two
+reasons.  Multi-shard and multi-slice backends reassociate floating-point
+partial sums, which is the one deviation the domain-partitioning design
+explicitly trades for its per-slice memory bound.  And the backends with a
+column view (``sparse``, ``vector``, row-sharded ``sharded``) carry their
+answers across rounds from the change each support update reports, while
+``dense``, ``streaming``, ``prefetch``, chunked ``sharded`` and ``domain``
+evaluate the workload in full every round; the contract covers those
+incremental-versus-full pairs too, such as ``sparse``/``dense``.
 """
 
 import numpy as np
