@@ -29,10 +29,10 @@ matvec < pipelined streaming re-scan < serial streaming re-scan).
 Registering a custom backend class is enough for ``mode="auto"``, the CLI
 flags, and the parity test-suite to pick it up.
 
-Shared machinery (exact support-size einsums, chunk plans, chunked support
-construction) lives in :class:`EvaluatorContext`, which every backend
-receives on construction, so new backends only implement the evaluation
-strategy itself.
+Shared machinery (exact support-size einsums, chunk plans, support
+construction over each query's non-zero box) lives in
+:class:`EvaluatorContext`, which every backend receives on construction, so
+new backends only implement the evaluation strategy itself.
 
 Iterated evaluation (the PMW loop) goes through a
 :class:`HistogramSession` — an *operation protocol* (answers, support
@@ -56,6 +56,7 @@ from typing import Callable, ClassVar, Iterator
 import numpy as np
 
 from repro.queries.workload import Workload
+from repro.relational.join import _letters_for, expand_to_joint
 from repro.telemetry import (
     NULL_SPAN as _NULL_SPAN,
     is_enabled as _telemetry_enabled,
@@ -71,11 +72,8 @@ _MATRIX_CELL_BUDGET = 60_000_000
 #: (each entry stores an int64 index and a float64 value).
 _SPARSE_CELL_BUDGET = 30_000_000
 
-#: Supports are extracted from a dense per-query joint vector while ``|D|``
-#: stays under this budget; larger domains are scanned chunk by chunk.
-_DENSE_BUILD_BUDGET = 4_000_000
-
-#: Default joint-domain chunk length for streaming scans.
+#: Default joint-domain chunk length for streaming scans, and the slab
+#: length (in box cells) of support builds.
 _DEFAULT_CHUNK_SIZE = 1 << 18
 
 
@@ -237,8 +235,9 @@ class EvaluatorContext:
     Owns the exact support-size measurement (an einsum over the non-zero
     indicators of the per-relation weights — the joint domain is never
     materialised), the per-query chunk plans used by streaming scans, and
-    chunked/dense support construction.  Backends hold a reference to one
-    context and never duplicate this machinery.
+    support construction, which scans only each query's non-zero box in
+    bounded slabs.  Backends hold a reference to one context and never
+    duplicate this machinery.
     """
 
     def __init__(self, workload: Workload, config: EvaluatorConfig):
@@ -293,8 +292,6 @@ class EvaluatorContext:
         cached = self._support_sizes.get(index)
         if cached is not None:
             return cached
-        from repro.relational.join import _letters_for
-
         letters = _letters_for(self.join_query)
         operands = []
         terms = []
@@ -304,7 +301,9 @@ class EvaluatorContext:
             operands.append((table_query.weights != 0.0).astype(np.int64))
             terms.append("".join(letters[name] for name in schema.attribute_names))
         subscript = ",".join(terms) + "->"
-        size = int(np.einsum(subscript, *operands))
+        # A contraction path sums relation by relation instead of sweeping
+        # every index combination of the joint domain; the integers agree.
+        size = int(np.einsum(subscript, *operands, optimize=True))
         self._support_sizes[index] = size
         return size
 
@@ -381,30 +380,126 @@ class EvaluatorContext:
     def build_support(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """Construct the ``(flat indices, values)`` support of one query.
 
-        Extracted from a dense joint vector while ``|D|`` fits the build
-        budget; scanned chunk by chunk beyond it, so the extra memory stays
-        bounded regardless of the domain size.
+        Only the query's non-zero box is scanned (:meth:`_support_box`).
+        The box-restricted weights are multiplied in the order of
+        :meth:`ProductQuery.joint_values` (``1·w_1·w_2…`` through
+        :func:`expand_to_joint`, all-one factors elided), so every value is
+        bit-identical to the dense vector's.  The box is walked in row-major
+        slabs of at most ``chunk_size`` box cells whose non-zeros map to
+        ascending flat indices, so the memory beyond the result is bounded
+        by the chunk size at any ``|D|``.
         """
-        if self.domain_size <= _DENSE_BUILD_BUDGET:
-            values = self.query_values(index)
-            indices = np.flatnonzero(values)
-            support = (indices.astype(np.int64), values[indices])
+        box = self._support_box(index)
+        index_parts: list[np.ndarray] = []
+        value_parts: list[np.ndarray] = []
+        if box is not None:
+            for indices, values in self._support_slabs(index, box):
+                if indices.size:
+                    index_parts.append(indices)
+                    value_parts.append(values)
+        if len(index_parts) == 1:
+            support = (index_parts[0], value_parts[0])
+        elif index_parts:
+            support = (np.concatenate(index_parts), np.concatenate(value_parts))
         else:
-            index_parts: list[np.ndarray] = []
-            value_parts: list[np.ndarray] = []
-            for start in range(0, self.domain_size, self.config.chunk_size):
-                stop = min(start + self.config.chunk_size, self.domain_size)
-                values = self.values_on_chunk(index, start, stop)
-                nonzero = np.flatnonzero(values)
-                if nonzero.size:
-                    index_parts.append(nonzero.astype(np.int64) + start)
-                    value_parts.append(values[nonzero])
-            if index_parts:
-                support = (np.concatenate(index_parts), np.concatenate(value_parts))
-            else:
-                support = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+            support = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         self.note_support_size(index, int(support[0].size))
         return support
+
+    def _support_box(self, index: int) -> list[np.ndarray | None] | None:
+        """Per-axis joint-domain values outside which query ``index`` is zero.
+
+        A product query is non-zero only where every factor is, so an axis
+        keeps the values at which every relation holding that attribute has
+        some non-zero weight.  ``None`` marks an axis the box keeps whole;
+        the result is ``None`` when an axis keeps no value at all.
+        """
+        keep: list[np.ndarray | None] = [None] * len(self.shape)
+        for axes, weights in self.chunk_plan(index):
+            nonzero = weights != 0.0
+            for position, axis in enumerate(axes):
+                others = tuple(other for other in range(nonzero.ndim) if other != position)
+                used = nonzero.any(axis=others)
+                keep[axis] = used if keep[axis] is None else keep[axis] & used
+        box: list[np.ndarray | None] = []
+        for used in keep:
+            if used is None or used.all():
+                box.append(None)
+            elif not used.any():
+                return None
+            else:
+                box.append(np.flatnonzero(used))
+        return box
+
+    def _support_slabs(
+        self, index: int, box: list[np.ndarray | None]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(flat indices, values)`` of the non-zeros of each slab of ``box``.
+
+        A slab fixes the box coordinates before a split axis and takes a run
+        of consecutive box rows along it; the split axis is the first one
+        whose trailing box fits ``chunk_size`` cells.
+        """
+        shape, names = self.shape, self.join_query.attribute_names
+        ndim = len(shape)
+        extents = tuple(size if kept is None else kept.size for size, kept in zip(shape, box))
+        strides = [int(np.prod(shape[axis + 1 :])) for axis in range(ndim)]
+        inner = [int(np.prod(extents[axis + 1 :])) for axis in range(ndim)]
+        split = next(axis for axis, cells in enumerate(inner) if cells <= self.config.chunk_size)
+        step = self.config.chunk_size // inner[split]
+        # The flat offset of each kept coordinate, per axis.
+        offsets = [
+            (np.arange(size, dtype=np.int64) if kept is None else kept) * stride
+            for size, kept, stride in zip(shape, box, strides)
+        ]
+        # The flat offset of each trailing-box cell; ``None`` when the trailing
+        # box is the whole trailing domain, where it is just 0, 1, 2, ...
+        tail = None
+        if any(kept is not None for kept in box[split + 1 :]):
+            tail = np.zeros((), dtype=np.int64)
+            for axis in range(split + 1, ndim):
+                tail = np.add.outer(tail, offsets[axis])
+            tail = tail.reshape(-1)
+        factors = []
+        for axes, weights in self.chunk_plan(index):
+            for position, axis in enumerate(axes):
+                if box[axis] is not None:
+                    weights = np.take(weights, box[axis], axis=position)
+            factors.append(
+                expand_to_joint(self.join_query, weights, [names[axis] for axis in axes])
+            )
+        rows = offsets[split]
+        for prefix in np.ndindex(*extents[:split]):
+            base = sum(int(offsets[axis][position]) for axis, position in enumerate(prefix))
+            for first in range(0, extents[split], step):
+                last = min(first + step, extents[split])
+                slab = (last - first,) + extents[split + 1 :]
+                values = None
+                for factor in factors:
+                    # A factor has extent 1 on the axes it does not span.
+                    selection = tuple(
+                        position if factor.shape[axis] > 1 else 0
+                        for axis, position in enumerate(prefix)
+                    ) + (slice(first, last) if factor.shape[split] > 1 else slice(None),)
+                    values = factor[selection] if values is None else values * factor[selection]
+                if values is None:
+                    values = np.ones(int(np.prod(slab)), dtype=np.float64)
+                else:
+                    values = np.broadcast_to(values, slab).reshape(-1)
+                local = np.flatnonzero(values).astype(np.int64, copy=False)
+                picked = values[local]
+                consecutive = rows[last - 1] - rows[first] == (last - 1 - first) * strides[split]
+                if tail is None and consecutive:
+                    # Consecutive rows of whole trailing domains: the slab is
+                    # one contiguous flat range.
+                    local += base + int(rows[first])
+                    yield local, picked
+                else:
+                    row, column = np.divmod(local, inner[split])
+                    flat = rows[first:last][row]
+                    flat += base
+                    flat += column if tail is None else tail[column]
+                    yield flat, picked
 
 
 # ---------------------------------------------------------------------- #

