@@ -16,7 +16,7 @@ script it
    runtime telemetry layer recording (``repro.telemetry``);
 3. checks the result carries the ``"table"`` contract every experiment obeys;
 4. writes a machine-readable ``results/BENCH_<id>.json`` record (schema v2:
-   wall time, peak traced memory, evaluation backend, UTC timestamp, host
+   wall time, peak traced memory, evaluation path, UTC timestamp, host
    info, and the per-stage wall/CPU timing breakdown from the run's tracing
    spans) so the performance trajectory can be tracked across PRs.
 
@@ -53,9 +53,7 @@ if str(_SRC) not in sys.path:
 
 from repro import telemetry  # noqa: E402  (path bootstrap must run first)
 from repro.experiments import EXPERIMENTS  # noqa: E402
-from repro.queries.backends import effective_cpu_count  # noqa: E402
-from repro.queries.evaluation import get_default_backend  # noqa: E402
-from repro.queries.vectorized import ENGINES  # noqa: E402
+from repro.queries.evaluation import WorkloadEvaluator  # noqa: E402
 
 #: Version of the ``BENCH_<id>.json`` record layout.  v2 added the UTC
 #: timestamp, host info, and the telemetry stage breakdown.
@@ -122,69 +120,6 @@ SMOKE_RUNS: dict[str, tuple] = {
         EXPERIMENTS["e14"],
         dict(trials=10, seed=0),
     ),
-    "bench_e15_evaluator_scaling": (
-        EXPERIMENTS["e15"],
-        dict(size_a=8, size_b=4, size_c=8, chunk_size=512, eval_repeats=1, seed=0),
-    ),
-    "bench_e16_sharded_evaluation": (
-        EXPERIMENTS["e16"],
-        dict(
-            size_a=8,
-            size_b=4,
-            size_c=8,
-            workers=2,
-            eval_repeats=1,
-            pmw_rounds=2,
-            tuples_per_relation=60,
-            chunk_size=256,
-            seed=0,
-        ),
-    ),
-    "bench_e17_streaming_prefetch": (
-        EXPERIMENTS["e17"],
-        dict(
-            size_a=8,
-            size_b=4,
-            size_c=8,
-            num_queries=3,
-            prefetch_depth=2,
-            eval_repeats=1,
-            pmw_rounds=2,
-            tuples_per_relation=60,
-            chunk_size=64,
-            seed=0,
-        ),
-    ),
-    "bench_e18_domain_partitioned": (
-        EXPERIMENTS["e18"],
-        dict(
-            size_a=8,
-            size_b=4,
-            size_c=8,
-            workers=2,
-            eval_repeats=1,
-            pmw_rounds=2,
-            tuples_per_relation=60,
-            chunk_size=256,
-            seed=0,
-        ),
-    ),
-    # The smoke engine defaults to the always-available NumPy kernel so the
-    # record is stable across machines; ``--engine jax`` swaps it.
-    "bench_e19_vectorized_evaluation": (
-        EXPERIMENTS["e19"],
-        dict(
-            size_a=8,
-            size_b=4,
-            size_c=8,
-            engine="numpy",
-            eval_repeats=1,
-            pmw_rounds=2,
-            tuples_per_relation=60,
-            chunk_size=256,
-            seed=0,
-        ),
-    ),
     "bench_e20_observability": (
         EXPERIMENTS["e20"],
         dict(
@@ -229,7 +164,9 @@ def host_info() -> dict:
     """The host facts a perf record needs to be comparable across machines."""
     return {
         "cpu_count": os.cpu_count() or 1,
-        "effective_cpus": effective_cpu_count(),
+        "effective_cpus": len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1,
         "python": _platform.python_version(),
         "numpy": np.__version__,
         "platform": _platform.system(),
@@ -241,16 +178,13 @@ def write_bench_record(name: str, result: dict, wall_seconds: float, peak_mib: f
     """Write one machine-readable ``BENCH_<id>.json`` performance record.
 
     The record carries the numbers the perf trajectory is tracked by across
-    PRs: wall time, peak traced memory, and the evaluation backend — the
-    concrete backend the experiment reports having used (``backend``, or the
-    resolved ``auto_mode`` choice), falling back to the configured process
-    default (which may be the literal ``"auto"``) for experiments that do
-    not report one.
+    PRs: wall time, peak traced memory, and the evaluation path
+    (``WorkloadEvaluator.mode``, the one factored evaluator).
 
     Schema v2 adds the UTC timestamp, the host info the numbers were taken
     on, and — when the run recorded telemetry — ``stages``: the per-span
-    wall/CPU timing breakdown (PMW rounds, mechanism draws, backend choice,
-    packing, ...) aggregated by stage name.
+    wall/CPU timing breakdown (PMW rounds, mechanism draws, ...) aggregated
+    by stage name.
     """
     json_dir.mkdir(parents=True, exist_ok=True)
     snapshot = result.get("telemetry") or {}
@@ -264,9 +198,7 @@ def write_bench_record(name: str, result: dict, wall_seconds: float, peak_mib: f
         "host": host_info(),
         "wall_seconds": round(wall_seconds, 6),
         "peak_mib": round(peak_mib, 3),
-        "backend": result.get("backend")
-        or result.get("auto_mode")
-        or get_default_backend()[0],
+        "backend": WorkloadEvaluator.mode,
         "stages": snapshot.get("stages", {}),
     }
     path = json_dir / f"BENCH_{name.removeprefix('bench_')}.json"
@@ -296,9 +228,8 @@ def _execute_benchmark(
     try:
         result = runner(**kwargs)
         wall_seconds = time.perf_counter() - start
-        # Experiments that profile memory themselves (e.g. E15) stop the
-        # global tracer mid-run; their records then report a 0 peak and the
-        # per-mode peaks live in the experiment's own rows instead.
+        # An experiment that profiles memory itself stops the global tracer
+        # mid-run; its record then reports a 0 peak.
         peak_mib = (
             tracemalloc.get_traced_memory()[1] / 2**20 if tracemalloc.is_tracing() else 0.0
         )
@@ -373,13 +304,6 @@ def main(argv: list[str] | None = None) -> int:
         help="skip copying the records to repo-root BENCH_<id>.json files",
     )
     parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="pin the vector-backend kernel engine for the E19 smoke run "
-        "(default: the always-available numpy engine)",
-    )
-    parser.add_argument(
         "--compare",
         action="store_true",
         help="after the sweep, run the benchmarks/compare.py regression gate: "
@@ -387,8 +311,6 @@ def main(argv: list[str] | None = None) -> int:
         "fails this run)",
     )
     args = parser.parse_args(argv)
-    if args.engine is not None:
-        SMOKE_RUNS["bench_e19_vectorized_evaluation"][1]["engine"] = args.engine
 
     check_coverage()
     failures: list[str] = []

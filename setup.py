@@ -3,16 +3,8 @@
 The execution environment is offline and has no ``wheel`` package, so PEP 660
 editable wheels cannot be built; keeping a ``setup.py`` lets
 ``pip install -e .`` fall back to the legacy develop-mode install.
-
-The ``[jax]`` extra pulls in the optional accelerator dependency of the
-vectorised evaluation backend (``mode="vector"``, ``engine="jax"``); without
-it the backend runs on its pure-NumPy/scipy CPU engine.
 """
 
 from setuptools import setup
 
-setup(
-    extras_require={
-        "jax": ["jax>=0.4.14", "jaxlib>=0.4.14"],
-    }
-)
+setup()

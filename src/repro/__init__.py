@@ -38,15 +38,7 @@ from repro.relational.instance import Instance
 from repro.relational.join import join_result, join_size
 from repro.queries.linear import ProductQuery, TableQuery, counting_query
 from repro.queries.workload import Workload
-from repro.queries.backends import EvaluationBackend, register_backend, registered_backends
-from repro.queries.evaluation import (
-    ErrorReport,
-    SparseWorkloadEvaluator,
-    WorkloadEvaluator,
-    auto_evaluator_mode,
-    set_default_backend,
-    shared_evaluator,
-)
+from repro.queries.evaluation import ErrorReport, WorkloadEvaluator, shared_evaluator
 from repro.mechanisms.spec import PrivacySpec
 from repro.sensitivity.local import local_sensitivity
 from repro.sensitivity.residual import residual_sensitivity
@@ -65,7 +57,6 @@ __all__ = [
     "AttributeTree",
     "Domain",
     "ErrorReport",
-    "EvaluationBackend",
     "Instance",
     "JoinQuery",
     "PMWConfig",
@@ -74,12 +65,10 @@ __all__ = [
     "Relation",
     "RelationSchema",
     "ReleaseResult",
-    "SparseWorkloadEvaluator",
     "SyntheticDataset",
     "TableQuery",
     "Workload",
     "WorkloadEvaluator",
-    "auto_evaluator_mode",
     "chain_query",
     "counting_query",
     "figure4_query",
@@ -89,11 +78,8 @@ __all__ = [
     "multi_table_release",
     "path3_query",
     "private_multiplicative_weights",
-    "register_backend",
-    "registered_backends",
     "release_synthetic_data",
     "residual_sensitivity",
-    "set_default_backend",
     "shared_evaluator",
     "single_table_query",
     "star_query",

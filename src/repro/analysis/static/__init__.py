@@ -3,7 +3,7 @@
 AST-level enforcement of the invariants the reproduction's guarantees rest
 on: seeded randomness (DPA101), ledger-charged noise (DPA102), histogram
 session encapsulation (DPA103), stdlib-only load-anywhere packages
-(DPA104), shared-memory lifecycle (DPA105), and exception hygiene (DPA106).
+(DPA104), and exception hygiene (DPA106).
 Run it with ``python -m repro.analysis``; see the README's "Static
 analysis" section for the rule table, suppression syntax, and the baseline
 workflow.

@@ -10,7 +10,6 @@ from .rng_discipline import RngDisciplineRule
 from .noise_locality import NoiseLocalityRule
 from .session_encapsulation import SessionEncapsulationRule
 from .stdlib_only import StdlibOnlyRule
-from .shm_lifecycle import ShmLifecycleRule
 from .exception_hygiene import ExceptionHygieneRule
 
 __all__ = [
@@ -18,6 +17,5 @@ __all__ = [
     "NoiseLocalityRule",
     "RngDisciplineRule",
     "SessionEncapsulationRule",
-    "ShmLifecycleRule",
     "StdlibOnlyRule",
 ]

@@ -1,12 +1,11 @@
 """DPA103: histogram backing storage is private to ``src/repro/queries/``.
 
-The session op protocol (``answers`` / ``scale_support`` / ``scale`` /
-``fill`` / ``total`` / ``accumulate`` / ``averaged_slices`` / ``close``) is
-what lets a backend keep its histogram in per-slice shared-memory segments
-instead of one ``|D|``-cell array.  Any ``.array`` / ``._array`` attribute
-access outside the queries package would re-couple callers to the dense
-representation and silently reintroduce the ``8·|D|`` allocation the domain
-backend exists to avoid.  ``np.array(...)`` / ``numpy.array(...)``
+Callers drive a histogram session through its op protocol (``answers`` /
+``scale_support`` / ``scale`` / ``fill`` / ``total`` / ``accumulate`` /
+``averaged_slices`` / ``close``), so the session alone decides how the
+histogram is stored.  Any ``.array`` / ``._array`` attribute access outside
+the queries package would re-couple callers to that storage.
+``np.array(...)`` / ``numpy.array(...)``
 constructor calls are exempt — the rule targets attribute reads on
 session-like objects, not the numpy API.
 """

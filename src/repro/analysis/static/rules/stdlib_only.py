@@ -1,7 +1,7 @@
 """DPA104: designated packages import the standard library only.
 
-``repro.telemetry`` must load in every context — pool workers, CI
-containers before dependencies are installed, minimal installs — so it may
+``repro.telemetry`` must load in every context — CI containers before
+dependencies are installed, minimal installs — so it may
 not import numpy, scipy, or anything else third-party.  The same contract
 applies to this analysis framework itself (``repro.analysis.static``): the
 dependency-free CI check bootstraps it by file path before ``pip install``

@@ -5,22 +5,13 @@ Usage::
     python -m repro.cli list                # list available experiments
     python -m repro.cli run e6              # run one experiment, print its table
     python -m repro.cli run all --seed 1    # run the full suite
-    python -m repro.cli run e16 --evaluator-backend sharded --workers 4
-    python -m repro.cli run e17 --evaluator-backend prefetch
-    python -m repro.cli run e19 --evaluator-backend vector
     python -m repro.cli demo                # tiny end-to-end quickstart
 
 Every experiment corresponds to a row of the per-experiment index in
 DESIGN.md; the printed tables are the ones recorded in EXPERIMENTS.md.
-``--evaluator-backend`` / ``--workers`` set the process-wide default
-workload-evaluation backend (see ``repro.queries.backends``), so every
-release algorithm in the run inherits them.  ``vector`` selects the fused
-batch-kernel backend; its engine (JAX when importable, NumPy otherwise)
-auto-detects per process, or is pinned per evaluator via the ``engine``
-keyword.
 
 ``--telemetry`` turns the runtime telemetry layer on for the whole run
-(``repro.telemetry``): backend choices, PMW rounds, mechanism invocations
+(``repro.telemetry``): PMW rounds, mechanism invocations
 and privacy spend are counted/timed, and a JSON metrics snapshot is
 printed after each experiment.  ``--trace-out PATH`` (implies
 ``--telemetry``) additionally exports the recorded tracing spans as a
@@ -52,7 +43,6 @@ import time
 
 from repro import telemetry
 from repro.experiments import DESCRIPTIONS, EXPERIMENTS
-from repro.queries.evaluation import registered_backends, set_default_backend
 
 
 def _cmd_list() -> int:
@@ -107,13 +97,6 @@ def _cmd_demo(seed: int) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -128,23 +111,6 @@ def main(argv: list[str] | None = None) -> int:
     demo_parser = subparsers.add_parser("demo", help="tiny end-to-end quickstart")
     demo_parser.add_argument("--seed", type=int, default=0)
     for sub in (run_parser, demo_parser):
-        sub.add_argument(
-            "--evaluator-backend",
-            choices=("auto",) + registered_backends(),
-            default="auto",
-            help="workload-evaluation backend for every release in the run "
-            "('vector' = fused batch kernels, JAX engine when importable "
-            "with a NumPy fallback)",
-        )
-        sub.add_argument(
-            "--workers",
-            type=_positive_int,
-            default=1,
-            help="worker processes for the sharded and domain evaluation "
-            "backends (>= 2 also makes 'sharded' eligible for the automatic "
-            "choice; 'domain' gives each worker its own histogram slice) and "
-            "the decode look-ahead depth of the 'prefetch' streaming backend",
-        )
         sub.add_argument(
             "--telemetry",
             action="store_true",
@@ -189,7 +155,6 @@ def main(argv: list[str] | None = None) -> int:
     journal = None
     ledger = None
     if args.command in ("run", "demo"):
-        set_default_backend(args.evaluator_backend, args.workers)
         observability = args.metrics_port is not None or args.audit_out is not None
         if args.telemetry or args.trace_out is not None or observability:
             telemetry.configure(enabled=True)

@@ -42,22 +42,19 @@ def multi_table_release(
     rng: np.random.Generator | None = None,
     seed: int | None = None,
     evaluator: WorkloadEvaluator | None = None,
-    backend: str | None = None,
-    workers: int | None = None,
     pmw_config: PMWConfig | None = None,
 ) -> ReleaseResult:
     """Release synthetic data for a general multi-way join (Algorithm 3).
 
     The overall guarantee is (ε, δ)-DP: (ε/2, δ/2) for the noisy residual
-    sensitivity and (ε/2, δ/2) for the PMW run (Lemma 3.7).  ``backend`` and
-    ``workers`` pick the workload-evaluation backend when no explicit
-    ``evaluator`` is given.
+    sensitivity and (ε/2, δ/2) for the PMW run (Lemma 3.7).  Without an
+    explicit ``evaluator`` the workload's shared evaluator answers it.
     """
     query = instance.query
     workload.require_compatible(query)
     generator = resolve_rng(rng, seed)
     if evaluator is None:
-        evaluator = shared_evaluator(workload, backend=backend, workers=workers)
+        evaluator = shared_evaluator(workload)
 
     # Line 1: β ← 1/λ.
     if beta is None:

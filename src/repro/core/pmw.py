@@ -30,26 +30,21 @@ update rescales only the selected query's cached support — the update factor
 is exactly 1 outside it — so the answers move only through the columns of
 that support.  The loop carries its answer vector across rounds as
 ``(a + change)·scale``: ``change`` is ``M[:, S]·Δh_S``, which the session's
-support update returns when its backend holds a cell→query column view
-(``sparse``, ``vector``, ``sharded``), and ``scale`` the renormalisation
-factor.  It falls back to one batched workload evaluation (dense matmul, CSR
-matrix–vector product, sharded/domain parallel matvec, or chunked streaming
-scan depending on the evaluator backend) in round one, after a
-renormalisation reset, and whenever the support update returns ``None``:
-always on the other backends, and on a support whose columns hold over half
-the workload's entries, such as the counting query.  Carried answers drift
-from a full evaluation only by rounding: at most 2.2e-11 relative over 3000
-rounds at ``|D| = 2^20``, without growing, against the 1e-9 the tests
+support update returns when the evaluator holds its cell→query column view,
+and ``scale`` the renormalisation factor.  It falls back to one full
+workload evaluation (one einsum per group of stacked queries) in round one,
+after a renormalisation reset, and whenever the support update returns
+``None``: always without the view, and on a support whose columns hold over
+half the workload's entries, such as the counting query.  Carried answers
+drift from a full evaluation only by rounding: at most 2.2e-11 relative over
+3000 rounds at ``|D| = 2^20``, without growing, against the 1e-9 the tests
 allow, so no periodic refresh is needed.  The histogram lives in a
-:class:`~repro.queries.backends.HistogramSession` owned by the loop, and the
-loop speaks only the session's op protocol: the uniform start is a
-:class:`~repro.queries.backends.HistogramSeed` spec (one scalar, realised by
-the backend — slice-locally on partitioned backends, so this process never
-allocates ``|D|`` cells for it), each round sends only the selected query's
-support delta plus one renormalisation scale, the averaged iterates
-accumulate inside the session, and the released histogram is assembled from
-the session's ``averaged_slices``.  Nothing here ever sees the backing
-array.
+:class:`~repro.queries.evaluation.HistogramSession` owned by the loop, and
+the loop speaks only the session's op protocol: each round sends only the
+selected query's support delta plus one renormalisation scale, the averaged
+iterates accumulate inside the session, and the released histogram is
+assembled from the session's ``averaged_slices``.  Nothing here ever sees
+the backing array.
 
 **Telemetry.**  When :mod:`repro.telemetry` is enabled, a run is one
 ``pmw.run`` span containing a ``pmw.round`` span per iteration (each full
@@ -85,7 +80,6 @@ from repro.mechanisms.spec import PrivacySpec
 from repro.mechanisms.truncated_laplace import sample_truncated_laplace, truncation_radius
 from repro.core.synthetic import assemble_flat_histogram
 from repro.telemetry import registry as telemetry_registry, trace
-from repro.queries.backends import HistogramSeed
 from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
@@ -171,9 +165,8 @@ def _renormalize(session, noisy_total: float, domain_size: int) -> float | None:
 
     Guarded against degenerate totals: a fully clamped/underflowed
     histogram reports total 0 and a corrupted one NaN or inf — dividing by
-    either would spread NaN through every cell (and, under the sharded
-    backend, through the shared-memory view all workers read).  Such
-    sessions are reset to the uniform histogram the iterates start from.
+    either would spread NaN through every cell.  Such sessions are reset to
+    the uniform histogram the iterates start from.
     """
     total = session.total()
     if np.isfinite(total) and total > 0.0:
@@ -217,8 +210,6 @@ def private_multiplicative_weights(
     rng: np.random.Generator | None = None,
     seed: int | None = None,
     evaluator: WorkloadEvaluator | None = None,
-    backend: str | None = None,
-    workers: int | None = None,
     config: PMWConfig | None = None,
 ) -> PMWResult:
     """Run ``PMW_{ε, δ, Δ̃}`` on an instance and return the averaged histogram.
@@ -241,13 +232,8 @@ def private_multiplicative_weights(
     evaluator:
         Optional pre-built :class:`WorkloadEvaluator`; by default the shared
         per-workload evaluator is used, so repeated PMW runs over the same
-        workload (the uniformized algorithms, trial sweeps) reuse its cached
-        matrix or query supports.
-    backend, workers:
-        Evaluation-backend knobs forwarded to
-        :func:`~repro.queries.evaluation.shared_evaluator` when no explicit
-        ``evaluator`` is given (``backend="sharded"`` with ``workers >= 2``
-        parallelises the per-round score computation).
+        workload (the uniformized algorithms, trial sweeps) reuse its stacks
+        and cached query supports.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -258,7 +244,7 @@ def private_multiplicative_weights(
     config = config or PMWConfig()
     generator = resolve_rng(rng, seed)
     if evaluator is None:
-        evaluator = shared_evaluator(workload, backend=backend, workers=workers)
+        evaluator = shared_evaluator(workload)
 
     join_query = workload.join_query
     domain_size = join_query.joint_domain_size
@@ -337,13 +323,11 @@ def private_multiplicative_weights(
         # exp(0) = 1 elsewhere), and the answers are carried across rounds
         # from the change it reports; the workload is evaluated in full only
         # when there are no carried answers (see _update).  The histogram
-        # lives in a backend session driven purely through its op protocol:
-        # the uniform start ships as a seed spec (partitioned backends realise
-        # it slice-locally; this process never allocates |D| cells for it),
-        # each round sends only the support delta and the renormalisation
-        # scale, and the averaged iterates accumulate inside the session.
+        # lives in a session driven purely through its op protocol: each
+        # round sends only the support delta and the renormalisation scale,
+        # and the averaged iterates accumulate inside the session.
         true_answers = evaluator.answers_on_instance(instance)
-        session = evaluator.histogram_session(seed=HistogramSeed.uniform(noisy_total))
+        session = evaluator.histogram_session(np.full(domain_size, noisy_total / domain_size))
         selected: list[int] = []
         current_answers = None
 

@@ -45,14 +45,12 @@ def _single_table_release(
     *,
     rng: np.random.Generator | None,
     evaluator: WorkloadEvaluator | None,
-    backend: str | None,
-    workers: int | None,
     pmw_config: PMWConfig | None,
 ) -> ReleaseResult:
     """Theorem 1.3: the single-table case has sensitivity one."""
     workload.require_compatible(instance.query)
     if evaluator is None:
-        evaluator = shared_evaluator(workload, backend=backend, workers=workers)
+        evaluator = shared_evaluator(workload)
     pmw = private_multiplicative_weights(
         instance,
         workload,
@@ -92,8 +90,6 @@ def release_synthetic_data(
     rng: np.random.Generator | None = None,
     seed: int | None = None,
     evaluator: WorkloadEvaluator | None = None,
-    backend: str | None = None,
-    workers: int | None = None,
     pmw_config: PMWConfig | None = None,
 ) -> ReleaseResult:
     """Release a DP synthetic dataset for answering the workload's linear queries.
@@ -113,14 +109,9 @@ def release_synthetic_data(
         algorithm matching the query shape.
     rng, seed:
         Source of randomness (mutually exclusive).
-    backend, workers:
-        Workload-evaluation backend knobs (any registered backend name, or
-        ``"auto"``) forwarded to every algorithm;
-        ``backend="sharded", workers>=2`` parallelises the PMW score
-        computation across worker processes, and ``backend="domain"``
-        additionally partitions the histogram itself into per-worker
-        shared-memory domain slices, so no single allocation holds all
-        ``|D|`` cells.  Ignored when an explicit ``evaluator`` is passed.
+    evaluator:
+        The workload evaluator every algorithm uses; defaults to the
+        workload's shared evaluator.
 
     Returns
     -------
@@ -151,8 +142,6 @@ def release_synthetic_data(
             delta,
             rng=generator,
             evaluator=evaluator,
-            backend=backend,
-            workers=workers,
             pmw_config=pmw_config,
         )
     if method == "two_table":
@@ -163,8 +152,6 @@ def release_synthetic_data(
             delta,
             rng=generator,
             evaluator=evaluator,
-            backend=backend,
-            workers=workers,
             pmw_config=pmw_config,
         )
     if method == "multi_table":
@@ -175,8 +162,6 @@ def release_synthetic_data(
             delta,
             rng=generator,
             evaluator=evaluator,
-            backend=backend,
-            workers=workers,
             pmw_config=pmw_config,
         )
     partition_method = {
@@ -192,7 +177,5 @@ def release_synthetic_data(
         method=partition_method,
         rng=generator,
         evaluator=evaluator,
-        backend=backend,
-        workers=workers,
         pmw_config=pmw_config,
     )

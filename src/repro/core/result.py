@@ -42,11 +42,10 @@ class ReleaseResult:
     def error_report(self, instance: Instance, workload: Workload) -> ErrorReport:
         """Compare released answers with the exact answers on ``instance``.
 
-        Released answers go through the workload's shared evaluator backend
-        (one batched evaluation) rather than per-query dense joint vectors,
-        so reporting respects the active backend's memory model — sparse
-        supports, chunked scans — instead of materialising ``|Q|`` vectors
-        of ``|D|`` cells.
+        Released answers go through the workload's shared evaluator (one
+        contraction per group of stacked queries) rather than per-query
+        dense joint vectors, so reporting never materialises ``|Q|``
+        vectors of ``|D|`` cells.
         """
         evaluator = shared_evaluator(workload)
         true_answers = evaluator.answers_on_instance(instance)

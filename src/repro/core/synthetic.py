@@ -26,11 +26,10 @@ def assemble_flat_histogram(
 ) -> np.ndarray:
     """Assemble one flat histogram from disjoint ``(start, stop, cells)`` slices.
 
-    The bridge between partitioned histogram producers (a domain-sharded
-    :class:`~repro.queries.backends.HistogramSession`'s ``averaged_slices``)
-    and consumers that want one array; raises if the slices do not cover
-    the whole domain, so a dropped shard fails loudly instead of releasing
-    silent zeros.
+    The bridge between a :class:`~repro.queries.evaluation.HistogramSession`'s
+    ``averaged_slices`` and consumers that want one array; raises if the
+    slices do not cover the whole domain, so a dropped slice fails loudly
+    instead of releasing silent zeros.
     """
     flat = np.zeros(domain_size, dtype=float)
     covered = 0
@@ -86,9 +85,8 @@ class SyntheticDataset:
     ) -> "SyntheticDataset":
         """Build a synthetic dataset from disjoint flat ``(start, stop, cells)`` slices.
 
-        The assembly path for partitioned producers: a domain-sharded PMW
-        run hands over its averaged iterates slice by slice and the full
-        histogram is allocated exactly once, here.
+        The assembly path for producers that hand over a histogram slice
+        by slice; the full histogram is allocated exactly once, here.
         """
         flat = assemble_flat_histogram(join_query.joint_domain_size, slices)
         return cls(
@@ -104,9 +102,8 @@ class SyntheticDataset:
         """Yield the histogram as flat ``(start, stop, cells)`` slices.
 
         The inverse of :meth:`from_flat_slices`: lets consumers stream the
-        released histogram range by range (e.g. to seed a partitioned
-        session via ``HistogramSeed.from_slices``) without a second
-        full-domain copy — the yielded cells are read-only views.
+        released histogram range by range without a second full-domain
+        copy — the yielded cells are read-only views.
         """
         if slice_size <= 0:
             raise ValueError(f"slice_size must be positive, got {slice_size}")

@@ -32,17 +32,13 @@ def two_table_release(
     rng: np.random.Generator | None = None,
     seed: int | None = None,
     evaluator: WorkloadEvaluator | None = None,
-    backend: str | None = None,
-    workers: int | None = None,
     pmw_config: PMWConfig | None = None,
 ) -> ReleaseResult:
     """Release synthetic data for a two-table join (Algorithm 1).
 
     The overall guarantee is (ε, δ)-DP: (ε/2, δ/2) for the noisy sensitivity
-    bound Δ̃ and (ε/2, δ/2) for the PMW run (Lemma 3.2).  ``backend`` and
-    ``workers`` pick the workload-evaluation backend when no explicit
-    ``evaluator`` is given (``backend="sharded"`` with ``workers >= 2``
-    parallelises the PMW score computation).
+    bound Δ̃ and (ε/2, δ/2) for the PMW run (Lemma 3.2).  Without an
+    explicit ``evaluator`` the workload's shared evaluator answers it.
     """
     query = instance.query
     if query.num_relations != 2:
@@ -52,7 +48,7 @@ def two_table_release(
     workload.require_compatible(query)
     generator = resolve_rng(rng, seed)
     if evaluator is None:
-        evaluator = shared_evaluator(workload, backend=backend, workers=workers)
+        evaluator = shared_evaluator(workload)
 
     # Line 1: Δ̃ ← Δ + TLap — the global sensitivity of LS_count is one for
     # two-table joins, so sensitivity-1 noise suffices.

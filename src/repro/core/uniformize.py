@@ -46,8 +46,6 @@ def uniformize_release(
     rng: np.random.Generator | None = None,
     seed: int | None = None,
     evaluator: WorkloadEvaluator | None = None,
-    backend: str | None = None,
-    workers: int | None = None,
     pmw_config: PMWConfig | None = None,
 ) -> ReleaseResult:
     """Release synthetic data with uniformized sensitivities (Algorithm 4).
@@ -60,10 +58,9 @@ def uniformize_release(
         query has exactly two relations and hierarchical otherwise.
     lam:
         The bucketing scale λ; defaults to ``(1/ε)·log(1/δ)``.
-    backend, workers:
-        Workload-evaluation backend knobs applied when no explicit
-        ``evaluator`` is given; the resolved evaluator is shared by every
-        per-bucket release.
+    evaluator:
+        The workload evaluator every per-bucket release shares; defaults to
+        the workload's shared evaluator.
     """
     query = instance.query
     workload.require_compatible(query)
@@ -75,7 +72,7 @@ def uniformize_release(
         # partition fragments needlessly.
         lam = default_lambda(epsilon / 2.0, delta / 2.0)
     if evaluator is None:
-        evaluator = shared_evaluator(workload, backend=backend, workers=workers)
+        evaluator = shared_evaluator(workload)
     if method == "auto":
         method = "two_table" if query.num_relations == 2 else "hierarchical"
     if method not in ("two_table", "hierarchical"):

@@ -1,6 +1,6 @@
 """The experiment harness: one module per reproduced paper artefact.
 
-Every experiment ``E1 ... E20`` of DESIGN.md's per-experiment index lives in
+Every experiment (``E1 ... E14`` and ``E20``) of DESIGN.md's per-experiment index lives in
 its own module with a ``run(...)`` function returning a dictionary that always
 contains a ``"table"`` entry (an :class:`repro.analysis.reporting.ExperimentTable`)
 plus experiment-specific raw values that the benchmark suite asserts on.  The
@@ -32,11 +32,6 @@ from repro.experiments import (
     e12_tpch,
     e13_single_table_pmw,
     e14_privacy_audit,
-    e15_evaluator_scaling,
-    e16_sharded_evaluation,
-    e17_streaming_prefetch,
-    e18_domain_partitioned,
-    e19_vectorized_evaluation,
     e20_observability,
 )
 
@@ -80,11 +75,6 @@ _RUNNERS = {
     "e12": e12_tpch.run,
     "e13": e13_single_table_pmw.run,
     "e14": e14_privacy_audit.run,
-    "e15": e15_evaluator_scaling.run,
-    "e16": e16_sharded_evaluation.run,
-    "e17": e17_streaming_prefetch.run,
-    "e18": e18_domain_partitioned.run,
-    "e19": e19_vectorized_evaluation.run,
     "e20": e20_observability.run,
 }
 
@@ -105,11 +95,6 @@ DESCRIPTIONS = {
     "e12": "TPC-H-style end-to-end workloads",
     "e13": "Theorem 1.3 — single-table PMW sanity",
     "e14": "Lemmas 3.2/3.7/4.1 — empirical privacy audit",
-    "e15": "Workload-evaluation engine scaling — dense vs sparse vs streaming",
-    "e16": "Sharded multi-process evaluation — parallel speedup with bitwise PMW parity",
-    "e17": "Pipelined streaming evaluation — async chunk prefetch with bitwise parity",
-    "e18": "Domain-partitioned histograms — per-slice shared memory, no |D| allocation",
-    "e19": "Vectorised batch kernels — fused whole-workload evaluation, JAX jit or NumPy",
     "e20": "Observability — hash-chained audit journal, live scrape endpoints, overhead",
 }
 

@@ -5,76 +5,37 @@ function ``q_i : D_i -> [-1, +1]`` per relation; its answer is the weighted
 join size ``Σ_t ρ(t)·Π_i q_i(t_i)·R_i(t_i)``.  This subpackage provides the
 query objects, standard workload families (counting, predicates, marginals,
 ranges, random signs), and exact evaluation against both instances and
-released synthetic datasets through the pluggable evaluation-backend
-registry (dense / sparse / vectorised batch kernels / sharded /
-domain-partitioned / streaming / prefetching-streaming).
+released synthetic datasets: :class:`WorkloadEvaluator` stacks each
+relation's weights across the workload and answers every query with one
+contraction per group of queries, and hands the PMW loop each query's
+support and a :class:`HistogramSession`.
 """
 
 from repro.queries.linear import ProductQuery, TableQuery, all_one_query, counting_query
 from repro.queries.workload import Workload
-from repro.queries.backends import (
-    ArrayHistogramSession,
-    BackendCost,
-    EvaluationBackend,
-    EvaluatorConfig,
-    EvaluatorContext,
-    HistogramSeed,
-    HistogramSession,
-    register_backend,
-    registered_backends,
-    unregister_backend,
-)
+from repro.queries.backends import EvaluatorContext
 from repro.queries.evaluation import (
     ErrorReport,
-    SparseWorkloadEvaluator,
+    HistogramSession,
     WorkloadEvaluator,
-    auto_evaluator_mode,
     evaluate_workload_on_histogram,
     evaluate_workload_on_instance,
-    evaluator_backend_costs,
-    get_default_backend,
     max_error,
-    set_default_backend,
     shared_evaluator,
-)
-from repro.queries.vectorized import (
-    PackedWorkload,
-    VectorizedBackend,
-    accelerator_available,
-    jax_available,
-    resolve_engine,
 )
 
 __all__ = [
-    "ArrayHistogramSession",
-    "BackendCost",
     "ErrorReport",
-    "EvaluationBackend",
-    "EvaluatorConfig",
     "EvaluatorContext",
-    "HistogramSeed",
     "HistogramSession",
-    "PackedWorkload",
     "ProductQuery",
-    "SparseWorkloadEvaluator",
     "TableQuery",
-    "VectorizedBackend",
     "Workload",
     "WorkloadEvaluator",
-    "accelerator_available",
     "all_one_query",
-    "auto_evaluator_mode",
     "counting_query",
     "evaluate_workload_on_histogram",
     "evaluate_workload_on_instance",
-    "evaluator_backend_costs",
-    "get_default_backend",
-    "jax_available",
     "max_error",
-    "register_backend",
-    "registered_backends",
-    "resolve_engine",
-    "set_default_backend",
     "shared_evaluator",
-    "unregister_backend",
 ]

@@ -1,120 +1,83 @@
 """Exact workload evaluation and error reporting.
 
-:class:`WorkloadEvaluator` answers a whole workload against instances and
-joint-domain histograms.  It is a thin facade over the pluggable
-:class:`~repro.queries.backends.EvaluationBackend` registry; the built-in
-backends trade memory for speed behind one interface, so the release
-algorithms never care which one is active:
+A workload query is a product ``q(x) = Π_R w_R(x_R)`` of one weight array
+per relation, so a workload is one weight stack per relation and every
+answer — on an instance or on a released histogram — is one contraction of
+those stacks.  :class:`WorkloadEvaluator` is built on that:
 
-``dense``
-    Pre-computes the full ``|Q| × |D|`` float64 query matrix so every
-    workload evaluation is a single matrix–vector product.  Fastest per
-    evaluation, but the matrix costs ``8·|Q|·|D|`` bytes.
-``sparse``
-    Stores one CSR-style ``(indices, values)`` support per query — only the
-    joint-domain cells where the query value is non-zero.  Memory is
-    ``O(Σ_q nnz(q))`` instead of ``O(|Q|·|D|)``; threshold/marginal
-    workloads are overwhelmingly sparse, so this is usually a large
-    reduction.
-``sharded``
-    The sparse CSR split into row shards evaluated by a persistent
-    ``multiprocessing`` worker pool over a shared-memory histogram (with a
-    chunk-range fallback beyond the sparse budget).  Opted into with the
-    ``workers`` knob; answers match the serial sparse path bitwise per
-    query, so PMW selections are reproducible across worker counts.
-``streaming``
-    Holds no per-query state at all: evaluations scan the joint domain in
-    fixed-size chunks and recompute query values on the fly.  Slowest, but
-    the extra memory is bounded by the chunk size regardless of ``|Q|`` or
-    ``|D|``.
-``prefetch``
-    The streaming re-scan pipelined: a background thread decodes chunk
-    ``k+1`` while the per-query weight products and matvec of chunk ``k``
-    run, so the two stages overlap instead of alternating.  Answers are
-    bitwise identical to ``streaming``; memory stays chunk-bounded (one
-    extra in-flight chunk per unit of look-ahead, set by ``workers``).
-    Auto-eligible whenever the host has at least two cores, ranked just
-    ahead of the serial streaming scan.
-``domain``
-    The joint domain itself partitioned into contiguous slices, one per
-    pool worker, each backed by its own shared-memory segment of
-    ``8·(slice length)`` bytes — the full histogram never exists as one
-    allocation.  Supports are re-indexed per slice; answers sum the
-    per-slice partials in fixed order (1e-9 parity with serial sparse, not
-    bitwise — PMW *selections* stay bitwise under a fixed seed).  Opt-in
-    via ``mode="domain"``; this is the strategy for histograms one address
-    space cannot hold.
-``vector``
-    The whole workload compiled once into packed batch tensors (the
-    concatenated CSR supports plus bucketed rectangular index/weight
-    padding) and answered by one fused kernel call per evaluation.  Two
-    interchangeable engines share the packed layout, selected by the
-    ``engine`` knob: a ``jax.jit`` path with the histogram resident on
-    the device across PMW rounds (requires the optional JAX dependency,
-    ``pip install .[jax]``), and a pure-NumPy/scipy CPU path whose fused
-    CSR matvec is bitwise identical to ``sparse``.  Auto-eligible when
-    the workload is large enough to amortise packing and rectangular
-    enough to pad within the cost model's waste limit — at that point it
-    outranks serial ``sparse``.
+Stacks and groups
+    Queries are grouped by the set of relations whose weights are not all
+    one, and each group stacks those relations' weights across its queries
+    into ``|Q_g| × dom(R)`` arrays.  The counting query (no such relation)
+    is ``h.sum()``.  A group's answers on a histogram ``h`` are one
+    ``np.einsum`` of its stacks with ``h`` summed down to the group's
+    attributes: ``qab,ab->q`` for marginals on ``R1(A, B)`` of a two-table
+    join, ``qab,qbc,abc->q`` for ±1 queries over both relations.
+Contraction paths and query blocks
+    Each group's path is found once by numpy's greedy search with no size
+    cap: under numpy's default cap (the largest operand) the search gives
+    up and contracts all operands at once, sweeping every index
+    combination.  The path then runs over blocks of the group's queries,
+    sized so that a block's temporaries — every intermediate twice, plus
+    its operand slices — stay within ``_BLOCK_CELLS``·|D| float64 cells.
+Instances
+    :meth:`~WorkloadEvaluator.answers_on_instance` contracts the same
+    stacks, times their relations' frequencies, with the other relations'
+    frequencies.  Integer frequencies times 0/±1 weights sum exactly, so
+    those answers are bitwise the per-query reference,
+    :meth:`~repro.queries.linear.ProductQuery.evaluate`.
+Supports
+    :meth:`~WorkloadEvaluator.query_support` builds one query's
+    ``(flat indices, values)`` over its non-zero box
+    (:class:`~repro.queries.backends.EvaluatorContext`) and caches it while
+    the cached entries fit ``_SPARSE_CELL_BUDGET``.
+The column view
+    A session answers a support update through the
+    :class:`~repro.queries.backends.ColumnView` when a full evaluation
+    sweeps more than ``_MATRIX_CELL_BUDGET`` matrix cells (``|Q|·|D|``)
+    while every support fits ``_SPARSE_CELL_BUDGET`` entries, and scipy
+    imports.  The view is built on first use from a workload CSR that is
+    allocated once at ``Σ_q nnz(q)`` entries and filled query by query; the
+    cached supports become zero-copy slices of it.  Without the view the
+    PMW loop evaluates the workload in full every round.
+Memory
+    Resident: the stacks, the cached supports (the CSR once built) and the
+    view.  :meth:`~WorkloadEvaluator.estimated_memory` sums exactly those
+    arrays.
 
-Iterated evaluation drives a :class:`~repro.queries.backends.HistogramSession`
-— an operation protocol (``answers``, ``scale_support``, ``scale``,
-``fill``, ``total``, ``accumulate``/``averaged_slices``, ``close``) behind
-which the histogram storage is private to the backend.  Sessions are opened
-via :meth:`WorkloadEvaluator.histogram_session`, either from a concrete
-array or from a declarative :class:`~repro.queries.backends.HistogramSeed`
-(uniform total or per-slice initializer), which partitioned backends
-realise slice-locally so the parent never allocates ``|D|`` cells.
-
-The default (``mode="auto"``) runs the registry's explicit cost model
-(:func:`~repro.queries.backends.choose_backend`): every registered backend
-reports eligibility against the configured cell budgets — dense while
-``|Q|·|D|`` fits the matrix budget, sparse/sharded while the *measured*
-total support fits the sparse budget (an einsum over the non-zero
-indicators of the per-relation weights, never materialising the joint
-domain), streaming always — and the fastest eligible backend wins.  The
-choice (and any dense matrix build) is deferred until the first histogram
-evaluation or support request, so instance-only consumers pay nothing for
-it.  :func:`register_backend` adds custom backends to the same model.
-
-:func:`shared_evaluator` memoises evaluators on the workload object itself
-(one per ``(backend, workers)``), so repeated release invocations over the
-same workload — the uniformized algorithms, the baselines, parameter
-sweeps — reuse the cached supports, and the cache dies with the workload.
+Iterated evaluation goes through a :class:`HistogramSession`, an operation
+protocol (``answers``, ``scale_support``, ``scale``, ``fill``, ``total``,
+``accumulate``/``averaged_slices``, ``close``) behind which the histogram
+array is private to this package.  :func:`shared_evaluator` memoises one
+evaluator on the workload object itself, so repeated releases over the same
+workload reuse its stacks, supports and view, and the cache dies with the
+workload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+from typing import Iterator
 
 import numpy as np
 
-from repro.queries.backends import (
-    _DEFAULT_CHUNK_SIZE,
-    _MATRIX_CELL_BUDGET,
-    _SPARSE_CELL_BUDGET,
-    BackendCost,
-    DenseBackend,
-    EvaluationBackend,
-    EvaluatorConfig,
-    EvaluatorContext,
-    HistogramSeed,
-    HistogramSession,
-    backend_class,
-    backend_costs,
-    choose_backend,
-    register_backend,
-    registered_backends,
-    unregister_backend,
-)
-from repro.queries.vectorized import ENGINES, resolve_engine
+from repro.queries.backends import ColumnView, EvaluatorContext, _scipy_sparse
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
-from repro.telemetry import registry as _telemetry_registry
+from repro.relational.join import _EINSUM_LETTERS, _letters_for
 
-# Importing the modules registers the sharded and vectorised backends.
-import repro.queries.sharded  # noqa: F401  (registration side effect)
-import repro.queries.vectorized  # noqa: F401  (registration side effect)
+#: Above this many matrix cells (``|Q|·|D|``) a full evaluation is costly
+#: enough that sessions answer support updates through the column view.
+_MATRIX_CELL_BUDGET = 60_000_000
+
+#: The column view is built only while ``Σ_q nnz(q)`` fits this many
+#: entries, and the support cache holds at most this many.
+_SPARSE_CELL_BUDGET = 30_000_000
+
+#: A query block's temporaries stay within this many multiples of ``|D|``
+#: float64 cells.
+_BLOCK_CELLS = 4
 
 
 @dataclass(frozen=True)
@@ -158,146 +121,234 @@ class ErrorReport:
         )
 
 
-# ---------------------------------------------------------------------- #
-# process-wide default backend (set by the CLI flags)
-# ---------------------------------------------------------------------- #
-_DEFAULT_BACKEND: tuple[str, int] = ("auto", 1)
+@dataclass(frozen=True)
+class _Contraction:
+    """One einsum: its subscripts, a path found once, and its query-block length."""
+
+    subscripts: str
+    path: list
+    block: int
+
+    @classmethod
+    def plan(
+        cls, terms: list[str], output: str, shapes: list[tuple[int, ...]], domain_size: int
+    ) -> "_Contraction":
+        subscripts = ",".join(terms) + "->" + output
+        # The path needs only the shapes; no size cap (see the module docstring).
+        placeholders = [np.broadcast_to(np.empty(()), shape) for shape in shapes]
+        path = np.einsum_path(subscripts, *placeholders, optimize=("greedy", 1 << 62))[0]
+        extents = {
+            label: extent
+            for term, shape in zip(terms, shapes)
+            for label, extent in zip(term, shape)
+        }
+
+        def per_query(labels) -> int:
+            return prod(extents[label] for label in labels if label not in output)
+
+        cells = sum(per_query(term) for term in terms if output and output in term)
+        live = [set(term) for term in terms]
+        for positions in path[1:]:
+            merged = set().union(*(live.pop(position) for position in sorted(positions)[::-1]))
+            kept = merged & set(output).union(*live)
+            live.append(kept)
+            cells += 2 * per_query(kept)
+        return cls(subscripts, path, max(1, _BLOCK_CELLS * domain_size // max(1, cells)))
+
+    def run(
+        self,
+        answers: np.ndarray,
+        rows: np.ndarray,
+        stacks: tuple[np.ndarray, ...],
+        others: tuple[np.ndarray, ...],
+        factors: tuple[np.ndarray, ...] = (),
+    ) -> None:
+        """``answers[rows] = einsum(*stacks, *others)``, one query block at a time.
+
+        Each stack's block is multiplied by its entry of ``factors``, when
+        given (the relation frequencies of an instance).
+        """
+        for lo in range(0, rows.size, self.block):
+            block = [stack[lo : lo + self.block] for stack in stacks]
+            if factors:
+                block = [weights * factor for weights, factor in zip(block, factors)]
+            answers[rows[lo : lo + self.block]] = np.einsum(
+                self.subscripts, *block, *others, optimize=self.path
+            )
 
 
-def set_default_backend(backend: str = "auto", workers: int = 1) -> None:
-    """Set the process-wide default evaluation backend and worker count.
+@dataclass(frozen=True)
+class _Group:
+    """The queries whose non-all-one weights sit on one set of relations."""
 
-    Applied wherever no explicit ``mode``/``backend`` is given — fresh
-    ``WorkloadEvaluator(workload)`` constructions and
-    :func:`shared_evaluator` lookups — so one call (e.g. from the CLI's
-    ``--evaluator-backend``/``--workers`` flags) retargets every release
-    algorithm in the process.
+    rows: np.ndarray
+    relations: tuple[int, ...]
+    stacks: tuple[np.ndarray, ...]
+    summed: tuple[int, ...]
+    on_histogram: _Contraction | None
+    on_instance: _Contraction
+
+
+def _stack(workload: Workload) -> tuple[_Group, ...]:
+    """Stack the workload's weights, one group per set of non-all-one relations."""
+    join = workload.join_query
+    names = join.attribute_names
+    if len(names) >= len(_EINSUM_LETTERS):
+        raise ValueError(f"queries with {len(names)} attributes leave no einsum label free")
+    letters = _letters_for(join)
+    label = _EINSUM_LETTERS[len(names)]  # the first letter no attribute uses
+    terms = ["".join(letters[name] for name in schema.attribute_names) for schema in join.relations]
+    members: dict[tuple[int, ...], list[int]] = {}
+    for index, query in enumerate(workload):
+        key = tuple(
+            position
+            for position, table_query in enumerate(query.table_queries)
+            if not table_query.is_all_one()
+        )
+        members.setdefault(key, []).append(index)
+    domain_size = join.joint_domain_size
+    groups = []
+    for relations, rows in members.items():
+        stacks = tuple(
+            np.stack([workload[index].table_queries[position].weights for index in rows])
+            for position in relations
+        )
+        others = [position for position in range(len(terms)) if position not in relations]
+        stack_terms = [label + terms[position] for position in relations]
+        shapes = [stack.shape for stack in stacks]
+        attributes = {
+            name for position in relations for name in join.relations[position].attribute_names
+        }
+        kept = sorted(join.axis_of(name) for name in attributes)
+        summed = tuple(axis for axis in range(len(names)) if axis not in kept)
+        output = label if relations else ""
+        on_histogram = None
+        if relations:
+            on_histogram = _Contraction.plan(
+                stack_terms + ["".join(letters[names[axis]] for axis in kept)],
+                output,
+                shapes + [tuple(join.shape[axis] for axis in kept)],
+                domain_size,
+            )
+        on_instance = _Contraction.plan(
+            stack_terms + [terms[position] for position in others],
+            output,
+            shapes + [join.relations[position].shape for position in others],
+            domain_size,
+        )
+        groups.append(
+            _Group(np.array(rows), relations, stacks, summed, on_histogram, on_instance)
+        )
+    return tuple(groups)
+
+
+class HistogramSession:
+    """The mutable histogram the PMW loop drives: one flat float64 array.
+
+    The loop owns one session for its whole run: instead of handing the
+    evaluator a fresh histogram every round, it applies in-place deltas
+    through these ops and re-asks for answers.  Callers never see the
+    backing array (a static-analysis rule, DPA103, keeps it private to the
+    queries package).  The session owns its array outright — the seed
+    histogram is copied — and allocates its accumulator on the first
+    :meth:`accumulate`.
+
+    ``answers()``
+        The workload answers against the current contents: always a full
+        evaluation.
+    ``scale_support(indices, factors)``
+        Multiply the cells at sorted ``indices`` by ``factors``, the PMW
+        support delta.  Returns the change in every answer,
+        ``M[:, indices]·(new − old)``, when the evaluator holds a column
+        view and the touched columns hold at most half its entries;
+        otherwise ``None``, and the caller must call ``answers()``.
+    ``scale(factor)`` / ``fill(value)`` / ``total()``
+        Uniform rescale, reset, and total mass.
+    ``accumulate()`` / ``averaged_slices(divisor)``
+        Add the current contents to a running sum / yield
+        ``(start, stop, cells)`` of that sum divided by ``divisor``.
+    ``close()``
+        Release per-session resources.
     """
-    if backend != "auto":
-        backend_class(backend)  # raises on unknown names
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    global _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = (backend, int(workers))
 
+    def __init__(self, evaluator: "WorkloadEvaluator", array: np.ndarray):
+        self._evaluator = evaluator
+        self._array = array
+        self._accumulator: np.ndarray | None = None
 
-def get_default_backend() -> tuple[str, int]:
-    """The process-wide ``(backend, workers)`` default."""
-    return _DEFAULT_BACKEND
+    def answers(self) -> np.ndarray:
+        """Answers of every query against the current histogram contents."""
+        return self._evaluator._answers(self._array)
+
+    def scale_support(self, indices: np.ndarray, factors: np.ndarray) -> np.ndarray | None:
+        """Multiply the cells at sorted ``indices`` by ``factors`` (a support delta).
+
+        Returns the change in every answer, or ``None`` when the session
+        did not compute it.
+        """
+        columns = self._evaluator.column_view()
+        if columns is None or not columns.narrow(indices):
+            self._array[indices] *= factors
+            return None
+        old = self._array[indices]
+        new = old * factors
+        self._array[indices] = new
+        return columns.answer_change(indices, new - old)
+
+    def scale(self, factor: float) -> None:
+        """Multiply every cell by ``factor`` (renormalisation)."""
+        self._array *= factor
+
+    def fill(self, value: float) -> None:
+        """Reset every cell to ``value``."""
+        self._array.fill(value)
+
+    def total(self) -> float:
+        """The total mass of the current histogram contents."""
+        return float(self._array.sum())
+
+    def accumulate(self) -> None:
+        """Add the current contents to the session's running accumulator."""
+        if self._accumulator is None:
+            self._accumulator = np.zeros_like(self._array)
+        self._accumulator += self._array
+
+    def averaged_slices(self, divisor: float) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Yield ``(start, stop, cells)`` of the accumulator divided by ``divisor``.
+
+        One slice covering the whole domain; zeros before any
+        :meth:`accumulate`.
+        """
+        if self._accumulator is None:
+            yield 0, self._array.size, np.zeros(self._array.size, dtype=np.float64)
+        else:
+            yield 0, self._accumulator.size, self._accumulator / float(divisor)
+
+    def close(self) -> None:
+        """Release per-session resources (nothing is held beyond the arrays)."""
 
 
 class WorkloadEvaluator:
     """Evaluate a workload against instances and joint-domain histograms.
 
-    Parameters
-    ----------
-    workload:
-        The query family.
-    materialize:
-        Legacy switch: ``True`` forces the dense backend, ``False`` forbids
-        it (auto-picking among the memory-bounded backends).  Superseded by
-        ``mode``.
-    mode / backend:
-        ``"auto"`` or any registered backend name (``"dense"``,
-        ``"sparse"``, ``"sharded"``, ``"domain"``, ``"streaming"``,
-        ``"prefetch"``, plus custom registrations); see the module
-        docstring for the trade-offs.
-        ``backend`` is an alias of ``mode`` matching the release-algorithm
-        knob; when neither is given the process-wide default applies.
-        ``"auto"`` (the default) runs the registry cost model and picks the
-        fastest backend that fits the cell budgets.
-    cell_budget / sparse_cell_budget:
-        Override the dense-matrix and total-support budgets used by the
-        cost model.
-    chunk_size:
-        Joint-domain chunk length used by streaming scans, and the slab
-        size (in cells of a query's non-zero box) of support construction.
-    workers:
-        Worker-process count for the sharded and domain backends
-        (``workers >= 2`` also makes ``sharded`` eligible for the
-        automatic choice; ``domain`` sizes its per-slice segments by it)
-        and the decode look-ahead depth of the prefetching streaming
-        backend.
-    engine:
-        Kernel engine for engine-aware backends: ``"jax"`` or ``"numpy"``
-        for the vector backend (``None`` auto-detects, preferring JAX
-        when importable), and any non-``None`` value opts the sharded
-        backend's workers into fused per-shard CSR kernels.  Backends
-        without interchangeable kernels ignore it.
-    telemetry:
-        Per-evaluator instrumentation scope: ``None`` follows the global
-        :func:`repro.telemetry.configure` switch, ``False`` keeps this
-        evaluator silent even while the global switch is on, ``True``
-        documents an opt-in (recording still requires the global switch).
+    See the module docstring for the stacks, the query blocks, the support
+    cache and the column-view rule.  ``mode`` and ``engine`` name the one
+    evaluation path (``"factored"``, ``None``) for callers that record them.
     """
 
-    def __init__(
-        self,
-        workload: Workload,
-        materialize: bool | None = None,
-        *,
-        mode: str | None = None,
-        backend: str | None = None,
-        cell_budget: int = _MATRIX_CELL_BUDGET,
-        sparse_cell_budget: int = _SPARSE_CELL_BUDGET,
-        chunk_size: int = _DEFAULT_CHUNK_SIZE,
-        workers: int | None = None,
-        engine: str | None = None,
-        telemetry: bool | None = None,
-    ):
-        if engine is not None and engine not in ENGINES:
-            raise ValueError(
-                f"unknown vector engine {engine!r}; expected one of {ENGINES} or None"
-            )
-        name = backend if backend is not None else mode
-        if name is None:
-            if materialize is True:
-                name = "dense"
-            elif materialize is False:
-                # Legacy "never materialise": auto-pick among the
-                # memory-bounded backends (sparse while the measured support
-                # fits, else streaming).
-                name = "auto"
-                cell_budget = 0
-            else:
-                name, default_workers = get_default_backend()
-                if workers is None:
-                    workers = default_workers
-        if workers is None:
-            workers = 1
-        if name != "auto":
-            # Raises on unknown names; the backend class's own invariant
-            # (e.g. sharded's >= 2 floor) decides the effective worker
-            # count, so this facade, shared_evaluator, and direct backend
-            # construction all agree.
-            workers = backend_class(name).normalize_workers(workers)
-        self._workload = workload
-        self._requested = name
-        self._context = EvaluatorContext(
-            workload,
-            EvaluatorConfig(
-                cell_budget=int(cell_budget),
-                sparse_cell_budget=int(sparse_cell_budget),
-                chunk_size=int(chunk_size),
-                workers=int(workers),
-                engine=engine,
-                telemetry=telemetry,
-            ),
-        )
-        self._backend: EvaluationBackend | None = None
-        # "auto" is resolved lazily on first histogram/support use:
-        # instance-only consumers (answers_on_instance) never pay for the
-        # support measurement or the dense matrix build.
-        if name != "auto":
-            self._backend = backend_class(name)(self._context)
+    mode = "factored"
+    engine = None
 
-    # ------------------------------------------------------------------ #
-    # backend resolution
-    # ------------------------------------------------------------------ #
-    def _resolve_backend(self) -> EvaluationBackend:
-        if self._backend is None:
-            self._backend = backend_class(choose_backend(self._context))(self._context)
-        return self._backend
+    def __init__(self, workload: Workload):
+        self._workload = workload
+        self._context = EvaluatorContext(workload)
+        self._shape = workload.join_query.shape
+        self._stacked: tuple[_Group, ...] | None = None
+        self._supports: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._cached_entries = 0
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._columns: ColumnView | None = None
+        self._columns_decided = False
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -314,66 +365,95 @@ class WorkloadEvaluator:
     def domain_size(self) -> int:
         return self._context.domain_size
 
-    @property
-    def workers(self) -> int:
-        return self._context.config.workers
-
-    @property
-    def engine(self) -> str | None:
-        """The kernel engine: resolved by the active backend when it has one."""
-        backend = self._backend
-        if backend is not None and hasattr(backend, "engine"):
-            return backend.engine
-        return self._context.config.engine
-
-    @property
-    def mode(self) -> str:
-        """The active backend name (resolving the automatic choice)."""
-        return self._resolve_backend().name
-
-    @property
-    def backend(self) -> EvaluationBackend:
-        """The active backend instance (resolving the automatic choice)."""
-        return self._resolve_backend()
-
-    @property
-    def has_matrix(self) -> bool:
-        return isinstance(self._backend, DenseBackend)
+    def _groups(self) -> tuple[_Group, ...]:
+        if self._stacked is None:
+            self._stacked = _stack(self._workload)
+        return self._stacked
 
     def support_size(self, index: int) -> int:
         """Exact number of joint-domain cells where query ``index`` is non-zero.
 
         Computed by an einsum over the non-zero indicators of the per-relation
-        weight arrays — the joint domain is never materialised, so this is
-        cheap even when ``|D|`` is enormous.
+        weight arrays — the joint domain is never materialised.
         """
         return self._context.support_size(index)
 
     def total_support_size(self) -> int:
-        """``Σ_q nnz(q)``: the number of entries the sparse form stores."""
+        """``Σ_q nnz(q)``: the number of entries the workload CSR stores."""
         return self._context.total_support_size()
 
     def estimated_memory(self) -> int:
-        """Resident bytes of the active backend (resolving the auto choice)."""
-        return self._resolve_backend().estimated_memory()
+        """Resident bytes: the stacks, the cached supports or CSR, and the view."""
+        arrays = [stack for group in self._groups() for stack in group.stacks]
+        if self._csr is not None:
+            arrays += self._csr
+        else:
+            arrays += [array for support in self._supports.values() for array in support]
+        if self._columns is not None:
+            arrays += self._columns.arrays()
+        return sum(array.nbytes for array in arrays)
 
     # ------------------------------------------------------------------ #
-    # query supports
+    # query supports and the column view
     # ------------------------------------------------------------------ #
     def query_support(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """CSR-style ``(flat indices, values)`` support of one query.
 
-        Built lazily and cached by the backend; the PMW multiplicative
-        update touches only these cells (the update factor is exactly 1
-        everywhere else).
+        Built over the query's non-zero box and cached while the cached
+        entries fit the support budget; the PMW multiplicative update
+        touches only these cells (its factor is exactly 1 everywhere else).
         """
-        return self._resolve_backend().query_support(index)
+        cached = self._supports.get(index)
+        if cached is not None:
+            return cached
+        support = self._context.build_support(index)
+        size = int(support[0].size)
+        if self._cached_entries + size <= _SPARSE_CELL_BUDGET:
+            self._supports[index] = support
+            self._cached_entries += size
+        return support
 
     def query_values(self, index: int) -> np.ndarray:
         """Flattened joint-domain value vector of one query (dense)."""
-        if isinstance(self._backend, DenseBackend):
-            return self._backend.query_values(index)
-        return self._context.query_values(index)
+        return self._workload[index].joint_values().reshape(-1)
+
+    def _ensure_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, values)`` of every support, filled in place.
+
+        Allocated once at ``Σ_q nnz(q)`` entries; the support cache is then
+        re-pointed at zero-copy slices, so the two share storage.
+        """
+        if self._csr is None:
+            sizes = [self.support_size(index) for index in range(self.num_queries)]
+            indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+            np.cumsum(sizes, out=indptr[1:])
+            indices = np.empty(int(indptr[-1]), dtype=np.int64)
+            values = np.empty(int(indptr[-1]), dtype=np.float64)
+            for index in range(len(sizes)):
+                lo, hi = int(indptr[index]), int(indptr[index + 1])
+                support = self._supports.get(index) or self._context.build_support(index)
+                indices[lo:hi], values[lo:hi] = support
+                self._supports[index] = (indices[lo:hi], values[lo:hi])
+            self._cached_entries = int(indptr[-1])
+            self._csr = (indptr, indices, values)
+        return self._csr
+
+    def column_view(self) -> ColumnView | None:
+        """The cell→query view sessions answer support updates with, or ``None``.
+
+        Decided and built on first use: only where ``|Q|·|D|`` exceeds the
+        matrix budget while ``Σ_q nnz(q)`` fits the support budget, and
+        scipy imports.
+        """
+        if not self._columns_decided:
+            self._columns_decided = True
+            if (
+                self.num_queries * self.domain_size > _MATRIX_CELL_BUDGET
+                and _scipy_sparse() is not None
+                and self.total_support_size() <= _SPARSE_CELL_BUDGET
+            ):
+                self._columns = ColumnView.from_csr(*self._ensure_csr(), self.domain_size)
+        return self._columns
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -381,215 +461,97 @@ class WorkloadEvaluator:
     def answers_on_instance(self, instance: Instance) -> np.ndarray:
         """Exact answers ``q(I)`` for every workload query.
 
-        Evaluated by einsum over the per-relation arrays — identical across
-        all evaluator backends.
+        Each group's stacks, times their relations' frequencies, contracted
+        with the other relations' frequencies; the join is never
+        materialised.
         """
-        return np.array([query.evaluate(instance) for query in self._workload], dtype=float)
+        if instance.query is not self._workload.join_query:
+            self._workload.require_compatible(instance.query)
+        frequencies = [relation.frequencies for relation in instance.relations]
+        answers = np.empty(self.num_queries, dtype=np.float64)
+        for group in self._groups():
+            others = tuple(
+                frequency
+                for position, frequency in enumerate(frequencies)
+                if position not in group.relations
+            )
+            if not group.relations:
+                contraction = group.on_instance
+                answers[group.rows] = float(
+                    np.einsum(contraction.subscripts, *others, optimize=contraction.path)
+                )
+                continue
+            group.on_instance.run(
+                answers,
+                group.rows,
+                group.stacks,
+                others,
+                tuple(frequencies[position] for position in group.relations),
+            )
+        return answers
 
     def _validated_flat(self, histogram: np.ndarray) -> np.ndarray:
-        return self._context.validated_flat(histogram)
+        flat = np.asarray(histogram, dtype=float).reshape(-1)
+        if flat.size != self.domain_size:
+            raise ValueError(f"histogram has {flat.size} cells, expected {self.domain_size}")
+        return flat
+
+    def _answers(self, flat: np.ndarray) -> np.ndarray:
+        histogram = flat.reshape(self._shape)
+        answers = np.empty(self.num_queries, dtype=np.float64)
+        for group in self._groups():
+            if group.on_histogram is None:
+                answers[group.rows] = histogram.sum()
+                continue
+            marginal = histogram.sum(axis=group.summed) if group.summed else histogram
+            group.on_histogram.run(answers, group.rows, group.stacks, (marginal,))
+        return answers
 
     def answers_on_histogram(self, histogram: np.ndarray) -> np.ndarray:
-        """Answers ``q(F)`` for every query against a joint-domain histogram.
+        """Answers ``q(F)`` for every query against a joint-domain histogram."""
+        return self._answers(self._validated_flat(histogram))
 
-        Telemetry: while recording, each evaluation is timed into the
-        ``evaluator.eval_seconds{backend=<name>}`` distribution.
-        """
-        backend = self._resolve_backend()
-        flat = self._validated_flat(histogram)
-        if not self._context.telemetry_enabled():
-            return backend.answers_on_histogram(flat)
-        with _telemetry_registry().timer("evaluator.eval_seconds", backend=backend.name):
-            return backend.answers_on_histogram(flat)
-
-    def histogram_session(
-        self,
-        initial: np.ndarray | None = None,
-        *,
-        seed: HistogramSeed | None = None,
-    ) -> HistogramSession:
-        """Open a mutable histogram session from an array or a seed spec.
+    def histogram_session(self, initial: np.ndarray) -> HistogramSession:
+        """Open a mutable histogram session on a copy of ``initial``.
 
         The PMW inner loop uses this instead of re-submitting the histogram
         every round: it applies in-place deltas (the selected query's
         support rescale and the renormalisation) through the session's op
-        protocol and re-asks for answers.  The sharded backend maps the
-        session straight onto its shared-memory histogram and the domain
-        backend onto its per-slice segments, so nothing is re-broadcast to
-        the workers between rounds.
-
-        Exactly one of ``initial`` (a concrete histogram, copied into
-        session storage) or ``seed`` (a declarative
-        :class:`~repro.queries.backends.HistogramSeed`) must be given.
-        Passing ``seed=HistogramSeed.uniform(total)`` lets partitioned
-        backends seed each slice locally — the caller never allocates
-        ``|D|`` cells.
+        protocol and re-asks for answers.
         """
-        if (initial is None) == (seed is None):
-            raise ValueError("pass exactly one of `initial` or `seed`")
-        if initial is not None:
-            seed = HistogramSeed.from_array(self._validated_flat(initial))
-        return self._resolve_backend().seeded_session(seed)
+        return HistogramSession(self, np.array(self._validated_flat(initial), dtype=np.float64))
 
     def error_report(self, instance: Instance, histogram: np.ndarray) -> ErrorReport:
         true_answers = self.answers_on_instance(instance)
         released = self.answers_on_histogram(histogram)
         return ErrorReport.from_answers(true_answers, released, self._workload.names())
 
-    def close(self) -> None:
-        """Release backend resources (worker pools, shared memory, ...)."""
-        if self._backend is not None:
-            self._backend.close()
 
-
-class SparseWorkloadEvaluator(WorkloadEvaluator):
-    """A :class:`WorkloadEvaluator` that never builds the dense matrix.
-
-    Picks the sparse CSR form while the measured total support fits the
-    sparse cell budget and falls back to chunked streaming beyond it —
-    i.e. ``mode="auto"`` with the dense option removed.
-    """
-
-    def __init__(
-        self,
-        workload: Workload,
-        *,
-        sparse_cell_budget: int = _SPARSE_CELL_BUDGET,
-        chunk_size: int = _DEFAULT_CHUNK_SIZE,
-    ):
-        super().__init__(
-            workload,
-            mode="auto",
-            cell_budget=0,
-            sparse_cell_budget=sparse_cell_budget,
-            chunk_size=chunk_size,
-            workers=1,
-        )
-
-
-# ---------------------------------------------------------------------- #
-# cost-model helpers
-# ---------------------------------------------------------------------- #
-def evaluator_backend_costs(
-    workload: Workload,
-    *,
-    cell_budget: int = _MATRIX_CELL_BUDGET,
-    sparse_cell_budget: int = _SPARSE_CELL_BUDGET,
-    chunk_size: int = _DEFAULT_CHUNK_SIZE,
-    workers: int = 1,
-) -> tuple[BackendCost, ...]:
-    """The full cost-model report over every registered backend.
-
-    Measures the exact total support size, so it is meant for planning and
-    reporting rather than the evaluation hot path.
-    """
-    context = EvaluatorContext(
-        workload,
-        EvaluatorConfig(
-            cell_budget=cell_budget,
-            sparse_cell_budget=sparse_cell_budget,
-            chunk_size=chunk_size,
-            workers=workers,
-        ),
-    )
-    return backend_costs(context)
-
-
-def auto_evaluator_mode(
-    workload: Workload,
-    *,
-    cell_budget: int = _MATRIX_CELL_BUDGET,
-    sparse_cell_budget: int = _SPARSE_CELL_BUDGET,
-    workers: int = 1,
-) -> str:
-    """The backend ``mode="auto"`` would pick, without building any backend.
-
-    Runs the registry's public cost model (eligibility probes in speed-rank
-    order, so only the measurements that matter are taken) — no dense
-    matrix, no supports; useful for planning and reporting.
-    """
-    context = EvaluatorContext(
-        workload,
-        EvaluatorConfig(
-            cell_budget=cell_budget,
-            sparse_cell_budget=sparse_cell_budget,
-            workers=workers,
-        ),
-    )
-    return choose_backend(context)
-
-
-# ---------------------------------------------------------------------- #
-# shared evaluator cache
-# ---------------------------------------------------------------------- #
-def shared_evaluator(
-    workload: Workload,
-    *,
-    backend: str | None = None,
-    workers: int | None = None,
-    engine: str | None = None,
-) -> WorkloadEvaluator:
-    """One cached evaluator per workload and ``(backend, workers, engine)``.
+def shared_evaluator(workload: Workload) -> WorkloadEvaluator:
+    """The one cached evaluator of ``workload``.
 
     The release algorithms and baselines call this instead of constructing a
     fresh :class:`WorkloadEvaluator` per invocation, so repeated releases
     over the same workload — uniformized per-bucket runs, trial sweeps, the
-    baselines — share the dense matrix, cached query supports, compiled
-    vector kernels, or sharded worker pool.  The cache lives on the
-    workload object itself (:meth:`~repro.queries.workload.Workload.private_cache`),
-    so entries are evicted exactly when the workload is garbage-collected —
-    the cache/evaluator/workload reference cycle is collectable, unlike a
-    module-level weak-key mapping whose values keep their keys alive.
+    baselines — share its stacks, cached supports and column view.  The
+    cache lives on the workload object itself
+    (:meth:`~repro.queries.workload.Workload.private_cache`), so the entry is
+    evicted exactly when the workload is garbage-collected.
     """
-    default_backend, default_workers = get_default_backend()
-    name = backend if backend is not None else default_backend
-    if workers is None:
-        # An unset worker count follows the process default only when the
-        # backend does too; an explicit backend starts from serial.
-        workers = default_workers if backend is None else 1
-    if name != "auto":
-        # Canonicalise through the backend's worker invariant (sharded's
-        # >= 2 floor) so equivalent requests share one cache entry.
-        workers = backend_class(name).normalize_workers(workers)
-    if engine is not None and engine not in ENGINES:
-        raise ValueError(
-            f"unknown vector engine {engine!r}; expected one of {ENGINES} or None"
-        )
-    # The vector backend resolves ``None`` to a concrete engine at
-    # construction, so canonicalise the key the same way: the JAX and
-    # NumPy compilations must never collide, and ``None`` must share the
-    # entry of whichever engine it resolves to.
-    canonical_engine = resolve_engine(engine) if name == "vector" else engine
-    key = (name, int(workers), canonical_engine)
     cache = workload.private_cache("shared_evaluators")
-    evaluator = cache.get(key)
-    _telemetry_registry().counter(
-        "workload.cache",
-        bucket="shared_evaluators",
-        event="hit" if evaluator is not None else "miss",
-    ).add()
+    evaluator = cache.get("evaluator")
     if evaluator is None:
-        evaluator = WorkloadEvaluator(workload, mode=name, workers=workers, engine=engine)
-        cache[key] = evaluator
+        evaluator = cache["evaluator"] = WorkloadEvaluator(workload)
     return evaluator
 
 
 def evaluate_workload_on_instance(workload: Workload, instance: Instance) -> np.ndarray:
-    """Exact answers of every workload query on an instance.
-
-    Uses (and warms) the per-workload :func:`shared_evaluator`, so repeated
-    calls — and any releases over the same workload — reuse one backend;
-    its supports/matrix stay cached for the workload's lifetime.
-    """
+    """Exact answers of every workload query on an instance (shared evaluator)."""
     return shared_evaluator(workload).answers_on_instance(instance)
 
 
 def evaluate_workload_on_histogram(workload: Workload, histogram: np.ndarray) -> np.ndarray:
-    """Answers of every workload query against a joint-domain histogram.
-
-    Uses (and warms) the per-workload :func:`shared_evaluator`; see
-    :func:`evaluate_workload_on_instance` for the caching trade-off.
-    """
+    """Answers of every workload query against a joint-domain histogram (shared evaluator)."""
     return shared_evaluator(workload).answers_on_histogram(histogram)
 
 

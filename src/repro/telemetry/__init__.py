@@ -1,4 +1,4 @@
-"""Runtime telemetry: metrics, tracing spans, and cross-process aggregation.
+"""Runtime telemetry: metrics and tracing spans.
 
 A zero-dependency (standard-library-only) instrumentation layer for the
 evaluation stack.  One module-level state object per process holds a
@@ -24,9 +24,6 @@ Design contract (why instrumented hot paths stay hot):
   a timer or span costs one ``perf_counter_ns`` pair (spans add one
   ``thread_time_ns`` pair for CPU attribution); finished spans land in a
   bounded ring, so memory cannot grow with run length.
-- **Processes own their state.**  Pool workers configure a fresh registry
-  (:mod:`repro.telemetry.workers`) and flush one snapshot at exit; the
-  parent merges them labelled ``worker=<pid>``.
 
 The instrumentation never touches random-number state, so enabling or
 disabling telemetry cannot change mechanism outputs or PMW selections —
@@ -59,7 +56,6 @@ __all__ = [
     "span_dicts",
     "chrome_trace",
     "export_chrome_trace",
-    "merge_snapshot",
     "observe_ledger",
     "MetricsRegistry",
     "NullRegistry",
@@ -216,16 +212,6 @@ def export_chrome_trace(path) -> str:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle)
     return path
-
-
-def merge_snapshot(metrics_snapshot: dict, labels: dict | None = None) -> None:
-    """Merge a structured registry snapshot (e.g. a worker's) into this one.
-
-    A no-op while disabled — late worker flushes after ``disable()`` are
-    silently discarded rather than resurrecting state.
-    """
-    if _STATE.enabled:
-        _STATE.registry.merge(metrics_snapshot, labels=labels)
 
 
 def observe_ledger(ledger):

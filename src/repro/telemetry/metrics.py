@@ -13,10 +13,7 @@ When telemetry is disabled the module-level facade hands out a
 :class:`NullRegistry` instead, whose instruments are shared do-nothing
 singletons — the no-op path allocates nothing and never branches on state.
 
-Snapshots are plain JSON-able dictionaries; :meth:`MetricsRegistry.merge`
-adds a snapshot (optionally relabelled, e.g. with a ``worker`` pid) into the
-registry, which is how per-worker buffers from pool processes fold into the
-parent registry on shutdown.
+Snapshots are plain JSON-able dictionaries.
 
 Everything in this module — and in the whole ``repro.telemetry`` package — is
 standard library only; a static check in the test suite enforces it.
@@ -33,9 +30,7 @@ class Counter:
 
     Updates are a single in-place add under the interpreter lock — no
     explicit locking.  Telemetry tolerates the (vanishingly rare) lost
-    update a free-threaded interpreter could produce; exactness across
-    *processes* is preserved because each process owns its registry and
-    merges whole snapshots.
+    update a free-threaded interpreter could produce.
     """
 
     __slots__ = ("value",)
@@ -171,11 +166,7 @@ class MetricsRegistry:
 
     # -- snapshots --------------------------------------------------------
     def snapshot(self) -> dict:
-        """A structured, JSON-able dump of every instrument.
-
-        The canonical wire format — per-worker buffers ship this across the
-        pool's flush queue and :meth:`merge` folds it back in.
-        """
+        """A structured, JSON-able dump of every instrument."""
         counters, gauges, distributions = [], [], []
         with self._lock:
             items = list(self._instruments.items())
@@ -208,40 +199,10 @@ class MetricsRegistry:
             }
         return result
 
-    def merge(self, snapshot: dict, labels: dict | None = None) -> None:
-        """Fold a :meth:`snapshot` into this registry.
-
-        ``labels`` are added to every merged entry (e.g. ``worker=<pid>``),
-        keeping per-worker series distinguishable after the merge.  Counters
-        add, gauges take the merged value (last write wins), distributions
-        combine their running statistics exactly — so a merge of per-worker
-        snapshots reports the same totals as recording everything into one
-        registry.
-        """
-        extra = dict(labels or {})
-        for entry in snapshot.get("counters", ()):
-            self.counter(entry["name"], **_merged_labels(entry, extra)).add(entry["value"])
-        for entry in snapshot.get("gauges", ()):
-            self.gauge(entry["name"], **_merged_labels(entry, extra)).set(entry["value"])
-        for entry in snapshot.get("distributions", ()):
-            if not entry["count"]:
-                continue
-            distribution = self.distribution(entry["name"], **_merged_labels(entry, extra))
-            distribution.count += entry["count"]
-            distribution.total += entry["total"]
-            distribution.minimum = min(distribution.minimum, entry["min"])
-            distribution.maximum = max(distribution.maximum, entry["max"])
-
     def clear(self) -> None:
         """Drop every instrument (a fresh run's zero state)."""
         with self._lock:
             self._instruments.clear()
-
-
-def _merged_labels(entry: dict, extra: dict) -> dict:
-    labels = {key: value for key, value in entry.get("labels", ())}
-    labels.update(extra)
-    return labels
 
 
 def _flat_key(entry: dict) -> str:
@@ -328,9 +289,6 @@ class NullRegistry:
 
     def flat(self) -> dict:
         return {}
-
-    def merge(self, snapshot: dict, labels: dict | None = None) -> None:
-        pass
 
     def clear(self) -> None:
         pass

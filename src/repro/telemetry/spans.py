@@ -91,7 +91,7 @@ class SpanRing:
     Keeps the newest ``capacity`` records; older ones fall off the front and
     are only counted (``dropped``), so the ring is safe to leave attached to
     arbitrarily long runs.  Thread-safe: spans finish on whatever thread ran
-    them (the prefetch decode thread included).
+    them.
     """
 
     def __init__(self, capacity: int = 16384, epoch_ns: int | None = None) -> None:
@@ -210,8 +210,7 @@ class ActiveSpan:
 
     Timing is one ``perf_counter_ns`` pair (wall) plus one
     ``thread_time_ns`` pair (CPU).  Extra attributes discovered mid-span —
-    the backend the cost model chose, the query a PMW round selected — are
-    attached with :meth:`set`.
+    the query a PMW round selected, say — are attached with :meth:`set`.
     """
 
     __slots__ = ("_ring", "_name", "_attrs", "_span_id", "_parent_id", "_start_ns", "_cpu_ns")

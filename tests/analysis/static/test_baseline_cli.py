@@ -124,7 +124,7 @@ def test_cli_rules_filter(tmp_path, capsys, monkeypatch):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("DPA101", "DPA102", "DPA103", "DPA104", "DPA105", "DPA106"):
+    for code in ("DPA101", "DPA102", "DPA103", "DPA104", "DPA106"):
         assert code in out
 
 

@@ -8,7 +8,6 @@ from repro.analysis.static.rules import (
     NoiseLocalityRule,
     RngDisciplineRule,
     SessionEncapsulationRule,
-    ShmLifecycleRule,
     StdlibOnlyRule,
 )
 
@@ -192,83 +191,6 @@ def test_dpa104_covers_the_analysis_framework_itself(scan):
         rules=[StdlibOnlyRule()],
     )
     assert codes(result) == ["DPA104"]
-
-
-# --- DPA105 shm-lifecycle --------------------------------------------------
-
-
-def test_dpa105_fires_on_unguarded_create(scan):
-    result = scan(
-        {
-            "queries/foo.py": """\
-            from multiprocessing import shared_memory
-
-
-            def start(size):
-                shm = shared_memory.SharedMemory(create=True, size=size)
-                return shm
-            """
-        },
-        rules=[ShmLifecycleRule()],
-    )
-    assert codes(result) == ["DPA105"]
-
-
-def test_dpa105_fires_at_module_level(scan):
-    result = scan(
-        {
-            "queries/foo.py": """\
-            from multiprocessing import shared_memory
-
-            SHM = shared_memory.SharedMemory(create=True, size=8)
-            """
-        },
-        rules=[ShmLifecycleRule()],
-    )
-    assert codes(result) == ["DPA105"]
-
-
-def test_dpa105_quiet_with_try_cleanup_finalizer_or_attach(scan):
-    result = scan(
-        {
-            "queries/foo.py": """\
-            import weakref
-            from multiprocessing import shared_memory
-
-
-            def with_finally(size):
-                shm = shared_memory.SharedMemory(create=True, size=size)
-                try:
-                    return bytes(shm.buf)
-                finally:
-                    shm.close()
-                    shm.unlink()
-
-
-            def with_handler(size):
-                shm = shared_memory.SharedMemory(create=True, size=size)
-                try:
-                    start_pool(shm)
-                except BaseException:
-                    shm.close()
-                    shm.unlink()
-                    raise
-                return shm
-
-
-            def with_finalizer(obj, size):
-                shm = shared_memory.SharedMemory(create=True, size=size)
-                weakref.finalize(obj, shm.unlink)
-                return shm
-
-
-            def attach(name):
-                return shared_memory.SharedMemory(name=name)
-            """
-        },
-        rules=[ShmLifecycleRule()],
-    )
-    assert result.ok
 
 
 # --- DPA106 exception-hygiene ----------------------------------------------

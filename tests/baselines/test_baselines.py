@@ -75,7 +75,7 @@ class TestIndependentLaplace:
         errors = {}
         for size in (4, 64):
             workload = Workload.random_sign(two_table_instance.query, size, rng=rng)
-            evaluator = WorkloadEvaluator(workload, materialize=False)
+            evaluator = WorkloadEvaluator(workload)
             true_answers = evaluator.answers_on_instance(two_table_instance)
             worst = []
             for _ in range(5):
@@ -116,7 +116,7 @@ class TestGlobalNoise:
         """Global-sensitivity noise should typically be much larger than the
         local-sensitivity-calibrated baseline on benign instances."""
         workload = Workload.counting(two_table_instance.query)
-        evaluator = WorkloadEvaluator(workload, materialize=False)
+        evaluator = WorkloadEvaluator(workload)
         truth = evaluator.answers_on_instance(two_table_instance)
         global_errors = []
         local_errors = []

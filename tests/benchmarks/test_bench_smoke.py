@@ -63,11 +63,6 @@ def test_all_benchmark_scripts_execute(tmp_path):
         assert host["cpu_count"] >= 1 and host["effective_cpus"] >= 1
         assert host["python"] and host["numpy"] and host["platform"]
         assert isinstance(record["stages"], dict)
-    # E16 runs the sharded backend even at smoke size (2 workers).
-    e16 = json.loads(
-        (tmp_path / "BENCH_e16_sharded_evaluation.json").read_text()
-    )
-    assert e16["backend"] == "sharded"
     # The smoke runner records telemetry, so stage timings must be present
     # for the PMW-driven benchmarks (each stage carries wall/CPU totals).
     e13 = json.loads(

@@ -9,7 +9,7 @@ from repro.core.pmw import (
     _update,
     private_multiplicative_weights,
 )
-from repro.queries.backends import HistogramSeed
+from repro.queries import evaluation
 from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import two_table_query
@@ -171,40 +171,6 @@ class TestBudgetSplit:
         assert result.rounds_privacy is not None
 
 
-class TestEvaluatorModeParity:
-    """The quickstart workload must select identical queries in every mode."""
-
-    @staticmethod
-    def _quickstart_setup():
-        query = two_table_query(30, 6, 5, names=("Customers", "Orders"))
-        rng = np.random.default_rng(0)
-        customers = [(int(rng.integers(30)), int(rng.integers(6))) for _ in range(120)]
-        orders = [(int(rng.integers(6)), int(rng.integers(5))) for _ in range(150)]
-        instance = Instance.from_tuple_lists(
-            query, {"Customers": customers, "Orders": orders}
-        )
-        workload = Workload.attribute_marginals(query, "B").extended(
-            Workload.random_sign(query, 16, seed=1, include_counting=False).queries
-        )
-        return instance, workload
-
-    def test_selections_bitwise_identical_across_modes(self):
-        instance, workload = self._quickstart_setup()
-        results = {}
-        for mode in ("dense", "sparse", "streaming"):
-            evaluator = WorkloadEvaluator(workload, mode=mode, chunk_size=128)
-            results[mode] = private_multiplicative_weights(
-                instance, workload, 1.0, 1e-5, 2.0, seed=42, evaluator=evaluator
-            )
-        reference = results["dense"]
-        assert reference.selected_queries  # the run actually iterated
-        for mode, result in results.items():
-            assert result.selected_queries == reference.selected_queries, mode
-            assert result.noisy_total == reference.noisy_total
-            scale = max(1.0, float(np.abs(reference.histogram).max()))
-            assert np.max(np.abs(result.histogram - reference.histogram)) <= 1e-9 * scale
-
-
 class TestUtility:
     def test_learns_marginals_on_moderate_instance(self):
         """With a generous budget, PMW should answer marginals better than the
@@ -241,14 +207,13 @@ class TestRenormalisation:
 
     The renormalisation divides by the session total; a fully clamped (or
     underflowed) histogram reports total 0 and a corrupted one NaN or inf.
-    Dividing by either would poison every cell — and, under the sharded
-    backend, the shared-memory view all workers read — so such sessions are
-    reset to the uniform start histogram instead.
+    Dividing by either would poison every cell, so such sessions are reset
+    to the uniform start histogram instead.
     """
 
     def _session(self, query, value):
         workload = Workload.random_sign(query, 4, seed=0)
-        evaluator = WorkloadEvaluator(workload, mode="sparse")
+        evaluator = WorkloadEvaluator(workload)
         return evaluator.histogram_session(
             np.full(query.joint_domain_size, value, dtype=float)
         )
@@ -301,17 +266,18 @@ class TestCarriedAnswers:
     The loop re-evaluates the workload only without carried answers: round
     one, after a renormalisation reset, and after an update whose session
     reported no change.  Carrying must stay within 1e-9 of a full
-    evaluation without any periodic refresh, and must actually be taken on
-    the backends that hold a column view.
+    evaluation without any periodic refresh, and must actually be taken
+    where the evaluator holds its column view (forced on these small
+    workloads by patching the matrix budget to 0).
     """
 
-    @pytest.mark.parametrize("backend, kwargs", [("sparse", {}), ("vector", {"engine": "numpy"})])
-    def test_drift_stays_within_1e9_over_1200_rounds(self, backend, kwargs):
+    def test_drift_stays_within_1e9_over_1200_rounds(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_MATRIX_CELL_BUDGET", 0)
         query = two_table_query(12, 5, 6)
         workload = _one_way_marginals(query, include_counting=True)
-        evaluator = WorkloadEvaluator(workload, mode=backend, **kwargs)
+        evaluator = WorkloadEvaluator(workload)
         total, domain_size = 700.0, query.joint_domain_size
-        session = evaluator.histogram_session(seed=HistogramSeed.uniform(total))
+        session = evaluator.histogram_session(np.full(domain_size, total / domain_size))
         rng = np.random.default_rng(3)
         reset_round = 600
         answers = session.answers()
@@ -336,22 +302,19 @@ class TestCarriedAnswers:
         assert len(fallbacks) < 100
 
     @pytest.mark.parametrize(
-        "backend, kwargs, full_evaluations",
-        [
-            ("sparse", {}, 1),
-            ("vector", {"engine": "numpy"}, 1),
-            ("sharded", {"workers": 2}, 1),
-            ("dense", {}, 12),
-        ],
+        "matrix_budget, full_evaluations",
+        [(0, 1), (evaluation._MATRIX_CELL_BUDGET, 12)],
+        ids=["column_view-1", "no_view-12"],
     )
-    def test_full_evaluations_per_run(self, backend, kwargs, full_evaluations, monkeypatch):
+    def test_full_evaluations_per_run(self, matrix_budget, full_evaluations, monkeypatch):
+        monkeypatch.setattr(evaluation, "_MATRIX_CELL_BUDGET", matrix_budget)
         query = two_table_query(12, 5, 6)
         rng = np.random.default_rng(8)
         r1 = [(int(rng.integers(12)), int(rng.integers(5))) for _ in range(90)]
         r2 = [(int(rng.integers(5)), int(rng.integers(6))) for _ in range(110)]
         instance = Instance.from_tuple_lists(query, {"R1": r1, "R2": r2})
         workload = _one_way_marginals(query, include_counting=False)
-        evaluator = WorkloadEvaluator(workload, mode=backend, **kwargs)
+        evaluator = WorkloadEvaluator(workload)
         calls = []
         open_session = evaluator.histogram_session
 
@@ -362,13 +325,10 @@ class TestCarriedAnswers:
             return session
 
         monkeypatch.setattr(evaluator, "histogram_session", counted_session)
-        try:
-            result = private_multiplicative_weights(
-                instance, workload, 1.0, 1e-5, 2.0, seed=5, evaluator=evaluator,
-                config=PMWConfig(num_iterations=12),
-            )
-        finally:
-            evaluator.close()
+        result = private_multiplicative_weights(
+            instance, workload, 1.0, 1e-5, 2.0, seed=5, evaluator=evaluator,
+            config=PMWConfig(num_iterations=12),
+        )
         assert result.iterations == 12
         assert len(calls) == full_evaluations
 

@@ -26,10 +26,6 @@ from repro.experiments import (
     e12_tpch,
     e13_single_table_pmw,
     e14_privacy_audit,
-    e15_evaluator_scaling,
-    e16_sharded_evaluation,
-    e17_streaming_prefetch,
-    e18_domain_partitioned,
     e20_observability,
 )
 
@@ -37,7 +33,7 @@ from repro.experiments import (
 class TestRegistry:
     def test_all_experiments_registered_and_described(self):
         assert set(EXPERIMENTS) == set(DESCRIPTIONS)
-        assert len(EXPERIMENTS) == 20
+        assert len(EXPERIMENTS) == 15
         for name, runner in EXPERIMENTS.items():
             assert callable(runner), name
 
@@ -156,86 +152,6 @@ class TestIndividualExperiments:
         # Loose sanity bound: with few trials the estimator is noisy, but it
         # should never be wildly above the declared ε.
         assert result["empirical_epsilon"] <= 5.0 * result["declared_epsilon"] + 1.0
-
-    def test_e15_evaluator_scaling(self):
-        result = e15_evaluator_scaling.run(
-            size_a=8, size_b=4, size_c=8, chunk_size=512, eval_repeats=1, seed=0
-        )
-        assert {row["mode"] for row in result["rows"]} == {
-            "dense",
-            "sparse",
-            "streaming",
-        }
-        # All three backends agree with the dense reference.
-        for row in result["rows"]:
-            assert row["answers_match"], row
-        assert result["dense_cells"] == result["num_queries"] * result["domain_size"]
-
-    def test_e16_sharded_evaluation(self):
-        result = e16_sharded_evaluation.run(
-            size_a=8,
-            size_b=4,
-            size_c=8,
-            workers=2,
-            eval_repeats=1,
-            pmw_rounds=2,
-            tuples_per_relation=60,
-            chunk_size=256,
-            seed=0,
-        )
-        assert {row["backend"] for row in result["rows"]} == {"sparse", "sharded"}
-        assert result["workers"] == 2
-        # The parity contract holds even at smoke size: answers match the
-        # serial sparse path and PMW selections are bitwise identical.
-        assert result["answers_match"], result["max_abs_diff"]
-        assert result["selections_match"]
-        assert result["histograms_match"]
-
-    def test_e17_streaming_prefetch(self):
-        result = e17_streaming_prefetch.run(
-            size_a=8,
-            size_b=4,
-            size_c=8,
-            num_queries=3,
-            prefetch_depth=2,
-            eval_repeats=1,
-            pmw_rounds=2,
-            tuples_per_relation=60,
-            chunk_size=64,
-            seed=0,
-        )
-        assert {row["backend"] for row in result["rows"]} == {"streaming", "prefetch"}
-        assert result["num_chunks"] > 1
-        # The pipeline contract holds even at smoke size: answers and PMW
-        # walks are bitwise identical to the serial streaming scan, and the
-        # cost model upgrades streaming exactly when a second core exists.
-        assert result["answers_bitwise"], result["max_abs_diff"]
-        assert result["selections_match"]
-        assert result["histograms_match"]
-        assert result["auto_consistent"], result["auto_mode"]
-
-    def test_e18_domain_partitioned(self):
-        result = e18_domain_partitioned.run(
-            size_a=8,
-            size_b=4,
-            size_c=8,
-            workers=2,
-            eval_repeats=1,
-            pmw_rounds=2,
-            tuples_per_relation=60,
-            chunk_size=256,
-            seed=0,
-        )
-        assert {row["backend"] for row in result["rows"]} == {"sparse", "domain"}
-        assert result["num_shards"] >= 2
-        # The partitioning contract holds even at smoke size: per-slice
-        # segments stay under the fair-share bound, answers match serial
-        # sparse to 1e-9, and PMW selections are bitwise identical.
-        assert result["partition_bound_holds"], result["max_slice_bytes"]
-        assert result["answers_match"], result["max_abs_diff"]
-        assert result["selections_match"]
-        assert result["histograms_close"], result["pmw_histogram_diff"]
-        assert result["slice_roundtrip_ok"]
 
     def test_e20_observability(self):
         result = e20_observability.run(

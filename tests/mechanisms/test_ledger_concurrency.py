@@ -1,7 +1,7 @@
 """PrivacyLedger thread safety and the observer hook.
 
-The sharded backends and the telemetry layer both reach the ledger from
-more than one thread; charges must never be lost or torn, observers must
+Callers and the telemetry layer may reach the ledger from more than one
+thread; charges must never be lost or torn, observers must
 see every entry exactly once, and an observer that charges back into the
 ledger (or unsubscribes mid-stream) must not deadlock — observers are
 invoked outside the ledger lock.

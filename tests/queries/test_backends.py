@@ -1,12 +1,13 @@
-"""Backend registry, cost model, and cross-backend parity tests.
+"""Support machinery parity and the shared-evaluator cache.
 
-Every registered evaluation backend — including the sharded
-multiprocessing backend with 2 workers — must be interchangeable: identical
-instance answers, histogram answers within 1e-9 (bitwise for the sharded
-CSR strategy vs serial sparse), supports that round-trip to the dense query
-vectors, and an automatic choice that agrees with the public cost model.
-The shared-evaluator cache must die with its workload, and custom backends
-registered through the public API must participate in the automatic choice.
+The evaluator's answers and the supports ``EvaluatorContext`` builds (at
+the default slab length and at 16 box cells) must agree with the per-query
+references on randomized mixed workloads: histogram answers within 1e-9 of
+the dense reference, instance answers bitwise, supports that round-trip to
+the dense query vectors, and exact support sizes.  The shared-evaluator
+cache must hand out one evaluator per workload and die with its workload
+(``test_evaluator_modes.TestSharedEvaluator`` checks that distinct workloads
+get distinct evaluators).
 """
 
 from __future__ import annotations
@@ -17,39 +18,11 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core.pmw import PMWConfig, private_multiplicative_weights
-from repro.queries.backends import (
-    EvaluatorConfig,
-    EvaluatorContext,
-    HistogramSeed,
-    SparseBackend,
-    iter_decoded_chunks,
-    register_backend,
-    unregister_backend,
-)
-from repro.queries.sharded import ShardedBackend
-from repro.queries.evaluation import (
-    WorkloadEvaluator,
-    auto_evaluator_mode,
-    evaluator_backend_costs,
-    get_default_backend,
-    registered_backends,
-    set_default_backend,
-    shared_evaluator,
-)
+from repro.queries.backends import EvaluatorContext
+from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import path3_query, two_table_query
 from repro.relational.instance import Instance
-
-_BUILTIN_BACKENDS = {
-    "dense",
-    "sparse",
-    "sharded",
-    "streaming",
-    "prefetch",
-    "domain",
-    "vector",
-}
 
 
 def _random_workload(seed: int) -> Workload:
@@ -83,441 +56,36 @@ def _random_instance(workload: Workload, rng: np.random.Generator) -> Instance:
     return Instance.from_tuple_lists(query, tuples)
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert _BUILTIN_BACKENDS <= set(registered_backends())
-
-    def test_unknown_backend_rejected(self):
-        workload = _random_workload(0)
-        with pytest.raises(ValueError):
-            WorkloadEvaluator(workload, mode="magic")
-        with pytest.raises(ValueError):
-            set_default_backend("magic")
-
-    def test_custom_backend_joins_cost_model(self):
-        """A registered custom backend is constructible and auto-choosable."""
-        workload = _random_workload(0)
-        reference = WorkloadEvaluator(workload, mode="dense")
-        histogram = np.random.default_rng(5).random(workload.join_query.shape)
-
-        @register_backend
-        class EchoBackend(SparseBackend):
-            name = "test-echo"
-            speed_rank = -1  # beats dense, so "auto" must pick it
-
-        try:
-            assert "test-echo" in registered_backends()
-            assert auto_evaluator_mode(workload) == "test-echo"
-            evaluator = WorkloadEvaluator(workload, mode="test-echo")
-            assert np.allclose(
-                evaluator.answers_on_histogram(histogram),
-                reference.answers_on_histogram(histogram),
-                atol=1e-9,
-            )
-        finally:
-            unregister_backend("test-echo")
-        assert "test-echo" not in registered_backends()
-        assert auto_evaluator_mode(workload) == "dense"
-
-    def test_duplicate_mode_name_rejected(self):
-        """A second class under an existing mode name is an error, not a
-        silent replacement; re-registering the same class is a no-op."""
-
-        @register_backend
-        class FirstBackend(SparseBackend):
-            name = "test-dup"
-            speed_rank = 500
-
-        try:
-            assert register_backend(FirstBackend) is FirstBackend  # idempotent
-            with pytest.raises(ValueError, match="already registered"):
-
-                @register_backend
-                class SecondBackend(SparseBackend):
-                    name = "test-dup"
-                    speed_rank = 501
-
-        finally:
-            unregister_backend("test-dup")
-        assert "test-dup" not in registered_backends()
-
-    @pytest.mark.parametrize("probe_style", ["returns-false", "raises"])
-    def test_unavailable_backend_skipped_not_fatal(self, probe_style):
-        """A backend whose availability probe fails (returns False or raises,
-        e.g. a broken optional dependency) drops out of the automatic choice
-        without aborting it, and the cost report records why."""
-        workload = _random_workload(0)
-
-        @register_backend
-        class BrokenBackend(SparseBackend):
-            name = "test-broken"
-            speed_rank = -2  # would beat every builtin if it were available
-
-            @classmethod
-            def is_available(cls):
-                if probe_style == "raises":
-                    raise ImportError("optional dependency is broken")
-                return False
-
-        try:
-            # The auto choice quietly falls through to the fastest builtin.
-            assert auto_evaluator_mode(workload) == "dense"
-            costs = {cost.backend: cost for cost in evaluator_backend_costs(workload)}
-            entry = costs["test-broken"]
-            assert not entry.eligible
-            if probe_style == "raises":
-                assert "ImportError" in entry.reason
-                assert "optional dependency is broken" in entry.reason
-            else:
-                assert entry.reason == "availability probe returned False"
-            # Eligible entries carry no reason.
-            assert costs["dense"].eligible and costs["dense"].reason == ""
-        finally:
-            unregister_backend("test-broken")
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestBackendParity:
-    """Property-style parity across every registered backend."""
-
-    def _evaluators(self, workload):
-        evaluators = {
-            name: WorkloadEvaluator(workload, mode=name, workers=2, chunk_size=16)
-            for name in registered_backends()
-        }
-        assert _BUILTIN_BACKENDS <= set(evaluators)
-        return evaluators
+    """Property-style parity of the evaluator and its support build with the references."""
 
     def test_answers_and_supports_agree(self, seed):
         workload = _random_workload(seed)
         rng = np.random.default_rng(seed + 10)
         instance = _random_instance(workload, rng)
-        evaluators = self._evaluators(workload)
-        try:
-            reference_instance = evaluators["dense"].answers_on_instance(instance)
-            histograms = [
-                rng.random(workload.join_query.shape) * 10.0,
-                np.zeros(workload.join_query.shape),
-            ]
-            for histogram in histograms:
-                reference = evaluators["dense"].answers_on_histogram(histogram)
-                scale = max(1.0, float(np.abs(reference).max()))
-                sparse_answers = evaluators["sparse"].answers_on_histogram(histogram)
-                for name, evaluator in evaluators.items():
-                    answers = evaluator.answers_on_histogram(histogram)
-                    assert np.max(np.abs(answers - reference)) <= 1e-9 * scale, name
-                    assert np.array_equal(
-                        evaluator.answers_on_instance(instance), reference_instance
-                    ), name
-                # Row-sharding keeps the sharded CSR strategy bitwise equal
-                # to the serial sparse accumulation, not just 1e-9 close.
-                assert evaluators["sharded"].backend.strategy == "csr"
-                assert np.array_equal(
-                    evaluators["sharded"].answers_on_histogram(histogram), sparse_answers
-                )
-                # The pipelined scan shares the serial streaming scan's chunk
-                # and accumulation order, so it too is bitwise identical.
-                assert np.array_equal(
-                    evaluators["prefetch"].answers_on_histogram(histogram),
-                    evaluators["streaming"].answers_on_histogram(histogram),
-                )
-            for index in range(len(workload)):
-                dense_vector = evaluators["dense"].query_values(index)
-                for name, evaluator in evaluators.items():
-                    indices, values = evaluator.query_support(index)
-                    roundtrip = np.zeros(evaluator.domain_size)
-                    roundtrip[indices] = values
-                    assert np.array_equal(roundtrip, dense_vector), (name, index)
-                    assert evaluator.support_size(index) == int(
-                        np.count_nonzero(dense_vector)
-                    ), name
-        finally:
-            for evaluator in evaluators.values():
-                evaluator.close()
-
-    def test_auto_choice_matches_cost_model(self, seed):
-        workload = _random_workload(seed)
-        for kwargs in (
-            {},
-            {"cell_budget": 10},
-            {"cell_budget": 10, "sparse_cell_budget": 10},
-            {"cell_budget": 10, "workers": 2},
-            {"cell_budget": 10, "sparse_cell_budget": 10, "workers": 2},
-        ):
-            chosen = auto_evaluator_mode(workload, **kwargs)
-            costs = evaluator_backend_costs(workload, **kwargs)
-            eligible = [cost for cost in costs if cost.eligible]
-            assert eligible, kwargs
-            assert chosen == min(eligible, key=lambda cost: cost.speed_rank).backend, kwargs
-            constructed = WorkloadEvaluator(workload, **kwargs)
-            assert constructed.mode == chosen, kwargs
-            constructed.close()
-
-
-class TestShardedBackend:
-    def test_chunked_strategy_matches_serial_streaming(self):
-        workload = _random_workload(0)
-        rng = np.random.default_rng(3)
-        histogram = rng.random(workload.join_query.shape) * 5.0
-        serial = WorkloadEvaluator(workload, mode="streaming", chunk_size=16)
-        sharded = WorkloadEvaluator(
-            workload, mode="sharded", workers=2, sparse_cell_budget=1, chunk_size=16
+        evaluator = WorkloadEvaluator(workload)
+        assert np.array_equal(
+            evaluator.answers_on_instance(instance),
+            np.array([product.evaluate(instance) for product in workload]),
         )
-        try:
-            assert sharded.backend.strategy == "chunked"
-            reference = serial.answers_on_histogram(histogram)
+        histograms = [
+            rng.random(workload.join_query.shape) * 10.0,
+            np.zeros(workload.join_query.shape),
+        ]
+        for histogram in histograms:
+            reference = np.array([product.evaluate_on_histogram(histogram) for product in workload])
             scale = max(1.0, float(np.abs(reference).max()))
-            answers = sharded.answers_on_histogram(histogram)
+            answers = evaluator.answers_on_histogram(histogram)
             assert np.max(np.abs(answers - reference)) <= 1e-9 * scale
-        finally:
-            sharded.close()
-
-    def test_pmw_selections_bitwise_identical(self):
-        workload = _random_workload(0)
-        rng = np.random.default_rng(4)
-        instance = _random_instance(workload, rng)
-        serial = WorkloadEvaluator(workload, mode="sparse")
-        sharded = WorkloadEvaluator(workload, mode="sharded", workers=2)
-        config = PMWConfig(num_iterations=4)
-        try:
-            results = [
-                private_multiplicative_weights(
-                    instance, workload, 1.0, 1e-5, 2.0,
-                    seed=17, evaluator=evaluator, config=config,
-                )
-                for evaluator in (serial, sharded)
-            ]
-            assert results[0].selected_queries == results[1].selected_queries
-            assert np.array_equal(results[0].histogram, results[1].histogram)
-        finally:
-            sharded.close()
-
-    def test_session_deltas_reach_workers(self):
-        """In-place session writes must be visible to the next evaluation."""
-        workload = _random_workload(0)
-        rng = np.random.default_rng(6)
-        flat = rng.random(workload.join_query.joint_domain_size)
-        serial = WorkloadEvaluator(workload, mode="sparse")
-        sharded = WorkloadEvaluator(workload, mode="sharded", workers=2)
-        try:
-            session = sharded.histogram_session(flat)
-            assert np.array_equal(session.answers(), serial.answers_on_histogram(flat))
-            indices = np.array([0, 2, 5], dtype=np.int64)
-            session.scale_support(indices, np.full(3, 1.5))
-            session.scale(2.0)
-            expected = flat.copy()
-            expected[indices] *= 1.5
-            expected *= 2.0
-            assert np.array_equal(
-                session.answers(), serial.answers_on_histogram(expected)
-            )
-            assert session.total() == pytest.approx(float(expected.sum()))
-            session.close()
-        finally:
-            sharded.close()
-
-    def test_sessions_own_their_array_and_guard_the_shared_histogram(self):
-        workload = _random_workload(0)
-        rng = np.random.default_rng(7)
-        flat = rng.random(workload.join_query.joint_domain_size)
-        pristine = flat.copy()
-        serial = WorkloadEvaluator(workload, mode="sparse")
-        sharded = WorkloadEvaluator(workload, mode="sharded", workers=2)
-        try:
-            # Serial sessions copy the seed: mutations never reach the caller.
-            session = serial.histogram_session(flat)
-            session.scale(2.0)
-            session.fill(0.0)
-            assert np.array_equal(flat, pristine)
-            session.close()
-            # The sharded backend has one shared-memory histogram: while a
-            # session owns it, other evaluations must refuse rather than
-            # silently clobber the session's state.
-            session = sharded.histogram_session(flat)
-            with pytest.raises(RuntimeError):
-                sharded.answers_on_histogram(flat)
-            with pytest.raises(RuntimeError):
-                sharded.histogram_session(flat)
-            session.close()
-            assert np.array_equal(
-                sharded.answers_on_histogram(flat), serial.answers_on_histogram(flat)
-            )
-        finally:
-            sharded.close()
-
-
-class TestDomainBackend:
-    """The domain-partitioned strategy: per-slice segments, op-only sessions."""
-
-    def test_slice_plan_partitions_the_domain(self):
-        workload = _random_workload(0)
-        evaluator = WorkloadEvaluator(workload, mode="domain", workers=2)
-        try:
-            evaluator.answers_on_histogram(np.zeros(workload.join_query.shape))
-            plan = evaluator.backend.slice_plan()
-            assert plan[0][0] == 0
-            assert plan[-1][1] == workload.join_query.joint_domain_size
-            for (_, hi), (lo, _) in zip(plan, plan[1:]):
-                assert hi == lo  # contiguous, no gaps or overlaps
-            segment_bytes = evaluator.backend.slice_segment_bytes()
-            assert list(segment_bytes) == [max(8 * (hi - lo), 8) for lo, hi in plan]
-        finally:
-            evaluator.close()
-
-    def test_session_deltas_reach_workers(self):
-        """In-place per-slice writes must be visible to the next evaluation."""
-        workload = _random_workload(0)
-        rng = np.random.default_rng(21)
-        flat = rng.random(workload.join_query.joint_domain_size)
-        serial = WorkloadEvaluator(workload, mode="sparse")
-        domain = WorkloadEvaluator(workload, mode="domain", workers=2)
-        try:
-            session = domain.histogram_session(flat)
-            reference = serial.answers_on_histogram(flat)
-            scale = max(1.0, float(np.abs(reference).max()))
-            assert np.max(np.abs(session.answers() - reference)) <= 1e-9 * scale
-            indices = np.array([0, 2, 5], dtype=np.int64)
-            session.scale_support(indices, np.full(3, 1.5))
-            session.scale(2.0)
-            expected = flat.copy()
-            expected[indices] *= 1.5
-            expected *= 2.0
-            updated = serial.answers_on_histogram(expected)
-            scale = max(1.0, float(np.abs(updated).max()))
-            assert np.max(np.abs(session.answers() - updated)) <= 1e-9 * scale
-            assert session.total() == pytest.approx(float(expected.sum()))
-            session.close()
-        finally:
-            domain.close()
-
-    def test_scale_support_requires_ascending_indices(self):
-        workload = _random_workload(0)
-        domain = WorkloadEvaluator(workload, mode="domain", workers=2)
-        try:
-            session = domain.histogram_session(
-                seed=HistogramSeed.uniform(float(workload.join_query.joint_domain_size))
-            )
-            with pytest.raises(ValueError, match="ascending"):
-                session.scale_support(
-                    np.array([5, 2], dtype=np.int64), np.array([1.5, 2.0])
-                )
-            session.close()
-        finally:
-            domain.close()
-
-    def test_seed_specs_never_materialize_in_the_parent(self):
-        """Uniform and per-slice initializer seeds land slice by slice."""
-        workload = _random_workload(0)
-        domain_size = workload.join_query.joint_domain_size
-        serial = WorkloadEvaluator(workload, mode="sparse")
-        domain = WorkloadEvaluator(workload, mode="domain", workers=2)
-        try:
-            session = domain.histogram_session(seed=HistogramSeed.uniform(40.0))
-            uniform = np.full(domain_size, 40.0 / domain_size)
-            reference = serial.answers_on_histogram(uniform)
-            scale = max(1.0, float(np.abs(reference).max()))
-            assert np.max(np.abs(session.answers() - reference)) <= 1e-9 * scale
-            assert session.total() == pytest.approx(40.0)
-            session.close()
-
-            ramp = HistogramSeed.from_slices(
-                lambda start, stop, _domain: np.arange(start, stop, dtype=np.float64)
-            )
-            session = domain.histogram_session(seed=ramp)
-            reference = serial.answers_on_histogram(
-                np.arange(domain_size, dtype=np.float64)
-            )
-            scale = max(1.0, float(np.abs(reference).max()))
-            assert np.max(np.abs(session.answers() - reference)) <= 1e-9 * scale
-            session.close()
-        finally:
-            domain.close()
-
-    def test_single_session_guard_and_reuse_after_close(self):
-        workload = _random_workload(0)
-        rng = np.random.default_rng(22)
-        flat = rng.random(workload.join_query.joint_domain_size)
-        serial = WorkloadEvaluator(workload, mode="sparse")
-        domain = WorkloadEvaluator(workload, mode="domain", workers=2)
-        try:
-            session = domain.histogram_session(flat)
-            with pytest.raises(RuntimeError):
-                domain.answers_on_histogram(flat)
-            with pytest.raises(RuntimeError):
-                domain.histogram_session(flat)
-            session.close()
-            reference = serial.answers_on_histogram(flat)
-            scale = max(1.0, float(np.abs(reference).max()))
-            assert np.max(np.abs(domain.answers_on_histogram(flat) - reference)) <= (
-                1e-9 * scale
-            )
-            # Full teardown and restart: new segments, same answers.
-            domain.close()
-            assert np.max(np.abs(domain.answers_on_histogram(flat) - reference)) <= (
-                1e-9 * scale
-            )
-        finally:
-            domain.close()
-
-    def test_chunked_representation_matches_csr(self):
-        workload = _random_workload(0)
-        rng = np.random.default_rng(23)
-        histogram = rng.random(workload.join_query.shape) * 5.0
-        csr = WorkloadEvaluator(workload, mode="domain", workers=2)
-        chunked = WorkloadEvaluator(
-            workload, mode="domain", workers=2, sparse_cell_budget=1, chunk_size=16
-        )
-        try:
-            assert csr.backend.representation == "csr"
-            assert chunked.backend.representation == "chunked"
-            reference = csr.answers_on_histogram(histogram)
-            scale = max(1.0, float(np.abs(reference).max()))
-            answers = chunked.answers_on_histogram(histogram)
-            assert np.max(np.abs(answers - reference)) <= 1e-9 * scale
-        finally:
-            csr.close()
-            chunked.close()
-
-    def test_mid_segment_creation_failure_unwinds_earlier_segments(
-        self, monkeypatch, shm_segments
-    ):
-        """A failure creating slice k must unlink slices 0..k-1, not leak them."""
-        import repro.queries.sharded as sharded_module
-
-        workload = _random_workload(0)
-        histogram = np.zeros(workload.join_query.shape)
-        serial = WorkloadEvaluator(workload, mode="sparse")
-        evaluator = WorkloadEvaluator(workload, mode="domain", workers=2)
-        real_shm = sharded_module.shared_memory.SharedMemory
-        creates = {"count": 0}
-
-        def flaky_shm(*args, **kwargs):
-            if kwargs.get("create"):
-                creates["count"] += 1
-                if creates["count"] == 2:
-                    raise OSError("injected segment failure")
-            return real_shm(*args, **kwargs)
-
-        try:
-            with monkeypatch.context() as patch:
-                patch.setattr(
-                    "repro.queries.sharded.shared_memory.SharedMemory", flaky_shm
-                )
-                baseline = shm_segments()
-                with pytest.raises(OSError, match="injected segment failure"):
-                    evaluator.answers_on_histogram(histogram)
-                assert creates["count"] == 2, "second slice segment never attempted"
-                assert shm_segments() == baseline, (
-                    "mid-segment _start failure leaked the earlier slice segments"
-                )
-            # The failure path left the backend consistent: the very next
-            # evaluation creates every slice segment for real.
-            assert np.array_equal(
-                evaluator.answers_on_histogram(histogram),
-                serial.answers_on_histogram(histogram),
-            )
-        finally:
-            evaluator.close()
+        slabbed = EvaluatorContext(workload, chunk_size=16)
+        for index in range(len(workload)):
+            dense_vector = evaluator.query_values(index)
+            for indices, values in (evaluator.query_support(index), slabbed.build_support(index)):
+                roundtrip = np.zeros(evaluator.domain_size)
+                roundtrip[indices] = values
+                assert np.array_equal(roundtrip, dense_vector), index
+            assert evaluator.support_size(index) == int(np.count_nonzero(dense_vector))
 
 
 class TestSharedEvaluatorCache:
@@ -525,236 +93,13 @@ class TestSharedEvaluatorCache:
         workload = _random_workload(1)
         assert shared_evaluator(workload) is shared_evaluator(workload)
 
-    def test_distinct_settings_get_distinct_evaluators(self):
-        workload = _random_workload(1)
-        default = shared_evaluator(workload)
-        sparse = shared_evaluator(workload, backend="sparse")
-        assert default is not sparse
-        assert sparse.mode == "sparse"
-        assert shared_evaluator(workload, backend="sparse") is sparse
-
     def test_entries_evicted_when_workload_collected(self):
         workload = _random_workload(2)
         evaluator = shared_evaluator(workload)
+        evaluator.answers_on_histogram(np.zeros(workload.join_query.shape))
         evaluator_ref = weakref.ref(evaluator)
         workload_ref = weakref.ref(workload)
         del evaluator, workload
         gc.collect()
         assert workload_ref() is None, "workload kept alive by the evaluator cache"
         assert evaluator_ref() is None, "cached evaluator outlived its workload"
-
-    def test_default_backend_steers_shared_evaluator(self):
-        workload = _random_workload(1)
-        try:
-            set_default_backend("streaming")
-            assert get_default_backend() == ("streaming", 1)
-            assert shared_evaluator(workload).mode == "streaming"
-        finally:
-            set_default_backend()
-        assert get_default_backend() == ("auto", 1)
-
-    def test_default_worker_count_respected_for_sharded_default(self):
-        """CLI-style defaults must reach shared_evaluator unchanged."""
-        workload = _random_workload(1)
-        try:
-            set_default_backend("sharded", workers=4)
-            evaluator = shared_evaluator(workload)
-            assert evaluator.mode == "sharded"
-            assert evaluator.workers == 4
-            # An explicit sharded request without a worker count still
-            # implies parallelism.
-            explicit = shared_evaluator(workload, backend="sharded")
-            assert explicit.workers == 2
-        finally:
-            set_default_backend()
-
-    def test_worker_counts_canonicalised_in_cache_key(self):
-        """Equivalent requests (sharded w=1 vs w=2) share one cache entry."""
-        workload = _random_workload(1)
-        assert shared_evaluator(workload, backend="sharded", workers=1) is (
-            shared_evaluator(workload, backend="sharded", workers=2)
-        )
-
-
-class TestChunkIterator:
-    """The shared decoded-chunk iterator behind the streaming backends."""
-
-    def test_prefetch_yields_identical_triples(self):
-        shape = (5, 3, 4)
-        serial = list(iter_decoded_chunks(shape, 0, 60, 7, prefetch=0))
-        for depth in (1, 2, 5):
-            pipelined = list(iter_decoded_chunks(shape, 0, 60, 7, prefetch=depth))
-            assert len(pipelined) == len(serial)
-            for (lo, hi, multi), (plo, phi, pmulti) in zip(serial, pipelined):
-                assert (lo, hi) == (plo, phi)
-                for axis, paxis in zip(multi, pmulti):
-                    assert np.array_equal(axis, paxis)
-
-    def test_partial_ranges_and_tail_chunk(self):
-        chunks = list(iter_decoded_chunks((4, 4), 3, 14, 5, prefetch=1))
-        assert [(lo, hi) for lo, hi, _ in chunks] == [(3, 8), (8, 13), (13, 14)]
-        lo, hi, multi = chunks[-1]
-        assert np.array_equal(multi[0], [3]) and np.array_equal(multi[1], [1])
-
-    def test_early_abandonment_joins_decode_thread(self):
-        import threading
-
-        iterator = iter_decoded_chunks((8, 8), 0, 64, 4, prefetch=2)
-        next(iterator)
-        iterator.close()
-        assert not any(
-            thread.name == "repro-chunk-decode" and thread.is_alive()
-            for thread in threading.enumerate()
-        )
-
-    def test_decode_errors_reraise_in_consumer(self):
-        # stop beyond the domain size makes np.unravel_index fail on the
-        # decode thread; the error must surface at the consumer.
-        with pytest.raises(ValueError):
-            list(iter_decoded_chunks((4, 4), 0, 32, 4, prefetch=1))
-
-    def test_chunk_size_validated(self):
-        with pytest.raises(ValueError):
-            next(iter_decoded_chunks((4, 4), 0, 16, 0))
-
-
-class TestPrefetchingBackend:
-    def test_bitwise_parity_with_serial_streaming(self):
-        workload = _random_workload(2)
-        rng = np.random.default_rng(11)
-        histogram = rng.random(workload.join_query.shape) * 3.0
-        serial = WorkloadEvaluator(workload, mode="streaming", chunk_size=8)
-        reference = serial.answers_on_histogram(histogram)
-        for depth in (1, 3):
-            pipelined = WorkloadEvaluator(
-                workload, mode="prefetch", workers=depth, chunk_size=8
-            )
-            assert np.array_equal(
-                pipelined.answers_on_histogram(histogram), reference
-            ), depth
-
-    def test_auto_upgrades_streaming_iff_multicore(self, monkeypatch):
-        workload = _random_workload(0)
-        streaming_budgets = {"cell_budget": 0, "sparse_cell_budget": 0}
-        monkeypatch.setattr("repro.queries.backends.effective_cpu_count", lambda: 4)
-        assert auto_evaluator_mode(workload, **streaming_budgets) == "prefetch"
-        monkeypatch.setattr("repro.queries.backends.effective_cpu_count", lambda: 1)
-        assert auto_evaluator_mode(workload, **streaming_budgets) == "streaming"
-
-    def test_estimated_memory_grows_with_lookahead(self):
-        workload = _random_workload(0)
-        streaming = WorkloadEvaluator(workload, mode="streaming", chunk_size=16)
-        shallow = WorkloadEvaluator(workload, mode="prefetch", workers=1, chunk_size=16)
-        deep = WorkloadEvaluator(workload, mode="prefetch", workers=3, chunk_size=16)
-        assert streaming.estimated_memory() < shallow.estimated_memory()
-        assert shallow.estimated_memory() < deep.estimated_memory()
-
-    def test_pmw_selections_bitwise_identical(self):
-        workload = _random_workload(1)
-        rng = np.random.default_rng(13)
-        instance = _random_instance(workload, rng)
-        serial = WorkloadEvaluator(workload, mode="streaming", chunk_size=16)
-        pipelined = WorkloadEvaluator(workload, mode="prefetch", chunk_size=16)
-        config = PMWConfig(num_iterations=4)
-        results = [
-            private_multiplicative_weights(
-                instance, workload, 1.0, 1e-5, 2.0,
-                seed=23, evaluator=evaluator, config=config,
-            )
-            for evaluator in (serial, pipelined)
-        ]
-        assert results[0].selected_queries == results[1].selected_queries
-        assert np.array_equal(results[0].histogram, results[1].histogram)
-
-
-class TestBackendLifecycle:
-    def test_sharded_reuse_after_close_restarts_pool(self):
-        workload = _random_workload(1)
-        rng = np.random.default_rng(9)
-        histogram = rng.random(workload.join_query.shape)
-        serial = WorkloadEvaluator(workload, mode="sparse")
-        evaluator = WorkloadEvaluator(workload, mode="sharded", workers=2)
-        try:
-            expected = serial.answers_on_histogram(histogram)
-            assert np.array_equal(evaluator.answers_on_histogram(histogram), expected)
-            evaluator.close()
-            # close() tore down the pool and the shared segment; the next
-            # evaluation must restart both cleanly.
-            assert np.array_equal(evaluator.answers_on_histogram(histogram), expected)
-        finally:
-            evaluator.close()
-
-    @pytest.mark.parametrize("mode", ["sharded", "domain"])
-    def test_start_failure_does_not_leak_shm(self, mode, monkeypatch, shm_segments):
-        workload = _random_workload(0)
-        histogram = np.zeros(workload.join_query.shape)
-        evaluator = WorkloadEvaluator(workload, mode=mode, workers=2)
-
-        def refuse_to_start(*args, **kwargs):
-            raise RuntimeError("injected pool failure")
-
-        try:
-            with monkeypatch.context() as patch:
-                patch.setattr(
-                    "repro.queries.sharded.ProcessPoolExecutor", refuse_to_start
-                )
-                baseline = shm_segments()
-                with pytest.raises(RuntimeError, match="injected pool failure"):
-                    evaluator.answers_on_histogram(histogram)
-                assert shm_segments() == baseline, "mid-_start failure leaked shm"
-            # The failure path left the backend consistent: the very next
-            # evaluation starts the pool for real.
-            assert np.array_equal(
-                evaluator.answers_on_histogram(histogram), np.zeros(len(workload))
-            )
-        finally:
-            evaluator.close()
-
-    def test_worker_floor_agrees_across_construction_paths(self):
-        """Direct backend construction obeys the same invariant as the facade."""
-        workload = _random_workload(0)
-        facade = WorkloadEvaluator(workload, mode="sharded", workers=1)
-        assert facade.workers == 2
-        context = EvaluatorContext(workload, EvaluatorConfig(workers=1))
-        backend = ShardedBackend(context)
-        assert backend.workers == 2
-        # The caller's context is not mutated: cost-model queries on it keep
-        # answering for the worker count the caller actually configured.
-        assert context.config.workers == 1
-
-    def test_sharded_evaluates_overlapping_views_of_its_histogram(self):
-        """A view of the shm histogram (e.g. reversed) must actually land."""
-        workload = _random_workload(0)
-        rng = np.random.default_rng(15)
-        flat = rng.random(workload.join_query.joint_domain_size)
-        serial = WorkloadEvaluator(workload, mode="sparse")
-        sharded = WorkloadEvaluator(workload, mode="sharded", workers=2)
-        try:
-            sharded.answers_on_histogram(flat)  # seed the shared segment
-            view = sharded.backend._histogram_view()
-            expected = serial.answers_on_histogram(view[::-1].copy())
-            assert np.array_equal(sharded.answers_on_histogram(view[::-1]), expected)
-        finally:
-            sharded.close()
-
-    def test_invalid_worker_counts_rejected_for_named_backends(self):
-        """A floor is a convenience; a typo'd count is an error, like auto."""
-        workload = _random_workload(0)
-        with pytest.raises(ValueError, match="workers"):
-            WorkloadEvaluator(workload, mode="sparse", workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            shared_evaluator(workload, backend="sharded", workers=-1)
-
-    def test_sharded_validates_histogram_writes(self):
-        workload = _random_workload(0)
-        evaluator = WorkloadEvaluator(workload, mode="sharded", workers=2)
-        try:
-            backend = evaluator.backend
-            with pytest.raises(ValueError, match="cells"):
-                backend.answers_on_histogram(np.float64(1.0))  # scalar broadcast
-            with pytest.raises(ValueError, match="cells"):
-                backend.answers_on_histogram(np.zeros(3))
-            with pytest.raises(ValueError, match="cells"):
-                backend.session(np.zeros(3))
-        finally:
-            evaluator.close()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.queries.backends import EvaluatorConfig, EvaluatorContext
+from repro.queries.backends import EvaluatorContext
 from repro.queries.linear import ProductQuery, TableQuery
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import chain_query, star_query, two_table_query
@@ -46,8 +46,7 @@ def _assert_builds_match_reference(workload: Workload) -> None:
     domain_size = workload.join_query.joint_domain_size
     references = [_reference(query) for query in workload]
     for chunk_size in CHUNK_SIZES:
-        config = EvaluatorConfig(chunk_size=chunk_size or domain_size + 1)
-        context = EvaluatorContext(workload, config)
+        context = EvaluatorContext(workload, chunk_size=chunk_size or domain_size + 1)
         for index, (ref_indices, ref_values) in enumerate(references):
             indices, values = context.build_support(index)
             assert indices.dtype == np.int64 and values.dtype == np.float64
@@ -146,7 +145,7 @@ def test_support_build_memory_is_bounded_by_the_chunk(shape, weights):
     ]
     workload = Workload(query, [ProductQuery(query, table_queries)])
     chunk_size = 1 << 12
-    context = EvaluatorContext(workload, EvaluatorConfig(chunk_size=chunk_size))
+    context = EvaluatorContext(workload, chunk_size=chunk_size)
     context.chunk_plan(0)
     tracemalloc.start()
     try:

@@ -1,8 +1,8 @@
 """End-to-end telemetry over E13: the ISSUE's acceptance scenario.
 
 A telemetry-enabled smoke-size E13 run must attach a JSON metrics snapshot
-to its result and export a Chrome trace whose spans cover the backend
-choice, every PMW round, and every mechanism invocation — with the round
+to its result and export a Chrome trace whose spans cover every PMW round
+and every mechanism invocation — with the round
 spans nested under their run and the mechanism spans nested under their
 round.  And recording must be inert: PMW selections are bitwise identical
 with telemetry on or off.
@@ -43,7 +43,6 @@ class TestSnapshotAttachment:
         assert metrics["pmw.runs"] >= 1
         assert metrics["pmw.rounds"] >= 1
         assert any(key.startswith("mechanism.invocations{") for key in metrics)
-        assert any(key.startswith("evaluator.backend_choice{") for key in metrics)
 
     def test_stage_summary_covers_the_pmw_loop(self):
         result = _run_with_telemetry()
@@ -71,13 +70,6 @@ class TestSpanNesting:
         parent_names = {by_id[span["parent"]]["name"] for span in mechanisms}
         assert "pmw.round" in parent_names
         assert parent_names <= {"pmw.round", "pmw.run"}
-
-    def test_choose_backend_span_recorded(self):
-        _run_with_telemetry()
-        spans = telemetry.span_dicts()
-        chooses = [span for span in spans if span["name"] == "evaluator.choose_backend"]
-        assert chooses
-        assert all("chosen" in span["attrs"] for span in chooses)
 
     def test_chrome_trace_loads_and_nests(self, tmp_path):
         _run_with_telemetry()

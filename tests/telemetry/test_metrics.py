@@ -1,4 +1,4 @@
-"""MetricsRegistry unit behaviour: identity, snapshots, merge, null path."""
+"""MetricsRegistry unit behaviour: identity, snapshots, null path."""
 
 from __future__ import annotations
 
@@ -49,44 +49,6 @@ def test_flat_key_rendering():
     flat = registry.flat()
     assert flat["evaluator.backend_choice{backend=sharded}"] == 1.0
     assert flat["plain"] == 1.0
-
-
-def test_merge_equals_single_registry():
-    # Recording into two registries and merging must report the same totals
-    # as recording everything into one — the cross-process correctness
-    # contract behind the worker flush/drain protocol.
-    combined = MetricsRegistry()
-    parts = [MetricsRegistry(), MetricsRegistry()]
-    samples = [(0.5, 1.5, 4.0), (2.0, 0.25, 1.0)]
-    for part, values in zip(parts, samples):
-        for registry in (part, combined):
-            for value in values:
-                registry.counter("events").add()
-                registry.distribution("lat").observe(value)
-    merged = MetricsRegistry()
-    for part in parts:
-        merged.merge(part.snapshot())
-    assert merged.flat() == combined.flat()
-
-
-def test_merge_labels_keep_workers_distinguishable():
-    parent = MetricsRegistry()
-    worker = MetricsRegistry()
-    worker.counter("worker.tasks").add(3)
-    worker.gauge("worker.shm_mapped_bytes").set(1728)
-    parent.merge(worker.snapshot(), labels={"worker": "4242"})
-    flat = parent.flat()
-    assert flat["worker.tasks{worker=4242}"] == 3.0
-    assert flat["worker.shm_mapped_bytes{worker=4242}"] == 1728.0
-
-
-def test_merge_skips_empty_distributions():
-    parent = MetricsRegistry()
-    child = MetricsRegistry()
-    child.distribution("lat")  # created, never observed
-    parent.merge(child.snapshot())
-    # No poisoned min/max from the empty distribution.
-    assert parent.flat().get("lat", {"count": 0})["count"] == 0
 
 
 def test_clear_resets_to_zero_state():

@@ -35,7 +35,7 @@ def test_checker_sees_every_module():
     result = checker.analysis_result()
     assert result.files_scanned > 10
     modules = {path.name for path in checker.TELEMETRY_DIR.glob("*.py")}
-    assert {"__init__.py", "metrics.py", "spans.py", "workers.py"} <= modules
+    assert {"__init__.py", "metrics.py", "spans.py"} <= modules
 
 
 def test_rule_still_fires_on_seeded_violation(tmp_path):
