@@ -16,9 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
-from repro import Workload, WorkloadEvaluator, join_size, local_sensitivity
+from repro import Workload, join_size, local_sensitivity
 from repro.core.hierarchical import partition_hierarchical
 from repro.core.multi_table import default_beta, multi_table_release
 from repro.core.uniformize import uniformize_release
@@ -54,15 +52,12 @@ def main() -> None:
     print(f"per-tuple multiplicity (Lemma 4.10): {partition.tuple_multiplicity(instance)}")
 
     workload = Workload.random_sign(query, 16, seed=2)
-    evaluator = WorkloadEvaluator(workload)
-    exact = evaluator.answers_on_instance(instance)
-
-    plain = multi_table_release(instance, workload, EPSILON, DELTA, seed=3, evaluator=evaluator)
+    plain = multi_table_release(instance, workload, EPSILON, DELTA, seed=3)
     uniform = uniformize_release(
-        instance, workload, EPSILON, DELTA, method="hierarchical", seed=3, evaluator=evaluator
+        instance, workload, EPSILON, DELTA, method="hierarchical", seed=3
     )
-    error_plain = float(np.max(np.abs(evaluator.answers_on_histogram(plain.synthetic.histogram) - exact)))
-    error_uniform = float(np.max(np.abs(evaluator.answers_on_histogram(uniform.synthetic.histogram) - exact)))
+    error_plain = plain.max_error(instance, workload)
+    error_uniform = uniform.max_error(instance, workload)
 
     print(f"\nAlgorithm 3 (MultiTable) ℓ∞ error:        {error_plain:.1f}  [{plain.privacy}]")
     print(f"Algorithm 4 (hierarchical Uniformize) ℓ∞: {error_uniform:.1f}  [{uniform.privacy}]")

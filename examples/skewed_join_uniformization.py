@@ -16,9 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
-from repro import Workload, WorkloadEvaluator, join_size, local_sensitivity
+from repro import Workload, join_size, local_sensitivity
 from repro.analysis.bounds import lam, theorem_33_error, theorem_44_error
 from repro.analysis.reporting import ExperimentTable
 from repro.core.two_table import two_table_release
@@ -34,27 +32,19 @@ def main() -> None:
     instance = figure3_instance(n=256)
     query = instance.query
     workload = Workload.random_sign(query, 32, seed=0)
-    evaluator = WorkloadEvaluator(workload)
-    exact = evaluator.answers_on_instance(instance)
 
     print(
         f"Figure 3 instance: n = {instance.total_size()}, OUT = {join_size(instance)}, "
         f"Δ = {local_sensitivity(instance)}"
     )
 
-    join_as_one = two_table_release(
-        instance, workload, EPSILON, DELTA, seed=1, evaluator=evaluator
-    )
+    join_as_one = two_table_release(instance, workload, EPSILON, DELTA, seed=1)
     uniformized = uniformize_release(
-        instance, workload, EPSILON, DELTA, method="two_table", seed=1, evaluator=evaluator
+        instance, workload, EPSILON, DELTA, method="two_table", seed=1
     )
 
-    error_one = float(
-        np.max(np.abs(evaluator.answers_on_histogram(join_as_one.synthetic.histogram) - exact))
-    )
-    error_uniform = float(
-        np.max(np.abs(evaluator.answers_on_histogram(uniformized.synthetic.histogram) - exact))
-    )
+    error_one = join_as_one.max_error(instance, workload)
+    error_uniform = uniformized.max_error(instance, workload)
 
     lam_value = lam(EPSILON, DELTA)
     bound_one = theorem_33_error(

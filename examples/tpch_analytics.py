@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from repro import Workload, WorkloadEvaluator, join_size, release_synthetic_data
+from repro import Workload, join_size, release_synthetic_data, shared_evaluator
 from repro.analysis.reporting import ExperimentTable
 from repro.baselines.independent_laplace import independent_laplace_answers
 from repro.datagen.tpch import generate_tpch
@@ -32,16 +32,11 @@ DELTA = 1e-5
 
 
 def run_join(instance, workload, label: str, table: ExperimentTable) -> None:
-    evaluator = WorkloadEvaluator(workload)
-    exact = evaluator.answers_on_instance(instance)
-
-    release = release_synthetic_data(
-        instance, workload, EPSILON, DELTA, seed=7, evaluator=evaluator
-    )
-    synthetic_answers = evaluator.answers_on_histogram(release.synthetic.histogram)
+    release = release_synthetic_data(instance, workload, EPSILON, DELTA, seed=7)
     laplace = independent_laplace_answers(instance, workload, EPSILON, DELTA, seed=8)
 
-    synthetic_error = float(np.max(np.abs(synthetic_answers - exact)))
+    synthetic_error = release.max_error(instance, workload)
+    exact = shared_evaluator(workload).answers_on_instance(instance)
     laplace_error = float(np.max(np.abs(laplace.answers - exact)))
     table.add_row(
         [

@@ -19,6 +19,12 @@ Quickstart
 >>> workload = Workload.random_sign(query, 32, seed=0)
 >>> result = release_synthetic_data(instance, workload, epsilon=1.0, delta=1e-6, seed=0)
 >>> answers = result.answer_workload(workload)
+>>> worst = result.max_error(instance, workload)
+
+The release functions take only the instance, the workload, the budget and
+their own parameters.  A :class:`ReleaseResult` is scored through its
+``answer_workload``, ``error_report`` and ``max_error``, which answer
+through the workload's one evaluator, :func:`shared_evaluator`.
 """
 
 from repro.relational.schema import Attribute, Domain, RelationSchema

@@ -18,6 +18,8 @@ and verify that Algorithm 1 does not exhibit the same leak.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.pmw import PMWConfig, private_multiplicative_weights
@@ -30,7 +32,6 @@ from repro.mechanisms.truncated_laplace import (
     truncated_laplace_mechanism,
     truncation_radius,
 )
-from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 from repro.relational.join import join_size
@@ -45,41 +46,19 @@ def flawed_exact_count_release(
     *,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-    evaluator: WorkloadEvaluator | None = None,
     pmw_config: PMWConfig | None = None,
 ) -> ReleaseResult:
     """Flawed variant 1: PMW on the join with the *exact* join size (NOT DP)."""
-    generator = resolve_rng(rng, seed)
-    config = pmw_config or PMWConfig()
-    config = PMWConfig(
-        num_iterations=config.num_iterations,
-        min_iterations=config.min_iterations,
-        max_iterations=config.max_iterations,
-        update_clip=config.update_clip,
-        force_total=float(join_size(instance)),
-    )
+    config = replace(pmw_config or PMWConfig(), force_total=float(join_size(instance)))
     pmw = private_multiplicative_weights(
-        instance,
+        instance, workload, epsilon, delta, 1.0, rng=rng, seed=seed, config=config
+    )
+    return ReleaseResult.from_pmw(
+        "flawed_exact_count",
         workload,
-        epsilon,
-        delta,
-        1.0,
-        rng=generator,
-        evaluator=evaluator,
-        config=config,
-    )
-    privacy = PrivacySpec(epsilon, delta)
-    synthetic = SyntheticDataset(
-        join_query=workload.join_query,
-        histogram=pmw.histogram,
-        privacy=privacy,
-        metadata={"algorithm": "flawed_exact_count", "warning": "NOT differentially private"},
-    )
-    return ReleaseResult(
-        synthetic=synthetic,
-        privacy=privacy,
-        algorithm="flawed_exact_count",
-        diagnostics={"noisy_total": pmw.noisy_total, "iterations": pmw.iterations},
+        pmw,
+        PrivacySpec(epsilon, delta),
+        metadata={"warning": "NOT differentially private"},
     )
 
 
@@ -91,7 +70,6 @@ def flawed_padded_release(
     *,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-    evaluator: WorkloadEvaluator | None = None,
     pmw_config: PMWConfig | None = None,
 ) -> ReleaseResult:
     """Flawed variant 2: exact-count PMW plus uniform dummy padding (NOT DP).
@@ -105,13 +83,7 @@ def flawed_padded_release(
     query = workload.join_query
 
     base = flawed_exact_count_release(
-        instance,
-        workload,
-        epsilon / 2.0,
-        delta / 2.0,
-        rng=generator,
-        evaluator=evaluator,
-        pmw_config=pmw_config,
+        instance, workload, epsilon / 2.0, delta / 2.0, rng=generator, pmw_config=pmw_config
     )
 
     delta_true = local_sensitivity(instance)

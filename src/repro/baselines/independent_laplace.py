@@ -14,24 +14,18 @@ the sensitivity estimate and half is split across the queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
 
 import numpy as np
 
-from repro.core.multi_table import default_beta
+from repro.core.multi_table import default_beta, noisy_residual_sensitivity
 from repro.mechanisms.laplace import sample_laplace
 from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
-from repro.mechanisms.truncated_laplace import (
-    sample_truncated_laplace,
-    truncated_laplace_mechanism,
-    truncation_radius,
-)
+from repro.mechanisms.truncated_laplace import truncated_laplace_mechanism
 from repro.queries.evaluation import shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 from repro.sensitivity.local import local_sensitivity
-from repro.sensitivity.residual import residual_sensitivity
 
 
 @dataclass
@@ -65,11 +59,9 @@ def independent_laplace_answers(
         )
         sensitivity_bound = max(sensitivity_bound, 1.0)
     else:
-        beta = default_beta(epsilon, delta)
-        rs_value = max(residual_sensitivity(instance, beta), 1.0)
-        radius = truncation_radius(epsilon / 2.0, delta / 2.0, beta)
-        log_noise = sample_truncated_laplace(2.0 * beta / epsilon, radius, rng=generator)
-        sensitivity_bound = rs_value * exp(float(log_noise))
+        _, sensitivity_bound = noisy_residual_sensitivity(
+            instance, epsilon / 2.0, delta / 2.0, default_beta(epsilon, delta), rng=generator
+        )
 
     per_query_epsilon = (epsilon / 2.0) / num_queries
     true_answers = shared_evaluator(workload).answers_on_instance(instance)

@@ -16,11 +16,9 @@ import numpy as np
 
 from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.core.result import ReleaseResult
-from repro.core.synthetic import SyntheticDataset
 from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
 from repro.mechanisms.truncated_laplace import sample_truncated_laplace, truncation_radius
-from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 from repro.sensitivity.residual import residual_sensitivity
@@ -32,6 +30,26 @@ def default_beta(epsilon: float, delta: float) -> float:
     return 1.0 / max(lam, 1e-9)
 
 
+def noisy_residual_sensitivity(
+    instance: Instance,
+    epsilon: float,
+    delta: float,
+    beta: float,
+    *,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Algorithm 3's line 2, spending (ε, δ): ``(RS, Δ̃ = RS·e^{TLap})``.
+
+    ``RS`` is the residual sensitivity ``RS^β(I)`` floored at one.
+    ``ln RS^β`` has global sensitivity β, so the multiplicative noise is a
+    β-sensitivity truncated Laplace in log space.
+    """
+    rs_value = max(residual_sensitivity(instance, beta), 1.0)
+    radius = truncation_radius(epsilon, delta, beta)
+    log_noise = sample_truncated_laplace(beta / epsilon, radius, rng=rng)
+    return rs_value, rs_value * exp(float(log_noise))
+
+
 def multi_table_release(
     instance: Instance,
     workload: Workload,
@@ -41,20 +59,16 @@ def multi_table_release(
     beta: float | None = None,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-    evaluator: WorkloadEvaluator | None = None,
     pmw_config: PMWConfig | None = None,
 ) -> ReleaseResult:
     """Release synthetic data for a general multi-way join (Algorithm 3).
 
     The overall guarantee is (ε, δ)-DP: (ε/2, δ/2) for the noisy residual
-    sensitivity and (ε/2, δ/2) for the PMW run (Lemma 3.7).  Without an
-    explicit ``evaluator`` the workload's shared evaluator answers it.
+    sensitivity and (ε/2, δ/2) for the PMW run (Lemma 3.7).
     """
     query = instance.query
     workload.require_compatible(query)
     generator = resolve_rng(rng, seed)
-    if evaluator is None:
-        evaluator = shared_evaluator(workload)
 
     # Line 1: β ← 1/λ.
     if beta is None:
@@ -62,13 +76,10 @@ def multi_table_release(
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
 
-    # Line 2: Δ̃ ← RS^β(I) · e^{TLap}; ln(RS^β) has global sensitivity β, so
-    # the multiplicative noise is a β-sensitivity truncated Laplace in log-space.
-    rs_value = residual_sensitivity(instance, beta)
-    rs_value = max(rs_value, 1.0)
-    radius = truncation_radius(epsilon / 2.0, delta / 2.0, beta)
-    log_noise = sample_truncated_laplace(2.0 * beta / epsilon, radius, rng=generator)
-    delta_tilde = rs_value * exp(float(log_noise))
+    # Line 2: Δ̃ ← RS^β(I) · e^{TLap}.
+    rs_value, delta_tilde = noisy_residual_sensitivity(
+        instance, epsilon / 2.0, delta / 2.0, beta, rng=generator
+    )
 
     # Line 3: PMW with the remaining half of the budget.
     pmw = private_multiplicative_weights(
@@ -78,26 +89,13 @@ def multi_table_release(
         delta / 2.0,
         delta_tilde,
         rng=generator,
-        evaluator=evaluator,
         config=pmw_config,
     )
-    privacy = PrivacySpec(epsilon, delta)
-    synthetic = SyntheticDataset(
-        join_query=workload.join_query,
-        histogram=pmw.histogram,
-        privacy=privacy,
-        metadata={"algorithm": "multi_table", "delta_tilde": delta_tilde},
-    )
-    return ReleaseResult(
-        synthetic=synthetic,
-        privacy=privacy,
-        algorithm="multi_table",
-        diagnostics={
-            "beta": beta,
-            "residual_sensitivity": rs_value,
-            "delta_tilde": delta_tilde,
-            "noisy_total": pmw.noisy_total,
-            "iterations": pmw.iterations,
-            "epsilon_per_round": pmw.epsilon_per_round,
-        },
+    return ReleaseResult.from_pmw(
+        "multi_table",
+        workload,
+        pmw,
+        PrivacySpec(epsilon, delta),
+        metadata={"delta_tilde": delta_tilde},
+        diagnostics={"beta": beta, "residual_sensitivity": rs_value, "delta_tilde": delta_tilde},
     )

@@ -23,7 +23,13 @@ is recorded in ``PMWResult.total_privacy`` / ``PMWResult.rounds_privacy``.
 
 The iteration count defaults to the appendix optimum
 ``k* = n̂·ε·√(log |D|) / (Δ̃·log |Q|·√(log 1/δ))`` (evaluated at the rounds
-budget) clamped to a configurable range.
+budget), at least one and at most ``PMWConfig.max_iterations``.
+
+**Evaluator.**  The routine takes only (I, Q, ε, δ, Δ̃), as in the paper: it
+answers the workload through the workload's one evaluator,
+:func:`~repro.queries.evaluation.shared_evaluator`, so repeated runs over one
+workload (the uniformized per-bucket releases, trial sweeps) reuse its
+stacks, cached supports and column view.
 
 The inner loop never touches full-domain query vectors.  The multiplicative
 update rescales only the selected query's cached support — the update factor
@@ -80,7 +86,7 @@ from repro.mechanisms.spec import PrivacySpec
 from repro.mechanisms.truncated_laplace import sample_truncated_laplace, truncation_radius
 from repro.core.synthetic import assemble_flat_histogram
 from repro.telemetry import registry as telemetry_registry, trace
-from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
+from repro.queries.evaluation import shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 from repro.relational.join import join_size
@@ -94,11 +100,9 @@ class PMWConfig:
     ----------
     num_iterations:
         Fixed iteration count; ``None`` selects the appendix optimum.
-    min_iterations / max_iterations:
-        Clamp for the automatically chosen iteration count.
-    update_clip:
-        The multiplicative-weights exponent is clipped to ``[-clip, +clip]``
-        (the analysis assumes the exponent magnitude is at most one).
+    max_iterations:
+        Upper clamp for the automatically chosen iteration count (the lower
+        clamp is one round).
     force_total:
         **Not differentially private.**  Overrides the noisy total count n̂
         with the given value; used only by the flawed-baseline reproductions
@@ -107,9 +111,7 @@ class PMWConfig:
     """
 
     num_iterations: int | None = None
-    min_iterations: int = 1
     max_iterations: int = 60
-    update_clip: float = 1.0
     force_total: float | None = None
 
 
@@ -142,7 +144,7 @@ def _auto_iterations(
     num_queries: int,
     config: PMWConfig,
 ) -> int:
-    """The appendix-optimal iteration count, clamped to the configured range."""
+    """The appendix-optimal iteration count, clamped to ``[1, max_iterations]``."""
     if config.num_iterations is not None:
         return max(1, config.num_iterations)
     log_domain = max(log(max(domain_size, 2)), 1.0)
@@ -154,8 +156,8 @@ def _auto_iterations(
         * sqrt(log_domain)
         / (max(sensitivity_bound, 1.0) * log_queries * sqrt(log_delta))
     )
-    iterations = int(ceil(optimum)) if optimum > 0 else config.min_iterations
-    return int(min(max(iterations, config.min_iterations), config.max_iterations))
+    iterations = int(ceil(optimum)) if optimum > 0 else 1
+    return int(min(max(iterations, 1), config.max_iterations))
 
 
 def _renormalize(session, noisy_total: float, domain_size: int) -> float | None:
@@ -209,7 +211,6 @@ def private_multiplicative_weights(
     *,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-    evaluator: WorkloadEvaluator | None = None,
     config: PMWConfig | None = None,
 ) -> PMWResult:
     """Run ``PMW_{ε, δ, Δ̃}`` on an instance and return the averaged histogram.
@@ -229,11 +230,6 @@ def private_multiplicative_weights(
     sensitivity_bound:
         The noisy sensitivity bound ``Δ̃`` — must upper bound the change of any
         workload answer between neighbouring instances.
-    evaluator:
-        Optional pre-built :class:`WorkloadEvaluator`; by default the shared
-        per-workload evaluator is used, so repeated PMW runs over the same
-        workload (the uniformized algorithms, trial sweeps) reuse its stacks
-        and cached query supports.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -243,8 +239,7 @@ def private_multiplicative_weights(
         raise ValueError(f"sensitivity bound must be positive, got {sensitivity_bound}")
     config = config or PMWConfig()
     generator = resolve_rng(rng, seed)
-    if evaluator is None:
-        evaluator = shared_evaluator(workload)
+    evaluator = shared_evaluator(workload)
 
     join_query = workload.join_query
     domain_size = join_query.joint_domain_size
@@ -354,9 +349,8 @@ def private_multiplicative_weights(
                         step = (measurement - float(current_answers[query_index])) / (
                             2.0 * noisy_total
                         )
-                        exponent = np.clip(
-                            support_values * step, -config.update_clip, config.update_clip
-                        )
+                        # The analysis assumes an exponent of magnitude at most one.
+                        exponent = np.clip(support_values * step, -1.0, 1.0)
                         current_answers = _update(
                             session,
                             support_indices,

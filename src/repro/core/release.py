@@ -17,12 +17,10 @@ import numpy as np
 from repro.core.multi_table import multi_table_release
 from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.core.result import ReleaseResult
-from repro.core.synthetic import SyntheticDataset
 from repro.core.two_table import two_table_release
 from repro.core.uniformize import uniformize_release
 from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
-from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 
@@ -44,40 +42,14 @@ def _single_table_release(
     delta: float,
     *,
     rng: np.random.Generator | None,
-    evaluator: WorkloadEvaluator | None,
     pmw_config: PMWConfig | None,
 ) -> ReleaseResult:
     """Theorem 1.3: the single-table case has sensitivity one."""
     workload.require_compatible(instance.query)
-    if evaluator is None:
-        evaluator = shared_evaluator(workload)
     pmw = private_multiplicative_weights(
-        instance,
-        workload,
-        epsilon,
-        delta,
-        1.0,
-        rng=rng,
-        evaluator=evaluator,
-        config=pmw_config,
+        instance, workload, epsilon, delta, 1.0, rng=rng, config=pmw_config
     )
-    privacy = PrivacySpec(epsilon, delta)
-    synthetic = SyntheticDataset(
-        join_query=workload.join_query,
-        histogram=pmw.histogram,
-        privacy=privacy,
-        metadata={"algorithm": "single_table"},
-    )
-    return ReleaseResult(
-        synthetic=synthetic,
-        privacy=privacy,
-        algorithm="single_table",
-        diagnostics={
-            "noisy_total": pmw.noisy_total,
-            "iterations": pmw.iterations,
-            "epsilon_per_round": pmw.epsilon_per_round,
-        },
-    )
+    return ReleaseResult.from_pmw("single_table", workload, pmw, PrivacySpec(epsilon, delta))
 
 
 def release_synthetic_data(
@@ -89,7 +61,6 @@ def release_synthetic_data(
     method: str = "auto",
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-    evaluator: WorkloadEvaluator | None = None,
     pmw_config: PMWConfig | None = None,
 ) -> ReleaseResult:
     """Release a DP synthetic dataset for answering the workload's linear queries.
@@ -109,15 +80,16 @@ def release_synthetic_data(
         algorithm matching the query shape.
     rng, seed:
         Source of randomness (mutually exclusive).
-    evaluator:
-        The workload evaluator every algorithm uses; defaults to the
-        workload's shared evaluator.
+    pmw_config:
+        Iteration settings of every PMW run.
 
     Returns
     -------
     ReleaseResult
         The synthetic dataset, the (possibly blown-up) privacy guarantee, and
-        the algorithm diagnostics.
+        the algorithm diagnostics; its ``error_report`` / ``max_error`` score
+        the release against an instance through the workload's shared
+        evaluator.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
@@ -136,33 +108,15 @@ def release_synthetic_data(
         if query.num_relations != 1:
             raise ValueError("single_table method requires a one-relation query")
         return _single_table_release(
-            instance,
-            workload,
-            epsilon,
-            delta,
-            rng=generator,
-            evaluator=evaluator,
-            pmw_config=pmw_config,
+            instance, workload, epsilon, delta, rng=generator, pmw_config=pmw_config
         )
     if method == "two_table":
         return two_table_release(
-            instance,
-            workload,
-            epsilon,
-            delta,
-            rng=generator,
-            evaluator=evaluator,
-            pmw_config=pmw_config,
+            instance, workload, epsilon, delta, rng=generator, pmw_config=pmw_config
         )
     if method == "multi_table":
         return multi_table_release(
-            instance,
-            workload,
-            epsilon,
-            delta,
-            rng=generator,
-            evaluator=evaluator,
-            pmw_config=pmw_config,
+            instance, workload, epsilon, delta, rng=generator, pmw_config=pmw_config
         )
     partition_method = {
         "uniformize": "auto",
@@ -176,6 +130,5 @@ def release_synthetic_data(
         delta,
         method=partition_method,
         rng=generator,
-        evaluator=evaluator,
         pmw_config=pmw_config,
     )

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.pmw import PMWResult
 from repro.core.synthetic import SyntheticDataset
 from repro.mechanisms.spec import PrivacySpec
 from repro.queries.evaluation import ErrorReport, shared_evaluator
@@ -15,7 +16,12 @@ from repro.relational.instance import Instance
 
 @dataclass
 class ReleaseResult:
-    """The outcome of one synthetic-data release.
+    """The outcome of one synthetic-data release, and the way to score it.
+
+    :meth:`answer_workload`, :meth:`error_report` and :meth:`max_error`
+    answer through the workload's shared evaluator (one contraction per
+    group of stacked queries), so scoring never materialises ``|Q|``
+    vectors of ``|D|`` cells.
 
     Attributes
     ----------
@@ -36,23 +42,53 @@ class ReleaseResult:
     algorithm: str
     diagnostics: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_pmw(
+        cls,
+        algorithm: str,
+        workload: Workload,
+        pmw: PMWResult,
+        privacy: PrivacySpec,
+        *,
+        metadata: dict | None = None,
+        diagnostics: dict | None = None,
+    ) -> "ReleaseResult":
+        """The release of ``algorithm`` whose histogram is one PMW run's.
+
+        The dataset's metadata is ``{"algorithm": algorithm, **metadata}``;
+        the diagnostics are ``diagnostics`` followed by the run's noisy
+        total, iteration count and per-round ε.
+        """
+        synthetic = SyntheticDataset(
+            join_query=workload.join_query,
+            histogram=pmw.histogram,
+            privacy=privacy,
+            metadata={"algorithm": algorithm, **(metadata or {})},
+        )
+        return cls(
+            synthetic=synthetic,
+            privacy=privacy,
+            algorithm=algorithm,
+            diagnostics={
+                **(diagnostics or {}),
+                "noisy_total": pmw.noisy_total,
+                "iterations": pmw.iterations,
+                "epsilon_per_round": pmw.epsilon_per_round,
+            },
+        )
+
     def answer_workload(self, workload: Workload) -> np.ndarray:
-        return self.synthetic.answer_workload(workload)
+        """Answers of every workload query on the released histogram."""
+        return shared_evaluator(workload).answers_on_histogram(self.synthetic.histogram)
 
     def error_report(self, instance: Instance, workload: Workload) -> ErrorReport:
-        """Compare released answers with the exact answers on ``instance``.
-
-        Released answers go through the workload's shared evaluator (one
-        contraction per group of stacked queries) rather than per-query
-        dense joint vectors, so reporting never materialises ``|Q|``
-        vectors of ``|D|`` cells.
-        """
-        evaluator = shared_evaluator(workload)
-        true_answers = evaluator.answers_on_instance(instance)
-        released = evaluator.answers_on_histogram(self.synthetic.histogram)
+        """Compare released answers with the exact answers on ``instance``."""
+        true_answers = shared_evaluator(workload).answers_on_instance(instance)
+        released = self.answer_workload(workload)
         return ErrorReport.from_answers(true_answers, released, workload.names())
 
     def max_error(self, instance: Instance, workload: Workload) -> float:
+        """The ℓ∞ error ``max_q |q(I) − q(F)|`` of the release."""
         return self.error_report(instance, workload).max_abs_error
 
     def __repr__(self) -> str:

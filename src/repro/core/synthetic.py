@@ -14,10 +14,10 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.mechanisms.composition import basic_composition
 from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
 from repro.queries.linear import ProductQuery
-from repro.queries.workload import Workload
 from repro.relational.hypergraph import JoinQuery
 
 
@@ -75,45 +75,6 @@ class SyntheticDataset:
             raise ValueError("synthetic histogram must be non-negative")
         self.histogram = np.clip(histogram, 0.0, None)
 
-    @classmethod
-    def from_flat_slices(
-        cls,
-        join_query: JoinQuery,
-        slices: "Iterator[tuple[int, int, np.ndarray]] | list",
-        privacy: PrivacySpec,
-        metadata: dict | None = None,
-    ) -> "SyntheticDataset":
-        """Build a synthetic dataset from disjoint flat ``(start, stop, cells)`` slices.
-
-        The assembly path for producers that hand over a histogram slice
-        by slice; the full histogram is allocated exactly once, here.
-        """
-        flat = assemble_flat_histogram(join_query.joint_domain_size, slices)
-        return cls(
-            join_query=join_query,
-            histogram=flat.reshape(join_query.shape),
-            privacy=privacy,
-            metadata=metadata or {},
-        )
-
-    def iter_flat_slices(
-        self, slice_size: int
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield the histogram as flat ``(start, stop, cells)`` slices.
-
-        The inverse of :meth:`from_flat_slices`: lets consumers stream the
-        released histogram range by range without a second full-domain
-        copy — the yielded cells are read-only views.
-        """
-        if slice_size <= 0:
-            raise ValueError(f"slice_size must be positive, got {slice_size}")
-        flat = self.histogram.reshape(-1)
-        for start in range(0, flat.size, slice_size):
-            stop = min(start + slice_size, flat.size)
-            cells = flat[start:stop]
-            cells.flags.writeable = False
-            yield start, stop, cells
-
     # ------------------------------------------------------------------ #
     # query answering
     # ------------------------------------------------------------------ #
@@ -125,28 +86,22 @@ class SyntheticDataset:
         """Answer one linear query from the synthetic data."""
         return query.evaluate_on_histogram(self.histogram)
 
-    def answer_workload(self, workload: Workload) -> np.ndarray:
-        """Answer every query of a workload from the synthetic data."""
-        return np.array([self.answer(query) for query in workload], dtype=float)
-
     # ------------------------------------------------------------------ #
     # combination and post-processing (all privacy-free)
     # ------------------------------------------------------------------ #
     def union(self, other: "SyntheticDataset", privacy: PrivacySpec | None = None) -> "SyntheticDataset":
-        """Union of synthetic datasets: histograms add (Algorithm 4's final step).
+        """Union of synthetic datasets: histograms add.
 
-        The privacy spec of the union must be supplied by the caller when the
-        component specs do not compose trivially; by default the worst
-        component spec is carried over (parallel composition on disjoint
-        sub-instances).
+        Without ``privacy`` the union reports the basic composition of the
+        two specs (ε₁ + ε₂, δ₁ + δ₂), which is sound for any two releases,
+        including two of the same data.  A caller that knows the components
+        saw disjoint data passes the tighter spec; Algorithm 4 does its own
+        accounting and never calls this.
         """
         if self.join_query.attribute_names != other.join_query.attribute_names:
             raise ValueError("cannot union synthetic data over different joint domains")
         if privacy is None:
-            privacy = PrivacySpec(
-                max(self.privacy.epsilon, other.privacy.epsilon),
-                max(self.privacy.delta, other.privacy.delta),
-            )
+            privacy = basic_composition([self.privacy, other.privacy])
         return SyntheticDataset(
             join_query=self.join_query,
             histogram=self.histogram + other.histogram,

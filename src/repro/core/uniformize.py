@@ -30,7 +30,6 @@ from repro.core.two_table import two_table_release
 from repro.mechanisms.composition import basic_composition, group_privacy
 from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
-from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 
@@ -45,7 +44,6 @@ def uniformize_release(
     lam: float | None = None,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-    evaluator: WorkloadEvaluator | None = None,
     pmw_config: PMWConfig | None = None,
 ) -> ReleaseResult:
     """Release synthetic data with uniformized sensitivities (Algorithm 4).
@@ -58,9 +56,9 @@ def uniformize_release(
         query has exactly two relations and hierarchical otherwise.
     lam:
         The bucketing scale λ; defaults to ``(1/ε)·log(1/δ)``.
-    evaluator:
-        The workload evaluator every per-bucket release shares; defaults to
-        the workload's shared evaluator.
+
+    Every per-bucket release answers the workload through its one shared
+    evaluator, so the buckets reuse its stacks, supports and column view.
     """
     query = instance.query
     workload.require_compatible(query)
@@ -71,8 +69,6 @@ def uniformize_release(
         # otherwise empty join values straddle bucket boundaries and the
         # partition fragments needlessly.
         lam = default_lambda(epsilon / 2.0, delta / 2.0)
-    if evaluator is None:
-        evaluator = shared_evaluator(workload)
     if method == "auto":
         method = "two_table" if query.num_relations == 2 else "hierarchical"
     if method not in ("two_table", "hierarchical"):
@@ -97,7 +93,6 @@ def uniformize_release(
                 epsilon / 2.0,
                 delta / 2.0,
                 rng=generator,
-                evaluator=evaluator,
                 pmw_config=pmw_config,
             )
             histogram += result.synthetic.histogram
@@ -129,7 +124,6 @@ def uniformize_release(
                 epsilon / 2.0,
                 delta / 2.0,
                 rng=generator,
-                evaluator=evaluator,
                 pmw_config=pmw_config,
             )
             histogram += result.synthetic.histogram

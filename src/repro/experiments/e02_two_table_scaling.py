@@ -17,7 +17,6 @@ from repro.analysis.reporting import ExperimentTable
 from repro.core.pmw import PMWConfig
 from repro.core.two_table import two_table_release
 from repro.datagen.synthetic import uniform_two_table
-from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.workload import Workload
 from repro.relational.join import join_size
 from repro.sensitivity.local import local_sensitivity
@@ -46,21 +45,12 @@ def run(
 
     def measure(instance, sweep_label: str) -> None:
         workload = Workload.random_sign(instance.query, num_queries, rng=rng)
-        evaluator = WorkloadEvaluator(workload)
-        true_answers = evaluator.answers_on_instance(instance)
         errors = []
         for _ in range(trials):
             result = two_table_release(
-                instance,
-                workload,
-                epsilon,
-                delta,
-                rng=rng,
-                evaluator=evaluator,
-                pmw_config=pmw_config,
+                instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
             )
-            released = evaluator.answers_on_histogram(result.synthetic.histogram)
-            errors.append(float(np.max(np.abs(released - true_answers))))
+            errors.append(result.max_error(instance, workload))
         out = join_size(instance)
         delta_ls = local_sensitivity(instance)
         predicted = theorem_33_error(

@@ -22,7 +22,6 @@ from repro.lowerbounds.two_table_hard import (
     recover_single_table_answers,
     two_table_hard_instance,
 )
-from repro.queries.evaluation import WorkloadEvaluator
 from repro.sensitivity.local import local_sensitivity
 
 
@@ -56,20 +55,11 @@ def run(
     for amplification in delta_sweep:
         hard = two_table_hard_instance(source, amplification)
         instance, workload = hard.instance, hard.workload
-        evaluator = WorkloadEvaluator(workload)
-        true_answers = evaluator.answers_on_instance(instance)
         result = two_table_release(
-            instance,
-            workload,
-            epsilon,
-            delta,
-            rng=rng,
-            evaluator=evaluator,
-            pmw_config=pmw_config,
+            instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
         )
-        released = evaluator.answers_on_histogram(result.synthetic.histogram)
-        lifted_error = float(np.max(np.abs(released - true_answers)))
-        recovered = recover_single_table_answers(hard, released)
+        lifted_error = result.max_error(instance, workload)
+        recovered = recover_single_table_answers(hard, result.answer_workload(workload))
         recovered_error = float(
             np.max(np.abs(recovered - source.true_answers()))
         )

@@ -14,7 +14,6 @@ from repro.analysis.reporting import ExperimentTable
 from repro.core.multi_table import default_beta, multi_table_release
 from repro.core.pmw import PMWConfig
 from repro.datagen.tpch import generate_tpch
-from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.workload import Workload
 from repro.relational.join import join_size
 from repro.sensitivity.residual import residual_sensitivity
@@ -42,21 +41,12 @@ def run(
         data = generate_tpch(scale, seed=seed + int(scale * 1000))
         instance = data.nation_customer_orders
         workload = Workload.random_sign(instance.query, num_queries, rng=rng)
-        evaluator = WorkloadEvaluator(workload)
-        true_answers = evaluator.answers_on_instance(instance)
         errors = []
         for _ in range(trials):
             result = multi_table_release(
-                instance,
-                workload,
-                epsilon,
-                delta,
-                rng=rng,
-                evaluator=evaluator,
-                pmw_config=pmw_config,
+                instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
             )
-            released = evaluator.answers_on_histogram(result.synthetic.histogram)
-            errors.append(float(np.max(np.abs(released - true_answers))))
+            errors.append(result.max_error(instance, workload))
         out = join_size(instance)
         rs_value = residual_sensitivity(instance, beta)
         predicted = theorem_15_error(

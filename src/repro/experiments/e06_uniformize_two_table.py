@@ -19,7 +19,6 @@ from repro.core.pmw import PMWConfig
 from repro.core.two_table import two_table_release
 from repro.core.uniformize import uniformize_release
 from repro.datagen.synthetic import figure3_instance
-from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.workload import Workload
 from repro.relational.join import join_size
 from repro.sensitivity.local import local_sensitivity
@@ -71,21 +70,13 @@ def run(
     for n in n_sweep:
         instance = figure3_instance(n)
         workload = Workload.random_sign(instance.query, num_queries, rng=rng)
-        evaluator = WorkloadEvaluator(workload)
-        true_answers = evaluator.answers_on_instance(instance)
 
         def median_error(method: str) -> float:
             errors = []
             for _ in range(trials):
                 if method == "two_table":
                     result = two_table_release(
-                        instance,
-                        workload,
-                        epsilon,
-                        delta,
-                        rng=rng,
-                        evaluator=evaluator,
-                        pmw_config=pmw_config,
+                        instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
                     )
                 else:
                     result = uniformize_release(
@@ -95,11 +86,9 @@ def run(
                         delta,
                         method="two_table",
                         rng=rng,
-                        evaluator=evaluator,
                         pmw_config=pmw_config,
                     )
-                released = evaluator.answers_on_histogram(result.synthetic.histogram)
-                errors.append(float(np.max(np.abs(released - true_answers))))
+                errors.append(result.max_error(instance, workload))
             return float(np.median(errors))
 
         out = join_size(instance)

@@ -18,7 +18,6 @@ from repro.core.two_table import two_table_release
 from repro.core.uniformize import uniformize_release
 from repro.datagen.synthetic import example42_instance
 from repro.experiments.e06_uniformize_two_table import uniform_bucket_join_sizes
-from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.workload import Workload
 from repro.relational.join import join_size
 from repro.sensitivity.local import local_sensitivity
@@ -54,8 +53,6 @@ def run(
     for k in k_sweep:
         instance = example42_instance(k)
         workload = Workload.random_sign(instance.query, num_queries, rng=rng)
-        evaluator = WorkloadEvaluator(workload)
-        true_answers = evaluator.answers_on_instance(instance)
 
         def median_error(uniformized: bool) -> float:
             errors = []
@@ -68,21 +65,13 @@ def run(
                         delta,
                         method="two_table",
                         rng=rng,
-                        evaluator=evaluator,
                         pmw_config=pmw_config,
                     )
                 else:
                     result = two_table_release(
-                        instance,
-                        workload,
-                        epsilon,
-                        delta,
-                        rng=rng,
-                        evaluator=evaluator,
-                        pmw_config=pmw_config,
+                        instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
                     )
-                released = evaluator.answers_on_histogram(result.synthetic.histogram)
-                errors.append(float(np.max(np.abs(released - true_answers))))
+                errors.append(result.max_error(instance, workload))
             return float(np.median(errors))
 
         out = join_size(instance)

@@ -19,7 +19,6 @@ from repro.core.multi_table import default_beta, multi_table_release
 from repro.core.pmw import PMWConfig
 from repro.core.uniformize import uniformize_release
 from repro.mechanisms.rng import resolve_rng
-from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import figure4_query
 from repro.relational.instance import Instance
@@ -83,8 +82,6 @@ def run(
     instance = figure4_skewed_instance(domain_size, rng=rng)
     query = instance.query
     workload = Workload.random_sign(query, num_queries, rng=rng)
-    evaluator = WorkloadEvaluator(workload)
-    true_answers = evaluator.answers_on_instance(instance)
     pmw_config = PMWConfig(max_iterations=10)
     beta = default_beta(epsilon, delta)
     lam_value = 1.0 / beta
@@ -99,13 +96,7 @@ def run(
     def release_error(method: str) -> float:
         if method == "multi_table":
             result = multi_table_release(
-                instance,
-                workload,
-                epsilon,
-                delta,
-                rng=rng,
-                evaluator=evaluator,
-                pmw_config=pmw_config,
+                instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
             )
         else:
             result = uniformize_release(
@@ -115,11 +106,9 @@ def run(
                 delta,
                 method="hierarchical",
                 rng=rng,
-                evaluator=evaluator,
                 pmw_config=pmw_config,
             )
-        released = evaluator.answers_on_histogram(result.synthetic.histogram)
-        return float(np.max(np.abs(released - true_answers)))
+        return result.max_error(instance, workload)
 
     error_multi = release_error("multi_table")
     error_uniform = release_error("uniformize")

@@ -19,7 +19,6 @@ from repro.analysis.reporting import ExperimentTable
 from repro.core.pmw import PMWConfig
 from repro.core.uniformize import uniformize_release
 from repro.lowerbounds.conforming import conforming_two_table_instance
-from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.workload import Workload
 from repro.sensitivity.local import local_sensitivity
 
@@ -50,8 +49,6 @@ def run(
         conforming = conforming_two_table_instance(out_vector, lam_value)
         instance = conforming.instance
         workload = Workload.random_sign(instance.query, num_queries, rng=rng)
-        evaluator = WorkloadEvaluator(workload)
-        true_answers = evaluator.answers_on_instance(instance)
         errors = []
         for _ in range(trials):
             result = uniformize_release(
@@ -61,11 +58,9 @@ def run(
                 delta,
                 method="two_table",
                 rng=rng,
-                evaluator=evaluator,
                 pmw_config=pmw_config,
             )
-            released = evaluator.answers_on_histogram(result.synthetic.histogram)
-            errors.append(float(np.max(np.abs(released - true_answers))))
+            errors.append(result.max_error(instance, workload))
         measured = float(np.median(errors))
         max_bucket = max(conforming.bucket_join_sizes)
         bucket_sizes = [

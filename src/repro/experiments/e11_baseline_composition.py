@@ -16,7 +16,7 @@ from repro.baselines.independent_laplace import independent_laplace_answers
 from repro.core.pmw import PMWConfig
 from repro.core.two_table import two_table_release
 from repro.datagen.synthetic import zipf_two_table
-from repro.queries.evaluation import WorkloadEvaluator
+from repro.queries.evaluation import shared_evaluator
 from repro.queries.workload import Workload
 
 
@@ -43,22 +43,14 @@ def run(
     rows: list[dict] = []
     for size in workload_sizes:
         workload = Workload.random_sign(instance.query, size, rng=rng)
-        evaluator = WorkloadEvaluator(workload)
-        true_answers = evaluator.answers_on_instance(instance)
+        true_answers = shared_evaluator(workload).answers_on_instance(instance)
         synthetic_errors = []
         laplace_errors = []
         for _ in range(trials):
             release = two_table_release(
-                instance,
-                workload,
-                epsilon,
-                delta,
-                rng=rng,
-                evaluator=evaluator,
-                pmw_config=pmw_config,
+                instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
             )
-            released = evaluator.answers_on_histogram(release.synthetic.histogram)
-            synthetic_errors.append(float(np.max(np.abs(released - true_answers))))
+            synthetic_errors.append(release.max_error(instance, workload))
             baseline = independent_laplace_answers(
                 instance, workload, epsilon, delta, rng=rng
             )

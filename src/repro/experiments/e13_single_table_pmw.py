@@ -17,7 +17,6 @@ from repro.analysis.reporting import ExperimentTable
 from repro.core.pmw import PMWConfig
 from repro.core.release import release_synthetic_data
 from repro.datagen.random_instances import random_instance
-from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import single_table_query
 
@@ -46,8 +45,6 @@ def run(
     for n in n_sweep:
         instance = random_instance(query, n, rng=rng)
         workload = Workload.random_sign(query, num_queries, rng=rng)
-        evaluator = WorkloadEvaluator(workload)
-        true_answers = evaluator.answers_on_instance(instance)
         errors = []
         for _ in range(trials):
             result = release_synthetic_data(
@@ -57,11 +54,9 @@ def run(
                 delta,
                 method="single_table",
                 rng=rng,
-                evaluator=evaluator,
                 pmw_config=pmw_config,
             )
-            released = evaluator.answers_on_histogram(result.synthetic.histogram)
-            errors.append(float(np.max(np.abs(released - true_answers))))
+            errors.append(result.max_error(instance, workload))
         measured = float(np.median(errors))
         predicted = sqrt(n) * f_upper(
             query.joint_domain_size, len(workload), epsilon, delta

@@ -45,7 +45,6 @@ from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.datagen.random_instances import random_instance
 from repro.mechanisms.ledger import PrivacyLedger, use_ledger
 from repro.mechanisms.spec import PrivacySpec
-from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import single_table_query
 from repro.telemetry.audit import (
@@ -212,7 +211,6 @@ def run(
     setup_rng = np.random.default_rng(seed)
     instance = random_instance(query, n, rng=setup_rng)
     workload = Workload.random_sign(query, num_queries, rng=setup_rng)
-    evaluator = WorkloadEvaluator(workload)
     config = PMWConfig(num_iterations=pmw_rounds)
 
     def one_pass(pass_seed: int) -> list[int]:
@@ -221,14 +219,7 @@ def run(
         selections: list[int] = []
         for _ in range(releases):
             result = private_multiplicative_weights(
-                instance,
-                workload,
-                epsilon,
-                delta,
-                1.0,
-                rng=rng,
-                evaluator=evaluator,
-                config=config,
+                instance, workload, epsilon, delta, 1.0, rng=rng, config=config
             )
             selections.extend(result.selected_queries)
         return selections

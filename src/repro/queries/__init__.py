@@ -8,7 +8,10 @@ ranges, random signs), and exact evaluation against both instances and
 released synthetic datasets: :class:`WorkloadEvaluator` stacks each
 relation's weights across the workload and answers every query with one
 contraction per group of queries, and hands the PMW loop each query's
-support and a :class:`HistogramSession`.
+support and a :class:`HistogramSession`.  A workload has one evaluator,
+:func:`shared_evaluator`; a release is scored through
+:class:`~repro.core.result.ReleaseResult`, whose ``error_report`` wraps the
+evaluator's answers in an :class:`ErrorReport`.
 """
 
 from repro.queries.linear import ProductQuery, TableQuery, all_one_query, counting_query
@@ -18,9 +21,6 @@ from repro.queries.evaluation import (
     ErrorReport,
     HistogramSession,
     WorkloadEvaluator,
-    evaluate_workload_on_histogram,
-    evaluate_workload_on_instance,
-    max_error,
     shared_evaluator,
 )
 
@@ -34,8 +34,5 @@ __all__ = [
     "WorkloadEvaluator",
     "all_one_query",
     "counting_query",
-    "evaluate_workload_on_histogram",
-    "evaluate_workload_on_instance",
-    "max_error",
     "shared_evaluator",
 ]

@@ -521,43 +521,18 @@ class WorkloadEvaluator:
         """
         return HistogramSession(self, np.array(self._validated_flat(initial), dtype=np.float64))
 
-    def error_report(self, instance: Instance, histogram: np.ndarray) -> ErrorReport:
-        true_answers = self.answers_on_instance(instance)
-        released = self.answers_on_histogram(histogram)
-        return ErrorReport.from_answers(true_answers, released, self._workload.names())
-
 
 def shared_evaluator(workload: Workload) -> WorkloadEvaluator:
-    """The one cached evaluator of ``workload``.
+    """The one evaluator of ``workload``, built on first use.
 
-    The release algorithms and baselines call this instead of constructing a
-    fresh :class:`WorkloadEvaluator` per invocation, so repeated releases
-    over the same workload — uniformized per-bucket runs, trial sweeps, the
-    baselines — share its stacks, cached supports and column view.  The
-    cache lives on the workload object itself
-    (:meth:`~repro.queries.workload.Workload.private_cache`), so the entry is
-    evicted exactly when the workload is garbage-collected.
+    PMW, the baselines and :class:`~repro.core.result.ReleaseResult` all
+    ask this for the workload's evaluator, so repeated releases over the
+    same workload — uniformized per-bucket runs, trial sweeps, error
+    reports — share its stacks, cached supports and column view.  It lives
+    in the workload's one evaluator slot, so it dies with the workload; a
+    fresh :class:`~repro.queries.workload.Workload` over the same queries
+    starts without one.
     """
-    cache = workload.private_cache("shared_evaluators")
-    evaluator = cache.get("evaluator")
-    if evaluator is None:
-        evaluator = cache["evaluator"] = WorkloadEvaluator(workload)
-    return evaluator
-
-
-def evaluate_workload_on_instance(workload: Workload, instance: Instance) -> np.ndarray:
-    """Exact answers of every workload query on an instance (shared evaluator)."""
-    return shared_evaluator(workload).answers_on_instance(instance)
-
-
-def evaluate_workload_on_histogram(workload: Workload, histogram: np.ndarray) -> np.ndarray:
-    """Answers of every workload query against a joint-domain histogram (shared evaluator)."""
-    return shared_evaluator(workload).answers_on_histogram(histogram)
-
-
-def max_error(workload: Workload, instance: Instance, histogram: np.ndarray) -> float:
-    """The ℓ∞ error ``max_q |q(I) − q(F)|`` of a released histogram."""
-    evaluator = shared_evaluator(workload)
-    true_answers = evaluator.answers_on_instance(instance)
-    released = evaluator.answers_on_histogram(histogram)
-    return float(np.max(np.abs(true_answers - released))) if len(workload) else 0.0
+    if workload._evaluator is None:
+        workload._evaluator = WorkloadEvaluator(workload)
+    return workload._evaluator

@@ -41,6 +41,8 @@ class Workload:
                     raise ValueError("all workload queries must share the same join query")
         self._join_query = join_query
         self._queries = queries
+        # The workload's one evaluator, owned by repro.queries.evaluation.shared_evaluator.
+        self._evaluator = None
 
     # ------------------------------------------------------------------ #
     # container protocol
@@ -104,19 +106,6 @@ class Workload:
 
     def extended(self, extra: Iterable[ProductQuery]) -> "Workload":
         return Workload(self._join_query, self._queries + tuple(extra))
-
-    def private_cache(self, name: str) -> dict:
-        """A named mutable cache bucket living on this workload.
-
-        Long-lived derived state — shared evaluators, compiled/packed query
-        representations — is cached *on the workload object* so its lifetime
-        is tied to the workload (no module-global registry to leak through)
-        and two workloads never share state.  Each consumer owns one named
-        bucket, created on first use; keys within a bucket are the
-        consumer's business.
-        """
-        caches = self.__dict__.setdefault("_private_caches", {})
-        return caches.setdefault(name, {})
 
     # ------------------------------------------------------------------ #
     # generators

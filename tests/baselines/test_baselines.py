@@ -8,7 +8,7 @@ from repro.baselines.global_noise import global_sensitivity_answers
 from repro.baselines.independent_laplace import independent_laplace_answers
 from repro.core.pmw import PMWConfig
 from repro.datagen.synthetic import figure1_pair
-from repro.queries.evaluation import WorkloadEvaluator
+from repro.queries.evaluation import shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.join import join_size
 from repro.sensitivity.local import local_sensitivity
@@ -75,8 +75,7 @@ class TestIndependentLaplace:
         errors = {}
         for size in (4, 64):
             workload = Workload.random_sign(two_table_instance.query, size, rng=rng)
-            evaluator = WorkloadEvaluator(workload)
-            true_answers = evaluator.answers_on_instance(two_table_instance)
+            true_answers = shared_evaluator(workload).answers_on_instance(two_table_instance)
             worst = []
             for _ in range(5):
                 result = independent_laplace_answers(
@@ -116,8 +115,7 @@ class TestGlobalNoise:
         """Global-sensitivity noise should typically be much larger than the
         local-sensitivity-calibrated baseline on benign instances."""
         workload = Workload.counting(two_table_instance.query)
-        evaluator = WorkloadEvaluator(workload)
-        truth = evaluator.answers_on_instance(two_table_instance)
+        truth = shared_evaluator(workload).answers_on_instance(two_table_instance)
         global_errors = []
         local_errors = []
         for _ in range(20):

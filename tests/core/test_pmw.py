@@ -10,7 +10,7 @@ from repro.core.pmw import (
     private_multiplicative_weights,
 )
 from repro.queries import evaluation
-from repro.queries.evaluation import WorkloadEvaluator
+from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import two_table_query
 from repro.relational.instance import Instance
@@ -94,13 +94,21 @@ class TestBasicProperties:
         assert result.iterations == 0
         assert np.all(result.histogram == 0)
 
-    def test_prebuilt_evaluator_is_used(self, instance, query):
+    def test_one_session_on_shared_evaluator(self, instance, query, monkeypatch):
         workload = Workload.random_sign(query, 6, seed=0)
-        evaluator = WorkloadEvaluator(workload)
-        result = private_multiplicative_weights(
-            instance, workload, 1.0, 1e-5, 2.0, seed=2, evaluator=evaluator
-        )
-        assert result.histogram.shape == query.shape
+        evaluator = shared_evaluator(workload)
+        sessions = []
+        open_session = evaluator.histogram_session
+
+        def counted_session(*args, **kwargs):
+            sessions.append(open_session(*args, **kwargs))
+            return sessions[-1]
+
+        monkeypatch.setattr(evaluator, "histogram_session", counted_session)
+        result = private_multiplicative_weights(instance, workload, 1.0, 1e-5, 2.0, seed=2)
+        assert result.iterations > 0
+        assert len(sessions) == 1
+        assert shared_evaluator(workload) is evaluator
 
     def test_parameter_validation(self, instance, query):
         workload = Workload.counting(query)
@@ -181,7 +189,7 @@ class TestUtility:
         tuples_r2 = [(int(rng.integers(2)), int(rng.integers(6))) for _ in range(300)]
         instance = Instance.from_tuple_lists(query, {"R1": tuples_r1, "R2": tuples_r2})
         workload = Workload.attribute_marginals(query, "B")
-        evaluator = WorkloadEvaluator(workload)
+        evaluator = shared_evaluator(workload)
         true_answers = evaluator.answers_on_instance(instance)
 
         result = private_multiplicative_weights(
@@ -191,7 +199,6 @@ class TestUtility:
             delta=1e-3,
             sensitivity_bound=1.0,
             seed=7,
-            evaluator=evaluator,
             config=PMWConfig(force_total=float(join_size(instance)), num_iterations=40),
         )
         released = evaluator.answers_on_histogram(result.histogram)
@@ -314,7 +321,7 @@ class TestCarriedAnswers:
         r2 = [(int(rng.integers(5)), int(rng.integers(6))) for _ in range(110)]
         instance = Instance.from_tuple_lists(query, {"R1": r1, "R2": r2})
         workload = _one_way_marginals(query, include_counting=False)
-        evaluator = WorkloadEvaluator(workload)
+        evaluator = shared_evaluator(workload)
         calls = []
         open_session = evaluator.histogram_session
 
@@ -326,8 +333,7 @@ class TestCarriedAnswers:
 
         monkeypatch.setattr(evaluator, "histogram_session", counted_session)
         result = private_multiplicative_weights(
-            instance, workload, 1.0, 1e-5, 2.0, seed=5, evaluator=evaluator,
-            config=PMWConfig(num_iterations=12),
+            instance, workload, 1.0, 1e-5, 2.0, seed=5, config=PMWConfig(num_iterations=12)
         )
         assert result.iterations == 12
         assert len(calls) == full_evaluations

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.pmw import private_multiplicative_weights
 from repro.queries import evaluation
-from repro.queries.evaluation import WorkloadEvaluator
+from repro.queries.evaluation import shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import chain_query, star_query, two_table_query
 from repro.relational.instance import Instance
@@ -35,11 +35,8 @@ def _setup(seed: int):
 
 
 def _run_pmw(instance, workload, seed: int):
-    evaluator = WorkloadEvaluator(workload)
-    result = private_multiplicative_weights(
-        instance, workload, 1.0, 1e-5, 2.0, seed=seed, evaluator=evaluator
-    )
-    return result, evaluator.column_view()
+    result = private_multiplicative_weights(instance, workload, 1.0, 1e-5, 2.0, seed=seed)
+    return result, shared_evaluator(workload).column_view()
 
 
 def _setup_on(query, seed: int):
@@ -66,11 +63,14 @@ SETUPS = {
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("join", SETUPS)
 def test_pmw_incremental_matches_full(join, seed, monkeypatch):
+    # Each run builds a fresh workload: the view decision is cached on the
+    # workload's one evaluator.
     instance, workload = SETUPS[join](seed)
     full, view = _run_pmw(instance, workload, seed)
     assert view is None
     assert full.selected_queries  # the run actually iterated
     monkeypatch.setattr(evaluation, "_MATRIX_CELL_BUDGET", 0)
+    instance, workload = SETUPS[join](seed)
     incremental, view = _run_pmw(instance, workload, seed)
     assert view is not None
     assert incremental.selected_queries == full.selected_queries

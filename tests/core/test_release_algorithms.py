@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.multi_table import default_beta, multi_table_release
+from repro.baselines.flawed import flawed_exact_count_release
+from repro.baselines.independent_laplace import independent_laplace_answers
+from repro.core.multi_table import default_beta, multi_table_release, noisy_residual_sensitivity
 from repro.core.pmw import PMWConfig
 from repro.core.release import release_synthetic_data
 from repro.core.two_table import two_table_release
@@ -90,6 +92,22 @@ class TestMultiTableRelease:
                 path3_instance, workload, 1.0, 1e-3, seed=seed, pmw_config=FAST
             )
             assert result.diagnostics["delta_tilde"] >= rs_value - 1e-9
+
+    def test_delta_tilde_is_the_shared_log_space_step(self, path3_instance):
+        """Algorithm 3 and the per-query baseline draw Δ̃ through one function."""
+        workload = Workload.counting(path3_instance.query)
+        beta = default_beta(1.0, 1e-3)
+        for seed in range(3):
+            rs_value, delta_tilde = noisy_residual_sensitivity(
+                path3_instance, 0.5, 5e-4, beta, rng=np.random.default_rng(seed)
+            )
+            result = multi_table_release(
+                path3_instance, workload, 1.0, 1e-3, seed=seed, pmw_config=FAST
+            )
+            assert result.diagnostics["residual_sensitivity"] == rs_value
+            assert result.diagnostics["delta_tilde"] == delta_tilde
+            baseline = independent_laplace_answers(path3_instance, workload, 1.0, 1e-3, seed=seed)
+            assert baseline.sensitivity_bound == delta_tilde
 
     def test_default_beta_is_inverse_lambda(self):
         import math
@@ -256,3 +274,38 @@ class TestReleaseDispatch:
                 rng=np.random.default_rng(0),
                 seed=1,
             )
+
+
+class TestReleaseMetadata:
+    """Every PMW release builds its dataset through ``ReleaseResult.from_pmw``."""
+
+    def test_metadata_keys_per_algorithm(self, two_table_instance, path3_instance):
+        single = Instance.from_tuple_lists(single_table_query({"X": 3}), {"R": [(0,), (2,)]})
+        cases = {
+            "single_table": (single, ["algorithm"]),
+            "two_table": (two_table_instance, ["algorithm", "delta_tilde"]),
+            "multi_table": (path3_instance, ["algorithm", "delta_tilde"]),
+        }
+        for method, (instance, keys) in cases.items():
+            workload = Workload.counting(instance.query)
+            result = release_synthetic_data(
+                instance, workload, 1.0, 1e-3, method=method, seed=0, pmw_config=FAST
+            )
+            assert result.algorithm == method
+            assert list(result.synthetic.metadata) == keys
+            assert result.synthetic.metadata["algorithm"] == method
+            assert {"noisy_total", "iterations", "epsilon_per_round"} <= set(result.diagnostics)
+        workload = Workload.counting(two_table_instance.query)
+        flawed = flawed_exact_count_release(
+            two_table_instance, workload, 1.0, 1e-3, seed=0, pmw_config=FAST
+        )
+        assert list(flawed.synthetic.metadata) == ["algorithm", "warning"]
+
+    def test_flawed_config_keeps_caller_settings(self, two_table_instance):
+        workload = Workload.counting(two_table_instance.query)
+        config = PMWConfig(num_iterations=3)
+        result = flawed_exact_count_release(
+            two_table_instance, workload, 1.0, 1e-3, seed=0, pmw_config=config
+        )
+        assert result.diagnostics["iterations"] == 3
+        assert result.diagnostics["noisy_total"] == join_size(two_table_instance)

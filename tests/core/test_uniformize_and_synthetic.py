@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.pmw import PMWConfig
+from repro.core.result import ReleaseResult
 from repro.core.synthetic import SyntheticDataset
 from repro.core.uniformize import uniformize_release
 from repro.mechanisms.spec import PrivacySpec
@@ -116,7 +117,8 @@ class TestSyntheticDataset:
         count = counting_query(query)
         assert synthetic.answer(count) == pytest.approx(exact.sum())
         workload = Workload.counting(query)
-        assert synthetic.answer_workload(workload)[0] == pytest.approx(exact.sum())
+        release = ReleaseResult(synthetic=synthetic, privacy=synthetic.privacy, algorithm="test")
+        assert release.answer_workload(workload)[0] == pytest.approx(exact.sum())
 
     def test_union_adds_histograms(self):
         query = two_table_query(2, 2, 2)
@@ -124,6 +126,21 @@ class TestSyntheticDataset:
         second = self._make(query, np.full(query.shape, 2.0))
         union = first.union(second)
         assert union.total_mass() == pytest.approx(3.0 * 8)
+
+    def test_union_defaults_to_basic_composition(self):
+        query = two_table_query(2, 2, 2)
+        first = SyntheticDataset(query, np.ones(query.shape), PrivacySpec(1.0, 1e-6))
+        second = SyntheticDataset(query, np.ones(query.shape), PrivacySpec(0.5, 2e-6))
+        union = first.union(second)
+        assert union.privacy.epsilon == pytest.approx(1.5)
+        assert union.privacy.delta == pytest.approx(3e-6)
+
+    def test_union_keeps_explicit_privacy(self):
+        query = two_table_query(2, 2, 2)
+        first = SyntheticDataset(query, np.ones(query.shape), PrivacySpec(1.0, 1e-6))
+        second = SyntheticDataset(query, np.ones(query.shape), PrivacySpec(0.5, 2e-6))
+        spec = PrivacySpec(1.0, 2e-6)
+        assert first.union(second, privacy=spec).privacy == spec
 
     def test_union_requires_same_domain(self):
         first = self._make(two_table_query(2, 2, 2))
@@ -151,36 +168,9 @@ class TestSyntheticDataset:
         tuples = list(synthetic.to_tuples(threshold=0.5))
         assert tuples == [((0, 1, 0), 3.0)]
 
+
 class TestFlatSliceAssembly:
-    """Slice-based assembly and iteration: the |D|-free transport format."""
-
-    def _privacy(self):
-        return PrivacySpec(1.0, 1e-5)
-
-    def test_from_flat_slices_round_trips_iter_flat_slices(self):
-        query = two_table_query(3, 2, 4)
-        rng = np.random.default_rng(0)
-        histogram = rng.random(query.shape)
-        dataset = SyntheticDataset(query, histogram, self._privacy())
-        for slice_size in (1, 5, 7, query.joint_domain_size, 10**6):
-            rebuilt = SyntheticDataset.from_flat_slices(
-                query, dataset.iter_flat_slices(slice_size), self._privacy()
-            )
-            assert np.array_equal(rebuilt.histogram, histogram), slice_size
-
-    def test_iter_flat_slices_yields_readonly_views(self):
-        query = two_table_query(2, 2, 2)
-        dataset = SyntheticDataset(query, np.ones(query.shape), self._privacy())
-        slices = list(dataset.iter_flat_slices(3))
-        starts = [start for start, _stop, _cells in slices]
-        stops = [stop for _start, stop, _cells in slices]
-        assert starts[0] == 0 and stops[-1] == query.joint_domain_size
-        assert starts[1:] == stops[:-1]
-        for start, stop, cells in slices:
-            assert cells.shape == (stop - start,)
-            assert not cells.flags.writeable
-        with pytest.raises(ValueError):
-            next(dataset.iter_flat_slices(0))
+    """Assembling the PMW session's averaged slices into one histogram."""
 
     def test_assemble_rejects_gaps_and_overlaps(self):
         from repro.core.synthetic import assemble_flat_histogram

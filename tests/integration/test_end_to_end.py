@@ -8,7 +8,6 @@ from repro.core.pmw import PMWConfig
 from repro.core.release import release_synthetic_data
 from repro.datagen.synthetic import zipf_two_table
 from repro.datagen.tpch import generate_tpch
-from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.workload import Workload
 from repro.relational.join import join_size
 from repro.sensitivity.local import local_sensitivity
@@ -20,8 +19,6 @@ class TestTwoTableEndToEnd:
         """The measured error stays within a constant factor of Theorem 3.3."""
         instance = zipf_two_table(10, 200, seed=0, size_a=12, size_c=12)
         workload = Workload.random_sign(instance.query, 30, seed=1)
-        evaluator = WorkloadEvaluator(workload)
-        true_answers = evaluator.answers_on_instance(instance)
         epsilon, delta = 1.0, 1e-5
 
         result = release_synthetic_data(
@@ -30,11 +27,9 @@ class TestTwoTableEndToEnd:
             epsilon,
             delta,
             seed=2,
-            evaluator=evaluator,
             pmw_config=PMWConfig(max_iterations=20),
         )
-        released = evaluator.answers_on_histogram(result.synthetic.histogram)
-        measured = float(np.max(np.abs(released - true_answers)))
+        measured = result.max_error(instance, workload)
         predicted = theorem_33_error(
             join_size(instance),
             local_sensitivity(instance),
@@ -74,8 +69,6 @@ class TestMultiTableEndToEnd:
         data = generate_tpch(0.5, seed=5)
         instance = data.nation_customer_orders
         workload = Workload.random_sign(instance.query, 20, seed=6)
-        evaluator = WorkloadEvaluator(workload)
-        true_answers = evaluator.answers_on_instance(instance)
         epsilon, delta = 1.0, 1e-4
         result = release_synthetic_data(
             instance,
@@ -83,11 +76,9 @@ class TestMultiTableEndToEnd:
             epsilon,
             delta,
             seed=7,
-            evaluator=evaluator,
             pmw_config=PMWConfig(max_iterations=16),
         )
-        released = evaluator.answers_on_histogram(result.synthetic.histogram)
-        measured = float(np.max(np.abs(released - true_answers)))
+        measured = result.max_error(instance, workload)
         from repro.core.multi_table import default_beta
 
         predicted = theorem_15_error(
@@ -106,8 +97,6 @@ class TestMultiTableEndToEnd:
         """More privacy budget → lower error (averaged over seeds)."""
         instance = zipf_two_table(8, 150, seed=8, size_a=10, size_c=10)
         workload = Workload.attribute_marginals(instance.query, "B")
-        evaluator = WorkloadEvaluator(workload)
-        true_answers = evaluator.answers_on_instance(instance)
 
         def median_error(epsilon: float) -> float:
             errors = []
@@ -118,11 +107,9 @@ class TestMultiTableEndToEnd:
                     epsilon,
                     1e-5,
                     seed=seed,
-                    evaluator=evaluator,
                     pmw_config=PMWConfig(max_iterations=16),
                 )
-                released = evaluator.answers_on_histogram(result.synthetic.histogram)
-                errors.append(float(np.max(np.abs(released - true_answers))))
+                errors.append(result.max_error(instance, workload))
             return float(np.median(errors))
 
         assert median_error(8.0) < median_error(0.25)

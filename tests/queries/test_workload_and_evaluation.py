@@ -1,15 +1,12 @@
-"""Unit tests for workload generators and the evaluator."""
+"""Unit tests for workload generators, the evaluator and release scoring."""
 
 import numpy as np
 import pytest
 
-from repro.queries.evaluation import (
-    ErrorReport,
-    WorkloadEvaluator,
-    evaluate_workload_on_histogram,
-    evaluate_workload_on_instance,
-    max_error,
-)
+from repro.core.result import ReleaseResult
+from repro.core.synthetic import SyntheticDataset
+from repro.mechanisms.spec import PrivacySpec
+from repro.queries.evaluation import ErrorReport, WorkloadEvaluator, shared_evaluator
 from repro.queries.linear import TableQuery
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import two_table_query
@@ -53,7 +50,7 @@ class TestWorkloadGenerators:
     def test_attribute_marginals(self, query, instance):
         workload = Workload.attribute_marginals(query, "B", include_counting=False)
         assert len(workload) == 4
-        answers = evaluate_workload_on_instance(workload, instance)
+        answers = shared_evaluator(workload).answers_on_instance(instance)
         # Marginals of the join over B sum to the join size.
         assert answers.sum() == pytest.approx(join_size(instance))
 
@@ -63,7 +60,7 @@ class TestWorkloadGenerators:
 
     def test_attribute_ranges_are_nested(self, query, instance):
         workload = Workload.attribute_ranges(query, "B", include_counting=False)
-        answers = evaluate_workload_on_instance(workload, instance)
+        answers = shared_evaluator(workload).answers_on_instance(instance)
         assert np.all(np.diff(answers) >= -1e-9)  # prefixes are monotone
         assert answers[-1] == pytest.approx(join_size(instance))
 
@@ -143,26 +140,47 @@ class TestEvaluator:
         with pytest.raises(ValueError):
             evaluator.answers_on_histogram(np.zeros(10))
 
-    def test_error_report(self, query, instance):
+
+def _release(query, histogram) -> ReleaseResult:
+    synthetic = SyntheticDataset(query, histogram, PrivacySpec(1.0, 1e-5))
+    return ReleaseResult(synthetic=synthetic, privacy=synthetic.privacy, algorithm="test")
+
+
+class TestReleaseScoring:
+    """A release is scored one way: through ``ReleaseResult`` on the shared evaluator."""
+
+    def test_release_error_report(self, query, instance):
         workload = Workload.counting(query)
-        evaluator = WorkloadEvaluator(workload)
         exact = join_result(instance).astype(float)
-        report = evaluator.error_report(instance, exact)
+        report = _release(query, exact).error_report(instance, workload)
         assert report.max_abs_error == pytest.approx(0.0)
         assert report.num_queries == 1
 
-    def test_max_error_function(self, query, instance):
+    def test_release_max_error(self, query, instance):
         workload = Workload.counting(query)
-        histogram = np.zeros(query.shape)
-        assert max_error(workload, instance, histogram) == pytest.approx(
-            join_size(instance)
-        )
+        release = _release(query, np.zeros(query.shape))
+        assert release.max_error(instance, workload) == pytest.approx(join_size(instance))
 
-    def test_evaluate_workload_on_histogram_helper(self, query, instance):
+    def test_release_answer_workload(self, query, instance):
         workload = Workload.counting(query)
-        histogram = join_result(instance).astype(float)
-        values = evaluate_workload_on_histogram(workload, histogram)
-        assert values[0] == pytest.approx(join_size(instance))
+        release = _release(query, join_result(instance).astype(float))
+        assert release.answer_workload(workload)[0] == pytest.approx(join_size(instance))
+
+    @pytest.mark.parametrize("family", ["random_sign", "marginals"])
+    def test_answer_workload_matches_per_query_answers(self, family):
+        query = two_table_query(6, 5, 7)
+        if family == "random_sign":
+            workload = Workload.random_sign(query, 12, seed=3)
+        else:
+            workload = Workload.attribute_marginals(query, "A").extended(
+                Workload.attribute_marginals(query, "C", include_counting=False).queries
+            )
+        histogram = np.random.default_rng(4).random(query.shape) * 10.0
+        answers = _release(query, histogram).answer_workload(workload)
+        assert answers.shape == (len(workload),)
+        for answer, product in zip(answers, workload):
+            reference = product.evaluate_on_histogram(histogram)
+            assert abs(answer - reference) <= 1e-12 * max(1.0, abs(reference)), product.name
 
 
 class TestErrorReport:
