@@ -3,11 +3,12 @@
 Callers drive a histogram session through its op protocol (``answers`` /
 ``scale_support`` / ``scale`` / ``fill`` / ``total`` / ``accumulate`` /
 ``averaged_slices`` / ``close``), so the session alone decides how the
-histogram is stored.  Any ``.array`` / ``._array`` attribute access outside
-the queries package would re-couple callers to that storage.
-``np.array(...)`` / ``numpy.array(...)``
-constructor calls are exempt — the rule targets attribute reads on
-session-like objects, not the numpy API.
+histogram is stored.  Any access outside the queries package to an
+attribute in :data:`SESSION_STORAGE_ATTRS` — the session's scale, cells,
+accumulator and flushed weights, or a bare ``.array`` / ``._array`` —
+would re-couple callers to that storage.  ``np.array(...)`` /
+``numpy.array(...)`` constructor calls are exempt — the rule targets
+attribute reads on session-like objects, not the numpy API.
 """
 
 from __future__ import annotations
@@ -16,18 +17,25 @@ import ast
 
 from ..registry import Rule, register_rule
 
+#: The storage attribute names of ``HistogramSession`` (``h = c·g`` is
+#: ``_scale`` times ``_cells``), plus the generic array names.  A test
+#: checks that every storage attribute of an open session is listed here.
+SESSION_STORAGE_ATTRS = frozenset(
+    {"array", "_array", "_cells", "_scale", "_accumulator", "_flushed"}
+)
+
 
 @register_rule
 class SessionEncapsulationRule(Rule):
     code = "DPA103"
     name = "session-encapsulation"
-    summary = "histogram backing arrays stay private to queries/ (session ops only)"
+    summary = "histogram backing storage stays private to queries/ (session ops only)"
     node_types = (ast.Attribute,)
 
     def __init__(
         self,
         exempt_prefixes: tuple[str, ...] = ("queries/",),
-        forbidden_attrs: frozenset = frozenset({"array", "_array"}),
+        forbidden_attrs: frozenset = SESSION_STORAGE_ATTRS,
         numpy_aliases: frozenset = frozenset({"np", "numpy"}),
     ):
         self._exempt_prefixes = exempt_prefixes
@@ -47,5 +55,5 @@ class SessionEncapsulationRule(Rule):
             node.lineno,
             f".{node.attr} attribute access outside src/repro/queries/ — use the "
             "HistogramSession ops (answers/scale_support/scale/fill/total/"
-            "accumulate/averaged_slices) instead of the backing array",
+            "accumulate/averaged_slices) instead of the backing storage",
         )

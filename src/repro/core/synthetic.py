@@ -28,18 +28,29 @@ def assemble_flat_histogram(
 
     The bridge between a :class:`~repro.queries.evaluation.HistogramSession`'s
     ``averaged_slices`` and consumers that want one array; raises if the
-    slices do not cover the whole domain, so a dropped slice fails loudly
-    instead of releasing silent zeros.
+    slices leave a gap, overlap or miss cells, so a dropped slice fails
+    loudly instead of releasing silent zeros.  A single whole-domain slice
+    of float64 cells is returned as it is, without a copy.
     """
-    flat = np.zeros(domain_size, dtype=float)
+    slices = sorted(slices, key=lambda piece: piece[0])
     covered = 0
-    for start, stop, cells in slices:
-        flat[start:stop] = cells
-        covered += stop - start
+    for start, stop, _cells in slices:
+        if start != covered:
+            raise ValueError(
+                f"histogram slices leave a gap or overlap at cell {min(start, covered)}"
+            )
+        covered = stop
     if covered != domain_size:
         raise ValueError(
             f"histogram slices cover {covered} of {domain_size} joint-domain cells"
         )
+    if len(slices) == 1:
+        flat = np.asarray(slices[0][2], dtype=float)
+        if flat.shape == (domain_size,):
+            return flat
+    flat = np.empty(domain_size, dtype=float)
+    for start, stop, cells in slices:
+        flat[start:stop] = cells
     return flat
 
 

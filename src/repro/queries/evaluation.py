@@ -47,11 +47,12 @@ Memory
 
 Iterated evaluation goes through a :class:`HistogramSession`, an operation
 protocol (``answers``, ``scale_support``, ``scale``, ``fill``, ``total``,
-``accumulate``/``averaged_slices``, ``close``) behind which the histogram
-array is private to this package.  :func:`shared_evaluator` memoises one
-evaluator on the workload object itself, so repeated releases over the same
-workload reuse its stacks, supports and view, and the cache dies with the
-workload.
+``accumulate``/``averaged_slices``, ``close``) behind which the histogram's
+storage — a scale times a cell array, so that a PMW round costs its
+support and not the domain — is private to this package.
+:func:`shared_evaluator` memoises one evaluator on the workload object
+itself, so repeated releases over the same workload reuse its stacks,
+supports and view, and the cache dies with the workload.
 """
 
 from __future__ import annotations
@@ -78,6 +79,12 @@ _SPARSE_CELL_BUDGET = 30_000_000
 #: A query block's temporaries stay within this many multiples of ``|D|``
 #: float64 cells.
 _BLOCK_CELLS = 4
+
+#: A histogram session rebases once its scale leaves ``[2^-8, 2^8]``...
+_REBASE_SCALE = 2.0**8
+
+#: ...or once its running weight passes this many times its scale.
+_REBASE_WEIGHT = 2.0**20
 
 
 @dataclass(frozen=True)
@@ -243,42 +250,79 @@ def _stack(workload: Workload) -> tuple[_Group, ...]:
 
 
 class HistogramSession:
-    """The mutable histogram the PMW loop drives: one flat float64 array.
+    """The mutable histogram the PMW loop drives, held lazily as ``h = c·g``.
 
     The loop owns one session for its whole run: instead of handing the
     evaluator a fresh histogram every round, it applies in-place deltas
     through these ops and re-asks for answers.  Callers never see the
-    backing array (a static-analysis rule, DPA103, keeps it private to the
-    queries package).  The session owns its array outright — the seed
+    backing storage (a static-analysis rule, DPA103, keeps it private to
+    the queries package).  The session owns its cells outright — the seed
     histogram is copied — and allocates its accumulator on the first
     :meth:`accumulate`.
 
+    The histogram is a scalar ``c`` times the cell array ``g``, with a
+    running ``Σg``, so that a round costs the selected support ``S`` and
+    not all of ``|D|``.  The average of the iterates is kept the way sparse
+    averaged SGD keeps it: ``accumulate`` adds ``c`` to a running weight
+    ``W``, and each cell's share, ``g(x)·(W − W_last(x))``, is added to the
+    accumulator only when the cell is flushed — the cells of ``S`` before
+    their update, every cell before a whole-domain update, a ``fill``, a
+    rebase and in ``averaged_slices``.  The ops and their cost:
+
     ``answers()``
         The workload answers against the current contents: always a full
-        evaluation.
+        evaluation, of ``g``, times ``c``.
     ``scale_support(indices, factors)``
         Multiply the cells at sorted ``indices`` by ``factors``, the PMW
-        support delta.  Returns the change in every answer,
-        ``M[:, indices]·(new − old)``, when the evaluator holds a column
-        view and the touched columns hold at most half its entries;
-        otherwise ``None``, and the caller must call ``answers()``.
-    ``scale(factor)`` / ``fill(value)`` / ``total()``
-        Uniform rescale, reset, and total mass.
-    ``accumulate()`` / ``averaged_slices(divisor)``
-        Add the current contents to a running sum / yield
-        ``(start, stop, cells)`` of that sum divided by ``divisor``.
+        support delta: O(|S|), and ``Σg`` moves by the delta's sum.  A
+        whole-domain support (the counting query, ±1 queries) instead
+        flushes every cell, rescales ``g`` in place and recomputes ``Σg``
+        exactly, with no ``|D|``-length temporary.  Returns the change in
+        every answer, ``M[:, indices]·(new − old)``, when the evaluator
+        holds a column view and the touched columns hold at most half its
+        entries; otherwise ``None``, and the caller must call ``answers()``.
+    ``scale(factor)`` / ``total()``
+        Uniform rescale (``c`` moves) and total mass (``c·Σg``): O(1).
+    ``fill(value)``
+        Reset every cell to ``value``: O(|D|).
+    ``accumulate()``
+        Add the current contents to the running average: O(1).
+    ``averaged_slices(divisor)``
+        Yield ``(start, stop, cells)`` of the accumulated sum divided by
+        ``divisor``: one whole-domain slice, after a final flush.
     ``close()``
         Release per-session resources.
+
+    **Rebase.**  When ``|log2 c| > 8`` or ``W > 2^20·c``, the session
+    flushes every cell, folds ``c`` into ``g``, recomputes ``Σg`` and
+    restarts ``W``: O(|D|), counted in :attr:`rebases`.  (Every flush of
+    the whole domain restarts ``W``.)  The rules bound the two roundings
+    the lazy form adds: the running ``Σg`` drifts only by updates made at a
+    scale within ``2^8`` of the current one, and a flushed share
+    ``W − W_last`` loses at most ``2^20`` ulps of ``c`` per round.  Over
+    3000 rounds mixing marginals, ±1 queries, counting-query rounds that
+    move ``c`` past ``2^±8`` both ways, a reset and a stretch that moves
+    ``c`` by ``2^±100`` through one marginal, every total and answer stays
+    within 8.4e-14 relative of an eager float64 histogram and the average
+    within 1.5e-15 (the tests allow 1e-9); rebasing only near overflow
+    (``|log2 c| > 64``), the same run ends 8.5 % off.  The benchmark
+    workloads rebase 0, 0 and 1 times per release.
     """
 
-    def __init__(self, evaluator: "WorkloadEvaluator", array: np.ndarray):
+    def __init__(self, evaluator: "WorkloadEvaluator", cells: np.ndarray):
         self._evaluator = evaluator
-        self._array = array
+        self._cells = cells
+        self._scale = 1.0
+        self._cells_total = float(cells.sum())
+        self._weight = 0.0
+        self._flushed: np.ndarray | None = None  # W at each cell's last flush
         self._accumulator: np.ndarray | None = None
+        #: Rebases so far (see the class docstring).
+        self.rebases = 0
 
     def answers(self) -> np.ndarray:
         """Answers of every query against the current histogram contents."""
-        return self._evaluator._answers(self._array)
+        return self._evaluator._answers(self._cells) * self._scale
 
     def scale_support(self, indices: np.ndarray, factors: np.ndarray) -> np.ndarray | None:
         """Multiply the cells at sorted ``indices`` by ``factors`` (a support delta).
@@ -286,46 +330,88 @@ class HistogramSession:
         Returns the change in every answer, or ``None`` when the session
         did not compute it.
         """
+        cells = self._cells
+        if indices.size == cells.size:  # sorted and unique: every cell
+            self._flush_all()
+            cells *= factors
+            self._cells_total = float(cells.sum())
+            return None  # its columns hold every entry, past the view's half
+        old = cells[indices]
+        if self._accumulator is not None:
+            self._accumulator[indices] += old * (self._weight - self._flushed[indices])
+            self._flushed[indices] = self._weight
+        new = old * factors
+        cells[indices] = new
+        delta = new - old
+        self._cells_total += float(delta.sum())
         columns = self._evaluator.column_view()
         if columns is None or not columns.narrow(indices):
-            self._array[indices] *= factors
             return None
-        old = self._array[indices]
-        new = old * factors
-        self._array[indices] = new
-        return columns.answer_change(indices, new - old)
+        return columns.answer_change(indices, delta) * self._scale
 
     def scale(self, factor: float) -> None:
         """Multiply every cell by ``factor`` (renormalisation)."""
-        self._array *= factor
+        self._scale *= factor
+        if not 1.0 / _REBASE_SCALE <= self._scale <= _REBASE_SCALE:
+            self._rebase()
 
     def fill(self, value: float) -> None:
         """Reset every cell to ``value``."""
-        self._array.fill(value)
+        self._flush_all()
+        self._cells.fill(value)
+        self._scale = 1.0
+        self._cells_total = float(self._cells.sum())
 
     def total(self) -> float:
         """The total mass of the current histogram contents."""
-        return float(self._array.sum())
+        return self._scale * self._cells_total
 
     def accumulate(self) -> None:
-        """Add the current contents to the session's running accumulator."""
+        """Add the current contents to the session's running average."""
         if self._accumulator is None:
-            self._accumulator = np.zeros_like(self._array)
-        self._accumulator += self._array
+            self._accumulator = np.zeros_like(self._cells)
+            self._flushed = np.zeros_like(self._cells)
+        self._weight += self._scale
+        if self._weight > _REBASE_WEIGHT * self._scale:
+            self._rebase()
 
     def averaged_slices(self, divisor: float) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield ``(start, stop, cells)`` of the accumulator divided by ``divisor``.
+        """Yield ``(start, stop, cells)`` of the accumulated sum divided by ``divisor``.
 
         One slice covering the whole domain; zeros before any
         :meth:`accumulate`.
         """
         if self._accumulator is None:
-            yield 0, self._array.size, np.zeros(self._array.size, dtype=np.float64)
+            yield 0, self._cells.size, np.zeros(self._cells.size, dtype=np.float64)
         else:
+            self._flush_all()
             yield 0, self._accumulator.size, self._accumulator / float(divisor)
 
     def close(self) -> None:
         """Release per-session resources (nothing is held beyond the arrays)."""
+
+    def _flush_all(self) -> None:
+        """Add every cell's pending share to the accumulator and restart ``W``.
+
+        In place: the flushed-weight array holds ``W − W_last``, then the
+        shares, before it is zeroed.
+        """
+        if self._accumulator is None:
+            return
+        pending = self._flushed
+        np.subtract(self._weight, pending, out=pending)
+        pending *= self._cells
+        self._accumulator += pending
+        pending.fill(0.0)
+        self._weight = 0.0
+
+    def _rebase(self) -> None:
+        """Fold ``c`` into ``g``: flush, rescale, and recompute ``Σg`` exactly."""
+        self._flush_all()
+        self._cells *= self._scale
+        self._scale = 1.0
+        self._cells_total = float(self._cells.sum())
+        self.rebases += 1
 
 
 class WorkloadEvaluator:

@@ -3,6 +3,8 @@ and stays quiet on a clean one (plus its config-driven exemptions)."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis.static.rules import (
     ExceptionHygieneRule,
     NoiseLocalityRule,
@@ -135,6 +137,15 @@ def test_dpa102_quiet_inside_mechanisms_and_on_other_methods(scan):
 def test_dpa103_fires_outside_queries(scan):
     result = scan(
         {"core/foo.py": "def leak(session):\n    return session._array\n"},
+        rules=[SessionEncapsulationRule()],
+    )
+    assert codes(result) == ["DPA103"]
+
+
+@pytest.mark.parametrize("attribute", ["_cells", "_scale", "_accumulator", "_flushed"])
+def test_dpa103_fires_on_each_session_storage_attribute(scan, attribute):
+    result = scan(
+        {"core/foo.py": f"def leak(session):\n    return session.{attribute}\n"},
         rules=[SessionEncapsulationRule()],
     )
     assert codes(result) == ["DPA103"]

@@ -183,3 +183,14 @@ class TestFlatSliceAssembly:
             assemble_flat_histogram(8, [(0, 4, cells)])  # gap: cells 4..8 missing
         with pytest.raises(ValueError):
             assemble_flat_histogram(8, [(0, 4, cells), (2, 6, cells), (4, 8, cells)])
+        with pytest.raises(ValueError):
+            assemble_flat_histogram(8, [(0, 4, cells), (2, 6, cells)])  # overlap and gap
+        with pytest.raises(ValueError):
+            assemble_flat_histogram(8, [(4, 12, np.ones(8))])  # one slice, shifted
+
+    def test_one_whole_domain_slice_is_returned_without_a_copy(self):
+        from repro.core.synthetic import assemble_flat_histogram
+
+        cells = np.arange(8.0)
+        assert assemble_flat_histogram(8, [(0, 8, cells)]) is cells
+        assert assemble_flat_histogram(8, iter([(0, 8, cells)])) is cells

@@ -6,15 +6,21 @@ analysis suite — the single implementation lives in
 repo-wide via ``python -m repro.analysis``.  The invariant: every module
 outside ``src/repro/queries/`` talks to histogram sessions purely through
 the ops (``answers`` / ``scale_support`` / ``scale`` / ``fill`` / ``total``
-/ ``accumulate`` / ``averaged_slices`` / ``close``); any ``.array`` /
-``._array`` attribute access would re-couple callers to the dense
-representation.  ``np.array(...)`` constructor calls are exempt.
+/ ``accumulate`` / ``averaged_slices`` / ``close``); any access to a
+storage attribute (``SESSION_STORAGE_ATTRS``) would re-couple callers to
+the representation.  ``np.array(...)`` constructor calls are exempt.
 """
 
 from pathlib import Path
 
+import numpy as np
+
 from repro.analysis.static import analyze_paths
 from repro.analysis.static.rules import SessionEncapsulationRule
+from repro.analysis.static.rules.session_encapsulation import SESSION_STORAGE_ATTRS
+from repro.queries.evaluation import WorkloadEvaluator
+from repro.queries.workload import Workload
+from repro.relational.hypergraph import two_table_query
 
 _SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -31,7 +37,7 @@ def test_source_tree_has_modules_to_scan():
 def test_no_histogram_array_access_outside_queries_package():
     result = _scan(_SRC, _SRC)
     assert result.ok, (
-        "histogram backing arrays are private to src/repro/queries/ — use the "
+        "histogram backing storage is private to src/repro/queries/ — use the "
         "HistogramSession ops (answers/scale_support/scale/fill/total/"
         "accumulate/averaged_slices) instead:\n"
         + "\n".join(finding.render() for finding in result.findings)
@@ -55,3 +61,16 @@ def test_rule_still_fires_on_seeded_violation(tmp_path):
     result = _scan(root, root)
     assert [finding.code for finding in result.findings] == ["DPA103"]
     assert result.findings[0].logical == "core/bad.py"
+
+
+def test_rule_lists_every_storage_attribute_of_a_session():
+    # A renamed or added storage array must be added to the rule, or the
+    # guard would silently stop covering it.
+    query = two_table_query(3, 2, 2)
+    evaluator = WorkloadEvaluator(Workload.attribute_marginals(query, "A"))
+    session = evaluator.histogram_session(np.ones(query.joint_domain_size))
+    session.accumulate()  # allocates the accumulator and the flushed weights
+    arrays = {name for name, value in vars(session).items() if isinstance(value, np.ndarray)}
+    assert len(arrays) == 3
+    assert arrays <= SESSION_STORAGE_ATTRS
+    assert "_scale" in vars(session) and "_scale" in SESSION_STORAGE_ATTRS  # h = c·g
