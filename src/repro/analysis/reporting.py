@@ -2,8 +2,8 @@
 
 The benchmark scripts and the CLI both print small result tables (one row per
 parameter setting); :class:`ExperimentTable` renders them as aligned plain
-text or GitHub-flavoured markdown so EXPERIMENTS.md entries can be pasted
-verbatim from a run.
+text or GitHub-flavoured markdown (``python -m repro.cli run --markdown``),
+so a run's table can be pasted verbatim into the README.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ Usage::
     python -m repro.cli run all --seed 1    # run the full suite
     python -m repro.cli demo                # tiny end-to-end quickstart
 
-Every experiment corresponds to a row of the per-experiment index in
-DESIGN.md; the printed tables are the ones recorded in EXPERIMENTS.md.
+``list`` prints the paper artefact each experiment reproduces; the
+experiment's own module docstring (``repro.experiments.eNN_*``) says what it
+measures and which claim it checks.
 
 ``--telemetry`` turns the runtime telemetry layer on for the whole run
 (``repro.telemetry``): PMW rounds, mechanism invocations

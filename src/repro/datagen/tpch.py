@@ -9,10 +9,10 @@ place most of the orders, a few nations hold most of the customers) are
 preserved, while the key domains are kept small enough that the joint domain
 of a two- or three-way join stays in the tens of thousands of cells.
 
-Substitution note (see DESIGN.md): the paper's repro hint calls for public
-TPC-H data with pandas/SQL; this generator exercises exactly the same code
-paths — multi-way key joins with skewed degree distributions — in a fully
-offline, dependency-free way.
+Substitution note (E12, ``repro.experiments.e12_tpch``, runs on this data):
+the paper's repro hint calls for public TPC-H data with pandas/SQL; this
+generator exercises exactly the same code paths — multi-way key joins with
+skewed degree distributions — in a fully offline, dependency-free way.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """The experiment harness: one module per reproduced paper artefact.
 
-Every experiment (``E1 ... E14`` and ``E20``) of DESIGN.md's per-experiment index lives in
-its own module with a ``run(...)`` function returning a dictionary that always
-contains a ``"table"`` entry (an :class:`repro.analysis.reporting.ExperimentTable`)
-plus experiment-specific raw values that the benchmark suite asserts on.  The
-CLI (``python -m repro.cli``) and the ``benchmarks/`` directory are both thin
-wrappers around these functions, so the numbers recorded in EXPERIMENTS.md can
-be regenerated from either entry point.
+Every experiment (``E1 ... E14`` and ``E20``) lives in its own module, whose
+docstring names the paper artefact it reproduces, with a ``run(...)`` function
+returning a dictionary that always contains a ``"table"`` entry (an
+:class:`repro.analysis.reporting.ExperimentTable`) plus experiment-specific raw
+values that the benchmark suite asserts on.  The CLI (``python -m repro.cli``)
+and the ``benchmarks/`` directory are both thin wrappers around these
+functions, so every table can be regenerated from either entry point.
 
 The :data:`EXPERIMENTS` registry exposes each runner through a telemetry
 wrapper: while :func:`repro.telemetry.configure` has recording on, the whole

@@ -21,9 +21,9 @@ Design contract (why instrumented hot paths stay hot):
   whose instruments are shared do-nothing singletons; the disabled cost of an
   instrumented call site is an attribute check plus an empty method call.
 - **Enabled stays cheap.**  Metric updates are lock-free single mutations;
-  a timer or span costs one ``perf_counter_ns`` pair (spans add one
-  ``thread_time_ns`` pair for CPU attribution); finished spans land in a
-  bounded ring, so memory cannot grow with run length.
+  a span costs one ``perf_counter_ns`` pair plus one ``thread_time_ns``
+  pair for CPU attribution; finished spans land in a bounded ring, so
+  memory cannot grow with run length.
 
 The instrumentation never touches random-number state, so enabling or
 disabling telemetry cannot change mechanism outputs or PMW selections —
@@ -111,8 +111,8 @@ def disable() -> None:
 def reset() -> None:
     """Zero all metrics and empty the span ring, keeping telemetry enabled.
 
-    The per-run boundary: benchmark runners call this between experiments so
-    every snapshot attributes to exactly one run.  A no-op while disabled.
+    The per-run boundary: call this between runs so every snapshot
+    attributes to exactly one run.  A no-op while disabled.
     """
     if _STATE.enabled:
         _STATE.registry.clear()
@@ -154,7 +154,7 @@ def snapshot() -> dict:
 
     ``metrics`` is the flat human-readable view (``name{labels}`` keys);
     ``spans`` reports ring occupancy; ``stages`` is the per-span-name
-    timing aggregate benchmark records embed.
+    timing aggregate (:func:`stage_summary`).
     """
     if not _STATE.enabled:
         return {"enabled": False}

@@ -85,12 +85,8 @@ def prometheus_exposition(snapshot: dict) -> str:
     """Render a ``MetricsRegistry.snapshot()`` as Prometheus text exposition.
 
     Counters export under their (sanitised) name as ``counter``; gauges as
-    ``gauge``; distributions expand into ``<name>_count`` / ``<name>_sum`` /
-    ``<name>_min`` / ``<name>_max`` gauges (the registry keeps running
-    extrema rather than buckets, so a native ``histogram`` type would claim
-    semantics the data does not have).  One ``# TYPE`` line per metric name,
-    label sets grouped beneath it, trailing newline included — the format's
-    parsing rules.
+    ``gauge``.  One ``# TYPE`` line per metric name, label sets grouped
+    beneath it, trailing newline included — the format's parsing rules.
     """
     families: dict[str, tuple[str, list[str]]] = {}
 
@@ -103,12 +99,6 @@ def prometheus_exposition(snapshot: dict) -> str:
         _add(entry["name"], "counter", entry.get("labels", []), entry["value"])
     for entry in snapshot.get("gauges", ()):
         _add(entry["name"], "gauge", entry.get("labels", []), entry["value"])
-    for entry in snapshot.get("distributions", ()):
-        labels = entry.get("labels", [])
-        _add(entry["name"] + ".count", "gauge", labels, entry["count"])
-        _add(entry["name"] + ".sum", "gauge", labels, entry["total"])
-        _add(entry["name"] + ".min", "gauge", labels, entry["min"])
-        _add(entry["name"] + ".max", "gauge", labels, entry["max"])
 
     lines: list[str] = []
     for prom_name in sorted(families):

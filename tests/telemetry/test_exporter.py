@@ -146,14 +146,3 @@ class TestExposition:
         body = prometheus_exposition(telemetry.registry().snapshot())
         assert "# TYPE pmw_round_time counter" in body
         assert 'path="a\\"b\\\\c\\nd"' in body
-
-    def test_distribution_expands_to_summary_gauges(self):
-        telemetry.configure(enabled=True)
-        distribution = telemetry.registry().distribution("stage.seconds")
-        distribution.observe(0.25)
-        distribution.observe(0.75)
-        body = prometheus_exposition(telemetry.registry().snapshot())
-        assert "stage_seconds_count 2.0" in body
-        assert "stage_seconds_sum 1.0" in body
-        assert "stage_seconds_min 0.25" in body
-        assert "stage_seconds_max 0.75" in body
