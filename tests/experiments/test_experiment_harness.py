@@ -6,7 +6,8 @@ smaller than the experiments' defaults (what ``python -m repro.cli run``
 prints) so the whole file stays fast; the goal is coverage of the harness
 code paths, not statistical power.  The full-size ``benchmarks/bench_*.py``
 scripts need pytest-benchmark to run, so here they are only imported: that
-catches a script whose imports have drifted from the experiment modules.
+catches a script whose imports have drifted from the experiment modules.  Every
+registered experiment must have exactly one such script and a run below.
 """
 
 import importlib.util
@@ -51,6 +52,17 @@ class TestRegistry:
         assert len(EXPERIMENTS) == 15
         for name, runner in EXPERIMENTS.items():
             assert callable(runner), name
+
+    def test_every_experiment_has_one_bench_script_and_a_smoke_run(self):
+        # bench_e01_flawed_variants.py -> "e1"; test_e7_example42 -> "e7".
+        bench_ids = [f"e{int(path.stem.split('_')[1][1:])}" for path in _BENCH_SCRIPTS]
+        assert sorted(bench_ids) == sorted(EXPERIMENTS)
+        smoke_ids = {
+            name.split("_")[1]
+            for name in dir(TestIndividualExperiments)
+            if name.startswith("test_e")
+        }
+        assert smoke_ids == set(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("script", _BENCH_SCRIPTS, ids=lambda path: path.stem)

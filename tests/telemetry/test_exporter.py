@@ -146,3 +146,17 @@ class TestExposition:
         body = prometheus_exposition(telemetry.registry().snapshot())
         assert "# TYPE pmw_round_time counter" in body
         assert 'path="a\\"b\\\\c\\nd"' in body
+
+    def test_gauge_family_groups_its_label_sets_under_one_type_line(self):
+        telemetry.configure(enabled=True)
+        telemetry.registry().gauge("queue.depth", shard="a").set(3)
+        telemetry.registry().gauge("queue.depth", shard="b").set(5)
+        telemetry.registry().counter("pmw.rounds").add()
+        body = prometheus_exposition(telemetry.registry().snapshot())
+        assert body == (
+            "# TYPE pmw_rounds counter\n"
+            "pmw_rounds 1.0\n"
+            "# TYPE queue_depth gauge\n"
+            'queue_depth{shard="a"} 3.0\n'
+            'queue_depth{shard="b"} 5.0\n'
+        )

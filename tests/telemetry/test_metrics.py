@@ -30,6 +30,16 @@ def test_counter_gauge_semantics():
     assert flat["depth"] == 7.0
 
 
+def test_snapshot_lists_each_instrument_under_its_kind():
+    registry = MetricsRegistry()
+    registry.counter("n", kind="x").add(2)
+    registry.gauge("depth").set(7)
+    assert registry.snapshot() == {
+        "counters": [{"name": "n", "labels": [["kind", "x"]], "value": 2.0}],
+        "gauges": [{"name": "depth", "labels": [], "value": 7.0}],
+    }
+
+
 def test_flat_key_rendering():
     registry = MetricsRegistry()
     registry.counter("evaluator.backend_choice", backend="sharded").add()
