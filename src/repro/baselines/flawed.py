@@ -25,17 +25,13 @@ import numpy as np
 from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.core.result import ReleaseResult
 from repro.core.synthetic import SyntheticDataset
+from repro.core.two_table import noisy_local_sensitivity
 from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
-from repro.mechanisms.truncated_laplace import (
-    sample_truncated_laplace,
-    truncated_laplace_mechanism,
-    truncation_radius,
-)
+from repro.mechanisms.truncated_laplace import sample_truncated_laplace, truncation_radius
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 from repro.relational.join import join_size
-from repro.sensitivity.local import local_sensitivity
 
 
 def flawed_exact_count_release(
@@ -86,11 +82,9 @@ def flawed_padded_release(
         instance, workload, epsilon / 2.0, delta / 2.0, rng=generator, pmw_config=pmw_config
     )
 
-    delta_true = local_sensitivity(instance)
-    delta_tilde = truncated_laplace_mechanism(
-        float(delta_true), 1.0, epsilon / 4.0, delta / 4.0, rng=generator
+    _, delta_tilde = noisy_local_sensitivity(
+        instance, epsilon / 4.0, delta / 4.0, rng=generator
     )
-    delta_tilde = max(delta_tilde, 1.0)
     radius = truncation_radius(epsilon / 4.0, delta / 4.0, delta_tilde)
     eta = float(
         sample_truncated_laplace(4.0 * delta_tilde / epsilon, radius, rng=generator)

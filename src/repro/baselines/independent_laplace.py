@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.multi_table import default_beta, noisy_residual_sensitivity
+from repro.core.two_table import noisy_local_sensitivity
 from repro.mechanisms.laplace import sample_laplace
 from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
-from repro.mechanisms.truncated_laplace import truncated_laplace_mechanism
 from repro.queries.evaluation import shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
-from repro.sensitivity.local import local_sensitivity
 
 
 @dataclass
@@ -53,11 +52,9 @@ def independent_laplace_answers(
     num_queries = len(workload)
 
     if query.num_relations <= 2:
-        delta_true = float(local_sensitivity(instance))
-        sensitivity_bound = truncated_laplace_mechanism(
-            delta_true, 1.0, epsilon / 2.0, delta / 2.0, rng=generator
+        _, sensitivity_bound = noisy_local_sensitivity(
+            instance, epsilon / 2.0, delta / 2.0, rng=generator
         )
-        sensitivity_bound = max(sensitivity_bound, 1.0)
     else:
         _, sensitivity_bound = noisy_residual_sensitivity(
             instance, epsilon / 2.0, delta / 2.0, default_beta(epsilon, delta), rng=generator

@@ -12,27 +12,30 @@ experiment's own module docstring (``repro.experiments.eNN_*``) says what it
 measures and which claim it checks.
 
 ``--telemetry`` turns the runtime telemetry layer on for the whole run
-(``repro.telemetry``): PMW rounds, mechanism invocations
-and privacy spend are counted/timed, and a JSON metrics snapshot is
-printed after each experiment.  ``--trace-out PATH`` (implies
-``--telemetry``) additionally exports the recorded tracing spans as a
-Chrome-trace file — load it at ``chrome://tracing`` or
+(``repro.telemetry``): PMW rounds and mechanism invocations are
+counted/timed, and a JSON metrics snapshot is printed after each
+experiment.  Every run is charged to one
+:class:`~repro.mechanisms.ledger.PrivacyLedger` (scoped with
+:func:`~repro.mechanisms.ledger.use_ledger`); with telemetry on, its
+charges feed the ``privacy.*`` spend counters.  ``--trace-out PATH``
+(implies ``--telemetry``) additionally exports the recorded tracing spans
+as a Chrome-trace file — load it at ``chrome://tracing`` or
 https://ui.perfetto.dev to see the nested span timeline.
 
 ``--metrics-port PORT`` (implies ``--telemetry``) starts the live scrape
 exporter (``repro.telemetry.exporter``) for the duration of the run:
 ``/metrics`` serves Prometheus text exposition, ``/healthz`` liveness,
-``/budget`` the per-ledger privacy spend, ``/spans`` the Chrome trace.
+``/budget`` the run ledger's privacy spend, ``/spans`` the Chrome trace.
 Port 0 picks a free ephemeral port (printed on stderr).  ``--serve-after
 SECONDS`` keeps the exporter up after the run finishes so an external
 scraper (or a CI curl) can collect the final state.
 
-``--audit-out PATH`` (implies ``--telemetry``) installs an ambient
-:class:`~repro.mechanisms.ledger.PrivacyLedger` charged by every PMW
-release in the run and streams each charge into a hash-chained audit
-journal (``repro.telemetry.audit``) at PATH.  After the run the journal
-is verified — replayed, chain-checked, and cross-checked against the
-live ledger — and a one-line summary is printed.
+``--audit-out PATH`` (implies ``--telemetry``) streams each charge of the
+run ledger into a new hash-chained audit journal (``repro.telemetry.audit``)
+at PATH.  The journal is created before anything runs; an existing PATH is
+refused with exit status 2 and left as it was.  After the run the journal
+is verified — replayed, chain-checked, and cross-checked against the run
+ledger — and a one-line summary is printed.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ import time
 
 from repro import telemetry
 from repro.experiments import DESCRIPTIONS, EXPERIMENTS
+from repro.mechanisms.ledger import PrivacyLedger, use_ledger
+from repro.telemetry.audit import AuditJournal, verify_audit_journal
+from repro.telemetry.exporter import TelemetryExporter
 
 
 def _cmd_list() -> int:
@@ -95,6 +101,9 @@ def _cmd_demo(seed: int) -> int:
     print(f"instance: n={instance.total_size()}, join size={join_size(instance)}")
     print(f"released under {result.privacy} via {result.algorithm}")
     print(f"workload of {len(workload)} marginal queries: {report}")
+    if telemetry.is_enabled():
+        print("[demo telemetry]")
+        print(json.dumps(telemetry.snapshot(), indent=2, sort_keys=True, default=str))
     return 0
 
 
@@ -152,71 +161,60 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     args = parser.parse_args(argv)
-    exporter = None
-    journal = None
-    ledger = None
-    if args.command in ("run", "demo"):
-        observability = args.metrics_port is not None or args.audit_out is not None
-        if args.telemetry or args.trace_out is not None or observability:
-            telemetry.configure(enabled=True)
-        if observability:
-            from repro.mechanisms.ledger import PrivacyLedger, set_ambient_ledger
-
-            ledger = PrivacyLedger()
-            telemetry.observe_ledger(ledger)
-            set_ambient_ledger(ledger)
-        if args.audit_out is not None:
-            from repro.telemetry.audit import AuditJournal
-
-            journal = AuditJournal(args.audit_out, tenant="cli")
-            journal.attach(ledger)
-        if args.metrics_port is not None:
-            from repro.telemetry.exporter import TelemetryExporter
-
-            exporter = TelemetryExporter(port=args.metrics_port)
-            exporter.register_ledger("cli", ledger)
-            exporter.start()
-            print(f"[metrics exporter listening on {exporter.url()}]", file=sys.stderr)
     if args.command == "list":
         return _cmd_list()
+    journal = None
+    if args.audit_out is not None:
+        try:
+            journal = AuditJournal(args.audit_out)
+        except FileExistsError:
+            print(f"error: audit journal {args.audit_out} already exists", file=sys.stderr)
+            return 2
+    observed = (
+        args.telemetry
+        or args.trace_out is not None
+        or args.metrics_port is not None
+        or journal is not None
+    )
+    ledger = PrivacyLedger()
+    if observed:
+        telemetry.configure(enabled=True)
+        telemetry.observe_ledger(ledger)
+    if journal is not None:
+        journal.attach(ledger)
+    exporter = None
     try:
-        if args.command == "run":
-            return _cmd_run(args.experiments, args.seed, args.markdown)
-        if args.command == "demo":
-            status = _cmd_demo(args.seed)
-            if telemetry.is_enabled():
-                print("[demo telemetry]")
-                print(
-                    json.dumps(
-                        telemetry.snapshot(), indent=2, sort_keys=True, default=str
-                    )
-                )
-            return status
+        if args.metrics_port is not None:
+            exporter = TelemetryExporter(port=args.metrics_port).start()
+            exporter.register_ledger(ledger)
+            print(f"[metrics exporter listening on {exporter.url()}]", file=sys.stderr)
+        with use_ledger(ledger):
+            if args.command == "run":
+                return _cmd_run(args.experiments, args.seed, args.markdown)
+            return _cmd_demo(args.seed)
     finally:
-        if args.command in ("run", "demo"):
-            if args.trace_out is not None:
-                telemetry.export_chrome_trace(args.trace_out)
-                print(f"[chrome trace written to {args.trace_out}]", file=sys.stderr)
-            if exporter is not None and args.serve_after > 0:
+        if args.trace_out is not None:
+            telemetry.export_chrome_trace(args.trace_out)
+            print(f"[chrome trace written to {args.trace_out}]", file=sys.stderr)
+        if exporter is not None:
+            if args.serve_after > 0:
                 print(
                     f"[serving {exporter.url()} for another {args.serve_after:g}s]",
                     file=sys.stderr,
                 )
                 time.sleep(args.serve_after)
-            if exporter is not None:
-                exporter.stop()
-            if journal is not None:
-                journal.close()
-                from repro.telemetry.audit import verify_audit_journal
-
-                report = verify_audit_journal(args.audit_out, ledger=ledger)
-                print(
-                    f"[audit journal verified: {report.records} record(s), "
-                    f"composed spend ε={report.epsilon}, δ={report.delta}, "
-                    f"matches the live ledger — {args.audit_out}]",
-                    file=sys.stderr,
-                )
-    return 2
+            exporter.stop()
+        if observed:
+            telemetry.disable()
+        if journal is not None:
+            journal.close()
+            report = verify_audit_journal(args.audit_out, ledger=ledger)
+            print(
+                f"[audit journal verified: {report.records} record(s), "
+                f"composed spend ε={report.epsilon}, δ={report.delta}, "
+                f"matches the live ledger — {args.audit_out}]",
+                file=sys.stderr,
+            )
 
 
 if __name__ == "__main__":

@@ -66,11 +66,11 @@ relative of an eagerly kept one (1.5e-15 over a 3000-round stress run, and
 ``pmw.run`` span containing a ``pmw.round`` span per iteration (each full
 workload evaluation and the multiplicative update as
 ``pmw.scores``/``pmw.update`` sub-spans, the selected query attached as an
-attribute), the budget spend lands on
-``pmw.epsilon_spent``/``pmw.delta_spent`` counters plus per-run
-``privacy.run.*`` gauges, and guarded renormalisation resets count on
-``pmw.renorm_resets``.  The instrumentation never touches the RNG, so
-selections are bitwise identical with telemetry on or off.
+attribute), and guarded renormalisation resets count on
+``pmw.renorm_resets``.  Budget spend is the ledger's metric, not PMW's:
+:func:`repro.telemetry.observe_ledger` counts the charges below.  The
+instrumentation never touches the RNG, so selections are bitwise identical
+with telemetry on or off.
 
 **Accounting.**  When an ambient :class:`~repro.mechanisms.ledger.PrivacyLedger`
 is installed (:func:`repro.mechanisms.ledger.use_ledger`), each invocation
@@ -109,10 +109,11 @@ class PMWConfig:
     Attributes
     ----------
     num_iterations:
-        Fixed iteration count; ``None`` selects the appendix optimum.
+        Fixed iteration count, at least one; ``None`` selects the appendix
+        optimum.
     max_iterations:
-        Upper clamp for the automatically chosen iteration count (the lower
-        clamp is one round).
+        Upper clamp, at least one, for the automatically chosen iteration
+        count (the lower clamp is one round).
     force_total:
         **Not differentially private.**  Overrides the noisy total count n̂
         with the given value; used only by the flawed-baseline reproductions
@@ -123,6 +124,12 @@ class PMWConfig:
     num_iterations: int | None = None
     max_iterations: int = 60
     force_total: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("num_iterations", "max_iterations"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass
@@ -156,7 +163,7 @@ def _auto_iterations(
 ) -> int:
     """The appendix-optimal iteration count, clamped to ``[1, max_iterations]``."""
     if config.num_iterations is not None:
-        return max(1, config.num_iterations)
+        return config.num_iterations
     log_domain = max(log(max(domain_size, 2)), 1.0)
     log_queries = max(log(max(num_queries, 2)), 1.0)
     log_delta = max(log(1.0 / delta), 1.0)
@@ -259,10 +266,6 @@ def private_multiplicative_weights(
     ) as run_span:
         telemetry = telemetry_registry()
         telemetry.counter("pmw.runs").add()
-        telemetry.counter("pmw.epsilon_spent").add(epsilon)
-        telemetry.counter("pmw.delta_spent").add(delta)
-        telemetry.gauge("privacy.run.epsilon").set(epsilon)
-        telemetry.gauge("privacy.run.delta").set(delta)
 
         # Step 1: release the total count with one-sided truncated Laplace noise
         # ((ε/2, δ/2) of the budget), unless a flawed-baseline override is active.

@@ -21,6 +21,26 @@ from repro.relational.instance import Instance
 from repro.sensitivity.local import local_sensitivity
 
 
+def noisy_local_sensitivity(
+    instance: Instance,
+    epsilon: float,
+    delta: float,
+    *,
+    rng: np.random.Generator,
+) -> tuple[int, float]:
+    """Algorithm 1's line 1, spending (ε, δ): ``(Δ, Δ̃ = max(Δ + TLap, 1))``.
+
+    ``Δ`` is the local sensitivity ``LS_count(I)``.  For two-table joins
+    ``LS_count`` has global sensitivity one, so sensitivity-1 truncated
+    Laplace noise suffices; ``Δ̃`` is floored at one.
+    """
+    delta_true = local_sensitivity(instance)
+    delta_tilde = truncated_laplace_mechanism(
+        float(delta_true), 1.0, epsilon, delta, rng=rng
+    )
+    return delta_true, max(delta_tilde, 1.0)
+
+
 def two_table_release(
     instance: Instance,
     workload: Workload,
@@ -44,13 +64,10 @@ def two_table_release(
     workload.require_compatible(query)
     generator = resolve_rng(rng, seed)
 
-    # Line 1: Δ̃ ← Δ + TLap — the global sensitivity of LS_count is one for
-    # two-table joins, so sensitivity-1 noise suffices.
-    delta_true = local_sensitivity(instance)
-    delta_tilde = truncated_laplace_mechanism(
-        float(delta_true), 1.0, epsilon / 2.0, delta / 2.0, rng=generator
+    # Line 1: Δ̃ ← Δ + TLap.
+    delta_true, delta_tilde = noisy_local_sensitivity(
+        instance, epsilon / 2.0, delta / 2.0, rng=generator
     )
-    delta_tilde = max(delta_tilde, 1.0)
 
     # Line 2: PMW with the remaining half of the budget.
     pmw = private_multiplicative_weights(

@@ -1,6 +1,6 @@
 """The experiment harness: one module per reproduced paper artefact.
 
-Every experiment (``E1 ... E14`` and ``E20``) lives in its own module, whose
+Every experiment (``E1 ... E14``) lives in its own module, whose
 docstring names the paper artefact it reproduces, with a ``run(...)`` function
 returning a dictionary that always contains a ``"table"`` entry (an
 :class:`repro.analysis.reporting.ExperimentTable`) plus experiment-specific raw
@@ -32,7 +32,6 @@ from repro.experiments import (
     e12_tpch,
     e13_single_table_pmw,
     e14_privacy_audit,
-    e20_observability,
 )
 
 def _instrumented(name: str, runner):
@@ -75,7 +74,6 @@ _RUNNERS = {
     "e12": e12_tpch.run,
     "e13": e13_single_table_pmw.run,
     "e14": e14_privacy_audit.run,
-    "e20": e20_observability.run,
 }
 
 EXPERIMENTS = {name: _instrumented(name, runner) for name, runner in _RUNNERS.items()}
@@ -95,7 +93,6 @@ DESCRIPTIONS = {
     "e12": "TPC-H-style end-to-end workloads",
     "e13": "Theorem 1.3 — single-table PMW sanity",
     "e14": "Lemmas 3.2/3.7/4.1 — empirical privacy audit",
-    "e20": "Observability — hash-chained audit journal, live scrape endpoints, overhead",
 }
 
 __all__ = ["EXPERIMENTS", "DESCRIPTIONS"]

@@ -27,7 +27,6 @@ from repro.mechanisms.ledger import (
     PrivacyLedger,
     RemainingBudget,
     ambient_ledger,
-    set_ambient_ledger,
     use_ledger,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "PrivacySpec",
     "RemainingBudget",
     "ambient_ledger",
-    "set_ambient_ledger",
     "use_ledger",
     "advanced_composition",
     "basic_composition",

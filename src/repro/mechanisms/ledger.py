@@ -8,26 +8,25 @@ integration tests and the privacy-audit benchmark can assert that an
 end-to-end run never exceeds its declared budget.
 
 The ledger is **thread-safe**: charges, totals, resets, and subscription
-changes all serialise on an internal lock, so concurrent request handlers
-(the ROADMAP's per-tenant accountant) can share one ledger without losing or
-double-counting entries.  :meth:`PrivacyLedger.subscribe` registers an
-*observer* called once per charge (outside the lock, in charge order as
-observed by each caller) — :func:`repro.telemetry.observe_ledger` uses it to
-drive the privacy-spend counters, and
-:class:`repro.telemetry.audit.AuditJournal` uses it to append each charge to
-the hash-chained on-disk audit journal.
+changes all serialise on an internal lock, so threads charging concurrently
+can share one ledger without losing or double-counting entries.
+:meth:`PrivacyLedger.subscribe` registers an *observer* called once per
+charge (outside the lock, in charge order as observed by each caller) —
+:func:`repro.telemetry.observe_ledger` uses it to drive the privacy-spend
+counters, and :class:`repro.telemetry.audit.AuditJournal` uses it to append
+each charge to the hash-chained on-disk audit journal.
 
 Budget enforcement lives here too: :meth:`PrivacyLedger.remaining` reports
 the unspent part of a declared budget (clamped at zero) and
 :meth:`PrivacyLedger.assert_within` raises :class:`BudgetExceededError` the
 moment the composed total exceeds it.
 
-An **ambient ledger** can be installed per context
-(:func:`use_ledger` / :func:`set_ambient_ledger`): mechanisms that know
-their own budget — today the PMW routine's total-count and adaptive-rounds
-charges — record into it without every call chain having to thread a ledger
-argument through.  No ambient ledger is installed by default, so existing
-call sites pay one context-variable read and nothing else.
+An **ambient ledger** can be installed per context with :func:`use_ledger`
+(the CLI scopes its run ledger this way): mechanisms that know their own
+budget — today the PMW routine's total-count and adaptive-rounds charges —
+record into it without every call chain having to thread a ledger argument
+through.  No ambient ledger is installed by default, so existing call sites
+pay one context-variable read and nothing else.
 """
 
 from __future__ import annotations
@@ -205,21 +204,11 @@ _AMBIENT_LEDGER: ContextVar[PrivacyLedger | None] = ContextVar(
 def ambient_ledger() -> PrivacyLedger | None:
     """The ledger installed for the current context, or ``None``.
 
-    Budget-aware code paths (the PMW routine, future service handlers) call
-    this per invocation and charge into whatever ledger the caller installed;
-    with none installed the lookup is one context-variable read.
+    Budget-aware code paths (the PMW routine) call this per invocation and
+    charge into whatever ledger the caller installed; with none installed the
+    lookup is one context-variable read.
     """
     return _AMBIENT_LEDGER.get()
-
-
-def set_ambient_ledger(ledger: PrivacyLedger | None) -> None:
-    """Install ``ledger`` as the context's ambient ledger (``None`` clears it).
-
-    Prefer the scoped :func:`use_ledger` in library code; this setter exists
-    for process-wide wiring such as the CLI's ``--audit-out`` flag, where the
-    ledger should stay installed for the remainder of the run.
-    """
-    _AMBIENT_LEDGER.set(ledger)
 
 
 @contextmanager

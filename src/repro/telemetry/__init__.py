@@ -62,8 +62,6 @@ __all__ = [
     "SpanRing",
 ]
 
-_DEFAULT_RING_CAPACITY = 16384
-
 _NULL_REGISTRY = NullRegistry()
 
 
@@ -81,23 +79,19 @@ class _State:
 _STATE = _State()
 
 
-def configure(enabled: bool = True, ring_capacity: int = _DEFAULT_RING_CAPACITY) -> None:
+def configure(enabled: bool = True) -> None:
     """Turn telemetry on (or off) for this process.
 
     Enabling is idempotent: an already-enabled state keeps its registry and
-    ring (so nested enables never lose data); pass a different
-    ``ring_capacity`` to re-bound the span ring (resizing preserves nothing —
-    the ring restarts empty).  ``configure(enabled=False)`` is
-    :func:`disable`.
+    span ring (so nested enables never lose data).  ``configure(enabled=False)``
+    is :func:`disable`.
     """
     if not enabled:
         disable()
         return
     if not _STATE.enabled or not isinstance(_STATE.registry, MetricsRegistry):
         _STATE.registry = MetricsRegistry()
-        _STATE.ring = SpanRing(capacity=ring_capacity)
-    elif _STATE.ring is not None and _STATE.ring.capacity != ring_capacity:
-        _STATE.ring = SpanRing(capacity=ring_capacity)
+        _STATE.ring = SpanRing()
     _STATE.enabled = True
 
 

@@ -3,12 +3,12 @@
 A :class:`PrivacyLedger <repro.mechanisms.ledger.PrivacyLedger>` is an
 in-memory odometer — it dies with the process and says nothing about *when*
 or *in what order* budget was spent.  The :class:`AuditJournal` is its
-durable, tamper-evident counterpart: one JSON line per charge, appended
-crash-safely (write + flush, optionally fsync) to an on-disk journal whose
-records form a SHA-256 hash chain:
+durable, tamper-evident counterpart: one JSON line per charge, each written,
+flushed and fsynced before :meth:`AuditJournal.record` returns, in a file
+whose records form a SHA-256 hash chain:
 
-``{"v": 1, "seq": 3, "tenant": "acme", "label": "pmw.rounds",
-   "epsilon": 0.5, "delta": 5e-06, "group": null, "t": 1754600000.0,
+``{"v": 2, "seq": 3, "label": "pmw.rounds", "epsilon": 0.5,
+   "delta": 5e-06, "group": null, "t": 1754600000.0,
    "prev": "<hash of record 2>", "h": "<hash of this record>"}``
 
 ``h`` is the SHA-256 of the record's canonical JSON (sorted keys, ``h``
@@ -21,11 +21,8 @@ error type (:class:`AuditTamperError`, :class:`AuditGapError`,
 :class:`AuditOrderError`, :class:`AuditDivergenceError`) so operators can
 tell a truncated disk from a hostile edit.
 
-Journals rotate by size: when the active file would exceed ``max_bytes`` it
-is renamed to ``<path>.<first_seq>-<last_seq>`` and a fresh file continues
-the chain (the first record of a new segment carries the last hash of the
-previous one), so verification spans segments seamlessly.  Reopening an
-existing journal resumes the chain from its last record.
+A journal is one file written by one run: it is created exclusively, so a
+path that already exists is refused rather than appended to.
 
 Standard library only, like the rest of ``repro.telemetry`` (the CI job and
 ``tests/telemetry/test_stdlib_only.py`` enforce it).  The journal knows
@@ -56,14 +53,13 @@ __all__ = [
     "AuditGapError",
     "AuditOrderError",
     "AuditDivergenceError",
-    "journal_segments",
     "read_journal",
     "replay_composition",
     "verify_audit_journal",
 ]
 
 #: Version tag stamped on every record; bump on layout changes.
-AUDIT_SCHEMA_VERSION = 1
+AUDIT_SCHEMA_VERSION = 2
 
 #: The ``prev`` hash of the very first record of a chain.
 GENESIS_HASH = "0" * 64
@@ -122,7 +118,6 @@ class AuditRecord:
     """One parsed journal line."""
 
     seq: int
-    tenant: str
     label: str
     epsilon: float
     delta: float
@@ -142,7 +137,6 @@ class AuditRecord:
         try:
             return cls(
                 seq=int(raw["seq"]),
-                tenant=str(raw["tenant"]),
                 label=str(raw["label"]),
                 epsilon=float(raw["epsilon"]),
                 delta=float(raw["delta"]),
@@ -161,7 +155,6 @@ class AuditRecord:
         return {
             "v": AUDIT_SCHEMA_VERSION,
             "seq": self.seq,
-            "tenant": self.tenant,
             "label": self.label,
             "epsilon": self.epsilon,
             "delta": self.delta,
@@ -176,101 +169,38 @@ class AuditRecord:
 
 @dataclass
 class AuditReport:
-    """The verifier's summary of a clean journal."""
+    """The verifier's summary of a clean journal.
+
+    Its records hold seq ``1..records``; ``epsilon`` and ``delta`` are their
+    replayed composed total (``None`` when the journal is empty).
+    """
 
     records: int
-    first_seq: int | None
-    last_seq: int | None
     epsilon: float | None
     delta: float | None
-    tenants: tuple[str, ...] = ()
-    segments: tuple[str, ...] = ()
-    ledger_checked: bool = False
-    budget_checked: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "records": self.records,
-            "first_seq": self.first_seq,
-            "last_seq": self.last_seq,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "tenants": list(self.tenants),
-            "segments": list(self.segments),
-            "ledger_checked": self.ledger_checked,
-            "budget_checked": self.budget_checked,
-        }
 
 
 class AuditJournal:
     """Append-only hash-chained journal of privacy charges.
 
-    Parameters
-    ----------
-    path:
-        The active journal file; parent directories are created.  An
-        existing journal is resumed — the chain continues from its last
-        record.
-    tenant:
-        The tenant every record from this journal instance is attributed to
-        (one journal per tenant; a service front-end owns the mapping).
-    fsync:
-        When true, every append is followed by ``os.fsync`` — each record is
-        durable once :meth:`record` returns, at the price of one disk flush
-        per charge.  Off by default: appends are written and flushed to the
-        OS, which survives process crashes (though not power loss).
-    max_bytes:
-        Size-based rotation threshold.  ``None`` disables rotation.
+    ``path`` is the journal file; parent directories are created.  The file
+    is created exclusively — an existing path raises ``FileExistsError`` and
+    is left untouched — so one journal holds exactly one run's chain.  Every
+    append is written, flushed and fsynced before :meth:`record` returns, so
+    each record is durable once its charge is.
 
     Thread-safe: appends serialise on an internal lock (ledger observers may
     fire from any charging thread).  Usable as a context manager.
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        *,
-        tenant: str = "default",
-        fsync: bool = False,
-        max_bytes: int | None = None,
-    ) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
+    def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
-        self.tenant = str(tenant)
-        self.fsync = bool(fsync)
-        self.max_bytes = max_bytes
         self._lock = threading.Lock()
         self._unsubscribes: list[Callable[[], None]] = []
+        self._next_seq = 1
+        self._prev_hash = GENESIS_HASH
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._next_seq, self._prev_hash, self._segment_first_seq = self._resume()
-        self._handle = open(self.path, "a", encoding="utf-8")
-
-    def _resume(self) -> tuple[int, str, int | None]:
-        """Recover (next seq, last hash, active segment's first seq) from disk."""
-        last: AuditRecord | None = None
-        first_seq: int | None = None
-        if self.path.exists() and self.path.stat().st_size > 0:
-            for lineno, line in enumerate(
-                self.path.read_text(encoding="utf-8").splitlines(), start=1
-            ):
-                if not line.strip():
-                    continue
-                record = AuditRecord.from_line(line, lineno=lineno, path=str(self.path))
-                if first_seq is None:
-                    first_seq = record.seq
-                last = record
-        if last is None:
-            # A rotated-away active file restarts empty but must continue the
-            # chain from the newest rotated segment, if any.
-            segments = journal_segments(self.path, include_active=False)
-            if segments:
-                records = list(_iter_segment(segments[-1]))
-                if records:
-                    last = records[-1]
-        if last is None:
-            return 1, GENESIS_HASH, None
-        return last.seq + 1, last.digest, first_seq
+        self._handle = open(self.path, "x", encoding="utf-8")
 
     # -- writing ----------------------------------------------------------
     def record(
@@ -280,13 +210,12 @@ class AuditJournal:
         delta: float,
         *,
         parallel_group: str | None = None,
-    ) -> dict:
-        """Append one charge and return the written record (with hashes)."""
+    ) -> None:
+        """Append one charge; it is on disk when this returns."""
         with self._lock:
             body = {
                 "v": AUDIT_SCHEMA_VERSION,
                 "seq": self._next_seq,
-                "tenant": self.tenant,
                 "label": str(label),
                 "epsilon": float(epsilon),
                 "delta": float(delta),
@@ -295,29 +224,12 @@ class AuditJournal:
                 "prev": self._prev_hash,
             }
             digest = _record_hash(body)
-            record = dict(body, h=digest)
-            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            line = json.dumps(dict(body, h=digest), sort_keys=True, separators=(",", ":"))
             self._handle.write(line + "\n")
             self._handle.flush()
-            if self.fsync:
-                os.fsync(self._handle.fileno())
-            if self._segment_first_seq is None:
-                self._segment_first_seq = self._next_seq
+            os.fsync(self._handle.fileno())
             self._prev_hash = digest
             self._next_seq += 1
-            if self.max_bytes is not None and self._handle.tell() >= self.max_bytes:
-                self._rotate_locked()
-            return record
-
-    def _rotate_locked(self) -> None:
-        """Seal the active file as ``<path>.<first>-<last>`` and start fresh."""
-        self._handle.close()
-        first = self._segment_first_seq
-        last = self._next_seq - 1
-        sealed = self.path.with_name(f"{self.path.name}.{first:08d}-{last:08d}")
-        os.replace(self.path, sealed)
-        self._segment_first_seq = None
-        self._handle = open(self.path, "a", encoding="utf-8")
 
     def attach(self, ledger) -> Callable[[], None]:
         """Journal every future charge of ``ledger``; returns unsubscribe.
@@ -355,51 +267,21 @@ class AuditJournal:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    @property
-    def next_seq(self) -> int:
-        return self._next_seq
-
-    @property
-    def head_hash(self) -> str:
-        """The hash of the newest record (``GENESIS_HASH`` while empty)."""
-        return self._prev_hash
-
 
 # ---------------------------------------------------------------------- #
 # reading and verification
 # ---------------------------------------------------------------------- #
-def journal_segments(path: str | os.PathLike, *, include_active: bool = True) -> list[Path]:
-    """Every file of a journal, rotated segments first (by first seq).
+def read_journal(path: str | os.PathLike) -> list[AuditRecord]:
+    """Parse every record of a journal, in file order.
 
-    Rotated segments are named ``<name>.<first>-<last>`` next to the active
-    file; zero-padded sequence numbers make lexical and numeric order agree,
-    but the sort is numeric regardless.
+    A missing file raises ``FileNotFoundError``; an empty one has no records.
     """
     path = Path(path)
-    sealed = []
-    for candidate in path.parent.glob(f"{path.name}.*"):
-        suffix = candidate.name[len(path.name) + 1 :]
-        first, dash, last = suffix.partition("-")
-        if dash and first.isdigit() and last.isdigit():
-            sealed.append((int(first), candidate))
-    segments = [p for _, p in sorted(sealed)]
-    if include_active and path.exists():
-        segments.append(path)
-    return segments
-
-
-def _iter_segment(path: Path) -> Iterable[AuditRecord]:
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if line.strip():
-            yield AuditRecord.from_line(line, lineno=lineno, path=str(path))
-
-
-def read_journal(path: str | os.PathLike) -> list[AuditRecord]:
-    """Parse every record of a journal (all segments, in file order)."""
-    records: list[AuditRecord] = []
-    for segment in journal_segments(path):
-        records.extend(_iter_segment(segment))
-    return records
+    return [
+        AuditRecord.from_line(line, lineno=lineno, path=str(path))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if line.strip()
+    ]
 
 
 def replay_composition(records: Iterable[AuditRecord]) -> tuple[float, float]:
@@ -451,9 +333,9 @@ def verify_audit_journal(
     5. with ``budget`` (anything with ``epsilon``/``delta``): the replayed
        total does not exceed it — :class:`AuditDivergenceError`.
 
-    Returns an :class:`AuditReport` on success.
+    Returns an :class:`AuditReport` on success.  A missing journal raises
+    ``FileNotFoundError``: only a file that exists can verify as clean.
     """
-    segments = journal_segments(path)
     records = read_journal(path)
 
     for record in records:
@@ -469,8 +351,7 @@ def verify_audit_journal(
         if min(seqs) != 1:
             raise AuditGapError(
                 f"journal does not start at seq=1 (first record is "
-                f"seq={min(seqs)}; the head was deleted or a rotated "
-                f"segment is missing)",
+                f"seq={min(seqs)}; the head was deleted)",
                 seq=min(seqs),
             )
         expected = set(range(min(seqs), max(seqs) + 1))
@@ -543,14 +424,4 @@ def verify_audit_journal(
                 f"declared budget (ε={budget.epsilon:g}, δ={budget.delta:g})",
             )
 
-    return AuditReport(
-        records=len(records),
-        first_seq=records[0].seq if records else None,
-        last_seq=records[-1].seq if records else None,
-        epsilon=epsilon,
-        delta=delta,
-        tenants=tuple(sorted({record.tenant for record in records})),
-        segments=tuple(str(segment) for segment in segments),
-        ledger_checked=ledger is not None,
-        budget_checked=budget is not None,
-    )
+    return AuditReport(records=len(records), epsilon=epsilon, delta=delta)

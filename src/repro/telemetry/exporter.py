@@ -8,7 +8,7 @@ same state observable *while the run is happening*: a
 ===========  ==========================================================
 ``/metrics``  the live registry in Prometheus text exposition format
 ``/healthz``  liveness + telemetry status as JSON
-``/budget``   per-tenant ledger spend/remaining (ε, δ) as JSON
+``/budget``   the registered ledger's spend/remaining (ε, δ) as JSON
 ``/spans``    the current span ring as a downloadable Chrome-trace file
 ===========  ==========================================================
 
@@ -174,8 +174,8 @@ class TelemetryExporter:
         print(exporter.url("/metrics"))
         exporter.stop()                                 # joins; nothing lingers
 
-    ``register_ledger`` publishes a :class:`~repro.mechanisms.ledger.PrivacyLedger`
-    (optionally with its declared budget) on ``/budget`` under a tenant name.
+    ``register_ledger`` publishes one :class:`~repro.mechanisms.ledger.PrivacyLedger`
+    (optionally with its declared budget) on ``/budget``.
     Also usable as a context manager (``with TelemetryExporter() as exporter:``).
     """
 
@@ -185,7 +185,7 @@ class TelemetryExporter:
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
         self._started_at: float | None = None
-        self._ledgers: dict[str, tuple[object, object | None]] = {}
+        self._ledger = self._budget = None
 
     # -- lifecycle --------------------------------------------------------
     def start(self) -> "TelemetryExporter":
@@ -238,9 +238,9 @@ class TelemetryExporter:
         return f"http://{self.host}:{self.port}{path}"
 
     # -- published state --------------------------------------------------
-    def register_ledger(self, tenant: str, ledger, budget=None) -> None:
+    def register_ledger(self, ledger, budget=None) -> None:
         """Publish ``ledger`` (and optionally its declared budget) on ``/budget``."""
-        self._ledgers[str(tenant)] = (ledger, budget)
+        self._ledger, self._budget = ledger, budget
 
     def health(self) -> dict:
         """The ``/healthz`` payload."""
@@ -250,29 +250,31 @@ class TelemetryExporter:
             "uptime_seconds": (
                 time.time() - self._started_at if self._started_at else 0.0
             ),
-            "tenants": sorted(self._ledgers),
         }
 
     def budget_snapshot(self) -> dict:
-        """The ``/budget`` payload: per-tenant spent/remaining (ε, δ)."""
-        tenants: dict[str, dict] = {}
-        for tenant, (ledger, budget) in sorted(self._ledgers.items()):
-            spent = ledger.spent()
-            entry: dict = {
-                "charges": len(ledger),
-                "spent": (
-                    {"epsilon": spent.epsilon, "delta": spent.delta}
-                    if spent is not None
-                    else {"epsilon": 0.0, "delta": 0.0}
-                ),
+        """The ``/budget`` payload: the ledger's spent/remaining (ε, δ).
+
+        Empty until a ledger is registered.
+        """
+        ledger, budget = self._ledger, self._budget
+        if ledger is None:
+            return {}
+        spent = ledger.spent()
+        entry: dict = {
+            "charges": len(ledger),
+            "spent": (
+                {"epsilon": spent.epsilon, "delta": spent.delta}
+                if spent is not None
+                else {"epsilon": 0.0, "delta": 0.0}
+            ),
+        }
+        if budget is not None:
+            remaining = ledger.remaining(budget)
+            entry["budget"] = {"epsilon": budget.epsilon, "delta": budget.delta}
+            entry["remaining"] = {
+                "epsilon": remaining.epsilon,
+                "delta": remaining.delta,
             }
-            if budget is not None:
-                remaining = ledger.remaining(budget)
-                entry["budget"] = {"epsilon": budget.epsilon, "delta": budget.delta}
-                entry["remaining"] = {
-                    "epsilon": remaining.epsilon,
-                    "delta": remaining.delta,
-                }
-                entry["exhausted"] = remaining.exhausted
-            tenants[tenant] = entry
-        return {"tenants": tenants}
+            entry["exhausted"] = remaining.exhausted
+        return entry

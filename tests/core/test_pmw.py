@@ -77,6 +77,19 @@ class TestBasicProperties:
         )
         assert result.iterations <= 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_iterations", 0),
+            ("num_iterations", -3),
+            ("max_iterations", 0),
+            ("max_iterations", -1),
+        ],
+    )
+    def test_config_rejects_iteration_counts_below_one(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PMWConfig(**{field: value})
+
     def test_force_total_override(self, instance, query):
         workload = Workload.counting(query)
         config = PMWConfig(force_total=123.0, num_iterations=2)

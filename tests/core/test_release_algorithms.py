@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.baselines.flawed import flawed_exact_count_release
+from repro.baselines.flawed import flawed_exact_count_release, flawed_padded_release
 from repro.baselines.independent_laplace import independent_laplace_answers
 from repro.core.multi_table import default_beta, multi_table_release, noisy_residual_sensitivity
 from repro.core.pmw import PMWConfig
 from repro.core.release import release_synthetic_data
-from repro.core.two_table import two_table_release
+from repro.core.two_table import noisy_local_sensitivity, two_table_release
 from repro.mechanisms.spec import PrivacySpec
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import single_table_query, two_table_query
@@ -40,6 +40,24 @@ class TestTwoTableRelease:
             assert result.diagnostics["delta_tilde"] >= local_sensitivity(
                 two_table_instance
             )
+
+    def test_delta_tilde_is_the_shared_additive_step(self, two_table_instance):
+        """Algorithm 1 and both baselines that need Δ̃ draw it through one function."""
+        instance, workload = two_table_instance, Workload.counting(two_table_instance.query)
+        ls_value, delta_tilde = noisy_local_sensitivity(
+            instance, 0.5, 5e-6, rng=np.random.default_rng(4)
+        )
+        result = two_table_release(instance, workload, 1.0, 1e-5, seed=4, pmw_config=FAST)
+        assert result.diagnostics["local_sensitivity"] == ls_value
+        assert result.diagnostics["delta_tilde"] == delta_tilde
+        baseline = independent_laplace_answers(instance, workload, 1.0, 1e-5, seed=4)
+        assert baseline.sensitivity_bound == delta_tilde
+        # The padded variant draws its Δ̃ at (ε/4, δ/4) after its base PMW run.
+        rng = np.random.default_rng(4)
+        flawed_exact_count_release(instance, workload, 0.5, 5e-6, rng=rng, pmw_config=FAST)
+        _, padded_tilde = noisy_local_sensitivity(instance, 0.25, 2.5e-6, rng=rng)
+        padded = flawed_padded_release(instance, workload, 1.0, 1e-5, seed=4, pmw_config=FAST)
+        assert padded.diagnostics["delta_tilde"] == padded_tilde
 
     def test_noisy_total_upper_bounds_join_size(self, two_table_instance):
         workload = Workload.counting(two_table_instance.query)

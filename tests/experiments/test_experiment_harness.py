@@ -33,7 +33,6 @@ from repro.experiments import (
     e12_tpch,
     e13_single_table_pmw,
     e14_privacy_audit,
-    e20_observability,
 )
 
 _BENCH_SCRIPTS = sorted(
@@ -49,7 +48,7 @@ def _assert_table(result):
 class TestRegistry:
     def test_all_experiments_registered_and_described(self):
         assert set(EXPERIMENTS) == set(DESCRIPTIONS)
-        assert len(EXPERIMENTS) == 15
+        assert len(EXPERIMENTS) == 14
         for name, runner in EXPERIMENTS.items():
             assert callable(runner), name
 
@@ -204,32 +203,3 @@ class TestIndividualExperiments:
         # Loose sanity bound: with few trials the estimator is noisy, but it
         # should never be wildly above the declared ε.
         assert result["empirical_epsilon"] <= 5.0 * result["declared_epsilon"] + 1.0
-
-    def test_e20_observability(self):
-        result = e20_observability.run(
-            n=40,
-            domain_shape={"X": 5, "Y": 5},
-            num_queries=6,
-            pmw_rounds=3,
-            releases=2,
-            overhead_repeats=1,
-            scrape_threads=1,
-            seed=0,
-        )
-        _assert_table(result)
-        # The audit journal replays to the ledger's exact composed total,
-        # every tamper scenario is rejected with its distinct error kind,
-        # and observability never changes the PMW walk.
-        assert result["journal_matches_ledger"]
-        assert result["journal_records"] >= 3
-        assert result["tamper_detection"] == {
-            "edited": "tampered",
-            "deleted": "gap",
-            "swapped": "reordered",
-            "diverged": "divergence",
-        }
-        assert result["selections_identical"]
-        assert result["scrapes"]["parse_failures"] == 0
-        assert result["scrapes"]["budget_failures"] == 0
-        assert not result["scrapes"]["errors"]
-        assert result["scrapes"]["metrics"] >= 1

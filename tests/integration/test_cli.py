@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
+from repro import telemetry
 from repro.cli import main
+from repro.telemetry.audit import verify_audit_journal
 
 
 class TestCli:
@@ -33,3 +37,26 @@ class TestCli:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_audit_out_refuses_an_existing_journal(self, tmp_path, capsys):
+        path = tmp_path / "audit.jsonl"
+        assert main(["demo", "--audit-out", str(path)]) == 0
+        written = path.read_bytes()
+        assert verify_audit_journal(path).records == 2  # pmw.total, pmw.rounds
+        capsys.readouterr()
+        assert main(["demo", "--audit-out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: audit journal {path} already exists" in captured.err
+        assert "released under" not in captured.out
+        assert path.read_bytes() == written
+        assert not telemetry.is_enabled()
+
+    def test_telemetry_snapshot_shows_ledger_spend(self, capsys):
+        assert main(["demo", "--telemetry"]) == 0
+        output = capsys.readouterr().out
+        metrics = json.loads(output[output.index("[demo telemetry]") + 16 :])["metrics"]
+        assert metrics["privacy.charges{label=pmw.total}"] == 1.0
+        assert metrics["privacy.charges{label=pmw.rounds}"] == 1.0
+        spend = sorted(key for key in metrics if key.endswith("_spent"))
+        assert spend == ["privacy.delta_spent", "privacy.epsilon_spent"]
+        assert not telemetry.is_enabled()

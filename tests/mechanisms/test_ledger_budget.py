@@ -19,7 +19,6 @@ from repro.mechanisms.ledger import (
     BudgetExceededError,
     PrivacyLedger,
     ambient_ledger,
-    set_ambient_ledger,
     use_ledger,
 )
 from repro.mechanisms.spec import PrivacySpec
@@ -129,15 +128,6 @@ class TestAmbientLedger:
             with use_ledger(inner):
                 assert ambient_ledger() is inner
             assert ambient_ledger() is outer
-
-    def test_set_ambient_ledger(self):
-        ledger = PrivacyLedger()
-        set_ambient_ledger(ledger)
-        try:
-            assert ambient_ledger() is ledger
-        finally:
-            set_ambient_ledger(None)
-        assert ambient_ledger() is None
 
     def test_ambient_ledger_is_per_thread_context(self):
         ledger = PrivacyLedger()

@@ -1,24 +1,30 @@
 """The live scrape exporter: endpoints, edge cases, lifecycle.
 
-The ISSUE-mandated edge cases all live here: scraping before any metric
-exists, scraping while telemetry is disabled (the null registry), starting
-on a port that is already taken (a clean, synchronous error), and a clean
-shutdown that leaves no server thread behind.
+The edge cases all live here: scraping before any metric exists, scraping
+while telemetry is disabled (the null registry), starting on a port that is
+already taken (a clean, synchronous error), a clean shutdown that leaves no
+server thread behind, and scrapes that land while PMW runs are charging.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import socket
 import threading
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.mechanisms.ledger import PrivacyLedger
+from repro.core.pmw import PMWConfig, private_multiplicative_weights
+from repro.datagen.random_instances import random_instance
+from repro.mechanisms.ledger import PrivacyLedger, use_ledger
 from repro.mechanisms.spec import PrivacySpec
+from repro.queries.workload import Workload
+from repro.relational.hypergraph import single_table_query
 from repro.telemetry.exporter import (
     PROMETHEUS_CONTENT_TYPE,
     TelemetryExporter,
@@ -66,19 +72,21 @@ class TestEndpoints:
         status, _headers, body = _get(exporter.url() + "/healthz")
         assert status == 200
         health = json.loads(body)
+        assert set(health) == {"status", "telemetry_enabled", "uptime_seconds"}
         assert health["status"] == "ok"
         assert health["uptime_seconds"] >= 0.0
 
     def test_budget_endpoint(self, exporter):
+        assert json.loads(_get(exporter.url() + "/budget")[2]) == {}
         ledger = PrivacyLedger()
         ledger.charge("pmw.total", PrivacySpec(0.5, 1e-6))
-        exporter.register_ledger("tenant-a", ledger, budget=PrivacySpec(2.0, 1e-4))
+        exporter.register_ledger(ledger, budget=PrivacySpec(2.0, 1e-4))
         _status, _headers, body = _get(exporter.url() + "/budget")
-        tenants = json.loads(body)["tenants"]
-        assert tenants["tenant-a"]["charges"] == 1
-        assert tenants["tenant-a"]["spent"]["epsilon"] == 0.5
-        assert tenants["tenant-a"]["remaining"]["epsilon"] == 1.5
-        assert tenants["tenant-a"]["exhausted"] is False
+        budget = json.loads(body)
+        assert budget["charges"] == 1
+        assert budget["spent"]["epsilon"] == 0.5
+        assert budget["remaining"]["epsilon"] == 1.5
+        assert budget["exhausted"] is False
 
     def test_spans_download(self, exporter):
         telemetry.configure(enabled=True)
@@ -94,6 +102,68 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(exporter.url() + "/nope")
         assert err.value.code == 404
+
+
+#: One Prometheus text-exposition sample: name, optional label set, value.
+_SAMPLE_LINE = re.compile(
+    r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? "
+    r"([-+]?\d+(\.\d*)?([eE][-+]?\d+)?|[-+]Inf|NaN)$"
+)
+
+
+class TestLiveScrapes:
+    def test_scrapes_while_pmw_charges_parse_and_spend_stays_in_budget(self, exporter):
+        """Scraped mid-run, every ``/metrics`` line parses, and ``/budget``
+        spend never falls and never passes the declared budget."""
+        query = single_table_query({"X": 6, "Y": 6})
+        rng = np.random.default_rng(0)
+        instance = random_instance(query, 60, rng=rng)
+        workload = Workload.random_sign(query, 8, rng=rng)
+        releases = 30
+        budget = PrivacySpec(releases * (1 + 1e-9), releases * 1e-5 * (1 + 1e-9))
+        telemetry.configure()
+        ledger = PrivacyLedger()
+        telemetry.observe_ledger(ledger)
+        exporter.register_ledger(ledger, budget)
+        stop = threading.Event()
+        spends: list[tuple[float, float]] = [(0.0, 0.0)]
+        failures: list[str] = []
+
+        def scrape() -> None:
+            try:
+                done = False
+                while not done:  # at least one scrape, however slow the start
+                    done = stop.is_set()
+                    body = _get(exporter.url("/metrics"))[2]
+                    failures.extend(
+                        line for line in body.splitlines()
+                        if not (line.startswith("#") or _SAMPLE_LINE.match(line))
+                    )
+                    spent = json.loads(_get(exporter.url("/budget"))[2])["spent"]
+                    spends.append((spent["epsilon"], spent["delta"]))
+            except Exception as exc:  # noqa: BLE001 - reported by the test thread
+                failures.append(repr(exc))
+
+        scraper = threading.Thread(target=scrape, daemon=True)
+        scraper.start()
+        with use_ledger(ledger):
+            for _ in range(releases):
+                private_multiplicative_weights(
+                    instance, workload, 1.0, 1e-5, 1.0, rng=rng,
+                    config=PMWConfig(num_iterations=6),
+                )
+        stop.set()
+        scraper.join(timeout=10)
+        assert not scraper.is_alive()
+
+        assert not failures, failures[:5]
+        for (last_eps, last_dlt), (eps, dlt) in zip(spends, spends[1:]):
+            assert last_eps <= eps <= budget.epsilon
+            assert last_dlt <= dlt <= budget.delta
+        final = json.loads(_get(exporter.url("/budget"))[2])
+        assert final["charges"] == len(ledger) == 2 * releases
+        total = ledger.total()
+        assert final["spent"] == {"epsilon": total.epsilon, "delta": total.delta}
 
 
 class TestLifecycle:

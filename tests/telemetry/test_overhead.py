@@ -1,16 +1,19 @@
-"""Disabled telemetry is a true no-op on the instrumented hot paths.
+"""Telemetry costs little on the instrumented hot paths, on or off.
 
-Two guarantees, tested at two granularities:
+Three guarantees, tested at two granularities:
 
 - Micro: with telemetry disabled, ``trace`` hands back the shared null span
   and ``registry()`` the shared null instruments — no allocation, no
   recording.
-- Macro: a smoke-size E13 run (the PMW loop is the most densely
+- Macro, disabled: a smoke-size E13 run (the PMW loop is the most densely
   instrumented path in the repo) with telemetry disabled stays within 5%
   wall time (plus an absolute jitter allowance) of the same run with every
   instrumented call site short-circuited to raw no-ops via monkeypatching.
+- Macro, observed: PMW runs with telemetry, a charged ledger, an audit
+  journal and a live exporter all on keep their selections and stay within
+  the same allowance of the bare runs.
 
-The macro comparison uses min-of-N: the minimum over repeats estimates the
+The macro comparisons use min-of-N: the minimum over repeats estimates the
 noise floor far better than the mean on a busy CI box.
 """
 
@@ -18,8 +21,17 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro import telemetry
+from repro.core.pmw import PMWConfig, private_multiplicative_weights
+from repro.datagen.random_instances import random_instance
 from repro.experiments import EXPERIMENTS
+from repro.mechanisms.ledger import PrivacyLedger, use_ledger
+from repro.queries.workload import Workload
+from repro.relational.hypergraph import single_table_query
+from repro.telemetry.audit import AuditJournal, verify_audit_journal
+from repro.telemetry.exporter import TelemetryExporter
 from repro.telemetry.metrics import NullRegistry
 from repro.telemetry.spans import NULL_SPAN
 
@@ -76,4 +88,44 @@ def test_disabled_overhead_under_five_percent(monkeypatch):
     assert disabled <= baseline + allowance, (
         f"disabled-telemetry run took {disabled:.4f}s vs {baseline:.4f}s "
         f"uninstrumented baseline (allowance {allowance:.4f}s)"
+    )
+
+
+def test_observed_run_keeps_selections_within_allowance(tmp_path):
+    query = single_table_query({"X": 6, "Y": 6})
+    setup_rng = np.random.default_rng(0)
+    instance = random_instance(query, 60, rng=setup_rng)
+    workload = Workload.random_sign(query, 8, rng=setup_rng)
+    config = PMWConfig(num_iterations=6)
+
+    def timed_pass() -> tuple[float, list[int]]:
+        """Four seeded PMW releases: (wall seconds, concatenated selections)."""
+        rng = np.random.default_rng(1)
+        selections: list[int] = []
+        start = time.perf_counter()
+        for _ in range(4):
+            result = private_multiplicative_weights(
+                instance, workload, 1.0, 1e-5, 1.0, rng=rng, config=config
+            )
+            selections.extend(result.selected_queries)
+        return time.perf_counter() - start, selections
+
+    timed_pass()  # warm caches before timing anything
+    bare = [timed_pass() for _ in range(_REPEATS)]
+    telemetry.configure()
+    ledger = PrivacyLedger()
+    telemetry.observe_ledger(ledger)
+    with AuditJournal(tmp_path / "audit.jsonl") as journal, TelemetryExporter() as exporter:
+        journal.attach(ledger)
+        exporter.register_ledger(ledger)
+        with use_ledger(ledger):
+            observed = [timed_pass() for _ in range(_REPEATS)]
+    verify_audit_journal(tmp_path / "audit.jsonl", ledger=ledger)
+
+    assert all(selections == bare[0][1] for _, selections in bare + observed)
+    baseline = min(wall for wall, _ in bare)
+    allowance = baseline * _RELATIVE_SLACK + _ABSOLUTE_SLACK_SECONDS
+    assert min(wall for wall, _ in observed) <= baseline + allowance, (
+        f"observed runs took {observed} vs {baseline:.4f}s bare "
+        f"(allowance {allowance:.4f}s)"
     )

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.telemetry.spans import NULL_SPAN, SpanRing, chrome_trace_events
+from repro.telemetry.spans import NULL_SPAN, ActiveSpan, SpanRing, chrome_trace_events
 
 
 def test_spans_nest_and_record_parent_links():
@@ -46,14 +46,13 @@ def test_sibling_spans_share_a_parent():
 
 
 def test_ring_bounds_and_drop_accounting():
-    telemetry.configure(ring_capacity=8)
+    ring = SpanRing(capacity=8)
     for i in range(20):
-        with telemetry.trace("tick", i=i):
+        with ActiveSpan(ring, "tick", {"i": i}):
             pass
-    stats = telemetry.snapshot()["spans"]
-    assert stats == {"recorded": 20, "retained": 8, "dropped": 12, "capacity": 8}
+    assert (ring.recorded, len(ring), ring.dropped, ring.capacity) == (20, 8, 12, 8)
     # The ring keeps the *newest* spans.
-    kept = [span["attrs"]["i"] for span in telemetry.span_dicts()]
+    kept = [span["attrs"]["i"] for span in ring.as_dicts()]
     assert kept == list(range(12, 20))
 
 
@@ -135,14 +134,14 @@ def test_reset_keeps_enabled_but_drops_data():
     assert telemetry.registry().flat() == {}
 
 
-def test_configure_is_idempotent_but_recapacity_rebounds():
-    telemetry.configure(ring_capacity=4)
+def test_configure_is_idempotent():
+    telemetry.configure()
     with telemetry.trace("keep"):
         pass
-    telemetry.configure(ring_capacity=4)  # same capacity: data survives
+    telemetry.configure()  # already on: the registry and ring survive
     assert len(telemetry.span_dicts()) == 1
-    telemetry.configure(ring_capacity=2)  # new capacity: fresh ring
-    assert telemetry.span_dicts() == []
+    stats = telemetry.snapshot()["spans"]
+    assert stats == {"recorded": 1, "retained": 1, "dropped": 0, "capacity": 16384}
 
 
 def test_unbalanced_exit_does_not_corrupt_peers():
