@@ -54,7 +54,7 @@ from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.core.two_table import two_table_release
 from repro.core.multi_table import multi_table_release
 from repro.core.uniformize import uniformize_release
-from repro.core.release import release_synthetic_data
+from repro.core.release import ReleaseMemoryError, release_synthetic_data
 
 __version__ = "1.0.0"
 
@@ -70,6 +70,7 @@ __all__ = [
     "ProductQuery",
     "Relation",
     "RelationSchema",
+    "ReleaseMemoryError",
     "ReleaseResult",
     "SyntheticDataset",
     "TableQuery",

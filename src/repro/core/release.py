@@ -8,9 +8,14 @@ paper based on the join query shape (or an explicit ``method``):
 * hierarchical joins  → Algorithm 3 (``MultiTable``), or Algorithm 4 with the
   hierarchical partition;
 * general joins       → Algorithm 3 (``MultiTable``).
+
+Before it dispatches, it refuses with a :class:`ReleaseMemoryError` a
+release whose ``|D|``-length histogram arrays cannot fit the host's memory.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -33,6 +38,46 @@ _METHODS = (
     "uniformize_two_table",
     "uniformize_hierarchical",
 )
+
+
+class ReleaseMemoryError(MemoryError):
+    """A release refused before it allocates: its histograms exceed the host's memory."""
+
+
+def _memory_limit() -> int | None:
+    """The smaller of physical memory and ``RLIMIT_AS``; ``None`` where neither is readable."""
+    limits = []
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name here
+        physical = -1
+    if physical > 0:
+        limits.append(physical)
+    try:
+        import resource
+    except ImportError:  # not a Unix host
+        pass
+    else:
+        soft, _hard = resource.getrlimit(resource.RLIMIT_AS)
+        if soft != resource.RLIM_INFINITY:
+            limits.append(soft)
+    return min(limits, default=None)
+
+
+def _require_memory(domain_size: int) -> None:
+    """Raise :class:`ReleaseMemoryError` when a release over ``domain_size`` cells cannot fit.
+
+    Every release runs PMW, which holds four ``|D|``-length float64 arrays
+    at once: the session's cells, its accumulator and per-cell flush
+    weights, and the averaged histogram it returns.
+    """
+    needed = 4 * 8 * domain_size
+    limit = _memory_limit()
+    if limit is not None and needed > limit:
+        raise ReleaseMemoryError(
+            f"a release over |D| = {domain_size:,} joint-domain cells needs at least "
+            f"{needed:,} bytes for its histograms; this host allows {limit:,}"
+        )
 
 
 def _single_table_release(
@@ -90,11 +135,18 @@ def release_synthetic_data(
         the algorithm diagnostics; its ``error_report`` / ``max_error`` score
         the release against an instance through the workload's shared
         evaluator.
+
+    Raises
+    ------
+    ReleaseMemoryError
+        Before any ``|D|``-length allocation, when the release's histograms
+        need more bytes than the host's physical memory or ``RLIMIT_AS``.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
     generator = resolve_rng(rng, seed)
     query = instance.query
+    _require_memory(query.joint_domain_size)
 
     if method == "auto":
         if query.num_relations == 1:

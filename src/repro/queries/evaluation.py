@@ -7,24 +7,39 @@ those stacks.  :class:`WorkloadEvaluator` is built on that:
 
 Stacks and groups
     Queries are grouped by the set of relations whose weights are not all
-    one, and each group stacks those relations' weights across its queries
-    into ``|Q_g| × dom(R)`` arrays.  The counting query (no such relation)
-    is ``h.sum()``.  A group's answers on a histogram ``h`` are one
-    ``np.einsum`` of its stacks with ``h`` summed down to the group's
-    attributes: ``qab,ab->q`` for marginals on ``R1(A, B)`` of a two-table
-    join, ``qab,qbc,abc->q`` for ±1 queries over both relations.
-Contraction paths and query blocks
-    Each group's path is found once by numpy's greedy search with no size
-    cap: under numpy's default cap (the largest operand) the search gives
-    up and contracts all operands at once, sweeping every index
-    combination.  The path then runs over blocks of the group's queries,
-    sized so that a block's temporaries — every intermediate twice, plus
-    its operand slices — stay within ``_BLOCK_CELLS``·|D| float64 cells.
+    one, and each group stacks those relations' weights across its queries.
+    The counting query (no such relation) is ``h.sum()``.  A group's
+    answers on a histogram ``h`` contract its stacks with ``h`` summed down
+    to the group's attributes, along a plan built once with the stacks.
+    Each stack is stored once, in the axis order its step of the plan
+    reads, and filled query by query; the group's ``|Q_g| × dom(R)`` stacks
+    are transposed views of those arrays.
+The plan and query blocks
+    Step one takes the relation with the largest private part ``P`` (the
+    attributes no other relation of the group holds) and contracts it as
+    one batched ``np.matmul`` over its shared attributes ``S``: its stack
+    is ``|S| × |Q_g| × |P|``, and the marginal is read through one
+    transpose as ``|S| × |P| × |O|``, ``O`` being the group's other
+    attributes.  Each remaining relation, picked by the same rule among
+    those left, is one two-operand ``np.einsum(..., optimize=False)`` of the
+    running intermediate with its stack, which is stored in the
+    intermediate's axis order; the step sums out the attributes no later
+    relation holds.  For ±1 queries over ``R1(A, B) ⋈ R2(B, C)`` that is
+    ``(B, Q, A) @ (B, A, C)`` then ``bqc,bqc->q``; a one-relation group (a
+    marginal) is step one alone.  A numpy einsum over all the stacks would
+    instead copy every operand into batched-matmul order on every call.
+    The plan runs over blocks of the group's queries, sized so that a
+    block's temporaries — its largest intermediate twice, plus the
+    transposed marginal where the transpose must copy — stay within
+    ``_BLOCK_CELLS``·|D| float64 cells.
 Instances
     :meth:`~WorkloadEvaluator.answers_on_instance` contracts the same
     stacks, times their relations' frequencies, with the other relations'
-    frequencies.  Integer frequencies times 0/±1 weights sum exactly, so
-    those answers are bitwise the per-query reference,
+    frequencies, as one einsum whose path numpy's greedy search finds once
+    with no size cap (under numpy's default cap, the largest operand, the
+    search gives up and sweeps every index combination at once).  Integer
+    frequencies times 0/±1 weights sum exactly, so those answers are
+    bitwise the per-query reference,
     :meth:`~repro.queries.linear.ProductQuery.evaluate`.
 Supports
     :meth:`~WorkloadEvaluator.query_support` builds one query's
@@ -41,9 +56,9 @@ The column view
     cached supports become zero-copy slices of it.  Without the view the
     PMW loop evaluates the workload in full every round.
 Memory
-    Resident: the stacks, the cached supports (the CSR once built) and the
-    view.  :meth:`~WorkloadEvaluator.estimated_memory` sums exactly those
-    arrays.
+    Resident: the stacks (one copy each), the cached supports (the CSR once
+    built) and the view.  :meth:`~WorkloadEvaluator.estimated_memory` sums
+    exactly those arrays.
 
 Iterated evaluation goes through a :class:`HistogramSession`, an operation
 protocol (``answers``, ``scale_support``, ``scale``, ``fill``, ``total``,
@@ -129,6 +144,119 @@ class ErrorReport:
 
 
 @dataclass(frozen=True)
+class _Plan:
+    """A group's histogram answers: one batched matmul, then one einsum per relation.
+
+    ``first`` is the first relation's stack viewed as ``|S| × |Q_g| × |P|``
+    (its shared and private attributes); the marginal, transposed by
+    ``order`` and viewed as ``matrices`` (``|S| × |P| × |O|``), is its right
+    operand.  Each of ``steps`` is ``(subscripts, stack, query axis)``: the
+    running intermediate times a stack stored in the intermediate's axis
+    order.  Queries run in blocks of ``block``.
+    """
+
+    order: tuple[int, ...]
+    matrices: tuple[int, int, int]
+    first: np.ndarray
+    unflatten: tuple[tuple[int, ...], tuple[int, ...]]
+    steps: tuple[tuple[str, np.ndarray, int], ...]
+    block: int
+
+    def run(self, answers: np.ndarray, rows: np.ndarray, marginal: np.ndarray) -> None:
+        """``answers[rows]`` against ``marginal``, the histogram summed to the group's axes."""
+        transposed = marginal.transpose(self.order).reshape(self.matrices)
+        shared, others = self.unflatten
+        for lo in range(0, rows.size, self.block):
+            queries = slice(lo, lo + self.block)
+            running = np.matmul(self.first[:, queries], transposed)
+            running = running.reshape(shared + running.shape[1:2] + others)
+            for subscripts, stack, axis in self.steps:
+                part = stack[(slice(None),) * axis + (queries,)]
+                running = np.einsum(subscripts, running, part, optimize=False)
+            answers[rows[queries]] = running
+
+
+def _plan(
+    axes_of: dict[int, tuple[int, ...]],
+    extents: tuple[int, ...],
+    letters: str,
+    weights: dict[int, list[np.ndarray]],
+    domain_size: int,
+) -> tuple[_Plan, dict[int, np.ndarray]]:
+    """The plan of one group, and each relation's stack as a ``|Q_g| × dom(R)`` view.
+
+    ``axes_of`` maps each relation to its joint axes in schema order,
+    ``letters`` labels the joint axes and then the query axis, and
+    ``weights`` holds each relation's weight arrays, one per query.  Every
+    step takes the pending relation with the largest private part (the
+    attributes no other pending relation holds), which the step sums out.
+    Each stack is filled once, in the layout its step reads.
+    """
+    query = len(extents)  # the query axis's label
+    size = len(next(iter(weights.values())))
+    kept = sorted(set().union(*axes_of.values()))
+
+    def volume(axes) -> int:
+        return prod(extents[axis] for axis in axes if axis != query)
+
+    def take(pending: list[int]) -> tuple[int, set[int]]:
+        def private(position: int) -> list[int]:
+            elsewhere = {axis for other in pending if other != position for axis in axes_of[other]}
+            return [axis for axis in axes_of[position] if axis not in elsewhere]
+
+        position = max(pending, key=lambda candidate: volume(private(candidate)))
+        pending.remove(position)
+        return position, {axis for other in pending for axis in axes_of[other]}
+
+    def fill(position: int, layout: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        stored = np.empty(tuple(size if axis == query else extents[axis] for axis in layout))
+        view = stored.transpose([layout.index(axis) for axis in (query,) + axes_of[position]])
+        for row, array in enumerate(weights[position]):
+            view[row] = array
+        return stored, view
+
+    pending = list(axes_of)
+    position, held = take(pending)
+    shared = [axis for axis in kept if axis in axes_of[position] and axis in held]
+    private = [axis for axis in kept if axis in axes_of[position] and axis not in held]
+    others = [axis for axis in kept if axis not in axes_of[position]]
+    stored, view = fill(position, shared + [query] + private)
+    stacks = {position: view}
+    first = stored.reshape(volume(shared), size, volume(private))
+    labels = shared + [query] + others
+    cells = volume(shared) * volume(others)  # the largest intermediate, per query
+    steps = []
+    while pending:
+        position, held = take(pending)
+        layout = [axis for axis in labels if axis == query or axis in axes_of[position]]
+        output = [axis for axis in labels if axis == query or axis in held]
+        stored, stacks[position] = fill(position, layout)
+        subscripts = "".join(letters[axis] for axis in labels) + ","
+        subscripts += "".join(letters[axis] for axis in layout) + "->"
+        subscripts += "".join(letters[axis] for axis in output)
+        steps.append((subscripts, stored, layout.index(query)))
+        labels = output
+        cells = max(cells, volume(output))
+    # The transposed marginal is a copy unless each of its three parts is a
+    # run of consecutive marginal axes.
+    runs = [[kept.index(axis) for axis in part] for part in (shared, private, others)]
+    copied = any(b != a + 1 for run in runs for a, b in zip(run, run[1:]))
+    budget = _BLOCK_CELLS * domain_size - (volume(kept) if copied else 0)
+    plan = _Plan(
+        order=tuple(kept.index(axis) for axis in shared + private + others),
+        matrices=(volume(shared), volume(private), volume(others)),
+        first=first,
+        unflatten=(
+            tuple(extents[axis] for axis in shared),
+            tuple(extents[axis] for axis in others),
+        ),
+        steps=tuple(steps),
+        block=max(1, budget // (2 * cells)),
+    )
+    return plan, stacks
+
+
+@dataclass(frozen=True)
 class _Contraction:
     """One einsum: its subscripts, a path found once, and its query-block length."""
 
@@ -168,17 +296,17 @@ class _Contraction:
         rows: np.ndarray,
         stacks: tuple[np.ndarray, ...],
         others: tuple[np.ndarray, ...],
-        factors: tuple[np.ndarray, ...] = (),
+        factors: tuple[np.ndarray, ...],
     ) -> None:
         """``answers[rows] = einsum(*stacks, *others)``, one query block at a time.
 
-        Each stack's block is multiplied by its entry of ``factors``, when
-        given (the relation frequencies of an instance).
+        Each stack's block is multiplied by its entry of ``factors`` (the
+        relation frequencies of an instance).
         """
         for lo in range(0, rows.size, self.block):
-            block = [stack[lo : lo + self.block] for stack in stacks]
-            if factors:
-                block = [weights * factor for weights, factor in zip(block, factors)]
+            block = [
+                stack[lo : lo + self.block] * factor for stack, factor in zip(stacks, factors)
+            ]
             answers[rows[lo : lo + self.block]] = np.einsum(
                 self.subscripts, *block, *others, optimize=self.path
             )
@@ -192,7 +320,7 @@ class _Group:
     relations: tuple[int, ...]
     stacks: tuple[np.ndarray, ...]
     summed: tuple[int, ...]
-    on_histogram: _Contraction | None
+    on_histogram: _Plan | None
     on_instance: _Contraction
 
 
@@ -205,6 +333,7 @@ def _stack(workload: Workload) -> tuple[_Group, ...]:
     letters = _letters_for(join)
     label = _EINSUM_LETTERS[len(names)]  # the first letter no attribute uses
     terms = ["".join(letters[name] for name in schema.attribute_names) for schema in join.relations]
+    axes = [tuple(map(join.axis_of, schema.attribute_names)) for schema in join.relations]
     members: dict[tuple[int, ...], list[int]] = {}
     for index, query in enumerate(workload):
         key = tuple(
@@ -216,31 +345,30 @@ def _stack(workload: Workload) -> tuple[_Group, ...]:
     domain_size = join.joint_domain_size
     groups = []
     for relations, rows in members.items():
-        stacks = tuple(
-            np.stack([workload[index].table_queries[position].weights for index in rows])
-            for position in relations
-        )
-        others = [position for position in range(len(terms)) if position not in relations]
-        stack_terms = [label + terms[position] for position in relations]
-        shapes = [stack.shape for stack in stacks]
-        attributes = {
-            name for position in relations for name in join.relations[position].attribute_names
-        }
-        kept = sorted(join.axis_of(name) for name in attributes)
-        summed = tuple(axis for axis in range(len(names)) if axis not in kept)
-        output = label if relations else ""
         on_histogram = None
+        stacks: tuple[np.ndarray, ...] = ()
         if relations:
-            on_histogram = _Contraction.plan(
-                stack_terms + ["".join(letters[names[axis]] for axis in kept)],
-                output,
-                shapes + [tuple(join.shape[axis] for axis in kept)],
+            weights = {
+                position: [workload[index].table_queries[position].weights for index in rows]
+                for position in relations
+            }
+            on_histogram, views = _plan(
+                {position: axes[position] for position in relations},
+                join.shape,
+                "".join(letters[name] for name in names) + label,
+                weights,
                 domain_size,
             )
+            stacks = tuple(views[position] for position in relations)
+        kept = {axis for position in relations for axis in axes[position]}
+        summed = tuple(axis for axis in range(len(names)) if axis not in kept)
+        others = [position for position in range(len(terms)) if position not in relations]
         on_instance = _Contraction.plan(
-            stack_terms + [terms[position] for position in others],
-            output,
-            shapes + [join.relations[position].shape for position in others],
+            [label + terms[position] for position in relations]
+            + [terms[position] for position in others],
+            label if relations else "",
+            [stack.shape for stack in stacks]
+            + [join.relations[position].shape for position in others],
             domain_size,
         )
         groups.append(
@@ -590,7 +718,7 @@ class WorkloadEvaluator:
                 answers[group.rows] = histogram.sum()
                 continue
             marginal = histogram.sum(axis=group.summed) if group.summed else histogram
-            group.on_histogram.run(answers, group.rows, group.stacks, (marginal,))
+            group.on_histogram.run(answers, group.rows, marginal)
         return answers
 
     def answers_on_histogram(self, histogram: np.ndarray) -> np.ndarray:

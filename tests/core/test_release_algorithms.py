@@ -1,5 +1,9 @@
 """Unit tests for Algorithms 1, 3, and the unified release entry point."""
 
+import os
+import resource
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,11 +11,12 @@ from repro.baselines.flawed import flawed_exact_count_release, flawed_padded_rel
 from repro.baselines.independent_laplace import independent_laplace_answers
 from repro.core.multi_table import default_beta, multi_table_release, noisy_residual_sensitivity
 from repro.core.pmw import PMWConfig
-from repro.core.release import release_synthetic_data
+from repro.core import release
+from repro.core.release import ReleaseMemoryError, release_synthetic_data
 from repro.core.two_table import noisy_local_sensitivity, two_table_release
 from repro.mechanisms.spec import PrivacySpec
 from repro.queries.workload import Workload
-from repro.relational.hypergraph import single_table_query, two_table_query
+from repro.relational.hypergraph import chain_query, single_table_query, two_table_query
 from repro.relational.instance import Instance
 from repro.relational.join import join_size
 from repro.sensitivity.local import local_sensitivity
@@ -292,6 +297,56 @@ class TestReleaseDispatch:
                 rng=np.random.default_rng(0),
                 seed=1,
             )
+
+
+class TestReleaseMemoryCheck:
+    """A release whose histograms cannot fit is refused before it allocates them."""
+
+    def test_every_method_refuses_a_domain_past_the_host(self):
+        query = chain_query([64] * 7)  # |D| = 2^42 over six 64 × 64 relations
+        rng = np.random.default_rng(0)
+        instance = Instance.from_frequencies(
+            query,
+            {schema.name: rng.integers(0, 3, size=schema.shape) for schema in query.relations},
+        )
+        workload = Workload.random_sign(query, 4, seed=0)
+        for method in release._METHODS:
+            tracemalloc.start()
+            try:
+                with pytest.raises(
+                    ReleaseMemoryError,
+                    match=r"\|D\| = 4,398,046,511,104 .* 140,737,488,355,328 bytes",
+                ):
+                    release_synthetic_data(instance, workload, 1.0, 1e-5, method=method, seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, method
+
+    def test_an_address_space_limit_refuses_a_release_that_fits_in_memory(
+        self, two_table_instance, monkeypatch
+    ):
+        workload = Workload.counting(two_table_instance.query)
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (1024, resource.RLIM_INFINITY))
+        with pytest.raises(ReleaseMemoryError, match="this host allows 1,024"):
+            release_synthetic_data(two_table_instance, workload, 1.0, 1e-5, seed=0)
+
+    def test_the_limit_is_the_smaller_readable_one(self, monkeypatch):
+        pages = {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        unset = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+        monkeypatch.setattr(resource, "getrlimit", lambda which: unset)
+        assert release._memory_limit() == 4_096_000
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (10_000, unset[1]))
+        assert release._memory_limit() == 10_000
+
+        def unreadable(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(os, "sysconf", unreadable)
+        assert release._memory_limit() == 10_000
+        monkeypatch.setattr(resource, "getrlimit", lambda which: unset)
+        assert release._memory_limit() is None  # the check is skipped
 
 
 class TestReleaseMetadata:

@@ -1,15 +1,19 @@
 """The factored evaluator against the per-query references.
 
 ``WorkloadEvaluator`` stacks each relation's weights across the workload and
-answers every group of queries with one contraction.  On every generator and
-on two-table, chain, star and wide joins its histogram answers must agree
-with ``ProductQuery.evaluate_on_histogram`` (the dense reference) to 1e-12
+answers every group of queries with one planned chain: a batched matmul,
+then one einsum per further relation.  On every generator and on two-table,
+chain, star, wide, Figure 4 (five relations, ``R5(A, C)`` skipping axis B,
+``R3`` and ``R4`` holding four attributes) and TPC-H chain (E5's three
+relations, uneven extents) joins its histogram answers must agree with
+``ProductQuery.evaluate_on_histogram`` (the dense reference) to 1e-12
 relative, and its instance answers with ``ProductQuery.evaluate`` bitwise
 for 0/±1 weights.  The wide join has 17 attributes, so its last attribute
 takes the einsum letter ``q``: a query-axis label drawn from that alphabet
 would collide with it.  A full evaluation runs in query blocks whose
 temporaries stay within ``_BLOCK_CELLS``·|D| cells, and its answers do not
-depend on how the queries are blocked.
+depend on how the queries are blocked.  Each stack is stored once, in the
+layout the plan reads, and a group's stacks are views of those arrays.
 
 On the same generators and joins: the groups partition the workload by the
 relations whose weights are not all one; every support is byte-equal to the
@@ -26,11 +30,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.datagen.tpch import generate_tpch
 from repro.queries import evaluation
 from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.linear import TableQuery
 from repro.queries.workload import Workload
-from repro.relational.hypergraph import chain_query, star_query, two_table_query
+from repro.relational.hypergraph import chain_query, figure4_query, star_query, two_table_query
 from repro.relational.instance import Instance
 from repro.relational.join import _letters_for
 
@@ -39,6 +44,8 @@ JOINS = {
     "chain": chain_query([3, 4, 2, 3, 4]),
     "star": star_query(3, [2, 4, 3]),
     "wide": chain_query([2] * 17),
+    "figure4": figure4_query(3),
+    "tpch_chain": generate_tpch(0.25, seed=0).nation_customer_orders.query,
 }
 
 GENERATORS = (
@@ -135,6 +142,25 @@ def test_a_full_evaluation_stays_within_the_block_bound():
         tracemalloc.stop()
     assert np.array_equal(answers, expected)
     assert peak <= 8 * evaluation._BLOCK_CELLS * domain_size
+
+
+@pytest.mark.parametrize("generator", GENERATORS)
+@pytest.mark.parametrize("join", JOINS)
+def test_each_stack_is_stored_once_in_the_layout_its_plan_reads(join, generator):
+    workload = _workload(JOINS[join], generator)
+    evaluator = WorkloadEvaluator(workload)
+    stored = []
+    for group in evaluator._groups():
+        if group.on_histogram is None:
+            assert group.stacks == ()
+            continue
+        read = [group.on_histogram.first] + [stack for _, stack, _ in group.on_histogram.steps]
+        assert len(read) == len(group.stacks)
+        for stack in group.stacks:
+            assert sum(np.shares_memory(stack, array) for array in read) == 1
+        assert sum(array.nbytes for array in read) == sum(stack.nbytes for stack in group.stacks)
+        stored += read
+    assert evaluator.estimated_memory() == sum(array.nbytes for array in stored)
 
 
 def _stacks(evaluator: WorkloadEvaluator) -> list[np.ndarray]:
