@@ -29,21 +29,24 @@ budget), at least one and at most ``PMWConfig.max_iterations``.
 answers the workload through the workload's one evaluator,
 :func:`~repro.queries.evaluation.shared_evaluator`, so repeated runs over one
 workload (the uniformized per-bucket releases, trial sweeps) reuse its
-stacks, cached supports and column view.
+stacks, cached supports and sparse stacks.
 
 The inner loop never touches full-domain query vectors.  The multiplicative
-update rescales only the selected query's cached support — the update factor
-is exactly 1 outside it — so the answers move only through the columns of
-that support.  The loop carries its answer vector across rounds as
-``(a + change)·scale``: ``change`` is ``M[:, S]·Δh_S``, which the session's
-support update returns when the evaluator holds its cell→query column view,
+update rescales only the selected query's support box — the update factor
+is exactly 1 outside it and on the box's zeros — so the answers move only
+through that box.  The loop carries its answer vector across rounds as
+``(a + change)·scale``: ``change`` is how every answer moves with the box's
+change, which the session's support update returns group by group where a
+full evaluation is costly (``|Q|·|D|`` over the evaluator's matrix budget),
 and ``scale`` the renormalisation factor.  It falls back to one full
-workload evaluation (one einsum per group of stacked queries) in round one,
-after a renormalisation reset, and whenever the support update returns
-``None``: always without the view, and on a support whose columns hold over
-half the workload's entries, such as the counting query.  Carried answers
-drift from a full evaluation only by rounding: at most 2.2e-11 relative over
-3000 rounds at ``|D| = 2^20``, without growing, against the 1e-9 the tests
+workload evaluation (one planned chain per group of stacked queries) in
+round one, after a renormalisation reset, and whenever the support update
+returns ``None``: always under the budget, and on a whole-domain box, such
+as the counting query's or a ±1 query's.  Carried answers drift from a full
+evaluation only by rounding: at most 5.1e-15 of the largest answer over
+3000 rounds on the release benchmark's 321 marginals at ``|D| = 2^20``, and
+4.1e-15 over the drift test's 1200 rounds, which mix in ±1 queries over two
+relations and ``np.ix_`` boxes, without growing, against the 1e-9 the tests
 allow, so no periodic refresh is needed.  The histogram lives in a
 :class:`~repro.queries.evaluation.HistogramSession` owned by the loop, and
 the loop speaks only the session's op protocol: each round sends only the

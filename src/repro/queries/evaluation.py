@@ -42,23 +42,28 @@ Instances
     bitwise the per-query reference,
     :meth:`~repro.queries.linear.ProductQuery.evaluate`.
 Supports
-    :meth:`~WorkloadEvaluator.query_support` builds one query's
-    ``(flat indices, values)`` over its non-zero box
-    (:class:`~repro.queries.backends.EvaluatorContext`) and caches it while
-    the cached entries fit ``_SPARSE_CELL_BUDGET``.
-The column view
-    A session answers a support update through the
-    :class:`~repro.queries.backends.ColumnView` when a full evaluation
-    sweeps more than ``_MATRIX_CELL_BUDGET`` matrix cells (``|Q|·|D|``)
-    while every support fits ``_SPARSE_CELL_BUDGET`` entries, and scipy
-    imports.  The view is built on first use from a workload CSR that is
-    allocated once at ``Σ_q nnz(q)`` entries and filled query by query; the
-    cached supports become zero-copy slices of it.  Without the view the
-    PMW loop evaluates the workload in full every round.
+    :meth:`~WorkloadEvaluator.query_support` hands the PMW update one
+    query's non-zero box — an index into the joint-shaped histogram, a
+    slice per axis or an ``np.ix_`` index — and the query's values on it,
+    zeros included (:class:`~repro.queries.backends.EvaluatorContext`).
+    The values are cached while the cached cells fit
+    ``_SPARSE_CELL_BUDGET``.
+Carried answers
+    Where a full evaluation sweeps more than ``_MATRIX_CELL_BUDGET`` matrix
+    cells (``|Q|·|D|``), a session's support update also returns how every
+    answer moves, group by group, from the box's change ``Δ``: ``ΣΔ`` for
+    the counting query; for a one-relation group, ``Δ`` summed onto the
+    relation's attributes times the group's stack held sparsely over
+    ``dom(R)`` (a numpy ``take``, an in-place multiply and
+    ``np.add.reduceat``); for a group over several relations, its plan run
+    on ``Δ``'s marginal zero-padded to the group's axes.  A whole-domain
+    box returns no change, and the PMW loop then evaluates the workload in
+    full, as it does every round below the budget.
 Memory
-    Resident: the stacks (one copy each), the cached supports (the CSR once
-    built) and the view.  :meth:`~WorkloadEvaluator.estimated_memory` sums
-    exactly those arrays.
+    Resident: the stacks (one copy each), the cached box values and the
+    sparse stacks of the one-relation groups, built on the first carried
+    update.  :meth:`~WorkloadEvaluator.estimated_memory` sums exactly those
+    arrays.
 
 Iterated evaluation goes through a :class:`HistogramSession`, an operation
 protocol (``answers``, ``scale_support``, ``scale``, ``fill``, ``total``,
@@ -67,7 +72,7 @@ storage — a scale times a cell array, so that a PMW round costs its
 support and not the domain — is private to this package.
 :func:`shared_evaluator` memoises one evaluator on the workload object
 itself, so repeated releases over the same workload reuse its stacks,
-supports and view, and the cache dies with the workload.
+supports and sparse stacks, and the cache dies with the workload.
 """
 
 from __future__ import annotations
@@ -78,17 +83,16 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.queries.backends import ColumnView, EvaluatorContext, _scipy_sparse
+from repro.queries.backends import EvaluatorContext, box_index
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 from repro.relational.join import _EINSUM_LETTERS, _letters_for
 
 #: Above this many matrix cells (``|Q|·|D|``) a full evaluation is costly
-#: enough that sessions answer support updates through the column view.
+#: enough that sessions return the answer change of each support update.
 _MATRIX_CELL_BUDGET = 60_000_000
 
-#: The column view is built only while ``Σ_q nnz(q)`` fits this many
-#: entries, and the support cache holds at most this many.
+#: The support cache holds at most this many box cells.
 _SPARSE_CELL_BUDGET = 30_000_000
 
 #: A query block's temporaries stay within this many multiples of ``|D|``
@@ -400,15 +404,19 @@ class HistogramSession:
     ``answers()``
         The workload answers against the current contents: always a full
         evaluation, of ``g``, times ``c``.
-    ``scale_support(indices, factors)``
-        Multiply the cells at sorted ``indices`` by ``factors``, the PMW
-        support delta: O(|S|), and ``Σg`` moves by the delta's sum.  A
-        whole-domain support (the counting query, ±1 queries) instead
-        flushes every cell, rescales ``g`` in place and recomputes ``Σg``
-        exactly, with no ``|D|``-length temporary.  Returns the change in
-        every answer, ``M[:, indices]·(new − old)``, when the evaluator
-        holds a column view and the touched columns hold at most half its
-        entries; otherwise ``None``, and the caller must call ``answers()``.
+    ``scale_support(box, factors)``
+        Multiply the cells of ``box`` (a query's support box, see
+        :meth:`WorkloadEvaluator.query_support`) by the box-shaped
+        ``factors``, the PMW support delta: O(|S|) through views of the
+        joint-shaped cells, accumulator and flush weights, and ``Σg`` moves
+        by the delta's sum.  A whole-domain box (the counting query,
+        full-domain ±1 queries) instead flushes every cell, rescales ``g``
+        in place and recomputes ``Σg`` exactly, with no ``|D|``-length
+        temporary.
+        Returns the change in every answer when the evaluator carries
+        answers (``|Q|·|D|`` over ``_MATRIX_CELL_BUDGET``) and the box is
+        not the whole domain; otherwise ``None``, and the caller must call
+        ``answers()``.
     ``scale(factor)`` / ``total()``
         Uniform rescale (``c`` moves) and total mass (``c·Σg``): O(1).
     ``fill(value)``
@@ -439,7 +447,7 @@ class HistogramSession:
 
     def __init__(self, evaluator: "WorkloadEvaluator", cells: np.ndarray):
         self._evaluator = evaluator
-        self._cells = cells
+        self._cells = cells  # joint-shaped, as are the accumulator and flush weights
         self._scale = 1.0
         self._cells_total = float(cells.sum())
         self._weight = 0.0
@@ -452,30 +460,31 @@ class HistogramSession:
         """Answers of every query against the current histogram contents."""
         return self._evaluator._answers(self._cells) * self._scale
 
-    def scale_support(self, indices: np.ndarray, factors: np.ndarray) -> np.ndarray | None:
-        """Multiply the cells at sorted ``indices`` by ``factors`` (a support delta).
+    def scale_support(self, box: tuple, factors: np.ndarray) -> np.ndarray | None:
+        """Multiply the cells of ``box`` by ``factors`` (a support delta).
 
         Returns the change in every answer, or ``None`` when the session
         did not compute it.
         """
         cells = self._cells
-        if indices.size == cells.size:  # sorted and unique: every cell
+        if factors.size == cells.size:  # the whole domain
             self._flush_all()
             cells *= factors
             self._cells_total = float(cells.sum())
-            return None  # its columns hold every entry, past the view's half
-        old = cells[indices]
-        if self._accumulator is not None:
-            self._accumulator[indices] += old * (self._weight - self._flushed[indices])
-            self._flushed[indices] = self._weight
-        new = old * factors
-        cells[indices] = new
-        delta = new - old
-        self._cells_total += float(delta.sum())
-        columns = self._evaluator.column_view()
-        if columns is None or not columns.narrow(indices):
             return None
-        return columns.answer_change(indices, delta) * self._scale
+        old = np.ascontiguousarray(cells[box])  # one strided read, not three
+        if self._accumulator is not None:
+            share = np.subtract(self._weight, self._flushed[box])
+            share *= old
+            self._accumulator[box] += share
+            self._flushed[box] = self._weight
+        new = old * factors
+        delta = new - old
+        cells[box] = new
+        self._cells_total += float(delta.sum())
+        if not self._evaluator._carries():
+            return None
+        return self._evaluator._answer_change(box, delta) * self._scale
 
     def scale(self, factor: float) -> None:
         """Multiply every cell by ``factor`` (renormalisation)."""
@@ -513,7 +522,7 @@ class HistogramSession:
             yield 0, self._cells.size, np.zeros(self._cells.size, dtype=np.float64)
         else:
             self._flush_all()
-            yield 0, self._accumulator.size, self._accumulator / float(divisor)
+            yield 0, self._accumulator.size, (self._accumulator / float(divisor)).reshape(-1)
 
     def close(self) -> None:
         """Release per-session resources (nothing is held beyond the arrays)."""
@@ -546,7 +555,7 @@ class WorkloadEvaluator:
     """Evaluate a workload against instances and joint-domain histograms.
 
     See the module docstring for the stacks, the query blocks, the support
-    cache and the column-view rule.  ``mode`` and ``engine`` name the one
+    cache and carried answers.  ``mode`` and ``engine`` name the one
     evaluation path (``"factored"``, ``None``) for callers that record them.
     """
 
@@ -558,11 +567,10 @@ class WorkloadEvaluator:
         self._context = EvaluatorContext(workload)
         self._shape = workload.join_query.shape
         self._stacked: tuple[_Group, ...] | None = None
-        self._supports: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._cached_entries = 0
-        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._columns: ColumnView | None = None
-        self._columns_decided = False
+        self._supports: dict[int, tuple[tuple, np.ndarray]] = {}
+        self._cached_cells = 0
+        #: Per one-relation group (by position): its stack held sparsely.
+        self._sparse: dict[int, tuple[np.ndarray, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -593,81 +601,93 @@ class WorkloadEvaluator:
         return self._context.support_size(index)
 
     def total_support_size(self) -> int:
-        """``Σ_q nnz(q)``: the number of entries the workload CSR stores."""
+        """``Σ_q nnz(q)``: the joint-domain cells the workload's queries are non-zero on."""
         return self._context.total_support_size()
 
     def estimated_memory(self) -> int:
-        """Resident bytes: the stacks, the cached supports or CSR, and the view."""
+        """Resident bytes: the stacks, the cached box values and the sparse stacks."""
         arrays = [stack for group in self._groups() for stack in group.stacks]
-        if self._csr is not None:
-            arrays += self._csr
-        else:
-            arrays += [array for support in self._supports.values() for array in support]
-        if self._columns is not None:
-            arrays += self._columns.arrays()
+        arrays += [values for _, values in self._supports.values()]
+        arrays += [array for sparse in self._sparse.values() for array in sparse]
         return sum(array.nbytes for array in arrays)
 
     # ------------------------------------------------------------------ #
-    # query supports and the column view
+    # query supports and carried answers
     # ------------------------------------------------------------------ #
-    def query_support(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """CSR-style ``(flat indices, values)`` support of one query.
+    def query_support(self, index: int) -> tuple[tuple, np.ndarray]:
+        """One query's non-zero box and its values there, zeros included.
 
-        Built over the query's non-zero box and cached while the cached
-        entries fit the support budget; the PMW multiplicative update
-        touches only these cells (its factor is exactly 1 everywhere else).
+        The box indexes the joint-shaped histogram: a slice on each axis
+        whose kept values form one run, an ``np.ix_`` index otherwise.  The
+        PMW multiplicative update touches only these cells (its factor is
+        exactly 1 everywhere else, and on the box's zeros).  Cached while
+        the cached cells fit the support budget.
         """
         cached = self._supports.get(index)
         if cached is not None:
             return cached
-        support = self._context.build_support(index)
-        size = int(support[0].size)
-        if self._cached_entries + size <= _SPARSE_CELL_BUDGET:
+        support = self._context.support(index)
+        size = support[1].size
+        if self._cached_cells + size <= _SPARSE_CELL_BUDGET:
             self._supports[index] = support
-            self._cached_entries += size
+            self._cached_cells += size
         return support
 
     def query_values(self, index: int) -> np.ndarray:
         """Flattened joint-domain value vector of one query (dense)."""
         return self._workload[index].joint_values().reshape(-1)
 
-    def _ensure_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(indptr, indices, values)`` of every support, filled in place.
+    def _carries(self) -> bool:
+        """Whether a full evaluation is costly enough to carry answers instead."""
+        return self.num_queries * self.domain_size > _MATRIX_CELL_BUDGET
 
-        Allocated once at ``Σ_q nnz(q)`` entries; the support cache is then
-        re-pointed at zero-copy slices, so the two share storage.
+    def _answer_change(self, box: tuple, delta: np.ndarray) -> np.ndarray:
+        """How every answer moves when the cells of ``box`` move by ``delta``.
+
+        Group by group (see the module docstring): a group's axes hold
+        ``delta`` summed onto them, zero outside the box.
         """
-        if self._csr is None:
-            sizes = [self.support_size(index) for index in range(self.num_queries)]
-            indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
-            np.cumsum(sizes, out=indptr[1:])
-            indices = np.empty(int(indptr[-1]), dtype=np.int64)
-            values = np.empty(int(indptr[-1]), dtype=np.float64)
-            for index in range(len(sizes)):
-                lo, hi = int(indptr[index]), int(indptr[index + 1])
-                support = self._supports.get(index) or self._context.build_support(index)
-                indices[lo:hi], values[lo:hi] = support
-                self._supports[index] = (indices[lo:hi], values[lo:hi])
-            self._cached_entries = int(indptr[-1])
-            self._csr = (indptr, indices, values)
-        return self._csr
+        parts = [part if isinstance(part, slice) else part.reshape(-1) for part in box]
+        change = np.zeros(self.num_queries, dtype=np.float64)
+        for position, group in enumerate(self._groups()):
+            if group.on_histogram is None:
+                change[group.rows] = delta.sum()
+                continue
+            kept = [axis for axis in range(len(self._shape)) if axis not in group.summed]
+            marginal = np.zeros(tuple(self._shape[axis] for axis in kept))
+            marginal[box_index([parts[axis] for axis in kept])] = delta.sum(axis=group.summed)
+            if len(group.relations) > 1:
+                group.on_histogram.run(change, group.rows, marginal)
+                continue
+            columns, values, starts, rows = self._sparse_stack(position, group)
+            if starts.size:
+                products = marginal.reshape(-1).take(columns)
+                products *= values
+                change[rows] = np.add.reduceat(products, starts)
+        return change
 
-    def column_view(self) -> ColumnView | None:
-        """The cell→query view sessions answer support updates with, or ``None``.
+    def _sparse_stack(self, position: int, group: _Group) -> tuple[np.ndarray, ...]:
+        """A one-relation group's stack held sparsely over ``dom(R)``, built on first use.
 
-        Decided and built on first use: only where ``|Q|·|D|`` exceeds the
-        matrix budget while ``Σ_q nnz(q)`` fits the support budget, and
-        scipy imports.
+        ``(columns, values, starts, rows)``: each query's non-zero weights in
+        row-major order, their flat cells of ``dom(R)`` with its attributes
+        in joint-axis order, where each query with a non-zero weight starts,
+        and those queries' rows in the workload.
         """
-        if not self._columns_decided:
-            self._columns_decided = True
-            if (
-                self.num_queries * self.domain_size > _MATRIX_CELL_BUDGET
-                and _scipy_sparse() is not None
-                and self.total_support_size() <= _SPARSE_CELL_BUDGET
-            ):
-                self._columns = ColumnView.from_csr(*self._ensure_csr(), self.domain_size)
-        return self._columns
+        sparse = self._sparse.get(position)
+        if sparse is None:
+            join = self._workload.join_query
+            (relation,) = group.relations
+            axes = [join.axis_of(name) for name in join.relations[relation].attribute_names]
+            order = [0] + [1 + axes.index(axis) for axis in sorted(axes)]
+            matrix = group.stacks[0].transpose(order).reshape(group.rows.size, -1)
+            queries, columns = np.nonzero(matrix)
+            counts = np.bincount(queries, minlength=group.rows.size)
+            filled = counts > 0
+            starts = (np.cumsum(counts) - counts)[filled]
+            sparse = (columns, matrix[queries, columns], starts, group.rows[filled])
+            self._sparse[position] = sparse
+        return sparse
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -710,8 +730,8 @@ class WorkloadEvaluator:
             raise ValueError(f"histogram has {flat.size} cells, expected {self.domain_size}")
         return flat
 
-    def _answers(self, flat: np.ndarray) -> np.ndarray:
-        histogram = flat.reshape(self._shape)
+    def _answers(self, cells: np.ndarray) -> np.ndarray:
+        histogram = cells.reshape(self._shape)
         answers = np.empty(self.num_queries, dtype=np.float64)
         for group in self._groups():
             if group.on_histogram is None:
@@ -733,7 +753,8 @@ class WorkloadEvaluator:
         support rescale and the renormalisation) through the session's op
         protocol and re-asks for answers.
         """
-        return HistogramSession(self, np.array(self._validated_flat(initial), dtype=np.float64))
+        cells = np.array(self._validated_flat(initial), dtype=np.float64)
+        return HistogramSession(self, cells.reshape(self._shape))
 
 
 def shared_evaluator(workload: Workload) -> WorkloadEvaluator:
@@ -742,7 +763,7 @@ def shared_evaluator(workload: Workload) -> WorkloadEvaluator:
     PMW, the baselines and :class:`~repro.core.result.ReleaseResult` all
     ask this for the workload's evaluator, so repeated releases over the
     same workload — uniformized per-bucket runs, trial sweeps, error
-    reports — share its stacks, cached supports and column view.  It lives
+    reports — share its stacks, cached supports and sparse stacks.  It lives
     in the workload's one evaluator slot, so it dies with the workload; a
     fresh :class:`~repro.queries.workload.Workload` over the same queries
     starts without one.

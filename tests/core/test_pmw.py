@@ -1,5 +1,12 @@
 """Unit tests for the PMW routine (Algorithm 2)."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +18,7 @@ from repro.core.pmw import (
 )
 from repro.queries import evaluation
 from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
+from repro.queries.linear import ProductQuery, TableQuery
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import two_table_query
 from repro.relational.instance import Instance
@@ -280,6 +288,32 @@ def _one_way_marginals(query, *, include_counting):
     return workload
 
 
+def _boxed_queries(query) -> list[ProductQuery]:
+    """Queries whose boxes exercise every change path but the one-way marginals'.
+
+    ±1 weights on both relations over a run of A (a group over two
+    relations, sliced box), then over scattered A and C values (an
+    ``np.ix_`` box), and an indicator of scattered A values (a one-relation
+    ``np.ix_`` box).
+    """
+    rng = np.random.default_rng(12)
+    r1, r2 = query.relations
+
+    def signs(schema, axis, kept):
+        weights = rng.choice([-1.0, 1.0], size=schema.shape)
+        mask = np.zeros(schema.shape[axis], dtype=bool)
+        mask[list(kept)] = True
+        return TableQuery(schema.name, weights * np.expand_dims(mask, 1 - axis))
+
+    scattered = np.zeros(r1.shape)
+    scattered[[1, 4, 9]] = 1.0
+    return [
+        ProductQuery(query, [signs(r1, 0, range(2, 8)), signs(r2, 1, range(6))]),
+        ProductQuery(query, [signs(r1, 0, (0, 3, 4, 10)), signs(r2, 1, (1, 4))]),
+        ProductQuery(query, [TableQuery(r1.name, scattered)]),
+    ]
+
+
 class TestCarriedAnswers:
     """Answers carried across rounds from the changes support updates report.
 
@@ -287,15 +321,21 @@ class TestCarriedAnswers:
     one, after a renormalisation reset, and after an update whose session
     reported no change.  Carrying must stay within 1e-9 of a full
     evaluation without any periodic refresh, and must actually be taken
-    where the evaluator holds its column view (forced on these small
-    workloads by patching the matrix budget to 0).
+    where a full evaluation is costly (forced on these small workloads by
+    patching the matrix budget to 0).
     """
 
     def test_drift_stays_within_1e9_over_1200_rounds(self, monkeypatch):
         monkeypatch.setattr(evaluation, "_MATRIX_CELL_BUDGET", 0)
         query = two_table_query(12, 5, 6)
-        workload = _one_way_marginals(query, include_counting=True)
+        workload = _one_way_marginals(query, include_counting=True).extended(
+            _boxed_queries(query)
+        )
         evaluator = WorkloadEvaluator(workload)
+        groups = {group.relations for group in evaluator._groups()}
+        assert groups == {(), (0,), (1,), (0, 1)}
+        boxes = [evaluator.query_support(index)[0] for index in range(len(workload))]
+        assert sum(not isinstance(box[0], slice) for box in boxes) == 2
         total, domain_size = 700.0, query.joint_domain_size
         session = evaluator.histogram_session(np.full(domain_size, total / domain_size))
         rng = np.random.default_rng(3)
@@ -324,7 +364,7 @@ class TestCarriedAnswers:
     @pytest.mark.parametrize(
         "matrix_budget, full_evaluations",
         [(0, 1), (evaluation._MATRIX_CELL_BUDGET, 12)],
-        ids=["column_view-1", "no_view-12"],
+        ids=["carried-1", "evaluated-12"],
     )
     def test_full_evaluations_per_run(self, matrix_budget, full_evaluations, monkeypatch):
         monkeypatch.setattr(evaluation, "_MATRIX_CELL_BUDGET", matrix_budget)
@@ -351,3 +391,69 @@ class TestCarriedAnswers:
         assert result.iterations == 12
         assert len(calls) == full_evaluations
 
+    def test_carried_answers_need_no_scipy(self):
+        """The carried PMW loop runs where ``import scipy`` raises, and loads none of it.
+
+        In a fresh interpreter whose ``sys.meta_path`` refuses scipy, the
+        12-round run above still makes one full evaluation.
+        """
+        script = textwrap.dedent(
+            """
+            import importlib.abc, json, sys
+
+            class NoScipy(importlib.abc.MetaPathFinder):
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError(f"{name} is blocked")
+                    return None
+
+            sys.meta_path.insert(0, NoScipy())
+            import numpy as np
+            from repro.core.pmw import PMWConfig, private_multiplicative_weights
+            from repro.queries import evaluation
+            from repro.queries.evaluation import shared_evaluator
+            from repro.queries.workload import Workload
+            from repro.relational.hypergraph import two_table_query
+            from repro.relational.instance import Instance
+
+            evaluation._MATRIX_CELL_BUDGET = 0
+            query = two_table_query(12, 5, 6)
+            rng = np.random.default_rng(8)
+            r1 = [(int(rng.integers(12)), int(rng.integers(5))) for _ in range(90)]
+            r2 = [(int(rng.integers(5)), int(rng.integers(6))) for _ in range(110)]
+            instance = Instance.from_tuple_lists(query, {"R1": r1, "R2": r2})
+            workload = Workload.attribute_marginals(query, "A", include_counting=False)
+            for name in ("B", "C"):
+                workload = workload.extended(
+                    Workload.attribute_marginals(query, name, include_counting=False).queries
+                )
+            evaluator = shared_evaluator(workload)
+            calls = []
+            open_session = evaluator.histogram_session
+
+            def counted_session(*args, **kwargs):
+                session = open_session(*args, **kwargs)
+                answers = session.answers
+                session.answers = lambda: calls.append(1) or answers()
+                return session
+
+            evaluator.histogram_session = counted_session
+            result = private_multiplicative_weights(
+                instance, workload, 1.0, 1e-5, 2.0, seed=5, config=PMWConfig(num_iterations=12)
+            )
+            loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+            print(json.dumps([result.iterations, len(calls), loaded]))
+            """
+        )
+        source = Path(__file__).resolve().parents[2] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(source)},
+            capture_output=True,
+            text=True,
+            check=False,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        iterations, evaluations, loaded = json.loads(completed.stdout.splitlines()[-1])
+        assert (iterations, evaluations, loaded) == (12, 1, [])

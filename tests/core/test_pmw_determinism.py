@@ -3,12 +3,12 @@
 PMW's selection path (exponential mechanism + Laplace measurement) consumes
 randomness from a seeded generator, so with a fixed seed the *selected query
 sequence* and the *noisy total* must be bitwise identical whether the loop
-carries its answers across rounds through the evaluator's column view
-(forced here by patching the matrix budget to 0) or evaluates the workload
-in full every round.  The released histograms agree to 1e-9 relative rather
-than bitwise: carried answers round differently from full evaluations.
-The pair is checked on the two-table join and on a 3-relation chain and a
-star.
+carries its answers across rounds from the changes its support updates
+report (forced here by patching the matrix budget to 0) or evaluates the
+workload in full every round.  The released histograms agree to 1e-9
+relative rather than bitwise: carried answers round differently from full
+evaluations.  The pair is checked on the two-table join and on a 3-relation
+chain and a star.
 """
 
 import numpy as np
@@ -34,9 +34,21 @@ def _setup(seed: int):
     return instance, workload
 
 
-def _run_pmw(instance, workload, seed: int):
+def _run_pmw(instance, workload, seed: int, monkeypatch):
+    """The PMW result and the number of full workload evaluations it made."""
+    evaluator = shared_evaluator(workload)
+    calls = []
+    open_session = evaluator.histogram_session
+
+    def counted_session(*args, **kwargs):
+        session = open_session(*args, **kwargs)
+        answers = session.answers
+        monkeypatch.setattr(session, "answers", lambda: calls.append(1) or answers())
+        return session
+
+    monkeypatch.setattr(evaluator, "histogram_session", counted_session)
     result = private_multiplicative_weights(instance, workload, 1.0, 1e-5, 2.0, seed=seed)
-    return result, shared_evaluator(workload).column_view()
+    return result, len(calls)
 
 
 def _setup_on(query, seed: int):
@@ -63,16 +75,14 @@ SETUPS = {
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("join", SETUPS)
 def test_pmw_incremental_matches_full(join, seed, monkeypatch):
-    # Each run builds a fresh workload: the view decision is cached on the
-    # workload's one evaluator.
     instance, workload = SETUPS[join](seed)
-    full, view = _run_pmw(instance, workload, seed)
-    assert view is None
+    full, evaluations = _run_pmw(instance, workload, seed, monkeypatch)
+    assert evaluations == full.iterations
     assert full.selected_queries  # the run actually iterated
     monkeypatch.setattr(evaluation, "_MATRIX_CELL_BUDGET", 0)
     instance, workload = SETUPS[join](seed)
-    incremental, view = _run_pmw(instance, workload, seed)
-    assert view is not None
+    incremental, evaluations = _run_pmw(instance, workload, seed, monkeypatch)
+    assert evaluations < incremental.iterations  # the carried path ran
     assert incremental.selected_queries == full.selected_queries
     assert incremental.noisy_total == full.noisy_total
     scale = max(1.0, float(np.abs(full.histogram).max()))

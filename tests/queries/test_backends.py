@@ -1,13 +1,12 @@
-"""Support machinery parity and the shared-evaluator cache.
+"""Evaluator parity on randomized workloads and the shared-evaluator cache.
 
-The evaluator's answers and the supports ``EvaluatorContext`` builds (at
-the default slab length and at 16 box cells) must agree with the per-query
-references on randomized mixed workloads: histogram answers within 1e-9 of
-the dense reference, instance answers bitwise, supports that round-trip to
-the dense query vectors, and exact support sizes.  The shared-evaluator
-cache must hand out one evaluator per workload and die with its workload
-(``test_evaluator_modes.TestSharedEvaluator`` checks that distinct workloads
-get distinct evaluators).
+The evaluator's answers must agree with the per-query references on
+randomized mixed workloads: histogram answers within 1e-9 of the dense
+reference and instance answers bitwise (the supports are checked against
+the dense query vectors in ``test_factored_evaluation``).  The
+shared-evaluator cache must hand out one evaluator per workload and die
+with its workload (``test_evaluator_modes.TestSharedEvaluator`` checks that
+distinct workloads get distinct evaluators).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.queries.backends import EvaluatorContext
 from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import path3_query, two_table_query
@@ -58,9 +56,9 @@ def _random_instance(workload: Workload, rng: np.random.Generator) -> Instance:
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestBackendParity:
-    """Property-style parity of the evaluator and its support build with the references."""
+    """Property-style parity of the evaluator with the per-query references."""
 
-    def test_answers_and_supports_agree(self, seed):
+    def test_answers_agree(self, seed):
         workload = _random_workload(seed)
         rng = np.random.default_rng(seed + 10)
         instance = _random_instance(workload, rng)
@@ -78,14 +76,6 @@ class TestBackendParity:
             scale = max(1.0, float(np.abs(reference).max()))
             answers = evaluator.answers_on_histogram(histogram)
             assert np.max(np.abs(answers - reference)) <= 1e-9 * scale
-        slabbed = EvaluatorContext(workload, chunk_size=16)
-        for index in range(len(workload)):
-            dense_vector = evaluator.query_values(index)
-            for indices, values in (evaluator.query_support(index), slabbed.build_support(index)):
-                roundtrip = np.zeros(evaluator.domain_size)
-                roundtrip[indices] = values
-                assert np.array_equal(roundtrip, dense_vector), index
-            assert evaluator.support_size(index) == int(np.count_nonzero(dense_vector))
 
 
 class TestSharedEvaluatorCache:

@@ -1,14 +1,12 @@
 """Parity of the workload evaluator with the per-query references.
 
 Instance answers are bitwise ``ProductQuery.evaluate``, histogram answers
-agree with the dense reference to 1e-9, supports round-trip to the dense
-query vectors at every slab size, and support sizes are exact.
+agree with the dense reference to 1e-9, and support sizes are exact.
 """
 
 import numpy as np
 import pytest
 
-from repro.queries.backends import EvaluatorContext
 from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import two_table_query
@@ -53,24 +51,6 @@ class TestModeParity:
             scale = max(1.0, float(np.abs(reference).max()))
             answers = evaluator.answers_on_histogram(histogram)
             assert np.max(np.abs(answers - reference)) <= 1e-9 * scale
-
-    def test_query_support_roundtrips_to_dense_vector(self, workload):
-        evaluator = WorkloadEvaluator(workload)
-        for index in range(len(workload)):
-            indices, values = evaluator.query_support(index)
-            dense = np.zeros(evaluator.domain_size)
-            dense[indices] = values
-            assert np.array_equal(dense, evaluator.query_values(index)), index
-
-    def test_chunked_support_build_matches_dense_build(self, workload):
-        reference = WorkloadEvaluator(workload)
-        # Force multi-slab builds (normally reserved for huge boxes).
-        chunked = EvaluatorContext(workload, chunk_size=16)
-        for index in range(len(workload)):
-            ref_indices, ref_values = reference.query_support(index)
-            chk_indices, chk_values = chunked.build_support(index)
-            assert np.array_equal(ref_indices, chk_indices)
-            assert np.array_equal(ref_values, chk_values)
 
     def test_support_size_matches_nnz(self, workload):
         evaluator = WorkloadEvaluator(workload)

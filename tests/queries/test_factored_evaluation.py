@@ -16,13 +16,12 @@ depend on how the queries are blocked.  Each stack is stored once, in the
 layout the plan reads, and a group's stacks are views of those arrays.
 
 On the same generators and joins: the groups partition the workload by the
-relations whose weights are not all one; every support is byte-equal to the
-non-zeros of the dense query vector and becomes a slice of the workload CSR
-once that is filled; a session's answers follow its in-place updates; and,
-with the column view forced on (``_MATRIX_CELL_BUDGET`` patched to 0), a
-support update reports its answer change exactly when its columns hold at
-most half the stored entries, and that change is what a full evaluation
-moves by.
+relations whose weights are not all one; each query's support box holds the
+dense query values bitwise and the dense values are zero outside it; a
+session's answers follow its in-place updates; and, with carried answers
+forced on (``_MATRIX_CELL_BUDGET`` patched to 0), every update on a box
+that is not the whole domain reports an answer change equal to what a full
+evaluation moves by, while whole-domain boxes report none.
 """
 
 import tracemalloc
@@ -33,7 +32,7 @@ import pytest
 from repro.datagen.tpch import generate_tpch
 from repro.queries import evaluation
 from repro.queries.evaluation import WorkloadEvaluator
-from repro.queries.linear import TableQuery
+from repro.queries.linear import ProductQuery, TableQuery
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import chain_query, figure4_query, star_query, two_table_query
 from repro.relational.instance import Instance
@@ -231,35 +230,66 @@ def test_answers_do_not_depend_on_the_query_blocks(join, generator, monkeypatch)
         assert on_instance.tobytes() == expected[1].tobytes()
 
 
+def _is_sliced(box: tuple) -> bool:
+    return isinstance(box[0], slice)
+
+
 @pytest.mark.parametrize("generator", GENERATORS)
 @pytest.mark.parametrize("join", JOINS)
-def test_supports_become_slices_of_the_workload_csr(join, generator):
+def test_box_values_are_the_dense_values_on_the_box(join, generator):
     query = JOINS[join]
     workload = _workload(query, generator)
     evaluator = WorkloadEvaluator(workload)
-    evaluator.answers_on_histogram(np.zeros(query.shape))  # builds the stacks
-    cached = {index: evaluator.query_support(index) for index in range(0, len(workload), 2)}
-    assert evaluator.estimated_memory() == sum(
-        array.nbytes
-        for array in _stacks(evaluator) + [part for support in cached.values() for part in support]
-    )
-    indptr, indices, values = evaluator._ensure_csr()
     for index in range(len(workload)):
-        dense = evaluator.query_values(index)
-        nonzero = np.flatnonzero(dense).astype(np.int64)
-        support = evaluator.query_support(index)
-        assert support[0].dtype == np.int64 and support[1].dtype == np.float64
-        assert support[0].tobytes() == nonzero.tobytes(), index
-        assert support[1].tobytes() == dense[nonzero].tobytes(), index
-        assert indptr[index + 1] - indptr[index] == evaluator.support_size(index) == nonzero.size
-        assert np.array_equal(indices[indptr[index] : indptr[index + 1]], nonzero)
-        if nonzero.size:  # an empty slice has no memory to share
-            assert np.shares_memory(support[0], indices), index
-            assert np.shares_memory(support[1], values), index
-    assert evaluator.total_support_size() == indptr[-1]
-    assert evaluator.estimated_memory() == sum(
-        array.nbytes for array in _stacks(evaluator) + [indptr, indices, values]
+        dense = workload[index].joint_values()
+        box, values = evaluator.query_support(index)
+        assert all(isinstance(part, slice) for part in box) or not any(
+            isinstance(part, slice) for part in box
+        )
+        assert values.dtype == np.float64 and values.shape == dense[box].shape, index
+        assert values.tobytes() == dense[box].tobytes(), index
+        outside = dense.copy()
+        outside[box] = 0.0
+        assert not outside.any(), index
+        assert evaluator.support_size(index) == np.count_nonzero(dense), index
+    assert evaluator.total_support_size() == sum(
+        np.count_nonzero(product.joint_values()) for product in workload
     )
+
+
+def test_random_predicates_give_scattered_and_empty_boxes():
+    """Across the joins, some predicate keeps scattered values on an axis, and some none."""
+    boxes = [
+        WorkloadEvaluator(_workload(query, "random_predicates")).query_support(index)
+        for query in JOINS.values()
+        for index in range(6)
+    ]
+    assert any(not _is_sliced(box) and values.size for box, values in boxes)
+    assert any(values.size == 0 for _, values in boxes)
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["evaluated", "carried"])
+def test_an_all_zero_query_has_an_empty_box_and_changes_no_cell(carried, monkeypatch):
+    if carried:
+        monkeypatch.setattr(evaluation, "_MATRIX_CELL_BUDGET", 0)
+    query = JOINS["two_table"]
+    zero = TableQuery(query.relations[1].name, np.zeros(query.relations[1].shape))
+    workload = Workload.attribute_marginals(query, "A").extended([ProductQuery(query, [zero])])
+    evaluator = WorkloadEvaluator(workload)
+    box, values = evaluator.query_support(len(workload) - 1)
+    assert values.size == 0 and evaluator.support_size(len(workload) - 1) == 0
+    initial = np.random.default_rng(11).random(query.joint_domain_size)
+    session = evaluator.histogram_session(initial)
+    session.accumulate()
+    before = session.answers()
+    change = session.scale_support(box, np.exp(values))
+    if carried:
+        assert np.array_equal(change, np.zeros(len(workload)))
+    else:
+        assert change is None
+    assert session.answers().tobytes() == before.tobytes()
+    ((_, _, cells),) = session.averaged_slices(1)
+    assert cells.tobytes() == initial.tobytes()
 
 
 @pytest.mark.parametrize("generator", GENERATORS)
@@ -272,19 +302,19 @@ def test_session_answers_follow_its_updates(join, generator):
     initial = rng.random(query.joint_domain_size)
     seed_bytes = initial.tobytes()
     session = evaluator.histogram_session(initial)
-    expected = initial.copy()
+    expected = initial.reshape(query.shape).copy()
     accumulated = np.zeros_like(expected)
     for index in range(len(workload)):
-        indices, values = evaluator.query_support(index)
+        box, values = evaluator.query_support(index)
         factors = np.exp(values * rng.normal(scale=0.3))
-        assert session.scale_support(indices, factors) is None  # no column view here
-        expected[indices] *= factors
+        assert session.scale_support(box, factors) is None  # under the matrix budget
+        expected[box] *= factors
         session.accumulate()
         accumulated += expected
     assert initial.tobytes() == seed_bytes  # the session holds its own copy
     _assert_within(
         session.answers(),
-        np.array([product.evaluate_on_histogram(expected.reshape(query.shape)) for product in workload]),
+        np.array([product.evaluate_on_histogram(expected) for product in workload]),
         1e-12,
     )
     session.scale(0.5)
@@ -293,7 +323,7 @@ def test_session_answers_follow_its_updates(join, generator):
     _assert_within(session.answers(), evaluator.answers_on_histogram(expected), 1e-12)
     ((start, stop, cells),) = session.averaged_slices(len(workload))
     assert (start, stop) == (0, query.joint_domain_size)
-    assert np.allclose(cells, accumulated / len(workload), rtol=1e-12, atol=0.0)
+    assert np.allclose(cells, accumulated.reshape(-1) / len(workload), rtol=1e-12, atol=0.0)
     session.fill(2.0)
     assert session.total() == 2.0 * query.joint_domain_size
     _assert_within(
@@ -303,22 +333,63 @@ def test_session_answers_follow_its_updates(join, generator):
 
 @pytest.mark.parametrize("generator", GENERATORS)
 @pytest.mark.parametrize("join", JOINS)
-def test_view_changes_equal_the_move_of_a_full_evaluation(join, generator, monkeypatch):
+def test_changes_equal_the_move_of_a_full_evaluation(join, generator, monkeypatch):
     monkeypatch.setattr(evaluation, "_MATRIX_CELL_BUDGET", 0)
     query = JOINS[join]
     workload = _workload(query, generator)
     evaluator = WorkloadEvaluator(workload)
     rng = np.random.default_rng(10)
     session = evaluator.histogram_session(rng.random(query.joint_domain_size))
-    assert evaluator.column_view() is not None
-    indptr, stored, _ = evaluator._ensure_csr()
-    readers = np.bincount(stored, minlength=query.joint_domain_size)  # entries per column
     for index in range(len(workload)):
-        indices, values = evaluator.query_support(index)
+        box, values = evaluator.query_support(index)
         before = session.answers()
-        change = session.scale_support(indices, np.exp(values * rng.normal(scale=0.3)))
+        change = session.scale_support(box, np.exp(values * rng.normal(scale=0.3)))
         after = session.answers()
-        assert (change is not None) == (2 * int(readers[indices].sum()) <= indptr[-1]), index
+        assert (change is None) == (values.size == query.joint_domain_size), index
         if change is not None:  # after − before rounds at the answers' scale
             scale = max(1.0, float(np.abs(after).max()))
             assert np.max(np.abs(change - (after - before))) <= 1e-12 * scale, index
+
+
+def test_every_change_path_occurs():
+    """The boxes above include one-relation, several-relation and ``np.ix_`` changes."""
+    paths = set()
+    for query in JOINS.values():
+        for generator in GENERATORS:
+            workload = _workload(query, generator)
+            evaluator = WorkloadEvaluator(workload)
+            for group in evaluator._groups():
+                for index in group.rows:
+                    box, values = evaluator.query_support(int(index))
+                    if 0 < values.size < query.joint_domain_size:
+                        paths.add("one" if len(group.relations) == 1 else "several")
+                        paths.add("sliced" if _is_sliced(box) else "ix_")
+    assert paths == {"one", "several", "sliced", "ix_"}
+
+
+def test_memory_counts_stacks_box_values_and_sparse_stacks_once(monkeypatch):
+    monkeypatch.setattr(evaluation, "_MATRIX_CELL_BUDGET", 0)
+    query = JOINS["two_table"]
+    workload = _workload(query, "attribute_marginals").extended(
+        _workload(query, "random_predicates").queries
+    )
+    evaluator = WorkloadEvaluator(workload)
+    evaluator.answers_on_histogram(np.zeros(query.shape))  # builds the stacks
+    stacks = _stacks(evaluator)
+    assert evaluator.estimated_memory() == sum(stack.nbytes for stack in stacks)
+    session = evaluator.histogram_session(np.ones(query.joint_domain_size))
+    partial = [
+        index
+        for index in range(len(workload))
+        if 0 < evaluator._context.support(index)[1].size < query.joint_domain_size
+    ]
+    selected = (1, 2, partial[-1])  # two marginals and a predicate
+    for index in selected + selected:  # a second update reuses what the first built
+        box, values = evaluator.query_support(index)
+        assert session.scale_support(box, np.exp(values * 0.1)) is not None
+    sparse = [array for arrays in evaluator._sparse.values() for array in arrays]
+    assert sparse  # the marginals' one-relation group holds its stack sparsely
+    values = [evaluator.query_support(index)[1] for index in selected]
+    assert evaluator.estimated_memory() == sum(
+        array.nbytes for array in stacks + values + sparse
+    )

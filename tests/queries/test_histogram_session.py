@@ -49,11 +49,11 @@ def test_lazy_session_tracks_an_eager_histogram_over_3000_rounds():
     )
     evaluator = WorkloadEvaluator(workload)
     counting = 0
-    assert evaluator.query_support(counting)[0].size == query.joint_domain_size
+    assert evaluator.query_support(counting)[1].size == query.joint_domain_size
     total, domain_size, rounds, reset_round = 700.0, query.joint_domain_size, 3000, 1700
     session = evaluator.histogram_session(np.full(domain_size, total / domain_size))
-    eager = np.full(domain_size, total / domain_size)
-    eager_sum = np.zeros(domain_size)
+    eager = np.full(query.shape, total / domain_size)
+    eager_sum = np.zeros(query.shape)
     rng = np.random.default_rng(5)
     log2_scale, checkpoints = 0.0, []
     for round_index in range(rounds):
@@ -68,10 +68,10 @@ def test_lazy_session_tracks_an_eager_histogram_over_3000_rounds():
         else:
             selected = int(rng.integers(1, len(workload)))
             step = rng.normal(scale=0.5)
-        indices, values = evaluator.query_support(selected)
+        box, values = evaluator.query_support(selected)
         factors = np.exp(np.clip(values * step, -1.0, 1.0))
-        session.scale_support(indices, factors)
-        eager[indices] *= factors
+        session.scale_support(box, factors)
+        eager[box] *= factors
         if round_index == reset_round:
             session.scale(0.0)
             eager *= 0.0
@@ -90,7 +90,7 @@ def test_lazy_session_tracks_an_eager_histogram_over_3000_rounds():
             session.answers(), evaluator.answers_on_histogram(eager), 1e-9, round_index
         )
     averaged = assemble_flat_histogram(domain_size, session.averaged_slices(rounds))
-    _assert_relative(averaged, eager_sum / rounds, 1e-9, "average")
+    _assert_relative(averaged, (eager_sum / rounds).reshape(-1), 1e-9, "average")
     moves = np.diff(checkpoints + [log2_scale])
     assert np.all(moves[0::2] < -8.0) and np.all(moves[1::2] > 8.0), moves
     assert session.rebases > 2 * len(moves)
@@ -161,7 +161,7 @@ def _storage(session, domain_size):
 
 
 def test_support_rounds_touch_only_the_support(monkeypatch):
-    # Marginals at |D| = 2^16 with the column view on: a support holds
+    # Marginals at |D| = 2^16 with carried answers on: a support box holds
     # 1/64 (A or C) or 1/16 (B) of the domain, so a round that passed over
     # the whole domain once would show up as at least |D| cells.
     monkeypatch.setattr(evaluation, "_MATRIX_CELL_BUDGET", 0)
@@ -175,11 +175,11 @@ def test_support_rounds_touch_only_the_support(monkeypatch):
 
     def round_(answers):
         selected = int(rng.integers(len(workload)))
-        indices, values = evaluator.query_support(selected)
+        box, values = evaluator.query_support(selected)
         factors = np.exp(np.clip(values * rng.normal(scale=0.5), -1.0, 1.0))
-        answers = _update(session, indices, factors, total, domain_size, answers)
+        answers = _update(session, box, factors, total, domain_size, answers)
         session.accumulate()
-        return answers if answers is not None else session.answers(), indices.size
+        return answers if answers is not None else session.answers(), values.size
 
     answers, _size = round_(session.answers())  # allocates the accumulator
     storage = _storage(session, domain_size)
