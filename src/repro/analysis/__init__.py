@@ -1,10 +1,9 @@
 """Closed-form error bounds, the AGM bound, and experiment reporting helpers.
 
-The :mod:`repro.analysis.static` subpackage is a different kind of analysis:
-the DP static-analysis suite (``python -m repro.analysis``) that enforces
-the repo's privacy, determinism, and resource invariants at the AST level.
-It is not imported here — it stays stdlib-only and self-contained so the
-dependency-free CI check can load it before numpy/scipy are installed.
+:mod:`repro.analysis.lint` is a different kind of analysis: five AST rules
+(DPA101–104, DPA106) for the code invariants the privacy guarantees rest
+on. It is not imported here: it imports only the standard library, so a
+check can load it by file path before numpy is installed.
 """
 
 from repro.analysis.bounds import (

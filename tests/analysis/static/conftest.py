@@ -1,4 +1,4 @@
-"""Fixture helpers for the static-analysis framework tests."""
+"""Fixture helpers for the DP lint tests."""
 
 from __future__ import annotations
 
@@ -6,30 +6,27 @@ from textwrap import dedent
 
 import pytest
 
-from repro.analysis.static import analyze_paths
+from repro.analysis.lint import check
 
 
 @pytest.fixture
 def scan(tmp_path):
-    """Write fixture files under a fake ``repro`` package root and scan them.
+    """Write fixture files under a fake ``repro`` package root and lint them.
 
     Usage::
 
-        findings = scan({"core/foo.py": "..."}, rules=[SomeRule()])
+        findings = scan({"core/foo.py": "..."})
 
     Paths are package-relative (``mechanisms/rng.py``), matching how the
-    rules scope themselves in the real tree.
+    rules scope themselves in the real tree.  Every rule runs.
     """
 
-    def _scan(files: dict, rules=None, baseline=None):
+    def _scan(files: dict):
         root = tmp_path / "repro"
         for rel, source in files.items():
             path = root / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(dedent(source))
-        result = analyze_paths(
-            [root], rules=rules, package_root=root, baseline=baseline
-        )
-        return result
+        return check(root)[0]
 
     return _scan

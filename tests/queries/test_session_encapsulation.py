@@ -1,66 +1,19 @@
-"""Static guard: histogram storage is private to the queries package.
+"""Histogram storage is private to the queries package.
 
-Thin wrapper over rule **DPA103** (session-encapsulation) of the static
-analysis suite — the single implementation lives in
-``repro.analysis.static.rules.session_encapsulation`` and also runs
-repo-wide via ``python -m repro.analysis``.  The invariant: every module
-outside ``src/repro/queries/`` talks to histogram sessions purely through
-the ops (``answers`` / ``scale_support`` / ``scale`` / ``fill`` / ``total``
-/ ``accumulate`` / ``averaged_slices`` / ``close``); any access to a
-storage attribute (``SESSION_STORAGE_ATTRS``) would re-couple callers to
-the representation.  ``np.array(...)`` constructor calls are exempt.
+Rule DPA103 of :mod:`repro.analysis.lint` flags any access outside
+``src/repro/queries/`` to an attribute in ``SESSION_STORAGE_ATTRS``; every
+other module talks to histogram sessions purely through the ops
+(``answers`` / ``scale_support`` / ``scale`` / ``fill`` / ``total`` /
+``accumulate`` / ``averaged_slices`` / ``close``).  This test ties that list
+to the live session class.
 """
-
-from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.static import analyze_paths
-from repro.analysis.static.rules import SessionEncapsulationRule
-from repro.analysis.static.rules.session_encapsulation import SESSION_STORAGE_ATTRS
+from repro.analysis.lint import SESSION_STORAGE_ATTRS
 from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import two_table_query
-
-_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-
-def _scan(root: Path, package_root: Path):
-    return analyze_paths([root], rules=[SessionEncapsulationRule()], package_root=package_root)
-
-
-def test_source_tree_has_modules_to_scan():
-    result = _scan(_SRC, _SRC)
-    assert result.files_scanned > 10, "guard scanned suspiciously few modules"
-
-
-def test_no_histogram_array_access_outside_queries_package():
-    result = _scan(_SRC, _SRC)
-    assert result.ok, (
-        "histogram backing storage is private to src/repro/queries/ — use the "
-        "HistogramSession ops (answers/scale_support/scale/fill/total/"
-        "accumulate/averaged_slices) instead:\n"
-        + "\n".join(finding.render() for finding in result.findings)
-    )
-
-
-def test_rule_still_fires_on_seeded_violation(tmp_path):
-    # The wrapper must lose no coverage vs the old ad-hoc AST guard: a
-    # planted violation outside queries/ fails, the same code inside
-    # queries/ (and a numpy constructor call) stays quiet.
-    root = tmp_path / "repro"
-    bad = root / "core" / "bad.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("def leak(session):\n    return session._array[0]\n")
-    ok = root / "queries" / "ok.py"
-    ok.parent.mkdir(parents=True)
-    ok.write_text("def fine(session):\n    return session._array[0]\n")
-    numpy_ok = root / "core" / "numpy_ok.py"
-    numpy_ok.write_text("import numpy as np\n\nx = np.array([1.0])\n")
-
-    result = _scan(root, root)
-    assert [finding.code for finding in result.findings] == ["DPA103"]
-    assert result.findings[0].logical == "core/bad.py"
 
 
 def test_rule_lists_every_storage_attribute_of_a_session():

@@ -1,25 +1,13 @@
 #!/usr/bin/env python3
-"""Static check: the stdlib-only packages import the standard library only.
+"""Run the DP lint over ``src/repro`` with no third-party package installed.
 
-Thin wrapper over rule **DPA104** (stdlib-only) of the static-analysis
-suite — the single implementation lives in
-``repro.analysis.static.rules.stdlib_only``.  It covers both packages that
-must load in every context: ``repro.telemetry`` (pool workers, minimal
-installs) and ``repro.analysis.static`` itself (this very check runs it
-before anything is pip-installed).
-
-Because the CI job calls this script *before installing dependencies*, it
-must not import ``repro`` (whose ``__init__`` pulls numpy).  The framework
-package is self-contained — stdlib and relative imports only, an invariant
-DPA104 enforces on it — so it is bootstrapped here by file path under a
-private module name, bypassing the package ``__init__`` chain entirely.
-
-Runs standalone::
+Importing ``repro`` would pull numpy, so this script loads
+``src/repro/analysis/lint.py`` by file path (the module imports only the
+standard library, which its rule DPA104 enforces) and runs all five rules::
 
     python tests/telemetry/check_stdlib_only.py
 
-and doubles as the implementation behind the tier-1 test
-``tests/telemetry/test_stdlib_only.py``.  Exit status 0 means clean.
+It prints each finding and exits 1 if there is any, 0 when the tree is clean.
 """
 
 from __future__ import annotations
@@ -28,69 +16,20 @@ import importlib.util
 import sys
 from pathlib import Path
 
-_REPO = Path(__file__).resolve().parents[2]
-_PACKAGE_ROOT = _REPO / "src" / "repro"
-_STATIC_DIR = _PACKAGE_ROOT / "analysis" / "static"
-
-#: Kept for wrapper compatibility: the primary covered package.
-TELEMETRY_DIR = _PACKAGE_ROOT / "telemetry"
-
-_ALIAS = "_repro_dpa_static"
-
-
-def load_static_framework():
-    """Import ``repro.analysis.static`` by path, dependency-free.
-
-    ``submodule_search_locations`` makes the alias a real package, so the
-    framework's relative imports resolve without ever touching
-    ``repro/__init__.py`` (which imports numpy).
-    """
-    if _ALIAS in sys.modules:
-        return sys.modules[_ALIAS]
-    spec = importlib.util.spec_from_file_location(
-        _ALIAS,
-        _STATIC_DIR / "__init__.py",
-        submodule_search_locations=[str(_STATIC_DIR)],
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[_ALIAS] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        sys.modules.pop(_ALIAS, None)
-        raise
-    return module
-
-
-def analysis_result():
-    """DPA104 over the whole package (only covered dirs produce findings)."""
-    static = load_static_framework()
-    return static.analyze_paths(
-        [_PACKAGE_ROOT],
-        rules=[static.rules.StdlibOnlyRule()],
-        package_root=_PACKAGE_ROOT,
-    )
-
-
-def violations() -> list[str]:
-    """Every non-stdlib import, as ``path:line: message`` strings."""
-    return [finding.render() for finding in analysis_result().findings]
+_PACKAGE_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def main() -> int:
-    if not TELEMETRY_DIR.is_dir() or not _STATIC_DIR.is_dir():
-        print(
-            f"missing package directory: {TELEMETRY_DIR} or {_STATIC_DIR}",
-            file=sys.stderr,
-        )
-        return 2
-    found = violations()
-    for line in found:
-        print(line, file=sys.stderr)
-    if found:
-        print(f"{len(found)} non-stdlib import(s) (DPA104)", file=sys.stderr)
+    spec = importlib.util.spec_from_file_location("lint", _PACKAGE_ROOT / "analysis" / "lint.py")
+    lint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lint)
+    findings, files_scanned = lint.check(_PACKAGE_ROOT)
+    for finding in findings:
+        print(f"src/repro/{finding}", file=sys.stderr)
+    if findings:
+        print(f"{len(findings)} finding(s) in {files_scanned} files", file=sys.stderr)
         return 1
-    print("stdlib-only packages are clean: repro.telemetry, repro.analysis.static")
+    print(f"clean: 0 findings in {files_scanned} files")
     return 0
 
 
