@@ -29,16 +29,20 @@ budget), at least one and at most ``PMWConfig.max_iterations``.
 answers the workload through the workload's one evaluator,
 :func:`~repro.queries.evaluation.shared_evaluator`, so repeated runs over one
 workload (the uniformized per-bucket releases, trial sweeps) reuse its
-stacks, cached supports and sparse stacks.
+stacks, box factors and sparse stacks.
 
 The inner loop never touches full-domain query vectors.  The multiplicative
 update rescales only the selected query's support box — the update factor
 is exactly 1 outside it and on the box's zeros — so the answers move only
-through that box.  The loop carries its answer vector across rounds as
-``(a + change)·scale``: ``change`` is how every answer moves with the box's
-change, which the session's support update returns group by group where a
-full evaluation is costly (``|Q|·|D|`` over the evaluator's matrix budget),
-and ``scale`` the renormalisation factor.  It falls back to one full
+through that box.  The evaluator builds the query's values on the box
+afresh each round, and the loop turns that array into the update factors
+in place (multiply by the step, clip, exponentiate), so a round allocates
+one box-sized array and the evaluator keeps nothing box-sized per query.
+The loop carries its answer vector across rounds as ``(a + change)·scale``:
+``change`` is how every answer moves with the box's change, which the
+session's support update returns group by group where a full evaluation
+is costly (``|Q|·|D|`` over the evaluator's matrix budget), and ``scale``
+the renormalisation factor.  It falls back to one full
 workload evaluation (one planned chain per group of stacked queries) in
 round one, after a renormalisation reset, and whenever the support update
 returns ``None``: always under the budget, and on a whole-domain box, such
@@ -359,18 +363,19 @@ def private_multiplicative_weights(
                         sensitivity_bound / epsilon_per_round, rng=generator
                     )
                     with trace("pmw.update"):
-                        support_indices, support_values = evaluator.query_support(
-                            query_index
-                        )
+                        # Fresh values this loop owns: they become the factors in place.
+                        support_indices, factors = evaluator.query_support(query_index)
                         step = (measurement - float(current_answers[query_index])) / (
                             2.0 * noisy_total
                         )
+                        np.multiply(factors, step, out=factors)
                         # The analysis assumes an exponent of magnitude at most one.
-                        exponent = np.clip(support_values * step, -1.0, 1.0)
+                        np.clip(factors, -1.0, 1.0, out=factors)
+                        np.exp(factors, out=factors)
                         current_answers = _update(
                             session,
                             support_indices,
-                            np.exp(exponent),
+                            factors,
                             noisy_total,
                             domain_size,
                             current_answers,

@@ -58,7 +58,7 @@ def uniformize_release(
         The bucketing scale λ; defaults to ``(1/ε)·log(1/δ)``.
 
     Every per-bucket release answers the workload through its one shared
-    evaluator, so the buckets reuse its stacks and cached supports.
+    evaluator, so the buckets reuse its stacks and box factors.
     """
     query = instance.query
     workload.require_compatible(query)

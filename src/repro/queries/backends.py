@@ -10,14 +10,23 @@ range), and an ``np.ix_`` index otherwise — together with the query's
 values on it, zeros included.  A zero weight gives the update a factor of
 ``exp(0) = 1``, so those cells stay bitwise unchanged.  Slices read and
 write the histogram through views; an ``np.ix_`` box gathers and scatters.
+
+Per query the context keeps only what builds the values: the box index,
+the box shape and the box-restricted weights of each relation whose
+weights are not all one (views where the box slices them, copies where it
+gathers), which is ``O(Σ_R |box_R|)`` per query.  The values themselves
+are built on every call, into a fresh array the caller owns: one
+``np.einsum`` over the factors, a copy for one factor, a fill for none.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.queries.workload import Workload
-from repro.relational.join import _letters_for, expand_to_joint
+from repro.relational.join import _EINSUM_LETTERS, _letters_for, expand_to_joint
 
 
 def box_index(parts: list[slice | np.ndarray]) -> tuple:
@@ -36,13 +45,46 @@ def box_index(parts: list[slice | np.ndarray]) -> tuple:
     )
 
 
+def _multiply_out(values: np.ndarray, factors) -> np.ndarray:
+    """Fill ``values`` with the product of ``factors`` in order: a copy, then in-place multiplies.
+
+    All ones when there is no factor.
+    """
+    if not factors:
+        values.fill(1.0)
+        return values
+    np.copyto(values, factors[0])
+    for factor in factors[1:]:
+        values *= factor
+    return values
+
+
+@dataclass(frozen=True)
+class _Box:
+    """One query's box and what its values there are built from.
+
+    ``factors`` are the box-restricted weights of the relations whose
+    weights are not all one, in relation order, each with one axis per
+    joint attribute (extent one where the relation does not hold it).
+    ``subscripts`` is the einsum that multiplies two or more of them out,
+    or ``None`` where the values hold a ``-0.0``: einsum sums each product
+    into a zeroed output, which turns ``-0.0`` into ``+0.0``, so such a
+    query keeps :func:`_multiply_out` and stays bitwise the dense product.
+    """
+
+    index: tuple
+    shape: tuple[int, ...]
+    factors: tuple[np.ndarray, ...]
+    subscripts: str | None
+
+
 class EvaluatorContext:
     """Workload-derived support machinery of one evaluator.
 
     Owns the exact support-size measurement (an einsum over the non-zero
     indicators of the per-relation weights — the joint domain is never
-    materialised) and each query's support: its non-zero box and its values
-    there.
+    materialised) and each query's support: its non-zero box, whose factors
+    it keeps once built, and its values there, which it builds per call.
     """
 
     def __init__(self, workload: Workload):
@@ -51,6 +93,7 @@ class EvaluatorContext:
         self.shape = self.join_query.shape
         self.domain_size = self.join_query.joint_domain_size
         self._support_sizes: dict[int, int] = {}
+        self._boxes: dict[int, _Box] = {}
 
     @property
     def num_queries(self) -> int:
@@ -125,24 +168,48 @@ class EvaluatorContext:
             box.append(slice(first, last + 1) if last - first == kept.size - 1 else kept)
         return box
 
+    def _box(self, index: int) -> _Box:
+        """Query ``index``'s box and its factors there, built on first use."""
+        box = self._boxes.get(index)
+        if box is not None:
+            return box
+        parts = self._support_box(index)
+        if parts is None:
+            parts = [slice(0, 0)] * len(self.shape)
+        names = self.join_query.attribute_names
+        factors = []
+        for axes, weights in self._factors(index):
+            for position, axis in enumerate(axes):
+                weights = weights[(slice(None),) * position + (parts[axis],)]
+            held = [names[axis] for axis in axes]
+            factors.append(expand_to_joint(self.join_query, weights, held))
+        shape = tuple(
+            part.stop - part.start if isinstance(part, slice) else part.size for part in parts
+        )
+        subscripts = None
+        if len(factors) > 1:
+            product = _multiply_out(np.empty(shape), factors)
+            if not (np.signbit(product) & (product == 0.0)).any():
+                labels = _EINSUM_LETTERS[: len(shape)]
+                subscripts = ",".join([labels] * len(factors)) + "->" + labels
+        box = self._boxes[index] = _Box(box_index(parts), shape, tuple(factors), subscripts)
+        return box
+
+    def box_factors(self) -> list[np.ndarray]:
+        """The factors of every box built so far (what :meth:`support` holds)."""
+        return [factor for box in self._boxes.values() for factor in box.factors]
+
     def support(self, index: int) -> tuple[tuple, np.ndarray]:
         """Query ``index``'s non-zero box (:func:`box_index`) and its values there.
 
-        An empty box is ``slice(0, 0)`` on every axis.  The values are
-        :meth:`~repro.queries.linear.ProductQuery.joint_values`' product
-        taken over the box-restricted weights (through
-        :func:`expand_to_joint`, in the same order), so every value is
-        bit-identical to the dense array's on the box.
+        An empty box is ``slice(0, 0)`` on every axis.  The values are a
+        fresh array the caller owns, built from the box factors in
+        :meth:`~repro.queries.linear.ProductQuery.joint_values`' order, so
+        every value is bit-identical to the dense array's on the box.
         """
-        box = self._support_box(index)
-        if box is None:
-            box = [slice(0, 0)] * len(self.shape)
-        names = self.join_query.attribute_names
-        values = np.ones(
-            tuple(part.stop - part.start if isinstance(part, slice) else part.size for part in box)
-        )
-        for axes, weights in self._factors(index):
-            for position, axis in enumerate(axes):
-                weights = weights[(slice(None),) * position + (box[axis],)]
-            values *= expand_to_joint(self.join_query, weights, [names[axis] for axis in axes])
-        return box_index(box), values
+        box = self._box(index)
+        values = np.empty(box.shape)
+        if box.subscripts is None:
+            return box.index, _multiply_out(values, box.factors)
+        np.einsum(box.subscripts, *box.factors, out=values)
+        return box.index, values

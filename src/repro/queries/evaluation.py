@@ -46,8 +46,9 @@ Supports
     query's non-zero box — an index into the joint-shaped histogram, a
     slice per axis or an ``np.ix_`` index — and the query's values on it,
     zeros included (:class:`~repro.queries.backends.EvaluatorContext`).
-    The values are cached while the cached cells fit
-    ``_SPARSE_CELL_BUDGET``.
+    The values are built on every call from the query's box-restricted
+    weights, into a fresh array the caller may overwrite; nothing
+    joint-shaped is kept per query.
 Carried answers
     Where a full evaluation sweeps more than ``_MATRIX_CELL_BUDGET`` matrix
     cells (``|Q|·|D|``), a session's support update also returns how every
@@ -60,10 +61,11 @@ Carried answers
     box returns no change, and the PMW loop then evaluates the workload in
     full, as it does every round below the budget.
 Memory
-    Resident: the stacks (one copy each), the cached box values and the
+    Resident: the stacks (one copy each), the box factors of each query
+    whose support was asked for (``O(Σ_R |box_R|)`` per query) and the
     sparse stacks of the one-relation groups, built on the first carried
     update.  :meth:`~WorkloadEvaluator.estimated_memory` sums exactly those
-    arrays.
+    arrays; none of them is ``|D|``-sized per query.
 
 Iterated evaluation goes through a :class:`HistogramSession`, an operation
 protocol (``answers``, ``scale_support``, ``scale``, ``fill``, ``total``,
@@ -72,7 +74,7 @@ storage — a scale times a cell array, so that a PMW round costs its
 support and not the domain — is private to this package.
 :func:`shared_evaluator` memoises one evaluator on the workload object
 itself, so repeated releases over the same workload reuse its stacks,
-supports and sparse stacks, and the cache dies with the workload.
+box factors and sparse stacks, and they die with the workload.
 """
 
 from __future__ import annotations
@@ -91,9 +93,6 @@ from repro.relational.join import _EINSUM_LETTERS, _letters_for
 #: Above this many matrix cells (``|Q|·|D|``) a full evaluation is costly
 #: enough that sessions return the answer change of each support update.
 _MATRIX_CELL_BUDGET = 60_000_000
-
-#: The support cache holds at most this many box cells.
-_SPARSE_CELL_BUDGET = 30_000_000
 
 #: A query block's temporaries stay within this many multiples of ``|D|``
 #: float64 cells.
@@ -390,7 +389,8 @@ class HistogramSession:
     backing storage (a static-analysis rule, DPA103, keeps it private to
     the queries package).  The session owns its cells outright — the seed
     histogram is copied — and allocates its accumulator on the first
-    :meth:`accumulate`.
+    :meth:`accumulate` and its flush weights on the first box update after
+    that.
 
     The histogram is a scalar ``c`` times the cell array ``g``, with a
     running ``Σg``, so that a round costs the selected support ``S`` and
@@ -399,7 +399,12 @@ class HistogramSession:
     ``W``, and each cell's share, ``g(x)·(W − W_last(x))``, is added to the
     accumulator only when the cell is flushed — the cells of ``S`` before
     their update, every cell before a whole-domain update, a ``fill``, a
-    rebase and in ``averaged_slices``.  The ops and their cost:
+    rebase and in ``averaged_slices``.  Only box updates need the per-cell
+    ``W_last`` (the flush weights): while none has happened since the last
+    whole flush, every cell's share is ``W·g``, which that flush adds
+    directly, so a run of whole-domain updates (±1 queries, the counting
+    query) never allocates, reads or fills the flush weights.  The ops and
+    their cost:
 
     ``answers()``
         The workload answers against the current contents: always a full
@@ -452,6 +457,7 @@ class HistogramSession:
         self._cells_total = float(cells.sum())
         self._weight = 0.0
         self._flushed: np.ndarray | None = None  # W at each cell's last flush
+        self._boxed = False  # a box update since the last whole flush
         self._accumulator: np.ndarray | None = None
         #: Rebases so far (see the class docstring).
         self.rebases = 0
@@ -474,10 +480,13 @@ class HistogramSession:
             return None
         old = np.ascontiguousarray(cells[box])  # one strided read, not three
         if self._accumulator is not None:
+            if self._flushed is None:
+                self._flushed = np.zeros_like(cells)
             share = np.subtract(self._weight, self._flushed[box])
             share *= old
             self._accumulator[box] += share
             self._flushed[box] = self._weight
+            self._boxed = True
         new = old * factors
         delta = new - old
         cells[box] = new
@@ -507,7 +516,6 @@ class HistogramSession:
         """Add the current contents to the session's running average."""
         if self._accumulator is None:
             self._accumulator = np.zeros_like(self._cells)
-            self._flushed = np.zeros_like(self._cells)
         self._weight += self._scale
         if self._weight > _REBASE_WEIGHT * self._scale:
             self._rebase()
@@ -530,16 +538,21 @@ class HistogramSession:
     def _flush_all(self) -> None:
         """Add every cell's pending share to the accumulator and restart ``W``.
 
-        In place: the flushed-weight array holds ``W − W_last``, then the
-        shares, before it is zeroed.
+        With no box update since the last whole flush every share is
+        ``W·g``.  Otherwise, in place: the flushed-weight array holds
+        ``W − W_last``, then the shares, before it is zeroed.
         """
         if self._accumulator is None:
             return
-        pending = self._flushed
-        np.subtract(self._weight, pending, out=pending)
-        pending *= self._cells
-        self._accumulator += pending
-        pending.fill(0.0)
+        if self._boxed:
+            pending = self._flushed
+            np.subtract(self._weight, pending, out=pending)
+            pending *= self._cells
+            self._accumulator += pending
+            pending.fill(0.0)
+            self._boxed = False
+        else:
+            self._accumulator += self._cells * self._weight
         self._weight = 0.0
 
     def _rebase(self) -> None:
@@ -554,8 +567,8 @@ class HistogramSession:
 class WorkloadEvaluator:
     """Evaluate a workload against instances and joint-domain histograms.
 
-    See the module docstring for the stacks, the query blocks, the support
-    cache and carried answers.  ``mode`` and ``engine`` name the one
+    See the module docstring for the stacks, the query blocks, the supports
+    and carried answers.  ``mode`` and ``engine`` name the one
     evaluation path (``"factored"``, ``None``) for callers that record them.
     """
 
@@ -567,8 +580,6 @@ class WorkloadEvaluator:
         self._context = EvaluatorContext(workload)
         self._shape = workload.join_query.shape
         self._stacked: tuple[_Group, ...] | None = None
-        self._supports: dict[int, tuple[tuple, np.ndarray]] = {}
-        self._cached_cells = 0
         #: Per one-relation group (by position): its stack held sparsely.
         self._sparse: dict[int, tuple[np.ndarray, ...]] = {}
 
@@ -605,9 +616,9 @@ class WorkloadEvaluator:
         return self._context.total_support_size()
 
     def estimated_memory(self) -> int:
-        """Resident bytes: the stacks, the cached box values and the sparse stacks."""
+        """Resident bytes: the stacks, the box factors and the sparse stacks."""
         arrays = [stack for group in self._groups() for stack in group.stacks]
-        arrays += [values for _, values in self._supports.values()]
+        arrays += self._context.box_factors()
         arrays += [array for sparse in self._sparse.values() for array in sparse]
         return sum(array.nbytes for array in arrays)
 
@@ -620,18 +631,11 @@ class WorkloadEvaluator:
         The box indexes the joint-shaped histogram: a slice on each axis
         whose kept values form one run, an ``np.ix_`` index otherwise.  The
         PMW multiplicative update touches only these cells (its factor is
-        exactly 1 everywhere else, and on the box's zeros).  Cached while
-        the cached cells fit the support budget.
+        exactly 1 everywhere else, and on the box's zeros).  The values are
+        built on every call, so the caller owns them and may overwrite
+        them in place.
         """
-        cached = self._supports.get(index)
-        if cached is not None:
-            return cached
-        support = self._context.support(index)
-        size = support[1].size
-        if self._cached_cells + size <= _SPARSE_CELL_BUDGET:
-            self._supports[index] = support
-            self._cached_cells += size
-        return support
+        return self._context.support(index)
 
     def query_values(self, index: int) -> np.ndarray:
         """Flattened joint-domain value vector of one query (dense)."""
@@ -763,7 +767,7 @@ def shared_evaluator(workload: Workload) -> WorkloadEvaluator:
     PMW, the baselines and :class:`~repro.core.result.ReleaseResult` all
     ask this for the workload's evaluator, so repeated releases over the
     same workload — uniformized per-bucket runs, trial sweeps, error
-    reports — share its stacks, cached supports and sparse stacks.  It lives
+    reports — share its stacks, box factors and sparse stacks.  It lives
     in the workload's one evaluator slot, so it dies with the workload; a
     fresh :class:`~repro.queries.workload.Workload` over the same queries
     starts without one.

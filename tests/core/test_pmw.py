@@ -16,6 +16,7 @@ from repro.core.pmw import (
     _update,
     private_multiplicative_weights,
 )
+from repro.core.release import release_synthetic_data
 from repro.queries import evaluation
 from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
 from repro.queries.linear import ProductQuery, TableQuery
@@ -457,3 +458,53 @@ class TestCarriedAnswers:
         assert completed.returncode == 0, completed.stderr
         iterations, evaluations, loaded = json.loads(completed.stdout.splitlines()[-1])
         assert (iterations, evaluations, loaded) == (12, 1, [])
+
+
+def test_in_place_factors_never_reach_the_evaluator(monkeypatch):
+    """PMW turns each round's support values into its factors in place.
+
+    Those values must be the loop's own array: after an Algorithm 4 release
+    and an Algorithm 1 release over one workload, every support is still
+    bitwise the dense values taken before the releases, on its box, and
+    every stack is bitwise what it was.  The releases update one-relation
+    marginals (values copied from one factor), ±1 queries over both
+    relations (an einsum) and the boxed queries, ``np.ix_`` boxes among
+    them.
+    """
+    query = two_table_query(12, 5, 6)
+    rng = np.random.default_rng(8)
+    r1 = [(int(rng.integers(12)), int(rng.integers(5))) for _ in range(300)]
+    r2 = [(int(rng.integers(5)), int(rng.integers(6))) for _ in range(300)]
+    instance = Instance.from_tuple_lists(query, {"R1": r1, "R2": r2})
+    marginals = _one_way_marginals(query, include_counting=True)
+    boxed = _boxed_queries(query)
+    signs = Workload.random_sign(query, 4, seed=3, include_counting=False).queries
+    workload = marginals.extended(boxed + list(signs))
+    evaluator = shared_evaluator(workload)
+    dense = [product.joint_values() for product in workload]
+    stacks = [stack.copy() for group in evaluator._groups() for stack in group.stacks]
+    asked = []
+    query_support = evaluator.query_support
+    monkeypatch.setattr(
+        evaluator, "query_support", lambda index: asked.append(index) or query_support(index)
+    )
+    for method in ("uniformize_two_table", "two_table"):
+        release_synthetic_data(
+            instance,
+            workload,
+            1.0,
+            1e-5,
+            method=method,
+            seed=4,
+            pmw_config=PMWConfig(num_iterations=60),
+        )
+    monkeypatch.undo()
+    first_boxed, first_sign = len(marginals), len(marginals) + len(boxed)
+    assert any(0 < index < first_boxed for index in asked)  # a marginal
+    assert any(first_boxed <= index < first_sign for index in asked)  # a boxed query
+    assert any(index >= first_sign for index in asked)  # a ±1 query
+    for index, values in enumerate(dense):
+        box, support = evaluator.query_support(index)
+        assert support.tobytes() == values[box].tobytes(), index
+    after = [stack for group in evaluator._groups() for stack in group.stacks]
+    assert all(stack.tobytes() == kept.tobytes() for stack, kept in zip(after, stacks))

@@ -29,9 +29,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.datagen.tpch import generate_tpch
 from repro.queries import evaluation
-from repro.queries.evaluation import WorkloadEvaluator
+from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
 from repro.queries.linear import ProductQuery, TableQuery
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import chain_query, figure4_query, star_query, two_table_query
@@ -367,29 +368,83 @@ def test_every_change_path_occurs():
     assert paths == {"one", "several", "sliced", "ix_"}
 
 
-def test_memory_counts_stacks_box_values_and_sparse_stacks_once(monkeypatch):
+def test_memory_counts_stacks_box_factors_and_sparse_stacks_once(monkeypatch):
     monkeypatch.setattr(evaluation, "_MATRIX_CELL_BUDGET", 0)
     query = JOINS["two_table"]
     workload = _workload(query, "attribute_marginals").extended(
-        _workload(query, "random_predicates").queries
+        _workload(query, "random_predicates").queries + _workload(query, "random_sign").queries
     )
     evaluator = WorkloadEvaluator(workload)
     evaluator.answers_on_histogram(np.zeros(query.shape))  # builds the stacks
     stacks = _stacks(evaluator)
     assert evaluator.estimated_memory() == sum(stack.nbytes for stack in stacks)
     session = evaluator.histogram_session(np.ones(query.joint_domain_size))
+    probe = WorkloadEvaluator(workload)  # finds the partial boxes without building ours
     partial = [
         index
         for index in range(len(workload))
-        if 0 < evaluator._context.support(index)[1].size < query.joint_domain_size
+        if 0 < probe.query_support(index)[1].size < query.joint_domain_size
     ]
-    selected = (1, 2, partial[-1])  # two marginals and a predicate
+    signs = len(workload) - 1  # a ±1 query: an einsum over two factors
+    selected = (1, 2, partial[-1], signs)  # two marginals, a predicate and a ±1 query
     for index in selected + selected:  # a second update reuses what the first built
         box, values = evaluator.query_support(index)
-        assert session.scale_support(box, np.exp(values * 0.1)) is not None
+        change = session.scale_support(box, np.exp(values * 0.1))
+        assert (change is None) == (index == signs)  # the ±1 box is the whole domain
     sparse = [array for arrays in evaluator._sparse.values() for array in arrays]
     assert sparse  # the marginals' one-relation group holds its stack sparsely
-    values = [evaluator.query_support(index)[1] for index in selected]
+    boxes = evaluator._context._boxes
+    assert sorted(boxes) == sorted(selected)
+    assert boxes[signs].subscripts is not None and len(boxes[signs].factors) == 2
+    factors = [factor for index in selected for factor in boxes[index].factors]
     assert evaluator.estimated_memory() == sum(
-        array.nbytes for array in stacks + values + sparse
+        array.nbytes for array in stacks + factors + sparse
     )
+    # No box-sized values are kept: every call builds a fresh array.
+    for index in selected:
+        first, second = evaluator.query_support(index)[1], evaluator.query_support(index)[1]
+        assert first.tobytes() == second.tobytes() and not np.shares_memory(first, second)
+        assert not any(np.shares_memory(first, array) for array in stacks + factors + sparse)
+
+
+def test_repeated_pmw_runs_keep_one_traced_peak():
+    """Runs that select queries no earlier run selected keep the same traced peak.
+
+    101 ±1 queries over |D| = 2^14: keeping each selected query's |D|-sized
+    values would add 128 KiB to every later run's peak per newly selected
+    query.  What a support keeps per query is its box and views of its
+    weights, a few hundred bytes, so the peaks may move by at most
+    |D|/32 cells' bytes per newly selected query.  Tracing starts before the
+    evaluator exists, so each peak holds the stacks, and the bound is set
+    by them and |D|, not by |Q|·|D|.
+    """
+    query = two_table_query(32, 32, 16)
+    domain_size = query.joint_domain_size
+    rng = np.random.default_rng(12)
+    instance = Instance.from_frequencies(
+        query, {schema.name: rng.integers(0, 3, size=schema.shape) for schema in query.relations}
+    )
+    workload = Workload.random_sign(query, 100, seed=0)
+    config = PMWConfig(num_iterations=30)
+    selected: set[int] = set()
+    peaks, new = [], []
+    tracemalloc.start()
+    try:
+        evaluator = shared_evaluator(workload)
+        evaluator.answers_on_histogram(np.zeros(query.shape))  # builds the stacks
+        for seed in range(1, 7):
+            tracemalloc.reset_peak()
+            result = private_multiplicative_weights(
+                instance, workload, 1.0, 1e-6, 1.0, seed=seed, config=config
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            new.append(len(set(result.selected_queries) - selected))
+            selected.update(result.selected_queries)
+            del result
+    finally:
+        tracemalloc.stop()
+    assert all(count >= 3 for count in new[1:]), new  # every run selects new queries
+    cell_bytes = 8 * domain_size
+    assert max(peaks[1:]) - min(peaks[1:]) <= sum(new[1:]) * cell_bytes // 32, (peaks, new)
+    stacks = sum(stack.nbytes for stack in _stacks(evaluator))
+    assert max(peaks) <= stacks + 16 * cell_bytes, (peaks, stacks)
