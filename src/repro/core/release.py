@@ -67,10 +67,9 @@ def _memory_limit() -> int | None:
 def _require_memory(domain_size: int) -> None:
     """Raise :class:`ReleaseMemoryError` when a release over ``domain_size`` cells cannot fit.
 
-    Every release runs PMW, which can hold four ``|D|``-length float64
-    arrays at once: the session's cells, its accumulator, its per-cell
-    flush weights (allocated at its first box update) and the averaged
-    histogram it returns.
+    Every release runs PMW, which holds four ``|D|``-length float64 arrays
+    at once: the session's cells, its accumulator and per-cell flush
+    weights, and the averaged histogram it returns.
     """
     needed = 4 * 8 * domain_size
     limit = _memory_limit()

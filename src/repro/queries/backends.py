@@ -13,10 +13,11 @@ write the histogram through views; an ``np.ix_`` box gathers and scatters.
 
 Per query the context keeps only what builds the values: the box index,
 the box shape and the box-restricted weights of each relation whose
-weights are not all one (views where the box slices them, copies where it
-gathers), which is ``O(Σ_R |box_R|)`` per query.  The values themselves
-are built on every call, into a fresh array the caller owns: one
-``np.einsum`` over the factors, a copy for one factor, a fill for none.
+weights are not all one (views of the workload's weights where the box
+slices them, copies where it gathers), which is ``O(Σ_R |box_R|)`` per
+query.  The values themselves are built on every call, into a fresh array
+the caller owns: a copy of the first factor, multiplied in place by each
+further one (a fill with ones when there is none).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.queries.workload import Workload
-from repro.relational.join import _EINSUM_LETTERS, _letters_for, expand_to_joint
+from repro.relational.join import _letters_for, expand_to_joint
 
 
 def box_index(parts: list[slice | np.ndarray]) -> tuple:
@@ -45,20 +46,6 @@ def box_index(parts: list[slice | np.ndarray]) -> tuple:
     )
 
 
-def _multiply_out(values: np.ndarray, factors) -> np.ndarray:
-    """Fill ``values`` with the product of ``factors`` in order: a copy, then in-place multiplies.
-
-    All ones when there is no factor.
-    """
-    if not factors:
-        values.fill(1.0)
-        return values
-    np.copyto(values, factors[0])
-    for factor in factors[1:]:
-        values *= factor
-    return values
-
-
 @dataclass(frozen=True)
 class _Box:
     """One query's box and what its values there are built from.
@@ -66,16 +53,14 @@ class _Box:
     ``factors`` are the box-restricted weights of the relations whose
     weights are not all one, in relation order, each with one axis per
     joint attribute (extent one where the relation does not hold it).
-    ``subscripts`` is the einsum that multiplies two or more of them out,
-    or ``None`` where the values hold a ``-0.0``: einsum sums each product
-    into a zeroed output, which turns ``-0.0`` into ``+0.0``, so such a
-    query keeps :func:`_multiply_out` and stays bitwise the dense product.
+    ``owned`` is the bytes of those that are copies, made where the box
+    gathers; the others are views of the workload's weights.
     """
 
     index: tuple
     shape: tuple[int, ...]
     factors: tuple[np.ndarray, ...]
-    subscripts: str | None
+    owned: int
 
 
 class EvaluatorContext:
@@ -177,27 +162,22 @@ class EvaluatorContext:
         if parts is None:
             parts = [slice(0, 0)] * len(self.shape)
         names = self.join_query.attribute_names
-        factors = []
+        factors, owned = [], 0
         for axes, weights in self._factors(index):
-            for position, axis in enumerate(axes):
-                weights = weights[(slice(None),) * position + (parts[axis],)]
-            held = [names[axis] for axis in axes]
-            factors.append(expand_to_joint(self.join_query, weights, held))
+            restricted = weights[box_index([parts[axis] for axis in axes])]
+            factor = expand_to_joint(self.join_query, restricted, [names[axis] for axis in axes])
+            factors.append(factor)
+            if not np.may_share_memory(factor, weights):
+                owned += factor.nbytes
         shape = tuple(
             part.stop - part.start if isinstance(part, slice) else part.size for part in parts
         )
-        subscripts = None
-        if len(factors) > 1:
-            product = _multiply_out(np.empty(shape), factors)
-            if not (np.signbit(product) & (product == 0.0)).any():
-                labels = _EINSUM_LETTERS[: len(shape)]
-                subscripts = ",".join([labels] * len(factors)) + "->" + labels
-        box = self._boxes[index] = _Box(box_index(parts), shape, tuple(factors), subscripts)
+        box = self._boxes[index] = _Box(box_index(parts), shape, tuple(factors), owned)
         return box
 
-    def box_factors(self) -> list[np.ndarray]:
-        """The factors of every box built so far (what :meth:`support` holds)."""
-        return [factor for box in self._boxes.values() for factor in box.factors]
+    def box_bytes(self) -> int:
+        """Bytes the boxes built so far hold beyond the workload's weights: their copies."""
+        return sum(box.owned for box in self._boxes.values())
 
     def support(self, index: int) -> tuple[tuple, np.ndarray]:
         """Query ``index``'s non-zero box (:func:`box_index`) and its values there.
@@ -209,7 +189,10 @@ class EvaluatorContext:
         """
         box = self._box(index)
         values = np.empty(box.shape)
-        if box.subscripts is None:
-            return box.index, _multiply_out(values, box.factors)
-        np.einsum(box.subscripts, *box.factors, out=values)
+        if not box.factors:
+            values.fill(1.0)
+            return box.index, values
+        np.copyto(values, box.factors[0])
+        for factor in box.factors[1:]:
+            values *= factor
         return box.index, values

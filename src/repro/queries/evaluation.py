@@ -64,8 +64,10 @@ Memory
     Resident: the stacks (one copy each), the box factors of each query
     whose support was asked for (``O(Σ_R |box_R|)`` per query) and the
     sparse stacks of the one-relation groups, built on the first carried
-    update.  :meth:`~WorkloadEvaluator.estimated_memory` sums exactly those
-    arrays; none of them is ``|D|``-sized per query.
+    update.  A box factor is a view of the workload's weights where the box
+    slices them and a copy where it gathers;
+    :meth:`~WorkloadEvaluator.estimated_memory` sums the stacks, those
+    copies and the sparse stacks, none of them ``|D|``-sized per query.
 
 Iterated evaluation goes through a :class:`HistogramSession`, an operation
 protocol (``answers``, ``scale_support``, ``scale``, ``fill``, ``total``,
@@ -389,8 +391,7 @@ class HistogramSession:
     backing storage (a static-analysis rule, DPA103, keeps it private to
     the queries package).  The session owns its cells outright — the seed
     histogram is copied — and allocates its accumulator on the first
-    :meth:`accumulate` and its flush weights on the first box update after
-    that.
+    :meth:`accumulate`.
 
     The histogram is a scalar ``c`` times the cell array ``g``, with a
     running ``Σg``, so that a round costs the selected support ``S`` and
@@ -399,12 +400,7 @@ class HistogramSession:
     ``W``, and each cell's share, ``g(x)·(W − W_last(x))``, is added to the
     accumulator only when the cell is flushed — the cells of ``S`` before
     their update, every cell before a whole-domain update, a ``fill``, a
-    rebase and in ``averaged_slices``.  Only box updates need the per-cell
-    ``W_last`` (the flush weights): while none has happened since the last
-    whole flush, every cell's share is ``W·g``, which that flush adds
-    directly, so a run of whole-domain updates (±1 queries, the counting
-    query) never allocates, reads or fills the flush weights.  The ops and
-    their cost:
+    rebase and in ``averaged_slices``.  The ops and their cost:
 
     ``answers()``
         The workload answers against the current contents: always a full
@@ -457,7 +453,6 @@ class HistogramSession:
         self._cells_total = float(cells.sum())
         self._weight = 0.0
         self._flushed: np.ndarray | None = None  # W at each cell's last flush
-        self._boxed = False  # a box update since the last whole flush
         self._accumulator: np.ndarray | None = None
         #: Rebases so far (see the class docstring).
         self.rebases = 0
@@ -480,13 +475,10 @@ class HistogramSession:
             return None
         old = np.ascontiguousarray(cells[box])  # one strided read, not three
         if self._accumulator is not None:
-            if self._flushed is None:
-                self._flushed = np.zeros_like(cells)
             share = np.subtract(self._weight, self._flushed[box])
             share *= old
             self._accumulator[box] += share
             self._flushed[box] = self._weight
-            self._boxed = True
         new = old * factors
         delta = new - old
         cells[box] = new
@@ -516,6 +508,7 @@ class HistogramSession:
         """Add the current contents to the session's running average."""
         if self._accumulator is None:
             self._accumulator = np.zeros_like(self._cells)
+            self._flushed = np.zeros_like(self._cells)
         self._weight += self._scale
         if self._weight > _REBASE_WEIGHT * self._scale:
             self._rebase()
@@ -538,21 +531,16 @@ class HistogramSession:
     def _flush_all(self) -> None:
         """Add every cell's pending share to the accumulator and restart ``W``.
 
-        With no box update since the last whole flush every share is
-        ``W·g``.  Otherwise, in place: the flushed-weight array holds
-        ``W − W_last``, then the shares, before it is zeroed.
+        In place: the flushed-weight array holds ``W − W_last``, then the
+        shares, before it is zeroed.
         """
         if self._accumulator is None:
             return
-        if self._boxed:
-            pending = self._flushed
-            np.subtract(self._weight, pending, out=pending)
-            pending *= self._cells
-            self._accumulator += pending
-            pending.fill(0.0)
-            self._boxed = False
-        else:
-            self._accumulator += self._cells * self._weight
+        pending = self._flushed
+        np.subtract(self._weight, pending, out=pending)
+        pending *= self._cells
+        self._accumulator += pending
+        pending.fill(0.0)
         self._weight = 0.0
 
     def _rebase(self) -> None:
@@ -616,11 +604,13 @@ class WorkloadEvaluator:
         return self._context.total_support_size()
 
     def estimated_memory(self) -> int:
-        """Resident bytes: the stacks, the box factors and the sparse stacks."""
+        """Resident bytes: the stacks, the box factors' copies and the sparse stacks.
+
+        A box factor that is a view of the workload's weights adds nothing.
+        """
         arrays = [stack for group in self._groups() for stack in group.stacks]
-        arrays += self._context.box_factors()
         arrays += [array for sparse in self._sparse.values() for array in sparse]
-        return sum(array.nbytes for array in arrays)
+        return sum(array.nbytes for array in arrays) + self._context.box_bytes()
 
     # ------------------------------------------------------------------ #
     # query supports and carried answers

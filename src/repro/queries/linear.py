@@ -13,7 +13,6 @@ the broadcast product of the weight arrays over the joint domain.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -23,22 +22,6 @@ from repro.relational.hypergraph import JoinQuery
 from repro.relational.instance import Instance
 from repro.relational.join import _letters_for, expand_to_joint
 from repro.relational.schema import RelationSchema
-
-
-#: One all-ones array per relation shape, alive while some query holds it.
-#: Read-only, so every all-one query of that shape can share it.
-_ALL_ONES: "weakref.WeakValueDictionary[tuple[int, ...], np.ndarray]" = (
-    weakref.WeakValueDictionary()
-)
-
-
-def _all_ones(shape: tuple[int, ...]) -> np.ndarray:
-    ones = _ALL_ONES.get(shape)
-    if ones is None:
-        ones = np.ones(shape, dtype=float)
-        ones.flags.writeable = False
-        _ALL_ONES[shape] = ones
-    return ones
 
 
 @dataclass(frozen=True)
@@ -72,10 +55,10 @@ class TableQuery:
     def all_one(cls, schema: RelationSchema) -> "TableQuery":
         """The all-+1 weight function (the counting query component).
 
-        Its weights are one read-only array shared by every all-one query
-        over a relation of the same shape.
+        Its weights are a read-only broadcast of a single 1.0, so an
+        all-one relation holds one element however large its domain.
         """
-        return cls(schema.name, _all_ones(schema.shape))
+        return cls(schema.name, np.broadcast_to(1.0, schema.shape))
 
     @classmethod
     def indicator(

@@ -468,8 +468,8 @@ def test_in_place_factors_never_reach_the_evaluator(monkeypatch):
     bitwise the dense values taken before the releases, on its box, and
     every stack is bitwise what it was.  The releases update one-relation
     marginals (values copied from one factor), ±1 queries over both
-    relations (an einsum) and the boxed queries, ``np.ix_`` boxes among
-    them.
+    relations (two factors multiplied out) and the boxed queries,
+    ``np.ix_`` boxes among them.
     """
     query = two_table_query(12, 5, 6)
     rng = np.random.default_rng(8)

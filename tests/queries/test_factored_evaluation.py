@@ -379,14 +379,12 @@ def test_memory_counts_stacks_box_factors_and_sparse_stacks_once(monkeypatch):
     stacks = _stacks(evaluator)
     assert evaluator.estimated_memory() == sum(stack.nbytes for stack in stacks)
     session = evaluator.histogram_session(np.ones(query.joint_domain_size))
-    probe = WorkloadEvaluator(workload)  # finds the partial boxes without building ours
-    partial = [
-        index
-        for index in range(len(workload))
-        if 0 < probe.query_support(index)[1].size < query.joint_domain_size
-    ]
-    signs = len(workload) - 1  # a ±1 query: an einsum over two factors
-    selected = (1, 2, partial[-1], signs)  # two marginals, a predicate and a ±1 query
+    probe = WorkloadEvaluator(workload)  # finds a gathering box without building ours
+    gathered = next(
+        index for index in range(len(workload)) if not _is_sliced(probe.query_support(index)[0])
+    )
+    signs = len(workload) - 1  # a ±1 query: two factors over the whole domain
+    selected = (1, 2, gathered, signs)  # two marginals, a predicate and a ±1 query
     for index in selected + selected:  # a second update reuses what the first built
         box, values = evaluator.query_support(index)
         change = session.scale_support(box, np.exp(values * 0.1))
@@ -395,10 +393,15 @@ def test_memory_counts_stacks_box_factors_and_sparse_stacks_once(monkeypatch):
     assert sparse  # the marginals' one-relation group holds its stack sparsely
     boxes = evaluator._context._boxes
     assert sorted(boxes) == sorted(selected)
-    assert boxes[signs].subscripts is not None and len(boxes[signs].factors) == 2
     factors = [factor for index in selected for factor in boxes[index].factors]
+    weights = [table.weights for product in workload for table in product.table_queries]
+    copies = [
+        factor for factor in factors if not any(np.shares_memory(factor, w) for w in weights)
+    ]
+    # Only the gathering box copies its two factors; the others view the weights.
+    assert len(factors) == 6 and len(copies) == 2
     assert evaluator.estimated_memory() == sum(
-        array.nbytes for array in stacks + factors + sparse
+        array.nbytes for array in stacks + copies + sparse
     )
     # No box-sized values are kept: every call builds a fresh array.
     for index in selected:

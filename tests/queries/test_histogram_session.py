@@ -116,71 +116,6 @@ def test_weight_rule_rebases_before_the_running_weight_swamps_the_scale():
     _assert_relative(averaged, expected, 1e-12, "average")
 
 
-def test_flush_weights_wait_for_the_first_box_update():
-    # Whole-domain rounds only (±1 queries, the counting query): every
-    # share is W·g, so the session holds no flush weights, and the average
-    # of those rounds is bitwise an eager accumulation of c·g.  Then
-    # marginal rounds (box updates) allocate the flush weights, and a
-    # whole-domain update, a fill and a forced rebase follow; totals and
-    # the average stay within 1e-9 of the eager histogram throughout.
-    query = two_table_query(12, 5, 6)
-    marginals = _marginals(query, include_counting=True)
-    workload = marginals.extended(
-        Workload.random_sign(query, 3, seed=2, include_counting=False).queries
-    )
-    evaluator = WorkloadEvaluator(workload)
-    whole = [0] + list(range(len(marginals), len(workload)))
-    assert all(evaluator.query_support(index)[1].size == query.joint_domain_size for index in whole)
-    total, domain_size = 700.0, query.joint_domain_size
-    session = evaluator.histogram_session(np.full(domain_size, total / domain_size))
-    eager = np.full(query.shape, total / domain_size)
-    eager_sum = np.zeros(query.shape)
-    scale, cells, scaled_sum = 1.0, eager.copy(), np.zeros(query.shape)  # c, g and Σ c·g
-    rng = np.random.default_rng(7)
-    rounds = 0
-
-    def round_(selected):
-        nonlocal eager, eager_sum, rounds
-        box, values = evaluator.query_support(selected)
-        factors = np.exp(np.clip(values * rng.normal(scale=0.1), -1.0, 1.0))
-        session.scale_support(box, factors)
-        eager[box] *= factors
-        factor = total / session.total()
-        session.scale(factor)
-        eager *= total / eager.sum()
-        session.accumulate()
-        eager_sum += eager
-        rounds += 1
-        _assert_relative(session.total(), eager.sum(), 1e-9, rounds)
-        return factors, factor
-
-    prefix = 40
-    for _ in range(prefix):
-        factors, factor = round_(int(rng.choice(whole)))
-        cells *= factors.reshape(query.shape)
-        scale *= factor
-        scaled_sum += cells * scale
-        assert vars(session)["_flushed"] is None
-    ((_start, _stop, averaged),) = session.averaged_slices(prefix)
-    assert averaged.tobytes() == (scaled_sum / prefix).reshape(-1).tobytes()
-    assert vars(session)["_flushed"] is None and session.rebases == 0
-
-    for _ in range(20):
-        round_(int(rng.integers(1, len(marginals))))
-        assert isinstance(vars(session)["_flushed"], np.ndarray)
-    round_(whole[-1])
-    session.fill(total / domain_size)
-    eager.fill(total / domain_size)
-    session.scale(2.0**9)  # past 2^8: a rebase
-    eager *= 2.0**9
-    assert session.rebases == 1
-    _assert_relative(session.total(), eager.sum(), 1e-9, "rebase")
-    for _ in range(10):
-        round_(int(rng.integers(len(workload))))
-    averaged = assemble_flat_histogram(domain_size, session.averaged_slices(rounds))
-    _assert_relative(averaged, (eager_sum / rounds).reshape(-1), 1e-9, "average")
-
-
 class _Counted(np.ndarray):
     """A view of session storage that counts the cells each operation reads or writes."""
 
@@ -247,7 +182,6 @@ def test_support_rounds_touch_only_the_support(monkeypatch):
         return answers if answers is not None else session.answers(), values.size
 
     answers, _size = round_(session.answers())  # allocates the accumulator
-    answers, _size = round_(answers)  # a box update after it: the flushed weights
     storage = _storage(session, domain_size)
     assert len(storage) == 3  # the cells, the accumulator, the flushed weights
     for name, value in storage.items():

@@ -60,12 +60,11 @@ class TestProductQuery:
         partial = ProductQuery(query, (TableQuery.indicator(schema, {"B": [0]}),))
         # Restricting R1 to B=0: R1 has 2 such records, R2 has 2 records with B=0.
         assert partial.evaluate(instance) == 4
-        # Every all-one R2 of this shape shares one read-only array.
-        shared = partial.table_query("R2").weights
-        assert counting_query(query).table_query("R2").weights is shared
-        assert TableQuery.all_one(query.relation("R2")).weights is shared
+        # R2 was not given: its weights are all one and read-only.
+        ones = partial.table_query("R2").weights
+        assert partial.table_query("R2").is_all_one()
         with pytest.raises(ValueError):
-            shared[0, 0] = 0.0
+            ones[0, 0] = 0.0
 
     def test_unknown_relation_rejected(self, query):
         fake = TableQuery("R9", np.ones((3, 3)))

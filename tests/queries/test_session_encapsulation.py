@@ -22,8 +22,7 @@ def test_rule_lists_every_storage_attribute_of_a_session():
     query = two_table_query(3, 2, 2)
     evaluator = WorkloadEvaluator(Workload.attribute_marginals(query, "A"))
     session = evaluator.histogram_session(np.ones(query.joint_domain_size))
-    session.accumulate()  # allocates the accumulator
-    session.scale_support(*evaluator.query_support(1))  # a box update: the flushed weights
+    session.accumulate()  # allocates the accumulator and the flushed weights
     arrays = {name for name, value in vars(session).items() if isinstance(value, np.ndarray)}
     assert len(arrays) == 3
     assert arrays <= SESSION_STORAGE_ATTRS
