@@ -34,9 +34,7 @@ _NOISE_METHODS = {
 #: The storage attribute names of ``HistogramSession`` (``h = c·g`` is
 #: ``_scale`` times ``_cells``), plus the generic array names.  A test
 #: checks that every storage attribute of an open session is listed here.
-SESSION_STORAGE_ATTRS = frozenset(
-    {"array", "_array", "_cells", "_scale", "_accumulator", "_flushed"}
-)
+SESSION_STORAGE_ATTRS = frozenset({"array", "_array", "_cells", "_scale", "_accumulator"})
 
 _BROAD = {"Exception", "BaseException"}
 

@@ -26,6 +26,7 @@ from repro.core.two_table import two_table_release
 from repro.core.uniformize import uniformize_release
 from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
+from repro.queries.evaluation import _BLOCK_CELLS
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 
@@ -64,14 +65,22 @@ def _memory_limit() -> int | None:
     return min(limits, default=None)
 
 
-def _require_memory(domain_size: int) -> None:
-    """Raise :class:`ReleaseMemoryError` when a release over ``domain_size`` cells cannot fit.
+def _release_bytes(domain_size: int, method: str) -> int:
+    """The bytes of ``|D|``-length float64 arrays a release with ``method`` holds at most.
 
-    Every release runs PMW, which holds four ``|D|``-length float64 arrays
-    at once: the session's cells, its accumulator and per-cell flush
-    weights, and the averaged histogram it returns.
+    Every release runs PMW, whose session holds two (its cells, in which it
+    also returns the average, and their accumulator); a round adds its
+    update factors, at most one more, and a full evaluation its query
+    blocks' temporaries, at most ``_BLOCK_CELLS`` more.  Algorithm 4 adds
+    the union of its buckets' histograms.
     """
-    needed = 4 * 8 * domain_size
+    arrays = 2 + 1 + _BLOCK_CELLS + (1 if method.startswith("uniformize") else 0)
+    return arrays * 8 * domain_size
+
+
+def _require_memory(domain_size: int, method: str) -> None:
+    """Raise :class:`ReleaseMemoryError` when a release over ``domain_size`` cells cannot fit."""
+    needed = _release_bytes(domain_size, method)
     limit = _memory_limit()
     if limit is not None and needed > limit:
         raise ReleaseMemoryError(
@@ -146,7 +155,7 @@ def release_synthetic_data(
         raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
     generator = resolve_rng(rng, seed)
     query = instance.query
-    _require_memory(query.joint_domain_size)
+    _require_memory(query.joint_domain_size, method)
 
     if method == "auto":
         if query.num_relations == 1:

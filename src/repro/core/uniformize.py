@@ -104,6 +104,7 @@ def uniformize_release(
                     "sub_instance_size": bucket.sub_instance.total_size(),
                 }
             )
+            del result  # its histogram is in the union; free it before the next bucket
         # Lemma 4.1: partition (ε/2, δ/2) + parallel releases (ε/2, δ/2).
         privacy = PrivacySpec(epsilon, delta)
         diagnostics = {
@@ -135,6 +136,7 @@ def uniformize_release(
                     "sub_instance_size": bucket.sub_instance.total_size(),
                 }
             )
+            del result  # its histogram is in the union; free it before the next bucket
         # Lemma 4.11: the partition noise is charged once per attribute a tuple
         # appears under (at most max_i |x_i| times) and the per-bucket releases
         # compose through group privacy over the measured multiplicity.

@@ -31,16 +31,18 @@ The plan and query blocks
     The plan runs over blocks of the group's queries, sized so that a
     block's temporaries — its largest intermediate twice, plus the
     transposed marginal where the transpose must copy — stay within
-    ``_BLOCK_CELLS``·|D| float64 cells.
+    ``_BLOCK_CELLS``·|D| float64 cells; on a carried answer change, which
+    also holds the box's change and the zero-padded marginal, within two
+    ``|D|`` fewer.
 Instances
-    :meth:`~WorkloadEvaluator.answers_on_instance` contracts the same
-    stacks, times their relations' frequencies, with the other relations'
-    frequencies, as one einsum whose path numpy's greedy search finds once
-    with no size cap (under numpy's default cap, the largest operand, the
-    search gives up and sweeps every index combination at once).  Integer
-    frequencies times 0/±1 weights sum exactly, so those answers are
-    bitwise the per-query reference,
-    :meth:`~repro.queries.linear.ProductQuery.evaluate`.
+    :meth:`~WorkloadEvaluator.answers_on_instance` sums the instance's
+    join onto each group's axes, one einsum over the relation frequencies
+    whose path numpy's greedy search finds once per group with no size cap
+    (under numpy's default cap, the largest operand, the search gives up
+    and sweeps every index combination at once), and runs the group's
+    plan on that marginal as on a histogram's.  Integer frequencies times
+    0/±1 weights sum exactly, so those answers are bitwise the per-query
+    reference, :meth:`~repro.queries.linear.ProductQuery.evaluate`.
 Supports
     :meth:`~WorkloadEvaluator.query_support` hands the PMW update one
     query's non-zero box — an index into the joint-shaped histogram, a
@@ -106,6 +108,10 @@ _REBASE_SCALE = 2.0**8
 #: ...or once its running weight passes this many times its scale.
 _REBASE_WEIGHT = 2.0**20
 
+#: A session folds its running weight into its accumulator this many cells
+#: at a time.
+_FOLD_CELLS = 2**14
+
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -157,7 +163,8 @@ class _Plan:
     ``order`` and viewed as ``matrices`` (``|S| × |P| × |O|``), is its right
     operand.  Each of ``steps`` is ``(subscripts, stack, query axis)``: the
     running intermediate times a stack stored in the intermediate's axis
-    order.  Queries run in blocks of ``block``.
+    order.  Queries run in blocks of ``block``, or of ``carried_block`` for
+    a carried answer change.
     """
 
     order: tuple[int, ...]
@@ -166,13 +173,17 @@ class _Plan:
     unflatten: tuple[tuple[int, ...], tuple[int, ...]]
     steps: tuple[tuple[str, np.ndarray, int], ...]
     block: int
+    carried_block: int
 
-    def run(self, answers: np.ndarray, rows: np.ndarray, marginal: np.ndarray) -> None:
+    def run(
+        self, answers: np.ndarray, rows: np.ndarray, marginal: np.ndarray, *, carried: bool = False
+    ) -> None:
         """``answers[rows]`` against ``marginal``, the histogram summed to the group's axes."""
         transposed = marginal.transpose(self.order).reshape(self.matrices)
         shared, others = self.unflatten
-        for lo in range(0, rows.size, self.block):
-            queries = slice(lo, lo + self.block)
+        block = self.carried_block if carried else self.block
+        for lo in range(0, rows.size, block):
+            queries = slice(lo, lo + block)
             running = np.matmul(self.first[:, queries], transposed)
             running = running.reshape(shared + running.shape[1:2] + others)
             for subscripts, stack, axis in self.steps:
@@ -257,76 +268,25 @@ def _plan(
         ),
         steps=tuple(steps),
         block=max(1, budget // (2 * cells)),
+        carried_block=max(1, (budget - 2 * domain_size) // (2 * cells)),
     )
     return plan, stacks
 
 
 @dataclass(frozen=True)
-class _Contraction:
-    """One einsum: its subscripts, a path found once, and its query-block length."""
-
-    subscripts: str
-    path: list
-    block: int
-
-    @classmethod
-    def plan(
-        cls, terms: list[str], output: str, shapes: list[tuple[int, ...]], domain_size: int
-    ) -> "_Contraction":
-        subscripts = ",".join(terms) + "->" + output
-        # The path needs only the shapes; no size cap (see the module docstring).
-        placeholders = [np.broadcast_to(np.empty(()), shape) for shape in shapes]
-        path = np.einsum_path(subscripts, *placeholders, optimize=("greedy", 1 << 62))[0]
-        extents = {
-            label: extent
-            for term, shape in zip(terms, shapes)
-            for label, extent in zip(term, shape)
-        }
-
-        def per_query(labels) -> int:
-            return prod(extents[label] for label in labels if label not in output)
-
-        cells = sum(per_query(term) for term in terms if output and output in term)
-        live = [set(term) for term in terms]
-        for positions in path[1:]:
-            merged = set().union(*(live.pop(position) for position in sorted(positions)[::-1]))
-            kept = merged & set(output).union(*live)
-            live.append(kept)
-            cells += 2 * per_query(kept)
-        return cls(subscripts, path, max(1, _BLOCK_CELLS * domain_size // max(1, cells)))
-
-    def run(
-        self,
-        answers: np.ndarray,
-        rows: np.ndarray,
-        stacks: tuple[np.ndarray, ...],
-        others: tuple[np.ndarray, ...],
-        factors: tuple[np.ndarray, ...],
-    ) -> None:
-        """``answers[rows] = einsum(*stacks, *others)``, one query block at a time.
-
-        Each stack's block is multiplied by its entry of ``factors`` (the
-        relation frequencies of an instance).
-        """
-        for lo in range(0, rows.size, self.block):
-            block = [
-                stack[lo : lo + self.block] * factor for stack, factor in zip(stacks, factors)
-            ]
-            answers[rows[lo : lo + self.block]] = np.einsum(
-                self.subscripts, *block, *others, optimize=self.path
-            )
-
-
-@dataclass(frozen=True)
 class _Group:
-    """The queries whose non-all-one weights sit on one set of relations."""
+    """The queries whose non-all-one weights sit on one set of relations.
+
+    ``join_marginal`` is the einsum, subscripts and path, that sums an
+    instance's join onto the group's axes from the relation frequencies.
+    """
 
     rows: np.ndarray
     relations: tuple[int, ...]
     stacks: tuple[np.ndarray, ...]
     summed: tuple[int, ...]
     on_histogram: _Plan | None
-    on_instance: _Contraction
+    join_marginal: tuple[str, list]
 
 
 def _stack(workload: Workload) -> tuple[_Group, ...]:
@@ -347,7 +307,8 @@ def _stack(workload: Workload) -> tuple[_Group, ...]:
             if not table_query.is_all_one()
         )
         members.setdefault(key, []).append(index)
-    domain_size = join.joint_domain_size
+    # The path needs only the shapes; no size cap (see the module docstring).
+    placeholders = [np.broadcast_to(np.empty(()), schema.shape) for schema in join.relations]
     groups = []
     for relations, rows in members.items():
         on_histogram = None
@@ -362,22 +323,15 @@ def _stack(workload: Workload) -> tuple[_Group, ...]:
                 join.shape,
                 "".join(letters[name] for name in names) + label,
                 weights,
-                domain_size,
+                join.joint_domain_size,
             )
             stacks = tuple(views[position] for position in relations)
         kept = {axis for position in relations for axis in axes[position]}
         summed = tuple(axis for axis in range(len(names)) if axis not in kept)
-        others = [position for position in range(len(terms)) if position not in relations]
-        on_instance = _Contraction.plan(
-            [label + terms[position] for position in relations]
-            + [terms[position] for position in others],
-            label if relations else "",
-            [stack.shape for stack in stacks]
-            + [join.relations[position].shape for position in others],
-            domain_size,
-        )
+        subscripts = ",".join(terms) + "->" + "".join(letters[names[axis]] for axis in sorted(kept))
+        path = np.einsum_path(subscripts, *placeholders, optimize=("greedy", 1 << 62))[0]
         groups.append(
-            _Group(np.array(rows), relations, stacks, summed, on_histogram, on_instance)
+            _Group(np.array(rows), relations, stacks, summed, on_histogram, (subscripts, path))
         )
     return tuple(groups)
 
@@ -395,12 +349,15 @@ class HistogramSession:
 
     The histogram is a scalar ``c`` times the cell array ``g``, with a
     running ``Σg``, so that a round costs the selected support ``S`` and
-    not all of ``|D|``.  The average of the iterates is kept the way sparse
-    averaged SGD keeps it: ``accumulate`` adds ``c`` to a running weight
-    ``W``, and each cell's share, ``g(x)·(W − W_last(x))``, is added to the
-    accumulator only when the cell is flushed — the cells of ``S`` before
-    their update, every cell before a whole-domain update, a ``fill``, a
-    rebase and in ``averaged_slices``.  The ops and their cost:
+    not all of ``|D|``.  The sum of the iterates, ``Σ_t c_t·g_t``, is kept
+    the way sparse averaged SGD keeps it, as an offset from the live
+    cells: ``accumulate`` adds ``c`` to a running weight ``W``, and the
+    accumulator holds ``A′ = Σ_t c_t·g_t − W·g``, so that the sum is
+    ``A′ + W·g``.  Accumulating leaves ``A′`` as it is; a box update that
+    moves ``g`` by ``Δ`` subtracts ``W·Δ`` from ``A′`` on the box.  A
+    *fold* adds ``W·g`` into ``A′`` and restarts ``W`` at zero, in
+    chunks of ``_FOLD_CELLS`` cells with no ``|D|``-length temporary.  The
+    ops and their cost:
 
     ``answers()``
         The workload answers against the current contents: always a full
@@ -408,11 +365,11 @@ class HistogramSession:
     ``scale_support(box, factors)``
         Multiply the cells of ``box`` (a query's support box, see
         :meth:`WorkloadEvaluator.query_support`) by the box-shaped
-        ``factors``, the PMW support delta: O(|S|) through views of the
-        joint-shaped cells, accumulator and flush weights, and ``Σg`` moves
-        by the delta's sum.  A whole-domain box (the counting query,
-        full-domain ±1 queries) instead flushes every cell, rescales ``g``
-        in place and recomputes ``Σg`` exactly, with no ``|D|``-length
+        ``factors``, the PMW support delta: O(|S|), one strided read and
+        one strided write of ``g`` and one strided update of ``A′``, and
+        ``Σg`` moves by the delta's sum.  A whole-domain box (the counting
+        query, full-domain ±1 queries) instead folds, rescales ``g`` in
+        place and recomputes ``Σg`` exactly, with no ``|D|``-length
         temporary.
         Returns the change in every answer when the evaluator carries
         answers (``|Q|·|D|`` over ``_MATRIX_CELL_BUDGET``) and the box is
@@ -421,39 +378,38 @@ class HistogramSession:
     ``scale(factor)`` / ``total()``
         Uniform rescale (``c`` moves) and total mass (``c·Σg``): O(1).
     ``fill(value)``
-        Reset every cell to ``value``: O(|D|).
+        Fold, then reset every cell to ``value``: O(|D|).
     ``accumulate()``
         Add the current contents to the running average: O(1).
     ``averaged_slices(divisor)``
-        Yield ``(start, stop, cells)`` of the accumulated sum divided by
-        ``divisor``: one whole-domain slice, after a final flush.
+        Yield ``(start, stop, cells)`` of ``(A′ + W·g)/divisor``: one
+        whole-domain slice, formed in place in the cells, which ends the
+        session.
     ``close()``
         Release per-session resources.
 
     **Rebase.**  When ``|log2 c| > 8`` or ``W > 2^20·c``, the session
-    flushes every cell, folds ``c`` into ``g``, recomputes ``Σg`` and
-    restarts ``W``: O(|D|), counted in :attr:`rebases`.  (Every flush of
-    the whole domain restarts ``W``.)  The rules bound the two roundings
-    the lazy form adds: the running ``Σg`` drifts only by updates made at a
-    scale within ``2^8`` of the current one, and a flushed share
-    ``W − W_last`` loses at most ``2^20`` ulps of ``c`` per round.  Over
-    3000 rounds mixing marginals, ±1 queries, counting-query rounds that
-    move ``c`` past ``2^±8`` both ways, a reset and a stretch that moves
-    ``c`` by ``2^±100`` through one marginal, every total and answer stays
+    folds, multiplies ``g`` by ``c``, recomputes ``Σg`` and sets ``c`` to
+    one: O(|D|), counted in :attr:`rebases`.  The rules bound the two
+    roundings the lazy form adds: the running ``Σg`` drifts only by
+    updates made at a scale within ``2^8`` of the current one, and ``W·Δ``
+    cancels against at most ``2^20`` rounds' worth of ``c``.  Over 3000
+    rounds mixing marginals, ±1 queries, counting-query rounds that move
+    ``c`` past ``2^±8`` both ways, a reset and a stretch that moves ``c``
+    by ``2^±100`` through one marginal, every total and answer stays
     within 8.4e-14 relative of an eager float64 histogram and the average
-    within 1.5e-15 (the tests allow 1e-9); rebasing only near overflow
+    within 1.4e-15 (the tests allow 1e-9); rebasing only near overflow
     (``|log2 c| > 64``), the same run ends 8.5 % off.  The benchmark
     workloads rebase 0, 0 and 1 times per release.
     """
 
     def __init__(self, evaluator: "WorkloadEvaluator", cells: np.ndarray):
         self._evaluator = evaluator
-        self._cells = cells  # joint-shaped, as are the accumulator and flush weights
+        self._cells = cells  # joint-shaped, as is the accumulator
         self._scale = 1.0
         self._cells_total = float(cells.sum())
         self._weight = 0.0
-        self._flushed: np.ndarray | None = None  # W at each cell's last flush
-        self._accumulator: np.ndarray | None = None
+        self._accumulator: np.ndarray | None = None  # A′ = Σ_t c_t·g_t − W·g
         #: Rebases so far (see the class docstring).
         self.rebases = 0
 
@@ -469,20 +425,20 @@ class HistogramSession:
         """
         cells = self._cells
         if factors.size == cells.size:  # the whole domain
-            self._flush_all()
+            self._fold()
             cells *= factors
             self._cells_total = float(cells.sum())
             return None
-        old = np.ascontiguousarray(cells[box])  # one strided read, not three
-        if self._accumulator is not None:
-            share = np.subtract(self._weight, self._flushed[box])
-            share *= old
-            self._accumulator[box] += share
-            self._flushed[box] = self._weight
-        new = old * factors
-        delta = new - old
+        delta = cells[box]  # the old cells, gathered where the box is an np.ix_ index
+        if isinstance(box[0], slice):
+            delta = delta.copy()  # one strided read
+        new = delta * factors
         cells[box] = new
+        np.subtract(new, delta, out=delta)
         self._cells_total += float(delta.sum())
+        if self._weight:
+            self._accumulator[box] -= np.multiply(delta, self._weight, out=new)
+        del new  # not held through the answer change
         if not self._evaluator._carries():
             return None
         return self._evaluator._answer_change(box, delta) * self._scale
@@ -495,7 +451,7 @@ class HistogramSession:
 
     def fill(self, value: float) -> None:
         """Reset every cell to ``value``."""
-        self._flush_all()
+        self._fold()
         self._cells.fill(value)
         self._scale = 1.0
         self._cells_total = float(self._cells.sum())
@@ -508,7 +464,6 @@ class HistogramSession:
         """Add the current contents to the session's running average."""
         if self._accumulator is None:
             self._accumulator = np.zeros_like(self._cells)
-            self._flushed = np.zeros_like(self._cells)
         self._weight += self._scale
         if self._weight > _REBASE_WEIGHT * self._scale:
             self._rebase()
@@ -516,36 +471,37 @@ class HistogramSession:
     def averaged_slices(self, divisor: float) -> Iterator[tuple[int, int, np.ndarray]]:
         """Yield ``(start, stop, cells)`` of the accumulated sum divided by ``divisor``.
 
-        One slice covering the whole domain; zeros before any
-        :meth:`accumulate`.
+        One slice covering the whole domain, zeros before any
+        :meth:`accumulate`.  It is formed in place in the session's cells,
+        so the session holds no histogram afterwards.
         """
-        if self._accumulator is None:
-            yield 0, self._cells.size, np.zeros(self._cells.size, dtype=np.float64)
+        cells, accumulator = self._cells, self._accumulator
+        self._cells = self._accumulator = None
+        if accumulator is None:
+            cells.fill(0.0)
         else:
-            self._flush_all()
-            yield 0, self._accumulator.size, (self._accumulator / float(divisor)).reshape(-1)
+            cells *= self._weight
+            cells += accumulator
+            cells /= float(divisor)
+        yield 0, cells.size, cells.reshape(-1)
 
     def close(self) -> None:
         """Release per-session resources (nothing is held beyond the arrays)."""
 
-    def _flush_all(self) -> None:
-        """Add every cell's pending share to the accumulator and restart ``W``.
-
-        In place: the flushed-weight array holds ``W − W_last``, then the
-        shares, before it is zeroed.
-        """
-        if self._accumulator is None:
-            return
-        pending = self._flushed
-        np.subtract(self._weight, pending, out=pending)
-        pending *= self._cells
-        self._accumulator += pending
-        pending.fill(0.0)
+    def _fold(self) -> None:
+        """Add ``W·g`` into ``A′`` and restart ``W``, a chunk of cells at a time."""
+        if self._weight:
+            cells, accumulator = self._cells.reshape(-1), self._accumulator.reshape(-1)
+            chunk = np.empty(min(cells.size, _FOLD_CELLS))
+            for start in range(0, cells.size, chunk.size):
+                part = chunk[: cells.size - start]
+                np.multiply(cells[start : start + part.size], self._weight, out=part)
+                accumulator[start : start + part.size] += part
         self._weight = 0.0
 
     def _rebase(self) -> None:
-        """Fold ``c`` into ``g``: flush, rescale, and recompute ``Σg`` exactly."""
-        self._flush_all()
+        """Fold ``c`` into ``g``: fold ``A′``, rescale, and recompute ``Σg`` exactly."""
+        self._fold()
         self._cells *= self._scale
         self._scale = 1.0
         self._cells_total = float(self._cells.sum())
@@ -649,15 +605,28 @@ class WorkloadEvaluator:
                 continue
             kept = [axis for axis in range(len(self._shape)) if axis not in group.summed]
             marginal = np.zeros(tuple(self._shape[axis] for axis in kept))
-            marginal[box_index([parts[axis] for axis in kept])] = delta.sum(axis=group.summed)
+            marginal[box_index([parts[axis] for axis in kept])] = (
+                delta.sum(axis=group.summed) if group.summed else delta
+            )
             if len(group.relations) > 1:
-                group.on_histogram.run(change, group.rows, marginal)
+                group.on_histogram.run(change, group.rows, marginal, carried=True)
                 continue
             columns, values, starts, rows = self._sparse_stack(position, group)
-            if starts.size:
-                products = marginal.reshape(-1).take(columns)
-                products *= values
-                change[rows] = np.add.reduceat(products, starts)
+            # Queries in blocks of non-zeros that fit the carried plan's cells
+            # (one query's, at most |dom(R)| <= |D|, always does).
+            bounds = np.append(starts, columns.size)
+            budget = max(1, _BLOCK_CELLS - 2) * self.domain_size
+            products = np.empty(min(columns.size, budget))
+            first = 0
+            while first < starts.size:
+                last = int(np.searchsorted(bounds, bounds[first] + budget, "right")) - 1
+                cut = slice(bounds[first], bounds[last])
+                block = products[: cut.stop - cut.start]
+                # "clip" writes to ``out`` directly; "raise" would buffer it.
+                np.take(marginal.reshape(-1), columns[cut], out=block, mode="clip")
+                block *= values[cut]
+                change[rows[first:last]] = np.add.reduceat(block, starts[first:last] - cut.start)
+                first = last
         return change
 
     def _sparse_stack(self, position: int, group: _Group) -> tuple[np.ndarray, ...]:
@@ -676,6 +645,7 @@ class WorkloadEvaluator:
             order = [0] + [1 + axes.index(axis) for axis in sorted(axes)]
             matrix = group.stacks[0].transpose(order).reshape(group.rows.size, -1)
             queries, columns = np.nonzero(matrix)
+            columns = np.ascontiguousarray(columns)  # not a view holding ``queries`` too
             counts = np.bincount(queries, minlength=group.rows.size)
             filled = counts > 0
             starts = (np.cumsum(counts) - counts)[filled]
@@ -689,33 +659,20 @@ class WorkloadEvaluator:
     def answers_on_instance(self, instance: Instance) -> np.ndarray:
         """Exact answers ``q(I)`` for every workload query.
 
-        Each group's stacks, times their relations' frequencies, contracted
-        with the other relations' frequencies; the join is never
-        materialised.
+        Each group's plan run on the join summed onto the group's axes; the
+        join is never materialised beyond those axes.
         """
         if instance.query is not self._workload.join_query:
             self._workload.require_compatible(instance.query)
-        frequencies = [relation.frequencies for relation in instance.relations]
+        frequencies = [relation.frequencies.astype(np.float64) for relation in instance.relations]
         answers = np.empty(self.num_queries, dtype=np.float64)
         for group in self._groups():
-            others = tuple(
-                frequency
-                for position, frequency in enumerate(frequencies)
-                if position not in group.relations
-            )
-            if not group.relations:
-                contraction = group.on_instance
-                answers[group.rows] = float(
-                    np.einsum(contraction.subscripts, *others, optimize=contraction.path)
-                )
-                continue
-            group.on_instance.run(
-                answers,
-                group.rows,
-                group.stacks,
-                others,
-                tuple(frequencies[position] for position in group.relations),
-            )
+            subscripts, path = group.join_marginal
+            marginal = np.einsum(subscripts, *frequencies, optimize=path)
+            if group.on_histogram is None:
+                answers[group.rows] = marginal
+            else:
+                group.on_histogram.run(answers, group.rows, marginal)
         return answers
 
     def _validated_flat(self, histogram: np.ndarray) -> np.ndarray:

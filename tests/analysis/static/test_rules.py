@@ -113,9 +113,7 @@ def test_dpa102_quiet_inside_mechanisms_and_on_other_methods(scan):
 # --- DPA103 session-encapsulation ------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "attribute", ["array", "_array", "_cells", "_scale", "_accumulator", "_flushed"]
-)
+@pytest.mark.parametrize("attribute", ["array", "_array", "_cells", "_scale", "_accumulator"])
 def test_dpa103_fires_on_each_session_storage_attribute(scan, attribute):
     findings = scan({"core/foo.py": f"def leak(session):\n    return session.{attribute}\n"})
     assert code_lines(findings) == [("DPA103", 2)]

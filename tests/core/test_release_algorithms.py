@@ -11,18 +11,38 @@ from repro.baselines.flawed import flawed_exact_count_release, flawed_padded_rel
 from repro.baselines.independent_laplace import independent_laplace_answers
 from repro.core.multi_table import default_beta, multi_table_release, noisy_residual_sensitivity
 from repro.core.pmw import PMWConfig
+from repro.core import pmw as pmw_module
 from repro.core import release
 from repro.core.release import ReleaseMemoryError, release_synthetic_data
 from repro.core.two_table import noisy_local_sensitivity, two_table_release
+from repro.datagen.tpch import generate_tpch
 from repro.mechanisms.spec import PrivacySpec
+from repro.queries import evaluation
+from repro.queries.linear import ProductQuery, TableQuery
 from repro.queries.workload import Workload
-from repro.relational.hypergraph import chain_query, single_table_query, two_table_query
+from repro.relational.hypergraph import (
+    chain_query,
+    figure4_query,
+    single_table_query,
+    star_query,
+    two_table_query,
+)
 from repro.relational.instance import Instance
 from repro.relational.join import join_size
 from repro.sensitivity.local import local_sensitivity
 from repro.sensitivity.residual import residual_sensitivity
 
 FAST = PMWConfig(max_iterations=5)
+
+#: The release peak test's joins (see its docstring).
+PEAK_JOINS = {
+    "two_table": two_table_query(64, 16, 32),
+    "chain": chain_query([8, 8, 4, 8, 8]),
+    "star": star_query(16, [8, 16, 8]),
+    "figure4": figure4_query(4),
+    "tpch_chain": generate_tpch(1.0, seed=0).nation_customer_orders.query,
+    "single_table": single_table_query({"X": 256, "Y": 128}),
+}
 
 
 class TestTwoTableRelease:
@@ -311,17 +331,107 @@ class TestReleaseMemoryCheck:
         )
         workload = Workload.random_sign(query, 4, seed=0)
         for method in release._METHODS:
+            # 8 bytes times |D| times 7 arrays, and an 8th for Algorithm 4's union.
+            needed = "281,474,976,710,656" if "uniformize" in method else "246,290,604,621,824"
             tracemalloc.start()
             try:
                 with pytest.raises(
-                    ReleaseMemoryError,
-                    match=r"\|D\| = 4,398,046,511,104 .* 140,737,488,355,328 bytes",
+                    ReleaseMemoryError, match=rf"\|D\| = 4,398,046,511,104 .* {needed} bytes"
                 ):
                     release_synthetic_data(instance, workload, 1.0, 1e-5, method=method, seed=0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20, method
+
+    @pytest.mark.parametrize("method", release._METHODS)
+    def test_a_limit_one_byte_under_the_charge_refuses_before_the_first_round(
+        self, method, two_table_instance, monkeypatch
+    ):
+        instance = two_table_instance
+        if method == "single_table":
+            instance = Instance.from_tuple_lists(
+                single_table_query({"X": 3, "Y": 4}), {"T": [(0, 1), (2, 3), (2, 0)]}
+            )
+        query = instance.query
+        workload = Workload.random_sign(query, 4, seed=0)
+        charge = release._release_bytes(query.joint_domain_size, method)
+        rounds = []
+        original = pmw_module.exponential_mechanism
+
+        def counted(*args, **kwargs):
+            rounds.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pmw_module, "exponential_mechanism", counted)
+        monkeypatch.setattr(release, "_memory_limit", lambda: charge - 1)
+        with pytest.raises(ReleaseMemoryError, match=f"{charge:,} bytes"):
+            release_synthetic_data(instance, workload, 1.0, 1e-5, method=method, seed=0)
+        assert rounds == []
+        monkeypatch.setattr(release, "_memory_limit", lambda: charge)
+        release_synthetic_data(
+            instance, workload, 1.0, 1e-5, method=method, seed=0, pmw_config=FAST
+        )
+        assert rounds
+
+    @pytest.mark.parametrize("carried", [False, True], ids=["evaluated", "carried"])
+    @pytest.mark.parametrize("join", PEAK_JOINS)
+    def test_each_release_peaks_within_its_charge(self, join, carried, monkeypatch):
+        """The traced peak of every method's release stays within what the check charges.
+
+        The joins have the structures of the evaluator tests' ``JOINS`` (the
+        17-attribute chain aside: Algorithm 3's residual sensitivity over 16
+        relations takes minutes), plus a one-relation join for the
+        single-table method, at |D| >= 16,384: there ``|D|``-length arrays
+        outweigh what does not grow with |D|, such as numpy's 8,192-element
+        loop buffers and Algorithm 3's residual-sensitivity tables.  The
+        workload mixes ±1 queries, a marginal, predicates on gathered boxes
+        and an all-zero query.
+        """
+        if carried:
+            monkeypatch.setattr(evaluation, "_MATRIX_CELL_BUDGET", 0)
+        query = PEAK_JOINS[join]
+        rng = np.random.default_rng(4)
+        frequencies = {
+            schema.name: rng.integers(0, 4, size=schema.shape) for schema in query.relations
+        }
+        instance = Instance.from_frequencies(query, frequencies)
+        last = query.relations[-1]
+        zero = TableQuery(last.name, np.zeros(last.shape))
+        workload = (
+            Workload.random_sign(query, 6, seed=1)
+            .extended(
+                Workload.attribute_marginals(
+                    query, query.attribute_names[-1], include_counting=False
+                ).queries
+            )
+            .extended(Workload.random_predicates(query, 4, seed=2).queries)
+            .extended([ProductQuery(query, [zero])])
+        )
+        config = PMWConfig(num_iterations=8)
+        ran = []
+        for method in release._METHODS:
+            # An earlier release builds the stacks and box factors, and the
+            # first one of a method imports what it imports lazily.
+            try:
+                release_synthetic_data(
+                    instance, workload, 1.0, 1e-5, method=method, seed=0, pmw_config=config
+                )
+            except ValueError:  # the method does not apply to this join
+                continue
+            tracemalloc.start()
+            try:
+                result = release_synthetic_data(
+                    instance, workload, 1.0, 1e-5, method=method, seed=1, pmw_config=config
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del result
+            charge = release._release_bytes(query.joint_domain_size, method)
+            assert peak <= charge, (method, peak / (8 * query.joint_domain_size))
+            ran.append(method)
+        assert "multi_table" in ran and "auto" in ran, ran
 
     def test_an_address_space_limit_refuses_a_release_that_fits_in_memory(
         self, two_table_instance, monkeypatch

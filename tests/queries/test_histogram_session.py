@@ -9,6 +9,8 @@ and count the cells a round actually reads or writes.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from repro.core.pmw import _update
@@ -42,7 +44,7 @@ def test_lazy_session_tracks_an_eager_histogram_over_3000_rounds():
     # marginal, up 100 times and then down 100 times, with no whole-domain
     # update between: its support soon holds nearly all the mass, so the
     # scale falls and then rises by over 2^100 while only that support is
-    # flushed.  One round forces a reset through ``scale(0.0)``.
+    # updated.  One round forces a reset through ``scale(0.0)``.
     query = two_table_query(12, 5, 6)
     workload = _marginals(query, include_counting=True).extended(
         Workload.random_sign(query, 3, seed=2, include_counting=False).queries
@@ -116,6 +118,34 @@ def test_weight_rule_rebases_before_the_running_weight_swamps_the_scale():
     _assert_relative(averaged, expected, 1e-12, "average")
 
 
+def test_folds_and_the_average_allocate_no_domain_sized_temporary():
+    # |D| = 2^16 cells and a running weight to fold before each op: a fold
+    # adds W·g into the accumulator 2^14 cells at a time, and the average
+    # is formed in the cells, so no op's traced peak reaches |D|/2 cells.
+    query = two_table_query(64, 16, 64)
+    evaluator = WorkloadEvaluator(_marginals(query, include_counting=True))
+    domain_size = query.joint_domain_size
+    session = evaluator.histogram_session(np.full(domain_size, 1.0))
+    box, values = evaluator.query_support(0)  # the counting query: the whole domain
+    factors = np.exp(values * 0.1)
+    ops = {
+        "whole-domain update": lambda: session.scale_support(box, factors),
+        "fill": lambda: session.fill(2.0),
+        "rebase": lambda: session.scale(2.0**9),
+        "average": lambda: assemble_flat_histogram(domain_size, session.averaged_slices(4)),
+    }
+    for name, op in ops.items():
+        session.accumulate()
+        tracemalloc.start()
+        try:
+            op()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * domain_size // 2, (name, peak)
+    assert session.rebases == 1
+
+
 class _Counted(np.ndarray):
     """A view of session storage that counts the cells each operation reads or writes."""
 
@@ -183,7 +213,7 @@ def test_support_rounds_touch_only_the_support(monkeypatch):
 
     answers, _size = round_(session.answers())  # allocates the accumulator
     storage = _storage(session, domain_size)
-    assert len(storage) == 3  # the cells, the accumulator, the flushed weights
+    assert len(storage) == 2  # the cells and the accumulator
     for name, value in storage.items():
         setattr(session, name, value.view(_Counted))
     touched = []
@@ -195,7 +225,9 @@ def test_support_rounds_touch_only_the_support(monkeypatch):
         if session.rebases == rebases:
             touched.append((_Counted.cells, size))
     assert len(touched) >= 295
-    assert all(0 < cells <= 8 * size for cells, size in touched), max(touched)
+    # A gather and a scatter of the cells, and a read and a write of the
+    # accumulator's box.
+    assert all(0 < cells <= 4 * size for cells, size in touched), max(touched)
     _Counted.cells = 0
     assemble_flat_histogram(domain_size, session.averaged_slices(301))
-    assert _Counted.cells >= 3 * domain_size  # the final flush reads every cell
+    assert _Counted.cells >= 3 * domain_size  # the final average reads every cell
