@@ -55,10 +55,10 @@ def rng_discipline(path: str, nodes: list[ast.AST]) -> Iterator[tuple[int, str]]
     """DPA101: randomness enters only through ``mechanisms/rng.py``.
 
     Every run replays bitwise from its seed because each generator descends
-    from one seeded root via ``resolve_rng``/``spawn_rngs``; a stray stream
-    breaks that.  Flags calls through ``numpy.random`` under any alias,
-    generator constructors imported from it (and their calls), and the
-    stdlib ``random`` module.  The experiments' seeded entry points are exempt.
+    from one seeded root via ``resolve_rng``; a stray stream breaks that.
+    Flags calls through ``numpy.random`` under any alias, generator
+    constructors imported from it (and their calls), and the stdlib
+    ``random`` module.  The experiments' seeded entry points are exempt.
     """
     if path == "mechanisms/rng.py" or path.startswith("experiments/"):
         return
@@ -85,7 +85,7 @@ def rng_discipline(path: str, nodes: list[ast.AST]) -> Iterator[tuple[int, str]]
                     constructor_aliases.add(bound)
 
     route = (
-        " — route randomness through repro.mechanisms.rng.resolve_rng/spawn_rngs "
+        " — route randomness through repro.mechanisms.rng.resolve_rng "
         "so every stream descends from the run's seed"
     )
     stdlib = "the stdlib random module is process-global state" + route

@@ -5,18 +5,14 @@
   experiment (they are **not** differentially private);
 * :mod:`repro.baselines.independent_laplace` — answering every workload query
   separately with Laplace noise under basic composition (the approach the
-  introduction argues does not scale with |Q|);
-* :mod:`repro.baselines.global_noise` — per-query noise calibrated to the
-  global sensitivity instead of any instance-dependent bound.
+  introduction argues does not scale with |Q|).
 """
 
 from repro.baselines.flawed import flawed_exact_count_release, flawed_padded_release
 from repro.baselines.independent_laplace import independent_laplace_answers
-from repro.baselines.global_noise import global_sensitivity_answers
 
 __all__ = [
     "flawed_exact_count_release",
     "flawed_padded_release",
-    "global_sensitivity_answers",
     "independent_laplace_answers",
 ]

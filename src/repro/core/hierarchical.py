@@ -43,9 +43,6 @@ class HierarchicalPartition:
     def num_buckets(self) -> int:
         return len(self.buckets)
 
-    def sub_instances(self) -> list[Instance]:
-        return [bucket.sub_instance for bucket in self.buckets]
-
     def tuple_multiplicity(self, original: Instance) -> int:
         """Largest number of sub-instances any original tuple participates in.
 

@@ -29,11 +29,6 @@ class TwoTableBucket:
     join_value_mask: np.ndarray
     sub_instance: Instance
 
-    @property
-    def degree_upper_bound_factor(self) -> int:
-        """The bucket's degree cap is ``λ·2^index``; this returns ``2^index``."""
-        return 2**self.index
-
 
 @dataclass
 class TwoTablePartition:
@@ -47,9 +42,6 @@ class TwoTablePartition:
     @property
     def num_buckets(self) -> int:
         return len(self.buckets)
-
-    def sub_instances(self) -> list[Instance]:
-        return [bucket.sub_instance for bucket in self.buckets]
 
 
 def default_lambda(epsilon: float, delta: float) -> float:

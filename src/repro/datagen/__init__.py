@@ -5,7 +5,6 @@ from repro.datagen.synthetic import (
     example42_instance,
     figure1_pair,
     figure3_instance,
-    skewed_two_table,
     uniform_two_table,
     zipf_two_table,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "figure3_instance",
     "generate_tpch",
     "random_instance",
-    "skewed_two_table",
     "uniform_two_table",
     "zipf_two_table",
 ]

@@ -8,8 +8,8 @@
   join-as-one algorithm;
 * :func:`example42_instance` — the amplified-skew instance of Example 4.2
   (``k²/8^i`` join values of degree ``2^i``) with a polynomially large gap;
-* generic builders (:func:`uniform_two_table`, :func:`skewed_two_table`,
-  :func:`zipf_two_table`) used by the scaling benchmarks.
+* generic builders: :func:`uniform_two_table` (E2, E4, E14) and
+  :func:`zipf_two_table` (E11).
 """
 
 from __future__ import annotations
@@ -141,33 +141,6 @@ def uniform_two_table(num_join_values: int, degree: int) -> Instance:
         for offset in range(degree):
             r1_tuples.append((value * degree + offset, value))
             r2_tuples.append((value, value * degree + offset))
-    return Instance.from_tuple_lists(query, {"R1": r1_tuples, "R2": r2_tuples})
-
-
-def skewed_two_table(
-    num_heavy: int, heavy_degree: int, num_light: int, light_degree: int
-) -> Instance:
-    """A two-level skew: a few heavy join values plus many light ones."""
-    if min(num_heavy, heavy_degree, num_light, light_degree) < 0:
-        raise ValueError("all parameters must be non-negative")
-    groups = [(num_heavy, heavy_degree), (num_light, light_degree)]
-    groups = [(count, degree) for count, degree in groups if count > 0 and degree > 0]
-    if not groups:
-        raise ValueError("at least one non-empty group is required")
-    num_join_values = sum(count for count, _ in groups)
-    side_size = sum(count * degree for count, degree in groups)
-    query = two_table_query(side_size, num_join_values, side_size)
-    r1_tuples = []
-    r2_tuples = []
-    value_cursor = 0
-    side_cursor = 0
-    for count, degree in groups:
-        for _ in range(count):
-            for offset in range(degree):
-                r1_tuples.append((side_cursor + offset, value_cursor))
-                r2_tuples.append((value_cursor, side_cursor + offset))
-            value_cursor += 1
-            side_cursor += degree
     return Instance.from_tuple_lists(query, {"R1": r1_tuples, "R2": r2_tuples})
 
 

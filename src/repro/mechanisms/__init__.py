@@ -1,9 +1,10 @@
 """Differential-privacy mechanism substrate.
 
-Noise primitives (Laplace, truncated/shifted Laplace, Gaussian), the
-exponential mechanism, privacy specifications and composition rules.  Every
-sampling function takes an explicit ``numpy.random.Generator`` so that all
-algorithms in the library are reproducible under a fixed seed.
+The noise the paper's algorithms draw (Laplace, truncated/shifted Laplace,
+the exponential mechanism), privacy specifications, composition rules and
+the privacy ledger.  Every sampling function takes an explicit
+``numpy.random.Generator`` so that all algorithms in the library are
+reproducible under a fixed seed.
 """
 
 from repro.mechanisms.spec import PrivacySpec
@@ -15,7 +16,6 @@ from repro.mechanisms.truncated_laplace import (
     truncation_radius,
 )
 from repro.mechanisms.exponential import exponential_mechanism, exponential_mechanism_probabilities
-from repro.mechanisms.gaussian import gaussian_mechanism, gaussian_sigma
 from repro.mechanisms.composition import (
     advanced_composition,
     basic_composition,
@@ -41,8 +41,6 @@ __all__ = [
     "basic_composition",
     "exponential_mechanism",
     "exponential_mechanism_probabilities",
-    "gaussian_mechanism",
-    "gaussian_sigma",
     "group_privacy",
     "laplace_mechanism",
     "parallel_composition",

@@ -1,20 +1,21 @@
 """Composition rules for (ε, δ)-DP guarantees.
 
-The algorithms in this library combine sub-mechanisms through three rules:
-
-* **basic composition** — budgets add (used between the sensitivity estimate
-  and the PMW run in Algorithms 1 and 3);
-* **parallel composition** — disjoint data partitions pay only the maximum
-  budget (used across the buckets of Algorithm 5);
-* **advanced composition** — √k scaling across the adaptive PMW iterations;
+* **basic composition** — budgets add; the ledger composes its charges
+  with it, and Algorithm 4 on a hierarchical join adds its partition's
+  budget to its releases';
+* **parallel composition** — mechanisms on disjoint data pay only the worst
+  budget (Lemma 4.1); the ledger applies it within a parallel group;
+* **advanced composition** — √k scaling across adaptive steps, and the
+  per-step ε of Algorithm 2; no algorithm here composes with it;
 * **group privacy** — the multiplicative blow-up when one tuple affects
-  several sub-instances (Lemma 4.11's ``O(log^c n)`` factor).
+  several sub-instances (Lemma 4.11's ``O(log^c n)`` factor), which
+  Algorithm 4 applies on a hierarchical join.
 """
 
 from __future__ import annotations
 
 from math import exp, log, sqrt
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.mechanisms.spec import PrivacySpec
 
@@ -75,10 +76,8 @@ def per_step_epsilon_for_advanced_composition(
 ) -> float:
     """The per-step ε that advanced composition turns into ``total_epsilon``.
 
-    The PMW algorithm uses the simple inverse
-    ``ε' = ε / (16·√(k·log(1/δ)))`` from Algorithm 2; this helper reproduces
-    exactly that calibration so the core algorithm code stays close to the
-    paper's pseudocode.
+    Algorithm 2's inverse ``ε' = ε / (16·√(k·log(1/δ)))``; PMW computes
+    its per-round ε inline (:mod:`repro.core.pmw`) and does not call this.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
@@ -87,8 +86,3 @@ def per_step_epsilon_for_advanced_composition(
     if total_epsilon <= 0:
         raise ValueError("total_epsilon must be positive")
     return total_epsilon / (16.0 * sqrt(steps * log(1.0 / delta_slack)))
-
-
-def compose_heterogeneous(specs: Sequence[PrivacySpec]) -> PrivacySpec:
-    """Alias of :func:`basic_composition` kept for call-site readability."""
-    return basic_composition(specs)

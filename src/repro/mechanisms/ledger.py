@@ -7,8 +7,8 @@ tagged as disjoint).  The core algorithms work without a ledger — it exists so
 integration tests and the privacy-audit benchmark can assert that an
 end-to-end run never exceeds its declared budget.
 
-The ledger is **thread-safe**: charges, totals, resets, and subscription
-changes all serialise on an internal lock, so threads charging concurrently
+The ledger is **thread-safe**: charges, totals, and subscription changes
+all serialise on an internal lock, so threads charging concurrently
 can share one ledger without losing or double-counting entries.
 :meth:`PrivacyLedger.subscribe` registers an *observer* called once per
 charge (outside the lock, in charge order as observed by each caller) —
@@ -183,10 +183,6 @@ class PrivacyLedger:
         ):
             raise BudgetExceededError(spent, budget)
         return spent
-
-    def reset(self) -> None:
-        with self._lock:
-            self.entries.clear()
 
     def __len__(self) -> int:
         with self._lock:

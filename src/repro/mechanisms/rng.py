@@ -23,16 +23,3 @@ def resolve_rng(rng: np.random.Generator | None = None, seed: int | None = None)
             raise TypeError(f"rng must be a numpy Generator, got {type(rng)!r}")
         return rng
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``rng``.
-
-    Used by the uniformization algorithms so that each sub-instance release
-    draws from its own stream (keeps results stable when the number of
-    buckets changes between runs).
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    seeds = rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(seed)) for seed in seeds]

@@ -9,7 +9,6 @@ without ambiguity about argument order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
 
 
 @dataclass(frozen=True)
@@ -39,13 +38,6 @@ class PrivacySpec:
         if factor <= 0:
             raise ValueError("factor must be positive")
         return PrivacySpec(self.epsilon * factor, min(self.delta * factor, 1.0 - 1e-12))
-
-    @property
-    def lam(self) -> float:
-        """The paper's λ = (1/ε)·log(1/δ); infinite when δ = 0."""
-        if self.delta == 0:
-            return float("inf")
-        return log(1.0 / self.delta) / self.epsilon
 
     def __str__(self) -> str:
         return f"(ε={self.epsilon:g}, δ={self.delta:g})-DP"

@@ -531,10 +531,6 @@ class WorkloadEvaluator:
     # accessors
     # ------------------------------------------------------------------ #
     @property
-    def workload(self) -> Workload:
-        return self._workload
-
-    @property
     def num_queries(self) -> int:
         return len(self._workload)
 
@@ -546,14 +542,6 @@ class WorkloadEvaluator:
         if self._stacked is None:
             self._stacked = _stack(self._workload)
         return self._stacked
-
-    def support_size(self, index: int) -> int:
-        """Exact number of joint-domain cells where query ``index`` is non-zero.
-
-        Computed by an einsum over the non-zero indicators of the per-relation
-        weight arrays — the joint domain is never materialised.
-        """
-        return self._context.support_size(index)
 
     def total_support_size(self) -> int:
         """``Σ_q nnz(q)``: the joint-domain cells the workload's queries are non-zero on."""
@@ -582,10 +570,6 @@ class WorkloadEvaluator:
         them in place.
         """
         return self._context.support(index)
-
-    def query_values(self, index: int) -> np.ndarray:
-        """Flattened joint-domain value vector of one query (dense)."""
-        return self._workload[index].joint_values().reshape(-1)
 
     def _carries(self) -> bool:
         """Whether a full evaluation is costly enough to carry answers instead."""

@@ -135,20 +135,12 @@ class ProductQuery:
     def table_queries(self) -> tuple[TableQuery, ...]:
         return self._table_queries
 
-    def table_query(self, relation_name: str) -> TableQuery:
-        index = self._join_query.relation_index(relation_name)
-        return self._table_queries[index]
-
-    def is_counting_query(self) -> bool:
-        return all(query.is_all_one() for query in self._table_queries)
-
     # ------------------------------------------------------------------ #
     # evaluation
     # ------------------------------------------------------------------ #
     def evaluate(self, instance: Instance) -> float:
         """Exact answer ``q(I)`` computed by einsum over weighted relations."""
-        if instance.query is not self._join_query:
-            self._check_compatible(instance.query)
+        require_same_join(self._join_query, instance.query)
         letters = _letters_for(self._join_query)
         operands = []
         terms = []
@@ -180,14 +172,45 @@ class ProductQuery:
             )
         return float(np.sum(histogram * self.joint_values()))
 
-    def _check_compatible(self, other: JoinQuery) -> None:
-        if other.attribute_names != self._join_query.attribute_names or (
-            other.relation_names != self._join_query.relation_names
-        ):
-            raise ValueError("query and instance are defined over different join queries")
-
     def __repr__(self) -> str:
         return f"ProductQuery({self.name!r})"
+
+
+def require_same_join(expected: JoinQuery, given: JoinQuery) -> None:
+    """Raise ``ValueError`` unless ``given`` structurally matches ``expected``.
+
+    Sharing relation *names* is not enough: mismatched attribute domains
+    or per-relation attribute lists would otherwise surface as an opaque
+    shape error, or broadcast into a silent misevaluation.  This compares
+    relation names, attribute names, per-relation attribute lists, and
+    every attribute domain.
+    """
+    if given is expected:
+        return
+    if expected.relation_names != given.relation_names:
+        raise ValueError(
+            f"queries and instance are defined over different join queries: "
+            f"relations {expected.relation_names} vs {given.relation_names}"
+        )
+    if expected.attribute_names != given.attribute_names:
+        raise ValueError(
+            f"queries and instance are defined over different join queries: "
+            f"attributes {expected.attribute_names} vs {given.attribute_names}"
+        )
+    for name in expected.attribute_names:
+        if expected.attribute(name).domain != given.attribute(name).domain:
+            raise ValueError(
+                f"queries and instance disagree on the domain of attribute "
+                f"{name!r} (sizes {expected.attribute(name).domain.size} vs "
+                f"{given.attribute(name).domain.size})"
+            )
+    for own_schema, other_schema in zip(expected.relations, given.relations):
+        if own_schema.attribute_names != other_schema.attribute_names:
+            raise ValueError(
+                f"queries and instance disagree on the attributes of relation "
+                f"{own_schema.name!r}: {own_schema.attribute_names} vs "
+                f"{other_schema.attribute_names}"
+            )
 
 
 def all_one_query(join_query: JoinQuery, name: str = "count") -> ProductQuery:

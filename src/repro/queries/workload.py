@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.mechanisms.rng import resolve_rng
-from repro.queries.linear import ProductQuery, TableQuery, all_one_query
+from repro.queries.linear import ProductQuery, TableQuery, all_one_query, require_same_join
 from repro.relational.hypergraph import JoinQuery
 
 
@@ -70,39 +70,10 @@ class Workload:
     def require_compatible(self, query: JoinQuery) -> None:
         """Raise ``ValueError`` unless ``query`` structurally matches this workload.
 
-        Sharing relation *names* is not enough: mismatched attribute domains
-        or per-relation shapes would otherwise surface as an opaque shape
-        error (or a silent misevaluation) deep inside PMW.  This compares
-        relation names, attribute names, per-relation attribute lists, and
-        every attribute domain.
+        The comparison is :func:`~repro.queries.linear.require_same_join`,
+        the one :meth:`ProductQuery.evaluate` makes.
         """
-        own = self._join_query
-        if query is own:
-            return
-        if own.relation_names != query.relation_names:
-            raise ValueError(
-                f"workload and instance are defined over different join queries: "
-                f"relations {own.relation_names} vs {query.relation_names}"
-            )
-        if own.attribute_names != query.attribute_names:
-            raise ValueError(
-                f"workload and instance are defined over different join queries: "
-                f"attributes {own.attribute_names} vs {query.attribute_names}"
-            )
-        for name in own.attribute_names:
-            if own.attribute(name).domain != query.attribute(name).domain:
-                raise ValueError(
-                    f"workload and instance disagree on the domain of attribute "
-                    f"{name!r} (sizes {own.attribute(name).domain.size} vs "
-                    f"{query.attribute(name).domain.size})"
-                )
-        for own_schema, other_schema in zip(own.relations, query.relations):
-            if own_schema.attribute_names != other_schema.attribute_names:
-                raise ValueError(
-                    f"workload and instance disagree on the attributes of relation "
-                    f"{own_schema.name!r}: {own_schema.attribute_names} vs "
-                    f"{other_schema.attribute_names}"
-                )
+        require_same_join(self._join_query, query)
 
     def extended(self, extra: Iterable[ProductQuery]) -> "Workload":
         return Workload(self._join_query, self._queries + tuple(extra))

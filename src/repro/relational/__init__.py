@@ -12,18 +12,8 @@ from repro.relational.schema import Attribute, Domain, RelationSchema
 from repro.relational.relation import Relation
 from repro.relational.hypergraph import AttributeTree, JoinQuery
 from repro.relational.instance import Instance
-from repro.relational.join import (
-    join_result,
-    join_size,
-    joint_domain_size,
-    materialized_join_tuples,
-)
-from repro.relational.neighbors import (
-    enumerate_neighbors,
-    instance_distance,
-    is_neighboring,
-    random_neighbor,
-)
+from repro.relational.join import join_result, join_size
+from repro.relational.neighbors import random_neighbor
 
 __all__ = [
     "Attribute",
@@ -33,12 +23,7 @@ __all__ = [
     "JoinQuery",
     "Relation",
     "RelationSchema",
-    "enumerate_neighbors",
-    "instance_distance",
-    "is_neighboring",
     "join_result",
     "join_size",
-    "joint_domain_size",
-    "materialized_join_tuples",
     "random_neighbor",
 ]

@@ -37,12 +37,6 @@ class AttributeTree:
     parent: Mapping[str, str | None]
     order: tuple[str, ...]
 
-    def children(self, name: str | None) -> tuple[str, ...]:
-        return tuple(child for child in self.order if self.parent[child] == name)
-
-    def roots(self) -> tuple[str, ...]:
-        return tuple(name for name in self.order if self.parent[name] is None)
-
     def ancestors(self, name: str) -> tuple[str, ...]:
         """Strict ancestors of ``name``, listed root-first."""
         chain: list[str] = []
@@ -52,18 +46,12 @@ class AttributeTree:
             current = self.parent[current]
         return tuple(reversed(chain))
 
-    def path_from_root(self, name: str) -> tuple[str, ...]:
-        return self.ancestors(name) + (name,)
-
     def depth(self, name: str) -> int:
         return len(self.ancestors(name))
 
     def bottom_up_order(self) -> tuple[str, ...]:
         """Attributes ordered so every node appears after all of its children."""
         return tuple(sorted(self.order, key=lambda name: -self.depth(name)))
-
-    def top_down_order(self) -> tuple[str, ...]:
-        return tuple(sorted(self.order, key=self.depth))
 
 
 class JoinQuery:
@@ -172,9 +160,6 @@ class JoinQuery:
                 return index
         raise KeyError(f"join query has no relation {name!r}")
 
-    def relation_attribute_sets(self) -> tuple[frozenset[str], ...]:
-        return tuple(frozenset(schema.attribute_names) for schema in self._relations)
-
     # ------------------------------------------------------------------ #
     # structural helpers
     # ------------------------------------------------------------------ #
@@ -252,12 +237,6 @@ class JoinQuery:
         """Connected sub-queries ``C_E`` of the residual join ``H_{E, y}``."""
         graph = self.residual_graph(relation_subset, removed_attributes)
         return tuple(frozenset(component) for component in nx.connected_components(graph))
-
-    def is_connected(
-        self, relation_subset: Iterable[int], removed_attributes: Iterable[str] = ()
-    ) -> bool:
-        components = self.connected_components(relation_subset, removed_attributes)
-        return len(components) <= 1
 
     # ------------------------------------------------------------------ #
     # hierarchy

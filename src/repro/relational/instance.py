@@ -140,23 +140,6 @@ class Instance:
         )
         return self.with_relation(index, self._relations[index].with_delta(record, delta))
 
-    def restrict(self, attribute_name: str, allowed_mask: np.ndarray) -> "Instance":
-        """Restrict every relation containing the attribute to the allowed values."""
-        relations = []
-        for relation in self._relations:
-            if relation.schema.has_attribute(attribute_name):
-                relations.append(relation.restrict(attribute_name, allowed_mask))
-            else:
-                relations.append(relation)
-        return Instance(self._query, relations)
-
-    def sub_instance(self, relations: Mapping[str, Relation]) -> "Instance":
-        """Return a copy with the listed relations replaced (others unchanged)."""
-        updated = list(self._relations)
-        for name, relation in relations.items():
-            updated[self._query.relation_index(name)] = relation
-        return Instance(self._query, updated)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented

@@ -29,11 +29,6 @@ def _letters_for(query: JoinQuery) -> dict[str, str]:
     return {name: _EINSUM_LETTERS[axis] for axis, name in enumerate(names)}
 
 
-def joint_domain_size(query: JoinQuery) -> int:
-    """``|D|``: the size of the joint domain of all query attributes."""
-    return query.joint_domain_size
-
-
 def expand_to_joint(query: JoinQuery, array: np.ndarray, attribute_names: Sequence[str]) -> np.ndarray:
     """Reshape an array over a subset of attributes so it broadcasts over ``D``.
 
@@ -104,74 +99,3 @@ def grouped_join_size(
     if not group_by:
         return int(result)
     return result
-
-
-def semijoin_reduce(instance: Instance) -> Instance:
-    """Remove dangling tuples: zero out records that join with nothing.
-
-    For every relation ``R_i``, a record survives only if the join size of the
-    full query restricted to that record's values is positive.  The reduced
-    instance has the same join result as the input (useful for tests and for
-    shrinking instances before expensive computations).
-    """
-    joint = join_result(instance, dtype=np.int64)
-    query = instance.query
-    reduced = []
-    for relation in instance.relations:
-        axes_to_keep = [query.axis_of(name) for name in relation.attribute_names]
-        axes_to_drop = tuple(
-            axis for axis in range(len(query.attribute_names)) if axis not in axes_to_keep
-        )
-        support = joint.sum(axis=axes_to_drop) if axes_to_drop else joint
-        kept_in_joint_order = [a for a in range(len(query.attribute_names)) if a in axes_to_keep]
-        permutation = [kept_in_joint_order.index(query.axis_of(name)) for name in relation.attribute_names]
-        if support.ndim > 1:
-            support = np.transpose(support, permutation)
-        mask = support > 0
-        reduced.append(relation.with_frequencies(relation.frequencies * mask))
-    return Instance(query, reduced)
-
-
-def materialized_join_tuples(instance: Instance) -> list[tuple[tuple, int]]:
-    """List the join result as ``(joint value tuple, multiplicity)`` pairs."""
-    joint = join_result(instance)
-    query = instance.query
-    results = []
-    for flat_index in np.flatnonzero(joint):
-        index = np.unravel_index(flat_index, joint.shape)
-        values = tuple(
-            attribute.domain.value_at(i) for attribute, i in zip(query.attributes, index)
-        )
-        results.append((values, int(joint[index])))
-    return results
-
-
-def join_size_brute_force(instance: Instance) -> int:
-    """Reference join-size computation by explicit tuple enumeration.
-
-    Quadratic-ish and only suitable for tiny instances; used by tests to
-    validate the einsum implementation.
-    """
-    query = instance.query
-    total = 0
-    tuple_lists = [list(relation.tuples()) for relation in instance.relations]
-
-    def compatible(assignment: dict[str, object], values: tuple, names: Sequence[str]) -> bool:
-        return all(
-            assignment.get(name, value) == value for name, value in zip(names, values)
-        )
-
-    def recurse(position: int, assignment: dict[str, object], weight: int) -> None:
-        nonlocal total
-        if position == len(tuple_lists):
-            total += weight
-            return
-        names = instance.relations[position].attribute_names
-        for values, multiplicity in tuple_lists[position]:
-            if compatible(assignment, values, names):
-                extended = dict(assignment)
-                extended.update(zip(names, values))
-                recurse(position + 1, extended, weight * multiplicity)
-
-    recurse(0, {}, 1)
-    return total

@@ -1,82 +1,15 @@
 """Neighbouring-instance utilities (Definition 1.1).
 
 Two instances are neighbouring when they differ by adding or removing a single
-(copy of a) tuple in a single relation.  These helpers generate and recognise
-neighbours; they are used heavily by the test-suite's privacy audits and the
-hard-instance constructions.
+(copy of a) tuple in a single relation.  E14's privacy audit releases on an
+instance and on a random neighbour of it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.relational.instance import Instance
-
-
-def is_neighboring(first: Instance, second: Instance) -> bool:
-    """Return True iff the instances differ by exactly one tuple multiplicity of one."""
-    if first.query.relation_names != second.query.relation_names:
-        return False
-    differing_relations = 0
-    total_difference = 0
-    for left, right in zip(first.relations, second.relations):
-        difference = np.abs(left.frequencies.astype(np.int64) - right.frequencies)
-        relation_diff = int(difference.sum())
-        if relation_diff:
-            differing_relations += 1
-            total_difference += relation_diff
-            if int(np.count_nonzero(difference)) != 1:
-                return False
-    return differing_relations == 1 and total_difference == 1
-
-
-def instance_distance(first: Instance, second: Instance) -> int:
-    """ℓ1 distance between instances: total absolute multiplicity difference."""
-    if first.query.relation_names != second.query.relation_names:
-        raise ValueError("instances must share the same join query")
-    distance = 0
-    for left, right in zip(first.relations, second.relations):
-        distance += int(
-            np.abs(left.frequencies.astype(np.int64) - right.frequencies).sum()
-        )
-    return distance
-
-
-def enumerate_neighbors(
-    instance: Instance,
-    *,
-    include_additions: bool = True,
-    include_removals: bool = True,
-    max_neighbors: int | None = None,
-) -> Iterator[Instance]:
-    """Yield neighbouring instances of ``instance``.
-
-    Removals iterate over the support of each relation; additions iterate over
-    the full domain of each relation (which can be large — cap with
-    ``max_neighbors`` when enumerating additions on big domains).
-    """
-    produced = 0
-    for index, relation in enumerate(instance.relations):
-        if include_removals:
-            for record, _multiplicity in relation.tuples():
-                yield instance.with_delta(index, record, -1)
-                produced += 1
-                if max_neighbors is not None and produced >= max_neighbors:
-                    return
-        if include_additions:
-            schema = relation.schema
-            for flat in range(int(np.prod(schema.shape))):
-                positions = np.unravel_index(flat, schema.shape)
-                record = tuple(
-                    attribute.domain.value_at(i)
-                    for attribute, i in zip(schema.attributes, positions)
-                )
-                yield instance.with_delta(index, record, +1)
-                produced += 1
-                if max_neighbors is not None and produced >= max_neighbors:
-                    return
 
 
 def random_neighbor(instance: Instance, rng: np.random.Generator) -> Instance:

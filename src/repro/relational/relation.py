@@ -9,11 +9,11 @@ partitioning algorithms side-effect free.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.relational.schema import Attribute, Domain, RelationSchema
+from repro.relational.schema import Attribute, RelationSchema
 
 TupleLike = Sequence[Hashable]
 
@@ -70,21 +70,6 @@ class Relation:
         freq = np.zeros(schema.shape, dtype=np.int64)
         for record in tuples:
             freq[cls._index_of(schema, record)] += 1
-        return cls(schema, freq)
-
-    @classmethod
-    def from_counts(
-        cls,
-        schema: RelationSchema,
-        counts: Mapping[tuple, int] | Iterable[tuple[TupleLike, int]],
-    ) -> "Relation":
-        """Build a relation from ``{tuple: multiplicity}`` entries."""
-        items = counts.items() if isinstance(counts, Mapping) else counts
-        freq = np.zeros(schema.shape, dtype=np.int64)
-        for record, multiplicity in items:
-            if multiplicity < 0:
-                raise ValueError("multiplicities must be non-negative")
-            freq[cls._index_of(schema, record)] += int(multiplicity)
         return cls(schema, freq)
 
     @classmethod
@@ -197,26 +182,6 @@ class Relation:
         degrees = self.degree(attribute_names)
         return int(degrees.max()) if degrees.size else 0
 
-    def restrict(self, attribute_name: str, allowed_mask: np.ndarray) -> "Relation":
-        """Keep only records whose value on ``attribute_name`` is allowed.
-
-        ``allowed_mask`` is a boolean vector over the attribute's domain; all
-        records displaying a disallowed value get multiplicity zero.  This is
-        the operation that builds the sub-relations ``R_i^j`` of the
-        uniformization partitions (Algorithms 5 and 7).
-        """
-        axis = self._schema.axis_of(attribute_name)
-        domain_size = self._schema.attributes[axis].domain.size
-        mask = np.asarray(allowed_mask, dtype=bool)
-        if mask.shape != (domain_size,):
-            raise ValueError(
-                f"mask shape {mask.shape} does not match domain size {domain_size} "
-                f"of attribute {attribute_name!r}"
-            )
-        shape = [1] * self._freq.ndim
-        shape[axis] = domain_size
-        return Relation(self._schema, self._freq * mask.reshape(shape))
-
     def restrict_joint(self, attribute_names: Sequence[str], allowed_mask: np.ndarray) -> "Relation":
         """Keep only records whose joint value on ``attribute_names`` is allowed.
 
@@ -247,11 +212,6 @@ class Relation:
             reshaped[rel_axis] = mask_in_rel_order.shape[mask_axis]
         return Relation(self._schema, self._freq * mask_in_rel_order.reshape(reshaped))
 
-    def __add__(self, other: "Relation") -> "Relation":
-        if self._schema is not other._schema and self._schema != other._schema:
-            raise ValueError("cannot add relations with different schemas")
-        return Relation(self._schema, self._freq + other._freq)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
@@ -265,13 +225,3 @@ class Relation:
             f"Relation({self._schema.name!r}, attributes={self.attribute_names}, "
             f"total={self.total()}, support={self.support_size()})"
         )
-
-
-def relation_from_pairs(
-    name: str,
-    attributes: Sequence[tuple[str, Domain]],
-    tuples: Iterable[TupleLike] = (),
-) -> Relation:
-    """Convenience builder: schema from ``(name, domain)`` pairs plus tuples."""
-    schema = RelationSchema(name, tuple(Attribute(n, d) for n, d in attributes))
-    return Relation.from_tuples(schema, tuples)

@@ -1,15 +1,17 @@
 """Sensitivity machinery for the counting join-size query.
 
-Implements the full sensitivity toolbox the paper builds on:
+Implements the instance-dependent sensitivities the paper builds on (global
+sensitivity, up to ``n^{m-1}`` for joins, is what they avoid):
 
 * local sensitivity ``LS_count(I)`` (Section 1.2);
 * maximum boundary queries ``T_E(I)`` (Equation 1);
 * residual sensitivity ``RS^β_count(I)`` (Definition 3.6, from Dong–Yi);
-* brute-force smooth sensitivity for validation on tiny instances;
+* brute-force smooth sensitivity on tiny instances, which the sensitivity
+  tour example prints between LS and RS;
 * join-value degrees, maximum degrees ``mdeg_E(y)`` and the q-aggregate upper
   bounds of Section 4.2.1;
 * degree configurations (Definition 4.9) and per-configuration residual
-  sensitivity upper bounds used by the hierarchical analysis.
+  sensitivity upper bounds, which E8 reports for the hierarchical analysis.
 """
 
 from repro.sensitivity.local import local_sensitivity, per_relation_local_sensitivity
@@ -27,7 +29,6 @@ from repro.sensitivity.degrees import (
     max_degree,
     t_upper_bound,
 )
-from repro.sensitivity.global_bound import global_sensitivity_upper_bound
 from repro.sensitivity.configurations import (
     DegreeConfiguration,
     configuration_of_instance,
@@ -41,7 +42,6 @@ __all__ = [
     "configuration_of_instance",
     "configuration_residual_upper_bound",
     "degree_vector",
-    "global_sensitivity_upper_bound",
     "local_sensitivity",
     "local_sensitivity_at_distance",
     "max_degree",

@@ -44,20 +44,3 @@ def all_boundary_queries(instance: Instance) -> dict[frozenset[int], int]:
         for subset in combinations(indices, size):
             values[frozenset(subset)] = boundary_query(instance, subset)
     return values
-
-
-def boundary_query_profile(instance: Instance, relation_subset: Iterable[int]) -> np.ndarray:
-    """The full grouped join-size vector behind ``T_E`` (before taking the max).
-
-    Useful for diagnostics: the distribution of boundary-group sizes shows how
-    skewed an instance is, which is exactly what uniformization exploits.
-    """
-    subset = sorted(set(relation_subset))
-    if not subset:
-        return np.array([1], dtype=np.int64)
-    query = instance.query
-    boundary_attrs = sorted(query.boundary(subset))
-    grouped = grouped_join_size(instance, subset, boundary_attrs)
-    if isinstance(grouped, (int, np.integer)):
-        return np.array([int(grouped)], dtype=np.int64)
-    return grouped.reshape(-1)

@@ -50,9 +50,6 @@ class DegreeConfiguration:
                 return index
         raise KeyError(f"configuration has no attribute {attribute_name!r}")
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.buckets)
-
     def __str__(self) -> str:
         inner = ", ".join(f"{name}:{index}" for name, index in self.buckets)
         return f"DegreeConfiguration({inner})"
@@ -115,19 +112,6 @@ def configuration_t_upper_bound(
 
     result = t_upper_bound_symbolic(query, sorted(relation_subset), None, degree_bound)
     return result.value
-
-
-def configuration_local_sensitivity(
-    query: JoinQuery, configuration: DegreeConfiguration, lam: float
-) -> float:
-    """``LS^σ_count = max_i T^σ_{[m]∖{i}}`` (Theorem C.3)."""
-    m = query.num_relations
-    return max(
-        configuration_t_upper_bound(
-            query, configuration, frozenset(range(m)) - {i}, lam
-        )
-        for i in range(m)
-    )
 
 
 def configuration_residual_upper_bound(

@@ -49,8 +49,3 @@ def per_relation_local_sensitivity(instance: Instance) -> dict[str, int]:
 def local_sensitivity(instance: Instance) -> int:
     """``LS_count(I)``: the worst-case join-size change over all neighbours."""
     return max(per_relation_local_sensitivity(instance).values())
-
-
-def local_sensitivity_for_relation(instance: Instance, relation_name: str) -> int:
-    """Local sensitivity restricted to neighbours that modify one relation."""
-    return per_relation_local_sensitivity(instance)[relation_name]

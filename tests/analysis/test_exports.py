@@ -1,0 +1,76 @@
+"""Every name a package exports is used by the product, not only by tests.
+
+Product files are ``src/repro/**``, ``examples/*.py`` and ``perfbench/*.py``
+(``perfbench/tests/`` is tests).  An exported name passes when it appears —
+as a name, an attribute or an import — in a product file other than the
+``__init__.py`` that re-exports it; a definition alone does not count.  The
+rule matches names, not calls, so it is a cheap guard against exports that
+only their own tests reach, not a trace of what the product runs.
+``repro.telemetry`` is left out: its exports go with its rework into one run
+report (ROADMAP, "One run report for time and budget").
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import repro
+
+ROOT = Path(__file__).resolve().parents[2]
+
+PRODUCT_FILES = (
+    *sorted((ROOT / "src" / "repro").rglob("*.py")),
+    *sorted((ROOT / "examples").glob("*.py")),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+)
+
+#: Exports that no product file uses yet, each with the reason it stays.
+ALLOWED = {
+    "laplace_mechanism": "a charging mechanism API for the privacy accounting to adopt (ROADMAP)",
+    "advanced_composition": "the privacy accounting adopts or deletes it (ROADMAP)",
+    "multi_table_hard_instance": "Theorem 1.6's instance: an experiment measures it or it goes (ROADMAP)",
+}
+
+PACKAGES = ("repro",) + tuple(
+    f"repro.{info.name}"
+    for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg
+    and info.name != "telemetry"
+    and hasattr(importlib.import_module(f"repro.{info.name}"), "__all__")
+)
+
+
+def _used_names(path: Path) -> set[str]:
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+_USED = {path: _used_names(path) for path in PRODUCT_FILES}
+
+
+def _unused_exports(package: str) -> set[str]:
+    module = importlib.import_module(package)
+    own = Path(module.__file__).resolve()
+    used = set().union(*(names for path, names in _USED.items() if path != own))
+    return set(module.__all__) - used
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_export_is_used_by_the_product(package):
+    unused = sorted(_unused_exports(package) - set(ALLOWED))
+    assert not unused, f"{package} exports names no product file uses: {unused}"
+
+
+def test_every_allowed_export_is_still_unused():
+    unused = set().union(*(_unused_exports(package) for package in PACKAGES))
+    assert sorted(set(ALLOWED) - unused) == []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.flawed import flawed_exact_count_release, flawed_padded_release
-from repro.baselines.global_noise import global_sensitivity_answers
 from repro.baselines.independent_laplace import independent_laplace_answers
 from repro.core.pmw import PMWConfig
 from repro.datagen.synthetic import figure1_pair
@@ -95,34 +94,3 @@ class TestIndependentLaplace:
         first = independent_laplace_answers(two_table_instance, workload, 1.0, 1e-5, seed=3)
         second = independent_laplace_answers(two_table_instance, workload, 1.0, 1e-5, seed=3)
         assert np.array_equal(first.answers, second.answers)
-
-
-class TestGlobalNoise:
-    def test_sensitivity_is_data_independent(self, two_table_instance):
-        workload = Workload.counting(two_table_instance.query)
-        result = global_sensitivity_answers(
-            two_table_instance, workload, 1.0, public_size_bound=500, seed=0
-        )
-        assert result.global_sensitivity == 500
-        assert result.privacy.delta == 0.0
-
-    def test_defaults_to_instance_size(self, two_table_instance):
-        workload = Workload.counting(two_table_instance.query)
-        result = global_sensitivity_answers(two_table_instance, workload, 1.0, seed=0)
-        assert result.global_sensitivity == two_table_instance.total_size()
-
-    def test_noise_dwarfs_instance_dependent_baseline(self, two_table_instance, rng):
-        """Global-sensitivity noise should typically be much larger than the
-        local-sensitivity-calibrated baseline on benign instances."""
-        workload = Workload.counting(two_table_instance.query)
-        truth = shared_evaluator(workload).answers_on_instance(two_table_instance)
-        global_errors = []
-        local_errors = []
-        for _ in range(20):
-            g = global_sensitivity_answers(
-                two_table_instance, workload, 1.0, public_size_bound=10_000, rng=rng
-            )
-            l = independent_laplace_answers(two_table_instance, workload, 1.0, 1e-5, rng=rng)
-            global_errors.append(abs(g.answers[0] - truth[0]))
-            local_errors.append(abs(l.answers[0] - truth[0]))
-        assert np.median(global_errors) > np.median(local_errors)

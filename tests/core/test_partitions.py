@@ -9,7 +9,7 @@ from repro.core.hierarchical import (
     strict_ancestor_attributes,
 )
 from repro.core.partition_two_table import default_lambda, partition_two_table
-from repro.datagen.synthetic import figure3_instance, skewed_two_table
+from repro.datagen.synthetic import figure3_instance
 from repro.relational.hypergraph import two_table_query
 from repro.relational.instance import Instance
 from repro.relational.join import join_result, join_size
@@ -27,14 +27,14 @@ class TestPartitionTwoTable:
 
     def test_tuples_partitioned(self, two_table_instance):
         partition = partition_two_table(two_table_instance, 0.5, 1e-4, seed=0)
-        total = sum(sub.total_size() for sub in partition.sub_instances())
+        total = sum(bucket.sub_instance.total_size() for bucket in partition.buckets)
         assert total == two_table_instance.total_size()
 
     def test_join_results_partitioned(self, two_table_instance):
         partition = partition_two_table(two_table_instance, 0.5, 1e-4, seed=0)
         combined = np.zeros(two_table_instance.query.shape, dtype=np.int64)
-        for sub in partition.sub_instances():
-            combined += join_result(sub)
+        for bucket in partition.buckets:
+            combined += join_result(bucket.sub_instance)
         assert np.array_equal(combined, join_result(two_table_instance))
 
     def test_masks_partition_domain(self, two_table_instance):
@@ -47,7 +47,11 @@ class TestPartitionTwoTable:
     def test_heavy_values_in_higher_buckets(self):
         # One join value with degree 200, many with degree 1; with λ ≈ 9 the
         # heavy value must land in a strictly higher bucket.
-        instance = skewed_two_table(1, 200, 30, 1)
+        values = [0] * 200 + list(range(1, 31))
+        instance = Instance.from_tuple_lists(
+            two_table_query(230, 31, 230),
+            {"R1": list(enumerate(values)), "R2": [(b, a) for a, b in enumerate(values)]},
+        )
         partition = partition_two_table(instance, 1.0, 1e-4, seed=1)
         assert partition.num_buckets >= 2
         heavy_bucket = max(bucket.index for bucket in partition.buckets)
@@ -123,10 +127,10 @@ class TestPartitionHierarchical:
     def test_join_results_partitioned(self, figure4_instance):
         partition = partition_hierarchical(figure4_instance, 0.5, 1e-2, seed=0)
         combined = np.zeros(figure4_instance.query.shape, dtype=np.int64)
-        for sub in partition.sub_instances():
-            combined += join_result(sub)
+        for bucket in partition.buckets:
+            combined += join_result(bucket.sub_instance)
         assert np.array_equal(combined, join_result(figure4_instance))
-        assert sum(join_size(sub) for sub in partition.sub_instances()) == join_size(
+        assert sum(join_size(bucket.sub_instance) for bucket in partition.buckets) == join_size(
             figure4_instance
         )
 
@@ -150,8 +154,8 @@ class TestPartitionHierarchical:
     def test_two_table_query_is_also_hierarchical(self, two_table_instance):
         partition = partition_hierarchical(two_table_instance, 0.5, 1e-3, seed=1)
         combined = np.zeros(two_table_instance.query.shape, dtype=np.int64)
-        for sub in partition.sub_instances():
-            combined += join_result(sub)
+        for bucket in partition.buckets:
+            combined += join_result(bucket.sub_instance)
         assert np.array_equal(combined, join_result(two_table_instance))
 
     def test_rejects_non_hierarchical(self, path3_instance):

@@ -120,53 +120,6 @@ class TestSyntheticDataset:
         release = ReleaseResult(synthetic=synthetic, privacy=synthetic.privacy, algorithm="test")
         assert release.answer_workload(workload)[0] == pytest.approx(exact.sum())
 
-    def test_union_adds_histograms(self):
-        query = two_table_query(2, 2, 2)
-        first = self._make(query, np.full(query.shape, 1.0))
-        second = self._make(query, np.full(query.shape, 2.0))
-        union = first.union(second)
-        assert union.total_mass() == pytest.approx(3.0 * 8)
-
-    def test_union_defaults_to_basic_composition(self):
-        query = two_table_query(2, 2, 2)
-        first = SyntheticDataset(query, np.ones(query.shape), PrivacySpec(1.0, 1e-6))
-        second = SyntheticDataset(query, np.ones(query.shape), PrivacySpec(0.5, 2e-6))
-        union = first.union(second)
-        assert union.privacy.epsilon == pytest.approx(1.5)
-        assert union.privacy.delta == pytest.approx(3e-6)
-
-    def test_union_keeps_explicit_privacy(self):
-        query = two_table_query(2, 2, 2)
-        first = SyntheticDataset(query, np.ones(query.shape), PrivacySpec(1.0, 1e-6))
-        second = SyntheticDataset(query, np.ones(query.shape), PrivacySpec(0.5, 2e-6))
-        spec = PrivacySpec(1.0, 2e-6)
-        assert first.union(second, privacy=spec).privacy == spec
-
-    def test_union_requires_same_domain(self):
-        first = self._make(two_table_query(2, 2, 2))
-        second = self._make(two_table_query(2, 2, 3))
-        with pytest.raises(ValueError):
-            first.union(second)
-
-    def test_round_preserves_expected_mass(self, rng):
-        query = two_table_query(3, 3, 3)
-        histogram = np.full(query.shape, 0.5)
-        synthetic = self._make(query, histogram)
-        rounded = synthetic.round(rng)
-        assert rounded.dtype == np.int64
-        assert 0 <= rounded.sum() <= histogram.size
-        # Expected total is preserved on average.
-        totals = [synthetic.round(rng).sum() for _ in range(30)]
-        assert np.mean(totals) == pytest.approx(histogram.sum(), rel=0.3)
-
-    def test_to_tuples_threshold(self):
-        query = two_table_query(2, 2, 2)
-        histogram = np.zeros(query.shape)
-        histogram[0, 1, 0] = 3.0
-        histogram[1, 1, 1] = 0.2
-        synthetic = self._make(query, histogram)
-        tuples = list(synthetic.to_tuples(threshold=0.5))
-        assert tuples == [((0, 1, 0), 3.0)]
 
 
 class TestFlatSliceAssembly:

@@ -10,15 +10,14 @@ from repro.datagen.synthetic import (
     example42_instance,
     figure1_pair,
     figure3_instance,
-    skewed_two_table,
     uniform_two_table,
     zipf_two_table,
 )
 from repro.datagen.tpch import MARKET_SEGMENTS, ORDER_PRIORITIES, generate_tpch
 from repro.relational.hypergraph import figure4_query, two_table_query
 from repro.relational.join import join_size
-from repro.relational.neighbors import is_neighboring
 from repro.sensitivity.local import local_sensitivity
+from tests.relational.test_oracles import is_neighboring
 
 
 class TestFigure1:
@@ -79,15 +78,6 @@ class TestGenericTwoTableGenerators:
         assert join_size(instance) == 5 * 9
         assert local_sensitivity(instance) == 3
         assert instance.total_size() == 2 * 15
-
-    def test_skewed(self):
-        instance = skewed_two_table(2, 10, 20, 1)
-        assert local_sensitivity(instance) == 10
-        assert join_size(instance) == 2 * 100 + 20
-
-    def test_skewed_validation(self):
-        with pytest.raises(ValueError):
-            skewed_two_table(0, 0, 0, 0)
 
     def test_zipf_reproducible_and_sized(self):
         first = zipf_two_table(10, 200, seed=1)

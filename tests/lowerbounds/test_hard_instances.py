@@ -13,8 +13,8 @@ from repro.lowerbounds.two_table_hard import (
 from repro.queries.evaluation import WorkloadEvaluator
 from repro.relational.hypergraph import path3_query, star_query
 from repro.relational.join import join_size
-from repro.relational.neighbors import is_neighboring
 from repro.sensitivity.local import local_sensitivity
+from tests.relational.test_oracles import is_neighboring
 
 
 class TestHardSingleTable:

@@ -9,9 +9,8 @@ from repro.mechanisms.exponential import (
     exponential_mechanism,
     exponential_mechanism_probabilities,
 )
-from repro.mechanisms.gaussian import gaussian_mechanism, gaussian_sigma
 from repro.mechanisms.laplace import laplace_mechanism, sample_laplace
-from repro.mechanisms.rng import resolve_rng, spawn_rngs
+from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.truncated_laplace import (
     sample_truncated_laplace,
     truncated_laplace_mechanism,
@@ -36,16 +35,6 @@ class TestRng:
     def test_resolve_rejects_wrong_type(self):
         with pytest.raises(TypeError):
             resolve_rng("not a generator")
-
-    def test_spawn_rngs(self):
-        children = spawn_rngs(np.random.default_rng(0), 3)
-        assert len(children) == 3
-        values = {child.integers(10**9) for child in children}
-        assert len(values) == 3  # overwhelmingly likely to be distinct
-
-    def test_spawn_rngs_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(np.random.default_rng(0), -1)
 
 
 class TestLaplace:
@@ -158,24 +147,3 @@ class TestExponentialMechanism:
             exponential_mechanism_probabilities(np.array([1.0]), 1.0, 0.0)
         with pytest.raises(ValueError):
             exponential_mechanism_probabilities(np.array([]), 1.0)
-
-
-class TestGaussian:
-    def test_sigma_formula(self):
-        assert gaussian_sigma(2.0, 1.0, 1e-5) == pytest.approx(
-            2.0 * math.sqrt(2.0 * math.log(1.25e5))
-        )
-
-    def test_mechanism_shapes(self, rng):
-        scalar = gaussian_mechanism(1.0, 1.0, 1.0, 1e-5, rng=rng)
-        assert isinstance(scalar, float)
-        vector = gaussian_mechanism(np.zeros(10), 1.0, 1.0, 1e-5, rng=rng)
-        assert vector.shape == (10,)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gaussian_sigma(1.0, 0.0, 1e-5)
-        with pytest.raises(ValueError):
-            gaussian_sigma(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            gaussian_sigma(-1.0, 1.0, 1e-5)

@@ -46,11 +46,6 @@ class TestPrivacySpec:
         assert spec.epsilon == 1.5
         assert spec.delta == pytest.approx(3e-6)
 
-    def test_lam(self):
-        spec = PrivacySpec(1.0, math.exp(-10))
-        assert spec.lam == pytest.approx(10.0)
-        assert PrivacySpec(1.0, 0.0).lam == float("inf")
-
     def test_str(self):
         assert "ε=1" in str(PrivacySpec(1.0, 1e-6))
 
@@ -119,9 +114,3 @@ class TestLedger:
     def test_empty_ledger_raises(self):
         with pytest.raises(ValueError):
             PrivacyLedger().total()
-
-    def test_reset(self):
-        ledger = PrivacyLedger()
-        ledger.charge("a", PrivacySpec(0.5, 1e-6))
-        ledger.reset()
-        assert len(ledger) == 0

@@ -33,12 +33,12 @@ class TestTwoTablePartitionProperties:
     @settings(max_examples=30, deadline=None)
     def test_tuples_and_join_results_partitioned(self, instance, seed):
         partition = partition_two_table(instance, 1.0, 1e-3, seed=seed)
-        assert sum(sub.total_size() for sub in partition.sub_instances()) == (
+        assert sum(bucket.sub_instance.total_size() for bucket in partition.buckets) == (
             instance.total_size()
         )
         combined = np.zeros(instance.query.shape, dtype=np.int64)
-        for sub in partition.sub_instances():
-            combined += join_result(sub)
+        for bucket in partition.buckets:
+            combined += join_result(bucket.sub_instance)
         assert np.array_equal(combined, join_result(instance))
 
     @given(two_table_instances(), st.integers(0, 2**31 - 1))
@@ -59,10 +59,10 @@ class TestHierarchicalPartitionProperties:
     def test_join_results_partitioned(self, instance, seed):
         partition = partition_hierarchical(instance, 1.0, 1e-2, seed=seed)
         combined = np.zeros(instance.query.shape, dtype=np.int64)
-        for sub in partition.sub_instances():
-            combined += join_result(sub)
+        for bucket in partition.buckets:
+            combined += join_result(bucket.sub_instance)
         assert np.array_equal(combined, join_result(instance))
-        assert sum(join_size(sub) for sub in partition.sub_instances()) == join_size(
+        assert sum(join_size(bucket.sub_instance) for bucket in partition.buckets) == join_size(
             instance
         )
 

@@ -7,6 +7,7 @@ agree with the dense reference to 1e-9, and support sizes are exact.
 import numpy as np
 import pytest
 
+from repro.queries.backends import EvaluatorContext
 from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import two_table_query
@@ -54,21 +55,22 @@ class TestModeParity:
 
     def test_support_size_matches_nnz(self, workload):
         evaluator = WorkloadEvaluator(workload)
+        context = EvaluatorContext(workload)
         for index in range(len(workload)):
-            nnz = int(np.count_nonzero(evaluator.query_values(index)))
-            assert evaluator.support_size(index) == nnz
+            nnz = int(np.count_nonzero(workload[index].joint_values()))
+            assert context.support_size(index) == nnz
         assert evaluator.total_support_size() == sum(
-            evaluator.support_size(index) for index in range(len(workload))
+            context.support_size(index) for index in range(len(workload))
         )
 
     def test_marginal_supports_are_small(self, query):
         workload = Workload.attribute_marginals(query, "B", include_counting=False)
-        evaluator = WorkloadEvaluator(workload)
+        context = EvaluatorContext(workload)
         # Each B-marginal touches exactly |dom(A)|·|dom(C)| of the |D| cells.
         domain = query.joint_domain_size
         expected = domain // query.attribute("B").domain.size
         for index in range(len(workload)):
-            assert evaluator.support_size(index) == expected
+            assert context.support_size(index) == expected
 
 
 class TestSharedEvaluator:

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.linear import ProductQuery, TableQuery, all_one_query, counting_query
-from repro.relational.hypergraph import path3_query, two_table_query
+from repro.queries.workload import Workload
+from repro.relational.hypergraph import JoinQuery, path3_query, two_table_query
 from repro.relational.instance import Instance
 from repro.relational.join import join_result, join_size
+from repro.relational.schema import RelationSchema
 
 
 @pytest.fixture
@@ -53,7 +56,7 @@ class TestProductQuery:
     def test_counting_query_equals_join_size(self, instance):
         count = counting_query(instance.query)
         assert count.evaluate(instance) == join_size(instance)
-        assert count.is_counting_query()
+        assert all(table_query.is_all_one() for table_query in count.table_queries)
 
     def test_missing_relations_default_to_all_one(self, instance, query):
         schema = query.relation("R1")
@@ -61,8 +64,8 @@ class TestProductQuery:
         # Restricting R1 to B=0: R1 has 2 such records, R2 has 2 records with B=0.
         assert partial.evaluate(instance) == 4
         # R2 was not given: its weights are all one and read-only.
-        ones = partial.table_query("R2").weights
-        assert partial.table_query("R2").is_all_one()
+        ones = partial.table_queries[1].weights
+        assert partial.table_queries[1].is_all_one()
         with pytest.raises(ValueError):
             ones[0, 0] = 0.0
 
@@ -133,7 +136,42 @@ class TestProductQuery:
         assert values.shape == (2, 2, 2, 2)
         assert np.all(values == 1.0)
 
-    def test_table_query_lookup(self, query):
-        product = all_one_query(query)
-        assert product.table_query("R1").relation_name == "R1"
-        assert product.table_query("R2").is_all_one()
+
+def _join_that_differs_in(kind: str) -> JoinQuery:
+    """``two_table_query(4, 4, 4)`` with one structural difference."""
+    if kind == "relation names":
+        return two_table_query(4, 4, 4, names=("S1", "S2"))
+    if kind == "attribute names":
+        return two_table_query(4, 4, 4, attribute_names=("A", "B", "D"))
+    if kind == "relation attributes":  # R2(C, B) instead of R2(B, C)
+        a, b, c = two_table_query(4, 4, 4).attributes
+        return JoinQuery((a, b, c), (RelationSchema("R1", (a, b)), RelationSchema("R2", (c, b))))
+    return two_table_query(4, 1, 4)  # one attribute's domain
+
+
+ANSWER_ON_INSTANCE = {
+    "ProductQuery.evaluate": lambda workload, instance: [q.evaluate(instance) for q in workload],
+    "WorkloadEvaluator.answers_on_instance": lambda workload, instance: (
+        WorkloadEvaluator(workload).answers_on_instance(instance)
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", ANSWER_ON_INSTANCE)
+@pytest.mark.parametrize(
+    "kind", ["relation names", "attribute names", "relation attributes", "attribute domain"]
+)
+def test_an_instance_over_another_join_is_rejected(kind, caller):
+    """Both per-instance answers make the same structural check.
+
+    Unchecked, the last two broadcast: over ``two_table_query(4, 1, 4)`` with
+    R1 = {(0, 0), (1, 0)} and R2 = {(0, 2)} (join size 2) the counting query
+    read 8.0.
+    """
+    workload = Workload.attribute_marginals(two_table_query(4, 4, 4), "C")
+    other = _join_that_differs_in(kind)
+    instance = Instance.from_frequencies(
+        other, {schema.name: np.ones(schema.shape, dtype=np.int64) for schema in other.relations}
+    )
+    with pytest.raises(ValueError):
+        ANSWER_ON_INSTANCE[caller](workload, instance)

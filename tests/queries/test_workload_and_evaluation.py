@@ -31,7 +31,7 @@ class TestWorkloadGenerators:
     def test_counting(self, query):
         workload = Workload.counting(query)
         assert len(workload) == 1
-        assert workload[0].is_counting_query()
+        assert all(table_query.is_all_one() for table_query in workload[0].table_queries)
 
     def test_random_sign_reproducible(self, query):
         first = Workload.random_sign(query, 5, seed=1)
@@ -130,7 +130,7 @@ class TestEvaluator:
     def test_query_values_shape(self, query):
         workload = Workload.random_sign(query, 3, seed=6)
         evaluator = WorkloadEvaluator(workload)
-        assert evaluator.query_values(0).shape == (query.joint_domain_size,)
+        assert workload[0].joint_values().size == query.joint_domain_size
         assert evaluator.domain_size == 64
         assert evaluator.num_queries == 4
 

@@ -73,22 +73,6 @@ class TestAccessAndUpdate:
         updated = instance.with_delta("R2", (2, 2), +3)
         assert updated.relation("R2").multiplicity((2, 2)) == 3
 
-    def test_restrict(self, query):
-        instance = Instance.from_tuple_lists(
-            query, {"R1": [(0, 0), (1, 1)], "R2": [(0, 0), (1, 1)]}
-        )
-        mask = np.array([True, False, False])
-        restricted = instance.restrict("B", mask)
-        assert restricted.relation("R1").total() == 1
-        assert restricted.relation("R2").total() == 1
-
-    def test_sub_instance(self, query):
-        instance = Instance.from_tuple_lists(query, {"R1": [(0, 0)], "R2": [(0, 0)]})
-        replacement = Relation.empty(query.relations[1])
-        updated = instance.sub_instance({"R2": replacement})
-        assert updated.relation("R2").total() == 0
-        assert updated.relation("R1").total() == 1
-
     def test_equality(self, query):
         first = Instance.from_tuple_lists(query, {"R1": [(0, 0)]})
         second = Instance.from_tuple_lists(query, {"R1": [(0, 0)]})

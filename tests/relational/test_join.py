@@ -5,16 +5,8 @@ import pytest
 
 from repro.relational.hypergraph import path3_query, triangle_query, two_table_query
 from repro.relational.instance import Instance
-from repro.relational.join import (
-    expand_to_joint,
-    grouped_join_size,
-    join_result,
-    join_size,
-    join_size_brute_force,
-    joint_domain_size,
-    materialized_join_tuples,
-    semijoin_reduce,
-)
+from repro.relational.join import expand_to_joint, grouped_join_size, join_result, join_size
+from tests.relational.test_oracles import join_size_brute_force
 
 
 class TestTwoTableJoin:
@@ -110,9 +102,6 @@ class TestGroupedJoinSize:
 
 
 class TestHelpers:
-    def test_joint_domain_size(self):
-        assert joint_domain_size(two_table_query(3, 4, 5)) == 60
-
     def test_expand_to_joint_broadcasting(self):
         query = two_table_query(2, 3, 4)
         array = np.arange(12).reshape(3, 4)  # over (B, C)
@@ -121,26 +110,3 @@ class TestHelpers:
         # Attribute order different from the query's order is handled.
         transposed = expand_to_joint(query, array.T, ["C", "B"])
         assert np.array_equal(expanded, transposed)
-
-    def test_materialized_join_tuples(self):
-        query = two_table_query(2, 2, 2)
-        instance = Instance.from_tuple_lists(query, {"R1": [(0, 1)], "R2": [(1, 0)]})
-        tuples = materialized_join_tuples(instance)
-        assert tuples == [((0, 1, 0), 1)]
-
-    def test_semijoin_reduce_preserves_join(self, two_table_instance):
-        reduced = semijoin_reduce(two_table_instance)
-        assert join_size(reduced) == join_size(two_table_instance)
-        assert np.array_equal(join_result(reduced), join_result(two_table_instance))
-        # Dangling tuples are removed, never added.
-        assert reduced.total_size() <= two_table_instance.total_size()
-
-    def test_semijoin_reduce_removes_dangling(self):
-        query = two_table_query(3, 3, 3)
-        instance = Instance.from_tuple_lists(
-            query, {"R1": [(0, 0), (1, 1)], "R2": [(0, 2)]}
-        )
-        reduced = semijoin_reduce(instance)
-        # R1(1, 1) joins with nothing and must disappear.
-        assert reduced.relation("R1").multiplicity((1, 1)) == 0
-        assert reduced.relation("R1").multiplicity((0, 0)) == 1

@@ -1,76 +1,18 @@
-"""Unit tests for neighbouring-instance utilities."""
+"""Unit tests for ``random_neighbor``, checked with the neighbour oracle."""
 
 import numpy as np
 import pytest
 
 from repro.relational.hypergraph import two_table_query
 from repro.relational.instance import Instance
-from repro.relational.neighbors import (
-    enumerate_neighbors,
-    instance_distance,
-    is_neighboring,
-    random_neighbor,
-)
+from repro.relational.neighbors import random_neighbor
+from tests.relational.test_oracles import is_neighboring
 
 
 @pytest.fixture
 def base_instance():
     query = two_table_query(2, 2, 2)
     return Instance.from_tuple_lists(query, {"R1": [(0, 0), (1, 1)], "R2": [(0, 1)]})
-
-
-class TestIsNeighboring:
-    def test_addition_is_neighbor(self, base_instance):
-        neighbor = base_instance.with_delta("R2", (1, 1), +1)
-        assert is_neighboring(base_instance, neighbor)
-        assert is_neighboring(neighbor, base_instance)
-
-    def test_removal_is_neighbor(self, base_instance):
-        neighbor = base_instance.with_delta("R1", (0, 0), -1)
-        assert is_neighboring(base_instance, neighbor)
-
-    def test_identical_instances_are_not_neighbors(self, base_instance):
-        assert not is_neighboring(base_instance, base_instance)
-
-    def test_two_changes_are_not_neighbors(self, base_instance):
-        other = base_instance.with_delta("R1", (0, 0), -1).with_delta("R2", (1, 1), +1)
-        assert not is_neighboring(base_instance, other)
-
-    def test_multiplicity_jump_of_two_is_not_neighbor(self, base_instance):
-        other = base_instance.with_delta("R2", (1, 1), +2)
-        assert not is_neighboring(base_instance, other)
-
-
-class TestDistance:
-    def test_distance_zero(self, base_instance):
-        assert instance_distance(base_instance, base_instance) == 0
-
-    def test_distance_counts_all_changes(self, base_instance):
-        other = base_instance.with_delta("R1", (0, 0), -1).with_delta("R2", (1, 1), +2)
-        assert instance_distance(base_instance, other) == 3
-
-
-class TestEnumeration:
-    def test_removals_cover_support(self, base_instance):
-        removals = list(
-            enumerate_neighbors(base_instance, include_additions=False)
-        )
-        assert len(removals) == 3  # three records in the support
-        for neighbor in removals:
-            assert is_neighboring(base_instance, neighbor)
-            assert neighbor.total_size() == base_instance.total_size() - 1
-
-    def test_additions_cover_domain(self, base_instance):
-        additions = list(
-            enumerate_neighbors(base_instance, include_removals=False)
-        )
-        assert len(additions) == 8  # 4 domain cells per relation
-        for neighbor in additions:
-            assert is_neighboring(base_instance, neighbor)
-
-    def test_max_neighbors_cap(self, base_instance):
-        capped = list(enumerate_neighbors(base_instance, max_neighbors=5))
-        assert len(capped) == 5
 
 
 class TestRandomNeighbor:

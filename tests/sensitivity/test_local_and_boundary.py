@@ -6,17 +6,9 @@ import pytest
 from repro.relational.hypergraph import path3_query, two_table_query
 from repro.relational.instance import Instance
 from repro.relational.join import join_size
-from repro.relational.neighbors import enumerate_neighbors
-from repro.sensitivity.boundary import (
-    all_boundary_queries,
-    boundary_query,
-    boundary_query_profile,
-)
-from repro.sensitivity.local import (
-    local_sensitivity,
-    local_sensitivity_for_relation,
-    per_relation_local_sensitivity,
-)
+from repro.sensitivity.boundary import all_boundary_queries, boundary_query
+from repro.sensitivity.local import local_sensitivity, per_relation_local_sensitivity
+from tests.relational.test_oracles import ORACLE_JOINS, enumerate_neighbors, oracle_instance
 
 
 class TestLocalSensitivityTwoTable:
@@ -37,9 +29,6 @@ class TestLocalSensitivityTwoTable:
         per_relation = per_relation_local_sensitivity(two_table_instance)
         assert set(per_relation) == {"R1", "R2"}
         assert max(per_relation.values()) == local_sensitivity(two_table_instance)
-        assert local_sensitivity_for_relation(
-            two_table_instance, "R1"
-        ) == per_relation["R1"]
 
     def test_empty_instance(self):
         query = two_table_query(3, 3, 3)
@@ -61,12 +50,15 @@ class TestLocalSensitivityTwoTable:
 
 
 class TestLocalSensitivityMultiTable:
-    def test_matches_definition_via_neighbors(self, path3_instance):
-        base = join_size(path3_instance)
+    @pytest.mark.parametrize("join", ("path3", *ORACLE_JOINS))
+    def test_matches_definition_via_neighbors(self, join, path3_instance):
+        """On the path-3 fixture and on every join the evaluator tests use."""
+        instance = path3_instance if join == "path3" else oracle_instance(join)
+        base = join_size(instance)
         worst = 0
-        for neighbor in enumerate_neighbors(path3_instance):
+        for neighbor in enumerate_neighbors(instance):
             worst = max(worst, abs(join_size(neighbor) - base))
-        assert local_sensitivity(path3_instance) == worst
+        assert local_sensitivity(instance) == worst
 
     def test_middle_relation_sees_both_sides(self):
         query = path3_query(3, 3, 3, 3)
@@ -108,8 +100,3 @@ class TestBoundaryQueries:
         third = path3_instance.relation("R3").degree(["C"])
         expected = int(np.max(np.outer(first, third)))
         assert boundary_query(path3_instance, (0, 2)) == expected
-
-    def test_profile_max_equals_boundary_query(self, two_table_instance):
-        profile = boundary_query_profile(two_table_instance, (0,))
-        assert int(profile.max()) == boundary_query(two_table_instance, (0,))
-        assert profile.ndim == 1

@@ -14,16 +14,11 @@ from repro.sensitivity.boundary import boundary_query
 from repro.sensitivity.configurations import (
     bucket_index,
     bucket_upper_value,
-    configuration_local_sensitivity,
     configuration_of_instance,
     configuration_residual_upper_bound,
     configuration_t_upper_bound,
 )
 from repro.sensitivity.degrees import degree_vector, max_degree, t_upper_bound
-from repro.sensitivity.global_bound import (
-    global_sensitivity_upper_bound,
-    local_sensitivity_global_sensitivity,
-)
 from repro.sensitivity.local import local_sensitivity
 from repro.sensitivity.residual import maximize_residual_objective, residual_sensitivity
 from repro.sensitivity.smooth import (
@@ -66,32 +61,6 @@ class TestSmoothSensitivity:
             local_sensitivity_at_distance(tiny_instance, -1)
         with pytest.raises(ValueError):
             smooth_sensitivity_bruteforce(tiny_instance, 0.0)
-
-
-class TestGlobalBound:
-    def test_two_table_is_n(self):
-        query = two_table_query(3, 3, 3)
-        assert global_sensitivity_upper_bound(query, 100) == 100
-
-    def test_single_table_is_one(self):
-        from repro.relational.hypergraph import single_table_query
-
-        assert global_sensitivity_upper_bound(single_table_query({"X": 4}), 50) == 1
-
-    def test_three_table_power(self):
-        from repro.relational.hypergraph import path3_query
-
-        assert global_sensitivity_upper_bound(path3_query(2, 2, 2, 2), 10) == 100
-
-    def test_ls_global_sensitivity(self):
-        assert local_sensitivity_global_sensitivity(two_table_query(2, 2, 2)) == 1
-        from repro.relational.hypergraph import path3_query
-
-        assert local_sensitivity_global_sensitivity(path3_query(2, 2, 2, 2)) is None
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            global_sensitivity_upper_bound(two_table_query(2, 2, 2), -1)
 
 
 class TestDegrees:
@@ -173,7 +142,7 @@ class TestConfigurations:
 
     def test_configuration_of_instance(self, figure4_instance):
         configuration = configuration_of_instance(figure4_instance, lam=2.0)
-        buckets = configuration.as_dict()
+        buckets = dict(configuration.buckets)
         assert set(buckets) == set(figure4_instance.query.attribute_names)
         assert all(index >= 1 for index in buckets.values())
         assert configuration.bucket_of("A") == buckets["A"]
@@ -184,8 +153,12 @@ class TestConfigurations:
         lam = 2.0
         beta = 0.5
         query = figure4_instance.query
+        m = query.num_relations
         configuration = configuration_of_instance(figure4_instance, lam)
-        config_ls = configuration_local_sensitivity(query, configuration, lam)
+        config_ls = max(  # LS^σ_count = max_i T^σ_{[m]∖{i}} (Theorem C.3)
+            configuration_t_upper_bound(query, configuration, frozenset(range(m)) - {i}, lam)
+            for i in range(m)
+        )
         assert config_ls >= local_sensitivity(figure4_instance) - 1e-9
         config_rs = configuration_residual_upper_bound(query, configuration, beta, lam)
         assert config_rs >= residual_sensitivity(figure4_instance, beta) - 1e-9
