@@ -29,7 +29,7 @@ budget), at least one and at most ``PMWConfig.max_iterations``.
 answers the workload through the workload's one evaluator,
 :func:`~repro.queries.evaluation.shared_evaluator`, so repeated runs over one
 workload (the uniformized per-bucket releases, trial sweeps) reuse its
-stacks, box factors and sparse stacks.
+stacks, each over only the axes its queries' weights vary on, and box factors.
 
 The inner loop never touches full-domain query vectors.  The multiplicative
 update rescales only the selected query's support box — the update factor

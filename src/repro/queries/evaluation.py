@@ -6,14 +6,20 @@ answer — on an instance or on a released histogram — is one contraction of
 those stacks.  :class:`WorkloadEvaluator` is built on that:
 
 Stacks and groups
-    Queries are grouped by the set of relations whose weights are not all
-    one, and each group stacks those relations' weights across its queries.
-    The counting query (no such relation) is ``h.sum()``.  A group's
-    answers on a histogram ``h`` contract its stacks with ``h`` summed down
-    to the group's attributes, along a plan built once with the stacks.
-    Each stack is stored once, in the axis order its step of the plan
-    reads, and filled query by query; the group's ``|Q_g| × dom(R)`` stacks
-    are transposed views of those arrays.
+    Queries are grouped by the relations whose weights are not all one
+    and, per relation, the axes its weights are held on: those they are
+    not broadcast along (:attr:`~repro.queries.linear.TableQuery.held_axes`).
+    Each group stacks those weights over their held axes alone, so a
+    one-way marginal's stack row has ``|dom(attribute)|`` cells, not
+    ``|dom(R)|``.  The counting query (no such relation) is ``h.sum()``.
+    A group's answers on a histogram ``h`` contract its stacks, along a
+    plan built once with them, with ``h`` summed in two stages: onto the
+    group's relations' attributes, once per call for every group over the
+    same relations, then onto its held axes (numpy sums an ``8^5`` array
+    onto its first axis in 8 µs, onto its last in 71 µs).  Each stack is
+    stored once, in the axis order its step of the plan reads, and filled
+    query by query; the group's ``|Q_g| × held`` stacks are transposed
+    views of those arrays.
 The plan and query blocks
     Step one takes the relation with the largest private part ``P`` (the
     attributes no other relation of the group holds) and contracts it as
@@ -35,14 +41,13 @@ The plan and query blocks
     also holds the box's change and the zero-padded marginal, within two
     ``|D|`` fewer.
 Instances
-    :meth:`~WorkloadEvaluator.answers_on_instance` sums the instance's
-    join onto each group's axes, one einsum over the relation frequencies
-    whose path numpy's greedy search finds once per group with no size cap
-    (under numpy's default cap, the largest operand, the search gives up
-    and sweeps every index combination at once), and runs the group's
-    plan on that marginal as on a histogram's.  Integer frequencies times
-    0/±1 weights sum exactly, so those answers are bitwise the per-query
-    reference, :meth:`~repro.queries.linear.ProductQuery.evaluate`.
+    :meth:`~WorkloadEvaluator.answers_on_instance` sums the join in the
+    same two stages, the first one einsum over the relation frequencies
+    per relation set, whose path numpy's greedy search finds once with no
+    size cap (under numpy's default cap, the largest operand, the search
+    sweeps every index combination at once), and runs each group's plan on
+    the result.  Integer frequencies times 0/±1 weights sum exactly, so
+    those answers are bitwise :meth:`~repro.queries.linear.ProductQuery.evaluate`'s.
 Supports
     :meth:`~WorkloadEvaluator.query_support` hands the PMW update one
     query's non-zero box — an index into the joint-shaped histogram, a
@@ -55,21 +60,19 @@ Carried answers
     Where a full evaluation sweeps more than ``_MATRIX_CELL_BUDGET`` matrix
     cells (``|Q|·|D|``), a session's support update also returns how every
     answer moves, group by group, from the box's change ``Δ``: ``ΣΔ`` for
-    the counting query; for a one-relation group, ``Δ`` summed onto the
-    relation's attributes times the group's stack held sparsely over
-    ``dom(R)`` (a numpy ``take``, an in-place multiply and
-    ``np.add.reduceat``); for a group over several relations, its plan run
-    on ``Δ``'s marginal zero-padded to the group's axes.  A whole-domain
-    box returns no change, and the PMW loop then evaluates the workload in
-    full, as it does every round below the budget.
+    the counting query, and for every other group its plan run on ``Δ``
+    summed in the same two stages onto the group's held axes and
+    zero-padded outside the box.  A whole-domain box returns no change, and
+    the PMW loop then evaluates the workload in full, as it does every
+    round below the budget.
 Memory
-    Resident: the stacks (one copy each), the box factors of each query
-    whose support was asked for (``O(Σ_R |box_R|)`` per query) and the
-    sparse stacks of the one-relation groups, built on the first carried
-    update.  A box factor is a view of the workload's weights where the box
-    slices them and a copy where it gathers;
-    :meth:`~WorkloadEvaluator.estimated_memory` sums the stacks, those
-    copies and the sparse stacks, none of them ``|D|``-sized per query.
+    Resident: the stacks (one copy each) and the box factors of each query
+    whose support was asked for (``O(Σ_R |box_R|)`` per query).  A box
+    factor is a view of the workload's weights where the box slices them
+    and a copy where it gathers; :meth:`~WorkloadEvaluator.estimated_memory`
+    sums the stacks and those copies, none of them ``|D|``-sized per query.
+    The release benchmark's 321 one-way marginals over ``|D| = 2^20``
+    stack 0.28 MiB (20 MiB with relation-wide stacks).
 
 Iterated evaluation goes through a :class:`HistogramSession`, an operation
 protocol (``answers``, ``scale_support``, ``scale``, ``fill``, ``total``,
@@ -77,8 +80,8 @@ protocol (``answers``, ``scale_support``, ``scale``, ``fill``, ``total``,
 storage — a scale times a cell array, so that a PMW round costs its
 support and not the domain — is private to this package.
 :func:`shared_evaluator` memoises one evaluator on the workload object
-itself, so repeated releases over the same workload reuse its stacks,
-box factors and sparse stacks, and they die with the workload.
+itself, so repeated releases over the same workload reuse its stacks and
+box factors, and they die with the workload.
 """
 
 from __future__ import annotations
@@ -199,13 +202,13 @@ def _plan(
     weights: dict[int, list[np.ndarray]],
     domain_size: int,
 ) -> tuple[_Plan, dict[int, np.ndarray]]:
-    """The plan of one group, and each relation's stack as a ``|Q_g| × dom(R)`` view.
+    """The plan of one group, and each relation's stack as a ``|Q_g| × held`` view.
 
-    ``axes_of`` maps each relation to its joint axes in schema order,
+    ``axes_of`` maps each relation to its held joint axes in schema order,
     ``letters`` labels the joint axes and then the query axis, and
-    ``weights`` holds each relation's weight arrays, one per query.  Every
-    step takes the pending relation with the largest private part (the
-    attributes no other pending relation holds), which the step sums out.
+    ``weights`` holds each relation's held weights, one array per query.
+    Every step takes the pending relation with the largest private part
+    (the axes no other pending relation holds), which the step sums out.
     Each stack is filled once, in the layout its step reads.
     """
     query = len(extents)  # the query axis's label
@@ -232,9 +235,9 @@ def _plan(
         return stored, view
 
     pending = list(axes_of)
-    position, held = take(pending)
-    shared = [axis for axis in kept if axis in axes_of[position] and axis in held]
-    private = [axis for axis in kept if axis in axes_of[position] and axis not in held]
+    position, later = take(pending)
+    shared = [axis for axis in kept if axis in axes_of[position] and axis in later]
+    private = [axis for axis in kept if axis in axes_of[position] and axis not in later]
     others = [axis for axis in kept if axis not in axes_of[position]]
     stored, view = fill(position, shared + [query] + private)
     stacks = {position: view}
@@ -243,9 +246,9 @@ def _plan(
     cells = volume(shared) * volume(others)  # the largest intermediate, per query
     steps = []
     while pending:
-        position, held = take(pending)
+        position, later = take(pending)
         layout = [axis for axis in labels if axis == query or axis in axes_of[position]]
-        output = [axis for axis in labels if axis == query or axis in held]
+        output = [axis for axis in labels if axis == query or axis in later]
         stored, stacks[position] = fill(position, layout)
         subscripts = "".join(letters[axis] for axis in labels) + ","
         subscripts += "".join(letters[axis] for axis in layout) + "->"
@@ -273,67 +276,97 @@ def _plan(
     return plan, stacks
 
 
+def _sum(array: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``array`` summed over ``axes``, or ``array`` itself when there are none."""
+    return array.sum(axis=axes) if axes else array
+
+
 @dataclass(frozen=True)
 class _Group:
-    """The queries whose non-all-one weights sit on one set of relations.
+    """The queries weighted on one set of relations, each held on one set of axes.
 
-    ``join_marginal`` is the einsum, subscripts and path, that sums an
-    instance's join onto the group's axes from the relation frequencies.
+    ``held`` gives each relation's held joint axes, ``axes`` their union
+    and ``summed`` the other positions among the relations' attributes,
+    all in joint order.
     """
 
     rows: np.ndarray
     relations: tuple[int, ...]
-    stacks: tuple[np.ndarray, ...]
+    held: tuple[tuple[int, ...], ...]
+    axes: tuple[int, ...]
     summed: tuple[int, ...]
+    stacks: tuple[np.ndarray, ...]
     on_histogram: _Plan | None
+
+    def answer(self, answers: np.ndarray, marginal: np.ndarray) -> None:
+        """``answers[rows]`` against ``marginal``, summed onto the group's relations' attributes."""
+        marginal = _sum(marginal, self.summed)
+        if self.on_histogram is None:
+            answers[self.rows] = marginal
+        else:
+            self.on_histogram.run(answers, self.rows, marginal)
+
+
+@dataclass(frozen=True)
+class _RelationSet:
+    """The groups weighted on one set of relations, and the first stage of their sums.
+
+    ``summed`` are the joint axes none of the relations holds, and
+    ``join_marginal`` the einsum, subscripts and path, onto the others.
+    """
+
+    summed: tuple[int, ...]
     join_marginal: tuple[str, list]
+    groups: tuple[_Group, ...]
 
 
-def _stack(workload: Workload) -> tuple[_Group, ...]:
-    """Stack the workload's weights, one group per set of non-all-one relations."""
+def _stack(workload: Workload) -> tuple[_RelationSet, ...]:
+    """Stack the workload's weights, one group per weighted relation set and held axes."""
     join = workload.join_query
     names = join.attribute_names
     if len(names) >= len(_EINSUM_LETTERS):
         raise ValueError(f"queries with {len(names)} attributes leave no einsum label free")
     letters = _letters_for(join)
-    label = _EINSUM_LETTERS[len(names)]  # the first letter no attribute uses
+    labels = "".join(letters[name] for name in names) + _EINSUM_LETTERS[len(names)]
     terms = ["".join(letters[name] for name in schema.attribute_names) for schema in join.relations]
     axes = [tuple(map(join.axis_of, schema.attribute_names)) for schema in join.relations]
-    members: dict[tuple[int, ...], list[int]] = {}
+    # weighted relations -> {each one's held joint axes -> rows}
+    members: dict[tuple[int, ...], dict[tuple[tuple[int, ...], ...], list[int]]] = {}
     for index, query in enumerate(workload):
-        key = tuple(
-            position
-            for position, table_query in enumerate(query.table_queries)
-            if not table_query.is_all_one()
-        )
-        members.setdefault(key, []).append(index)
+        relations, held = [], []
+        for position, table_query in enumerate(query.table_queries):
+            if not table_query.is_all_one():
+                relations.append(position)
+                held.append(tuple(axes[position][axis] for axis in table_query.held_axes))
+        members.setdefault(tuple(relations), {}).setdefault(tuple(held), []).append(index)
     # The path needs only the shapes; no size cap (see the module docstring).
     placeholders = [np.broadcast_to(np.empty(()), schema.shape) for schema in join.relations]
-    groups = []
-    for relations, rows in members.items():
-        on_histogram = None
-        stacks: tuple[np.ndarray, ...] = ()
-        if relations:
-            weights = {
-                position: [workload[index].table_queries[position].weights for index in rows]
-                for position in relations
-            }
-            on_histogram, views = _plan(
-                {position: axes[position] for position in relations},
-                join.shape,
-                "".join(letters[name] for name in names) + label,
-                weights,
-                join.joint_domain_size,
+    sets = []
+    for relations, by_held in members.items():
+        attributes = sorted({axis for position in relations for axis in axes[position]})
+        groups = []
+        for held, rows in by_held.items():
+            kept = tuple(sorted(set().union(*held)))
+            on_histogram = None
+            stacks: tuple[np.ndarray, ...] = ()
+            if relations:
+                weights = {
+                    position: [workload[row].table_queries[position].held_weights() for row in rows]
+                    for position in relations
+                }
+                on_histogram, views = _plan(
+                    dict(zip(relations, held)), join.shape, labels, weights, join.joint_domain_size
+                )
+                stacks = tuple(views[position] for position in relations)
+            summed = tuple(place for place, axis in enumerate(attributes) if axis not in kept)
+            groups.append(
+                _Group(np.array(rows), relations, held, kept, summed, stacks, on_histogram)
             )
-            stacks = tuple(views[position] for position in relations)
-        kept = {axis for position in relations for axis in axes[position]}
-        summed = tuple(axis for axis in range(len(names)) if axis not in kept)
-        subscripts = ",".join(terms) + "->" + "".join(letters[names[axis]] for axis in sorted(kept))
+        summed = tuple(axis for axis in range(len(names)) if axis not in attributes)
+        subscripts = ",".join(terms) + "->" + "".join(labels[axis] for axis in attributes)
         path = np.einsum_path(subscripts, *placeholders, optimize=("greedy", 1 << 62))[0]
-        groups.append(
-            _Group(np.array(rows), relations, stacks, summed, on_histogram, (subscripts, path))
-        )
-    return tuple(groups)
+        sets.append(_RelationSet(summed, (subscripts, path), tuple(groups)))
+    return tuple(sets)
 
 
 class HistogramSession:
@@ -523,9 +556,7 @@ class WorkloadEvaluator:
         self._workload = workload
         self._context = EvaluatorContext(workload)
         self._shape = workload.join_query.shape
-        self._stacked: tuple[_Group, ...] | None = None
-        #: Per one-relation group (by position): its stack held sparsely.
-        self._sparse: dict[int, tuple[np.ndarray, ...]] = {}
+        self._stacked: tuple[_RelationSet, ...] | None = None
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -538,23 +569,25 @@ class WorkloadEvaluator:
     def domain_size(self) -> int:
         return self._context.domain_size
 
-    def _groups(self) -> tuple[_Group, ...]:
+    def _relation_sets(self) -> tuple[_RelationSet, ...]:
         if self._stacked is None:
             self._stacked = _stack(self._workload)
         return self._stacked
+
+    def _groups(self) -> tuple[_Group, ...]:
+        return tuple(group for part in self._relation_sets() for group in part.groups)
 
     def total_support_size(self) -> int:
         """``Σ_q nnz(q)``: the joint-domain cells the workload's queries are non-zero on."""
         return self._context.total_support_size()
 
     def estimated_memory(self) -> int:
-        """Resident bytes: the stacks, the box factors' copies and the sparse stacks.
+        """Resident bytes: the stacks and the box factors' copies.
 
         A box factor that is a view of the workload's weights adds nothing.
         """
-        arrays = [stack for group in self._groups() for stack in group.stacks]
-        arrays += [array for sparse in self._sparse.values() for array in sparse]
-        return sum(array.nbytes for array in arrays) + self._context.box_bytes()
+        stacks = sum(stack.nbytes for group in self._groups() for stack in group.stacks)
+        return stacks + self._context.box_bytes()
 
     # ------------------------------------------------------------------ #
     # query supports and carried answers
@@ -578,64 +611,22 @@ class WorkloadEvaluator:
     def _answer_change(self, box: tuple, delta: np.ndarray) -> np.ndarray:
         """How every answer moves when the cells of ``box`` move by ``delta``.
 
-        Group by group (see the module docstring): a group's axes hold
-        ``delta`` summed onto them, zero outside the box.
+        Group by group (see the module docstring): ``delta`` summed onto
+        the group's held axes, zero outside the box, through its plan.
         """
         parts = [part if isinstance(part, slice) else part.reshape(-1) for part in box]
         change = np.zeros(self.num_queries, dtype=np.float64)
-        for position, group in enumerate(self._groups()):
-            if group.on_histogram is None:
-                change[group.rows] = delta.sum()
-                continue
-            kept = [axis for axis in range(len(self._shape)) if axis not in group.summed]
-            marginal = np.zeros(tuple(self._shape[axis] for axis in kept))
-            marginal[box_index([parts[axis] for axis in kept])] = (
-                delta.sum(axis=group.summed) if group.summed else delta
-            )
-            if len(group.relations) > 1:
-                group.on_histogram.run(change, group.rows, marginal, carried=True)
-                continue
-            columns, values, starts, rows = self._sparse_stack(position, group)
-            # Queries in blocks of non-zeros that fit the carried plan's cells
-            # (one query's, at most |dom(R)| <= |D|, always does).
-            bounds = np.append(starts, columns.size)
-            budget = max(1, _BLOCK_CELLS - 2) * self.domain_size
-            products = np.empty(min(columns.size, budget))
-            first = 0
-            while first < starts.size:
-                last = int(np.searchsorted(bounds, bounds[first] + budget, "right")) - 1
-                cut = slice(bounds[first], bounds[last])
-                block = products[: cut.stop - cut.start]
-                # "clip" writes to ``out`` directly; "raise" would buffer it.
-                np.take(marginal.reshape(-1), columns[cut], out=block, mode="clip")
-                block *= values[cut]
-                change[rows[first:last]] = np.add.reduceat(block, starts[first:last] - cut.start)
-                first = last
+        for part in self._relation_sets():
+            marginal = _sum(delta, part.summed)
+            for group in part.groups:
+                held = _sum(marginal, group.summed)
+                if group.on_histogram is None:
+                    change[group.rows] = held
+                    continue
+                padded = np.zeros(tuple(self._shape[axis] for axis in group.axes))
+                padded[box_index([parts[axis] for axis in group.axes])] = held
+                group.on_histogram.run(change, group.rows, padded, carried=True)
         return change
-
-    def _sparse_stack(self, position: int, group: _Group) -> tuple[np.ndarray, ...]:
-        """A one-relation group's stack held sparsely over ``dom(R)``, built on first use.
-
-        ``(columns, values, starts, rows)``: each query's non-zero weights in
-        row-major order, their flat cells of ``dom(R)`` with its attributes
-        in joint-axis order, where each query with a non-zero weight starts,
-        and those queries' rows in the workload.
-        """
-        sparse = self._sparse.get(position)
-        if sparse is None:
-            join = self._workload.join_query
-            (relation,) = group.relations
-            axes = [join.axis_of(name) for name in join.relations[relation].attribute_names]
-            order = [0] + [1 + axes.index(axis) for axis in sorted(axes)]
-            matrix = group.stacks[0].transpose(order).reshape(group.rows.size, -1)
-            queries, columns = np.nonzero(matrix)
-            columns = np.ascontiguousarray(columns)  # not a view holding ``queries`` too
-            counts = np.bincount(queries, minlength=group.rows.size)
-            filled = counts > 0
-            starts = (np.cumsum(counts) - counts)[filled]
-            sparse = (columns, matrix[queries, columns], starts, group.rows[filled])
-            self._sparse[position] = sparse
-        return sparse
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -643,20 +634,19 @@ class WorkloadEvaluator:
     def answers_on_instance(self, instance: Instance) -> np.ndarray:
         """Exact answers ``q(I)`` for every workload query.
 
-        Each group's plan run on the join summed onto the group's axes; the
-        join is never materialised beyond those axes.
+        Each group's plan run on the join summed onto the group's held
+        axes; the join is never materialised beyond the attributes of one
+        set of weighted relations.
         """
         if instance.query is not self._workload.join_query:
             self._workload.require_compatible(instance.query)
         frequencies = [relation.frequencies.astype(np.float64) for relation in instance.relations]
         answers = np.empty(self.num_queries, dtype=np.float64)
-        for group in self._groups():
-            subscripts, path = group.join_marginal
+        for part in self._relation_sets():
+            subscripts, path = part.join_marginal
             marginal = np.einsum(subscripts, *frequencies, optimize=path)
-            if group.on_histogram is None:
-                answers[group.rows] = marginal
-            else:
-                group.on_histogram.run(answers, group.rows, marginal)
+            for group in part.groups:
+                group.answer(answers, marginal)
         return answers
 
     def _validated_flat(self, histogram: np.ndarray) -> np.ndarray:
@@ -668,12 +658,10 @@ class WorkloadEvaluator:
     def _answers(self, cells: np.ndarray) -> np.ndarray:
         histogram = cells.reshape(self._shape)
         answers = np.empty(self.num_queries, dtype=np.float64)
-        for group in self._groups():
-            if group.on_histogram is None:
-                answers[group.rows] = histogram.sum()
-                continue
-            marginal = histogram.sum(axis=group.summed) if group.summed else histogram
-            group.on_histogram.run(answers, group.rows, marginal)
+        for part in self._relation_sets():
+            marginal = _sum(histogram, part.summed)
+            for group in part.groups:
+                group.answer(answers, marginal)
         return answers
 
     def answers_on_histogram(self, histogram: np.ndarray) -> np.ndarray:
@@ -698,7 +686,7 @@ def shared_evaluator(workload: Workload) -> WorkloadEvaluator:
     PMW, the baselines and :class:`~repro.core.result.ReleaseResult` all
     ask this for the workload's evaluator, so repeated releases over the
     same workload — uniformized per-bucket runs, trial sweeps, error
-    reports — share its stacks, box factors and sparse stacks.  It lives
+    reports — share its stacks and box factors.  It lives
     in the workload's one evaluator slot, so it dies with the workload; a
     fresh :class:`~repro.queries.workload.Workload` over the same queries
     starts without one.

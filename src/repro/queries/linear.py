@@ -13,7 +13,7 @@ the broadcast product of the weight arrays over the joint domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,22 +34,26 @@ class TableQuery:
         Name of the relation the weights apply to.
     weights:
         Array of shape equal to the relation's domain shape with entries in
-        ``[-1, +1]``.
+        ``[-1, +1]``.  The evaluator stacks them only over their *held*
+        axes, those they are not broadcast along (stride zero).
     """
 
     relation_name: str
     weights: np.ndarray
+    _all_one: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=float)
-        if np.any(np.isnan(weights)):
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        held = self.held_weights()
+        low, high = (float(held.min()), float(held.max())) if held.size else (1.0, 1.0)
+        if np.isnan(low) or np.isnan(high):  # min and max propagate NaN
             raise ValueError("query weights must not contain NaN")
-        if weights.size and (weights.min() < -1.0 - 1e-9 or weights.max() > 1.0 + 1e-9):
+        if low < -1.0 - 1e-9 or high > 1.0 + 1e-9:
             raise ValueError(
                 f"query weights for relation {self.relation_name!r} must lie in [-1, 1]; "
-                f"got range [{weights.min()}, {weights.max()}]"
+                f"got range [{low}, {high}]"
             )
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_all_one", low == high == 1.0)
 
     @classmethod
     def all_one(cls, schema: RelationSchema) -> "TableQuery":
@@ -68,22 +72,35 @@ class TableQuery:
 
         ``predicate`` maps attribute names to the collection of allowed
         values; a record gets weight 1 when every listed attribute takes one
-        of its allowed values, and 0 otherwise.
+        of its allowed values, and 0 otherwise.  The weights are a read-only
+        broadcast of the predicate's mask, held on the listed attributes
+        only: a one-attribute marginal or range holds ``|dom(attribute)|`` cells.
         """
-        weights = np.ones(schema.shape, dtype=float)
+        mask = np.ones((1,) * len(schema.shape))
         for attribute_name, allowed_values in predicate.items():
             attribute = schema.attribute(attribute_name)
-            axis = schema.axis_of(attribute_name)
-            mask = np.zeros(attribute.domain.size, dtype=float)
+            allowed = np.zeros(attribute.domain.size, dtype=float)
             for value in allowed_values:
-                mask[attribute.domain.index_of(value)] = 1.0
+                allowed[attribute.domain.index_of(value)] = 1.0
             shape = [1] * len(schema.shape)
-            shape[axis] = attribute.domain.size
-            weights = weights * mask.reshape(shape)
-        return cls(schema.name, weights)
+            shape[schema.axis_of(attribute_name)] = attribute.domain.size
+            mask = mask * allowed.reshape(shape)
+        return cls(schema.name, np.broadcast_to(mask, schema.shape))
+
+    @property
+    def held_axes(self) -> tuple[int, ...]:
+        """The axes the weights are not broadcast along: those with a non-zero stride."""
+        return tuple(axis for axis, stride in enumerate(self.weights.strides) if stride)
+
+    def held_weights(self) -> np.ndarray:
+        """The weights over their held axes only: a view, or the weights when all are held."""
+        if all(self.weights.strides):
+            return self.weights
+        return self.weights[tuple(slice(None) if s else 0 for s in self.weights.strides) + (...,)]
 
     def is_all_one(self) -> bool:
-        return bool(np.all(self.weights == 1.0))
+        """Whether every weight is 1: O(1), read off the range check at construction."""
+        return self._all_one
 
 
 class ProductQuery:
@@ -189,27 +206,26 @@ def require_same_join(expected: JoinQuery, given: JoinQuery) -> None:
         return
     if expected.relation_names != given.relation_names:
         raise ValueError(
-            f"queries and instance are defined over different join queries: "
-            f"relations {expected.relation_names} vs {given.relation_names}"
+            f"different join queries: relations {expected.relation_names} vs "
+            f"{given.relation_names}"
         )
     if expected.attribute_names != given.attribute_names:
         raise ValueError(
-            f"queries and instance are defined over different join queries: "
-            f"attributes {expected.attribute_names} vs {given.attribute_names}"
+            f"different join queries: attributes {expected.attribute_names} vs "
+            f"{given.attribute_names}"
         )
     for name in expected.attribute_names:
         if expected.attribute(name).domain != given.attribute(name).domain:
             raise ValueError(
-                f"queries and instance disagree on the domain of attribute "
-                f"{name!r} (sizes {expected.attribute(name).domain.size} vs "
+                f"different join queries: the domain of attribute {name!r} differs "
+                f"(sizes {expected.attribute(name).domain.size} vs "
                 f"{given.attribute(name).domain.size})"
             )
     for own_schema, other_schema in zip(expected.relations, given.relations):
         if own_schema.attribute_names != other_schema.attribute_names:
             raise ValueError(
-                f"queries and instance disagree on the attributes of relation "
-                f"{own_schema.name!r}: {own_schema.attribute_names} vs "
-                f"{other_schema.attribute_names}"
+                f"different join queries: relation {own_schema.name!r} "
+                f"holds {own_schema.attribute_names} vs {other_schema.attribute_names}"
             )
 
 

@@ -33,12 +33,7 @@ class Workload:
         if not queries:
             raise ValueError("a workload must contain at least one query")
         for query in queries:
-            if query.join_query is not join_query:
-                if (
-                    query.join_query.attribute_names != join_query.attribute_names
-                    or query.join_query.relation_names != join_query.relation_names
-                ):
-                    raise ValueError("all workload queries must share the same join query")
+            require_same_join(join_query, query.join_query)
         self._join_query = join_query
         self._queries = queries
         # The workload's one evaluator, owned by repro.queries.evaluation.shared_evaluator.

@@ -16,12 +16,18 @@ depend on how the queries are blocked.  Each stack is stored once, in the
 layout the plan reads, and a group's stacks are views of those arrays.
 
 On the same generators and joins: the groups partition the workload by the
-relations whose weights are not all one; each query's support box holds the
-dense query values bitwise and the dense values are zero outside it; a
-session's answers follow its in-place updates; and, with carried answers
-forced on (``_MATRIX_CELL_BUDGET`` patched to 0), every update on a box
-that is not the whole domain reports an answer change equal to what a full
-evaluation moves by, while whole-domain boxes report none.
+relations whose weights are not all one and, per relation, the axes its
+weights are held on (not broadcast along), and each stack row is those
+weights over those axes alone; each query's support box holds the dense
+query values bitwise and the dense values are zero outside it; a session's
+answers follow its in-place updates; and, with carried answers forced on
+(``_MATRIX_CELL_BUDGET`` patched to 0), every update on a box that is not
+the whole domain reports an answer change equal to what a full evaluation
+moves by, while whole-domain boxes report none.  Besides the workload
+generators, the generators include products of indicator pools (groups
+over several relations, each narrowed to one attribute), two-attribute
+indicators, weights broadcast from 0.5 and from 0 (no held axis) and dense
+weights that are constant along an axis (every axis held).
 """
 
 import tracemalloc
@@ -34,7 +40,7 @@ from repro.datagen.tpch import generate_tpch
 from repro.queries import evaluation
 from repro.queries.backends import EvaluatorContext
 from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
-from repro.queries.linear import ProductQuery, TableQuery
+from repro.queries.linear import ProductQuery, TableQuery, all_one_query
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import chain_query, figure4_query, star_query, two_table_query
 from repro.relational.instance import Instance
@@ -56,7 +62,29 @@ GENERATORS = (
     "attribute_ranges",
     "random_predicates",
     "product",
+    "indicator_product",
+    "two_attribute_indicator",
+    "half_broadcast",
+    "zero_broadcast",
+    "constant_along_an_axis",
 )
+
+#: Generators with weights other than 0, ±1 and 0.5, whose instance answers round.
+ROUNDING = ("product", "constant_along_an_axis")
+
+
+def _broadcast_queries(query, value: float) -> list[ProductQuery]:
+    """Weights broadcast from ``value`` on each relation, alone and beside an indicator."""
+    queries = []
+    for schema in query.relations:
+        weights = np.broadcast_to(value, schema.shape)
+        queries.append(ProductQuery(query, [TableQuery(schema.name, weights)]))
+    first, other = query.relations[0], query.relations[-1]
+    name = other.attribute_names[-1]
+    indicator = TableQuery.indicator(other, {name: list(other.attribute(name).domain)[:1]})
+    constant = TableQuery(first.name, np.broadcast_to(value, first.shape))
+    queries.append(ProductQuery(query, [constant, indicator]))
+    return queries
 
 
 def _workload(query, generator: str) -> Workload:
@@ -71,7 +99,40 @@ def _workload(query, generator: str) -> Workload:
         return Workload.attribute_ranges(query, first)
     if generator == "random_predicates":
         return Workload.random_predicates(query, 5, seed=2)
+    if generator == "indicator_product":
+        # One value and every other value of each end attribute of the first two relations.
+        pools = {}
+        for schema in query.relations[:2]:
+            pools[schema.name] = []
+            for name in (schema.attribute_names[0], schema.attribute_names[-1]):
+                values = list(schema.attribute(name).domain)
+                for allowed in (values[:1], values[::2]):
+                    pools[schema.name].append(TableQuery.indicator(schema, {name: allowed}))
+        return Workload.product(query, pools)
+    if generator == "two_attribute_indicator":
+        schema = max(query.relations, key=lambda relation: len(relation.attribute_names))
+        one, two = schema.attribute_names[:2]
+        seconds = list(schema.attribute(two).domain)
+        queries = [all_one_query(query)] + [
+            ProductQuery(query, [TableQuery.indicator(schema, {one: [value], two: allowed})])
+            for value in list(schema.attribute(one).domain)[:3]
+            for allowed in (seconds[1:2], seconds[::2])
+        ]
+        return Workload(query, queries)
+    if generator == "half_broadcast":
+        return Workload(query, [all_one_query(query)] + _broadcast_queries(query, 0.5))
+    if generator == "zero_broadcast":
+        return Workload.attribute_marginals(query, last).extended(_broadcast_queries(query, 0.0))
     rng = np.random.default_rng(3)
+    if generator == "constant_along_an_axis":
+        queries = []
+        for schema in query.relations[:2]:
+            for axis, extent in enumerate(schema.shape):
+                shape = list(schema.shape)
+                shape[axis] = 1
+                weights = np.repeat(rng.uniform(-1.0, 1.0, size=shape), extent, axis=axis)
+                queries.append(ProductQuery(query, [TableQuery(schema.name, weights)]))
+        return Workload(query, queries)
     pools = {
         schema.name: [
             TableQuery(schema.name, rng.uniform(-1.0, 1.0, size=schema.shape)) for _ in range(2)
@@ -112,10 +173,10 @@ def test_instance_answers_match_the_per_query_einsum(join, generator):
     instance = _instance(query)
     answers = WorkloadEvaluator(workload).answers_on_instance(instance)
     reference = np.array([product.evaluate(instance) for product in workload])
-    if generator == "product":  # real-valued weights round
+    if generator in ROUNDING:  # real-valued weights round
         scale = max(1.0, float(np.abs(reference).max()))
         assert np.max(np.abs(answers - reference)) <= 1e-12 * scale
-    else:  # integer frequencies times 0/±1 weights sum exactly
+    else:  # integer frequencies times 0, ±1 and 0.5 weights sum exactly
         assert answers.tobytes() == reference.tobytes()
 
 
@@ -175,34 +236,60 @@ def _assert_within(answers: np.ndarray, reference: np.ndarray, rtol: float) -> N
 
 @pytest.mark.parametrize("generator", GENERATORS)
 @pytest.mark.parametrize("join", JOINS)
-def test_groups_partition_the_queries_by_their_weighted_relations(join, generator):
+def test_groups_partition_the_queries_by_relation_and_held_axes(join, generator):
     query = JOINS[join]
     workload = _workload(query, generator)
-    groups = WorkloadEvaluator(workload)._groups()
+    evaluator = WorkloadEvaluator(workload)
+    groups = evaluator._groups()
     rows = sorted(int(row) for group in groups for row in group.rows)
     assert rows == list(range(len(workload)))
-    assert len({group.relations for group in groups}) == len(groups)
-    for group in groups:
-        attributes = {
-            name
-            for position in group.relations
-            for name in query.relations[position].attribute_names
-        }
-        assert group.summed == tuple(
-            axis for axis, name in enumerate(query.attribute_names) if name not in attributes
-        )
-        assert (group.on_histogram is None) == (not group.relations)
-        for position, stack in zip(group.relations, group.stacks):
-            assert stack.shape == (group.rows.size,) + query.relations[position].shape
-        for row, index in enumerate(group.rows):
-            table_queries = workload[int(index)].table_queries
-            assert group.relations == tuple(
-                position
-                for position, table_query in enumerate(table_queries)
-                if not np.all(table_query.weights == 1.0)
+    assert len({(group.relations, group.held) for group in groups}) == len(groups)
+    relation_sets = evaluator._relation_sets()
+    assert len({part.groups[0].relations for part in relation_sets}) == len(relation_sets)
+    axes_of = [
+        tuple(query.axis_of(name) for name in schema.attribute_names) for schema in query.relations
+    ]
+    for part in relation_sets:
+        relations = part.groups[0].relations
+        attributes = sorted({axis for position in relations for axis in axes_of[position]})
+        others = tuple(axis for axis in range(len(query.shape)) if axis not in attributes)
+        assert part.summed == others
+        for group in part.groups:
+            assert group.relations == relations
+            assert group.axes == tuple(sorted({axis for held in group.held for axis in held}))
+            assert group.summed == tuple(
+                place for place, axis in enumerate(attributes) if axis not in group.axes
             )
-            for position, stack in zip(group.relations, group.stacks):
-                assert np.array_equal(stack[row], table_queries[position].weights)
+            assert (group.on_histogram is None) == (not relations)
+            for held, stack in zip(group.held, group.stacks):
+                assert stack.shape == (group.rows.size,) + tuple(query.shape[axis] for axis in held)
+            for row, index in enumerate(group.rows):
+                table_queries = workload[int(index)].table_queries
+                assert relations == tuple(
+                    position
+                    for position, table_query in enumerate(table_queries)
+                    if not np.all(table_query.weights == 1.0)
+                )
+                for position, held, stack in zip(relations, group.held, group.stacks):
+                    weights = table_queries[position].weights
+                    strides = zip(axes_of[position], weights.strides)
+                    assert held == tuple(axis for axis, stride in strides if stride)
+                    # The row, broadcast back over the relation, is its weights.
+                    shape = [query.shape[axis] if axis in held else 1 for axis in axes_of[position]]
+                    restored = np.broadcast_to(stack[row].reshape(shape), weights.shape)
+                    assert np.array_equal(restored, weights)
+
+
+def test_marginal_stacks_hold_one_row_of_the_attribute_per_query():
+    """A one-way marginal's stack row has |dom(attribute)| cells, not |dom(R)|."""
+    query = two_table_query(5, 4, 6)
+    workload = Workload.attribute_marginals(query, "A").extended(
+        Workload.attribute_marginals(query, "B", include_counting=False).queries
+    )
+    groups = WorkloadEvaluator(workload)._groups()
+    shapes = sorted(group.stacks[0].shape for group in groups if group.stacks)
+    assert shapes == [(4, 4), (5, 5)]  # both over R1(A, B), in two groups
+    assert all(len(group.stacks) <= 1 for group in groups)
 
 
 @pytest.mark.parametrize("generator", GENERATORS)
@@ -224,9 +311,9 @@ def test_answers_do_not_depend_on_the_query_blocks(join, generator, monkeypatch)
             assert blocked.on_histogram.block >= blocked.rows.size
             assert one.on_histogram.block == 1
     _assert_within(on_histogram, expected[0], 1e-12)
-    if generator == "product":  # real-valued weights round
+    if generator in ROUNDING:  # real-valued weights round
         _assert_within(on_instance, expected[1], 1e-12)
-    else:  # integer frequencies times 0/±1 weights sum exactly
+    else:  # integer frequencies times 0, ±1 and 0.5 weights sum exactly
         assert on_instance.tobytes() == expected[1].tobytes()
 
 
@@ -353,22 +440,41 @@ def test_changes_equal_the_move_of_a_full_evaluation(join, generator, monkeypatc
 
 
 def test_every_change_path_occurs():
-    """The boxes above include one-relation, several-relation and ``np.ix_`` changes."""
+    """The boxes above include one-relation, several-relation and ``np.ix_`` changes.
+
+    Some of them run through groups narrowed below a relation's attributes,
+    over one relation and over several, and through a relation held on no
+    axis at all (weights broadcast from a constant).
+    """
     paths = set()
     for query in JOINS.values():
         for generator in GENERATORS:
             workload = _workload(query, generator)
             evaluator = WorkloadEvaluator(workload)
             for group in evaluator._groups():
+                sizes = [len(query.relations[position].shape) for position in group.relations]
+                several = len(group.relations) > 1
                 for index in group.rows:
                     box, values = evaluator.query_support(int(index))
                     if 0 < values.size < query.joint_domain_size:
-                        paths.add("one" if len(group.relations) == 1 else "several")
+                        paths.add("several" if several else "one")
                         paths.add("sliced" if _is_sliced(box) else "ix_")
-    assert paths == {"one", "several", "sliced", "ix_"}
+                        if any(len(held) < size for held, size in zip(group.held, sizes)):
+                            paths.add("narrowed, several" if several else "narrowed, one")
+                        if not all(group.held):
+                            paths.add("no held axis")
+    assert paths == {
+        "one",
+        "several",
+        "sliced",
+        "ix_",
+        "narrowed, one",
+        "narrowed, several",
+        "no held axis",
+    }
 
 
-def test_memory_counts_stacks_box_factors_and_sparse_stacks_once(monkeypatch):
+def test_memory_counts_stacks_and_box_factor_copies_once(monkeypatch):
     monkeypatch.setattr(evaluation, "_MATRIX_CELL_BUDGET", 0)
     query = JOINS["two_table"]
     workload = _workload(query, "attribute_marginals").extended(
@@ -389,8 +495,6 @@ def test_memory_counts_stacks_box_factors_and_sparse_stacks_once(monkeypatch):
         box, values = evaluator.query_support(index)
         change = session.scale_support(box, np.exp(values * 0.1))
         assert (change is None) == (index == signs)  # the ±1 box is the whole domain
-    sparse = [array for arrays in evaluator._sparse.values() for array in arrays]
-    assert sparse  # the marginals' one-relation group holds its stack sparsely
     boxes = evaluator._context._boxes
     assert sorted(boxes) == sorted(selected)
     factors = [factor for index in selected for factor in boxes[index].factors]
@@ -400,14 +504,12 @@ def test_memory_counts_stacks_box_factors_and_sparse_stacks_once(monkeypatch):
     ]
     # Only the gathering box copies its two factors; the others view the weights.
     assert len(factors) == 6 and len(copies) == 2
-    assert evaluator.estimated_memory() == sum(
-        array.nbytes for array in stacks + copies + sparse
-    )
+    assert evaluator.estimated_memory() == sum(array.nbytes for array in stacks + copies)
     # No box-sized values are kept: every call builds a fresh array.
     for index in selected:
         first, second = evaluator.query_support(index)[1], evaluator.query_support(index)[1]
         assert first.tobytes() == second.tobytes() and not np.shares_memory(first, second)
-        assert not any(np.shares_memory(first, array) for array in stacks + factors + sparse)
+        assert not any(np.shares_memory(first, array) for array in stacks + factors)
 
 
 def test_repeated_pmw_runs_keep_one_traced_peak():

@@ -1,12 +1,15 @@
 """Unit tests for linear queries over joins."""
 
+from math import prod
+
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 
 from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.linear import ProductQuery, TableQuery, all_one_query, counting_query
 from repro.queries.workload import Workload
-from repro.relational.hypergraph import JoinQuery, path3_query, two_table_query
+from repro.relational.hypergraph import JoinQuery, figure4_query, path3_query, two_table_query
 from repro.relational.instance import Instance
 from repro.relational.join import join_result, join_size
 from repro.relational.schema import RelationSchema
@@ -50,6 +53,40 @@ class TestTableQuery:
         indicator = TableQuery.indicator(schema, {"B": [1], "C": [2]})
         assert indicator.weights[1, 2] == 1.0
         assert indicator.weights.sum() == 1.0
+
+    @pytest.mark.parametrize("attributes", [(), (0,), (2,), (0, 3), (1, 2, 3)])
+    def test_indicator_weights_are_a_read_only_broadcast_of_the_mask(self, attributes):
+        """The weights span Π|dom(predicate attribute)| cells and are held on those axes."""
+        schema = figure4_query(3).relations[2]  # four attributes
+        names = [schema.attribute_names[axis] for axis in attributes]
+        rng = np.random.default_rng(len(attributes))
+        allowed = {name: [int(rng.integers(3)), 2] for name in names}
+        indicator = TableQuery.indicator(schema, allowed)
+        weights = indicator.weights
+        assert weights.shape == schema.shape and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[(0,) * weights.ndim] = 0.5
+        low, high = byte_bounds(weights)
+        cells = prod(schema.attribute(name).domain.size for name in names)
+        assert high - low == cells * weights.itemsize
+        assert indicator.held_axes == attributes
+        assert indicator.held_weights().shape == tuple(schema.shape[axis] for axis in attributes)
+        dense = np.ones(schema.shape)
+        for index in np.ndindex(schema.shape):
+            for name in names:
+                if index[schema.axis_of(name)] not in allowed[name]:
+                    dense[index] = 0.0
+        assert np.array_equal(weights, dense)
+        assert indicator.is_all_one() == (not attributes)
+
+    def test_held_weights_of_dense_weights_are_the_weights(self, query):
+        schema = query.relation("R1")
+        weights = np.repeat(np.linspace(-1.0, 1.0, 3).reshape(3, 1), 3, axis=1)
+        table_query = TableQuery("R1", weights)
+        assert table_query.held_axes == (0, 1)  # constant along B, but not broadcast
+        assert table_query.held_weights() is table_query.weights
+        assert not table_query.is_all_one()
+        assert TableQuery.all_one(schema).held_weights().shape == ()
 
 
 class TestProductQuery:
@@ -149,6 +186,28 @@ def _join_that_differs_in(kind: str) -> JoinQuery:
     return two_table_query(4, 1, 4)  # one attribute's domain
 
 
+KINDS = ["relation names", "attribute names", "relation attributes", "attribute domain"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_workload_rejects_a_query_over_another_join(kind):
+    """A workload's queries must be over a join structurally equal to its own.
+
+    Checking names only, the last two were accepted: a query over
+    ``two_table_query(4, 1, 4)`` with (4, 1) R1 weights, in a workload over
+    ``two_table_query(4, 4, 4)``, answered 2.0 on a join of size 2 and 64.0
+    on the all-ones histogram.
+    """
+    join = two_table_query(4, 4, 4)
+    other = _join_that_differs_in(kind)
+    schema = other.relations[0]
+    stranger = ProductQuery(other, [TableQuery(schema.name, np.ones(schema.shape))])
+    with pytest.raises(ValueError):
+        Workload(join, [counting_query(join), stranger])
+    twin = counting_query(two_table_query(4, 4, 4))  # equal structure, another object
+    assert len(Workload(join, [counting_query(join), twin])) == 2
+
+
 ANSWER_ON_INSTANCE = {
     "ProductQuery.evaluate": lambda workload, instance: [q.evaluate(instance) for q in workload],
     "WorkloadEvaluator.answers_on_instance": lambda workload, instance: (
@@ -158,9 +217,7 @@ ANSWER_ON_INSTANCE = {
 
 
 @pytest.mark.parametrize("caller", ANSWER_ON_INSTANCE)
-@pytest.mark.parametrize(
-    "kind", ["relation names", "attribute names", "relation attributes", "attribute domain"]
-)
+@pytest.mark.parametrize("kind", KINDS)
 def test_an_instance_over_another_join_is_rejected(kind, caller):
     """Both per-instance answers make the same structural check.
 
