@@ -11,31 +11,30 @@ Usage::
 experiment's own module docstring (``repro.experiments.eNN_*``) says what it
 measures and which claim it checks.
 
+Every run is charged to one :class:`~repro.mechanisms.ledger.PrivacyLedger`
+(scoped with :func:`~repro.mechanisms.ledger.use_ledger`).
+
 ``--telemetry`` turns the runtime telemetry layer on for the whole run
-(``repro.telemetry``): PMW rounds and mechanism invocations are
-counted/timed, and a JSON metrics snapshot is printed after each
-experiment.  Every run is charged to one
-:class:`~repro.mechanisms.ledger.PrivacyLedger` (scoped with
-:func:`~repro.mechanisms.ledger.use_ledger`); with telemetry on, its
-charges feed the ``privacy.*`` spend counters.  ``--trace-out PATH``
-(implies ``--telemetry``) additionally exports the recorded tracing spans
-as a Chrome-trace file — load it at ``chrome://tracing`` or
-https://ui.perfetto.dev to see the nested span timeline.
+(``repro.telemetry``): each experiment runs inside an ``experiment.<id>``
+span, PMW runs, rounds and mechanism draws are traced, and a JSON snapshot
+is printed after each experiment (after the demo).  Its ``stages`` count
+and time the spans by name since the run began; its ``budget`` is read
+from the run ledger: the number of charges, their count per label, and
+their composed ε and δ.  ``--trace-out PATH`` (implies ``--telemetry``)
+additionally exports the recorded tracing spans as a Chrome-trace file —
+load it at ``chrome://tracing`` or https://ui.perfetto.dev to see the
+nested span timeline.
 
-``--metrics-port PORT`` (implies ``--telemetry``) starts the live scrape
-exporter (``repro.telemetry.exporter``) for the duration of the run:
-``/metrics`` serves Prometheus text exposition, ``/healthz`` liveness,
-``/budget`` the run ledger's privacy spend, ``/spans`` the Chrome trace.
-Port 0 picks a free ephemeral port (printed on stderr).  ``--serve-after
-SECONDS`` keeps the exporter up after the run finishes so an external
-scraper (or a CI curl) can collect the final state.
+``--audit-out PATH`` streams each charge of the run ledger into a new
+hash-chained audit journal (``repro.telemetry.audit``) at PATH.  The
+journal is created before anything runs; an existing PATH is refused with
+exit status 2 and left as it was.  After the run the journal is verified —
+replayed, chain-checked, and cross-checked against the run ledger — and a
+one-line summary is printed.
 
-``--audit-out PATH`` (implies ``--telemetry``) streams each charge of the
-run ledger into a new hash-chained audit journal (``repro.telemetry.audit``)
-at PATH.  The journal is created before anything runs; an existing PATH is
-refused with exit status 2 and left as it was.  After the run the journal
-is verified — replayed, chain-checked, and cross-checked against the run
-ledger — and a one-line summary is printed.
+Every teardown step — writing the trace, turning telemetry off, closing
+and verifying the journal — runs even when an earlier one raises, and the
+error propagates once they all have.
 """
 
 from __future__ import annotations
@@ -44,12 +43,46 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
+from contextlib import ExitStack
 
 from repro import telemetry
 from repro.experiments import DESCRIPTIONS, EXPERIMENTS
 from repro.mechanisms.ledger import PrivacyLedger, use_ledger
 from repro.telemetry.audit import AuditJournal, verify_audit_journal
-from repro.telemetry.exporter import TelemetryExporter
+
+
+def _budget(ledger: PrivacyLedger) -> dict:
+    """The run ledger's charges, their count per label, and their composed (ε, δ)."""
+    spent = ledger.spent()
+    return {
+        "charges": len(ledger),
+        "labels": dict(Counter(entry.label for entry in ledger.entries)),
+        "epsilon": None if spent is None else spent.epsilon,
+        "delta": None if spent is None else spent.delta,
+    }
+
+
+def _print_snapshot(name: str, ledger: PrivacyLedger) -> None:
+    """Print the telemetry snapshot, with the run ledger's budget, as JSON."""
+    snapshot = dict(telemetry.snapshot(), budget=_budget(ledger))
+    print(f"[{name} telemetry]")
+    print(json.dumps(snapshot, indent=2, sort_keys=True, default=str))
+
+
+def _write_trace(path: str) -> None:
+    telemetry.export_chrome_trace(path)
+    print(f"[chrome trace written to {path}]", file=sys.stderr)
+
+
+def _verify_journal(path: str, ledger: PrivacyLedger) -> None:
+    report = verify_audit_journal(path, ledger=ledger)
+    print(
+        f"[audit journal verified: {report.records} record(s), "
+        f"composed spend ε={report.epsilon}, δ={report.delta}, "
+        f"matches the live ledger — {path}]",
+        file=sys.stderr,
+    )
 
 
 def _cmd_list() -> int:
@@ -59,7 +92,7 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(names: list[str], seed: int, markdown: bool) -> int:
+def _cmd_run(names: list[str], seed: int, markdown: bool, ledger: PrivacyLedger) -> int:
     targets = list(EXPERIMENTS) if names == ["all"] else names
     unknown = [name for name in targets if name not in EXPERIMENTS]
     if unknown:
@@ -68,20 +101,19 @@ def _cmd_run(names: list[str], seed: int, markdown: bool) -> int:
         return 2
     for name in targets:
         start = time.perf_counter()
-        result = EXPERIMENTS[name](seed=seed)
+        with telemetry.trace(f"experiment.{name}"):
+            result = EXPERIMENTS[name](seed=seed)
         elapsed = time.perf_counter() - start
         table = result["table"]
         print()
         print(table.to_markdown() if markdown else table.to_text())
         print(f"[{name} finished in {elapsed:.1f}s]")
-        snapshot = result.get("telemetry")
-        if snapshot is not None:
-            print(f"[{name} telemetry]")
-            print(json.dumps(snapshot, indent=2, sort_keys=True, default=str))
+        if telemetry.is_enabled():
+            _print_snapshot(name, ledger)
     return 0
 
 
-def _cmd_demo(seed: int) -> int:
+def _cmd_demo(seed: int, ledger: PrivacyLedger) -> int:
     from repro import Instance, Workload, release_synthetic_data, two_table_query
     from repro.relational.join import join_size
 
@@ -102,8 +134,7 @@ def _cmd_demo(seed: int) -> int:
     print(f"released under {result.privacy} via {result.algorithm}")
     print(f"workload of {len(workload)} marginal queries: {report}")
     if telemetry.is_enabled():
-        print("[demo telemetry]")
-        print(json.dumps(telemetry.snapshot(), indent=2, sort_keys=True, default=str))
+        _print_snapshot("demo", ledger)
     return 0
 
 
@@ -124,8 +155,8 @@ def main(argv: list[str] | None = None) -> int:
         sub.add_argument(
             "--telemetry",
             action="store_true",
-            help="record runtime telemetry (metrics + tracing spans) for the "
-            "whole run and print a JSON snapshot per experiment",
+            help="trace the whole run and print a JSON snapshot (span counts "
+            "and times, the ledger's budget) per experiment",
         )
         sub.add_argument(
             "--trace-out",
@@ -135,29 +166,11 @@ def main(argv: list[str] | None = None) -> int:
             "file (chrome://tracing / ui.perfetto.dev); implies --telemetry",
         )
         sub.add_argument(
-            "--metrics-port",
-            metavar="PORT",
-            type=int,
-            default=None,
-            help="serve live /metrics, /healthz, /budget and /spans endpoints "
-            "on 127.0.0.1:PORT for the duration of the run (0 = ephemeral "
-            "port, printed on stderr); implies --telemetry",
-        )
-        sub.add_argument(
             "--audit-out",
             metavar="PATH",
             default=None,
             help="stream every privacy charge of the run into a hash-chained "
-            "audit journal at PATH and verify it after the run; implies "
-            "--telemetry",
-        )
-        sub.add_argument(
-            "--serve-after",
-            metavar="SECONDS",
-            type=float,
-            default=0.0,
-            help="keep the --metrics-port exporter serving this long after "
-            "the run finishes (e.g. for a CI scrape of the final state)",
+            "audit journal at PATH and verify it after the run",
         )
 
     args = parser.parse_args(argv)
@@ -170,51 +183,22 @@ def main(argv: list[str] | None = None) -> int:
         except FileExistsError:
             print(f"error: audit journal {args.audit_out} already exists", file=sys.stderr)
             return 2
-    observed = (
-        args.telemetry
-        or args.trace_out is not None
-        or args.metrics_port is not None
-        or journal is not None
-    )
     ledger = PrivacyLedger()
-    if observed:
-        telemetry.configure(enabled=True)
-        telemetry.observe_ledger(ledger)
-    if journal is not None:
-        journal.attach(ledger)
-    exporter = None
-    try:
-        if args.metrics_port is not None:
-            exporter = TelemetryExporter(port=args.metrics_port).start()
-            exporter.register_ledger(ledger)
-            print(f"[metrics exporter listening on {exporter.url()}]", file=sys.stderr)
+    # Teardown runs last-registered first: the trace, then telemetry off,
+    # then the journal's close and verification.
+    with ExitStack() as teardown:
+        if journal is not None:
+            teardown.callback(_verify_journal, args.audit_out, ledger)
+            teardown.enter_context(journal).attach(ledger)
+        if args.telemetry or args.trace_out is not None:
+            telemetry.configure()
+            teardown.callback(telemetry.disable)
+        if args.trace_out is not None:
+            teardown.callback(_write_trace, args.trace_out)
         with use_ledger(ledger):
             if args.command == "run":
-                return _cmd_run(args.experiments, args.seed, args.markdown)
-            return _cmd_demo(args.seed)
-    finally:
-        if args.trace_out is not None:
-            telemetry.export_chrome_trace(args.trace_out)
-            print(f"[chrome trace written to {args.trace_out}]", file=sys.stderr)
-        if exporter is not None:
-            if args.serve_after > 0:
-                print(
-                    f"[serving {exporter.url()} for another {args.serve_after:g}s]",
-                    file=sys.stderr,
-                )
-                time.sleep(args.serve_after)
-            exporter.stop()
-        if observed:
-            telemetry.disable()
-        if journal is not None:
-            journal.close()
-            report = verify_audit_journal(args.audit_out, ledger=ledger)
-            print(
-                f"[audit journal verified: {report.records} record(s), "
-                f"composed spend ε={report.epsilon}, δ={report.delta}, "
-                f"matches the live ledger — {args.audit_out}]",
-                file=sys.stderr,
-            )
+                return _cmd_run(args.experiments, args.seed, args.markdown, ledger)
+            return _cmd_demo(args.seed, ledger)
 
 
 if __name__ == "__main__":

@@ -75,14 +75,14 @@ The released histogram stays within 1e-9 relative of an eagerly kept one
 200-round releases).
 
 **Telemetry.**  When :mod:`repro.telemetry` is enabled, a run is one
-``pmw.run`` span containing a ``pmw.round`` span per iteration (each full
-workload evaluation and the multiplicative update as
-``pmw.scores``/``pmw.update`` sub-spans, the selected query attached as an
-attribute), and guarded renormalisation resets count on
-``pmw.renorm_resets``.  Budget spend is the ledger's metric, not PMW's:
-:func:`repro.telemetry.observe_ledger` counts the charges below.  The
-instrumentation never touches the RNG, so selections are bitwise identical
-with telemetry on or off.
+``pmw.run`` span carrying its ``iterations``, ``noisy_total`` and
+``epsilon_per_round`` as attributes, and containing a ``pmw.round`` span
+per iteration (each full workload evaluation and the multiplicative update
+as ``pmw.scores``/``pmw.update`` sub-spans, the selected query attached as
+an attribute); a guarded renormalisation reset is a ``pmw.reset`` span.
+Budget spend is the ledger's record, not telemetry's (see Accounting).
+The instrumentation never touches the RNG, so selections are bitwise
+identical with telemetry on or off.
 
 **Accounting.**  When an ambient :class:`~repro.mechanisms.ledger.PrivacyLedger`
 is installed (:func:`repro.mechanisms.ledger.use_ledger`), each invocation
@@ -107,7 +107,7 @@ from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
 from repro.mechanisms.truncated_laplace import sample_truncated_laplace, truncation_radius
 from repro.core.synthetic import assemble_flat_histogram
-from repro.telemetry import registry as telemetry_registry, trace
+from repro.telemetry import trace
 from repro.queries.evaluation import shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
@@ -204,8 +204,8 @@ def _renormalize(session, noisy_total: float, domain_size: int) -> float | None:
         scale = noisy_total / total
         session.scale(scale)
         return scale
-    telemetry_registry().counter("pmw.renorm_resets").add()
-    session.fill(noisy_total / domain_size)
+    with trace("pmw.reset"):
+        session.fill(noisy_total / domain_size)
     return None
 
 
@@ -276,9 +276,6 @@ def private_multiplicative_weights(
     with trace(
         "pmw.run", queries=len(workload), domain=domain_size, epsilon=epsilon, delta=delta
     ) as run_span:
-        telemetry = telemetry_registry()
-        telemetry.counter("pmw.runs").add()
-
         # Step 1: release the total count with one-sided truncated Laplace noise
         # ((ε/2, δ/2) of the budget), unless a flawed-baseline override is active.
         true_total = join_size(instance)
@@ -295,7 +292,6 @@ def private_multiplicative_weights(
             total_privacy = PrivacySpec(epsilon / 2.0, delta / 2.0)
             rounds_epsilon, rounds_delta = epsilon / 2.0, delta / 2.0
         rounds_privacy = PrivacySpec(rounds_epsilon, rounds_delta)
-        telemetry.gauge("pmw.noisy_total").set(noisy_total)
 
         # Accounting: record the realised Lemma-3.2 split into the context's
         # ambient ledger (one charge per budget half, none when force_total
@@ -308,7 +304,7 @@ def private_multiplicative_weights(
             ledger.charge("pmw.rounds", rounds_privacy)
 
         if noisy_total <= 0:
-            run_span.set(iterations=0)
+            run_span.set(iterations=0, noisy_total=noisy_total, epsilon_per_round=0.0)
             histogram = np.zeros(join_query.shape, dtype=float)
             return PMWResult(
                 histogram=histogram,
@@ -334,9 +330,11 @@ def private_multiplicative_weights(
         epsilon_per_round = rounds_epsilon / (
             16.0 * sqrt(iterations * max(log(1.0 / rounds_delta), 1.0))
         )
-        run_span.set(iterations=iterations)
-        telemetry.counter("pmw.rounds").add(iterations)
-        telemetry.gauge("pmw.epsilon_per_round").set(epsilon_per_round)
+        run_span.set(
+            iterations=iterations,
+            noisy_total=noisy_total,
+            epsilon_per_round=epsilon_per_round,
+        )
 
         # Step 3: multiplicative weights over the joint domain.  The update
         # rescales only the selected query's support cells (the factor is

@@ -7,16 +7,11 @@ returning a dictionary that always contains a ``"table"`` entry (an
 values that the benchmark suite asserts on.  The CLI (``python -m repro.cli``)
 and the ``benchmarks/`` directory are both thin wrappers around these
 functions, so every table can be regenerated from either entry point.
-
-The :data:`EXPERIMENTS` registry exposes each runner through a telemetry
-wrapper: while :func:`repro.telemetry.configure` has recording on, the whole
-run becomes an ``experiment.<id>`` tracing span and the returned dictionary
-gains a ``"telemetry"`` entry — the metrics/stage snapshot taken right after
-the run.  With telemetry disabled (the default) the wrapper is a
-pass-through and results are unchanged.
+With ``--telemetry`` the CLI traces each run as an ``experiment.<id>`` span
+and prints the snapshot itself, so a runner returns the same dictionary
+with telemetry on or off.
 """
 
-from repro import telemetry as _telemetry
 from repro.experiments import (
     e01_flawed_variants,
     e02_two_table_scaling,
@@ -34,32 +29,7 @@ from repro.experiments import (
     e14_privacy_audit,
 )
 
-def _instrumented(name: str, runner):
-    """Wrap one experiment runner with the telemetry harness.
-
-    While recording, the run is traced as an ``experiment.<id>`` span and
-    the result dictionary gains a ``"telemetry"`` snapshot (metrics, span
-    stats, per-stage wall/CPU summaries) taken immediately after the run.
-    Disabled, the wrapper adds one boolean check and nothing else — the
-    result is byte-for-byte what the raw runner returns.
-    """
-
-    def run(*args, **kwargs):
-        if not _telemetry.is_enabled():
-            return runner(*args, **kwargs)
-        with _telemetry.trace(f"experiment.{name}"):
-            result = runner(*args, **kwargs)
-        if isinstance(result, dict):
-            result["telemetry"] = _telemetry.snapshot()
-        return result
-
-    run.__name__ = f"run_{name}"
-    run.__doc__ = runner.__doc__
-    run.__wrapped__ = runner
-    return run
-
-
-_RUNNERS = {
+EXPERIMENTS = {
     "e1": e01_flawed_variants.run,
     "e2": e02_two_table_scaling.run,
     "e3": e03_lower_bound_two_table.run,
@@ -75,8 +45,6 @@ _RUNNERS = {
     "e13": e13_single_table_pmw.run,
     "e14": e14_privacy_audit.run,
 }
-
-EXPERIMENTS = {name: _instrumented(name, runner) for name, runner in _RUNNERS.items()}
 
 DESCRIPTIONS = {
     "e1": "Figure 1 / Example 3.1 — flawed join-as-one variants leak, Algorithm 1 does not",

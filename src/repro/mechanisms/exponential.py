@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mechanisms.rng import resolve_rng
-from repro.telemetry import registry as _telemetry_registry, trace as _trace
+from repro.telemetry import trace as _trace
 
 
 def exponential_mechanism_probabilities(
@@ -46,11 +46,10 @@ def exponential_mechanism(
 ) -> int:
     """Sample a candidate index with the ε-DP exponential mechanism.
 
-    Telemetry: counts on ``mechanism.invocations{mechanism=exponential}`` and
-    times as a ``mechanism.exponential`` span (no-op while disabled; the RNG
-    is untouched by instrumentation).
+    Telemetry: every draw is one ``mechanism.exponential`` span, so the span
+    count is the number of draws (no-op while disabled; the RNG is untouched
+    by instrumentation).
     """
-    _telemetry_registry().counter("mechanism.invocations", mechanism="exponential").add()
     with _trace("mechanism.exponential", candidates=np.asarray(scores).size):
         probabilities = exponential_mechanism_probabilities(scores, epsilon, sensitivity)
         generator = resolve_rng(rng)

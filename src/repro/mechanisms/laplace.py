@@ -1,8 +1,8 @@
 """The Laplace mechanism.
 
-Telemetry: every draw counts on ``mechanism.invocations{mechanism=laplace}``
-and times as a ``mechanism.laplace`` span (a no-op while telemetry is
-disabled; the RNG is never touched by instrumentation).
+Telemetry: every draw is one ``mechanism.laplace`` span, so the span count
+is the number of draws (a no-op while telemetry is disabled; the RNG is
+never touched by instrumentation).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mechanisms.rng import resolve_rng
-from repro.telemetry import registry as _telemetry_registry, trace as _trace
+from repro.telemetry import trace as _trace
 
 
 def sample_laplace(
@@ -24,7 +24,6 @@ def sample_laplace(
     generator = resolve_rng(rng)
     if scale == 0:
         return 0.0 if size is None else np.zeros(size)
-    _telemetry_registry().counter("mechanism.invocations", mechanism="laplace").add()
     with _trace("mechanism.laplace", scale=scale):
         sample = generator.laplace(loc=0.0, scale=scale, size=size)
     return float(sample) if size is None else sample

@@ -12,9 +12,10 @@ all serialise on an internal lock, so threads charging concurrently
 can share one ledger without losing or double-counting entries.
 :meth:`PrivacyLedger.subscribe` registers an *observer* called once per
 charge (outside the lock, in charge order as observed by each caller) —
-:func:`repro.telemetry.observe_ledger` uses it to drive the privacy-spend
-counters, and :class:`repro.telemetry.audit.AuditJournal` uses it to append
-each charge to the hash-chained on-disk audit journal.
+:class:`repro.telemetry.audit.AuditJournal` uses it to append each charge
+to the hash-chained on-disk audit journal.  The ledger is the one record
+of where the budget went: the CLI's telemetry snapshot reads its
+``budget`` from the run ledger directly.
 
 Budget enforcement lives here too: :meth:`PrivacyLedger.remaining` reports
 the unspent part of a declared budget (clamped at zero) and

@@ -15,7 +15,7 @@ from math import exp, expm1, log
 import numpy as np
 
 from repro.mechanisms.rng import resolve_rng
-from repro.telemetry import registry as _telemetry_registry, trace as _trace
+from repro.telemetry import trace as _trace
 
 
 def truncation_radius(epsilon: float, delta: float, sensitivity: float) -> float:
@@ -45,9 +45,7 @@ def sample_truncated_laplace(
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     generator = resolve_rng(rng)
-    _telemetry_registry().counter(
-        "mechanism.invocations", mechanism="truncated_laplace"
-    ).add()
+
     def _inverse_cdf(u: np.ndarray | float) -> np.ndarray | float:
         u = np.asarray(u, dtype=float)
         # Normalising constant of exp(-|x - radius| / scale) over [0, 2·radius].

@@ -8,9 +8,11 @@ inside its round.
 
 Finished spans land in a :class:`SpanRing`, a bounded ring that keeps the
 most recent ``capacity`` spans and counts what it dropped — tracing a long
-run can never grow memory without bound.  The ring exports as plain JSON
-dictionaries and as a Chrome-trace file (the ``chrome://tracing`` /
-Perfetto ``traceEvents`` format) via :func:`chrome_trace_events`.
+run can never grow memory without bound — while it sums every span's
+count, wall and CPU time by name, so its summary stays exact after drops.
+The ring exports as plain JSON dictionaries and as a Chrome-trace file
+(the ``chrome://tracing`` / Perfetto ``traceEvents`` format) via
+:func:`chrome_trace_events`.
 
 When telemetry is disabled, :func:`repro.telemetry.trace` returns the shared
 :data:`NULL_SPAN` singleton instead of an :class:`ActiveSpan` — entering and
@@ -90,18 +92,20 @@ class SpanRing:
 
     Keeps the newest ``capacity`` records; older ones fall off the front and
     are only counted (``dropped``), so the ring is safe to leave attached to
-    arbitrarily long runs.  Thread-safe: spans finish on whatever thread ran
-    them.
+    arbitrarily long runs.  Per span name it keeps running totals of every
+    span recorded — ``[count, wall ns, CPU ns]`` — which :meth:`summary`
+    reports.  Thread-safe: spans finish on whatever thread ran them.
     """
 
-    def __init__(self, capacity: int = 16384, epoch_ns: int | None = None) -> None:
+    def __init__(self, capacity: int = 16384) -> None:
         if capacity < 1:
             raise ValueError(f"ring capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self.epoch_ns = time.perf_counter_ns() if epoch_ns is None else int(epoch_ns)
+        self.epoch_ns = time.perf_counter_ns()
         self._lock = threading.Lock()
         self._spans: deque[SpanRecord] = deque(maxlen=self.capacity)
         self._recorded = 0
+        self._totals: dict[str, list[int]] = {}
         self._ids = itertools.count(1)
 
     def next_id(self) -> int:
@@ -111,6 +115,12 @@ class SpanRing:
         with self._lock:
             self._spans.append(span)
             self._recorded += 1
+            totals = self._totals.get(span.name)
+            if totals is None:
+                totals = self._totals[span.name] = [0, 0, 0]
+            totals[0] += 1
+            totals[1] += span.duration_ns
+            totals[2] += span.cpu_ns
 
     @property
     def recorded(self) -> int:
@@ -121,7 +131,7 @@ class SpanRing:
     def dropped(self) -> int:
         """Spans that fell off the front of the ring."""
         with self._lock:
-            return max(0, self._recorded - len(self._spans))
+            return self._recorded - len(self._spans)
 
     def __len__(self) -> int:
         with self._lock:
@@ -138,32 +148,22 @@ class SpanRing:
         return [span.to_dict(epoch) for span in self.spans()]
 
     def summary(self) -> dict:
-        """Aggregate retained spans by name: count plus wall/CPU totals.
+        """Every span recorded, aggregated by name: count plus wall/CPU totals.
 
-        This is the stage-level timing breakdown benchmark records embed —
-        one line per span name, not per event.
+        This is the stage-level timing breakdown snapshots report — one line
+        per span name, not per event — and it counts the spans the ring has
+        dropped too.
         """
-        stages: dict[str, dict] = {}
-        for span in self.spans():
-            stage = stages.get(span.name)
-            if stage is None:
-                stage = stages[span.name] = {
-                    "count": 0,
-                    "wall_seconds": 0.0,
-                    "cpu_seconds": 0.0,
-                }
-            stage["count"] += 1
-            stage["wall_seconds"] += span.duration_ns / 1e9
-            stage["cpu_seconds"] += span.cpu_ns / 1e9
-        for stage in stages.values():
-            stage["wall_seconds"] = round(stage["wall_seconds"], 9)
-            stage["cpu_seconds"] = round(stage["cpu_seconds"], 9)
-        return stages
-
-    def clear(self) -> None:
         with self._lock:
-            self._spans.clear()
-            self._recorded = 0
+            totals = {name: tuple(values) for name, values in self._totals.items()}
+        return {
+            name: {
+                "count": count,
+                "wall_seconds": round(wall_ns / 1e9, 9),
+                "cpu_seconds": round(cpu_ns / 1e9, 9),
+            }
+            for name, (count, wall_ns, cpu_ns) in totals.items()
+        }
 
 
 def chrome_trace_events(ring: SpanRing) -> dict:

@@ -6,8 +6,6 @@ as a name, an attribute or an import — in a product file other than the
 ``__init__.py`` that re-exports it; a definition alone does not count.  The
 rule matches names, not calls, so it is a cheap guard against exports that
 only their own tests reach, not a trace of what the product runs.
-``repro.telemetry`` is left out: its exports go with its rework into one run
-report (ROADMAP, "One run report for time and budget").
 """
 
 import ast
@@ -32,13 +30,13 @@ ALLOWED = {
     "laplace_mechanism": "a charging mechanism API for the privacy accounting to adopt (ROADMAP)",
     "advanced_composition": "the privacy accounting adopts or deletes it (ROADMAP)",
     "multi_table_hard_instance": "Theorem 1.6's instance: an experiment measures it or it goes (ROADMAP)",
+    "span_dicts": "the spans' parent links, which the tests check and the run report's span tree is to read (ROADMAP)",
 }
 
 PACKAGES = ("repro",) + tuple(
     f"repro.{info.name}"
     for info in pkgutil.iter_modules(repro.__path__)
     if info.ispkg
-    and info.name != "telemetry"
     and hasattr(importlib.import_module(f"repro.{info.name}"), "__all__")
 )
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.pmw import (
     PMWConfig,
     _renormalize,
@@ -36,6 +37,14 @@ def instance(query):
     tuples_r1 = [(a, a % 4) for a in range(4) for _ in range(3)]
     tuples_r2 = [(b, (b + 1) % 4) for b in range(4) for _ in range(3)]
     return Instance.from_tuple_lists(query, {"R1": tuples_r1, "R2": tuples_r2})
+
+
+@pytest.fixture
+def recording():
+    """Telemetry on for one test, off again after it."""
+    telemetry.configure()
+    yield
+    telemetry.disable()
 
 
 class TestBasicProperties:
@@ -201,6 +210,18 @@ class TestBudgetSplit:
         assert result.rounds_privacy is not None
 
 
+@pytest.mark.parametrize("force_total", [None, 0.0], ids=["released-total", "zero-total"])
+def test_run_span_carries_the_runs_figures(instance, query, recording, force_total):
+    workload = Workload.random_sign(query, 10, seed=0)
+    result = private_multiplicative_weights(
+        instance, workload, 1.0, 1e-5, 2.0, seed=1, config=PMWConfig(force_total=force_total)
+    )
+    (run,) = [span for span in telemetry.span_dicts() if span["name"] == "pmw.run"]
+    assert run["attrs"]["iterations"] == result.iterations
+    assert run["attrs"]["noisy_total"] == result.noisy_total
+    assert run["attrs"]["epsilon_per_round"] == result.epsilon_per_round
+
+
 class TestUtility:
     def test_learns_marginals_on_moderate_instance(self):
         """With a generous budget, PMW should answer marginals better than the
@@ -271,6 +292,12 @@ class TestRenormalisation:
             assert _renormalize(session, 64.0, query.joint_domain_size) is None
             assert np.all(np.isfinite(self._cells(session))), poison
             assert session.total() == pytest.approx(64.0), poison
+
+    def test_only_a_reset_records_a_span(self, query, recording):
+        _renormalize(self._session(query, 2.0), 64.0, query.joint_domain_size)
+        assert "pmw.reset" not in telemetry.snapshot()["stages"]
+        _renormalize(self._session(query, 0.0), 64.0, query.joint_domain_size)
+        assert telemetry.snapshot()["stages"]["pmw.reset"]["count"] == 1
 
     def test_positive_total_rescales_mass(self, query):
         session = self._session(query, 2.0)

@@ -4,9 +4,22 @@ import json
 
 import pytest
 
-from repro import telemetry
-from repro.cli import main
+from repro import cli, telemetry
+from repro.cli import _budget, main
+from repro.mechanisms.ledger import PrivacyLedger, ambient_ledger
+from repro.mechanisms.spec import PrivacySpec
 from repro.telemetry.audit import verify_audit_journal
+
+
+def _snapshots(output: str) -> dict:
+    """The JSON snapshots a run printed, by the name in their header."""
+    decoder = json.JSONDecoder()
+    snapshots = {}
+    for block in output.split("\n[")[1:]:
+        header, _, rest = block.partition("\n")
+        if header.endswith(" telemetry]"):
+            snapshots[header[: -len(" telemetry]")]] = decoder.raw_decode(rest)[0]
+    return snapshots
 
 
 class TestCli:
@@ -54,9 +67,155 @@ class TestCli:
     def test_telemetry_snapshot_shows_ledger_spend(self, capsys):
         assert main(["demo", "--telemetry"]) == 0
         output = capsys.readouterr().out
-        metrics = json.loads(output[output.index("[demo telemetry]") + 16 :])["metrics"]
-        assert metrics["privacy.charges{label=pmw.total}"] == 1.0
-        assert metrics["privacy.charges{label=pmw.rounds}"] == 1.0
-        spend = sorted(key for key in metrics if key.endswith("_spent"))
-        assert spend == ["privacy.delta_spent", "privacy.epsilon_spent"]
+        budget = json.loads(output[output.index("[demo telemetry]") + 16 :])["budget"]
+        assert budget == {
+            "charges": 2,
+            "labels": {"pmw.rounds": 1, "pmw.total": 1},
+            "epsilon": 0.5,
+            "delta": 5e-6,
+        }
         assert not telemetry.is_enabled()
+
+    def test_run_traces_each_experiment_and_prints_its_snapshot(self, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        assert main(["run", "e4", "--seed", "1", "--trace-out", str(trace)]) == 0
+        output = capsys.readouterr().out
+        snapshot = json.loads(output[output.index("[e4 telemetry]") + 14 :])
+        assert snapshot["stages"]["experiment.e4"]["count"] == 1
+        runs = snapshot["stages"]["pmw.run"]["count"]
+        assert snapshot["budget"]["labels"] == {"pmw.rounds": runs, "pmw.total": runs}
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert [event["name"] for event in events].count("experiment.e4") == 1
+        assert not telemetry.is_enabled()
+
+    def test_teardown_runs_every_step_when_the_trace_cannot_be_written(self, tmp_path):
+        journal = tmp_path / "audit.jsonl"
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        with pytest.raises(OSError):
+            main(
+                [
+                    "demo",
+                    "--trace-out",
+                    str(blocker / "trace.json"),
+                    "--audit-out",
+                    str(journal),
+                ]
+            )
+        assert not telemetry.is_enabled()
+        assert verify_audit_journal(journal).records == 2  # pmw.total, pmw.rounds
+
+    @pytest.mark.parametrize("flag", ["--metrics-port", "--serve-after"])
+    def test_removed_serving_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["demo", flag, "1"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_audit_out_alone_leaves_telemetry_off(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        demo = cli._cmd_demo
+
+        def observed_demo(seed, ledger):
+            seen.append(telemetry.is_enabled())
+            return demo(seed, ledger)
+
+        monkeypatch.setattr(cli, "_cmd_demo", observed_demo)
+        journal = tmp_path / "audit.jsonl"
+        assert main(["demo", "--audit-out", str(journal)]) == 0
+        assert seen == [False]
+        assert "telemetry]" not in capsys.readouterr().out
+        assert verify_audit_journal(journal).records == 2  # pmw.total, pmw.rounds
+
+    def test_snapshots_accumulate_over_the_run(self, capsys):
+        assert main(["run", "e4", "e13", "--seed", "1", "--telemetry"]) == 0
+        snapshots = _snapshots(capsys.readouterr().out)
+        assert list(snapshots) == ["e4", "e13"]
+        first, second = snapshots["e4"]["stages"], snapshots["e13"]["stages"]
+        assert first["experiment.e4"]["count"] == second["experiment.e4"]["count"] == 1
+        assert "experiment.e13" not in first
+        assert second["experiment.e13"]["count"] == 1
+        assert second["pmw.run"]["count"] > first["pmw.run"]["count"] > 0
+        for snapshot in snapshots.values():
+            runs = snapshot["stages"]["pmw.run"]["count"]
+            budget = snapshot["budget"]
+            assert budget["labels"] == {"pmw.rounds": runs, "pmw.total": runs}
+            assert budget["charges"] == 2 * runs
+        assert not telemetry.is_enabled()
+
+    def test_trace_out_alone_prints_the_snapshot_and_nests_rounds_in_the_run(
+        self, tmp_path, capsys
+    ):
+        trace = tmp_path / "trace.json"
+        assert main(["demo", "--trace-out", str(trace)]) == 0
+        stages = _snapshots(capsys.readouterr().out)["demo"]["stages"]
+        assert (stages["pmw.run"]["count"], stages["pmw.round"]["count"]) == (1, 5)
+        events = json.loads(trace.read_text())["traceEvents"]
+        (run,) = [event for event in events if event["name"] == "pmw.run"]
+        rounds = [event for event in events if event["name"] == "pmw.round"]
+        assert len(rounds) == 5
+        for event in rounds:
+            assert (event["pid"], event["tid"]) == (run["pid"], run["tid"])
+            assert run["ts"] <= event["ts"]
+            assert event["ts"] + event["dur"] <= run["ts"] + run["dur"] + 1e-6
+        assert not telemetry.is_enabled()
+
+    def test_printed_budget_matches_the_audit_journal(self, tmp_path, capsys):
+        journal = tmp_path / "audit.jsonl"
+        assert main(["demo", "--telemetry", "--audit-out", str(journal)]) == 0
+        budget = _snapshots(capsys.readouterr().out)["demo"]["budget"]
+        report = verify_audit_journal(journal)
+        assert (report.records, report.epsilon, report.delta) == (
+            budget["charges"],
+            budget["epsilon"],
+            budget["delta"],
+        )
+
+    def test_teardown_runs_every_step_when_the_command_raises(
+        self, tmp_path, monkeypatch
+    ):
+        def failing_demo(seed, ledger):
+            ambient_ledger().charge("before.failure", PrivacySpec(0.25, 1e-7))
+            with telemetry.trace("before.failure"):
+                pass
+            raise RuntimeError("command failed")
+
+        monkeypatch.setattr(cli, "_cmd_demo", failing_demo)
+        trace = tmp_path / "trace.json"
+        journal = tmp_path / "audit.jsonl"
+        with pytest.raises(RuntimeError, match="command failed"):
+            main(["demo", "--trace-out", str(trace), "--audit-out", str(journal)])
+        assert not telemetry.is_enabled()
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert [event["name"] for event in events] == ["before.failure"]
+        report = verify_audit_journal(journal)
+        assert (report.records, report.epsilon, report.delta) == (1, 0.25, 1e-7)
+
+
+class TestBudget:
+    def test_an_empty_ledger_reads_null(self):
+        assert _budget(PrivacyLedger()) == {
+            "charges": 0,
+            "labels": {},
+            "epsilon": None,
+            "delta": None,
+        }
+
+    def test_counts_labels_and_composes_like_the_ledger(self):
+        # Charges on disjoint buckets compose in parallel (their maximum),
+        # so the budget is the ledger's composed total, not the sum of ε.
+        ledger = PrivacyLedger()
+        ledger.charge("pmw.select", PrivacySpec(0.01, 1e-9))
+        ledger.charge("pmw.select", PrivacySpec(0.01, 1e-9))
+        for _ in range(3):
+            ledger.charge("bucket", PrivacySpec(0.5, 1e-6), parallel_group="buckets")
+        budget = _budget(ledger)
+        total = ledger.total()
+        assert budget == {
+            "charges": 5,
+            "labels": {"pmw.select": 2, "bucket": 3},
+            "epsilon": total.epsilon,
+            "delta": total.delta,
+        }
+        assert budget["epsilon"] == pytest.approx(0.52)
+        assert budget["delta"] == pytest.approx(2e-9 + 1e-6)

@@ -1,6 +1,6 @@
 """PrivacyLedger thread safety and the observer hook.
 
-Callers and the telemetry layer may reach the ledger from more than one
+Callers and the audit journal may reach the ledger from more than one
 thread; charges must never be lost or torn, observers must
 see every entry exactly once, and an observer that charges back into the
 ledger (or unsubscribes mid-stream) must not deadlock — observers are
@@ -13,7 +13,6 @@ import threading
 
 import pytest
 
-from repro import telemetry
 from repro.mechanisms.ledger import PrivacyLedger
 from repro.mechanisms.spec import PrivacySpec
 
@@ -110,22 +109,3 @@ class TestObserverHook:
         ledger.subscribe(second.append)
         ledger.charge("x", _SPEC)
         assert len(first) == len(second) == 1
-
-    def test_telemetry_observe_ledger_records_charges(self):
-        telemetry.configure()
-        try:
-            ledger = PrivacyLedger()
-            unsubscribe = telemetry.observe_ledger(ledger)
-            ledger.charge("pmw.select", _SPEC)
-            ledger.charge("pmw.select", _SPEC)
-            ledger.charge("pmw.measure", PrivacySpec(0.5, 1e-6))
-            flat = telemetry.registry().flat()
-            assert flat["privacy.charges{label=pmw.select}"] == 2.0
-            assert flat["privacy.charges{label=pmw.measure}"] == 1.0
-            assert flat["privacy.epsilon_spent"] == pytest.approx(0.52)
-            assert flat["privacy.delta_spent"] == pytest.approx(2e-9 + 1e-6)
-            unsubscribe()
-            ledger.charge("pmw.select", _SPEC)
-            assert telemetry.registry().flat()["privacy.charges{label=pmw.select}"] == 2.0
-        finally:
-            telemetry.disable()

@@ -1,11 +1,12 @@
-"""End-to-end telemetry over E13: the ISSUE's acceptance scenario.
+"""End-to-end telemetry over E13.
 
-A telemetry-enabled smoke-size E13 run must attach a JSON metrics snapshot
-to its result and export a Chrome trace whose spans cover every PMW round
-and every mechanism invocation — with the round
-spans nested under their run and the mechanism spans nested under their
-round.  And recording must be inert: PMW selections are bitwise identical
-with telemetry on or off.
+A telemetry-enabled smoke-size E13 run must leave a JSON-able snapshot
+whose span counts are the run's own: one ``pmw.run`` span per PMW run, one
+``pmw.round`` span per iteration the runs report, and one
+``mechanism.<name>`` span per noise draw.  Its Chrome trace must cover every
+PMW round and mechanism invocation, with the round spans nested under their
+run and the mechanism spans under their round.  And recording must be
+inert: PMW selections are bitwise identical with telemetry on or off.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.core import release
 from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.experiments import EXPERIMENTS
 from repro.queries.workload import Workload
@@ -27,35 +29,52 @@ _E13_SMOKE = dict(
 )
 
 
-def _run_with_telemetry():
+@pytest.fixture
+def pmw_results(monkeypatch):
+    """Run a smoke E13 with telemetry on; the PMW results it produced.
+
+    E13 releases single-table data, so every noise draw of the run is one of
+    its PMW runs': a truncated-Laplace total, then one exponential selection
+    and one Laplace measurement per round.
+    """
+    results = []
+
+    def recording(*args, **kwargs):
+        result = private_multiplicative_weights(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(release, "private_multiplicative_weights", recording)
     telemetry.configure()
-    telemetry.reset()
-    return EXPERIMENTS["e13"](**_E13_SMOKE)
+    EXPERIMENTS["e13"](**_E13_SMOKE)
+    assert results
+    return results
 
 
-class TestSnapshotAttachment:
-    def test_result_carries_json_able_snapshot(self):
-        result = _run_with_telemetry()
-        snapshot = result["telemetry"]
-        assert snapshot["enabled"] is True
+class TestStageCounts:
+    def test_snapshot_counts_the_runs_rounds_and_draws(self, pmw_results):
+        snapshot = telemetry.snapshot()
         json.dumps(snapshot, default=str)  # the CLI prints exactly this
-        metrics = snapshot["metrics"]
-        assert metrics["pmw.runs"] >= 1
-        assert metrics["pmw.rounds"] >= 1
-        assert any(key.startswith("mechanism.invocations{") for key in metrics)
+        counts = {name: stage["count"] for name, stage in snapshot["stages"].items()}
+        runs = [span for span in telemetry.span_dicts() if span["name"] == "pmw.run"]
+        assert counts["pmw.run"] == len(runs) == len(pmw_results)
+        assert counts["pmw.round"] == sum(span["attrs"]["iterations"] for span in runs)
+        assert counts["pmw.round"] == sum(result.iterations for result in pmw_results) > 0
+        selections = sum(len(result.selected_queries) for result in pmw_results)
+        assert counts["mechanism.exponential"] == counts["mechanism.laplace"] == selections
+        totals = sum(result.total_privacy is not None for result in pmw_results)
+        assert counts["mechanism.truncated_laplace"] == totals == len(pmw_results)
 
-    def test_stage_summary_covers_the_pmw_loop(self):
-        result = _run_with_telemetry()
-        stages = result["telemetry"]["stages"]
-        for stage in ("experiment.e13", "pmw.run", "pmw.round", "pmw.scores", "pmw.update"):
+    def test_stage_summary_covers_the_pmw_loop(self, pmw_results):
+        stages = telemetry.snapshot()["stages"]
+        for stage in ("pmw.run", "pmw.round", "pmw.scores", "pmw.update"):
             assert stage in stages, sorted(stages)
             assert stages[stage]["count"] >= 1
             assert stages[stage]["wall_seconds"] >= 0.0
 
 
 class TestSpanNesting:
-    def test_rounds_nest_under_runs_and_mechanisms_under_rounds(self):
-        _run_with_telemetry()
+    def test_rounds_nest_under_runs_and_mechanisms_under_rounds(self, pmw_results):
         spans = telemetry.span_dicts()
         by_id = {span["id"]: span for span in spans}
         rounds = [span for span in spans if span["name"] == "pmw.round"]
@@ -71,14 +90,13 @@ class TestSpanNesting:
         assert "pmw.round" in parent_names
         assert parent_names <= {"pmw.round", "pmw.run"}
 
-    def test_chrome_trace_loads_and_nests(self, tmp_path):
-        _run_with_telemetry()
+    def test_chrome_trace_loads_and_nests(self, pmw_results, tmp_path):
         path = tmp_path / "e13_trace.json"
         telemetry.export_chrome_trace(path)
         payload = json.loads(path.read_text())
         events = payload["traceEvents"]
         names = {event["name"] for event in events}
-        assert {"experiment.e13", "pmw.run", "pmw.round"} <= names
+        assert {"pmw.run", "pmw.round"} <= names
         assert any(name.startswith("mechanism.") for name in names)
         # Nesting is time containment: every round interval sits inside
         # some run interval on the same pid/tid.

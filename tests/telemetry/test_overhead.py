@@ -2,16 +2,15 @@
 
 Three guarantees, tested at two granularities:
 
-- Micro: with telemetry disabled, ``trace`` hands back the shared null span
-  and ``registry()`` the shared null instruments — no allocation, no
-  recording.
+- Micro: with telemetry disabled, ``trace`` hands back the shared null
+  span — no allocation, no recording.
 - Macro, disabled: a smoke-size E13 run (the PMW loop is the most densely
   instrumented path in the repo) with telemetry disabled stays within 5%
   wall time (plus an absolute jitter allowance) of the same run with every
   instrumented call site short-circuited to raw no-ops via monkeypatching.
-- Macro, observed: PMW runs with telemetry, a charged ledger, an audit
-  journal and a live exporter all on keep their selections and stay within
-  the same allowance of the bare runs.
+- Macro, observed: PMW runs with telemetry, a charged ledger and an audit
+  journal all on keep their selections and stay within the same allowance
+  of the bare runs.
 
 The macro comparisons use min-of-N: the minimum over repeats estimates the
 noise floor far better than the mean on a busy CI box.
@@ -31,8 +30,6 @@ from repro.mechanisms.ledger import PrivacyLedger, use_ledger
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import single_table_query
 from repro.telemetry.audit import AuditJournal, verify_audit_journal
-from repro.telemetry.exporter import TelemetryExporter
-from repro.telemetry.metrics import NullRegistry
 from repro.telemetry.spans import NULL_SPAN
 
 _E13_SMOKE = dict(
@@ -56,16 +53,24 @@ def _min_wall_seconds() -> float:
 
 def test_disabled_instruments_are_shared_null_singletons():
     assert not telemetry.is_enabled()
-    assert isinstance(telemetry.registry(), NullRegistry)
+    # The same object every time: the disabled path never allocates.
     assert telemetry.trace("pmw.round", query=0) is NULL_SPAN
-    # Same objects every time: the disabled path never allocates.
-    assert telemetry.registry() is telemetry.registry()
-    assert telemetry.registry().counter("x") is telemetry.registry().counter("y")
+    assert telemetry.trace("pmw.run") is NULL_SPAN
 
 
 def test_disabled_run_attaches_no_telemetry():
     result = EXPERIMENTS["e13"](**_E13_SMOKE)
     assert "telemetry" not in result
+
+
+def test_enabled_run_returns_the_same_result_keys():
+    # The runners are the raw functions: recording adds spans, never keys.
+    disabled = EXPERIMENTS["e13"](**_E13_SMOKE)
+    telemetry.configure()
+    enabled = EXPERIMENTS["e13"](**_E13_SMOKE)
+    assert telemetry.snapshot()["stages"]["pmw.run"]["count"] >= 1
+    assert "telemetry" not in enabled
+    assert set(enabled) == set(disabled)
 
 
 def test_disabled_overhead_under_five_percent(monkeypatch):
@@ -81,7 +86,6 @@ def test_disabled_overhead_under_five_percent(monkeypatch):
     import repro.core.pmw as pmw
 
     monkeypatch.setattr(pmw, "trace", lambda name, **attrs: NULL_SPAN)
-    monkeypatch.setattr(pmw, "telemetry_registry", lambda: telemetry.registry())
     baseline = _min_wall_seconds()
 
     allowance = baseline * _RELATIVE_SLACK + _ABSOLUTE_SLACK_SECONDS
@@ -114,10 +118,8 @@ def test_observed_run_keeps_selections_within_allowance(tmp_path):
     bare = [timed_pass() for _ in range(_REPEATS)]
     telemetry.configure()
     ledger = PrivacyLedger()
-    telemetry.observe_ledger(ledger)
-    with AuditJournal(tmp_path / "audit.jsonl") as journal, TelemetryExporter() as exporter:
+    with AuditJournal(tmp_path / "audit.jsonl") as journal:
         journal.attach(ledger)
-        exporter.register_ledger(ledger)
         with use_ledger(ledger):
             observed = [timed_pass() for _ in range(_REPEATS)]
     verify_audit_journal(tmp_path / "audit.jsonl", ledger=ledger)

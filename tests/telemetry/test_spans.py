@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -54,6 +55,88 @@ def test_ring_bounds_and_drop_accounting():
     # The ring keeps the *newest* spans.
     kept = [span["attrs"]["i"] for span in ring.as_dicts()]
     assert kept == list(range(12, 20))
+    # The summary counts and times every span recorded, dropped ones too.
+    summary = ring.summary()["tick"]
+    assert summary["count"] == 20
+    assert summary["wall_seconds"] >= sum(span["wall_s"] for span in ring.as_dicts()) - 1e-9
+
+
+def test_summary_keeps_names_whose_spans_were_all_dropped():
+    ring = SpanRing(capacity=4)
+    for name, count in (("early", 3), ("late", 10)):
+        for _ in range(count):
+            with ActiveSpan(ring, name, {}):
+                pass
+    assert {span["name"] for span in ring.as_dicts()} == {"late"}
+    summary = ring.summary()
+    assert (summary["early"]["count"], summary["late"]["count"]) == (3, 10)
+    assert (ring.recorded, ring.dropped) == (13, 9)
+
+
+def test_spans_recorded_on_many_threads_are_counted_exactly():
+    ring = SpanRing(capacity=64)
+    threads, per_thread = 4, 500
+    start = threading.Barrier(threads)
+
+    def worker():
+        start.wait()
+        for _ in range(per_thread):
+            with ActiveSpan(ring, "tick", {}):
+                pass
+
+    pool = [threading.Thread(target=worker) for _ in range(threads)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join()
+    assert ring.summary()["tick"]["count"] == ring.recorded == threads * per_thread
+    assert (len(ring), ring.dropped) == (64, threads * per_thread - 64)
+    assert all(span["depth"] == 0 for span in ring.as_dicts())
+
+
+def test_spans_nest_per_thread():
+    def record_worker_span():
+        with telemetry.trace("worker"):
+            pass
+
+    telemetry.configure()
+    with telemetry.trace("main"):
+        worker = threading.Thread(target=record_worker_span)
+        worker.start()
+        worker.join()
+    by_name = {span["name"]: span for span in telemetry.span_dicts()}
+    # A span opened on another thread is a root there, not a child of the
+    # span the main thread has open.
+    assert by_name["worker"]["parent"] is None
+    assert by_name["worker"]["depth"] == 0
+    assert by_name["worker"]["tid"] != by_name["main"]["tid"]
+
+
+def test_a_span_left_by_an_exception_is_recorded_and_unwound():
+    telemetry.configure()
+    with pytest.raises(ValueError, match="inside the span"):
+        with telemetry.trace("failing", step=1):
+            raise ValueError("inside the span")
+    with telemetry.trace("next"):
+        pass
+    by_name = {span["name"]: span for span in telemetry.span_dicts()}
+    assert by_name["failing"]["attrs"] == {"step": 1}
+    # The failed span left the nesting stack: the next span is a root.
+    assert by_name["next"]["parent"] is None
+    assert telemetry.snapshot()["stages"]["failing"]["count"] == 1
+
+
+def test_snapshot_round_trips_through_json():
+    telemetry.configure()
+    with telemetry.trace("stage", query=3, scale=0.5, mode="dense"):
+        pass
+    snapshot = telemetry.snapshot()
+    assert json.loads(json.dumps(snapshot)) == snapshot
+    assert json.loads(json.dumps(telemetry.span_dicts()))[0]["attrs"] == {
+        "query": 3,
+        "scale": 0.5,
+        "mode": "dense",
+    }
 
 
 def test_ring_rejects_non_positive_capacity():
@@ -68,7 +151,7 @@ def test_stage_summary_aggregates_by_name():
             pass
     with telemetry.trace("stage.b"):
         pass
-    stages = telemetry.stage_summary()
+    stages = telemetry.snapshot()["stages"]
     assert stages["stage.a"]["count"] == 4
     assert stages["stage.b"]["count"] == 1
     assert stages["stage.a"]["wall_seconds"] >= 0.0
@@ -119,26 +202,25 @@ def test_disabled_trace_returns_shared_null_span():
         assert entered is span
         entered.set(y=2)  # accepted, recorded nowhere
     assert telemetry.span_dicts() == []
-    assert telemetry.stage_summary() == {}
     assert telemetry.snapshot() == {"enabled": False}
 
 
-def test_reset_keeps_enabled_but_drops_data():
+def test_enabling_after_disable_starts_an_empty_ring():
     telemetry.configure()
     with telemetry.trace("span"):
         pass
-    telemetry.registry().counter("n").add()
-    telemetry.reset()
+    telemetry.disable()
+    telemetry.configure()
     assert telemetry.is_enabled()
     assert telemetry.span_dicts() == []
-    assert telemetry.registry().flat() == {}
+    assert telemetry.snapshot()["stages"] == {}
 
 
 def test_configure_is_idempotent():
     telemetry.configure()
     with telemetry.trace("keep"):
         pass
-    telemetry.configure()  # already on: the registry and ring survive
+    telemetry.configure()  # already on: the ring survives
     assert len(telemetry.span_dicts()) == 1
     stats = telemetry.snapshot()["spans"]
     assert stats == {"recorded": 1, "retained": 1, "dropped": 0, "capacity": 16384}
