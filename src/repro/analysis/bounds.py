@@ -1,9 +1,11 @@
 """Closed-form error expressions from the paper's theorems.
 
-These are the quantities the benchmarks compare measured errors against.  They
-are *shape* predictions: the theorems hide constants (and the ``f_upper``
-factor hides poly-logarithmic terms), so the benchmark harness reports ratios
-between measured error and these predictions rather than expecting equality.
+These are the quantities the experiments compare measured errors against.
+They are *shape* predictions: the theorems hide constants (and the
+``f_upper`` factor hides poly-logarithmic terms), so the experiments report
+ratios between measured error and these predictions, and
+``tests/experiments/test_claims.py`` holds the ratios in constant bands
+rather than expecting equality.
 
 Notation (Section 1.1):
 

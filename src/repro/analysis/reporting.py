@@ -1,9 +1,9 @@
 """Lightweight tabular reporting for the experiment harness.
 
-The benchmark scripts and the CLI both print small result tables (one row per
-parameter setting); :class:`ExperimentTable` renders them as aligned plain
-text or GitHub-flavoured markdown (``python -m repro.cli run --markdown``),
-so a run's table can be pasted verbatim into the README.
+Every experiment returns a small result table (one row per parameter
+setting), which the CLI prints; :class:`ExperimentTable` renders it as
+aligned plain text or GitHub-flavoured markdown (``python -m repro.cli run
+--markdown``), so a run's table can be pasted verbatim into the README.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The "natural but flawed" join-as-one variants of Section 3.1.
 
-Both variants are **not differentially private**; they exist so the E1
-benchmark can reproduce the distinguishing attack of Example 3.1 against them
+Both variants are **not differentially private**; they exist so experiment
+E1 can reproduce the distinguishing attack of Example 3.1 against them
 and verify that Algorithm 1 does not exhibit the same leak.
 
 * :func:`flawed_exact_count_release` — run the single-table PMW on the join

@@ -23,7 +23,9 @@ from the run ledger: the number of charges, their count per label, and
 their composed ε and δ.  ``--trace-out PATH`` (implies ``--telemetry``)
 additionally exports the recorded tracing spans as a Chrome-trace file —
 load it at ``chrome://tracing`` or https://ui.perfetto.dev to see the
-nested span timeline.
+nested span timeline.  The span ring keeps the newest 16,384 spans: the
+file's ``metadata`` and the ``[chrome trace written …]`` line on stderr
+say how many older ones it lacks.
 
 ``--audit-out PATH`` streams each charge of the run ledger into a new
 hash-chained audit journal (``repro.telemetry.audit``) at PATH.  The
@@ -72,7 +74,14 @@ def _print_snapshot(name: str, ledger: PrivacyLedger) -> None:
 
 def _write_trace(path: str) -> None:
     telemetry.export_chrome_trace(path)
-    print(f"[chrome trace written to {path}]", file=sys.stderr)
+    spans = telemetry.snapshot()["spans"]
+    dropped = ""
+    if spans["dropped"]:
+        dropped = (
+            f"; {spans['dropped']:,} of {spans['recorded']:,} spans dropped "
+            f"(ring capacity {spans['capacity']:,})"
+        )
+    print(f"[chrome trace written to {path}{dropped}]", file=sys.stderr)
 
 
 def _verify_journal(path: str, ledger: PrivacyLedger) -> None:

@@ -1,12 +1,13 @@
 """The experiment harness: one module per reproduced paper artefact.
 
 Every experiment (``E1 ... E14``) lives in its own module, whose
-docstring names the paper artefact it reproduces, with a ``run(...)`` function
-returning a dictionary that always contains a ``"table"`` entry (an
-:class:`repro.analysis.reporting.ExperimentTable`) plus experiment-specific raw
-values that the benchmark suite asserts on.  The CLI (``python -m repro.cli``)
-and the ``benchmarks/`` directory are both thin wrappers around these
-functions, so every table can be regenerated from either entry point.
+docstring names the paper artefact it reproduces.  It runs at one size, set
+by the module's constants, and its ``run(*, seed=0)`` returns a dictionary
+that always contains a ``"table"`` entry (an
+:class:`repro.analysis.reporting.ExperimentTable`) plus experiment-specific
+raw values.  ``tests/experiments/test_claims.py`` asserts the paper's claims
+on those values at seeds 0, 1 and 2, and the CLI (``python -m repro.cli run
+eN --seed S``) prints the table of the same run.
 With ``--telemetry`` the CLI traces each run as an ``experiment.<id>`` span
 and prints the snapshot itself, so a runner returns the same dictionary
 with telemetry on or off.

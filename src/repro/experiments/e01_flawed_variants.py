@@ -27,6 +27,12 @@ from repro.datagen.synthetic import figure1_pair
 from repro.queries.linear import ProductQuery, TableQuery, all_one_query
 from repro.queries.workload import Workload
 
+N = 600
+SIDE_DOMAIN_SIZE = 16
+EPSILON = 1.0
+DELTA = 1e-5
+TRIALS = 8
+
 
 def _dprime_mass(histogram: np.ndarray) -> float:
     """Mass of the released histogram inside ``D' = dom(A) × {b_0} × {c_0}``."""
@@ -43,36 +49,28 @@ def _dprime_workload(query) -> Workload:
     return Workload(query, (all_one_query(query), dprime))
 
 
-def run(
-    *,
-    n: int = 1500,
-    side_domain_size: int = 24,
-    epsilon: float = 1.0,
-    delta: float = 1e-5,
-    trials: int = 20,
-    seed: int = 0,
-) -> dict:
+def run(*, seed: int = 0) -> dict:
     """Run the distinguishing experiment and tabulate per-algorithm event frequencies."""
-    pair = figure1_pair(n, side_domain_size=side_domain_size)
+    pair = figure1_pair(N, side_domain_size=SIDE_DOMAIN_SIZE)
     workload = _dprime_workload(pair.query)
     rng = np.random.default_rng(seed)
     pmw_config = PMWConfig(max_iterations=40)
 
     algorithms = {
         "flawed_exact_count": lambda inst, generator: flawed_exact_count_release(
-            inst, workload, epsilon, delta, rng=generator, pmw_config=pmw_config
+            inst, workload, EPSILON, DELTA, rng=generator, pmw_config=pmw_config
         ),
         "flawed_padded": lambda inst, generator: flawed_padded_release(
-            inst, workload, epsilon, delta, rng=generator, pmw_config=pmw_config
+            inst, workload, EPSILON, DELTA, rng=generator, pmw_config=pmw_config
         ),
         "two_table (Alg 1)": lambda inst, generator: two_table_release(
-            inst, workload, epsilon, delta, rng=generator, pmw_config=pmw_config
+            inst, workload, EPSILON, DELTA, rng=generator, pmw_config=pmw_config
         ),
     }
 
-    threshold = n / 3.0
+    threshold = N / 3.0
     table = ExperimentTable(
-        title=f"E1: P[mass(D') > n/3] on I (join size {n}) vs I' (join size 0)",
+        title=f"E1: P[mass(D') > n/3] on I (join size {N}) vs I' (join size 0)",
         columns=[
             "algorithm",
             "mean mass I",
@@ -86,7 +84,7 @@ def run(
     for name, algorithm in algorithms.items():
         masses_i = []
         masses_neighbor = []
-        for _ in range(trials):
+        for _ in range(TRIALS):
             masses_i.append(_dprime_mass(algorithm(pair.instance, rng).synthetic.histogram))
             masses_neighbor.append(
                 _dprime_mass(algorithm(pair.neighbor, rng).synthetic.histogram)
@@ -112,9 +110,9 @@ def run(
         )
     return {
         "table": table,
-        "n": n,
-        "epsilon": epsilon,
-        "delta": delta,
-        "trials": trials,
+        "n": N,
+        "epsilon": EPSILON,
+        "delta": DELTA,
+        "trials": TRIALS,
         "results": results,
     }

@@ -4,8 +4,9 @@ Uniform-degree instances are swept over the number of join values (scaling
 ``OUT`` with Δ fixed) and over the degree (scaling both ``OUT`` and ``Δ``);
 the measured ℓ∞ error of Algorithm 1 is compared against the Theorem 3.3
 prediction ``(sqrt(OUT·(Δ+λ)) + (Δ+λ)·sqrt(λ))·f_upper``.  The paper gives an
-upper bound, so the benchmark asserts the measured/predicted ratio stays
-bounded (the shape matches) rather than expecting equality.
+upper bound, so ``tests/experiments/test_claims.py`` asserts the
+measured/predicted ratio stays bounded (the shape matches) rather than
+expecting equality.
 """
 
 from __future__ import annotations
@@ -22,18 +23,17 @@ from repro.relational.join import join_size
 from repro.sensitivity.local import local_sensitivity
 
 
-def run(
-    *,
-    num_values_sweep: tuple[int, ...] = (4, 8, 16, 32),
-    degree_sweep: tuple[int, ...] = (2, 4, 8, 16),
-    base_num_values: int = 8,
-    base_degree: int = 4,
-    num_queries: int = 40,
-    epsilon: float = 1.0,
-    delta: float = 1e-5,
-    trials: int = 3,
-    seed: int = 0,
-) -> dict:
+NUM_VALUES_SWEEP = (4, 8, 16)
+DEGREE_SWEEP = (2, 4, 8)
+BASE_NUM_VALUES = 8
+BASE_DEGREE = 4
+NUM_QUERIES = 24
+EPSILON = 1.0
+DELTA = 1e-5
+TRIALS = 2
+
+
+def run(*, seed: int = 0) -> dict:
     """Sweep OUT (via the number of join values) and Δ (via the degree)."""
     rng = np.random.default_rng(seed)
     pmw_config = PMWConfig(max_iterations=20)
@@ -44,11 +44,11 @@ def run(
     rows: list[dict] = []
 
     def measure(instance, sweep_label: str) -> None:
-        workload = Workload.random_sign(instance.query, num_queries, rng=rng)
+        workload = Workload.random_sign(instance.query, NUM_QUERIES, rng=rng)
         errors = []
-        for _ in range(trials):
+        for _ in range(TRIALS):
             result = two_table_release(
-                instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
+                instance, workload, EPSILON, DELTA, rng=rng, pmw_config=pmw_config
             )
             errors.append(result.max_error(instance, workload))
         out = join_size(instance)
@@ -58,8 +58,8 @@ def run(
             delta_ls,
             instance.query.joint_domain_size,
             len(workload),
-            epsilon,
-            delta,
+            EPSILON,
+            DELTA,
         )
         measured = float(np.median(errors))
         row = {
@@ -76,13 +76,13 @@ def run(
             [sweep_label, row["n"], out, delta_ls, measured, predicted, row["ratio"]]
         )
 
-    for num_values in num_values_sweep:
-        measure(uniform_two_table(num_values, base_degree), f"OUT sweep (deg={base_degree})")
-    for degree in degree_sweep:
-        measure(uniform_two_table(base_num_values, degree), f"Δ sweep (values={base_num_values})")
+    for num_values in NUM_VALUES_SWEEP:
+        measure(uniform_two_table(num_values, BASE_DEGREE), f"OUT sweep (deg={BASE_DEGREE})")
+    for degree in DEGREE_SWEEP:
+        measure(uniform_two_table(BASE_NUM_VALUES, degree), f"Δ sweep (values={BASE_NUM_VALUES})")
     return {
         "table": table,
         "rows": rows,
-        "epsilon": epsilon,
-        "delta": delta,
+        "epsilon": EPSILON,
+        "delta": DELTA,
     }

@@ -25,19 +25,18 @@ from repro.lowerbounds.two_table_hard import (
 from repro.sensitivity.local import local_sensitivity
 
 
-def run(
-    *,
-    n: int = 12,
-    domain_size: int = 6,
-    num_queries: int = 24,
-    delta_sweep: tuple[int, ...] = (1, 2, 4, 8),
-    epsilon: float = 1.0,
-    delta: float = 1e-5,
-    seed: int = 0,
-) -> dict:
+N = 12
+DOMAIN_SIZE = 6
+NUM_QUERIES = 20
+DELTA_SWEEP = (1, 2, 4, 8)
+EPSILON = 1.0
+DELTA = 1e-5
+
+
+def run(*, seed: int = 0) -> dict:
     """Sweep the amplification factor Δ of the Theorem 3.5 construction."""
     rng = np.random.default_rng(seed)
-    source = hard_single_table(n, domain_size, num_queries, rng=rng)
+    source = hard_single_table(N, DOMAIN_SIZE, NUM_QUERIES, rng=rng)
     pmw_config = PMWConfig(max_iterations=16)
     table = ExperimentTable(
         title="E3: lifted hard instance — measured error vs √(OUT·Δ)·f_lower",
@@ -52,11 +51,11 @@ def run(
         ],
     )
     rows: list[dict] = []
-    for amplification in delta_sweep:
+    for amplification in DELTA_SWEEP:
         hard = two_table_hard_instance(source, amplification)
         instance, workload = hard.instance, hard.workload
         result = two_table_release(
-            instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
+            instance, workload, EPSILON, DELTA, rng=rng, pmw_config=pmw_config
         )
         lifted_error = result.max_error(instance, workload)
         recovered = recover_single_table_answers(hard, result.answer_workload(workload))
@@ -65,15 +64,15 @@ def run(
         )
         measured_ls = local_sensitivity(instance)
         lower = theorem_35_lower_bound(
-            hard.join_size, amplification, instance.query.joint_domain_size, epsilon
+            hard.join_size, amplification, instance.query.joint_domain_size, EPSILON
         )
         upper = theorem_33_error(
             hard.join_size,
             measured_ls,
             instance.query.joint_domain_size,
             len(workload),
-            epsilon,
-            delta,
+            EPSILON,
+            DELTA,
         )
         row = {
             "delta": amplification,
@@ -96,4 +95,4 @@ def run(
                 upper,
             ]
         )
-    return {"table": table, "rows": rows, "n": n, "epsilon": epsilon, "delta": delta}
+    return {"table": table, "rows": rows, "n": N, "epsilon": EPSILON, "delta": DELTA}

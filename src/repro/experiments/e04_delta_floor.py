@@ -21,32 +21,31 @@ from repro.relational.join import join_size
 from repro.sensitivity.local import local_sensitivity
 
 
-def run(
-    *,
-    degree_sweep: tuple[int, ...] = (1, 2, 4, 8, 16),
-    num_values: int = 4,
-    epsilon: float = 1.0,
-    delta: float = 1e-5,
-    trials: int = 5,
-    seed: int = 0,
-) -> dict:
+DEGREE_SWEEP = (1, 4, 16, 64)
+NUM_VALUES = 4
+EPSILON = 1.0
+DELTA = 1e-5
+TRIALS = 4
+
+
+def run(*, seed: int = 0) -> dict:
     """Measure the count error as the local sensitivity grows."""
     rng = np.random.default_rng(seed)
     pmw_config = PMWConfig(max_iterations=8)
-    lam_value = lam(epsilon, delta)
+    lam_value = lam(EPSILON, DELTA)
     table = ExperimentTable(
         title="E4: counting-query error vs local sensitivity Δ (Ω(Δ) floor)",
         columns=["Δ", "OUT", "median |count error|", "error / Δ", "error / (Δ·λ)"],
     )
     rows: list[dict] = []
-    for degree in degree_sweep:
-        instance = uniform_two_table(num_values, degree)
+    for degree in DEGREE_SWEEP:
+        instance = uniform_two_table(NUM_VALUES, degree)
         workload = Workload.counting(instance.query)
         true_count = float(join_size(instance))
         errors = []
-        for _ in range(trials):
+        for _ in range(TRIALS):
             result = two_table_release(
-                instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
+                instance, workload, EPSILON, DELTA, rng=rng, pmw_config=pmw_config
             )
             released_count = result.synthetic.answer(workload[0])
             errors.append(abs(released_count - true_count))
@@ -69,4 +68,4 @@ def run(
                 row["error_over_delta_lambda"],
             ]
         )
-    return {"table": table, "rows": rows, "lam": lam_value, "epsilon": epsilon, "delta": delta}
+    return {"table": table, "rows": rows, "lam": lam_value, "epsilon": EPSILON, "delta": DELTA}

@@ -19,15 +19,14 @@ from repro.relational.join import join_size
 from repro.sensitivity.residual import residual_sensitivity
 
 
-def run(
-    *,
-    scale_sweep: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0),
-    num_queries: int = 30,
-    epsilon: float = 1.0,
-    delta: float = 1e-4,
-    trials: int = 2,
-    seed: int = 0,
-) -> dict:
+SCALE_SWEEP = (0.25, 0.5, 1.0)
+NUM_QUERIES = 20
+EPSILON = 1.0
+DELTA = 1e-4
+TRIALS = 2
+
+
+def run(*, seed: int = 0) -> dict:
     """Sweep the TPC-H scale factor for the 3-table chain."""
     rng = np.random.default_rng(seed)
     pmw_config = PMWConfig(max_iterations=20)
@@ -36,15 +35,15 @@ def run(
         columns=["scale", "n", "OUT", "RS^β", "measured ℓ∞", "predicted", "ratio"],
     )
     rows: list[dict] = []
-    beta = default_beta(epsilon, delta)
-    for scale in scale_sweep:
+    beta = default_beta(EPSILON, DELTA)
+    for scale in SCALE_SWEEP:
         data = generate_tpch(scale, seed=seed + int(scale * 1000))
         instance = data.nation_customer_orders
-        workload = Workload.random_sign(instance.query, num_queries, rng=rng)
+        workload = Workload.random_sign(instance.query, NUM_QUERIES, rng=rng)
         errors = []
-        for _ in range(trials):
+        for _ in range(TRIALS):
             result = multi_table_release(
-                instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
+                instance, workload, EPSILON, DELTA, rng=rng, pmw_config=pmw_config
             )
             errors.append(result.max_error(instance, workload))
         out = join_size(instance)
@@ -54,8 +53,8 @@ def run(
             rs_value,
             instance.query.joint_domain_size,
             len(workload),
-            epsilon,
-            delta,
+            EPSILON,
+            DELTA,
         )
         measured = float(np.median(errors))
         row = {
@@ -71,4 +70,4 @@ def run(
         table.add_row(
             [scale, row["n"], out, rs_value, measured, predicted, row["ratio"]]
         )
-    return {"table": table, "rows": rows, "beta": beta, "epsilon": epsilon, "delta": delta}
+    return {"table": table, "rows": rows, "beta": beta, "epsilon": EPSILON, "delta": DELTA}

@@ -23,6 +23,12 @@ from repro.queries.workload import Workload
 from repro.relational.join import join_size
 from repro.sensitivity.local import local_sensitivity
 
+N_SWEEP = (64, 144, 256)
+NUM_QUERIES = 24
+EPSILON = 1.0
+DELTA = 1e-4
+TRIALS = 2
+
 
 def uniform_bucket_join_sizes(instance, lam_value: float) -> list[float]:
     """Join size of every uniform-partition bucket (Definition 4.3)."""
@@ -41,19 +47,11 @@ def uniform_bucket_join_sizes(instance, lam_value: float) -> list[float]:
     return sizes
 
 
-def run(
-    *,
-    n_sweep: tuple[int, ...] = (64, 144, 256),
-    num_queries: int = 30,
-    epsilon: float = 1.0,
-    delta: float = 1e-4,
-    trials: int = 2,
-    seed: int = 0,
-) -> dict:
+def run(*, seed: int = 0) -> dict:
     """Compare Algorithm 1 and Algorithm 4 on the Figure 3 instances."""
     rng = np.random.default_rng(seed)
     pmw_config = PMWConfig(max_iterations=16)
-    lam_value = lam(epsilon, delta)
+    lam_value = lam(EPSILON, DELTA)
     table = ExperimentTable(
         title="E6: Figure 3 instance — join-as-one vs uniformized",
         columns=[
@@ -67,23 +65,23 @@ def run(
         ],
     )
     rows: list[dict] = []
-    for n in n_sweep:
+    for n in N_SWEEP:
         instance = figure3_instance(n)
-        workload = Workload.random_sign(instance.query, num_queries, rng=rng)
+        workload = Workload.random_sign(instance.query, NUM_QUERIES, rng=rng)
 
         def median_error(method: str) -> float:
             errors = []
-            for _ in range(trials):
+            for _ in range(TRIALS):
                 if method == "two_table":
                     result = two_table_release(
-                        instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
+                        instance, workload, EPSILON, DELTA, rng=rng, pmw_config=pmw_config
                     )
                 else:
                     result = uniformize_release(
                         instance,
                         workload,
-                        epsilon,
-                        delta,
+                        EPSILON,
+                        DELTA,
                         method="two_table",
                         rng=rng,
                         pmw_config=pmw_config,
@@ -96,15 +94,15 @@ def run(
         join_as_one = median_error("two_table")
         uniformized = median_error("uniformize")
         bound_33 = theorem_33_error(
-            out, delta_ls, instance.query.joint_domain_size, len(workload), epsilon, delta
+            out, delta_ls, instance.query.joint_domain_size, len(workload), EPSILON, DELTA
         )
         bound_44 = theorem_44_error(
             uniform_bucket_join_sizes(instance, lam_value),
             delta_ls,
             instance.query.joint_domain_size,
             len(workload),
-            epsilon,
-            delta,
+            EPSILON,
+            DELTA,
         )
         row = {
             "n": instance.total_size(),
@@ -119,4 +117,4 @@ def run(
         table.add_row(
             [row["n"], out, delta_ls, join_as_one, uniformized, bound_33, bound_44]
         )
-    return {"table": table, "rows": rows, "epsilon": epsilon, "delta": delta}
+    return {"table": table, "rows": rows, "epsilon": EPSILON, "delta": DELTA}

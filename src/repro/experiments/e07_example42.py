@@ -23,19 +23,18 @@ from repro.relational.join import join_size
 from repro.sensitivity.local import local_sensitivity
 
 
-def run(
-    *,
-    k_sweep: tuple[int, ...] = (4, 6, 8),
-    num_queries: int = 24,
-    epsilon: float = 1.0,
-    delta: float = 1e-4,
-    trials: int = 2,
-    seed: int = 0,
-) -> dict:
+K_SWEEP = (4, 6, 8)
+NUM_QUERIES = 20
+EPSILON = 1.0
+DELTA = 1e-4
+TRIALS = 2
+
+
+def run(*, seed: int = 0) -> dict:
     """Measure the join-as-one vs uniformized gap on Example 4.2 instances."""
     rng = np.random.default_rng(seed)
     pmw_config = PMWConfig(max_iterations=16)
-    lam_value = lam(epsilon, delta)
+    lam_value = lam(EPSILON, DELTA)
     table = ExperimentTable(
         title="E7: Example 4.2 — measured and theoretical gap vs k^(1/3)",
         columns=[
@@ -50,26 +49,26 @@ def run(
         ],
     )
     rows: list[dict] = []
-    for k in k_sweep:
+    for k in K_SWEEP:
         instance = example42_instance(k)
-        workload = Workload.random_sign(instance.query, num_queries, rng=rng)
+        workload = Workload.random_sign(instance.query, NUM_QUERIES, rng=rng)
 
         def median_error(uniformized: bool) -> float:
             errors = []
-            for _ in range(trials):
+            for _ in range(TRIALS):
                 if uniformized:
                     result = uniformize_release(
                         instance,
                         workload,
-                        epsilon,
-                        delta,
+                        EPSILON,
+                        DELTA,
                         method="two_table",
                         rng=rng,
                         pmw_config=pmw_config,
                     )
                 else:
                     result = two_table_release(
-                        instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
+                        instance, workload, EPSILON, DELTA, rng=rng, pmw_config=pmw_config
                     )
                 errors.append(result.max_error(instance, workload))
             return float(np.median(errors))
@@ -77,15 +76,15 @@ def run(
         out = join_size(instance)
         delta_ls = local_sensitivity(instance)
         bound_33 = theorem_33_error(
-            out, delta_ls, instance.query.joint_domain_size, len(workload), epsilon, delta
+            out, delta_ls, instance.query.joint_domain_size, len(workload), EPSILON, DELTA
         )
         bound_44 = theorem_44_error(
             uniform_bucket_join_sizes(instance, lam_value),
             delta_ls,
             instance.query.joint_domain_size,
             len(workload),
-            epsilon,
-            delta,
+            EPSILON,
+            DELTA,
         )
         measured_one = median_error(False)
         measured_uniform = median_error(True)
@@ -115,4 +114,4 @@ def run(
                 row["k_power_one_third"],
             ]
         )
-    return {"table": table, "rows": rows, "epsilon": epsilon, "delta": delta}
+    return {"table": table, "rows": rows, "epsilon": EPSILON, "delta": DELTA}

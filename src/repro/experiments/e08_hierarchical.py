@@ -29,6 +29,11 @@ from repro.sensitivity.configurations import (
 )
 from repro.sensitivity.residual import residual_sensitivity
 
+DOMAIN_SIZE = 3
+NUM_QUERIES = 10
+EPSILON = 1.0
+DELTA = 1e-2
+
 
 def figure4_skewed_instance(
     domain_size: int = 4,
@@ -69,24 +74,17 @@ def figure4_skewed_instance(
     return Instance.from_tuple_lists(query, tuples)
 
 
-def run(
-    *,
-    domain_size: int = 3,
-    num_queries: int = 12,
-    epsilon: float = 1.0,
-    delta: float = 1e-2,
-    seed: int = 0,
-) -> dict:
+def run(*, seed: int = 0) -> dict:
     """Partition structure, configuration bounds, and release errors on Figure 4."""
     rng = np.random.default_rng(seed)
-    instance = figure4_skewed_instance(domain_size, rng=rng)
+    instance = figure4_skewed_instance(DOMAIN_SIZE, rng=rng)
     query = instance.query
-    workload = Workload.random_sign(query, num_queries, rng=rng)
+    workload = Workload.random_sign(query, NUM_QUERIES, rng=rng)
     pmw_config = PMWConfig(max_iterations=10)
-    beta = default_beta(epsilon, delta)
+    beta = default_beta(EPSILON, DELTA)
     lam_value = 1.0 / beta
 
-    partition = partition_hierarchical(instance, epsilon / 2.0, delta / 2.0, rng=rng)
+    partition = partition_hierarchical(instance, EPSILON / 2.0, DELTA / 2.0, rng=rng)
     multiplicity = partition.tuple_multiplicity(instance)
 
     configuration = configuration_of_instance(instance, lam_value)
@@ -96,14 +94,14 @@ def run(
     def release_error(method: str) -> float:
         if method == "multi_table":
             result = multi_table_release(
-                instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
+                instance, workload, EPSILON, DELTA, rng=rng, pmw_config=pmw_config
             )
         else:
             result = uniformize_release(
                 instance,
                 workload,
-                epsilon,
-                delta,
+                EPSILON,
+                DELTA,
                 method="hierarchical",
                 rng=rng,
                 pmw_config=pmw_config,
@@ -137,6 +135,6 @@ def run(
         "error_uniformized": error_uniform,
         "input_size": instance.total_size(),
         "join_size": join_size(instance),
-        "epsilon": epsilon,
-        "delta": delta,
+        "epsilon": EPSILON,
+        "delta": DELTA,
     }

@@ -31,6 +31,12 @@ from repro.relational.hypergraph import (
 from repro.relational.join import join_size
 from repro.sensitivity.residual import residual_sensitivity
 
+DOMAIN_SIZE = 6
+TUPLES_PER_RELATION = 18
+EPSILON = 1.0
+DELTA = 1e-4
+TRIALS = 3
+
 
 def _standard_queries(domain_size: int) -> dict[str, JoinQuery]:
     return {
@@ -41,18 +47,10 @@ def _standard_queries(domain_size: int) -> dict[str, JoinQuery]:
     }
 
 
-def run(
-    *,
-    domain_size: int = 6,
-    tuples_per_relation: int = 18,
-    epsilon: float = 1.0,
-    delta: float = 1e-4,
-    trials: int = 3,
-    seed: int = 0,
-) -> dict:
+def run(*, seed: int = 0) -> dict:
     """Tabulate AGM exponents and compare measured quantities against them."""
     rng = np.random.default_rng(seed)
-    beta = default_beta(epsilon, delta)
+    beta = default_beta(EPSILON, DELTA)
     table = ExperimentTable(
         title="E9: AGM exponents and measured join size / residual sensitivity",
         columns=[
@@ -66,16 +64,14 @@ def run(
         ],
     )
     rows: list[dict] = []
-    for name, query in _standard_queries(domain_size).items():
+    for name, query in _standard_queries(DOMAIN_SIZE).items():
         rho = fractional_edge_cover_number(query)
         residual_exponent = worst_case_sensitivity_exponent(query)
         out_values = []
         rs_values = []
         n_values = []
-        for trial in range(trials):
-            instance = random_instance(
-                query, tuples_per_relation, rng=rng
-            )
+        for _ in range(TRIALS):
+            instance = random_instance(query, TUPLES_PER_RELATION, rng=rng)
             n_values.append(instance.total_size())
             out_values.append(join_size(instance))
             rs_values.append(residual_sensitivity(instance, beta))
@@ -98,4 +94,4 @@ def run(
         table.add_row(
             [name, rho, residual_exponent, agm, measured_out, measured_rs, error_shape]
         )
-    return {"table": table, "rows": rows, "beta": beta, "epsilon": epsilon, "delta": delta}
+    return {"table": table, "rows": rows, "beta": beta, "epsilon": EPSILON, "delta": DELTA}

@@ -23,39 +23,34 @@ from repro.queries.workload import Workload
 from repro.sensitivity.local import local_sensitivity
 
 
-def run(
-    *,
-    out_vectors: tuple[dict[int, int], ...] = (
-        {1: 200},
-        {1: 100, 2: 200},
-        {1: 50, 2: 100, 3: 400},
-    ),
-    num_queries: int = 24,
-    epsilon: float = 1.0,
-    delta: float = 1e-3,
-    trials: int = 2,
-    seed: int = 0,
-) -> dict:
+OUT_VECTORS = ({1: 200}, {1: 100, 2: 200}, {1: 50, 2: 100, 3: 400})
+NUM_QUERIES = 20
+EPSILON = 1.0
+DELTA = 1e-3
+TRIALS = 2
+
+
+def run(*, seed: int = 0) -> dict:
     """Sweep join-size vectors and compare measured error against Theorem 4.5."""
     rng = np.random.default_rng(seed)
     pmw_config = PMWConfig(max_iterations=14)
-    lam_value = lam(epsilon, delta)
+    lam_value = lam(EPSILON, DELTA)
     table = ExperimentTable(
         title="E10: conforming instances — measured error vs Theorem 4.5 / 4.4 bounds",
         columns=["OUT vector", "n", "Δ", "measured ℓ∞", "lower bound", "upper bound"],
     )
     rows: list[dict] = []
-    for out_vector in out_vectors:
+    for out_vector in OUT_VECTORS:
         conforming = conforming_two_table_instance(out_vector, lam_value)
         instance = conforming.instance
-        workload = Workload.random_sign(instance.query, num_queries, rng=rng)
+        workload = Workload.random_sign(instance.query, NUM_QUERIES, rng=rng)
         errors = []
-        for _ in range(trials):
+        for _ in range(TRIALS):
             result = uniformize_release(
                 instance,
                 workload,
-                epsilon,
-                delta,
+                EPSILON,
+                DELTA,
                 method="two_table",
                 rng=rng,
                 pmw_config=pmw_config,
@@ -68,7 +63,7 @@ def run(
             for index in range(1, max_bucket + 1)
         ]
         lower = theorem_45_lower_bound(
-            bucket_sizes, instance.query.joint_domain_size, epsilon, delta
+            bucket_sizes, instance.query.joint_domain_size, EPSILON, DELTA
         )
         delta_ls = local_sensitivity(instance)
         upper = theorem_44_error(
@@ -76,8 +71,8 @@ def run(
             delta_ls,
             instance.query.joint_domain_size,
             len(workload),
-            epsilon,
-            delta,
+            EPSILON,
+            DELTA,
         )
         row = {
             "out_vector": dict(out_vector),
@@ -92,4 +87,4 @@ def run(
         table.add_row(
             [str(out_vector), row["n"], delta_ls, measured, lower, upper]
         )
-    return {"table": table, "rows": rows, "lam": lam_value, "epsilon": epsilon, "delta": delta}
+    return {"table": table, "rows": rows, "lam": lam_value, "epsilon": EPSILON, "delta": DELTA}

@@ -20,20 +20,19 @@ from repro.queries.evaluation import shared_evaluator
 from repro.queries.workload import Workload
 
 
-def run(
-    *,
-    workload_sizes: tuple[int, ...] = (8, 32, 128, 512),
-    num_join_values: int = 12,
-    tuples_per_relation: int = 120,
-    epsilon: float = 1.0,
-    delta: float = 1e-5,
-    trials: int = 3,
-    seed: int = 0,
-) -> dict:
+WORKLOAD_SIZES = (8, 64, 256)
+NUM_JOIN_VALUES = 12
+TUPLES_PER_RELATION = 120
+EPSILON = 1.0
+DELTA = 1e-5
+TRIALS = 2
+
+
+def run(*, seed: int = 0) -> dict:
     """Sweep |Q| and compare the synthetic-data release with per-query Laplace."""
     rng = np.random.default_rng(seed)
     instance = zipf_two_table(
-        num_join_values, tuples_per_relation, seed=seed, size_a=16, size_c=16
+        NUM_JOIN_VALUES, TUPLES_PER_RELATION, seed=seed, size_a=16, size_c=16
     )
     pmw_config = PMWConfig(max_iterations=24)
     table = ExperimentTable(
@@ -41,18 +40,18 @@ def run(
         columns=["|Q|", "synthetic ℓ∞", "per-query Laplace ℓ∞", "laplace / synthetic"],
     )
     rows: list[dict] = []
-    for size in workload_sizes:
+    for size in WORKLOAD_SIZES:
         workload = Workload.random_sign(instance.query, size, rng=rng)
         true_answers = shared_evaluator(workload).answers_on_instance(instance)
         synthetic_errors = []
         laplace_errors = []
-        for _ in range(trials):
+        for _ in range(TRIALS):
             release = two_table_release(
-                instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
+                instance, workload, EPSILON, DELTA, rng=rng, pmw_config=pmw_config
             )
             synthetic_errors.append(release.max_error(instance, workload))
             baseline = independent_laplace_answers(
-                instance, workload, epsilon, delta, rng=rng
+                instance, workload, EPSILON, DELTA, rng=rng
             )
             laplace_errors.append(float(np.max(np.abs(baseline.answers - true_answers))))
         synthetic_error = float(np.median(synthetic_errors))
@@ -69,6 +68,6 @@ def run(
         "table": table,
         "rows": rows,
         "instance_size": instance.total_size(),
-        "epsilon": epsilon,
-        "delta": delta,
+        "epsilon": EPSILON,
+        "delta": DELTA,
     }

@@ -28,14 +28,13 @@ from repro.queries.workload import Workload
 from repro.relational.join import join_size
 
 
-def run(
-    *,
-    scale_sweep: tuple[float, ...] = (0.5, 1.0, 2.0),
-    epsilon: float = 1.0,
-    delta: float = 1e-5,
-    num_predicate_queries: int = 24,
-    seed: int = 0,
-) -> dict:
+SCALE_SWEEP = (0.5, 1.0, 2.0)
+EPSILON = 1.0
+DELTA = 1e-5
+NUM_PREDICATE_QUERIES = 16
+
+
+def run(*, seed: int = 0) -> dict:
     """Release the TPC-H-style joins and tabulate error and runtime by scale."""
     rng = np.random.default_rng(seed)
     pmw_config = PMWConfig(max_iterations=24)
@@ -53,7 +52,7 @@ def run(
         ],
     )
     rows: list[dict] = []
-    for scale in scale_sweep:
+    for scale in SCALE_SWEEP:
         data = generate_tpch(scale, seed=seed + int(scale * 100))
 
         # Customer ⋈ Orders with marginal workloads on the categorical columns.
@@ -67,7 +66,7 @@ def run(
         shared_evaluator(workload).answers_on_instance(instance)
         start = time.perf_counter()
         release = two_table_release(
-            instance, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
+            instance, workload, EPSILON, DELTA, rng=rng, pmw_config=pmw_config
         )
         runtime = time.perf_counter() - start
         error = release.max_error(instance, workload)
@@ -100,12 +99,12 @@ def run(
         # Nation ⋈ Customer ⋈ Orders with random predicate queries.
         instance3 = data.nation_customer_orders
         workload3 = Workload.random_predicates(
-            instance3.query, num_predicate_queries, selectivity=0.4, rng=rng
+            instance3.query, NUM_PREDICATE_QUERIES, selectivity=0.4, rng=rng
         )
         shared_evaluator(workload3).answers_on_instance(instance3)
         start = time.perf_counter()
         release3 = multi_table_release(
-            instance3, workload3, epsilon, delta, rng=rng, pmw_config=pmw_config
+            instance3, workload3, EPSILON, DELTA, rng=rng, pmw_config=pmw_config
         )
         runtime3 = time.perf_counter() - start
         error3 = release3.max_error(instance3, workload3)
@@ -134,4 +133,4 @@ def run(
                 runtime3,
             ]
         )
-    return {"table": table, "rows": rows, "epsilon": epsilon, "delta": delta}
+    return {"table": table, "rows": rows, "epsilon": EPSILON, "delta": DELTA}

@@ -21,37 +21,34 @@ from repro.queries.workload import Workload
 from repro.relational.hypergraph import single_table_query
 
 
-def run(
-    *,
-    n_sweep: tuple[int, ...] = (50, 200, 800),
-    domain_shape: dict[str, int] | None = None,
-    num_queries: int = 40,
-    epsilon: float = 1.0,
-    delta: float = 1e-5,
-    trials: int = 3,
-    seed: int = 0,
-) -> dict:
+N_SWEEP = (50, 200, 800)
+DOMAIN_SHAPE = {"X": 16, "Y": 16}
+NUM_QUERIES = 32
+EPSILON = 1.0
+DELTA = 1e-5
+TRIALS = 2
+
+
+def run(*, seed: int = 0) -> dict:
     """Sweep the table size n and compare the error against √n·f_upper."""
-    if domain_shape is None:
-        domain_shape = {"X": 16, "Y": 16}
     rng = np.random.default_rng(seed)
-    query = single_table_query(domain_shape)
+    query = single_table_query(DOMAIN_SHAPE)
     pmw_config = PMWConfig(max_iterations=30)
     table = ExperimentTable(
         title="E13: single-table PMW — error vs √n·f_upper",
         columns=["n", "measured ℓ∞", "√n·f_upper", "ratio"],
     )
     rows: list[dict] = []
-    for n in n_sweep:
+    for n in N_SWEEP:
         instance = random_instance(query, n, rng=rng)
-        workload = Workload.random_sign(query, num_queries, rng=rng)
+        workload = Workload.random_sign(query, NUM_QUERIES, rng=rng)
         errors = []
-        for _ in range(trials):
+        for _ in range(TRIALS):
             result = release_synthetic_data(
                 instance,
                 workload,
-                epsilon,
-                delta,
+                EPSILON,
+                DELTA,
                 method="single_table",
                 rng=rng,
                 pmw_config=pmw_config,
@@ -59,7 +56,7 @@ def run(
             errors.append(result.max_error(instance, workload))
         measured = float(np.median(errors))
         predicted = sqrt(n) * f_upper(
-            query.joint_domain_size, len(workload), epsilon, delta
+            query.joint_domain_size, len(workload), EPSILON, DELTA
         )
         row = {
             "n": instance.total_size(),
@@ -69,4 +66,4 @@ def run(
         }
         rows.append(row)
         table.add_row([row["n"], measured, predicted, row["ratio"]])
-    return {"table": table, "rows": rows, "epsilon": epsilon, "delta": delta}
+    return {"table": table, "rows": rows, "epsilon": EPSILON, "delta": DELTA}

@@ -35,6 +35,13 @@ from repro.mechanisms.spec import PrivacySpec
 from repro.queries.workload import Workload
 from repro.relational.neighbors import random_neighbor
 
+NUM_VALUES = 4
+DEGREE = 3
+EPSILON = 1.0
+DELTA = 1e-4
+TRIALS = 60
+NUM_BINS = 8
+
 
 def _empirical_epsilon(
     samples_instance: np.ndarray,
@@ -64,28 +71,19 @@ def _empirical_epsilon(
     return worst
 
 
-def run(
-    *,
-    num_values: int = 4,
-    degree: int = 3,
-    epsilon: float = 1.0,
-    delta: float = 1e-4,
-    trials: int = 60,
-    num_bins: int = 8,
-    seed: int = 0,
-) -> dict:
+def run(*, seed: int = 0) -> dict:
     """Audit Algorithm 1's released total mass across a neighbouring pair."""
     rng = np.random.default_rng(seed)
-    instance = uniform_two_table(num_values, degree)
+    instance = uniform_two_table(NUM_VALUES, DEGREE)
     neighbor = random_neighbor(instance, rng)
     workload = Workload.counting(instance.query)
     pmw_config = PMWConfig(max_iterations=4)
 
     def sample_totals(target) -> np.ndarray:
         totals = []
-        for _ in range(trials):
+        for _ in range(TRIALS):
             result = two_table_release(
-                target, workload, epsilon, delta, rng=rng, pmw_config=pmw_config
+                target, workload, EPSILON, DELTA, rng=rng, pmw_config=pmw_config
             )
             totals.append(result.synthetic.total_mass())
         return np.array(totals)
@@ -94,10 +92,10 @@ def run(
     # ambient ledger, and the composed spend must stay within the declared
     # budget of 2·trials releases at (ε, δ) each (tiny headroom absorbs the
     # float rounding of summing the per-release budget splits).
-    releases = 2 * trials
+    releases = 2 * TRIALS
     budget = PrivacySpec(
-        epsilon * releases * (1.0 + 1e-9),
-        min(delta * releases * (1.0 + 1e-9), 0.5),
+        EPSILON * releases * (1.0 + 1e-9),
+        min(DELTA * releases * (1.0 + 1e-9), 0.5),
     )
     ledger = PrivacyLedger()
     with use_ledger(ledger):
@@ -105,15 +103,15 @@ def run(
         samples_neighbor = sample_totals(neighbor)
     spent = ledger.assert_within(budget)
     remaining = ledger.remaining(budget)
-    estimated = _empirical_epsilon(samples_instance, samples_neighbor, delta, num_bins)
+    estimated = _empirical_epsilon(samples_instance, samples_neighbor, DELTA, NUM_BINS)
 
     table = ExperimentTable(
         title="E14: empirical privacy audit of Algorithm 1 (released total mass)",
         columns=["quantity", "value"],
     )
-    table.add_row(["declared ε", epsilon])
-    table.add_row(["declared δ", delta])
-    table.add_row(["trials per instance", trials])
+    table.add_row(["declared ε", EPSILON])
+    table.add_row(["declared δ", DELTA])
+    table.add_row(["trials per instance", TRIALS])
     table.add_row(["empirical ε estimate", estimated])
     table.add_row(["mean total | I", float(samples_instance.mean())])
     table.add_row(["mean total | I'", float(samples_neighbor.mean())])
@@ -123,9 +121,9 @@ def run(
     return {
         "table": table,
         "empirical_epsilon": estimated,
-        "declared_epsilon": epsilon,
-        "declared_delta": delta,
-        "trials": trials,
+        "declared_epsilon": EPSILON,
+        "declared_delta": DELTA,
+        "trials": TRIALS,
         "ledger_charges": len(ledger),
         "spent_epsilon": spent.epsilon if spent else 0.0,
         "spent_delta": spent.delta if spent else 0.0,

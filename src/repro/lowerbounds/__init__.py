@@ -1,9 +1,10 @@
 """Hard-instance constructions from the paper's lower-bound proofs.
 
 These builders turn an arbitrary single table into the multi-table instances
-used by the reductions of Theorems 3.5, 1.6, and 4.5, so the benchmarks can
-measure how the released error scales against the parameterised lower bounds
-``min(OUT, √(OUT·Δ)·f_lower)``.
+used by the reductions of Theorems 3.5, 1.6, and 4.5.  Experiments E3
+(Theorem 3.5) and E10 (Theorem 4.5) measure how the released error scales
+against the parameterised lower bounds ``min(OUT, √(OUT·Δ)·f_lower)``; no
+experiment measures Theorem 1.6's instance.
 """
 
 from repro.lowerbounds.single_table_hard import hard_single_table

@@ -6,7 +6,7 @@ on the geometric grid ``(λ·2^{i-1}, λ·2^i]``.  By Lemma 4.8 these are exactl
 the factors that appear in the q-aggregate upper bounds of the boundary
 queries ``T_E``, so a configuration determines an upper bound on the residual
 sensitivity of every sub-instance produced by the hierarchical decomposition
-(used by the Theorem C.2 error analysis and the E8 benchmark).
+(used by the Theorem C.2 error analysis and experiment E8).
 """
 
 from __future__ import annotations

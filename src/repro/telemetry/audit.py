@@ -24,11 +24,12 @@ tell a truncated disk from a hostile edit.
 A journal is one file written by one run: it is created exclusively, so a
 path that already exists is refused rather than appended to.
 
-Standard library only, like the rest of ``repro.telemetry`` (the CI job and
-``tests/telemetry/test_stdlib_only.py`` enforce it).  The journal knows
-nothing about ledger classes — ``attach`` accepts anything with a
-``subscribe(observer)`` method whose entries expose ``label``, ``spec`` and
-``parallel_group``.
+Standard library only, like the rest of ``repro.telemetry``: rule DPA104 of
+``repro.analysis.lint`` enforces it, run by CI's static-analysis job
+(``tests/telemetry/check_stdlib_only.py``) and by ``tests/analysis/static/``.
+The journal knows nothing about ledger classes — ``attach`` accepts
+anything with a ``subscribe(observer)`` method whose entries expose
+``label``, ``spec`` and ``parallel_group``.
 """
 
 from __future__ import annotations

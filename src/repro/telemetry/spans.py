@@ -11,8 +11,8 @@ most recent ``capacity`` spans and counts what it dropped — tracing a long
 run can never grow memory without bound — while it sums every span's
 count, wall and CPU time by name, so its summary stays exact after drops.
 The ring exports as plain JSON dictionaries and as a Chrome-trace file
-(the ``chrome://tracing`` / Perfetto ``traceEvents`` format) via
-:func:`chrome_trace_events`.
+(the ``chrome://tracing`` / Perfetto ``traceEvents`` format, with the drop
+count in its ``metadata``) via :func:`chrome_trace_events`.
 
 When telemetry is disabled, :func:`repro.telemetry.trace` returns the shared
 :data:`NULL_SPAN` singleton instead of an :class:`ActiveSpan` — entering and
@@ -173,11 +173,16 @@ def chrome_trace_events(ring: SpanRing) -> dict:
     relative to the ring epoch; attributes and the CPU time ride along in
     ``args``.  Nesting needs no explicit encoding — the viewers stack
     events of one pid/tid by time containment, which is exactly how the
-    spans nested when they ran.
+    spans nested when they ran.  The top-level ``metadata`` says how many
+    spans were recorded, how many the ring dropped (the oldest, which the
+    events lack) and its capacity.
     """
+    with ring._lock:  # the events and the counts of one instant
+        spans = list(ring._spans)
+        recorded = ring._recorded
     events = []
     epoch = ring.epoch_ns
-    for span in ring.spans():
+    for span in spans:
         events.append(
             {
                 "ph": "X",
@@ -189,7 +194,12 @@ def chrome_trace_events(ring: SpanRing) -> dict:
                 "args": {**span.attrs, "cpu_ms": span.cpu_ns / 1e6},
             }
         )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    metadata = {
+        "recorded": recorded,
+        "dropped": recorded - len(spans),
+        "capacity": ring.capacity,
+    }
+    return {"traceEvents": events, "displayTimeUnit": "ms", "metadata": metadata}
 
 
 # ---------------------------------------------------------------------- #

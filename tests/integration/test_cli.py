@@ -9,6 +9,7 @@ from repro.cli import _budget, main
 from repro.mechanisms.ledger import PrivacyLedger, ambient_ledger
 from repro.mechanisms.spec import PrivacySpec
 from repro.telemetry.audit import verify_audit_journal
+from repro.telemetry.spans import SpanRing
 
 
 def _snapshots(output: str) -> dict:
@@ -159,6 +160,30 @@ class TestCli:
             assert run["ts"] <= event["ts"]
             assert event["ts"] + event["dur"] <= run["ts"] + run["dur"] + 1e-6
         assert not telemetry.is_enabled()
+
+    def test_trace_out_names_the_spans_a_full_ring_dropped(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        trace = tmp_path / "trace.json"
+        assert main(["demo", "--trace-out", str(trace)]) == 0
+        assert "dropped" not in capsys.readouterr().err
+        assert json.loads(trace.read_text())["metadata"]["dropped"] == 0
+
+        monkeypatch.setattr(telemetry, "SpanRing", lambda: SpanRing(capacity=4))
+        trace.unlink()
+        assert main(["demo", "--trace-out", str(trace)]) == 0
+        payload = json.loads(trace.read_text())
+        recorded = payload["metadata"]["recorded"]
+        assert len(payload["traceEvents"]) == 4 < recorded
+        assert payload["metadata"] == {
+            "recorded": recorded,
+            "dropped": recorded - 4,
+            "capacity": 4,
+        }
+        assert (
+            f"[chrome trace written to {trace}; {recorded - 4:,} of {recorded:,} "
+            "spans dropped (ring capacity 4)]"
+        ) in capsys.readouterr().err
 
     def test_printed_budget_matches_the_audit_journal(self, tmp_path, capsys):
         journal = tmp_path / "audit.jsonl"

@@ -62,16 +62,9 @@ class TestPMWBudgetSplitRegression:
 
     The adaptive rounds historically derived their iteration count and ε'
     from the *full* (ε, δ) although the noisy total had already consumed
-    (ε/2, δ/2).  The E14 audit plus the recorded split pin the fix.
+    (ε/2, δ/2).  The recorded split below and the E14 audit's ε + 1 bound
+    (``tests/experiments/test_claims.py``) pin the fix.
     """
-
-    def test_e14_audit_stays_within_declared_epsilon(self):
-        from repro.experiments import e14_privacy_audit
-
-        result = e14_privacy_audit.run(trials=40, num_bins=6, seed=3)
-        # The empirical estimate is noisy at 40 trials, but the declared ε
-        # plus modest estimation slack must hold for the fixed accounting.
-        assert result["empirical_epsilon"] <= result["declared_epsilon"] + 1.0
 
     def test_release_pmw_rounds_get_quarter_budget(self):
         """Algorithm 1 hands (ε/2, δ/2) to PMW, which halves it again."""

@@ -1,7 +1,7 @@
 """End-to-end telemetry over E13.
 
-A telemetry-enabled smoke-size E13 run must leave a JSON-able snapshot
-whose span counts are the run's own: one ``pmw.run`` span per PMW run, one
+A telemetry-enabled E13 run must leave a JSON-able snapshot whose span
+counts are the run's own: one ``pmw.run`` span per PMW run, one
 ``pmw.round`` span per iteration the runs report, and one
 ``mechanism.<name>`` span per noise draw.  Its Chrome trace must cover every
 PMW round and mechanism invocation, with the round spans nested under their
@@ -24,14 +24,10 @@ from repro.queries.workload import Workload
 from repro.relational.hypergraph import two_table_query
 from repro.relational.instance import Instance
 
-_E13_SMOKE = dict(
-    n_sweep=(30,), domain_shape={"X": 6, "Y": 6}, num_queries=8, trials=1, seed=0
-)
-
 
 @pytest.fixture
 def pmw_results(monkeypatch):
-    """Run a smoke E13 with telemetry on; the PMW results it produced.
+    """Run E13 with telemetry on; the PMW results it produced.
 
     E13 releases single-table data, so every noise draw of the run is one of
     its PMW runs': a truncated-Laplace total, then one exponential selection
@@ -46,7 +42,7 @@ def pmw_results(monkeypatch):
 
     monkeypatch.setattr(release, "private_multiplicative_weights", recording)
     telemetry.configure()
-    EXPERIMENTS["e13"](**_E13_SMOKE)
+    EXPERIMENTS["e13"](seed=0)
     assert results
     return results
 

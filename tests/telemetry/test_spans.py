@@ -185,7 +185,21 @@ def test_chrome_trace_export_round_trips(tmp_path):
 def test_chrome_trace_events_direct():
     ring = SpanRing(capacity=4)
     payload = chrome_trace_events(ring)
-    assert payload == {"traceEvents": [], "displayTimeUnit": "ms"}
+    assert payload == {
+        "traceEvents": [],
+        "displayTimeUnit": "ms",
+        "metadata": {"recorded": 0, "dropped": 0, "capacity": 4},
+    }
+
+
+def test_chrome_trace_metadata_counts_the_spans_the_ring_dropped():
+    ring = SpanRing(capacity=4)
+    for i in range(10):
+        with ActiveSpan(ring, "tick", {"i": i}):
+            pass
+    payload = chrome_trace_events(ring)
+    assert [event["args"]["i"] for event in payload["traceEvents"]] == [6, 7, 8, 9]
+    assert payload["metadata"] == {"recorded": 10, "dropped": 6, "capacity": 4}
 
 
 def test_export_raises_while_disabled(tmp_path):
