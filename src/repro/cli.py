@@ -27,16 +27,9 @@ nested span timeline.  The span ring keeps the newest 16,384 spans: the
 file's ``metadata`` and the ``[chrome trace written …]`` line on stderr
 say how many older ones it lacks.
 
-``--audit-out PATH`` streams each charge of the run ledger into a new
-hash-chained audit journal (``repro.telemetry.audit``) at PATH.  The
-journal is created before anything runs; an existing PATH is refused with
-exit status 2 and left as it was.  After the run the journal is verified —
-replayed, chain-checked, and cross-checked against the run ledger — and a
-one-line summary is printed.
-
-Every teardown step — writing the trace, turning telemetry off, closing
-and verifying the journal — runs even when an earlier one raises, and the
-error propagates once they all have.
+Both teardown steps — writing the trace, turning telemetry off — run even
+when the command or the other step raises, and the error propagates once
+they both have.
 """
 
 from __future__ import annotations
@@ -51,7 +44,6 @@ from contextlib import ExitStack
 from repro import telemetry
 from repro.experiments import DESCRIPTIONS, EXPERIMENTS
 from repro.mechanisms.ledger import PrivacyLedger, use_ledger
-from repro.telemetry.audit import AuditJournal, verify_audit_journal
 
 
 def _budget(ledger: PrivacyLedger) -> dict:
@@ -82,16 +74,6 @@ def _write_trace(path: str) -> None:
             f"(ring capacity {spans['capacity']:,})"
         )
     print(f"[chrome trace written to {path}{dropped}]", file=sys.stderr)
-
-
-def _verify_journal(path: str, ledger: PrivacyLedger) -> None:
-    report = verify_audit_journal(path, ledger=ledger)
-    print(
-        f"[audit journal verified: {report.records} record(s), "
-        f"composed spend ε={report.epsilon}, δ={report.delta}, "
-        f"matches the live ledger — {path}]",
-        file=sys.stderr,
-    )
 
 
 def _cmd_list() -> int:
@@ -174,31 +156,13 @@ def main(argv: list[str] | None = None) -> int:
             help="write the recorded tracing spans as a Chrome-trace JSON "
             "file (chrome://tracing / ui.perfetto.dev); implies --telemetry",
         )
-        sub.add_argument(
-            "--audit-out",
-            metavar="PATH",
-            default=None,
-            help="stream every privacy charge of the run into a hash-chained "
-            "audit journal at PATH and verify it after the run",
-        )
 
     args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
-    journal = None
-    if args.audit_out is not None:
-        try:
-            journal = AuditJournal(args.audit_out)
-        except FileExistsError:
-            print(f"error: audit journal {args.audit_out} already exists", file=sys.stderr)
-            return 2
     ledger = PrivacyLedger()
-    # Teardown runs last-registered first: the trace, then telemetry off,
-    # then the journal's close and verification.
+    # Teardown runs last-registered first: the trace, then telemetry off.
     with ExitStack() as teardown:
-        if journal is not None:
-            teardown.callback(_verify_journal, args.audit_out, ledger)
-            teardown.enter_context(journal).attach(ledger)
         if args.telemetry or args.trace_out is not None:
             telemetry.configure()
             teardown.callback(telemetry.disable)

@@ -66,6 +66,7 @@ def multi_table_release(
     The overall guarantee is (ε, δ)-DP: (ε/2, δ/2) for the noisy residual
     sensitivity and (ε/2, δ/2) for the PMW run (Lemma 3.7).
     """
+    privacy = PrivacySpec(epsilon, delta)  # refuses a bad budget before any draw
     query = instance.query
     workload.require_compatible(query)
     generator = resolve_rng(rng, seed)
@@ -95,7 +96,7 @@ def multi_table_release(
         "multi_table",
         workload,
         pmw,
-        PrivacySpec(epsilon, delta),
+        privacy,
         metadata={"delta_tilde": delta_tilde},
         diagnostics={"beta": beta, "residual_sensitivity": rs_value, "delta_tilde": delta_tilde},
     )

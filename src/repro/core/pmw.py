@@ -75,12 +75,14 @@ The released histogram stays within 1e-9 relative of an eagerly kept one
 200-round releases).
 
 **Telemetry.**  When :mod:`repro.telemetry` is enabled, a run is one
-``pmw.run`` span carrying its ``iterations``, ``noisy_total`` and
-``epsilon_per_round`` as attributes, and containing a ``pmw.round`` span
-per iteration (each full workload evaluation and the multiplicative update
-as ``pmw.scores``/``pmw.update`` sub-spans, the selected query attached as
-an attribute); a guarded renormalisation reset is a ``pmw.reset`` span.
-Budget spend is the ledger's record, not telemetry's (see Accounting).
+``pmw.run`` span carrying its ``epsilon``, ``delta``, ``iterations``,
+``noisy_total`` and ``epsilon_per_round`` as attributes, and containing a
+``pmw.round`` span per iteration (each full workload evaluation and the
+multiplicative update as ``pmw.scores``/``pmw.update`` sub-spans, the
+selected query attached as an attribute); a guarded renormalisation reset
+is a ``pmw.reset`` span.  Budget spend is the ledger's record, not
+telemetry's (see Accounting); the run spans' (ε, δ) record each run's
+budget apart from it, so the two can be checked against each other.
 The instrumentation never touches the RNG, so selections are bitwise
 identical with telemetry on or off.
 
@@ -88,15 +90,14 @@ identical with telemetry on or off.
 is installed (:func:`repro.mechanisms.ledger.use_ledger`), each invocation
 charges its realised budget split — ``pmw.total`` for the noisy total count
 and ``pmw.rounds`` for the adaptive rounds — so end-to-end runs can be
-audited against a declared budget (and journaled to disk via
-:class:`repro.telemetry.audit.AuditJournal`) without threading a ledger
-through every release-algorithm signature.
+audited against a declared budget without threading a ledger through every
+release-algorithm signature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, log, sqrt
+from math import ceil, inf, log, sqrt
 
 import numpy as np
 
@@ -260,12 +261,14 @@ def private_multiplicative_weights(
         The noisy sensitivity bound ``Δ̃`` — must upper bound the change of any
         workload answer between neighbouring instances.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if sensitivity_bound <= 0:
-        raise ValueError(f"sensitivity bound must be positive, got {sensitivity_bound}")
+    if not 0 < sensitivity_bound < inf:
+        raise ValueError(
+            f"sensitivity bound must be positive and finite, got {sensitivity_bound}"
+        )
     config = config or PMWConfig()
     generator = resolve_rng(rng, seed)
     evaluator = shared_evaluator(workload)

@@ -153,6 +153,7 @@ def release_synthetic_data(
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
+    PrivacySpec(epsilon, delta)  # refuses a bad budget before any draw
     generator = resolve_rng(rng, seed)
     query = instance.query
     _require_memory(query.joint_domain_size, method)

@@ -56,6 +56,7 @@ def two_table_release(
     The overall guarantee is (ε, δ)-DP: (ε/2, δ/2) for the noisy sensitivity
     bound Δ̃ and (ε/2, δ/2) for the PMW run (Lemma 3.2).
     """
+    privacy = PrivacySpec(epsilon, delta)  # refuses a bad budget before any draw
     query = instance.query
     if query.num_relations != 2:
         raise ValueError(
@@ -83,7 +84,7 @@ def two_table_release(
         "two_table",
         workload,
         pmw,
-        PrivacySpec(epsilon, delta),
+        privacy,
         metadata={"delta_tilde": delta_tilde},
         diagnostics={"local_sensitivity": delta_true, "delta_tilde": delta_tilde},
     )

@@ -60,6 +60,7 @@ def uniformize_release(
     Every per-bucket release answers the workload through its one shared
     evaluator, so the buckets reuse its stacks and box factors.
     """
+    nominal_privacy = PrivacySpec(epsilon, delta)  # refuses a bad budget before any draw
     query = instance.query
     workload.require_compatible(query)
     generator = resolve_rng(rng, seed)
@@ -106,7 +107,7 @@ def uniformize_release(
             )
             del result  # its histogram is in the union; free it before the next bucket
         # Lemma 4.1: partition (ε/2, δ/2) + parallel releases (ε/2, δ/2).
-        privacy = PrivacySpec(epsilon, delta)
+        privacy = nominal_privacy
         diagnostics = {
             "method": "two_table",
             "lam": lam,
@@ -151,7 +152,7 @@ def uniformize_release(
             "num_buckets": partition.num_buckets,
             "buckets": per_bucket,
             "tuple_multiplicity": multiplicity,
-            "nominal_privacy": PrivacySpec(epsilon, delta),
+            "nominal_privacy": nominal_privacy,
             "decomposition_order": partition.decomposition_order,
         }
 

@@ -4,18 +4,14 @@ Algorithms register every primitive mechanism invocation with a
 :class:`PrivacyLedger`; the ledger reports the total spend under basic
 composition (and the maximum under parallel composition when charges are
 tagged as disjoint).  The core algorithms work without a ledger — it exists so
-integration tests and the privacy-audit benchmark can assert that an
-end-to-end run never exceeds its declared budget.
+integration tests and E14 can assert that an end-to-end run never exceeds
+its declared budget.
 
-The ledger is **thread-safe**: charges, totals, and subscription changes
-all serialise on an internal lock, so threads charging concurrently
-can share one ledger without losing or double-counting entries.
-:meth:`PrivacyLedger.subscribe` registers an *observer* called once per
-charge (outside the lock, in charge order as observed by each caller) —
-:class:`repro.telemetry.audit.AuditJournal` uses it to append each charge
-to the hash-chained on-disk audit journal.  The ledger is the one record
-of where the budget went: the CLI's telemetry snapshot reads its
-``budget`` from the run ledger directly.
+The ledger is **thread-safe**: charges and totals serialise on an internal
+lock, so threads charging concurrently can share one ledger without losing
+or double-counting entries.  The ledger is the one record of where the
+budget went: the CLI's telemetry snapshot reads its ``budget`` from the run
+ledger directly.
 
 Budget enforcement lives here too: :meth:`PrivacyLedger.remaining` reports
 the unspent part of a declared budget (clamped at zero) and
@@ -36,7 +32,7 @@ import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from repro.mechanisms.composition import basic_composition, parallel_composition
 from repro.mechanisms.spec import PrivacySpec
@@ -87,10 +83,6 @@ class PrivacyLedger:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-    _observers: dict[int, Callable[[LedgerEntry], None]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _next_token: int = field(default=0, repr=False, compare=False)
 
     def charge(
         self, label: str, spec: PrivacySpec, *, parallel_group: str | None = None
@@ -101,34 +93,11 @@ class PrivacyLedger:
         data: charges sharing a group compose in parallel (max) before the
         group total enters basic composition with everything else.
 
-        Thread-safe; observers run after the entry is recorded, outside the
-        lock (an observer may itself consult the ledger without deadlocking).
+        Thread-safe.
         """
         entry = LedgerEntry(label=label, spec=spec, parallel_group=parallel_group)
         with self._lock:
             self.entries.append(entry)
-            observers = tuple(self._observers.values())
-        for observer in observers:
-            observer(entry)
-
-    def subscribe(
-        self, observer: Callable[[LedgerEntry], None]
-    ) -> Callable[[], None]:
-        """Register an observer called once per future charge.
-
-        Returns an idempotent unsubscribe callable.  Observers must not
-        raise: an exception from one propagates to the charging caller.
-        """
-        with self._lock:
-            token = self._next_token
-            self._next_token += 1
-            self._observers[token] = observer
-
-        def unsubscribe() -> None:
-            with self._lock:
-                self._observers.pop(token, None)
-
-        return unsubscribe
 
     def total(self) -> PrivacySpec:
         """The composed (ε, δ) guarantee of everything charged so far."""

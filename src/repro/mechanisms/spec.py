@@ -9,6 +9,7 @@ without ambiguity about argument order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 
 @dataclass(frozen=True)
@@ -19,8 +20,8 @@ class PrivacySpec:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0 <= self.delta < 1:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
 

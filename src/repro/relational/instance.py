@@ -25,7 +25,8 @@ class Instance:
         The join query hypergraph.
     relations:
         One relation per hyperedge, in the same order as ``query.relations``.
-        Each relation's schema must match the corresponding hyperedge.
+        Each relation's schema must match the corresponding hyperedge: the
+        same name and the same attributes, names and domains, in order.
     """
 
     __slots__ = ("_query", "_relations")
@@ -37,6 +38,8 @@ class Instance:
                 f"expected {query.num_relations} relations, got {len(relations)}"
             )
         for schema, relation in zip(query.relations, relations):
+            if relation.schema is schema:  # partition buckets reuse the query's schemas
+                continue
             if relation.schema.name != schema.name:
                 raise ValueError(
                     f"relation order mismatch: expected {schema.name!r}, "
@@ -47,6 +50,13 @@ class Instance:
                     f"relation {schema.name!r} attribute mismatch: expected "
                     f"{schema.attribute_names}, got {relation.schema.attribute_names}"
                 )
+            for expected, given in zip(schema.attributes, relation.attributes):
+                if expected.domain != given.domain:
+                    raise ValueError(
+                        f"relation {schema.name!r}: the domain of attribute "
+                        f"{expected.name!r} differs from the query's (sizes "
+                        f"{expected.domain.size} vs {given.domain.size})"
+                    )
         self._query = query
         self._relations = relations
 

@@ -45,6 +45,12 @@ class Relation:
                 )
             if np.any(freq < 0):
                 raise ValueError("relation frequencies must be non-negative")
+            # Checked before the int64 cast, which would wrap an infinite or
+            # too large value to -2**63 without raising.
+            if freq.dtype.kind == "f" and not np.all(np.isfinite(freq)):
+                raise ValueError("relation frequencies must be finite")
+            if freq.dtype.kind in "uf" and freq.size and freq.max().item() >= 2**63:
+                raise ValueError("relation frequencies must be below 2**63")
             if not np.issubdtype(freq.dtype, np.integer):
                 rounded = np.rint(freq)
                 if not np.allclose(freq, rounded):
@@ -200,9 +206,6 @@ class Relation:
             raise ValueError(
                 f"mask shape {mask.shape} does not match attribute domain shape {expected_shape}"
             )
-        shape = [1] * self._freq.ndim
-        for mask_axis, rel_axis in enumerate(axes):
-            shape[rel_axis] = expected_shape[mask_axis]
         # Move mask axes into relation axis order before reshaping.
         order = np.argsort(axes)
         mask_in_rel_order = np.transpose(mask, order)

@@ -10,11 +10,12 @@ import pytest
 from repro.baselines.flawed import flawed_exact_count_release, flawed_padded_release
 from repro.baselines.independent_laplace import independent_laplace_answers
 from repro.core.multi_table import default_beta, multi_table_release, noisy_residual_sensitivity
-from repro.core.pmw import PMWConfig
+from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.core import pmw as pmw_module
 from repro.core import release
 from repro.core.release import ReleaseMemoryError, release_synthetic_data
 from repro.core.two_table import noisy_local_sensitivity, two_table_release
+from repro.core.uniformize import uniformize_release
 from repro.datagen.tpch import generate_tpch
 from repro.mechanisms.spec import PrivacySpec
 from repro.queries import evaluation
@@ -317,6 +318,54 @@ class TestReleaseDispatch:
                 rng=np.random.default_rng(0),
                 seed=1,
             )
+
+
+class TestNonFiniteBudget:
+    """A NaN or infinite ε is refused before anything is drawn.
+
+    Accepted, NaN failed inside PMW ("Probabilities contain NaN", or "cannot
+    convert float NaN to integer") and ∞ with "scale must be positive, got
+    0.0", each after the generator had drawn.
+    """
+
+    ENTRIES = {
+        "two_table_release": two_table_release,
+        "multi_table_release": multi_table_release,
+        "uniformize_release": uniformize_release,
+        "pmw": lambda instance, workload, epsilon, delta, *, rng: (
+            private_multiplicative_weights(instance, workload, epsilon, delta, 1.0, rng=rng)
+        ),
+        **{
+            f"release_synthetic_data[{method}]": (
+                lambda instance, workload, epsilon, delta, *, rng, method=method: (
+                    release_synthetic_data(
+                        instance, workload, epsilon, delta, method=method, rng=rng
+                    )
+                )
+            )
+            for method in release._METHODS
+        },
+    }
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_is_refused_before_the_first_draw(self, entry, epsilon, two_table_instance):
+        instance = two_table_instance
+        if entry.endswith("[single_table]"):
+            query = single_table_query({"X": 4, "Y": 3})
+            instance = Instance.from_tuple_lists(query, {"T": [(0, 0), (1, 2), (3, 1)]})
+        workload = Workload.counting(instance.query)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="epsilon"):
+            self.ENTRIES[entry](instance, workload, epsilon, 1e-5, rng=rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_pmw_refuses_a_non_finite_sensitivity_bound(self, bound, two_table_instance):
+        workload = Workload.counting(two_table_instance.query)
+        with pytest.raises(ValueError, match="sensitivity bound"):
+            private_multiplicative_weights(two_table_instance, workload, 1.0, 1e-5, bound)
 
 
 class TestReleaseMemoryCheck:

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +10,13 @@ from repro import cli, telemetry
 from repro.cli import _budget, main
 from repro.mechanisms.ledger import PrivacyLedger, ambient_ledger
 from repro.mechanisms.spec import PrivacySpec
-from repro.telemetry.audit import verify_audit_journal
 from repro.telemetry.spans import SpanRing
+
+#: The script CI's observability job runs on a traced E13.
+_CHECK_PATH = Path(__file__).resolve().parents[1] / "telemetry" / "check_budget_against_trace.py"
+_CHECK_SPEC = importlib.util.spec_from_file_location("check_budget_against_trace", _CHECK_PATH)
+check_budget = importlib.util.module_from_spec(_CHECK_SPEC)
+_CHECK_SPEC.loader.exec_module(check_budget)
 
 
 def _snapshots(output: str) -> dict:
@@ -33,6 +40,8 @@ class TestCli:
         assert main(["demo", "--seed", "1"]) == 0
         output = capsys.readouterr().out
         assert "released under" in output
+        assert "telemetry]" not in output
+        assert not telemetry.is_enabled()
 
     def test_run_unknown_experiment(self, capsys):
         assert main(["run", "e99"]) == 2
@@ -51,19 +60,6 @@ class TestCli:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
-
-    def test_audit_out_refuses_an_existing_journal(self, tmp_path, capsys):
-        path = tmp_path / "audit.jsonl"
-        assert main(["demo", "--audit-out", str(path)]) == 0
-        written = path.read_bytes()
-        assert verify_audit_journal(path).records == 2  # pmw.total, pmw.rounds
-        capsys.readouterr()
-        assert main(["demo", "--audit-out", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert f"error: audit journal {path} already exists" in captured.err
-        assert "released under" not in captured.out
-        assert path.read_bytes() == written
-        assert not telemetry.is_enabled()
 
     def test_telemetry_snapshot_shows_ledger_spend(self, capsys):
         assert main(["demo", "--telemetry"]) == 0
@@ -89,44 +85,22 @@ class TestCli:
         assert [event["name"] for event in events].count("experiment.e4") == 1
         assert not telemetry.is_enabled()
 
-    def test_teardown_runs_every_step_when_the_trace_cannot_be_written(self, tmp_path):
-        journal = tmp_path / "audit.jsonl"
+    def test_teardown_runs_every_step_when_the_trace_cannot_be_written(
+        self, tmp_path, capsys
+    ):
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")
         with pytest.raises(OSError):
-            main(
-                [
-                    "demo",
-                    "--trace-out",
-                    str(blocker / "trace.json"),
-                    "--audit-out",
-                    str(journal),
-                ]
-            )
+            main(["demo", "--trace-out", str(blocker / "trace.json")])
+        assert "released under" in capsys.readouterr().out
         assert not telemetry.is_enabled()
-        assert verify_audit_journal(journal).records == 2  # pmw.total, pmw.rounds
 
-    @pytest.mark.parametrize("flag", ["--metrics-port", "--serve-after"])
+    @pytest.mark.parametrize("flag", ["--metrics-port", "--serve-after", "--audit-out"])
     def test_removed_serving_flags_are_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["demo", flag, "1"])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-
-    def test_audit_out_alone_leaves_telemetry_off(self, tmp_path, capsys, monkeypatch):
-        seen = []
-        demo = cli._cmd_demo
-
-        def observed_demo(seed, ledger):
-            seen.append(telemetry.is_enabled())
-            return demo(seed, ledger)
-
-        monkeypatch.setattr(cli, "_cmd_demo", observed_demo)
-        journal = tmp_path / "audit.jsonl"
-        assert main(["demo", "--audit-out", str(journal)]) == 0
-        assert seen == [False]
-        assert "telemetry]" not in capsys.readouterr().out
-        assert verify_audit_journal(journal).records == 2  # pmw.total, pmw.rounds
 
     def test_snapshots_accumulate_over_the_run(self, capsys):
         assert main(["run", "e4", "e13", "--seed", "1", "--telemetry"]) == 0
@@ -185,36 +159,53 @@ class TestCli:
             "spans dropped (ring capacity 4)]"
         ) in capsys.readouterr().err
 
-    def test_printed_budget_matches_the_audit_journal(self, tmp_path, capsys):
-        journal = tmp_path / "audit.jsonl"
-        assert main(["demo", "--telemetry", "--audit-out", str(journal)]) == 0
-        budget = _snapshots(capsys.readouterr().out)["demo"]["budget"]
-        report = verify_audit_journal(journal)
-        assert (report.records, report.epsilon, report.delta) == (
-            budget["charges"],
-            budget["epsilon"],
-            budget["delta"],
-        )
+    def _check_budget_against_trace(self, tmp_path, capsys) -> tuple[int, str, dict]:
+        """Run a traced demo, then CI's check on it: (exit status, stderr, budget)."""
+        output, trace = tmp_path / "demo.out", tmp_path / "trace.json"
+        assert main(["demo", "--telemetry", "--trace-out", str(trace)]) == 0
+        output.write_text(capsys.readouterr().out)
+        status = check_budget.main([str(output), str(trace)])
+        budget = _snapshots(output.read_text())["demo"]["budget"]
+        return status, capsys.readouterr().err, budget
+
+    def test_printed_budget_matches_the_trace(self, tmp_path, capsys):
+        status, errors, budget = self._check_budget_against_trace(tmp_path, capsys)
+        assert (status, errors) == (0, "")
+        assert (budget["charges"], budget["epsilon"], budget["delta"]) == (2, 0.5, 5e-6)
+
+    @pytest.mark.parametrize("defect", ["drop pmw.total", "pmw.rounds at full epsilon"])
+    def test_budget_check_fails_on_a_misaccounted_run(
+        self, defect, tmp_path, capsys, monkeypatch
+    ):
+        class MisaccountingLedger(PrivacyLedger):
+            def charge(self, label, spec, *, parallel_group=None):
+                if defect == "drop pmw.total" and label == "pmw.total":
+                    return
+                if defect == "pmw.rounds at full epsilon" and label == "pmw.rounds":
+                    spec = PrivacySpec(2.0 * spec.epsilon, spec.delta)
+                super().charge(label, spec, parallel_group=parallel_group)
+
+        monkeypatch.setattr(cli, "PrivacyLedger", MisaccountingLedger)
+        status, errors, _budget = self._check_budget_against_trace(tmp_path, capsys)
+        assert status == 1
+        assert "budget epsilon" in errors
 
     def test_teardown_runs_every_step_when_the_command_raises(
         self, tmp_path, monkeypatch
     ):
         def failing_demo(seed, ledger):
-            ambient_ledger().charge("before.failure", PrivacySpec(0.25, 1e-7))
+            assert ambient_ledger() is ledger
             with telemetry.trace("before.failure"):
                 pass
             raise RuntimeError("command failed")
 
         monkeypatch.setattr(cli, "_cmd_demo", failing_demo)
         trace = tmp_path / "trace.json"
-        journal = tmp_path / "audit.jsonl"
         with pytest.raises(RuntimeError, match="command failed"):
-            main(["demo", "--trace-out", str(trace), "--audit-out", str(journal)])
+            main(["demo", "--trace-out", str(trace)])
         assert not telemetry.is_enabled()
         events = json.loads(trace.read_text())["traceEvents"]
         assert [event["name"] for event in events] == ["before.failure"]
-        report = verify_audit_journal(journal)
-        assert (report.records, report.epsilon, report.delta) == (1, 0.25, 1e-7)
 
 
 class TestBudget:

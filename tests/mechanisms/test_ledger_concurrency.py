@@ -1,10 +1,7 @@
-"""PrivacyLedger thread safety and the observer hook.
+"""PrivacyLedger thread safety.
 
-Callers and the audit journal may reach the ledger from more than one
-thread; charges must never be lost or torn, observers must
-see every entry exactly once, and an observer that charges back into the
-ledger (or unsubscribes mid-stream) must not deadlock — observers are
-invoked outside the ledger lock.
+Callers may reach one ledger from more than one thread; charges must never
+be lost, duplicated or torn.
 """
 
 from __future__ import annotations
@@ -23,8 +20,6 @@ class TestConcurrentCharges:
     def test_no_charge_lost_across_threads(self):
         ledger = PrivacyLedger()
         threads_n, per_thread = 8, 500
-        seen: list = []
-        unsubscribe = ledger.subscribe(seen.append)
         barrier = threading.Barrier(threads_n)
 
         def worker(thread_id: int) -> None:
@@ -39,10 +34,11 @@ class TestConcurrentCharges:
             thread.start()
         for thread in threads:
             thread.join()
-        unsubscribe()
         assert len(ledger) == threads_n * per_thread
-        assert len(seen) == threads_n * per_thread
-        assert len({id(entry) for entry in seen}) == len(seen)
+        labels = {entry.label for entry in ledger.entries}
+        assert labels == {
+            f"t{thread_id}.{i}" for thread_id in range(threads_n) for i in range(per_thread)
+        }
         total = ledger.total()
         assert total.epsilon == pytest.approx(threads_n * per_thread * _SPEC.epsilon)
 
@@ -71,41 +67,3 @@ class TestConcurrentCharges:
             thread.join()
         assert not failures
 
-
-class TestObserverHook:
-    def test_observer_sees_every_entry_in_order(self):
-        ledger = PrivacyLedger()
-        seen: list = []
-        ledger.subscribe(seen.append)
-        for i in range(5):
-            ledger.charge(f"q{i}", _SPEC)
-        assert [entry.label for entry in seen] == [f"q{i}" for i in range(5)]
-
-    def test_unsubscribe_stops_delivery_and_is_idempotent(self):
-        ledger = PrivacyLedger()
-        seen: list = []
-        unsubscribe = ledger.subscribe(seen.append)
-        ledger.charge("before", _SPEC)
-        unsubscribe()
-        unsubscribe()  # second call is a no-op, not an error
-        ledger.charge("after", _SPEC)
-        assert [entry.label for entry in seen] == ["before"]
-
-    def test_observer_may_reenter_the_ledger(self):
-        # Observers run outside the lock, so an observer can read (or even
-        # charge) the ledger without deadlocking.
-        ledger = PrivacyLedger()
-        lengths: list[int] = []
-        ledger.subscribe(lambda entry: lengths.append(len(ledger)))
-        ledger.charge("a", _SPEC)
-        ledger.charge("b", _SPEC)
-        assert lengths == [1, 2]
-
-    def test_multiple_observers_each_see_all(self):
-        ledger = PrivacyLedger()
-        first: list = []
-        second: list = []
-        ledger.subscribe(first.append)
-        ledger.subscribe(second.append)
-        ledger.charge("x", _SPEC)
-        assert len(first) == len(second) == 1

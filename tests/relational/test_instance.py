@@ -6,6 +6,7 @@ import pytest
 from repro.relational.hypergraph import two_table_query
 from repro.relational.instance import Instance
 from repro.relational.relation import Relation
+from repro.relational.schema import Attribute, Domain, RelationSchema
 
 
 @pytest.fixture
@@ -48,6 +49,23 @@ class TestConstruction:
         r2 = Relation.empty(query.relations[1])
         with pytest.raises(ValueError):
             Instance(query, (r2, r1))
+
+    @pytest.mark.parametrize(
+        "b_domain",
+        [Domain.integers(1), Domain.integers(3), Domain.of_size(4, prefix="b")],
+        ids=["one-value", "three-values", "relabelled"],
+    )
+    def test_relation_over_another_domain_rejected(self, b_domain):
+        # Accepted, a one-value B read join size 64 and B-marginals 16 / 16 /
+        # 16 / 16 on a join of 16 tuples that all have B = 0.
+        query = two_table_query(4, 4, 4)
+        schema = RelationSchema(
+            "R2", (Attribute("B", b_domain), query.relations[1].attributes[1])
+        )
+        r1 = Relation.full(query.relations[0])
+        r2 = Relation.full(schema)
+        with pytest.raises(ValueError, match="'R2'.*'B'"):
+            Instance(query, (r1, r2))
 
 
 class TestAccessAndUpdate:

@@ -49,6 +49,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Relation(schema, freq)
 
+    @pytest.mark.parametrize(
+        "value, dtype",
+        [(np.inf, np.float64), (1e19, np.float64), (2**63, np.uint64)],
+        ids=["infinite", "float-above-int64", "uint64-above-int64"],
+    )
+    def test_frequencies_outside_int64_rejected(self, schema, value, dtype):
+        # The int64 cast would store each as -2**63, past the sign check.
+        freq = np.ones((3, 4), dtype=dtype)
+        freq[0, 0] = value
+        with pytest.raises(ValueError):
+            Relation(schema, freq)
+
     def test_float_but_integral_frequencies_accepted(self, schema):
         freq = np.zeros((3, 4))
         freq[0, 0] = 2.0

@@ -66,15 +66,18 @@ def test_snapshots_taken_while_pmw_runs_never_count_backwards():
     workload = Workload.random_sign(query, 8, rng=rng)
     runs = 20
     results = []
-    ledger = PrivacyLedger()
     halfway, resume = threading.Event(), threading.Event()
 
-    def pause_halfway(_entry):
-        # Each run charges twice before its first round: after this charge
-        # runs // 2 - 1 runs have finished and the next one is open.
-        if len(ledger) == runs:
-            halfway.set()
-            resume.wait(timeout=30)
+    class PausingLedger(PrivacyLedger):
+        def charge(self, label, spec, *, parallel_group=None):
+            super().charge(label, spec, parallel_group=parallel_group)
+            # Each run charges twice before its first round: after this
+            # charge runs // 2 - 1 runs have finished and the next one is open.
+            if len(self) == runs:
+                halfway.set()
+                resume.wait(timeout=30)
+
+    ledger = PausingLedger()
 
     def release():
         with use_ledger(ledger):
@@ -90,7 +93,6 @@ def test_snapshots_taken_while_pmw_runs_never_count_backwards():
         return json.loads(json.dumps(telemetry.snapshot()))
 
     telemetry.configure()
-    ledger.subscribe(pause_halfway)
     worker = threading.Thread(target=release)
     snapshots = []
     worker.start()

@@ -8,9 +8,9 @@ Three guarantees, tested at two granularities:
   instrumented path in the repo) with telemetry disabled stays within 5%
   wall time (plus an absolute jitter allowance) of the same run with every
   instrumented call site short-circuited to raw no-ops via monkeypatching.
-- Macro, observed: PMW runs with telemetry, a charged ledger and an audit
-  journal all on keep their selections and stay within the same allowance
-  of the bare runs.
+- Macro, observed: PMW runs with telemetry and a charged ledger both on
+  keep their selections and stay within the same allowance of the bare
+  runs.
 
 The macro comparisons use min-of-N: the minimum over repeats estimates the
 noise floor far better than the mean on a busy CI box.
@@ -29,7 +29,6 @@ from repro.experiments import EXPERIMENTS
 from repro.mechanisms.ledger import PrivacyLedger, use_ledger
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import single_table_query
-from repro.telemetry.audit import AuditJournal, verify_audit_journal
 from repro.telemetry.spans import NULL_SPAN
 
 _REPEATS = 5
@@ -93,7 +92,7 @@ def test_disabled_overhead_under_five_percent(monkeypatch):
     )
 
 
-def test_observed_run_keeps_selections_within_allowance(tmp_path):
+def test_observed_run_keeps_selections_within_allowance():
     query = single_table_query({"X": 6, "Y": 6})
     setup_rng = np.random.default_rng(0)
     instance = random_instance(query, 60, rng=setup_rng)
@@ -116,12 +115,10 @@ def test_observed_run_keeps_selections_within_allowance(tmp_path):
     bare = [timed_pass() for _ in range(_REPEATS)]
     telemetry.configure()
     ledger = PrivacyLedger()
-    with AuditJournal(tmp_path / "audit.jsonl") as journal:
-        journal.attach(ledger)
-        with use_ledger(ledger):
-            observed = [timed_pass() for _ in range(_REPEATS)]
-    verify_audit_journal(tmp_path / "audit.jsonl", ledger=ledger)
+    with use_ledger(ledger):
+        observed = [timed_pass() for _ in range(_REPEATS)]
 
+    assert len(ledger) == 2 * 4 * _REPEATS  # pmw.total and pmw.rounds per run
     assert all(selections == bare[0][1] for _, selections in bare + observed)
     baseline = min(wall for wall, _ in bare)
     allowance = baseline * _RELATIVE_SLACK + _ABSOLUTE_SLACK_SECONDS
