@@ -5,16 +5,45 @@ For 0/1 (set-semantics) relations the join size is at most ``n^{ρ(H)}`` where
 program solved here with ``scipy.optimize.linprog``.  Appendix B.3 combines
 the AGM bounds of the residual queries with Theorem 1.5 to obtain the
 worst-case closed form ``O(sqrt(n^{ρ(H)} · max_E n^{ρ(H_{E,∂E})}))``.
+
+scipy loads on demand: the LP imports it when it first runs, so importing
+this module (and the CLI, whose E9 is its one caller) needs numpy only.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.relational.hypergraph import JoinQuery
+
+
+def _edge_cover_lp(query: JoinQuery, relations: Sequence[int], names: Sequence[str]) -> float:
+    """The fractional edge cover LP: the least weight on ``relations`` covering ``names``.
+
+    Minimises ``Σ W_i`` subject to ``Σ_{i : x ∈ x_i} W_i >= 1`` for each
+    attribute ``x`` of ``names`` and ``0 <= W_i <= 1``, with scipy's HiGHS,
+    which is imported here so that only a caller that solves the LP loads it.
+    """
+    from scipy.optimize import linprog
+
+    constraint_matrix = np.zeros((len(names), len(relations)))
+    for row, attribute_name in enumerate(names):
+        for column, index in enumerate(relations):
+            if query.relations[index].has_attribute(attribute_name):
+                constraint_matrix[row, column] = 1.0
+    result = linprog(
+        c=np.ones(len(relations)),
+        A_ub=-constraint_matrix,
+        b_ub=-np.ones(len(names)),
+        bounds=[(0.0, 1.0)] * len(relations),
+        method="highs",
+    )
+    if not result.success:
+        raise RuntimeError(f"fractional edge cover LP failed: {result.message}")
+    return float(result.fun)
 
 
 def fractional_edge_cover_number(
@@ -29,24 +58,7 @@ def fractional_edge_cover_number(
     names = list(query.attribute_names if attributes is None else sorted(attributes))
     if not names:
         return 0.0
-    m = query.num_relations
-    # Minimise Σ W_i subject to Σ_{i : x ∈ x_i} W_i >= 1 for each attribute x.
-    cost = np.ones(m)
-    constraint_matrix = np.zeros((len(names), m))
-    for row, attribute_name in enumerate(names):
-        for index, schema in enumerate(query.relations):
-            if schema.has_attribute(attribute_name):
-                constraint_matrix[row, index] = 1.0
-    result = linprog(
-        c=cost,
-        A_ub=-constraint_matrix,
-        b_ub=-np.ones(len(names)),
-        bounds=[(0.0, 1.0)] * m,
-        method="highs",
-    )
-    if not result.success:
-        raise RuntimeError(f"fractional edge cover LP failed: {result.message}")
-    return float(result.fun)
+    return _edge_cover_lp(query, range(query.num_relations), names)
 
 
 def agm_bound(query: JoinQuery, n: int) -> float:
@@ -71,25 +83,8 @@ def residual_query_agm_exponent(query: JoinQuery, relation_subset: frozenset[int
     kept_attributes = query.attributes_of(subset) - boundary
     if not kept_attributes:
         return 0.0
-    # Build the LP over the relations of E only.
-    names = sorted(kept_attributes)
-    relations = sorted(subset)
-    cost = np.ones(len(relations))
-    constraint_matrix = np.zeros((len(names), len(relations)))
-    for row, attribute_name in enumerate(names):
-        for column, index in enumerate(relations):
-            if query.relations[index].has_attribute(attribute_name):
-                constraint_matrix[row, column] = 1.0
-    result = linprog(
-        c=cost,
-        A_ub=-constraint_matrix,
-        b_ub=-np.ones(len(names)),
-        bounds=[(0.0, 1.0)] * len(relations),
-        method="highs",
-    )
-    if not result.success:
-        raise RuntimeError(f"residual edge cover LP failed: {result.message}")
-    return float(result.fun)
+    # The LP over the relations of E only.
+    return _edge_cover_lp(query, sorted(subset), sorted(kept_attributes))
 
 
 def worst_case_sensitivity_exponent(query: JoinQuery) -> float:

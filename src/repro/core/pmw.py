@@ -89,9 +89,9 @@ identical with telemetry on or off.
 **Accounting.**  When an ambient :class:`~repro.mechanisms.ledger.PrivacyLedger`
 is installed (:func:`repro.mechanisms.ledger.use_ledger`), each invocation
 charges its realised budget split — ``pmw.total`` for the noisy total count
-and ``pmw.rounds`` for the adaptive rounds — so end-to-end runs can be
-audited against a declared budget without threading a ledger through every
-release-algorithm signature.
+and ``pmw.rounds`` for the adaptive rounds — to every ledger in scope, so
+end-to-end runs can be audited against a declared budget without threading
+a ledger through every release-algorithm signature.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ import numpy as np
 
 from repro.mechanisms.exponential import exponential_mechanism
 from repro.mechanisms.laplace import sample_laplace
-from repro.mechanisms.ledger import ambient_ledger
+from repro.mechanisms.ledger import ambient_ledgers
 from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
 from repro.mechanisms.truncated_laplace import sample_truncated_laplace, truncation_radius
@@ -296,12 +296,11 @@ def private_multiplicative_weights(
             rounds_epsilon, rounds_delta = epsilon / 2.0, delta / 2.0
         rounds_privacy = PrivacySpec(rounds_epsilon, rounds_delta)
 
-        # Accounting: record the realised Lemma-3.2 split into the context's
-        # ambient ledger (one charge per budget half, none when force_total
+        # Accounting: record the realised Lemma-3.2 split into every ambient
+        # ledger in scope (one charge per budget half, none when force_total
         # bypassed the total release).  Charging never touches the RNG, so an
         # installed ledger cannot change selections.
-        ledger = ambient_ledger()
-        if ledger is not None:
+        for ledger in ambient_ledgers():
             if total_privacy is not None:
                 ledger.charge("pmw.total", total_privacy)
             ledger.charge("pmw.rounds", rounds_privacy)

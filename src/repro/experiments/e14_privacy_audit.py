@@ -19,7 +19,8 @@ odometer.  The composed spend is then checked against the declared budget
 (``2 · trials`` releases at (ε, δ) each) with
 :meth:`~repro.mechanisms.ledger.PrivacyLedger.assert_within` — a release
 that silently overspends its declared budget fails the experiment outright,
-no sampling noise involved.
+no sampling noise involved.  The audit's ledger sees E14's runs alone; a
+ledger scoped around it, such as the CLI's run ledger, records them too.
 """
 
 from __future__ import annotations

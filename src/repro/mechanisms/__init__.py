@@ -26,7 +26,7 @@ from repro.mechanisms.ledger import (
     BudgetExceededError,
     PrivacyLedger,
     RemainingBudget,
-    ambient_ledger,
+    ambient_ledgers,
     use_ledger,
 )
 
@@ -35,7 +35,7 @@ __all__ = [
     "PrivacyLedger",
     "PrivacySpec",
     "RemainingBudget",
-    "ambient_ledger",
+    "ambient_ledgers",
     "use_ledger",
     "advanced_composition",
     "basic_composition",

@@ -22,8 +22,11 @@ An **ambient ledger** can be installed per context with :func:`use_ledger`
 (the CLI scopes its run ledger this way): mechanisms that know their own
 budget — today the PMW routine's total-count and adaptive-rounds charges —
 record into it without every call chain having to thread a ledger argument
-through.  No ambient ledger is installed by default, so existing call sites
-pay one context-variable read and nothing else.
+through.  Scopes nest, and a charge lands in every ledger in scope: E14
+audits its own runs in a ledger of its own while the CLI's run ledger,
+installed around it, still records them.  :func:`ambient_ledger` is the
+innermost one.  No ambient ledger is installed by default, so existing call
+sites pay one context-variable read and nothing else.
 """
 
 from __future__ import annotations
@@ -162,19 +165,25 @@ class PrivacyLedger:
 # ---------------------------------------------------------------------- #
 # the ambient ledger: per-context implicit accounting
 # ---------------------------------------------------------------------- #
-_AMBIENT_LEDGER: ContextVar[PrivacyLedger | None] = ContextVar(
-    "repro_ambient_ledger", default=None
+_AMBIENT_LEDGERS: ContextVar[tuple[PrivacyLedger, ...]] = ContextVar(
+    "repro_ambient_ledgers", default=()
 )
 
 
-def ambient_ledger() -> PrivacyLedger | None:
-    """The ledger installed for the current context, or ``None``.
+def ambient_ledgers() -> tuple[PrivacyLedger, ...]:
+    """Every ledger installed for the current context, outermost first.
 
     Budget-aware code paths (the PMW routine) call this per invocation and
-    charge into whatever ledger the caller installed; with none installed the
-    lookup is one context-variable read.
+    charge each of them; with none installed the lookup is one
+    context-variable read.
     """
-    return _AMBIENT_LEDGER.get()
+    return _AMBIENT_LEDGERS.get()
+
+
+def ambient_ledger() -> PrivacyLedger | None:
+    """The innermost ledger installed for the current context, or ``None``."""
+    ledgers = _AMBIENT_LEDGERS.get()
+    return ledgers[-1] if ledgers else None
 
 
 @contextmanager
@@ -188,11 +197,13 @@ def use_ledger(ledger: PrivacyLedger) -> Iterator[PrivacyLedger]:
             release_synthetic_data(...)   # PMW charges land in `ledger`
         ledger.assert_within(PrivacySpec(1.0, 1e-5))
 
+    Inside another scope, charges land in ``ledger`` and in every ledger
+    scoped around it; after the block, in those outer ledgers alone.
     Context-variable scoping means concurrent threads/tasks can each install
     their own ledger without seeing each other's.
     """
-    token = _AMBIENT_LEDGER.set(ledger)
+    token = _AMBIENT_LEDGERS.set(_AMBIENT_LEDGERS.get() + (ledger,))
     try:
         yield ledger
     finally:
-        _AMBIENT_LEDGER.reset(token)
+        _AMBIENT_LEDGERS.reset(token)

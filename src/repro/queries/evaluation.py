@@ -34,9 +34,11 @@ The plan and query blocks
     ``(B, Q, A) @ (B, A, C)`` then ``bqc,bqc->q``; a one-relation group (a
     marginal) is step one alone.  A numpy einsum over all the stacks would
     instead copy every operand into batched-matmul order on every call.
-    The plan runs over blocks of the group's queries, sized so that a
-    block's temporaries — its largest intermediate twice, plus the
-    transposed marginal where the transpose must copy — stay within
+    Where the transpose is not the identity, step one copies the
+    transposed marginal into one contiguous array: OpenBLAS's batched
+    matmul runs slower on the strided view.  The plan runs over blocks of
+    the group's queries, sized so that a block's temporaries — the
+    largest input plus output of one step, plus that copy — stay within
     ``_BLOCK_CELLS``·|D| float64 cells; on a carried answer change, which
     also holds the box's change and the zero-padded marginal, within two
     ``|D|`` fewer.
@@ -163,14 +165,15 @@ class _Plan:
 
     ``first`` is the first relation's stack viewed as ``|S| × |Q_g| × |P|``
     (its shared and private attributes); the marginal, transposed by
-    ``order`` and viewed as ``matrices`` (``|S| × |P| × |O|``), is its right
+    ``order`` into one contiguous copy (``None``: it is in that order
+    already) and viewed as ``matrices`` (``|S| × |P| × |O|``), is its right
     operand.  Each of ``steps`` is ``(subscripts, stack, query axis)``: the
     running intermediate times a stack stored in the intermediate's axis
     order.  Queries run in blocks of ``block``, or of ``carried_block`` for
     a carried answer change.
     """
 
-    order: tuple[int, ...]
+    order: tuple[int, ...] | None
     matrices: tuple[int, int, int]
     first: np.ndarray
     unflatten: tuple[tuple[int, ...], tuple[int, ...]]
@@ -182,7 +185,9 @@ class _Plan:
         self, answers: np.ndarray, rows: np.ndarray, marginal: np.ndarray, *, carried: bool = False
     ) -> None:
         """``answers[rows]`` against ``marginal``, the histogram summed to the group's axes."""
-        transposed = marginal.transpose(self.order).reshape(self.matrices)
+        if self.order is not None:  # OpenBLAS's batched matmul is slower on a strided view
+            marginal = np.ascontiguousarray(marginal.transpose(self.order))
+        transposed = marginal.reshape(self.matrices)
         shared, others = self.unflatten
         block = self.carried_block if carried else self.block
         for lo in range(0, rows.size, block):
@@ -243,7 +248,9 @@ def _plan(
     stacks = {position: view}
     first = stored.reshape(volume(shared), size, volume(private))
     labels = shared + [query] + others
-    cells = volume(shared) * volume(others)  # the largest intermediate, per query
+    # A step's temporaries per query: its input and its output.  Step one's
+    # input is the transposed marginal, which the budget charges once.
+    cells = volume(shared) * volume(others)
     steps = []
     while pending:
         position, later = take(pending)
@@ -254,15 +261,13 @@ def _plan(
         subscripts += "".join(letters[axis] for axis in layout) + "->"
         subscripts += "".join(letters[axis] for axis in output)
         steps.append((subscripts, stored, layout.index(query)))
+        cells = max(cells, volume(labels) + volume(output))
         labels = output
-        cells = max(cells, volume(output))
-    # The transposed marginal is a copy unless each of its three parts is a
-    # run of consecutive marginal axes.
-    runs = [[kept.index(axis) for axis in part] for part in (shared, private, others)]
-    copied = any(b != a + 1 for run in runs for a, b in zip(run, run[1:]))
+    order = tuple(kept.index(axis) for axis in shared + private + others)
+    copied = order != tuple(range(len(kept)))
     budget = _BLOCK_CELLS * domain_size - (volume(kept) if copied else 0)
     plan = _Plan(
-        order=tuple(kept.index(axis) for axis in shared + private + others),
+        order=order if copied else None,
         matrices=(volume(shared), volume(private), volume(others)),
         first=first,
         unflatten=(
@@ -270,8 +275,8 @@ def _plan(
             tuple(extents[axis] for axis in others),
         ),
         steps=tuple(steps),
-        block=max(1, budget // (2 * cells)),
-        carried_block=max(1, (budget - 2 * domain_size) // (2 * cells)),
+        block=max(1, budget // cells),
+        carried_block=max(1, (budget - 2 * domain_size) // cells),
     )
     return plan, stacks
 

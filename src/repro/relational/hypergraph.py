@@ -7,7 +7,9 @@ relation.  This module provides:
 * :class:`JoinQuery` — the hypergraph plus the attribute domains, with the
   structural helpers needed by the sensitivity machinery (``atom`` sets,
   boundaries ``∂E``, residual connectivity) and by the hierarchical
-  partitioning of Section 4.2 (hierarchy test, attribute tree).
+  partitioning of Section 4.2 (hierarchy test, attribute tree).  The
+  residual join's components are a search over the relations' attribute
+  sets, so the module needs no graph library.
 * :class:`AttributeTree` — the rooted attribute tree of a hierarchical join,
   in which every relation corresponds to a root-to-node path (Figure 4).
 * Factory helpers for the query shapes used throughout the paper and the
@@ -18,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-import networkx as nx
 
 from repro.relational.schema import Attribute, Domain, RelationSchema
 
@@ -211,32 +211,32 @@ class JoinQuery:
             if not 0 <= index < self.num_relations:
                 raise IndexError(f"relation index {index} out of range")
 
-    def residual_graph(
-        self, relation_subset: Iterable[int], removed_attributes: Iterable[str] = ()
-    ) -> nx.Graph:
-        """Connectivity graph of ``H_{E, y}``: relations in ``E`` with ``y`` removed.
-
-        Nodes are relation indices; an edge joins two relations that still
-        share an attribute after removing ``removed_attributes``.
-        """
-        subset = sorted(frozenset(relation_subset))
-        removed = frozenset(removed_attributes)
-        graph = nx.Graph()
-        graph.add_nodes_from(subset)
-        for position, first in enumerate(subset):
-            first_attrs = frozenset(self._relations[first].attribute_names) - removed
-            for second in subset[position + 1 :]:
-                second_attrs = frozenset(self._relations[second].attribute_names) - removed
-                if first_attrs & second_attrs:
-                    graph.add_edge(first, second)
-        return graph
-
     def connected_components(
         self, relation_subset: Iterable[int], removed_attributes: Iterable[str] = ()
     ) -> tuple[frozenset[int], ...]:
-        """Connected sub-queries ``C_E`` of the residual join ``H_{E, y}``."""
-        graph = self.residual_graph(relation_subset, removed_attributes)
-        return tuple(frozenset(component) for component in nx.connected_components(graph))
+        """Connected sub-queries ``C_E`` of the residual join ``H_{E, y}``.
+
+        Two relations of ``E`` are adjacent when they still share an attribute
+        once ``removed_attributes`` are removed.  A component grows from its
+        smallest relation index by absorbing every pending relation that
+        shares an attribute with it, and components come in order of their
+        smallest index.
+        """
+        removed = frozenset(removed_attributes)
+        pending = {
+            index: frozenset(self._relations[index].attribute_names) - removed
+            for index in sorted(frozenset(relation_subset))
+        }
+        components = []
+        while pending:
+            start = next(iter(pending))
+            members, reached = {start}, set(pending.pop(start))
+            while joined := [index for index, names in pending.items() if names & reached]:
+                for index in joined:
+                    members.add(index)
+                    reached |= pending.pop(index)
+            components.append(frozenset(members))
+        return tuple(components)
 
     # ------------------------------------------------------------------ #
     # hierarchy

@@ -9,6 +9,7 @@ computed with ``numpy.einsum`` without materialising the joint array.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,7 +64,7 @@ def join_result(instance: Instance, dtype: np.dtype | type = np.int64) -> np.nda
 
 
 def join_size(instance: Instance) -> int:
-    """``count(I)``: the join size, computed without materialising the join."""
+    """``count(I)``: the join size, computed without materialising the join; exact."""
     return int(grouped_join_size(instance, range(instance.num_relations), ()))
 
 
@@ -79,6 +80,12 @@ def grouped_join_size(
     combination; with an empty ``group_by`` the scalar total join size of the
     sub-join is returned.  This is the workhorse behind boundary queries
     ``T_E`` and join-value degrees.
+
+    With non-negative frequencies the product of the relations' totals
+    bounds every partial product and sum the contraction forms, so below
+    ``2**63`` the int64 einsum cannot wrap.  At or above it the scalar is
+    counted exactly over Python ints, and an array raises
+    :class:`OverflowError`.
     """
     query = instance.query
     subset = sorted(set(relation_subset))
@@ -86,12 +93,16 @@ def grouped_join_size(
         return 1 if not group_by else np.ones(
             tuple(query.attribute(name).domain.size for name in group_by), dtype=np.int64
         )
+    relations = [instance.relations[index] for index in subset]
+    exact = prod(relation.total() for relation in relations) >= 2**63
+    if exact and group_by:
+        names = ", ".join(relation.name for relation in relations)
+        raise OverflowError(f"join sizes of {names} grouped by {list(group_by)} may pass 2**63")
     letters = _letters_for(query)
     operands = []
     input_terms = []
-    for index in subset:
-        relation = instance.relations[index]
-        operands.append(relation.frequencies.astype(np.int64))
+    for relation in relations:
+        operands.append(relation.frequencies.astype(object if exact else np.int64))
         input_terms.append("".join(letters[name] for name in relation.attribute_names))
     output_term = "".join(letters[name] for name in group_by)
     subscript = ",".join(input_terms) + "->" + output_term

@@ -126,8 +126,15 @@ class Relation:
         return self._freq.shape
 
     def total(self) -> int:
-        """Total multiplicity: the number of (weighted) records in the relation."""
-        return int(self._freq.sum())
+        """Total multiplicity: the number of (weighted) records in the relation.
+
+        Exact: numpy's int64 sum where the largest frequency times the cell
+        count stays below ``2**63``, a sum of Python ints otherwise.
+        """
+        freq = self._freq
+        if freq.size and int(freq.max()) * freq.size >= 2**63:
+            return int(freq.sum(dtype=object))
+        return int(freq.sum())
 
     def support_size(self) -> int:
         """Number of distinct tuples with positive multiplicity."""

@@ -1,12 +1,5 @@
 """Unit tests for the PMW routine (Algorithm 2)."""
 
-import json
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -418,73 +411,6 @@ class TestCarriedAnswers:
         )
         assert result.iterations == 12
         assert len(calls) == full_evaluations
-
-    def test_carried_answers_need_no_scipy(self):
-        """The carried PMW loop runs where ``import scipy`` raises, and loads none of it.
-
-        In a fresh interpreter whose ``sys.meta_path`` refuses scipy, the
-        12-round run above still makes one full evaluation.
-        """
-        script = textwrap.dedent(
-            """
-            import importlib.abc, json, sys
-
-            class NoScipy(importlib.abc.MetaPathFinder):
-                def find_spec(self, name, path=None, target=None):
-                    if name.split(".")[0] == "scipy":
-                        raise ImportError(f"{name} is blocked")
-                    return None
-
-            sys.meta_path.insert(0, NoScipy())
-            import numpy as np
-            from repro.core.pmw import PMWConfig, private_multiplicative_weights
-            from repro.queries import evaluation
-            from repro.queries.evaluation import shared_evaluator
-            from repro.queries.workload import Workload
-            from repro.relational.hypergraph import two_table_query
-            from repro.relational.instance import Instance
-
-            evaluation._MATRIX_CELL_BUDGET = 0
-            query = two_table_query(12, 5, 6)
-            rng = np.random.default_rng(8)
-            r1 = [(int(rng.integers(12)), int(rng.integers(5))) for _ in range(90)]
-            r2 = [(int(rng.integers(5)), int(rng.integers(6))) for _ in range(110)]
-            instance = Instance.from_tuple_lists(query, {"R1": r1, "R2": r2})
-            workload = Workload.attribute_marginals(query, "A", include_counting=False)
-            for name in ("B", "C"):
-                workload = workload.extended(
-                    Workload.attribute_marginals(query, name, include_counting=False).queries
-                )
-            evaluator = shared_evaluator(workload)
-            calls = []
-            open_session = evaluator.histogram_session
-
-            def counted_session(*args, **kwargs):
-                session = open_session(*args, **kwargs)
-                answers = session.answers
-                session.answers = lambda: calls.append(1) or answers()
-                return session
-
-            evaluator.histogram_session = counted_session
-            result = private_multiplicative_weights(
-                instance, workload, 1.0, 1e-5, 2.0, seed=5, config=PMWConfig(num_iterations=12)
-            )
-            loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-            print(json.dumps([result.iterations, len(calls), loaded]))
-            """
-        )
-        source = Path(__file__).resolve().parents[2] / "src"
-        completed = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": str(source)},
-            capture_output=True,
-            text=True,
-            check=False,
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        iterations, evaluations, loaded = json.loads(completed.stdout.splitlines()[-1])
-        assert (iterations, evaluations, loaded) == (12, 1, [])
 
 
 def test_in_place_factors_never_reach_the_evaluator(monkeypatch):

@@ -159,19 +159,30 @@ class TestCli:
             "spans dropped (ring capacity 4)]"
         ) in capsys.readouterr().err
 
-    def _check_budget_against_trace(self, tmp_path, capsys) -> tuple[int, str, dict]:
-        """Run a traced demo, then CI's check on it: (exit status, stderr, budget)."""
-        output, trace = tmp_path / "demo.out", tmp_path / "trace.json"
-        assert main(["demo", "--telemetry", "--trace-out", str(trace)]) == 0
+    def _check_budget_against_trace(
+        self, tmp_path, capsys, command=("demo",)
+    ) -> tuple[int, str, dict]:
+        """Run a traced command, then CI's check on it: (exit status, stderr, budget)."""
+        output, trace = tmp_path / "run.out", tmp_path / "trace.json"
+        assert main([*command, "--telemetry", "--trace-out", str(trace)]) == 0
         output.write_text(capsys.readouterr().out)
         status = check_budget.main([str(output), str(trace)])
-        budget = _snapshots(output.read_text())["demo"]["budget"]
+        budget = list(_snapshots(output.read_text()).values())[-1]["budget"]
         return status, capsys.readouterr().err, budget
 
     def test_printed_budget_matches_the_trace(self, tmp_path, capsys):
         status, errors, budget = self._check_budget_against_trace(tmp_path, capsys)
         assert (status, errors) == (0, "")
         assert (budget["charges"], budget["epsilon"], budget["delta"]) == (2, 0.5, 5e-6)
+
+    def test_a_nested_ledger_still_charges_the_run_ledger(self, tmp_path, capsys):
+        """E14 audits its 120 PMW runs in a ledger of its own, inside the run ledger."""
+        status, errors, budget = self._check_budget_against_trace(
+            tmp_path, capsys, ("run", "e14", "--seed", "1")
+        )
+        assert (status, errors) == (0, "")
+        assert budget["labels"] == {"pmw.total": 120, "pmw.rounds": 120}
+        assert budget["epsilon"] == pytest.approx(60.0)
 
     @pytest.mark.parametrize("defect", ["drop pmw.total", "pmw.rounds at full epsilon"])
     def test_budget_check_fails_on_a_misaccounted_run(

@@ -174,6 +174,25 @@ class TestPMWCharges:
         assert total.delta == pytest.approx(delta)
         ledger.assert_within(PrivacySpec(epsilon * (1 + 1e-9), delta * (1 + 1e-9)))
 
+    def test_nested_scopes_each_record_the_charges(self, setup):
+        """A run charges every ledger in scope; once the inner scope closes, the outer alone."""
+        instance, workload = setup
+        outer, inner = PrivacyLedger(), PrivacyLedger()
+
+        def run():
+            private_multiplicative_weights(
+                instance, workload, 1.0, 1e-5, 2.0, seed=1,
+                config=PMWConfig(num_iterations=4),
+            )
+
+        with use_ledger(outer):
+            with use_ledger(inner):
+                run()
+            run()
+        assert [entry.label for entry in inner.entries] == ["pmw.total", "pmw.rounds"]
+        assert [entry.label for entry in outer.entries] == ["pmw.total", "pmw.rounds"] * 2
+        assert outer.entries[:2] == inner.entries
+
     def test_no_ambient_ledger_means_no_charges(self, setup):
         instance, workload = setup
         ledger = PrivacyLedger()

@@ -1,6 +1,8 @@
 """Unit tests for join-query hypergraphs and attribute trees."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.relational.hypergraph import (
     JoinQuery,
@@ -110,6 +112,44 @@ class TestStructure:
         query = path3_query(2, 2, 2, 2)
         # Removing the shared attribute B disconnects R1 from R2.
         assert len(query.connected_components({0, 1}, removed_attributes={"B"})) == 2
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_components_are_the_transitive_closure(self, data):
+        """Up to 8 relations over up to 8 attributes, some attributes removed:
+        the components are the closure of "shares a remaining attribute" over
+        the subset, as sets and in order of their smallest relation index.
+        """
+        names = [f"X{i}" for i in range(data.draw(st.integers(1, 8)))]
+        edges = data.draw(
+            st.lists(st.sets(st.sampled_from(names), min_size=1), min_size=1, max_size=8)
+        )
+        used = {name: Attribute(name, Domain.integers(2)) for name in names if any(
+            name in edge for edge in edges
+        )}
+        query = JoinQuery(
+            tuple(used.values()),
+            [
+                RelationSchema(f"R{index}", tuple(used[name] for name in sorted(edge)))
+                for index, edge in enumerate(edges)
+            ],
+        )
+        subset = data.draw(st.sets(st.integers(0, len(edges) - 1)))
+        removed = data.draw(st.sets(st.sampled_from(sorted(used))))
+
+        members = sorted(subset)
+        kept = {index: edges[index] - removed for index in members}
+        reach = {i: {j for j in members if i == j or kept[i] & kept[j]} for i in members}
+        for middle in members:  # Warshall's transitive closure
+            for index in members:
+                if middle in reach[index]:
+                    reach[index] |= reach[middle]
+        expected = []
+        for index in members:
+            if not any(index in component for component in expected):
+                expected.append(frozenset(reach[index]))
+
+        assert query.connected_components(subset, removed) == tuple(expected)
 
     def test_relation_lookup(self):
         query = two_table_query(2, 2, 2)

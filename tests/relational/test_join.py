@@ -101,6 +101,26 @@ class TestGroupedJoinSize:
         assert np.array_equal(bc, cb.T)
 
 
+class TestCountsPast2To63:
+    """With every multiplicity 2^32, R1(A, B) ⋈ R2(B, C) over 2 × 1 × 2 counts 2^66."""
+
+    @pytest.fixture
+    def instance(self):
+        query = two_table_query(2, 1, 2)
+        return Instance.from_frequencies(
+            query, {schema.name: np.full(schema.shape, 2**32) for schema in query.relations}
+        )
+
+    def test_join_size_is_exact(self, instance):
+        assert join_size(instance) == 2**66
+        assert grouped_join_size(instance, [0, 1], []) == 2**66
+
+    def test_grouped_arrays_refuse_to_wrap(self, instance):
+        with pytest.raises(OverflowError, match="R1, R2"):
+            grouped_join_size(instance, [0, 1], ["B"])
+        assert grouped_join_size(instance, [0], ["B"]).tolist() == [2**33]
+
+
 class TestHelpers:
     def test_expand_to_joint_broadcasting(self):
         query = two_table_query(2, 3, 4)

@@ -92,6 +92,12 @@ class TestAccessors:
         assert first == second
         assert first != third
 
+    def test_total_past_2_to_63_is_exact(self):
+        schema = RelationSchema(
+            "R", (Attribute("A", Domain.integers(2)), Attribute("B", Domain.integers(1)))
+        )
+        assert Relation(schema, [[2**63 - 1], [1]]).total() == 2**63
+
     def test_repr_contains_name_and_total(self, schema):
         relation = Relation.from_tuples(schema, [(0, 1)])
         assert "R" in repr(relation)
