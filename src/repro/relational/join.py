@@ -83,8 +83,9 @@ def grouped_join_size(
 
     With non-negative frequencies the product of the relations' totals
     bounds every partial product and sum the contraction forms, so below
-    ``2**63`` the int64 einsum cannot wrap.  At or above it the scalar is
-    counted exactly over Python ints, and an array raises
+    ``2**63`` the int64 einsum cannot wrap.  At or above it the sizes are
+    counted exactly over Python ints: the scalar is returned as it is, and
+    an array as int64 unless an entry reaches ``2**63``, which raises
     :class:`OverflowError`.
     """
     query = instance.query
@@ -94,19 +95,26 @@ def grouped_join_size(
             tuple(query.attribute(name).domain.size for name in group_by), dtype=np.int64
         )
     relations = [instance.relations[index] for index in subset]
-    exact = prod(relation.total() for relation in relations) >= 2**63
-    if exact and group_by:
-        names = ", ".join(relation.name for relation in relations)
-        raise OverflowError(f"join sizes of {names} grouped by {list(group_by)} may pass 2**63")
     letters = _letters_for(query)
-    operands = []
-    input_terms = []
-    for relation in relations:
-        operands.append(relation.frequencies.astype(object if exact else np.int64))
-        input_terms.append("".join(letters[name] for name in relation.attribute_names))
+    input_terms = [
+        "".join(letters[name] for name in relation.attribute_names) for relation in relations
+    ]
     output_term = "".join(letters[name] for name in group_by)
-    subscript = ",".join(input_terms) + "->" + output_term
-    result = np.einsum(subscript, *operands)
+    if prod(relation.total() for relation in relations) < 2**63:
+        subscript = ",".join(input_terms) + "->" + output_term
+        operands = [relation.frequencies.astype(np.int64) for relation in relations]
+        result = np.einsum(subscript, *operands)
+        return result if group_by else int(result)
+    # Python ints are exact in any contraction order, so numpy may take its
+    # pairwise path rather than the full nested loop.  A leading unit axis
+    # keeps every intermediate an array: numpy multiplies two fully summed
+    # object operands as int64 scalars, which wraps.
+    subscript = ",".join("..." + term for term in input_terms) + "->..." + output_term
+    operands = [relation.frequencies.astype(object)[np.newaxis] for relation in relations]
+    result = np.einsum(subscript, *operands, optimize=True)[0]
     if not group_by:
         return int(result)
-    return result
+    if result.size and result.max() >= 2**63:
+        names = ", ".join(relation.name for relation in relations)
+        raise OverflowError(f"join sizes of {names} grouped by {list(group_by)} pass 2**63")
+    return result.astype(np.int64)

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.relational.hypergraph import path3_query, two_table_query
+from repro.relational.hypergraph import chain_query, path3_query, star_query, two_table_query
 from repro.relational.instance import Instance
 from repro.relational.join import join_size
+from repro.relational.relation import Relation
 from repro.sensitivity.boundary import all_boundary_queries, boundary_query
+from repro.sensitivity.degrees import degree_vector
 from repro.sensitivity.local import local_sensitivity, per_relation_local_sensitivity
+from repro.sensitivity.residual import residual_sensitivity
 from tests.relational.test_oracles import ORACLE_JOINS, enumerate_neighbors, oracle_instance
 
 
@@ -100,3 +103,34 @@ class TestBoundaryQueries:
         third = path3_instance.relation("R3").degree(["C"])
         expected = int(np.max(np.outer(first, third)))
         assert boundary_query(path3_instance, (0, 2)) == expected
+
+
+class TestTotalsPast2To63:
+    """Relations whose totals multiply past 2^63 while the grouped sizes stay below it."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        # R1(X0, X1) ⋈ … ⋈ R5(X4, X5) over domains of 16, every multiplicity
+        # 256: each relation holds 2^16 tuples, so four of them multiply to 2^64.
+        query = chain_query([16] * 6)
+        return Instance(query, [Relation.full(schema, 256) for schema in query.relations])
+
+    def test_boundary_queries_are_exact(self, chain):
+        # Grouped by X4: 16^4 prefixes, each of multiplicity 256^4.
+        assert boundary_query(chain, [0, 1, 2, 3]) == 2**48
+        values = all_boundary_queries(chain)
+        assert values[frozenset({1, 2, 3, 4})] == 2**48
+        assert values[frozenset(range(5))] == join_size(chain) == 2**64
+
+    def test_sensitivities_run(self, chain):
+        assert per_relation_local_sensitivity(chain) == {f"R{i}": 2**48 for i in range(1, 6)}
+        assert residual_sensitivity(chain, 0.5) >= local_sensitivity(chain) == 2**48
+
+    def test_degrees_past_the_bound(self):
+        # R_i(H, X_i), H of 256 values and X_i of 2, every multiplicity 2^7:
+        # four relations of 2^16 tuples each; every hub value joins 2^32 times.
+        query = star_query(256, [2] * 4)
+        instance = Instance(query, [Relation.full(schema, 2**7) for schema in query.relations])
+        degrees = degree_vector(instance, [0, 1, 2, 3], ["H"])
+        assert degrees.dtype == np.int64
+        assert degrees.tolist() == [1] * 256
