@@ -17,12 +17,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro import Workload, join_size, local_sensitivity
-from repro.analysis.bounds import lam, theorem_33_error, theorem_44_error
+from repro.analysis.bounds import theorem_33_error, theorem_44_error
 from repro.analysis.reporting import ExperimentTable
 from repro.core.two_table import two_table_release
 from repro.core.uniformize import uniformize_release
 from repro.datagen.synthetic import figure3_instance
 from repro.experiments.e06_uniformize_two_table import uniform_bucket_join_sizes
+from repro.mechanisms.truncated_laplace import default_lambda
 
 EPSILON = 1.0
 DELTA = 1e-4
@@ -46,7 +47,7 @@ def main() -> None:
     error_one = join_as_one.max_error(instance, workload)
     error_uniform = uniformized.max_error(instance, workload)
 
-    lam_value = lam(EPSILON, DELTA)
+    lam_value = default_lambda(EPSILON, DELTA)
     bound_one = theorem_33_error(
         join_size(instance),
         local_sensitivity(instance),

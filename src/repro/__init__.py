@@ -41,8 +41,8 @@ from repro.relational.hypergraph import (
     two_table_query,
 )
 from repro.relational.instance import Instance
-from repro.relational.join import join_result, join_size
-from repro.queries.linear import ProductQuery, TableQuery, counting_query
+from repro.relational.join import join_size
+from repro.queries.linear import ProductQuery, TableQuery
 from repro.queries.workload import Workload
 from repro.queries.evaluation import ErrorReport, WorkloadEvaluator, shared_evaluator
 from repro.mechanisms.spec import PrivacySpec
@@ -77,9 +77,7 @@ __all__ = [
     "Workload",
     "WorkloadEvaluator",
     "chain_query",
-    "counting_query",
     "figure4_query",
-    "join_result",
     "join_size",
     "local_sensitivity",
     "multi_table_release",

@@ -9,7 +9,6 @@ check can load it by file path before numpy is installed.
 from repro.analysis.bounds import (
     f_lower,
     f_upper,
-    lam,
     theorem_15_error,
     theorem_33_error,
     theorem_35_lower_bound,
@@ -25,7 +24,6 @@ __all__ = [
     "f_lower",
     "f_upper",
     "fractional_edge_cover_number",
-    "lam",
     "theorem_15_error",
     "theorem_33_error",
     "theorem_35_lower_bound",

@@ -19,14 +19,7 @@ from __future__ import annotations
 from math import log, sqrt
 from typing import Sequence
 
-
-def lam(epsilon: float, delta: float) -> float:
-    """``λ = (1/ε)·log(1/δ)``."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
-    return log(1.0 / delta) / epsilon
+from repro.mechanisms.truncated_laplace import default_lambda
 
 
 def f_lower(domain_size: float, epsilon: float) -> float:
@@ -59,7 +52,7 @@ def theorem_33_error(
 
     ``α = O((sqrt(count·(Δ+λ)) + (Δ+λ)·sqrt(λ)) · f_upper)``.
     """
-    lam_value = lam(epsilon, delta)
+    lam_value = default_lambda(epsilon, delta)
     bulk = sqrt(max(join_size, 0.0) * (local_sensitivity + lam_value))
     tail = (local_sensitivity + lam_value) * sqrt(lam_value)
     return (bulk + tail) * f_upper(domain_size, num_queries, epsilon, delta)
@@ -77,7 +70,7 @@ def theorem_15_error(
 
     ``α = O((sqrt(count·RS) + RS·sqrt(λ)) · f_upper)``.
     """
-    lam_value = lam(epsilon, delta)
+    lam_value = default_lambda(epsilon, delta)
     bulk = sqrt(max(join_size, 0.0) * residual_sensitivity)
     tail = residual_sensitivity * sqrt(lam_value)
     return (bulk + tail) * f_upper(domain_size, num_queries, epsilon, delta)
@@ -109,7 +102,7 @@ def theorem_44_error(
     ``α = O((λ^{3/2}·(Δ+λ) + Σ_i sqrt(count(I_i)·2^i·λ)) · f_upper)`` where
     ``bucket_join_sizes[i-1]`` is the join size of the i-th uniform bucket.
     """
-    lam_value = lam(epsilon, delta)
+    lam_value = default_lambda(epsilon, delta)
     head = lam_value**1.5 * (local_sensitivity + lam_value)
     body = sum(
         sqrt(max(size, 0.0) * (2 ** (index + 1)) * lam_value)
@@ -125,7 +118,7 @@ def theorem_45_lower_bound(
     delta: float,
 ) -> float:
     """Theorem 4.5 lower bound: ``Ω(max_i min(OUT_i, sqrt(OUT_i·2^i·λ)·f_lower))``."""
-    lam_value = lam(epsilon, delta)
+    lam_value = default_lambda(epsilon, delta)
     best = 0.0
     for index, size in enumerate(bucket_join_sizes):
         size = max(size, 0.0)

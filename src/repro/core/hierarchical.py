@@ -5,7 +5,9 @@
 (Algorithm 6) applies it to every attribute of the attribute tree bottom-up,
 so each final sub-instance is characterised by a degree configuration
 (Definition 4.9) and the join results of the sub-instances partition the join
-result of the input (Lemma 4.10).
+result of the input (Lemma 4.10).  The noise, the ``λ·2^i`` buckets and the
+restriction to each bucket are Algorithm 5's step,
+:func:`~repro.core.partition_two_table.bucket_by_noisy_degree`.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.partition_two_table import bucket_by_noisy_degree
 from repro.mechanisms.rng import resolve_rng
-from repro.mechanisms.truncated_laplace import sample_truncated_laplace, truncation_radius
+from repro.mechanisms.truncated_laplace import default_lambda
 from repro.relational.instance import Instance
-from repro.relational.relation import Relation
-from repro.sensitivity.configurations import bucket_index
 from repro.sensitivity.degrees import degree_vector
 
 
@@ -89,37 +90,15 @@ def decompose_by_attribute(
     relations outside ``atom(x)`` are carried over unchanged.
     """
     generator = resolve_rng(rng, seed)
-    query = instance.query
-    ancestors = strict_ancestor_attributes(instance, attribute_name)
-    atom = sorted(query.atom(attribute_name))
-
-    degrees = degree_vector(instance, atom, list(ancestors)).astype(float)
-    radius = truncation_radius(epsilon, delta, 1.0)
-
-    if not ancestors:
-        # dom(y) is the single empty tuple: one bucket holding the whole instance.
-        noise = sample_truncated_laplace(1.0 / epsilon, radius, rng=generator)
-        noisy = float(degrees) + float(noise)
-        return [(bucket_index(noisy, lam), instance)]
-
-    noise = sample_truncated_laplace(
-        1.0 / epsilon, radius, size=int(degrees.size), rng=generator
+    ancestors = list(strict_ancestor_attributes(instance, attribute_name))
+    atom = sorted(instance.query.atom(attribute_name))
+    # With no ancestors dom(y) is the single empty tuple: one 0-d degree, one
+    # draw, and one bucket holding the whole instance.
+    degrees = degree_vector(instance, atom, ancestors)
+    _, buckets = bucket_by_noisy_degree(
+        instance, atom, ancestors, degrees, epsilon, delta, lam, generator
     )
-    noisy = degrees.reshape(-1) + np.asarray(noise, dtype=float)
-    noisy = noisy.reshape(degrees.shape)
-    bucket_of_value = np.vectorize(lambda value: bucket_index(value, lam))(noisy)
-
-    results: list[tuple[int, Instance]] = []
-    for index in sorted(np.unique(bucket_of_value)):
-        mask = bucket_of_value == index
-        relations: list[Relation] = []
-        for position, relation in enumerate(instance.relations):
-            if position in atom:
-                relations.append(relation.restrict_joint(list(ancestors), mask))
-            else:
-                relations.append(relation)
-        results.append((int(index), Instance(query, relations)))
-    return results
+    return [(bucket.index, bucket.sub_instance) for bucket in buckets]
 
 
 def partition_hierarchical(
@@ -142,8 +121,6 @@ def partition_hierarchical(
         raise ValueError("partition_hierarchical requires a hierarchical join query")
     generator = resolve_rng(rng, seed)
     if lam is None:
-        from repro.core.partition_two_table import default_lambda
-
         lam = default_lambda(epsilon, delta)
     if attribute_order is None:
         attribute_order = query.attribute_tree().bottom_up_order()

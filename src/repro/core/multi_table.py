@@ -10,7 +10,7 @@ noise and hands the result to PMW as the sensitivity bound.
 
 from __future__ import annotations
 
-from math import exp, log
+from math import exp
 
 import numpy as np
 
@@ -18,7 +18,11 @@ from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.core.result import ReleaseResult
 from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
-from repro.mechanisms.truncated_laplace import sample_truncated_laplace, truncation_radius
+from repro.mechanisms.truncated_laplace import (
+    default_lambda,
+    sample_truncated_laplace,
+    truncation_radius,
+)
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 from repro.sensitivity.residual import residual_sensitivity
@@ -26,8 +30,7 @@ from repro.sensitivity.residual import residual_sensitivity
 
 def default_beta(epsilon: float, delta: float) -> float:
     """The paper's choice ``β = 1/λ`` with ``λ = (1/ε)·log(1/δ)``."""
-    lam = log(1.0 / delta) / epsilon
-    return 1.0 / max(lam, 1e-9)
+    return 1.0 / max(default_lambda(epsilon, delta), 1e-9)
 
 
 def noisy_residual_sensitivity(

@@ -5,25 +5,31 @@ degree on the geometric grid ``(λ·2^{i-1}, λ·2^i]``.  Each bucket induces a
 sub-instance containing exactly the tuples whose join value falls in the
 bucket, so the sub-instances are tuple-disjoint and their join results
 partition the original join result — the properties behind the parallel
-composition argument of Lemma 4.1.
+composition argument of Lemma 4.1.  The noisy bucketing step,
+:func:`bucket_by_noisy_degree`, is Algorithm 7's too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from typing import Sequence
 
 import numpy as np
 
 from repro.mechanisms.rng import resolve_rng
-from repro.mechanisms.truncated_laplace import sample_truncated_laplace, truncation_radius
+from repro.mechanisms.truncated_laplace import (
+    default_lambda,
+    sample_truncated_laplace,
+    truncation_radius,
+)
 from repro.relational.instance import Instance
 from repro.sensitivity.configurations import bucket_index
+from repro.sensitivity.degrees import degree_vector
 
 
 @dataclass
 class TwoTableBucket:
-    """One bucket of the partition: its index, join-value mask, and sub-instance."""
+    """One bucket of a noisy-degree partition: its index, join-value mask, and sub-instance."""
 
     index: int
     join_value_mask: np.ndarray
@@ -42,15 +48,6 @@ class TwoTablePartition:
     @property
     def num_buckets(self) -> int:
         return len(self.buckets)
-
-
-def default_lambda(epsilon: float, delta: float) -> float:
-    """The paper's λ = (1/ε)·log(1/δ)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
-    return log(1.0 / delta) / epsilon
 
 
 def partition_two_table(
@@ -81,31 +78,57 @@ def partition_two_table(
     if not shared:
         raise ValueError("the two relations share no attribute; the join is a cross product")
 
-    first, second = instance.relations
-    degrees_first = first.degree(shared).astype(float)
-    degrees_second = second.degree(shared).astype(float)
-    max_degrees = np.maximum(degrees_first, degrees_second)
-
-    radius = truncation_radius(epsilon, delta, 1.0)
-    noise = sample_truncated_laplace(
-        1.0 / epsilon, radius, size=int(max_degrees.size), rng=generator
+    degrees = np.maximum(
+        degree_vector(instance, [0], shared), degree_vector(instance, [1], shared)
     )
-    noisy = max_degrees.reshape(-1) + np.asarray(noise, dtype=float)
-    noisy = noisy.reshape(max_degrees.shape)
-
-    bucket_of_value = np.vectorize(lambda value: bucket_index(value, lam))(noisy)
-    buckets: list[TwoTableBucket] = []
-    for index in sorted(np.unique(bucket_of_value)):
-        mask = bucket_of_value == index
-        sub_first = first.restrict_joint(shared, mask)
-        sub_second = second.restrict_joint(shared, mask)
-        sub_instance = Instance(query, (sub_first, sub_second))
-        buckets.append(
-            TwoTableBucket(index=int(index), join_value_mask=mask, sub_instance=sub_instance)
-        )
+    noisy, buckets = bucket_by_noisy_degree(
+        instance, (0, 1), shared, degrees, epsilon, delta, lam, generator
+    )
     return TwoTablePartition(
         shared_attributes=tuple(shared),
         lam=lam,
         buckets=buckets,
         noisy_degrees=noisy,
     )
+
+
+def bucket_by_noisy_degree(
+    instance: Instance,
+    relation_positions: Sequence[int],
+    attribute_names: Sequence[str],
+    degrees: np.ndarray,
+    epsilon: float,
+    delta: float,
+    lam: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, list[TwoTableBucket]]:
+    """The noisy bucketing step of Algorithms 5 and 7, spending (ε, δ).
+
+    ``degrees`` holds one degree per value combination of ``attribute_names``
+    (a 0-d array when there are none).  Each gets sensitivity-1 truncated
+    Laplace noise, one draw per entry in flat order, and its bucket on the
+    ``λ·2^i`` grid.  Every non-empty bucket, in increasing index, yields the
+    sub-instance whose relations at ``relation_positions`` keep only the
+    records with values in the bucket; the other relations are carried over
+    unchanged.  Returns the noisy degrees and the buckets.
+    """
+    radius = truncation_radius(epsilon, delta, 1.0)
+    noise = sample_truncated_laplace(1.0 / epsilon, radius, size=int(degrees.size), rng=rng)
+    noisy = degrees.reshape(-1) + np.asarray(noise, dtype=float)
+    noisy = noisy.reshape(degrees.shape)
+
+    bucket_of_value = np.vectorize(lambda value: bucket_index(value, lam))(noisy)
+    buckets: list[TwoTableBucket] = []
+    for index in sorted(np.unique(bucket_of_value)):
+        mask = bucket_of_value == index
+        relations = [
+            relation.restrict_joint(attribute_names, mask)
+            if position in relation_positions
+            else relation
+            for position, relation in enumerate(instance.relations)
+        ]
+        sub_instance = Instance(instance.query, relations)
+        buckets.append(
+            TwoTableBucket(index=int(index), join_value_mask=mask, sub_instance=sub_instance)
+        )
+    return noisy, buckets

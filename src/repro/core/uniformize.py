@@ -14,6 +14,12 @@ Privacy accounting:
   measured multiplicity through group privacy (Lemma 4.11).  The returned
   :class:`ReleaseResult` carries the conservative, blown-up spec; the nominal
   per-component spec is recorded in the diagnostics.
+
+Both methods share one bucket loop: each bucket's sub-instance gets the
+join-as-one release (Algorithm 1 or 3) at (ε/2, δ/2) and the histograms add.
+The methods differ only in the partition, that release, the per-bucket label
+(``bucket`` or ``configuration``), the privacy rule and their own top-level
+diagnostics.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from repro.core.hierarchical import partition_hierarchical
 from repro.core.multi_table import multi_table_release
-from repro.core.partition_two_table import default_lambda, partition_two_table
+from repro.core.partition_two_table import partition_two_table
 from repro.core.pmw import PMWConfig
 from repro.core.result import ReleaseResult
 from repro.core.synthetic import SyntheticDataset
@@ -30,6 +36,7 @@ from repro.core.two_table import two_table_release
 from repro.mechanisms.composition import basic_composition, group_privacy
 from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
+from repro.mechanisms.truncated_laplace import default_lambda
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 
@@ -87,57 +94,17 @@ def uniformize_release(
         partition = partition_two_table(
             instance, epsilon / 2.0, delta / 2.0, lam=lam, rng=generator
         )
-        for bucket in partition.buckets:
-            result = two_table_release(
-                bucket.sub_instance,
-                workload,
-                epsilon / 2.0,
-                delta / 2.0,
-                rng=generator,
-                pmw_config=pmw_config,
-            )
-            histogram += result.synthetic.histogram
-            per_bucket.append(
-                {
-                    "bucket": bucket.index,
-                    "join_size": result.diagnostics.get("noisy_total"),
-                    "delta_tilde": result.diagnostics.get("delta_tilde"),
-                    "sub_instance_size": bucket.sub_instance.total_size(),
-                }
-            )
-            del result  # its histogram is in the union; free it before the next bucket
+        release, label_key = two_table_release, "bucket"
+        labels = [bucket.index for bucket in partition.buckets]
         # Lemma 4.1: partition (ε/2, δ/2) + parallel releases (ε/2, δ/2).
         privacy = nominal_privacy
-        diagnostics = {
-            "method": "two_table",
-            "lam": lam,
-            "num_buckets": partition.num_buckets,
-            "buckets": per_bucket,
-            "shared_attributes": partition.shared_attributes,
-        }
+        method_diagnostics = {"shared_attributes": partition.shared_attributes}
     else:
         partition = partition_hierarchical(
             instance, epsilon / 2.0, delta / 2.0, lam=lam, rng=generator
         )
-        for bucket in partition.buckets:
-            result = multi_table_release(
-                bucket.sub_instance,
-                workload,
-                epsilon / 2.0,
-                delta / 2.0,
-                rng=generator,
-                pmw_config=pmw_config,
-            )
-            histogram += result.synthetic.histogram
-            per_bucket.append(
-                {
-                    "configuration": bucket.configuration,
-                    "join_size": result.diagnostics.get("noisy_total"),
-                    "delta_tilde": result.diagnostics.get("delta_tilde"),
-                    "sub_instance_size": bucket.sub_instance.total_size(),
-                }
-            )
-            del result  # its histogram is in the union; free it before the next bucket
+        release, label_key = multi_table_release, "configuration"
+        labels = [bucket.configuration for bucket in partition.buckets]
         # Lemma 4.11: the partition noise is charged once per attribute a tuple
         # appears under (at most max_i |x_i| times) and the per-bucket releases
         # compose through group privacy over the measured multiplicity.
@@ -146,15 +113,38 @@ def uniformize_release(
         partition_spec = PrivacySpec(epsilon / 2.0, delta / 2.0).scaled(attrs_per_relation)
         release_spec = group_privacy(PrivacySpec(epsilon / 2.0, delta / 2.0), multiplicity)
         privacy = basic_composition([partition_spec, release_spec])
-        diagnostics = {
-            "method": "hierarchical",
-            "lam": lam,
-            "num_buckets": partition.num_buckets,
-            "buckets": per_bucket,
+        method_diagnostics = {
             "tuple_multiplicity": multiplicity,
             "nominal_privacy": nominal_privacy,
             "decomposition_order": partition.decomposition_order,
         }
+
+    for bucket, label in zip(partition.buckets, labels):
+        result = release(
+            bucket.sub_instance,
+            workload,
+            epsilon / 2.0,
+            delta / 2.0,
+            rng=generator,
+            pmw_config=pmw_config,
+        )
+        histogram += result.synthetic.histogram
+        per_bucket.append(
+            {
+                label_key: label,
+                "join_size": result.diagnostics.get("noisy_total"),
+                "delta_tilde": result.diagnostics.get("delta_tilde"),
+                "sub_instance_size": bucket.sub_instance.total_size(),
+            }
+        )
+        del result  # its histogram is in the union; free it before the next bucket
+    diagnostics = {
+        "method": method,
+        "lam": lam,
+        "num_buckets": partition.num_buckets,
+        "buckets": per_bucket,
+        **method_diagnostics,
+    }
 
     synthetic = SyntheticDataset(
         join_query=workload.join_query,

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.bounds import lam
 from repro.analysis.reporting import ExperimentTable
 from repro.core.pmw import PMWConfig
 from repro.core.two_table import two_table_release
 from repro.datagen.synthetic import uniform_two_table
+from repro.mechanisms.truncated_laplace import default_lambda
 from repro.queries.workload import Workload
 from repro.relational.join import join_size
 from repro.sensitivity.local import local_sensitivity
@@ -32,7 +32,7 @@ def run(*, seed: int = 0) -> dict:
     """Measure the count error as the local sensitivity grows."""
     rng = np.random.default_rng(seed)
     pmw_config = PMWConfig(max_iterations=8)
-    lam_value = lam(EPSILON, DELTA)
+    lam_value = default_lambda(EPSILON, DELTA)
     table = ExperimentTable(
         title="E4: counting-query error vs local sensitivity Δ (Ω(Δ) floor)",
         columns=["Δ", "OUT", "median |count error|", "error / Δ", "error / (Δ·λ)"],

@@ -13,14 +13,17 @@ from math import ceil, log2
 
 import numpy as np
 
-from repro.analysis.bounds import lam, theorem_33_error, theorem_44_error
+from repro.analysis.bounds import theorem_33_error, theorem_44_error
 from repro.analysis.reporting import ExperimentTable
 from repro.core.pmw import PMWConfig
 from repro.core.two_table import two_table_release
 from repro.core.uniformize import uniformize_release
 from repro.datagen.synthetic import figure3_instance
+from repro.mechanisms.truncated_laplace import default_lambda
 from repro.queries.workload import Workload
 from repro.relational.join import join_size
+from repro.sensitivity.configurations import bucket_index
+from repro.sensitivity.degrees import degree_vector
 from repro.sensitivity.local import local_sensitivity
 
 N_SWEEP = (64, 144, 256)
@@ -32,18 +35,17 @@ TRIALS = 2
 
 def uniform_bucket_join_sizes(instance, lam_value: float) -> list[float]:
     """Join size of every uniform-partition bucket (Definition 4.3)."""
-    first, second = instance.relations
     shared = sorted(instance.query.boundary((0,)))
-    degrees = np.maximum(first.degree(shared), second.degree(shared)).reshape(-1)
-    product = (first.degree(shared).reshape(-1) * second.degree(shared).reshape(-1)).astype(float)
+    first = degree_vector(instance, [0], shared).reshape(-1)
+    second = degree_vector(instance, [1], shared).reshape(-1)
+    degrees = np.maximum(first, second)
+    product = (first * second).astype(float)
     num_buckets = max(1, int(ceil(log2(max(degrees.max() / lam_value, 1.0)))) + 1)
     sizes = [0.0] * num_buckets
     for degree, joint in zip(degrees, product):
         if degree <= 0:
             continue
-        index = max(1, int(ceil(log2(max(degree / lam_value, 1e-12)))))
-        index = min(index, num_buckets)
-        sizes[index - 1] += joint
+        sizes[bucket_index(degree, lam_value) - 1] += joint
     return sizes
 
 
@@ -51,7 +53,7 @@ def run(*, seed: int = 0) -> dict:
     """Compare Algorithm 1 and Algorithm 4 on the Figure 3 instances."""
     rng = np.random.default_rng(seed)
     pmw_config = PMWConfig(max_iterations=16)
-    lam_value = lam(EPSILON, DELTA)
+    lam_value = default_lambda(EPSILON, DELTA)
     table = ExperimentTable(
         title="E6: Figure 3 instance — join-as-one vs uniformized",
         columns=[

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.bounds import lam, theorem_33_error, theorem_44_error
+from repro.analysis.bounds import theorem_33_error, theorem_44_error
 from repro.analysis.reporting import ExperimentTable
 from repro.core.pmw import PMWConfig
 from repro.core.two_table import two_table_release
 from repro.core.uniformize import uniformize_release
 from repro.datagen.synthetic import example42_instance
 from repro.experiments.e06_uniformize_two_table import uniform_bucket_join_sizes
+from repro.mechanisms.truncated_laplace import default_lambda
 from repro.queries.workload import Workload
 from repro.relational.join import join_size
 from repro.sensitivity.local import local_sensitivity
@@ -34,7 +35,7 @@ def run(*, seed: int = 0) -> dict:
     """Measure the join-as-one vs uniformized gap on Example 4.2 instances."""
     rng = np.random.default_rng(seed)
     pmw_config = PMWConfig(max_iterations=16)
-    lam_value = lam(EPSILON, DELTA)
+    lam_value = default_lambda(EPSILON, DELTA)
     table = ExperimentTable(
         title="E7: Example 4.2 — measured and theoretical gap vs k^(1/3)",
         columns=[

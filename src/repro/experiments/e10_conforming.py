@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.bounds import (
-    lam,
     theorem_44_error,
     theorem_45_lower_bound,
 )
@@ -19,6 +18,7 @@ from repro.analysis.reporting import ExperimentTable
 from repro.core.pmw import PMWConfig
 from repro.core.uniformize import uniformize_release
 from repro.lowerbounds.conforming import conforming_two_table_instance
+from repro.mechanisms.truncated_laplace import default_lambda
 from repro.queries.workload import Workload
 from repro.sensitivity.local import local_sensitivity
 
@@ -34,7 +34,7 @@ def run(*, seed: int = 0) -> dict:
     """Sweep join-size vectors and compare measured error against Theorem 4.5."""
     rng = np.random.default_rng(seed)
     pmw_config = PMWConfig(max_iterations=14)
-    lam_value = lam(EPSILON, DELTA)
+    lam_value = default_lambda(EPSILON, DELTA)
     table = ExperimentTable(
         title="E10: conforming instances — measured error vs Theorem 4.5 / 4.4 bounds",
         columns=["OUT vector", "n", "Δ", "measured ℓ∞", "lower bound", "upper bound"],

@@ -18,6 +18,15 @@ from repro.mechanisms.rng import resolve_rng
 from repro.telemetry import trace as _trace
 
 
+def default_lambda(epsilon: float, delta: float) -> float:
+    """The paper's ``λ = (1/ε)·log(1/δ)``: the degree-bucket scale, and ``1/β``."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
+    return log(1.0 / delta) / epsilon
+
+
 def truncation_radius(epsilon: float, delta: float, sensitivity: float) -> float:
     """``τ(ε, δ, Δ) = (Δ/ε)·ln(1 + (e^ε − 1)/δ)``."""
     if epsilon <= 0:

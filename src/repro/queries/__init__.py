@@ -14,7 +14,7 @@ support and a :class:`HistogramSession`.  A workload has one evaluator,
 evaluator's answers in an :class:`ErrorReport`.
 """
 
-from repro.queries.linear import ProductQuery, TableQuery, all_one_query, counting_query
+from repro.queries.linear import ProductQuery, TableQuery, all_one_query
 from repro.queries.workload import Workload
 from repro.queries.backends import EvaluatorContext
 from repro.queries.evaluation import (
@@ -33,6 +33,5 @@ __all__ = [
     "Workload",
     "WorkloadEvaluator",
     "all_one_query",
-    "counting_query",
     "shared_evaluator",
 ]

@@ -233,6 +233,3 @@ def all_one_query(join_query: JoinQuery, name: str = "count") -> ProductQuery:
     """The counting query: every table component is all-+1."""
     return ProductQuery(join_query, (), name=name)
 
-
-# The paper calls the all-one query ``count``; keep both names exported.
-counting_query = all_one_query

@@ -12,7 +12,7 @@ from repro.relational.schema import Attribute, Domain, RelationSchema
 from repro.relational.relation import Relation
 from repro.relational.hypergraph import AttributeTree, JoinQuery
 from repro.relational.instance import Instance
-from repro.relational.join import join_result, join_size
+from repro.relational.join import join_size
 from repro.relational.neighbors import random_neighbor
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "JoinQuery",
     "Relation",
     "RelationSchema",
-    "join_result",
     "join_size",
     "random_neighbor",
 ]

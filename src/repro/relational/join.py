@@ -49,20 +49,6 @@ def expand_to_joint(query: JoinQuery, array: np.ndarray, attribute_names: Sequen
     return transposed.reshape(shape)
 
 
-def join_result(instance: Instance, dtype: np.dtype | type = np.int64) -> np.ndarray:
-    """Materialise ``Join_I`` as a dense array over the joint domain.
-
-    Memory is ``prod_x |dom(x)|`` entries; intended for the moderate domain
-    sizes used by the synthetic-data algorithms and experiments.
-    """
-    query = instance.query
-    result = np.ones(query.shape, dtype=dtype)
-    for relation in instance.relations:
-        expanded = expand_to_joint(query, relation.frequencies, relation.attribute_names)
-        result = result * expanded.astype(dtype)
-    return result
-
-
 def join_size(instance: Instance) -> int:
     """``count(I)``: the join size, computed without materialising the join; exact."""
     return int(grouped_join_size(instance, range(instance.num_relations), ()))

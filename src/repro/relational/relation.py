@@ -4,7 +4,8 @@ A relation is the function ``R_i : D_i -> Z>=0`` of the paper, stored densely
 as a non-negative integer numpy array with one axis per attribute of its
 schema.  The class is immutable by convention: every "mutation" returns a new
 :class:`Relation`, which keeps neighbouring-instance generation and the
-partitioning algorithms side-effect free.
+partitioning algorithms side-effect free.  Degrees are grouped join sizes,
+counted by :func:`~repro.sensitivity.degrees.degree_vector`.
 """
 
 from __future__ import annotations
@@ -171,29 +172,6 @@ class Relation:
 
     def with_frequencies(self, frequencies: np.ndarray) -> "Relation":
         return Relation(self._schema, frequencies)
-
-    def degree(self, attribute_names: Sequence[str]) -> np.ndarray:
-        """Degrees of value combinations of the given attributes.
-
-        Returns an array over the axes of ``attribute_names`` (in that order)
-        where each entry is the total multiplicity of records displaying that
-        value combination — ``deg_{i,y}`` in the paper's notation.
-        """
-        keep_axes = [self._schema.axis_of(name) for name in attribute_names]
-        drop_axes = tuple(
-            axis for axis in range(self._freq.ndim) if axis not in keep_axes
-        )
-        marginal = self._freq.sum(axis=drop_axes) if drop_axes else self._freq.copy()
-        # ``sum`` preserves the relative order of the kept axes; permute to the
-        # caller-requested order.
-        kept_in_array_order = [axis for axis in range(self._freq.ndim) if axis in keep_axes]
-        permutation = [kept_in_array_order.index(axis) for axis in keep_axes]
-        return np.transpose(marginal, permutation) if marginal.ndim > 1 else marginal
-
-    def max_degree(self, attribute_names: Sequence[str]) -> int:
-        """``mdeg``: the maximum degree of any value combination of the attributes."""
-        degrees = self.degree(attribute_names)
-        return int(degrees.max()) if degrees.size else 0
 
     def restrict_joint(self, attribute_names: Sequence[str], allowed_mask: np.ndarray) -> "Relation":
         """Keep only records whose joint value on ``attribute_names`` is allowed.

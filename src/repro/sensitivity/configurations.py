@@ -18,7 +18,7 @@ from math import ceil, log2
 from repro.relational.hypergraph import JoinQuery
 from repro.relational.instance import Instance
 from repro.sensitivity.degrees import max_degree, t_upper_bound_symbolic
-from repro.sensitivity.residual import maximize_residual
+from repro.sensitivity.residual import certified_cutoff, maximize_residual
 
 
 def bucket_index(value: float, lam: float) -> int:
@@ -126,7 +126,8 @@ def configuration_residual_upper_bound(
 
     Mirrors Definition 3.6 with every boundary query ``T_E`` replaced by its
     configuration upper bound, giving the quantity used in the Theorem C.2
-    error expression.
+    error expression.  The default cutoff is ``residual_sensitivity``'s,
+    :func:`~repro.sensitivity.residual.certified_cutoff`.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -141,5 +142,5 @@ def configuration_residual_upper_bound(
                 t_bounds[key] = configuration_t_upper_bound(query, configuration, key, lam)
 
     if k_max is None:
-        k_max = int(ceil((m - 1) / beta)) + 10
+        k_max = certified_cutoff(m, beta)
     return maximize_residual(t_bounds, m, beta, k_max)

@@ -36,7 +36,8 @@ def degree_vector(
     """``deg_{E, y}``: degree of every value combination of ``group_attributes``.
 
     Returns an array over the ``group_attributes`` axes (scalar array when the
-    attribute list is empty).
+    attribute list is empty).  A degree of ``2**63`` or more raises
+    :class:`OverflowError` naming the relation instead of wrapping.
     """
     subset = sorted(set(relation_subset))
     if not subset:
@@ -50,9 +51,11 @@ def degree_vector(
                 raise ValueError(
                     f"attribute {name!r} is not part of relation {relation.name!r}"
                 )
-        if not group:
-            return np.asarray(relation.total(), dtype=np.int64)
-        return relation.degree(group).astype(np.int64)
+        # grouped_join_size refuses a grouped entry past 2**63 but not a total.
+        degrees = grouped_join_size(instance, subset, group)
+        if not group and degrees >= 2**63:
+            raise OverflowError(f"the total of {relation.name} passes 2**63")
+        return np.asarray(degrees, dtype=np.int64)
 
     common = query.common_attributes_of(subset)
     for name in group:

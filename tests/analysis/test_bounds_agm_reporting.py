@@ -14,7 +14,6 @@ from repro.analysis.agm import (
 from repro.analysis.bounds import (
     f_lower,
     f_upper,
-    lam,
     theorem_15_error,
     theorem_33_error,
     theorem_35_lower_bound,
@@ -22,6 +21,7 @@ from repro.analysis.bounds import (
     theorem_45_lower_bound,
 )
 from repro.analysis.reporting import ExperimentTable
+from repro.mechanisms.truncated_laplace import default_lambda
 from repro.relational.hypergraph import (
     chain_query,
     path3_query,
@@ -34,12 +34,12 @@ from repro.relational.hypergraph import (
 
 class TestNotationHelpers:
     def test_lam(self):
-        assert lam(1.0, math.exp(-5)) == pytest.approx(5.0)
-        assert lam(0.5, math.exp(-5)) == pytest.approx(10.0)
+        assert default_lambda(1.0, math.exp(-5)) == pytest.approx(5.0)
+        assert default_lambda(0.5, math.exp(-5)) == pytest.approx(10.0)
         with pytest.raises(ValueError):
-            lam(0.0, 1e-5)
+            default_lambda(0.0, 1e-5)
         with pytest.raises(ValueError):
-            lam(1.0, 0.0)
+            default_lambda(1.0, 0.0)
 
     def test_f_lower_and_upper(self):
         fl = f_lower(1024, 1.0)
@@ -62,7 +62,7 @@ class TestErrorExpressions:
 
     def test_theorem_15_reduces_towards_33_shape(self):
         # With RS = Δ + λ the two expressions coincide up to the λ tail term.
-        value_15 = theorem_15_error(100, 4 + lam(1.0, 1e-5), 1000, 50, 1.0, 1e-5)
+        value_15 = theorem_15_error(100, 4 + default_lambda(1.0, 1e-5), 1000, 50, 1.0, 1e-5)
         value_33 = theorem_33_error(100, 4, 1000, 50, 1.0, 1e-5)
         assert value_15 == pytest.approx(value_33, rel=1e-9)
 
@@ -79,7 +79,7 @@ class TestErrorExpressions:
         """The bucketed bound never exceeds the Cauchy–Schwarz-aggregated
         Theorem 3.3 shape (the paper's inequality after Equation 2)."""
         epsilon, delta = 1.0, 1e-4
-        lam_value = lam(epsilon, delta)
+        lam_value = default_lambda(epsilon, delta)
         buckets = [50.0, 200.0, 800.0]
         delta_ls = lam_value * 2 ** len(buckets)
         bucketed = theorem_44_error(buckets, delta_ls, 1000, 50, epsilon, delta)

@@ -1,9 +1,10 @@
 """Every name a package exports is used by the product, not only by tests.
 
 Product files are ``src/repro/**``, ``examples/*.py`` and ``perfbench/*.py``
-(``perfbench/tests/`` is tests).  An exported name passes when it appears —
-as a name, an attribute or an import — in a product file other than the
-``__init__.py`` that re-exports it; a definition alone does not count.  The
+(``perfbench/tests/`` is tests).  An exported name passes when it is read —
+as a loaded name or attribute, or an import — in a product file that is not
+an ``__init__.py``: a re-export by another package does not count, and
+neither does a definition or an assignment to the name (an alias).  The
 rule matches names, not calls, so it is a cheap guard against exports that
 only their own tests reach, not a trace of what the product runs.
 """
@@ -29,7 +30,6 @@ PRODUCT_FILES = (
 ALLOWED = {
     "laplace_mechanism": "a charging mechanism API for the privacy accounting to adopt (ROADMAP)",
     "advanced_composition": "the privacy accounting adopts or deletes it (ROADMAP)",
-    "multi_table_hard_instance": "Theorem 1.6's instance: an experiment measures it or it goes (ROADMAP)",
     "span_dicts": "the spans' parent links, which the tests check and the run report's span tree is to read (ROADMAP)",
 }
 
@@ -44,23 +44,22 @@ PACKAGES = ("repro",) + tuple(
 def _used_names(path: Path) -> set[str]:
     names: set[str] = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
     return names
 
 
-_USED = {path: _used_names(path) for path in PRODUCT_FILES}
+_USED = set().union(
+    *(_used_names(path) for path in PRODUCT_FILES if path.name != "__init__.py")
+)
 
 
 def _unused_exports(package: str) -> set[str]:
-    module = importlib.import_module(package)
-    own = Path(module.__file__).resolve()
-    used = set().union(*(names for path, names in _USED.items() if path != own))
-    return set(module.__all__) - used
+    return set(importlib.import_module(package).__all__) - _USED
 
 
 @pytest.mark.parametrize("package", PACKAGES)

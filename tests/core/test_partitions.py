@@ -8,11 +8,19 @@ from repro.core.hierarchical import (
     partition_hierarchical,
     strict_ancestor_attributes,
 )
-from repro.core.partition_two_table import default_lambda, partition_two_table
+from repro.core.partition_two_table import bucket_by_noisy_degree, partition_two_table
 from repro.datagen.synthetic import figure3_instance
+from repro.mechanisms.truncated_laplace import (
+    default_lambda,
+    sample_truncated_laplace,
+    truncation_radius,
+)
 from repro.relational.hypergraph import two_table_query
 from repro.relational.instance import Instance
-from repro.relational.join import join_result, join_size
+from repro.relational.join import join_size
+from repro.sensitivity.configurations import bucket_index
+from repro.sensitivity.degrees import degree_vector
+from tests.relational.test_oracles import join_result
 
 
 class TestPartitionTwoTable:
@@ -63,11 +71,21 @@ class TestPartitionTwoTable:
         instance = figure3_instance(100)
         lam = default_lambda(1.0, 1e-4)
         partition = partition_two_table(instance, 1.0, 1e-4, lam=lam, seed=2)
-        shared = list(partition.shared_attributes)
+        assert partition.shared_attributes == ("B",)  # R1(A, B) ⋈ R2(B, C)
         for bucket in partition.buckets:
             first, second = bucket.sub_instance.relations
-            degrees = np.maximum(first.degree(shared), second.degree(shared))
+            degrees = np.maximum(first.frequencies.sum(axis=0), second.frequencies.sum(axis=1))
             assert degrees.max() <= lam * (2**bucket.index) + 1e-9
+
+    def test_a_degree_past_2_to_63_raises(self):
+        # R2(B, C) gives B's one value degree 2^63; it read -2^63, so the
+        # partition bucketed R1's degree of 1 instead.
+        instance = Instance.from_frequencies(
+            two_table_query(1, 1, 2),
+            {"R1": np.array([[1]]), "R2": np.array([[2**62, 2**62]])},
+        )
+        with pytest.raises(OverflowError, match=r"\bR2\b.*2\*\*63"):
+            partition_two_table(instance, 1.0, 1e-4, seed=0)
 
     def test_rejects_cross_product(self):
         from repro.relational.hypergraph import JoinQuery
@@ -89,6 +107,45 @@ class TestPartitionTwoTable:
         second = partition_two_table(two_table_instance, 0.5, 1e-4, seed=5)
         assert [b.index for b in first.buckets] == [b.index for b in second.buckets]
         assert np.array_equal(first.noisy_degrees, second.noisy_degrees)
+
+
+class TestBucketByNoisyDegree:
+    """The noisy bucketing step Algorithms 5 and 7 share."""
+
+    def test_one_draw_per_value_in_flat_order(self, figure4_instance):
+        # K's strict ancestors (A, B, G) give a 3 × 3 × 3 degree array.
+        atom = sorted(figure4_instance.query.atom("K"))
+        ancestors = ["A", "B", "G"]
+        degrees = degree_vector(figure4_instance, atom, ancestors)
+        generator, reference = np.random.default_rng(5), np.random.default_rng(5)
+        noisy, buckets = bucket_by_noisy_degree(
+            figure4_instance, atom, ancestors, degrees, 0.5, 1e-2, 2.0, generator
+        )
+        radius = truncation_radius(0.5, 1e-2, 1.0)
+        noise = sample_truncated_laplace(2.0, radius, size=degrees.size, rng=reference)
+        assert np.array_equal(noisy, degrees + noise.reshape(degrees.shape))
+        grid = np.vectorize(lambda value: bucket_index(value, 2.0))(noisy)
+        assert [bucket.index for bucket in buckets] == sorted(set(grid.flat))
+        for bucket in buckets:
+            assert np.array_equal(bucket.join_value_mask, grid == bucket.index)
+        assert generator.uniform() == reference.uniform()  # no draw beyond the 27
+
+    def test_a_root_degree_reads_one_scalar_draw(self, figure4_instance):
+        # With no ancestors the degree is 0-d; it used to take a scalar draw.
+        atom = sorted(figure4_instance.query.atom("A"))
+        degree = degree_vector(figure4_instance, atom, [])
+        assert degree.shape == ()
+        generator, reference = np.random.default_rng(9), np.random.default_rng(9)
+        noisy, buckets = bucket_by_noisy_degree(
+            figure4_instance, atom, [], degree, 0.5, 1e-2, 2.0, generator
+        )
+        scalar = float(degree) + sample_truncated_laplace(
+            2.0, truncation_radius(0.5, 1e-2, 1.0), rng=reference
+        )
+        assert noisy.shape == () and float(noisy) == scalar
+        assert [bucket.index for bucket in buckets] == [bucket_index(scalar, 2.0)]
+        assert buckets[0].sub_instance == figure4_instance
+        assert generator.uniform() == reference.uniform()  # the same stream position
 
 
 class TestDecomposeByAttribute:

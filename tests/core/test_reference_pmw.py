@@ -40,8 +40,8 @@ from repro.queries.linear import ProductQuery, TableQuery
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import single_table_query
 from repro.relational.instance import Instance
-from repro.relational.join import join_result
 from tests.queries.test_factored_evaluation import JOINS
+from tests.relational.test_oracles import join_result
 
 
 def reference_pmw(

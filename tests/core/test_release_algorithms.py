@@ -159,6 +159,13 @@ class TestMultiTableRelease:
         beta = default_beta(0.5, 1e-4)
         assert beta == pytest.approx(0.5 / math.log(1e4))
 
+    @pytest.mark.parametrize("epsilon, delta", [(1.0, 0.0), (1.0, 1.0), (0.0, 1e-3)])
+    def test_default_beta_refuses_what_lambda_refuses(self, epsilon, delta):
+        # β = 1/λ goes through the one λ: δ = 0 and ε = 0 divided by zero
+        # before, and δ = 1 gave λ = 0 and the floor's β = 1e9.
+        with pytest.raises(ValueError):
+            default_beta(epsilon, delta)
+
     def test_explicit_beta(self, path3_instance):
         workload = Workload.counting(path3_instance.query)
         result = multi_table_release(

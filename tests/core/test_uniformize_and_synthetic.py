@@ -8,10 +8,10 @@ from repro.core.result import ReleaseResult
 from repro.core.synthetic import SyntheticDataset
 from repro.core.uniformize import uniformize_release
 from repro.mechanisms.spec import PrivacySpec
-from repro.queries.linear import counting_query
+from repro.queries.linear import all_one_query
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import two_table_query
-from repro.relational.join import join_result
+from tests.relational.test_oracles import join_result
 
 FAST = PMWConfig(max_iterations=4)
 
@@ -53,6 +53,31 @@ class TestUniformizeRelease:
         assert result.privacy.epsilon >= 1.0
         assert result.diagnostics["tuple_multiplicity"] >= 1
         assert "nominal_privacy" in result.diagnostics
+
+    @pytest.mark.parametrize(
+        "fixture, method, label_key, own_keys",
+        [
+            ("two_table_instance", "two_table", "bucket", ["shared_attributes"]),
+            (
+                "figure4_instance",
+                "hierarchical",
+                "configuration",
+                ["tuple_multiplicity", "nominal_privacy", "decomposition_order"],
+            ),
+        ],
+        ids=["two_table", "hierarchical"],
+    )
+    def test_diagnostics_keys_and_order(self, request, fixture, method, label_key, own_keys):
+        # Both methods run one bucket loop; only the label key and own keys differ.
+        instance = request.getfixturevalue(fixture)
+        workload = Workload.counting(instance.query)
+        result = uniformize_release(
+            instance, workload, 1.0, 1e-2, method=method, seed=0, pmw_config=FAST
+        )
+        assert list(result.diagnostics) == ["method", "lam", "num_buckets", "buckets", *own_keys]
+        assert len(result.diagnostics["buckets"]) == result.diagnostics["num_buckets"]
+        for entry in result.diagnostics["buckets"]:
+            assert list(entry) == [label_key, "join_size", "delta_tilde", "sub_instance_size"]
 
     def test_auto_method_selection(self, two_table_instance, figure4_instance):
         workload2 = Workload.counting(two_table_instance.query)
@@ -114,7 +139,7 @@ class TestSyntheticDataset:
         exact = join_result(two_table_instance).astype(float)
         synthetic = self._make(query, exact)
         assert synthetic.total_mass() == pytest.approx(exact.sum())
-        count = counting_query(query)
+        count = all_one_query(query)
         assert synthetic.answer(count) == pytest.approx(exact.sum())
         workload = Workload.counting(query)
         release = ReleaseResult(synthetic=synthetic, privacy=synthetic.privacy, algorithm="test")

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from repro.lowerbounds.conforming import conforming_two_table_instance
-from repro.lowerbounds.multi_table_hard import multi_table_hard_instance
 from repro.lowerbounds.single_table_hard import hard_single_table
 from repro.lowerbounds.two_table_hard import (
     recover_single_table_answers,
     two_table_hard_instance,
 )
 from repro.queries.evaluation import WorkloadEvaluator
-from repro.relational.hypergraph import path3_query, star_query
 from repro.relational.join import join_size
 from repro.sensitivity.local import local_sensitivity
 from tests.relational.test_oracles import is_neighboring
@@ -96,40 +94,6 @@ class TestTwoTableHard:
         source = hard_single_table(5, 3, 2, seed=4)
         with pytest.raises(ValueError):
             two_table_hard_instance(source, delta=0)
-
-
-class TestMultiTableHard:
-    def test_three_table_chain(self):
-        template = path3_query(2, 2, 2, 2)
-        source = hard_single_table(6, 3, 4, seed=5)
-        hard = multi_table_hard_instance(template, source, delta=4)
-        assert join_size(hard.instance) == source.n * hard.delta
-        # The reduction amplifies the sensitivity by at least Δ (see module docs).
-        assert local_sensitivity(hard.instance) >= hard.delta
-        evaluator = WorkloadEvaluator(hard.workload)
-        answers = evaluator.answers_on_instance(hard.instance)
-        assert np.allclose(answers, hard.lifted_true_answers())
-
-    def test_star_query(self):
-        template = star_query(2, [2, 2])
-        source = hard_single_table(4, 2, 3, seed=6)
-        hard = multi_table_hard_instance(template, source, delta=2)
-        assert join_size(hard.instance) == source.n * hard.delta
-        assert hard.encoding_relation in template.relation_names
-
-    def test_delta_rounding(self):
-        template = path3_query(2, 2, 2, 2)
-        source = hard_single_table(4, 2, 2, seed=7)
-        # Two outside attributes: delta=5 rounds up to 3^2 = 9.
-        hard = multi_table_hard_instance(template, source, delta=5)
-        assert hard.delta == 9
-
-    def test_validation(self):
-        from repro.relational.hypergraph import single_table_query
-
-        source = hard_single_table(4, 2, 2, seed=8)
-        with pytest.raises(ValueError):
-            multi_table_hard_instance(single_table_query({"X": 2}), source, delta=2)
 
 
 class TestConformingInstance:

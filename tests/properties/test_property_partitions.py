@@ -8,8 +8,9 @@ from repro.core.hierarchical import partition_hierarchical
 from repro.core.partition_two_table import partition_two_table
 from repro.relational.hypergraph import star_query
 from repro.relational.instance import Instance
-from repro.relational.join import join_result, join_size
+from repro.relational.join import join_size
 from tests.properties.test_property_relational import two_table_instances
+from tests.relational.test_oracles import join_result
 
 
 def star_instances(max_tuples=5):

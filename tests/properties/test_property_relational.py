@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from repro.relational.hypergraph import path3_query, two_table_query
 from repro.relational.instance import Instance
-from repro.relational.join import grouped_join_size, join_result, join_size
+from repro.relational.join import grouped_join_size, join_size
 from repro.relational.neighbors import random_neighbor
 from tests.relational.test_oracles import (
     instance_distance,
     is_neighboring,
+    join_result,
     join_size_brute_force,
     semijoin_reduce,
 )

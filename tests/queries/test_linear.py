@@ -7,12 +7,13 @@ import pytest
 from numpy.lib.array_utils import byte_bounds
 
 from repro.queries.evaluation import WorkloadEvaluator
-from repro.queries.linear import ProductQuery, TableQuery, all_one_query, counting_query
+from repro.queries.linear import ProductQuery, TableQuery, all_one_query
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import JoinQuery, figure4_query, path3_query, two_table_query
 from repro.relational.instance import Instance
-from repro.relational.join import join_result, join_size
+from repro.relational.join import join_size
 from repro.relational.schema import RelationSchema
+from tests.relational.test_oracles import join_result
 
 
 @pytest.fixture
@@ -91,7 +92,7 @@ class TestTableQuery:
 
 class TestProductQuery:
     def test_counting_query_equals_join_size(self, instance):
-        count = counting_query(instance.query)
+        count = all_one_query(instance.query)
         assert count.evaluate(instance) == join_size(instance)
         assert all(table_query.is_all_one() for table_query in count.table_queries)
 
@@ -140,7 +141,7 @@ class TestProductQuery:
         assert values.min() >= -1.0 - 1e-12
 
     def test_histogram_shape_checked(self, query):
-        count = counting_query(query)
+        count = all_one_query(query)
         with pytest.raises(ValueError):
             count.evaluate_on_histogram(np.zeros((2, 2, 2)))
 
@@ -203,9 +204,9 @@ def test_a_workload_rejects_a_query_over_another_join(kind):
     schema = other.relations[0]
     stranger = ProductQuery(other, [TableQuery(schema.name, np.ones(schema.shape))])
     with pytest.raises(ValueError):
-        Workload(join, [counting_query(join), stranger])
-    twin = counting_query(two_table_query(4, 4, 4))  # equal structure, another object
-    assert len(Workload(join, [counting_query(join), twin])) == 2
+        Workload(join, [all_one_query(join), stranger])
+    twin = all_one_query(two_table_query(4, 4, 4))  # equal structure, another object
+    assert len(Workload(join, [all_one_query(join), twin])) == 2
 
 
 ANSWER_ON_INSTANCE = {

@@ -11,7 +11,8 @@ from repro.queries.linear import TableQuery
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import two_table_query
 from repro.relational.instance import Instance
-from repro.relational.join import join_result, join_size
+from repro.relational.join import join_size
+from tests.relational.test_oracles import join_result
 
 
 @pytest.fixture

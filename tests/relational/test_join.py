@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.relational.hypergraph import path3_query, triangle_query, two_table_query
+from repro.relational.hypergraph import (
+    path3_query,
+    single_table_query,
+    triangle_query,
+    two_table_query,
+)
 from repro.relational.instance import Instance
-from repro.relational.join import expand_to_joint, grouped_join_size, join_result, join_size
-from tests.relational.test_oracles import join_size_brute_force
+from repro.relational.join import expand_to_joint, grouped_join_size, join_size
+from tests.relational.test_oracles import join_result, join_size_brute_force
 
 
 class TestTwoTableJoin:
@@ -87,9 +92,9 @@ class TestGroupedJoinSize:
         )
 
     def test_subset_of_relations(self, two_table_instance):
-        # Grouping R2 alone by B gives deg_2(b).
+        # Grouping R2(B, C) alone by B gives deg_2(b), its sum over C.
         grouped = grouped_join_size(two_table_instance, [1], ["B"])
-        expected = two_table_instance.relation("R2").degree(["B"])
+        expected = two_table_instance.relation("R2").frequencies.sum(axis=1)
         assert np.array_equal(grouped, expected)
 
     def test_empty_subset(self, two_table_instance):
@@ -99,6 +104,36 @@ class TestGroupedJoinSize:
         bc = grouped_join_size(path3_instance, [0, 1, 2], ["B", "C"])
         cb = grouped_join_size(path3_instance, [0, 1, 2], ["C", "B"])
         assert np.array_equal(bc, cb.T)
+
+
+class TestOneRelationDegrees:
+    """The degrees ``deg_{i,y}`` of one relation R(A, B) over 3 × 4 values."""
+
+    @staticmethod
+    def _instance(tuples):
+        query = single_table_query({"A": 3, "B": 4}, name="R")
+        return Instance.from_tuple_lists(query, {"R": tuples})
+
+    def test_degrees_of_one_attribute(self):
+        instance = self._instance([(0, 1), (0, 2), (1, 1)])
+        assert grouped_join_size(instance, [0], ["A"]).tolist() == [2, 1, 0]
+
+    def test_attribute_order_controls_axes(self):
+        instance = self._instance([(0, 1), (0, 2), (1, 1)])
+        ab = grouped_join_size(instance, [0], ["A", "B"])
+        ba = grouped_join_size(instance, [0], ["B", "A"])
+        assert ab.shape == (3, 4)
+        assert ba.shape == (4, 3)
+        assert np.array_equal(ab, ba.T)
+
+    def test_all_attributes_give_the_frequencies(self):
+        instance = self._instance([(0, 1), (0, 1), (2, 3)])
+        grouped = grouped_join_size(instance, [0], ["A", "B"])
+        assert np.array_equal(grouped, instance.relation("R").frequencies)
+
+    def test_no_attribute_gives_the_total(self):
+        instance = self._instance([(0, 1), (1, 2)])
+        assert grouped_join_size(instance, [0], []) == 2
 
 
 class TestCountsPast2To63:

@@ -1,9 +1,9 @@
 """Reference oracles for the relational substrate, and their tests.
 
 The oracles compute by explicit enumeration what the library computes by
-einsum or by formula: the join size tuple by tuple, the semijoin reduction
-from the materialised join, the join as a list of tuples, and neighbouring
-instances (Definition 1.1).  They are exponential or dense in the domain, so
+einsum or by formula: the join result as a dense array, the join size tuple
+by tuple, the semijoin reduction from the materialised join, the join as a
+list of tuples, and neighbouring instances (Definition 1.1).  They are exponential or dense in the domain, so
 only tiny instances are checked with them.  Other test modules import them
 from here.
 
@@ -21,9 +21,19 @@ import pytest
 
 from repro.relational.hypergraph import two_table_query
 from repro.relational.instance import Instance
-from repro.relational.join import join_result, join_size
+from repro.relational.join import expand_to_joint, join_size
 from repro.relational.neighbors import random_neighbor
 from tests.queries.test_factored_evaluation import JOINS, _instance
+
+
+def join_result(instance: Instance, dtype: np.dtype | type = np.int64) -> np.ndarray:
+    """Materialise ``Join_I`` as a dense array over the joint domain."""
+    query = instance.query
+    result = np.ones(query.shape, dtype=dtype)
+    for relation in instance.relations:
+        expanded = expand_to_joint(query, relation.frequencies, relation.attribute_names)
+        result = result * expanded.astype(dtype)
+    return result
 
 
 def join_size_brute_force(instance: Instance) -> int:

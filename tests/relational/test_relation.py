@@ -119,28 +119,6 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             relation.with_delta((0, 0), -1)
 
-    def test_degree_single_attribute(self, schema):
-        relation = Relation.from_tuples(schema, [(0, 1), (0, 2), (1, 1)])
-        degrees = relation.degree(["A"])
-        assert degrees.tolist() == [2, 1, 0]
-        assert relation.max_degree(["A"]) == 2
-
-    def test_degree_attribute_order(self, schema):
-        relation = Relation.from_tuples(schema, [(0, 1), (0, 2), (1, 1)])
-        ab = relation.degree(["A", "B"])
-        ba = relation.degree(["B", "A"])
-        assert ab.shape == (3, 4)
-        assert ba.shape == (4, 3)
-        assert np.array_equal(ab, ba.T)
-
-    def test_degree_of_all_attributes_is_frequency(self, schema):
-        relation = Relation.from_tuples(schema, [(0, 1), (0, 1), (2, 3)])
-        assert np.array_equal(relation.degree(["A", "B"]), relation.frequencies)
-
-    def test_degree_of_empty_attribute_list_is_total(self, schema):
-        relation = Relation.from_tuples(schema, [(0, 1), (1, 2)])
-        assert int(relation.degree([])) == 2
-
     def test_restrict_joint(self, schema):
         relation = Relation.from_tuples(schema, [(0, 1), (1, 2), (2, 3)])
         mask = np.zeros((3, 4), dtype=bool)

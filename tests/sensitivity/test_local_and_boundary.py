@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.relational.hypergraph import chain_query, path3_query, star_query, two_table_query
+from repro.relational.hypergraph import (
+    chain_query,
+    path3_query,
+    single_table_query,
+    star_query,
+    two_table_query,
+)
 from repro.relational.instance import Instance
 from repro.relational.join import join_size
 from repro.relational.relation import Relation
@@ -17,7 +23,8 @@ from tests.relational.test_oracles import ORACLE_JOINS, enumerate_neighbors, ora
 class TestLocalSensitivityTwoTable:
     def test_equals_max_degree(self, two_table_instance):
         first, second = two_table_instance.relations
-        expected = max(first.max_degree(["B"]), second.max_degree(["B"]))
+        # R1(A, B) and R2(B, C): the degrees of B are the sums over A and over C.
+        expected = max(first.frequencies.sum(axis=0).max(), second.frequencies.sum(axis=1).max())
         assert local_sensitivity(two_table_instance) == expected
 
     def test_matches_definition_via_neighbors(self, two_table_instance):
@@ -84,8 +91,8 @@ class TestBoundaryQueries:
 
     def test_singleton_subsets_are_degrees(self, two_table_instance):
         first, second = two_table_instance.relations
-        assert boundary_query(two_table_instance, (0,)) == first.max_degree(["B"])
-        assert boundary_query(two_table_instance, (1,)) == second.max_degree(["B"])
+        assert boundary_query(two_table_instance, (0,)) == first.frequencies.sum(axis=0).max()
+        assert boundary_query(two_table_instance, (1,)) == second.frequencies.sum(axis=1).max()
 
     def test_full_set_has_empty_boundary(self, two_table_instance):
         # ∂[m] = ∅ so T_[m] is the total join size.
@@ -99,8 +106,8 @@ class TestBoundaryQueries:
     def test_chain_middle_subset(self, path3_instance):
         # T_{R1,R3}: boundary is {B, C}; R1 and R3 do not share attributes, so
         # the grouped size is deg_1(b)·deg_3(c) maximised over (b, c).
-        first = path3_instance.relation("R1").degree(["B"])
-        third = path3_instance.relation("R3").degree(["C"])
+        first = path3_instance.relation("R1").frequencies.sum(axis=0)  # R1(A, B) by B
+        third = path3_instance.relation("R3").frequencies.sum(axis=1)  # R3(C, D) by C
         expected = int(np.max(np.outer(first, third)))
         assert boundary_query(path3_instance, (0, 2)) == expected
 
@@ -134,3 +141,21 @@ class TestTotalsPast2To63:
         degrees = degree_vector(instance, [0, 1, 2, 3], ["H"])
         assert degrees.dtype == np.int64
         assert degrees.tolist() == [1] * 256
+
+
+class TestDegreesReaching2To63:
+    """One relation T(A, B) over 1 × 2 values with both multiplicities 2^62."""
+
+    @pytest.fixture
+    def instance(self):
+        query = single_table_query({"A": 1, "B": 2})
+        return Instance.from_frequencies(query, {"T": np.array([[2**62, 2**62]])})
+
+    def test_a_grouped_degree_refuses_to_wrap(self, instance):
+        # deg_T(A = 0) is 2^63, one past int64: it read -2^63.
+        with pytest.raises(OverflowError, match=r"\bT\b.*2\*\*63"):
+            degree_vector(instance, [0], ["A"])
+
+    def test_a_total_names_its_relation(self, instance):
+        with pytest.raises(OverflowError, match=r"\bT\b.*2\*\*63"):
+            degree_vector(instance, [0], [])

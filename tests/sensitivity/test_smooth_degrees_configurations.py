@@ -20,7 +20,12 @@ from repro.sensitivity.configurations import (
 )
 from repro.sensitivity.degrees import degree_vector, max_degree, t_upper_bound
 from repro.sensitivity.local import local_sensitivity
-from repro.sensitivity.residual import maximize_residual_objective, residual_sensitivity
+from repro.sensitivity.residual import (
+    certified_cutoff,
+    maximize_residual,
+    maximize_residual_objective,
+    residual_sensitivity,
+)
 from repro.sensitivity.smooth import (
     local_sensitivity_at_distance,
     smooth_sensitivity_bruteforce,
@@ -67,7 +72,7 @@ class TestDegrees:
     def test_single_relation_degree_is_groupby_count(self, figure4_instance):
         query = figure4_instance.query
         degrees = degree_vector(figure4_instance, [0], ["A", "B"])
-        expected = figure4_instance.relation("R1").degree(["A", "B"])
+        expected = figure4_instance.relation("R1").frequencies.sum(axis=2)  # R1(A, B, D)
         assert np.array_equal(degrees, expected)
 
     def test_multi_relation_degree_counts_distinct(self, figure4_instance):
@@ -120,7 +125,7 @@ class TestDegrees:
     def test_t_upper_bound_two_table(self, two_table_instance):
         # For a two-table join, T_{R2} = mdeg_2(B) exactly.
         result = t_upper_bound(two_table_instance, [1])
-        assert result.value == two_table_instance.relation("R2").max_degree(["B"])
+        assert result.value == two_table_instance.relation("R2").frequencies.sum(axis=1).max()
 
 
 class TestConfigurations:
@@ -169,6 +174,23 @@ class TestConfigurations:
             configuration_residual_upper_bound(
                 figure4_instance.query, configuration, 0.0, 2.0
             )
+
+    def test_default_cutoff_is_residual_sensitivitys(self, figure4_instance, monkeypatch):
+        """The cap ⌈(m−1)/β⌉ + 10 it used fell below certified_cutoff from 14–18 relations."""
+        from repro.sensitivity import configurations
+
+        cutoffs = []
+
+        def recording(coefficients_by_subset, num_relations, beta, total_cap):
+            cutoffs.append(total_cap)
+            return maximize_residual(coefficients_by_subset, num_relations, beta, total_cap)
+
+        monkeypatch.setattr(configurations, "maximize_residual", recording)
+        configuration = configuration_of_instance(figure4_instance, 2.0)
+        for beta in (0.05, 0.5, 2.0):
+            configuration_residual_upper_bound(figure4_instance.query, configuration, beta, 2.0)
+        # Figure 4 has five relations; the old cap read 90, 18 and 12.
+        assert cutoffs == [certified_cutoff(5, beta) for beta in (0.05, 0.5, 2.0)]
 
     def test_configuration_rs_is_the_enumeration_on_e08(self):
         """E08's default instance: the search returns the enumeration's value bitwise."""
