@@ -74,10 +74,10 @@ def main() -> None:
     print(table)
 
     buckets = uniformized.diagnostics["buckets"]
-    print(f"\nuniformized release used {len(buckets)} degree buckets:")
+    print(f"\nuniformized release used {len(buckets)} degree buckets (released values):")
     for entry in buckets:
         print(
-            f"  bucket {entry['bucket']}: sub-instance size {entry['sub_instance_size']}, "
+            f"  bucket {entry['bucket']}: noisy total n̂ {entry['noisy_total']:.1f}, "
             f"noisy Δ̃ {entry['delta_tilde']:.1f}"
         )
     print(

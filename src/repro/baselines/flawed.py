@@ -33,6 +33,8 @@ from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 from repro.relational.join import join_size
 
+_WARNING = "NOT differentially private"
+
 
 def flawed_exact_count_release(
     instance: Instance,
@@ -54,7 +56,7 @@ def flawed_exact_count_release(
         workload,
         pmw,
         PrivacySpec(epsilon, delta),
-        metadata={"warning": "NOT differentially private"},
+        diagnostics={"warning": _WARNING},
     )
 
 
@@ -82,27 +84,19 @@ def flawed_padded_release(
         instance, workload, epsilon / 2.0, delta / 2.0, rng=generator, pmw_config=pmw_config
     )
 
-    _, delta_tilde = noisy_local_sensitivity(
-        instance, epsilon / 4.0, delta / 4.0, rng=generator
-    )
+    delta_tilde = noisy_local_sensitivity(instance, epsilon / 4.0, delta / 4.0, rng=generator)
     radius = truncation_radius(epsilon / 4.0, delta / 4.0, delta_tilde)
     eta = float(
         sample_truncated_laplace(4.0 * delta_tilde / epsilon, radius, rng=generator)
     )
     padding = np.full(query.shape, eta / query.joint_domain_size, dtype=float)
 
-    privacy = PrivacySpec(epsilon, delta)
-    synthetic = SyntheticDataset(
-        join_query=query,
-        histogram=base.synthetic.histogram + padding,
-        privacy=privacy,
-        metadata={"algorithm": "flawed_padded", "warning": "NOT differentially private"},
-    )
     return ReleaseResult(
-        synthetic=synthetic,
-        privacy=privacy,
+        synthetic=SyntheticDataset(join_query=query, histogram=base.synthetic.histogram + padding),
+        privacy=PrivacySpec(epsilon, delta),
         algorithm="flawed_padded",
         diagnostics={
+            "warning": _WARNING,
             "eta": eta,
             "delta_tilde": delta_tilde,
             "base_total": base.synthetic.total_mass(),

@@ -52,11 +52,11 @@ def independent_laplace_answers(
     num_queries = len(workload)
 
     if query.num_relations <= 2:
-        _, sensitivity_bound = noisy_local_sensitivity(
+        sensitivity_bound = noisy_local_sensitivity(
             instance, epsilon / 2.0, delta / 2.0, rng=generator
         )
     else:
-        _, sensitivity_bound = noisy_residual_sensitivity(
+        sensitivity_bound = noisy_residual_sensitivity(
             instance, epsilon / 2.0, delta / 2.0, default_beta(epsilon, delta), rng=generator
         )
 

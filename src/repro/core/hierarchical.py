@@ -13,7 +13,6 @@ restriction to each bucket are Algorithm 5's step,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +37,6 @@ class HierarchicalPartition:
 
     lam: float
     buckets: list[HierarchicalBucket]
-    decomposition_order: tuple[str, ...]
 
     @property
     def num_buckets(self) -> int:
@@ -109,12 +107,11 @@ def partition_hierarchical(
     lam: float | None = None,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-    attribute_order: Sequence[str] | None = None,
 ) -> HierarchicalPartition:
     """Algorithm 6: decompose an instance along every attribute of the tree.
 
-    Attributes are processed bottom-up (children before parents); each step
-    refines every current sub-instance with :func:`decompose_by_attribute`.
+    Attributes are processed in the tree's bottom-up order (children before
+    parents); each step refines every sub-instance with :func:`decompose_by_attribute`.
     """
     query = instance.query
     if not query.is_hierarchical():
@@ -122,11 +119,9 @@ def partition_hierarchical(
     generator = resolve_rng(rng, seed)
     if lam is None:
         lam = default_lambda(epsilon, delta)
-    if attribute_order is None:
-        attribute_order = query.attribute_tree().bottom_up_order()
 
     current: list[tuple[dict[str, int], Instance]] = [({}, instance)]
-    for attribute_name in attribute_order:
+    for attribute_name in query.attribute_tree().bottom_up_order():
         refined: list[tuple[dict[str, int], Instance]] = []
         for configuration, sub_instance in current:
             for index, piece in decompose_by_attribute(
@@ -146,6 +141,4 @@ def partition_hierarchical(
         HierarchicalBucket(configuration=configuration, sub_instance=sub_instance)
         for configuration, sub_instance in current
     ]
-    return HierarchicalPartition(
-        lam=lam, buckets=buckets, decomposition_order=tuple(attribute_order)
-    )
+    return HierarchicalPartition(lam=lam, buckets=buckets)

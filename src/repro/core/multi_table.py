@@ -5,7 +5,9 @@ global sensitivity, so Algorithm 1's additive trick no longer works.  Instead,
 ``ln RS^β_count(I)`` has global sensitivity at most ``β`` (residual
 sensitivity is a β-smooth upper bound on local sensitivity), so the algorithm
 releases the residual sensitivity with *multiplicative* truncated Laplace
-noise and hands the result to PMW as the sensitivity bound.
+noise and hands the result to PMW as the sensitivity bound.  ``β = 1/λ`` is
+Algorithm 3's line 1; ``RS^β(I)`` itself never leaves
+:func:`noisy_residual_sensitivity`: the release records ``β`` and ``Δ̃``.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ def noisy_residual_sensitivity(
     beta: float,
     *,
     rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Algorithm 3's line 2, spending (ε, δ): ``(RS, Δ̃ = RS·e^{TLap})``.
+) -> float:
+    """Algorithm 3's line 2, spending (ε, δ): ``Δ̃ = RS·e^{TLap}``.
 
     ``RS`` is the residual sensitivity ``RS^β(I)`` floored at one.
     ``ln RS^β`` has global sensitivity β, so the multiplicative noise is a
@@ -50,7 +52,7 @@ def noisy_residual_sensitivity(
     rs_value = max(residual_sensitivity(instance, beta), 1.0)
     radius = truncation_radius(epsilon, delta, beta)
     log_noise = sample_truncated_laplace(beta / epsilon, radius, rng=rng)
-    return rs_value, rs_value * exp(float(log_noise))
+    return rs_value * exp(float(log_noise))
 
 
 def multi_table_release(
@@ -59,7 +61,6 @@ def multi_table_release(
     epsilon: float,
     delta: float,
     *,
-    beta: float | None = None,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
     pmw_config: PMWConfig | None = None,
@@ -75,13 +76,10 @@ def multi_table_release(
     generator = resolve_rng(rng, seed)
 
     # Line 1: β ← 1/λ.
-    if beta is None:
-        beta = default_beta(epsilon, delta)
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    beta = default_beta(epsilon, delta)
 
     # Line 2: Δ̃ ← RS^β(I) · e^{TLap}.
-    rs_value, delta_tilde = noisy_residual_sensitivity(
+    delta_tilde = noisy_residual_sensitivity(
         instance, epsilon / 2.0, delta / 2.0, beta, rng=generator
     )
 
@@ -100,6 +98,5 @@ def multi_table_release(
         workload,
         pmw,
         privacy,
-        metadata={"delta_tilde": delta_tilde},
-        diagnostics={"beta": beta, "residual_sensitivity": rs_value, "delta_tilde": delta_tilde},
+        diagnostics={"beta": beta, "delta_tilde": delta_tilde},
     )

@@ -12,6 +12,7 @@ composition argument of Lemma 4.1.  The noisy bucketing step,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Sequence
 
 import numpy as np
@@ -110,8 +111,11 @@ def bucket_by_noisy_degree(
     ``λ·2^i`` grid.  Every non-empty bucket, in increasing index, yields the
     sub-instance whose relations at ``relation_positions`` keep only the
     records with values in the bucket; the other relations are carried over
-    unchanged.  Returns the noisy degrees and the buckets.
+    unchanged.  Returns the noisy degrees and the buckets.  Raises
+    ``ValueError`` before any draw unless ``0 < λ < ∞``.
     """
+    if not 0 < lam < inf:
+        raise ValueError(f"lam (λ) must be positive and finite, got {lam}")
     radius = truncation_radius(epsilon, delta, 1.0)
     noise = sample_truncated_laplace(1.0 / epsilon, radius, size=int(degrees.size), rng=rng)
     noisy = degrees.reshape(-1) + np.asarray(noise, dtype=float)

@@ -149,6 +149,7 @@ class PMWConfig:
 class PMWResult:
     """Raw output of one PMW run (before being wrapped in a ReleaseResult).
 
+    It holds what the run released, not the arguments it was given.
     ``total_privacy`` and ``rounds_privacy`` record how the overall budget was
     split between the noisy total count and the adaptive rounds (Lemma 3.2);
     ``total_privacy`` is ``None`` when ``force_total`` bypassed the release.
@@ -156,11 +157,9 @@ class PMWResult:
 
     histogram: np.ndarray
     noisy_total: float
-    sensitivity_bound: float
     iterations: int
     epsilon_per_round: float
     selected_queries: list[int] = field(default_factory=list)
-    privacy: PrivacySpec | None = None
     total_privacy: PrivacySpec | None = None
     rounds_privacy: PrivacySpec | None = None
 
@@ -311,10 +310,8 @@ def private_multiplicative_weights(
             return PMWResult(
                 histogram=histogram,
                 noisy_total=noisy_total,
-                sensitivity_bound=sensitivity_bound,
                 iterations=0,
                 epsilon_per_round=0.0,
-                privacy=PrivacySpec(epsilon, delta),
                 total_privacy=total_privacy,
                 rounds_privacy=rounds_privacy,
             )
@@ -397,11 +394,9 @@ def private_multiplicative_weights(
     return PMWResult(
         histogram=histogram,
         noisy_total=noisy_total,
-        sensitivity_bound=sensitivity_bound,
         iterations=iterations,
         epsilon_per_round=epsilon_per_round,
         selected_queries=selected,
-        privacy=PrivacySpec(epsilon, delta),
         total_privacy=total_privacy,
         rounds_privacy=rounds_privacy,
     )

@@ -141,7 +141,7 @@ def release_synthetic_data(
     -------
     ReleaseResult
         The synthetic dataset, the (possibly blown-up) privacy guarantee, and
-        the algorithm diagnostics; its ``error_report`` / ``max_error`` score
+        the mechanisms' outputs; its ``error_report`` / ``max_error`` score
         the release against an instance through the workload's shared
         evaluator.
 

@@ -1,4 +1,4 @@
-"""Release results: synthetic data plus run diagnostics."""
+"""Release results: the synthetic data, its guarantee and the mechanisms' outputs."""
 
 from __future__ import annotations
 
@@ -33,8 +33,9 @@ class ReleaseResult:
     algorithm:
         Name of the algorithm that produced the release.
     diagnostics:
-        Algorithm-specific intermediate quantities (noisy sensitivity bound,
-        noisy total, iteration count, partition structure, ...).
+        The mechanisms' outputs (Δ̃, each PMW run's noisy total, rounds and
+        per-round ε, the bucket labels) and public parameters (β, λ), each
+        once; no exact statistic of the private instance, such as LS or RS^β.
     """
 
     synthetic: SyntheticDataset
@@ -50,23 +51,15 @@ class ReleaseResult:
         pmw: PMWResult,
         privacy: PrivacySpec,
         *,
-        metadata: dict | None = None,
         diagnostics: dict | None = None,
     ) -> "ReleaseResult":
         """The release of ``algorithm`` whose histogram is one PMW run's.
 
-        The dataset's metadata is ``{"algorithm": algorithm, **metadata}``;
-        the diagnostics are ``diagnostics`` followed by the run's noisy
+        The diagnostics are ``diagnostics`` followed by the run's noisy
         total, iteration count and per-round ε.
         """
-        synthetic = SyntheticDataset(
-            join_query=workload.join_query,
-            histogram=pmw.histogram,
-            privacy=privacy,
-            metadata={"algorithm": algorithm, **(metadata or {})},
-        )
         return cls(
-            synthetic=synthetic,
+            synthetic=SyntheticDataset(join_query=workload.join_query, histogram=pmw.histogram),
             privacy=privacy,
             algorithm=algorithm,
             diagnostics={
@@ -78,7 +71,11 @@ class ReleaseResult:
         )
 
     def answer_workload(self, workload: Workload) -> np.ndarray:
-        """Answers of every workload query on the released histogram."""
+        """Answers of every workload query on the released histogram.
+
+        Raises ``ValueError`` for a workload over another join, even one of the same |D|.
+        """
+        workload.require_compatible(self.synthetic.join_query)
         return shared_evaluator(workload).answers_on_histogram(self.synthetic.histogram)
 
     def error_report(self, instance: Instance, workload: Workload) -> ErrorReport:

@@ -2,17 +2,18 @@
 
 ``F`` is a non-negative function over the joint domain ``D = dom(x)``; linear
 queries are answered against it exactly as against a real join result.  The
-histogram is fractional (the PMW average of distributions).
+histogram is fractional (the PMW average of distributions).  The guarantee it
+was released under and the algorithm that released it are on the
+:class:`~repro.core.result.ReleaseResult` that carries it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from repro.mechanisms.spec import PrivacySpec
 from repro.queries.linear import ProductQuery
 from repro.relational.hypergraph import JoinQuery
 
@@ -60,16 +61,10 @@ class SyntheticDataset:
         The join query whose joint domain the histogram lives on.
     histogram:
         Non-negative array with one axis per query attribute.
-    privacy:
-        The (ε, δ) guarantee under which the histogram was produced.
-    metadata:
-        Free-form diagnostics recorded by the producing algorithm.
     """
 
     join_query: JoinQuery
     histogram: np.ndarray
-    privacy: PrivacySpec
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         histogram = np.asarray(self.histogram, dtype=float)
@@ -94,7 +89,4 @@ class SyntheticDataset:
         return query.evaluate_on_histogram(self.histogram)
 
     def __repr__(self) -> str:
-        return (
-            f"SyntheticDataset(total={self.total_mass():.1f}, cells={self.histogram.size}, "
-            f"privacy={self.privacy})"
-        )
+        return f"SyntheticDataset(total={self.total_mass():.1f}, cells={self.histogram.size})"

@@ -4,7 +4,8 @@ The local sensitivity of the two-table counting query is the maximum join
 value degree ``Δ = max_b max(deg_1(b), deg_2(b))``; the function ``LS_count``
 itself has global sensitivity one, so ``Δ`` can be released (and only ever
 *over*-estimated) with sensitivity-1 truncated Laplace noise.  The noisy bound
-``Δ̃`` then parameterises the PMW run on the joined data.
+``Δ̃`` then parameterises the PMW run on the joined data.  ``Δ`` itself never
+leaves :func:`noisy_local_sensitivity`: the release records ``Δ̃`` only.
 """
 
 from __future__ import annotations
@@ -27,18 +28,17 @@ def noisy_local_sensitivity(
     delta: float,
     *,
     rng: np.random.Generator,
-) -> tuple[int, float]:
-    """Algorithm 1's line 1, spending (ε, δ): ``(Δ, Δ̃ = max(Δ + TLap, 1))``.
+) -> float:
+    """Algorithm 1's line 1, spending (ε, δ): ``Δ̃ = max(Δ + TLap, 1)``.
 
     ``Δ`` is the local sensitivity ``LS_count(I)``.  For two-table joins
     ``LS_count`` has global sensitivity one, so sensitivity-1 truncated
     Laplace noise suffices; ``Δ̃`` is floored at one.
     """
-    delta_true = local_sensitivity(instance)
     delta_tilde = truncated_laplace_mechanism(
-        float(delta_true), 1.0, epsilon, delta, rng=rng
+        float(local_sensitivity(instance)), 1.0, epsilon, delta, rng=rng
     )
-    return delta_true, max(delta_tilde, 1.0)
+    return max(delta_tilde, 1.0)
 
 
 def two_table_release(
@@ -66,7 +66,7 @@ def two_table_release(
     generator = resolve_rng(rng, seed)
 
     # Line 1: Δ̃ ← Δ + TLap.
-    delta_true, delta_tilde = noisy_local_sensitivity(
+    delta_tilde = noisy_local_sensitivity(
         instance, epsilon / 2.0, delta / 2.0, rng=generator
     )
 
@@ -85,6 +85,5 @@ def two_table_release(
         workload,
         pmw,
         privacy,
-        metadata={"delta_tilde": delta_tilde},
-        diagnostics={"local_sensitivity": delta_true, "delta_tilde": delta_tilde},
+        diagnostics={"delta_tilde": delta_tilde},
     )

@@ -13,13 +13,14 @@ Privacy accounting:
   (at most ``O(log^c n)`` by Lemma 4.10), so the guarantee degrades by the
   measured multiplicity through group privacy (Lemma 4.11).  The returned
   :class:`ReleaseResult` carries the conservative, blown-up spec; the nominal
-  per-component spec is recorded in the diagnostics.
+  spec is recorded in the diagnostics, the multiplicity is not.
 
 Both methods share one bucket loop: each bucket's sub-instance gets the
 join-as-one release (Algorithm 1 or 3) at (ε/2, δ/2) and the histograms add.
 The methods differ only in the partition, that release, the per-bucket label
-(``bucket`` or ``configuration``), the privacy rule and their own top-level
-diagnostics.
+(``bucket`` or ``configuration``) and the privacy rule.  The diagnostics hold
+the partition's λ and, per bucket, its label and the released ``n̂``
+(``noisy_total``) and ``Δ̃``; no bucket's true size.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from repro.core.two_table import two_table_release
 from repro.mechanisms.composition import basic_composition, group_privacy
 from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
-from repro.mechanisms.truncated_laplace import default_lambda
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 
@@ -48,7 +48,6 @@ def uniformize_release(
     delta: float,
     *,
     method: str = "auto",
-    lam: float | None = None,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
     pmw_config: PMWConfig | None = None,
@@ -61,22 +60,17 @@ def uniformize_release(
         ``"two_table"`` forces the Algorithm 5 partition, ``"hierarchical"``
         the Algorithm 6/7 partition, and ``"auto"`` picks two-table when the
         query has exactly two relations and hierarchical otherwise.
-    lam:
-        The bucketing scale λ; defaults to ``(1/ε)·log(1/δ)``.
 
-    Every per-bucket release answers the workload through its one shared
+    The partition runs at (ε/2, δ/2) and buckets on its own default grid,
+    ``λ = (2/ε)·log(2/δ)``: the grid is then as coarse as the partition
+    noise, so empty join values do not straddle bucket boundaries.  Every
+    per-bucket release answers the workload through its one shared
     evaluator, so the buckets reuse its stacks and box factors.
     """
     nominal_privacy = PrivacySpec(epsilon, delta)  # refuses a bad budget before any draw
     query = instance.query
     workload.require_compatible(query)
     generator = resolve_rng(rng, seed)
-    if lam is None:
-        # The bucket grid must be at least as coarse as the partition noise
-        # (which is calibrated to the ε/2, δ/2 handed to the partition step),
-        # otherwise empty join values straddle bucket boundaries and the
-        # partition fragments needlessly.
-        lam = default_lambda(epsilon / 2.0, delta / 2.0)
     if method == "auto":
         method = "two_table" if query.num_relations == 2 else "hierarchical"
     if method not in ("two_table", "hierarchical"):
@@ -91,18 +85,14 @@ def uniformize_release(
     per_bucket: list[dict] = []
 
     if method == "two_table":
-        partition = partition_two_table(
-            instance, epsilon / 2.0, delta / 2.0, lam=lam, rng=generator
-        )
+        partition = partition_two_table(instance, epsilon / 2.0, delta / 2.0, rng=generator)
         release, label_key = two_table_release, "bucket"
         labels = [bucket.index for bucket in partition.buckets]
         # Lemma 4.1: partition (ε/2, δ/2) + parallel releases (ε/2, δ/2).
         privacy = nominal_privacy
-        method_diagnostics = {"shared_attributes": partition.shared_attributes}
+        method_diagnostics = {}
     else:
-        partition = partition_hierarchical(
-            instance, epsilon / 2.0, delta / 2.0, lam=lam, rng=generator
-        )
+        partition = partition_hierarchical(instance, epsilon / 2.0, delta / 2.0, rng=generator)
         release, label_key = multi_table_release, "configuration"
         labels = [bucket.configuration for bucket in partition.buckets]
         # Lemma 4.11: the partition noise is charged once per attribute a tuple
@@ -113,11 +103,7 @@ def uniformize_release(
         partition_spec = PrivacySpec(epsilon / 2.0, delta / 2.0).scaled(attrs_per_relation)
         release_spec = group_privacy(PrivacySpec(epsilon / 2.0, delta / 2.0), multiplicity)
         privacy = basic_composition([partition_spec, release_spec])
-        method_diagnostics = {
-            "tuple_multiplicity": multiplicity,
-            "nominal_privacy": nominal_privacy,
-            "decomposition_order": partition.decomposition_order,
-        }
+        method_diagnostics = {"nominal_privacy": nominal_privacy}
 
     for bucket, label in zip(partition.buckets, labels):
         result = release(
@@ -132,29 +118,15 @@ def uniformize_release(
         per_bucket.append(
             {
                 label_key: label,
-                "join_size": result.diagnostics.get("noisy_total"),
-                "delta_tilde": result.diagnostics.get("delta_tilde"),
-                "sub_instance_size": bucket.sub_instance.total_size(),
+                "noisy_total": result.diagnostics["noisy_total"],
+                "delta_tilde": result.diagnostics["delta_tilde"],
             }
         )
         del result  # its histogram is in the union; free it before the next bucket
-    diagnostics = {
-        "method": method,
-        "lam": lam,
-        "num_buckets": partition.num_buckets,
-        "buckets": per_bucket,
-        **method_diagnostics,
-    }
 
-    synthetic = SyntheticDataset(
-        join_query=workload.join_query,
-        histogram=histogram,
-        privacy=privacy,
-        metadata={"algorithm": f"uniformize_{method}"},
-    )
     return ReleaseResult(
-        synthetic=synthetic,
+        synthetic=SyntheticDataset(join_query=workload.join_query, histogram=histogram),
         privacy=privacy,
         algorithm=f"uniformize_{method}",
-        diagnostics=diagnostics,
+        diagnostics={"lam": partition.lam, "buckets": per_bucket, **method_diagnostics},
     )

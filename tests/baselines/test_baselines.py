@@ -26,7 +26,7 @@ class TestFlawedVariants:
             join_size(two_table_instance), rel=1e-6
         )
         assert result.algorithm == "flawed_exact_count"
-        assert "NOT" in result.synthetic.metadata["warning"]
+        assert "NOT" in result.diagnostics["warning"]
 
     def test_exact_count_distinguishes_figure1_pair(self):
         """On the Figure 1 pair the released totals differ deterministically."""

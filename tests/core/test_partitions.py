@@ -147,6 +147,22 @@ class TestBucketByNoisyDegree:
         assert buckets[0].sub_instance == figure4_instance
         assert generator.uniform() == reference.uniform()  # the same stream position
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("partition", ["two_table", "hierarchical"])
+    def test_a_bad_lambda_is_refused_before_any_draw(
+        self, partition, lam, two_table_instance, figure4_instance
+    ):
+        # Both partitions used to draw first, then fail on λ: "lam must be
+        # positive" for 0 and −1, a NaN-to-integer error and a math domain error.
+        generator = np.random.default_rng(0)
+        before = generator.bit_generator.state
+        with pytest.raises(ValueError, match="lam"):
+            if partition == "two_table":
+                partition_two_table(two_table_instance, 1.0, 1e-4, lam=lam, rng=generator)
+            else:
+                partition_hierarchical(figure4_instance, 1.0, 1e-2, lam=lam, rng=generator)
+        assert generator.bit_generator.state == before
+
 
 class TestDecomposeByAttribute:
     def test_strict_ancestors(self, figure4_instance):

@@ -153,8 +153,6 @@ class TestBudgetSplit:
         result = private_multiplicative_weights(
             instance, workload, epsilon, delta, 2.0, seed=0
         )
-        assert result.privacy.epsilon == epsilon
-        assert result.privacy.delta == delta
         assert result.total_privacy.epsilon == pytest.approx(epsilon / 2.0)
         assert result.total_privacy.delta == pytest.approx(delta / 2.0)
         assert result.rounds_privacy.epsilon == pytest.approx(epsilon / 2.0)

@@ -68,8 +68,6 @@ def reference_pmw(
         rounds_epsilon, rounds_delta = epsilon / 2.0, delta / 2.0
     spent = dict(
         noisy_total=noisy_total,
-        sensitivity_bound=sensitivity_bound,
-        privacy=PrivacySpec(epsilon, delta),
         total_privacy=total_privacy,
         rounds_privacy=PrivacySpec(rounds_epsilon, rounds_delta),
     )

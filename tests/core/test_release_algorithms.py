@@ -1,5 +1,6 @@
 """Unit tests for Algorithms 1, 3, and the unified release entry point."""
 
+import dataclasses
 import os
 import resource
 import tracemalloc
@@ -70,18 +71,15 @@ class TestTwoTableRelease:
     def test_delta_tilde_is_the_shared_additive_step(self, two_table_instance):
         """Algorithm 1 and both baselines that need Δ̃ draw it through one function."""
         instance, workload = two_table_instance, Workload.counting(two_table_instance.query)
-        ls_value, delta_tilde = noisy_local_sensitivity(
-            instance, 0.5, 5e-6, rng=np.random.default_rng(4)
-        )
+        delta_tilde = noisy_local_sensitivity(instance, 0.5, 5e-6, rng=np.random.default_rng(4))
         result = two_table_release(instance, workload, 1.0, 1e-5, seed=4, pmw_config=FAST)
-        assert result.diagnostics["local_sensitivity"] == ls_value
         assert result.diagnostics["delta_tilde"] == delta_tilde
         baseline = independent_laplace_answers(instance, workload, 1.0, 1e-5, seed=4)
         assert baseline.sensitivity_bound == delta_tilde
         # The padded variant draws its Δ̃ at (ε/4, δ/4) after its base PMW run.
         rng = np.random.default_rng(4)
         flawed_exact_count_release(instance, workload, 0.5, 5e-6, rng=rng, pmw_config=FAST)
-        _, padded_tilde = noisy_local_sensitivity(instance, 0.25, 2.5e-6, rng=rng)
+        padded_tilde = noisy_local_sensitivity(instance, 0.25, 2.5e-6, rng=rng)
         padded = flawed_padded_release(instance, workload, 1.0, 1e-5, seed=4, pmw_config=FAST)
         assert padded.diagnostics["delta_tilde"] == padded_tilde
 
@@ -142,13 +140,12 @@ class TestMultiTableRelease:
         workload = Workload.counting(path3_instance.query)
         beta = default_beta(1.0, 1e-3)
         for seed in range(3):
-            rs_value, delta_tilde = noisy_residual_sensitivity(
+            delta_tilde = noisy_residual_sensitivity(
                 path3_instance, 0.5, 5e-4, beta, rng=np.random.default_rng(seed)
             )
             result = multi_table_release(
                 path3_instance, workload, 1.0, 1e-3, seed=seed, pmw_config=FAST
             )
-            assert result.diagnostics["residual_sensitivity"] == rs_value
             assert result.diagnostics["delta_tilde"] == delta_tilde
             baseline = independent_laplace_answers(path3_instance, workload, 1.0, 1e-3, seed=seed)
             assert baseline.sensitivity_bound == delta_tilde
@@ -166,19 +163,10 @@ class TestMultiTableRelease:
         with pytest.raises(ValueError):
             default_beta(epsilon, delta)
 
-    def test_explicit_beta(self, path3_instance):
+    def test_beta_is_algorithm_3s_line_1(self, path3_instance):
         workload = Workload.counting(path3_instance.query)
-        result = multi_table_release(
-            path3_instance, workload, 1.0, 1e-3, beta=0.5, seed=0, pmw_config=FAST
-        )
-        assert result.diagnostics["beta"] == 0.5
-
-    def test_invalid_beta(self, path3_instance):
-        workload = Workload.counting(path3_instance.query)
-        with pytest.raises(ValueError):
-            multi_table_release(
-                path3_instance, workload, 1.0, 1e-3, beta=-1.0, pmw_config=FAST
-            )
+        result = multi_table_release(path3_instance, workload, 1.0, 1e-3, seed=0, pmw_config=FAST)
+        assert result.diagnostics["beta"] == default_beta(1.0, 1e-3)
 
     def test_works_on_two_table_instances_as_well(self, two_table_instance):
         workload = Workload.counting(two_table_instance.query)
@@ -515,30 +503,65 @@ class TestReleaseMemoryCheck:
         assert release._memory_limit() is None  # the check is skipped
 
 
-class TestReleaseMetadata:
-    """Every PMW release builds its dataset through ``ReleaseResult.from_pmw``."""
+#: Every algorithm's ``diagnostics`` keys in order, and each bucket's keys.
+RECORD_KEYS = {
+    "single_table": (["noisy_total", "iterations", "epsilon_per_round"], None),
+    "two_table": (["delta_tilde", "noisy_total", "iterations", "epsilon_per_round"], None),
+    "multi_table": (
+        ["beta", "delta_tilde", "noisy_total", "iterations", "epsilon_per_round"],
+        None,
+    ),
+    "uniformize_two_table": (["lam", "buckets"], ["bucket", "noisy_total", "delta_tilde"]),
+    "uniformize_hierarchical": (
+        ["lam", "buckets", "nominal_privacy"],
+        ["configuration", "noisy_total", "delta_tilde"],
+    ),
+    "flawed_exact_count": (["warning", "noisy_total", "iterations", "epsilon_per_round"], None),
+    "flawed_padded": (["warning", "eta", "delta_tilde", "base_total"], None),
+}
+FLAWED = {"flawed_exact_count": flawed_exact_count_release, "flawed_padded": flawed_padded_release}
+#: Exact statistics of the private instance, which no release may hold.
+EXACT_STATISTICS = {
+    "local_sensitivity",
+    "residual_sensitivity",
+    "sub_instance_size",
+    "tuple_multiplicity",
+}
 
-    def test_metadata_keys_per_algorithm(self, two_table_instance, path3_instance):
-        single = Instance.from_tuple_lists(single_table_query({"X": 3}), {"R": [(0,), (2,)]})
-        cases = {
-            "single_table": (single, ["algorithm"]),
-            "two_table": (two_table_instance, ["algorithm", "delta_tilde"]),
-            "multi_table": (path3_instance, ["algorithm", "delta_tilde"]),
-        }
-        for method, (instance, keys) in cases.items():
-            workload = Workload.counting(instance.query)
+
+class TestReleaseRecord:
+    """A release records what its mechanisms released and its public parameters, once."""
+
+    @pytest.mark.parametrize("algorithm", RECORD_KEYS)
+    def test_diagnostics_keys_per_algorithm(self, algorithm, request):
+        if algorithm == "single_table":
+            instance = Instance.from_tuple_lists(single_table_query({"X": 3}), {"R": [(0,), (2,)]})
+        else:
+            fixture = {
+                "multi_table": "path3_instance",
+                "uniformize_hierarchical": "figure4_instance",
+            }.get(algorithm, "two_table_instance")
+            instance = request.getfixturevalue(fixture)
+        workload = Workload.counting(instance.query)
+        if algorithm in FLAWED:
+            result = FLAWED[algorithm](instance, workload, 1.0, 1e-2, seed=0, pmw_config=FAST)
+        else:
             result = release_synthetic_data(
-                instance, workload, 1.0, 1e-3, method=method, seed=0, pmw_config=FAST
+                instance, workload, 1.0, 1e-2, method=algorithm, seed=0, pmw_config=FAST
             )
-            assert result.algorithm == method
-            assert list(result.synthetic.metadata) == keys
-            assert result.synthetic.metadata["algorithm"] == method
-            assert {"noisy_total", "iterations", "epsilon_per_round"} <= set(result.diagnostics)
-        workload = Workload.counting(two_table_instance.query)
-        flawed = flawed_exact_count_release(
-            two_table_instance, workload, 1.0, 1e-3, seed=0, pmw_config=FAST
-        )
-        assert list(flawed.synthetic.metadata) == ["algorithm", "warning"]
+        keys, bucket_keys = RECORD_KEYS[algorithm]
+        assert result.algorithm == algorithm
+        assert list(result.diagnostics) == keys
+        assert not EXACT_STATISTICS & {*keys, *(bucket_keys or ())}
+        if bucket_keys is not None:
+            assert result.diagnostics["buckets"]
+            for entry in result.diagnostics["buckets"]:
+                assert list(entry) == bucket_keys
+        # The guarantee and the algorithm are the release's, not the dataset's.
+        assert [field.name for field in dataclasses.fields(result.synthetic)] == [
+            "join_query",
+            "histogram",
+        ]
 
     def test_flawed_config_keeps_caller_settings(self, two_table_instance):
         workload = Workload.counting(two_table_instance.query)

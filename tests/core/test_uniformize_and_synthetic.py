@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.hierarchical import partition_hierarchical
 from repro.core.pmw import PMWConfig
 from repro.core.result import ReleaseResult
 from repro.core.synthetic import SyntheticDataset
 from repro.core.uniformize import uniformize_release
+from repro.mechanisms.composition import basic_composition, group_privacy
 from repro.mechanisms.spec import PrivacySpec
 from repro.queries.linear import all_one_query
 from repro.queries.workload import Workload
@@ -25,14 +27,14 @@ class TestUniformizeRelease:
         # Lemma 4.1: the two-table uniformization pays exactly (ε, δ).
         assert result.privacy == PrivacySpec(1.0, 1e-3)
         assert result.algorithm == "uniformize_two_table"
-        assert result.diagnostics["num_buckets"] >= 1
+        assert len(result.diagnostics["buckets"]) >= 1
 
     def test_histogram_is_sum_of_buckets(self, two_table_instance):
         workload = Workload.counting(two_table_instance.query)
         result = uniformize_release(
             two_table_instance, workload, 1.0, 1e-3, seed=0, pmw_config=FAST
         )
-        per_bucket_totals = [entry["join_size"] for entry in result.diagnostics["buckets"]]
+        per_bucket_totals = [entry["noisy_total"] for entry in result.diagnostics["buckets"]]
         assert result.synthetic.total_mass() == pytest.approx(
             sum(per_bucket_totals), rel=1e-6
         )
@@ -49,47 +51,31 @@ class TestUniformizeRelease:
             pmw_config=FAST,
         )
         assert result.algorithm == "uniformize_hierarchical"
-        # Lemma 4.11: the reported guarantee is at least the nominal one.
-        assert result.privacy.epsilon >= 1.0
-        assert result.diagnostics["tuple_multiplicity"] >= 1
-        assert "nominal_privacy" in result.diagnostics
-
-    @pytest.mark.parametrize(
-        "fixture, method, label_key, own_keys",
-        [
-            ("two_table_instance", "two_table", "bucket", ["shared_attributes"]),
-            (
-                "figure4_instance",
-                "hierarchical",
-                "configuration",
-                ["tuple_multiplicity", "nominal_privacy", "decomposition_order"],
-            ),
-        ],
-        ids=["two_table", "hierarchical"],
-    )
-    def test_diagnostics_keys_and_order(self, request, fixture, method, label_key, own_keys):
-        # Both methods run one bucket loop; only the label key and own keys differ.
-        instance = request.getfixturevalue(fixture)
-        workload = Workload.counting(instance.query)
-        result = uniformize_release(
-            instance, workload, 1.0, 1e-2, method=method, seed=0, pmw_config=FAST
+        assert result.diagnostics["nominal_privacy"] == PrivacySpec(1.0, 1e-2)
+        # Lemma 4.11: the partition's (ε/2, δ/2) once per attribute of the
+        # widest relation (R3 and R4 hold four), composed with group privacy
+        # over the multiplicity m of the release's own partition (its first
+        # draws), which the record does not hold.
+        partition = partition_hierarchical(figure4_instance, 0.5, 5e-3, seed=0)
+        multiplicity = partition.tuple_multiplicity(figure4_instance)
+        assert multiplicity >= 1
+        half = PrivacySpec(0.5, 5e-3)
+        assert result.privacy == basic_composition(
+            [half.scaled(4), group_privacy(half, multiplicity)]
         )
-        assert list(result.diagnostics) == ["method", "lam", "num_buckets", "buckets", *own_keys]
-        assert len(result.diagnostics["buckets"]) == result.diagnostics["num_buckets"]
-        for entry in result.diagnostics["buckets"]:
-            assert list(entry) == [label_key, "join_size", "delta_tilde", "sub_instance_size"]
+        assert result.privacy.epsilon >= 1.0
 
     def test_auto_method_selection(self, two_table_instance, figure4_instance):
         workload2 = Workload.counting(two_table_instance.query)
         result2 = uniformize_release(
             two_table_instance, workload2, 1.0, 1e-3, seed=0, pmw_config=FAST
         )
-        assert result2.diagnostics["method"] == "two_table"
+        assert result2.algorithm == "uniformize_two_table"
         workload4 = Workload.counting(figure4_instance.query)
         result4 = uniformize_release(
             figure4_instance, workload4, 1.0, 1e-2, seed=0, pmw_config=FAST
         )
-        assert result4.diagnostics["method"] == "hierarchical"
+        assert result4.algorithm == "uniformize_hierarchical"
 
     def test_non_hierarchical_rejected(self, path3_instance):
         workload = Workload.counting(path3_instance.query)
@@ -120,19 +106,17 @@ class TestSyntheticDataset:
     def _make(self, query, histogram=None):
         if histogram is None:
             histogram = np.ones(query.shape)
-        return SyntheticDataset(
-            join_query=query, histogram=histogram, privacy=PrivacySpec(1.0, 1e-5)
-        )
+        return SyntheticDataset(join_query=query, histogram=histogram)
 
     def test_shape_checked(self):
         query = two_table_query(2, 2, 2)
         with pytest.raises(ValueError):
-            SyntheticDataset(query, np.ones((2, 2)), PrivacySpec(1.0, 1e-5))
+            SyntheticDataset(query, np.ones((2, 2)))
 
     def test_negative_mass_rejected(self):
         query = two_table_query(2, 2, 2)
         with pytest.raises(ValueError):
-            SyntheticDataset(query, -np.ones(query.shape), PrivacySpec(1.0, 1e-5))
+            SyntheticDataset(query, -np.ones(query.shape))
 
     def test_total_mass_and_answers(self, two_table_instance):
         query = two_table_instance.query
@@ -142,9 +126,10 @@ class TestSyntheticDataset:
         count = all_one_query(query)
         assert synthetic.answer(count) == pytest.approx(exact.sum())
         workload = Workload.counting(query)
-        release = ReleaseResult(synthetic=synthetic, privacy=synthetic.privacy, algorithm="test")
+        release = ReleaseResult(
+            synthetic=synthetic, privacy=PrivacySpec(1.0, 1e-5), algorithm="test"
+        )
         assert release.answer_workload(workload)[0] == pytest.approx(exact.sum())
-
 
 
 class TestFlatSliceAssembly:

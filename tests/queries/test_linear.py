@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from numpy.lib.array_utils import byte_bounds
 
+from repro.core.result import ReleaseResult
+from repro.core.synthetic import SyntheticDataset
+from repro.mechanisms.spec import PrivacySpec
 from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.linear import ProductQuery, TableQuery, all_one_query
 from repro.queries.workload import Workload
@@ -214,17 +217,25 @@ ANSWER_ON_INSTANCE = {
     "WorkloadEvaluator.answers_on_instance": lambda workload, instance: (
         WorkloadEvaluator(workload).answers_on_instance(instance)
     ),
+    # A release over the instance's join, its histogram the join result.
+    "ReleaseResult.answer_workload": lambda workload, instance: ReleaseResult(
+        SyntheticDataset(instance.query, join_result(instance).astype(float)),
+        PrivacySpec(1.0, 1e-5),
+        "test",
+    ).answer_workload(workload),
 }
 
 
 @pytest.mark.parametrize("caller", ANSWER_ON_INSTANCE)
 @pytest.mark.parametrize("kind", KINDS)
 def test_an_instance_over_another_join_is_rejected(kind, caller):
-    """Both per-instance answers make the same structural check.
+    """The per-instance answers and a release's answers make the same structural check.
 
     Unchecked, the last two broadcast: over ``two_table_query(4, 1, 4)`` with
     R1 = {(0, 0), (1, 0)} and R2 = {(0, 2)} (join size 2) the counting query
-    read 8.0.
+    read 8.0.  A release's answers were unchecked on the three joins with
+    the workload's |D|: a ``two_table_query(4, 4, 4)`` release answered
+    B-marginals over ``two_table_query(2, 8, 4)`` without complaint.
     """
     workload = Workload.attribute_marginals(two_table_query(4, 4, 4), "C")
     other = _join_that_differs_in(kind)

@@ -143,8 +143,8 @@ class TestEvaluator:
 
 
 def _release(query, histogram) -> ReleaseResult:
-    synthetic = SyntheticDataset(query, histogram, PrivacySpec(1.0, 1e-5))
-    return ReleaseResult(synthetic=synthetic, privacy=synthetic.privacy, algorithm="test")
+    synthetic = SyntheticDataset(query, histogram)
+    return ReleaseResult(synthetic=synthetic, privacy=PrivacySpec(1.0, 1e-5), algorithm="test")
 
 
 class TestReleaseScoring:
