@@ -92,7 +92,7 @@ def agm_section() -> None:
     print("AGM exponents (Appendix B.3 worst-case analysis)")
     table = ExperimentTable(
         title="fractional edge cover numbers",
-        columns=["query", "ρ(H)", "max_E ρ(H_E,∂E)"],
+        columns={"query": "query", "rho": "ρ(H)", "residual_exponent": "max_E ρ(H_E,∂E)"},
     )
     shapes = {
         "two-table": two_table_query(2, 2, 2),
@@ -101,7 +101,9 @@ def agm_section() -> None:
     }
     for name, query in shapes.items():
         table.add_row(
-            [name, fractional_edge_cover_number(query), worst_case_sensitivity_exponent(query)]
+            query=name,
+            rho=fractional_edge_cover_number(query),
+            residual_exponent=worst_case_sensitivity_exponent(query),
         )
     print(table)
 

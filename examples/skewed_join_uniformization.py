@@ -67,10 +67,14 @@ def main() -> None:
 
     table = ExperimentTable(
         title="Join-as-one (Algorithm 1) vs uniformized (Algorithm 4)",
-        columns=["algorithm", "measured ℓ∞ error", "theoretical bound"],
+        columns={
+            "algorithm": "algorithm",
+            "error": "measured ℓ∞ error",
+            "bound": "theoretical bound",
+        },
     )
-    table.add_row(["join-as-one (Thm 3.3)", error_one, bound_one])
-    table.add_row(["uniformized (Thm 4.4)", error_uniform, bound_uniform])
+    table.add_row(algorithm="join-as-one (Thm 3.3)", error=error_one, bound=bound_one)
+    table.add_row(algorithm="uniformized (Thm 4.4)", error=error_uniform, bound=bound_uniform)
     print(table)
 
     buckets = uniformized.diagnostics["buckets"]

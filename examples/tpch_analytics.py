@@ -39,14 +39,12 @@ def run_join(instance, workload, label: str, table: ExperimentTable) -> None:
     exact = shared_evaluator(workload).answers_on_instance(instance)
     laplace_error = float(np.max(np.abs(laplace.answers - exact)))
     table.add_row(
-        [
-            label,
-            instance.total_size(),
-            join_size(instance),
-            len(workload),
-            synthetic_error,
-            laplace_error,
-        ]
+        join=label,
+        n=instance.total_size(),
+        join_size=join_size(instance),
+        num_queries=len(workload),
+        synthetic_error=synthetic_error,
+        laplace_error=laplace_error,
     )
 
 
@@ -54,7 +52,14 @@ def main() -> None:
     data = generate_tpch(scale=1.0, seed=3)
     table = ExperimentTable(
         title=f"TPC-H-style joins under ({EPSILON}, {DELTA})-DP (ℓ∞ error)",
-        columns=["join", "n", "OUT", "|Q|", "synthetic release", "per-query Laplace"],
+        columns={
+            "join": "join",
+            "n": "n",
+            "join_size": "OUT",
+            "num_queries": "|Q|",
+            "synthetic_error": "synthetic release",
+            "laplace_error": "per-query Laplace",
+        },
     )
 
     # Customer ⋈ Orders: marginals on market segment and order priority.

@@ -48,14 +48,18 @@ def theorem_33_error(
     epsilon: float,
     delta: float,
 ) -> float:
-    """Theorem 3.3 upper bound (two tables).
+    """Theorem 3.3 upper bound (two tables): Theorem 1.5's with ``RS = Δ + λ``.
 
     ``α = O((sqrt(count·(Δ+λ)) + (Δ+λ)·sqrt(λ)) · f_upper)``.
     """
-    lam_value = default_lambda(epsilon, delta)
-    bulk = sqrt(max(join_size, 0.0) * (local_sensitivity + lam_value))
-    tail = (local_sensitivity + lam_value) * sqrt(lam_value)
-    return (bulk + tail) * f_upper(domain_size, num_queries, epsilon, delta)
+    return theorem_15_error(
+        join_size,
+        local_sensitivity + default_lambda(epsilon, delta),
+        domain_size,
+        num_queries,
+        epsilon,
+        delta,
+    )
 
 
 def theorem_15_error(
@@ -117,14 +121,15 @@ def theorem_45_lower_bound(
     epsilon: float,
     delta: float,
 ) -> float:
-    """Theorem 4.5 lower bound: ``Ω(max_i min(OUT_i, sqrt(OUT_i·2^i·λ)·f_lower))``."""
+    """Theorem 4.5 lower bound: ``Ω(max_i min(OUT_i, sqrt(OUT_i·2^i·λ)·f_lower))``.
+
+    The maximum over buckets of Theorem 3.5's bound with ``Δ = 2^i·λ``.
+    """
     lam_value = default_lambda(epsilon, delta)
-    best = 0.0
-    for index, size in enumerate(bucket_join_sizes):
-        size = max(size, 0.0)
-        candidate = min(
-            size,
-            sqrt(size * (2 ** (index + 1)) * lam_value) * f_lower(domain_size, epsilon),
-        )
-        best = max(best, candidate)
-    return best
+    return max(
+        (
+            theorem_35_lower_bound(size, 2 ** (index + 1) * lam_value, domain_size, epsilon)
+            for index, size in enumerate(bucket_join_sizes)
+        ),
+        default=0.0,
+    )

@@ -21,7 +21,6 @@ from repro.core.multi_table import default_beta, noisy_residual_sensitivity
 from repro.core.two_table import noisy_local_sensitivity
 from repro.mechanisms.laplace import sample_laplace
 from repro.mechanisms.rng import resolve_rng
-from repro.mechanisms.spec import PrivacySpec
 from repro.queries.evaluation import shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
@@ -34,7 +33,6 @@ class IndependentLaplaceResult:
     answers: np.ndarray
     sensitivity_bound: float
     per_query_epsilon: float
-    privacy: PrivacySpec
 
 
 def independent_laplace_answers(
@@ -69,5 +67,4 @@ def independent_laplace_answers(
         answers=true_answers + noise,
         sensitivity_bound=float(sensitivity_bound),
         per_query_epsilon=per_query_epsilon,
-        privacy=PrivacySpec(epsilon, delta),
     )

@@ -344,7 +344,10 @@ def private_multiplicative_weights(
         # round sends only the support delta and the renormalisation scale,
         # and the averaged iterates accumulate inside the session.
         true_answers = evaluator.answers_on_instance(instance)
-        session = evaluator.histogram_session(np.full(domain_size, noisy_total / domain_size))
+        # The session copies its start, so a broadcast view costs no |D|-sized array.
+        session = evaluator.histogram_session(
+            np.broadcast_to(noisy_total / domain_size, domain_size)
+        )
         selected: list[int] = []
         current_answers = None
 

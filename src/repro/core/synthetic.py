@@ -60,7 +60,8 @@ class SyntheticDataset:
     join_query:
         The join query whose joint domain the histogram lives on.
     histogram:
-        Non-negative array with one axis per query attribute.
+        Non-negative array with one axis per query attribute; a float64
+        array is kept as given, not copied.
     """
 
     join_query: JoinQuery
@@ -73,9 +74,9 @@ class SyntheticDataset:
                 f"histogram shape {histogram.shape} does not match joint domain shape "
                 f"{self.join_query.shape}"
             )
-        if np.any(histogram < -1e-9):
+        if np.any(histogram < 0):
             raise ValueError("synthetic histogram must be non-negative")
-        self.histogram = np.clip(histogram, 0.0, None)
+        self.histogram = histogram
 
     # ------------------------------------------------------------------ #
     # query answering

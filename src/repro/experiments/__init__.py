@@ -3,11 +3,15 @@
 Every experiment (``E1 ... E14``) lives in its own module, whose
 docstring names the paper artefact it reproduces.  It runs at one size, set
 by the module's constants, and its ``run(*, seed=0)`` returns a dictionary
-that always contains a ``"table"`` entry (an
-:class:`repro.analysis.reporting.ExperimentTable`) plus experiment-specific
-raw values.  ``tests/experiments/test_claims.py`` asserts the paper's claims
-on those values at seeds 0, 1 and 2, and the CLI (``python -m repro.cli run
-eN --seed S``) prints the table of the same run.
+whose ``"table"`` entry (an
+:class:`repro.analysis.reporting.ExperimentTable`) is the run's one record:
+each row holds raw values under the table's column keys.  E8 and E14 record
+one value per quantity, so they return those values as ``"values"`` and
+print them as a quantity/value table.  Any other entry is a value a claim
+reads that the table does not hold (E1's ε and δ, E3's n, E14's budget).
+``tests/experiments/test_claims.py`` asserts the paper's claims on those
+values at seeds 0, 1 and 2, and the CLI (``python -m repro.cli run eN --seed
+S``) prints the table of the same run.
 With ``--telemetry`` the CLI traces each run as an ``experiment.<id>`` span
 and prints the snapshot itself, so a runner returns the same dictionary
 with telemetry on or off.

@@ -71,16 +71,15 @@ def run(*, seed: int = 0) -> dict:
     threshold = N / 3.0
     table = ExperimentTable(
         title=f"E1: P[mass(D') > n/3] on I (join size {N}) vs I' (join size 0)",
-        columns=[
-            "algorithm",
-            "mean mass I",
-            "mean mass I'",
-            "P[event | I]",
-            "P[event | I']",
-            "gap",
-        ],
+        columns={
+            "algorithm": "algorithm",
+            "mean_mass_instance": "mean mass I",
+            "mean_mass_neighbor": "mean mass I'",
+            "event_probability_instance": "P[event | I]",
+            "event_probability_neighbor": "P[event | I']",
+            "gap": "gap",
+        },
     )
-    results: dict[str, dict[str, float]] = {}
     for name, algorithm in algorithms.items():
         masses_i = []
         masses_neighbor = []
@@ -91,28 +90,12 @@ def run(*, seed: int = 0) -> dict:
             )
         prob_i = float(np.mean([mass > threshold for mass in masses_i]))
         prob_neighbor = float(np.mean([mass > threshold for mass in masses_neighbor]))
-        results[name] = {
-            "mean_mass_instance": float(np.mean(masses_i)),
-            "mean_mass_neighbor": float(np.mean(masses_neighbor)),
-            "event_probability_instance": prob_i,
-            "event_probability_neighbor": prob_neighbor,
-            "gap": prob_i - prob_neighbor,
-        }
         table.add_row(
-            [
-                name,
-                np.mean(masses_i),
-                np.mean(masses_neighbor),
-                prob_i,
-                prob_neighbor,
-                prob_i - prob_neighbor,
-            ]
+            algorithm=name,
+            mean_mass_instance=float(np.mean(masses_i)),
+            mean_mass_neighbor=float(np.mean(masses_neighbor)),
+            event_probability_instance=prob_i,
+            event_probability_neighbor=prob_neighbor,
+            gap=prob_i - prob_neighbor,
         )
-    return {
-        "table": table,
-        "n": N,
-        "epsilon": EPSILON,
-        "delta": DELTA,
-        "trials": TRIALS,
-        "results": results,
-    }
+    return {"table": table, "epsilon": EPSILON, "delta": DELTA}

@@ -39,9 +39,16 @@ def run(*, seed: int = 0) -> dict:
     pmw_config = PMWConfig(max_iterations=20)
     table = ExperimentTable(
         title="E2: two-table error vs Theorem 3.3 prediction",
-        columns=["sweep", "n", "OUT", "Δ", "measured ℓ∞", "predicted", "ratio"],
+        columns={
+            "sweep": "sweep",
+            "n": "n",
+            "join_size": "OUT",
+            "local_sensitivity": "Δ",
+            "measured": "measured ℓ∞",
+            "predicted": "predicted",
+            "ratio": "ratio",
+        },
     )
-    rows: list[dict] = []
 
     def measure(instance, sweep_label: str) -> None:
         workload = Workload.random_sign(instance.query, NUM_QUERIES, rng=rng)
@@ -62,27 +69,18 @@ def run(*, seed: int = 0) -> dict:
             DELTA,
         )
         measured = float(np.median(errors))
-        row = {
-            "sweep": sweep_label,
-            "n": instance.total_size(),
-            "join_size": out,
-            "local_sensitivity": delta_ls,
-            "measured": measured,
-            "predicted": predicted,
-            "ratio": measured / predicted if predicted > 0 else float("inf"),
-        }
-        rows.append(row)
         table.add_row(
-            [sweep_label, row["n"], out, delta_ls, measured, predicted, row["ratio"]]
+            sweep=sweep_label,
+            n=instance.total_size(),
+            join_size=out,
+            local_sensitivity=delta_ls,
+            measured=measured,
+            predicted=predicted,
+            ratio=measured / predicted if predicted > 0 else float("inf"),
         )
 
     for num_values in NUM_VALUES_SWEEP:
         measure(uniform_two_table(num_values, BASE_DEGREE), f"OUT sweep (deg={BASE_DEGREE})")
     for degree in DEGREE_SWEEP:
         measure(uniform_two_table(BASE_NUM_VALUES, degree), f"Δ sweep (values={BASE_NUM_VALUES})")
-    return {
-        "table": table,
-        "rows": rows,
-        "epsilon": EPSILON,
-        "delta": DELTA,
-    }
+    return {"table": table}

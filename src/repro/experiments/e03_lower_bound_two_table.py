@@ -40,59 +40,40 @@ def run(*, seed: int = 0) -> dict:
     pmw_config = PMWConfig(max_iterations=16)
     table = ExperimentTable(
         title="E3: lifted hard instance — measured error vs √(OUT·Δ)·f_lower",
-        columns=[
-            "Δ",
-            "OUT",
-            "LS(I)",
-            "lifted ℓ∞",
-            "recovered ℓ∞",
-            "lower bound",
-            "upper bound",
-        ],
+        columns={
+            "delta": "Δ",
+            "join_size": "OUT",
+            "local_sensitivity": "LS(I)",
+            "lifted_error": "lifted ℓ∞",
+            "recovered_error": "recovered ℓ∞",
+            "lower_bound": "lower bound",
+            "upper_bound": "upper bound",
+        },
     )
-    rows: list[dict] = []
     for amplification in DELTA_SWEEP:
         hard = two_table_hard_instance(source, amplification)
         instance, workload = hard.instance, hard.workload
         result = two_table_release(
             instance, workload, EPSILON, DELTA, rng=rng, pmw_config=pmw_config
         )
-        lifted_error = result.max_error(instance, workload)
         recovered = recover_single_table_answers(hard, result.answer_workload(workload))
-        recovered_error = float(
-            np.max(np.abs(recovered - source.true_answers()))
-        )
         measured_ls = local_sensitivity(instance)
-        lower = theorem_35_lower_bound(
-            hard.join_size, amplification, instance.query.joint_domain_size, EPSILON
-        )
-        upper = theorem_33_error(
-            hard.join_size,
-            measured_ls,
-            instance.query.joint_domain_size,
-            len(workload),
-            EPSILON,
-            DELTA,
-        )
-        row = {
-            "delta": amplification,
-            "join_size": hard.join_size,
-            "local_sensitivity": measured_ls,
-            "lifted_error": lifted_error,
-            "recovered_error": recovered_error,
-            "lower_bound": lower,
-            "upper_bound": upper,
-        }
-        rows.append(row)
         table.add_row(
-            [
-                amplification,
+            delta=amplification,
+            join_size=hard.join_size,
+            local_sensitivity=measured_ls,
+            lifted_error=result.max_error(instance, workload),
+            recovered_error=float(np.max(np.abs(recovered - source.true_answers()))),
+            lower_bound=theorem_35_lower_bound(
+                hard.join_size, amplification, instance.query.joint_domain_size, EPSILON
+            ),
+            upper_bound=theorem_33_error(
                 hard.join_size,
                 measured_ls,
-                lifted_error,
-                recovered_error,
-                lower,
-                upper,
-            ]
+                instance.query.joint_domain_size,
+                len(workload),
+                EPSILON,
+                DELTA,
+            ),
         )
-    return {"table": table, "rows": rows, "n": N, "epsilon": EPSILON, "delta": DELTA}
+    return {"table": table, "n": N}

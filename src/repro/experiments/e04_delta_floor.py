@@ -35,9 +35,14 @@ def run(*, seed: int = 0) -> dict:
     lam_value = default_lambda(EPSILON, DELTA)
     table = ExperimentTable(
         title="E4: counting-query error vs local sensitivity Δ (Ω(Δ) floor)",
-        columns=["Δ", "OUT", "median |count error|", "error / Δ", "error / (Δ·λ)"],
+        columns={
+            "delta_ls": "Δ",
+            "join_size": "OUT",
+            "count_error": "median |count error|",
+            "error_over_delta": "error / Δ",
+            "error_over_delta_lambda": "error / (Δ·λ)",
+        },
     )
-    rows: list[dict] = []
     for degree in DEGREE_SWEEP:
         instance = uniform_two_table(NUM_VALUES, degree)
         workload = Workload.counting(instance.query)
@@ -51,21 +56,11 @@ def run(*, seed: int = 0) -> dict:
             errors.append(abs(released_count - true_count))
         measured_ls = local_sensitivity(instance)
         median_error = float(np.median(errors))
-        row = {
-            "delta_ls": measured_ls,
-            "join_size": true_count,
-            "count_error": median_error,
-            "error_over_delta": median_error / max(measured_ls, 1),
-            "error_over_delta_lambda": median_error / (max(measured_ls, 1) * lam_value),
-        }
-        rows.append(row)
         table.add_row(
-            [
-                measured_ls,
-                true_count,
-                median_error,
-                row["error_over_delta"],
-                row["error_over_delta_lambda"],
-            ]
+            delta_ls=measured_ls,
+            join_size=true_count,
+            count_error=median_error,
+            error_over_delta=median_error / max(measured_ls, 1),
+            error_over_delta_lambda=median_error / (max(measured_ls, 1) * lam_value),
         )
-    return {"table": table, "rows": rows, "lam": lam_value, "epsilon": EPSILON, "delta": DELTA}
+    return {"table": table}

@@ -32,9 +32,16 @@ def run(*, seed: int = 0) -> dict:
     pmw_config = PMWConfig(max_iterations=20)
     table = ExperimentTable(
         title="E5: 3-table chain — measured error vs Theorem 1.5 prediction",
-        columns=["scale", "n", "OUT", "RS^β", "measured ℓ∞", "predicted", "ratio"],
+        columns={
+            "scale": "scale",
+            "n": "n",
+            "join_size": "OUT",
+            "residual_sensitivity": "RS^β",
+            "measured": "measured ℓ∞",
+            "predicted": "predicted",
+            "ratio": "ratio",
+        },
     )
-    rows: list[dict] = []
     beta = default_beta(EPSILON, DELTA)
     for scale in SCALE_SWEEP:
         data = generate_tpch(scale, seed=seed + int(scale * 1000))
@@ -57,17 +64,13 @@ def run(*, seed: int = 0) -> dict:
             DELTA,
         )
         measured = float(np.median(errors))
-        row = {
-            "scale": scale,
-            "n": instance.total_size(),
-            "join_size": out,
-            "residual_sensitivity": rs_value,
-            "measured": measured,
-            "predicted": predicted,
-            "ratio": measured / predicted if predicted > 0 else float("inf"),
-        }
-        rows.append(row)
         table.add_row(
-            [scale, row["n"], out, rs_value, measured, predicted, row["ratio"]]
+            scale=scale,
+            n=instance.total_size(),
+            join_size=out,
+            residual_sensitivity=rs_value,
+            measured=measured,
+            predicted=predicted,
+            ratio=measured / predicted if predicted > 0 else float("inf"),
         )
-    return {"table": table, "rows": rows, "beta": beta, "epsilon": EPSILON, "delta": DELTA}
+    return {"table": table}

@@ -56,17 +56,16 @@ def run(*, seed: int = 0) -> dict:
     lam_value = default_lambda(EPSILON, DELTA)
     table = ExperimentTable(
         title="E6: Figure 3 instance — join-as-one vs uniformized",
-        columns=[
-            "n",
-            "OUT",
-            "Δ",
-            "join-as-one ℓ∞",
-            "uniformized ℓ∞",
-            "thm 3.3 bound",
-            "thm 4.4 bound",
-        ],
+        columns={
+            "n": "n",
+            "join_size": "OUT",
+            "local_sensitivity": "Δ",
+            "join_as_one": "join-as-one ℓ∞",
+            "uniformized": "uniformized ℓ∞",
+            "bound_33": "thm 3.3 bound",
+            "bound_44": "thm 4.4 bound",
+        },
     )
-    rows: list[dict] = []
     for n in N_SWEEP:
         instance = figure3_instance(n)
         workload = Workload.random_sign(instance.query, NUM_QUERIES, rng=rng)
@@ -93,30 +92,22 @@ def run(*, seed: int = 0) -> dict:
 
         out = join_size(instance)
         delta_ls = local_sensitivity(instance)
-        join_as_one = median_error("two_table")
-        uniformized = median_error("uniformize")
-        bound_33 = theorem_33_error(
-            out, delta_ls, instance.query.joint_domain_size, len(workload), EPSILON, DELTA
-        )
-        bound_44 = theorem_44_error(
-            uniform_bucket_join_sizes(instance, lam_value),
-            delta_ls,
-            instance.query.joint_domain_size,
-            len(workload),
-            EPSILON,
-            DELTA,
-        )
-        row = {
-            "n": instance.total_size(),
-            "join_size": out,
-            "local_sensitivity": delta_ls,
-            "join_as_one": join_as_one,
-            "uniformized": uniformized,
-            "bound_33": bound_33,
-            "bound_44": bound_44,
-        }
-        rows.append(row)
         table.add_row(
-            [row["n"], out, delta_ls, join_as_one, uniformized, bound_33, bound_44]
+            n=instance.total_size(),
+            join_size=out,
+            local_sensitivity=delta_ls,
+            join_as_one=median_error("two_table"),
+            uniformized=median_error("uniformize"),
+            bound_33=theorem_33_error(
+                out, delta_ls, instance.query.joint_domain_size, len(workload), EPSILON, DELTA
+            ),
+            bound_44=theorem_44_error(
+                uniform_bucket_join_sizes(instance, lam_value),
+                delta_ls,
+                instance.query.joint_domain_size,
+                len(workload),
+                EPSILON,
+                DELTA,
+            ),
         )
-    return {"table": table, "rows": rows, "epsilon": EPSILON, "delta": DELTA}
+    return {"table": table}

@@ -38,18 +38,17 @@ def run(*, seed: int = 0) -> dict:
     lam_value = default_lambda(EPSILON, DELTA)
     table = ExperimentTable(
         title="E7: Example 4.2 — measured and theoretical gap vs k^(1/3)",
-        columns=[
-            "k",
-            "n",
-            "OUT",
-            "Δ",
-            "join-as-one ℓ∞",
-            "uniformized ℓ∞",
-            "theory ratio",
-            "k^(1/3)",
-        ],
+        columns={
+            "k": "k",
+            "n": "n",
+            "join_size": "OUT",
+            "local_sensitivity": "Δ",
+            "join_as_one": "join-as-one ℓ∞",
+            "uniformized": "uniformized ℓ∞",
+            "theory_ratio": "theory ratio",
+            "k_power_one_third": "k^(1/3)",
+        },
     )
-    rows: list[dict] = []
     for k in K_SWEEP:
         instance = example42_instance(k)
         workload = Workload.random_sign(instance.query, NUM_QUERIES, rng=rng)
@@ -87,32 +86,14 @@ def run(*, seed: int = 0) -> dict:
             EPSILON,
             DELTA,
         )
-        measured_one = median_error(False)
-        measured_uniform = median_error(True)
-        theory_ratio = bound_33 / bound_44 if bound_44 > 0 else float("inf")
-        row = {
-            "k": k,
-            "n": instance.total_size(),
-            "join_size": out,
-            "local_sensitivity": delta_ls,
-            "join_as_one": measured_one,
-            "uniformized": measured_uniform,
-            "bound_33": bound_33,
-            "bound_44": bound_44,
-            "theory_ratio": theory_ratio,
-            "k_power_one_third": k ** (1.0 / 3.0),
-        }
-        rows.append(row)
         table.add_row(
-            [
-                k,
-                row["n"],
-                out,
-                delta_ls,
-                measured_one,
-                measured_uniform,
-                theory_ratio,
-                row["k_power_one_third"],
-            ]
+            k=k,
+            n=instance.total_size(),
+            join_size=out,
+            local_sensitivity=delta_ls,
+            join_as_one=median_error(False),
+            uniformized=median_error(True),
+            theory_ratio=bound_33 / bound_44 if bound_44 > 0 else float("inf"),
+            k_power_one_third=k ** (1.0 / 3.0),
         )
-    return {"table": table, "rows": rows, "epsilon": EPSILON, "delta": DELTA}
+    return {"table": table}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.reporting import ExperimentTable
+from repro.analysis.reporting import quantity_table
 from repro.core.hierarchical import partition_hierarchical
 from repro.core.multi_table import default_beta, multi_table_release
 from repro.core.pmw import PMWConfig
@@ -33,6 +33,19 @@ DOMAIN_SIZE = 3
 NUM_QUERIES = 10
 EPSILON = 1.0
 DELTA = 1e-2
+
+# The printed name of each value ``run`` records, in table order.
+LABELS = {
+    "is_hierarchical": "is hierarchical",
+    "input_size": "input size n",
+    "join_size": "join size",
+    "num_buckets": "partition buckets",
+    "tuple_multiplicity": "tuple multiplicity (Lemma 4.10)",
+    "exact_rs": "exact RS^β",
+    "configuration_rs": "configuration RS^σ bound (Thm C.2)",
+    "error_multi_table": "MultiTable (Alg 3) ℓ∞ error",
+    "error_uniformized": "Uniformize (Alg 4) ℓ∞ error",
+}
 
 
 def figure4_skewed_instance(
@@ -108,33 +121,20 @@ def run(*, seed: int = 0) -> dict:
             )
         return result.max_error(instance, workload)
 
-    error_multi = release_error("multi_table")
-    error_uniform = release_error("uniformize")
-
-    table = ExperimentTable(
-        title="E8: Figure 4 hierarchical query — partition structure and release errors",
-        columns=["quantity", "value"],
-    )
-    table.add_row(["is hierarchical", query.is_hierarchical()])
-    table.add_row(["input size n", instance.total_size()])
-    table.add_row(["join size", join_size(instance)])
-    table.add_row(["partition buckets", partition.num_buckets])
-    table.add_row(["tuple multiplicity (Lemma 4.10)", multiplicity])
-    table.add_row(["exact RS^β", exact_rs])
-    table.add_row(["configuration RS^σ bound (Thm C.2)", config_rs])
-    table.add_row(["MultiTable (Alg 3) ℓ∞ error", error_multi])
-    table.add_row(["Uniformize (Alg 4) ℓ∞ error", error_uniform])
-
-    return {
-        "table": table,
+    values = {
+        "is_hierarchical": query.is_hierarchical(),
+        "input_size": instance.total_size(),
+        "join_size": join_size(instance),
         "num_buckets": partition.num_buckets,
         "tuple_multiplicity": multiplicity,
         "exact_rs": exact_rs,
         "configuration_rs": config_rs,
-        "error_multi_table": error_multi,
-        "error_uniformized": error_uniform,
-        "input_size": instance.total_size(),
-        "join_size": join_size(instance),
-        "epsilon": EPSILON,
-        "delta": DELTA,
+        "error_multi_table": release_error("multi_table"),
+        "error_uniformized": release_error("uniformize"),
     }
+    table = quantity_table(
+        "E8: Figure 4 hierarchical query — partition structure and release errors",
+        LABELS,
+        values,
+    )
+    return {"table": table, "values": values}

@@ -53,17 +53,16 @@ def run(*, seed: int = 0) -> dict:
     beta = default_beta(EPSILON, DELTA)
     table = ExperimentTable(
         title="E9: AGM exponents and measured join size / residual sensitivity",
-        columns=[
-            "query",
-            "ρ(H)",
-            "max_E ρ(H_E)",
-            "AGM bound",
-            "measured OUT",
-            "measured RS",
-            "worst-case error shape",
-        ],
+        columns={
+            "query": "query",
+            "rho": "ρ(H)",
+            "residual_exponent": "max_E ρ(H_E)",
+            "agm_bound": "AGM bound",
+            "measured_out": "measured OUT",
+            "measured_rs": "measured RS",
+            "worst_case_error_shape": "worst-case error shape",
+        },
     )
-    rows: list[dict] = []
     for name, query in _standard_queries(DOMAIN_SIZE).items():
         rho = fractional_edge_cover_number(query)
         residual_exponent = worst_case_sensitivity_exponent(query)
@@ -76,22 +75,13 @@ def run(*, seed: int = 0) -> dict:
             out_values.append(join_size(instance))
             rs_values.append(residual_sensitivity(instance, beta))
         n = int(np.median(n_values))
-        measured_out = float(np.median(out_values))
-        measured_rs = float(np.median(rs_values))
-        agm = agm_bound(query, n)
-        error_shape = worst_case_error_bound(query, n)
-        row = {
-            "query": name,
-            "rho": rho,
-            "residual_exponent": residual_exponent,
-            "n": n,
-            "agm_bound": agm,
-            "measured_out": measured_out,
-            "measured_rs": measured_rs,
-            "worst_case_error_shape": error_shape,
-        }
-        rows.append(row)
         table.add_row(
-            [name, rho, residual_exponent, agm, measured_out, measured_rs, error_shape]
+            query=name,
+            rho=rho,
+            residual_exponent=residual_exponent,
+            agm_bound=agm_bound(query, n),
+            measured_out=float(np.median(out_values)),
+            measured_rs=float(np.median(rs_values)),
+            worst_case_error_shape=worst_case_error_bound(query, n),
         )
-    return {"table": table, "rows": rows, "beta": beta, "epsilon": EPSILON, "delta": DELTA}
+    return {"table": table}

@@ -37,9 +37,15 @@ def run(*, seed: int = 0) -> dict:
     lam_value = default_lambda(EPSILON, DELTA)
     table = ExperimentTable(
         title="E10: conforming instances — measured error vs Theorem 4.5 / 4.4 bounds",
-        columns=["OUT vector", "n", "Δ", "measured ℓ∞", "lower bound", "upper bound"],
+        columns={
+            "out_vector": "OUT vector",
+            "n": "n",
+            "local_sensitivity": "Δ",
+            "measured": "measured ℓ∞",
+            "lower_bound": "lower bound",
+            "upper_bound": "upper bound",
+        },
     )
-    rows: list[dict] = []
     for out_vector in OUT_VECTORS:
         conforming = conforming_two_table_instance(out_vector, lam_value)
         instance = conforming.instance
@@ -56,35 +62,27 @@ def run(*, seed: int = 0) -> dict:
                 pmw_config=pmw_config,
             )
             errors.append(result.max_error(instance, workload))
-        measured = float(np.median(errors))
         max_bucket = max(conforming.bucket_join_sizes)
         bucket_sizes = [
             float(conforming.bucket_join_sizes.get(index, 0))
             for index in range(1, max_bucket + 1)
         ]
-        lower = theorem_45_lower_bound(
-            bucket_sizes, instance.query.joint_domain_size, EPSILON, DELTA
-        )
         delta_ls = local_sensitivity(instance)
-        upper = theorem_44_error(
-            bucket_sizes,
-            delta_ls,
-            instance.query.joint_domain_size,
-            len(workload),
-            EPSILON,
-            DELTA,
-        )
-        row = {
-            "out_vector": dict(out_vector),
-            "realized_bucket_sizes": conforming.bucket_join_sizes,
-            "n": instance.total_size(),
-            "local_sensitivity": delta_ls,
-            "measured": measured,
-            "lower_bound": lower,
-            "upper_bound": upper,
-        }
-        rows.append(row)
         table.add_row(
-            [str(out_vector), row["n"], delta_ls, measured, lower, upper]
+            out_vector=dict(out_vector),
+            n=instance.total_size(),
+            local_sensitivity=delta_ls,
+            measured=float(np.median(errors)),
+            lower_bound=theorem_45_lower_bound(
+                bucket_sizes, instance.query.joint_domain_size, EPSILON, DELTA
+            ),
+            upper_bound=theorem_44_error(
+                bucket_sizes,
+                delta_ls,
+                instance.query.joint_domain_size,
+                len(workload),
+                EPSILON,
+                DELTA,
+            ),
         )
-    return {"table": table, "rows": rows, "lam": lam_value, "epsilon": EPSILON, "delta": DELTA}
+    return {"table": table}

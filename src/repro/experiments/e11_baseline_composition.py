@@ -37,9 +37,13 @@ def run(*, seed: int = 0) -> dict:
     pmw_config = PMWConfig(max_iterations=24)
     table = ExperimentTable(
         title="E11: error vs workload size — synthetic release vs per-query Laplace",
-        columns=["|Q|", "synthetic ℓ∞", "per-query Laplace ℓ∞", "laplace / synthetic"],
+        columns={
+            "workload_size": "|Q|",
+            "synthetic_error": "synthetic ℓ∞",
+            "laplace_error": "per-query Laplace ℓ∞",
+            "ratio": "laplace / synthetic",
+        },
     )
-    rows: list[dict] = []
     for size in WORKLOAD_SIZES:
         workload = Workload.random_sign(instance.query, size, rng=rng)
         true_answers = shared_evaluator(workload).answers_on_instance(instance)
@@ -56,18 +60,10 @@ def run(*, seed: int = 0) -> dict:
             laplace_errors.append(float(np.max(np.abs(baseline.answers - true_answers))))
         synthetic_error = float(np.median(synthetic_errors))
         laplace_error = float(np.median(laplace_errors))
-        row = {
-            "workload_size": len(workload),
-            "synthetic_error": synthetic_error,
-            "laplace_error": laplace_error,
-            "ratio": laplace_error / synthetic_error if synthetic_error > 0 else float("inf"),
-        }
-        rows.append(row)
-        table.add_row([len(workload), synthetic_error, laplace_error, row["ratio"]])
-    return {
-        "table": table,
-        "rows": rows,
-        "instance_size": instance.total_size(),
-        "epsilon": EPSILON,
-        "delta": DELTA,
-    }
+        table.add_row(
+            workload_size=len(workload),
+            synthetic_error=synthetic_error,
+            laplace_error=laplace_error,
+            ratio=laplace_error / synthetic_error if synthetic_error > 0 else float("inf"),
+        )
+    return {"table": table}

@@ -40,18 +40,37 @@ def run(*, seed: int = 0) -> dict:
     pmw_config = PMWConfig(max_iterations=24)
     table = ExperimentTable(
         title="E12: TPC-H-style releases",
-        columns=[
-            "join",
-            "scale",
-            "n",
-            "OUT",
-            "|Q|",
-            "ℓ∞ error",
-            "relative error",
-            "runtime (s)",
-        ],
+        columns={
+            "join": "join",
+            "scale": "scale",
+            "n": "n",
+            "join_size": "OUT",
+            "num_queries": "|Q|",
+            "error": "ℓ∞ error",
+            "relative_error": "relative error",
+            "runtime": "runtime (s)",
+        },
     )
-    rows: list[dict] = []
+
+    def measure(join: str, scale: float, instance, workload, release) -> None:
+        # Build the evaluator's stacks before the timer: runtime is the release alone.
+        shared_evaluator(workload).answers_on_instance(instance)
+        start = time.perf_counter()
+        result = release(instance, workload, EPSILON, DELTA, rng=rng, pmw_config=pmw_config)
+        runtime = time.perf_counter() - start
+        error = result.max_error(instance, workload)
+        out = join_size(instance)
+        table.add_row(
+            join=join,
+            scale=scale,
+            n=instance.total_size(),
+            join_size=out,
+            num_queries=len(workload),
+            error=error,
+            relative_error=error / max(out, 1),
+            runtime=runtime,
+        )
+
     for scale in SCALE_SWEEP:
         data = generate_tpch(scale, seed=seed + int(scale * 100))
 
@@ -62,75 +81,12 @@ def run(*, seed: int = 0) -> dict:
                 instance.query, "priority", include_counting=False
             ).queries
         )
-        # Build the evaluator's stacks before the timer: runtime is the release alone.
-        shared_evaluator(workload).answers_on_instance(instance)
-        start = time.perf_counter()
-        release = two_table_release(
-            instance, workload, EPSILON, DELTA, rng=rng, pmw_config=pmw_config
-        )
-        runtime = time.perf_counter() - start
-        error = release.max_error(instance, workload)
-        out = join_size(instance)
-        rows.append(
-            {
-                "join": "customer-orders",
-                "scale": scale,
-                "n": instance.total_size(),
-                "join_size": out,
-                "num_queries": len(workload),
-                "error": error,
-                "relative_error": error / max(out, 1),
-                "runtime": runtime,
-            }
-        )
-        table.add_row(
-            [
-                "Customer⋈Orders",
-                scale,
-                instance.total_size(),
-                out,
-                len(workload),
-                error,
-                error / max(out, 1),
-                runtime,
-            ]
-        )
+        measure("Customer⋈Orders", scale, instance, workload, two_table_release)
 
         # Nation ⋈ Customer ⋈ Orders with random predicate queries.
-        instance3 = data.nation_customer_orders
-        workload3 = Workload.random_predicates(
-            instance3.query, NUM_PREDICATE_QUERIES, selectivity=0.4, rng=rng
+        instance = data.nation_customer_orders
+        workload = Workload.random_predicates(
+            instance.query, NUM_PREDICATE_QUERIES, selectivity=0.4, rng=rng
         )
-        shared_evaluator(workload3).answers_on_instance(instance3)
-        start = time.perf_counter()
-        release3 = multi_table_release(
-            instance3, workload3, EPSILON, DELTA, rng=rng, pmw_config=pmw_config
-        )
-        runtime3 = time.perf_counter() - start
-        error3 = release3.max_error(instance3, workload3)
-        out3 = join_size(instance3)
-        rows.append(
-            {
-                "join": "nation-customer-orders",
-                "scale": scale,
-                "n": instance3.total_size(),
-                "join_size": out3,
-                "num_queries": len(workload3),
-                "error": error3,
-                "relative_error": error3 / max(out3, 1),
-                "runtime": runtime3,
-            }
-        )
-        table.add_row(
-            [
-                "Nation⋈Cust⋈Orders",
-                scale,
-                instance3.total_size(),
-                out3,
-                len(workload3),
-                error3,
-                error3 / max(out3, 1),
-                runtime3,
-            ]
-        )
-    return {"table": table, "rows": rows, "epsilon": EPSILON, "delta": DELTA}
+        measure("Nation⋈Cust⋈Orders", scale, instance, workload, multi_table_release)
+    return {"table": table}

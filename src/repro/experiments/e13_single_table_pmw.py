@@ -36,9 +36,13 @@ def run(*, seed: int = 0) -> dict:
     pmw_config = PMWConfig(max_iterations=30)
     table = ExperimentTable(
         title="E13: single-table PMW — error vs √n·f_upper",
-        columns=["n", "measured ℓ∞", "√n·f_upper", "ratio"],
+        columns={
+            "n": "n",
+            "measured": "measured ℓ∞",
+            "predicted": "√n·f_upper",
+            "ratio": "ratio",
+        },
     )
-    rows: list[dict] = []
     for n in N_SWEEP:
         instance = random_instance(query, n, rng=rng)
         workload = Workload.random_sign(query, NUM_QUERIES, rng=rng)
@@ -58,12 +62,10 @@ def run(*, seed: int = 0) -> dict:
         predicted = sqrt(n) * f_upper(
             query.joint_domain_size, len(workload), EPSILON, DELTA
         )
-        row = {
-            "n": instance.total_size(),
-            "measured": measured,
-            "predicted": predicted,
-            "ratio": measured / predicted if predicted > 0 else float("inf"),
-        }
-        rows.append(row)
-        table.add_row([row["n"], measured, predicted, row["ratio"]])
-    return {"table": table, "rows": rows, "epsilon": EPSILON, "delta": DELTA}
+        table.add_row(
+            n=instance.total_size(),
+            measured=measured,
+            predicted=predicted,
+            ratio=measured / predicted if predicted > 0 else float("inf"),
+        )
+    return {"table": table}

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.reporting import ExperimentTable
+from repro.analysis.reporting import quantity_table
 from repro.core.pmw import PMWConfig
 from repro.core.two_table import two_table_release
 from repro.datagen.synthetic import uniform_two_table
@@ -42,6 +42,19 @@ EPSILON = 1.0
 DELTA = 1e-4
 TRIALS = 60
 NUM_BINS = 8
+
+# The printed name of each value ``run`` records, in table order.
+LABELS = {
+    "declared_epsilon": "declared ε",
+    "declared_delta": "declared δ",
+    "trials": "trials per instance",
+    "empirical_epsilon": "empirical ε estimate",
+    "mean_total_instance": "mean total | I",
+    "mean_total_neighbor": "mean total | I'",
+    "ledger_charges": "ledger charges",
+    "spent_epsilon": "ledger ε spent (of budget)",
+    "remaining_epsilon": "ledger ε remaining",
+}
 
 
 def _empirical_epsilon(
@@ -104,33 +117,25 @@ def run(*, seed: int = 0) -> dict:
         samples_neighbor = sample_totals(neighbor)
     spent = ledger.assert_within(budget)
     remaining = ledger.remaining(budget)
-    estimated = _empirical_epsilon(samples_instance, samples_neighbor, DELTA, NUM_BINS)
-
-    table = ExperimentTable(
-        title="E14: empirical privacy audit of Algorithm 1 (released total mass)",
-        columns=["quantity", "value"],
-    )
-    table.add_row(["declared ε", EPSILON])
-    table.add_row(["declared δ", DELTA])
-    table.add_row(["trials per instance", TRIALS])
-    table.add_row(["empirical ε estimate", estimated])
-    table.add_row(["mean total | I", float(samples_instance.mean())])
-    table.add_row(["mean total | I'", float(samples_neighbor.mean())])
-    table.add_row(["ledger charges", len(ledger)])
-    table.add_row(["ledger ε spent (of budget)", spent.epsilon if spent else 0.0])
-    table.add_row(["ledger ε remaining", remaining.epsilon])
-    return {
-        "table": table,
-        "empirical_epsilon": estimated,
+    values = {
         "declared_epsilon": EPSILON,
         "declared_delta": DELTA,
         "trials": TRIALS,
+        "empirical_epsilon": _empirical_epsilon(
+            samples_instance, samples_neighbor, DELTA, NUM_BINS
+        ),
+        "mean_total_instance": float(samples_instance.mean()),
+        "mean_total_neighbor": float(samples_neighbor.mean()),
         "ledger_charges": len(ledger),
         "spent_epsilon": spent.epsilon if spent else 0.0,
-        "spent_delta": spent.delta if spent else 0.0,
-        "budget_epsilon": budget.epsilon,
-        "budget_delta": budget.delta,
         "remaining_epsilon": remaining.epsilon,
-        "remaining_delta": remaining.delta,
+    }
+    table = quantity_table(
+        "E14: empirical privacy audit of Algorithm 1 (released total mass)", LABELS, values
+    )
+    return {
+        "table": table,
+        "values": values,
+        "budget_epsilon": budget.epsilon,
         "budget_exhausted": remaining.exhausted,
     }

@@ -16,6 +16,14 @@ from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 
 
+def _require_known_relations(query: JoinQuery, by_relation: Mapping[str, object]) -> None:
+    unknown = set(by_relation) - set(query.relation_names)
+    if unknown:
+        raise ValueError(
+            f"unknown relations {sorted(unknown)}; the query's are {list(query.relation_names)}"
+        )
+
+
 class Instance:
     """A database instance over a join query.
 
@@ -71,7 +79,11 @@ class Instance:
     def from_tuple_lists(
         cls, query: JoinQuery, tuples_by_relation: Mapping[str, Iterable[tuple]]
     ) -> "Instance":
-        """Build an instance from ``{relation_name: iterable of value tuples}``."""
+        """Build an instance from ``{relation_name: iterable of value tuples}``.
+
+        A relation left out is empty; a name that is no relation of the query raises.
+        """
+        _require_known_relations(query, tuples_by_relation)
         relations = []
         for schema in query.relations:
             tuples = tuples_by_relation.get(schema.name, ())
@@ -82,7 +94,11 @@ class Instance:
     def from_frequencies(
         cls, query: JoinQuery, frequencies_by_relation: Mapping[str, np.ndarray]
     ) -> "Instance":
-        """Build an instance from ``{relation_name: dense frequency array}``."""
+        """Build an instance from ``{relation_name: dense frequency array}``.
+
+        A relation left out is empty; a name that is no relation of the query raises.
+        """
+        _require_known_relations(query, frequencies_by_relation)
         relations = []
         for schema in query.relations:
             freq = frequencies_by_relation.get(schema.name)

@@ -20,7 +20,7 @@ from repro.analysis.bounds import (
     theorem_44_error,
     theorem_45_lower_bound,
 )
-from repro.analysis.reporting import ExperimentTable
+from repro.analysis.reporting import ExperimentTable, quantity_table
 from repro.mechanisms.truncated_laplace import default_lambda
 from repro.relational.hypergraph import (
     chain_query,
@@ -137,26 +137,45 @@ class TestAGM:
 
 
 class TestReporting:
-    def test_add_row_mapping_and_sequence(self):
-        table = ExperimentTable("demo", ["a", "b"])
-        table.add_row({"a": 1, "b": 2.5})
-        table.add_row([3, "x"])
+    def test_rows_keep_raw_values_and_print_formatted(self):
+        table = ExperimentTable("demo", {"a": "first", "b": "second"})
+        table.add_row(a=1, b=2.5)
+        table.add_row(b="x", a=3)
+        assert table.rows == [{"a": 1, "b": 2.5}, {"a": 3, "b": "x"}]
         text = table.to_text()
-        assert "demo" in text
+        assert text.splitlines()[:2] == ["demo", "first  second"]
         assert "2.500" in text
+        # Cells follow the column order, whatever the keyword order.
+        assert text.splitlines()[-1].split() == ["3", "x"]
         markdown = table.to_markdown()
-        assert markdown.count("|") > 6
+        assert "| first | second |" in markdown
+        assert "| 1 | 2.500 |" in markdown
 
-    def test_row_length_checked(self):
-        table = ExperimentTable("demo", ["a", "b"])
-        with pytest.raises(ValueError):
-            table.add_row([1])
+    @pytest.mark.parametrize(
+        "row", [{"a": 1}, {"a": 1, "b": 2, "c": 3}], ids=["missing", "extra"]
+    )
+    def test_row_keys_must_be_the_columns(self, row):
+        table = ExperimentTable("demo", {"a": "a", "b": "b"})
+        with pytest.raises(ValueError, match="missing|extra"):
+            table.add_row(**row)
+        assert table.rows == []
 
     def test_value_formatting(self):
-        table = ExperimentTable("demo", ["value"])
-        table.add_row([1234567.0])
-        table.add_row([0.000123])
-        table.add_row([0])
+        table = ExperimentTable("demo", {"value": "value"})
+        table.add_row(value=1234567.0)
+        table.add_row(value=0.000123)
+        table.add_row(value=0)
         text = table.to_text()
         assert "1.23e+06" in text
         assert "0.000123" in text
+
+    def test_quantity_table_prints_one_labelled_row_per_value(self):
+        table = quantity_table(
+            "demo", {"size": "input size n", "error": "ℓ∞ error"}, {"error": 0.5, "size": 7}
+        )
+        assert table.rows == [
+            {"quantity": "input size n", "value": 7},
+            {"quantity": "ℓ∞ error", "value": 0.5},
+        ]
+        with pytest.raises(ValueError):
+            quantity_table("demo", {"size": "input size n"}, {"size": 7, "error": 0.5})

@@ -535,7 +535,7 @@ class TestReleaseRecord:
     @pytest.mark.parametrize("algorithm", RECORD_KEYS)
     def test_diagnostics_keys_per_algorithm(self, algorithm, request):
         if algorithm == "single_table":
-            instance = Instance.from_tuple_lists(single_table_query({"X": 3}), {"R": [(0,), (2,)]})
+            instance = Instance.from_tuple_lists(single_table_query({"X": 3}), {"T": [(0,), (2,)]})
         else:
             fixture = {
                 "multi_table": "path3_instance",

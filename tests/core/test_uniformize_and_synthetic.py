@@ -117,6 +117,16 @@ class TestSyntheticDataset:
         query = two_table_query(2, 2, 2)
         with pytest.raises(ValueError):
             SyntheticDataset(query, -np.ones(query.shape))
+        barely = np.ones(query.shape)
+        barely[0, 0, 0] = -1e-12
+        with pytest.raises(ValueError):
+            SyntheticDataset(query, barely)
+
+    def test_histogram_kept_without_a_copy(self):
+        query = two_table_query(2, 2, 2)
+        histogram = np.zeros(query.shape)
+        histogram[1, 0, 1] = 2.5
+        assert SyntheticDataset(query, histogram).histogram is histogram
 
     def test_total_mass_and_answers(self, two_table_instance):
         query = two_table_instance.query

@@ -2,8 +2,8 @@
 
 Each ``test_eN_*`` runs experiment EN of ``repro.experiments`` once per seed
 (0, 1 and 2) and asserts what the theorem, lemma or figure it names says
-about the quantities the run measures.  ``python -m repro.cli run eN --seed
-S`` prints the table of the same run.
+about the quantities the run measures: the raw values in its table's rows,
+which ``python -m repro.cli run eN --seed S`` prints.
 
 The paper's bounds are asymptotic: ``O(·)`` and ``Ω(·)`` hide unstated
 constants, and ``f_upper`` hides poly-logarithmic factors.  So most checks
@@ -40,7 +40,7 @@ class TestRegistry:
 def test_e1_example_3_1_flawed_variant_leaks_and_algorithm_1_does_not(seed):
     """Figure 1 / Example 3.1: the event mass(D') > n/3 on I vs its neighbour I'."""
     result = EXPERIMENTS["e1"](seed=seed)
-    outcomes = result["results"]
+    outcomes = {row["algorithm"]: row for row in result["table"].rows}
     epsilon, delta = result["epsilon"], result["delta"]
 
     # Releasing the exact join count separates I (join size n) from I'
@@ -63,7 +63,7 @@ def test_e1_example_3_1_flawed_variant_leaks_and_algorithm_1_does_not(seed):
 @seeds
 def test_e2_theorem_3_3_error_tracks_the_two_table_bound(seed):
     """Theorem 3.3: Algorithm 1's ℓ∞ error along the OUT and Δ sweeps."""
-    rows = EXPERIMENTS["e2"](seed=seed)["rows"]
+    rows = EXPERIMENTS["e2"](seed=seed)["table"].rows
     # measured / (√(OUT·(Δ+λ)) + (Δ+λ)·√λ)·f_upper stays within a constant
     # band: [0.05, 6] is a choice, as the theorem's constant is unstated;
     # seeds 0–19 read 0.73–2.41.
@@ -79,7 +79,7 @@ def test_e2_theorem_3_3_error_tracks_the_two_table_bound(seed):
 def test_e3_theorem_3_5_lifted_hard_instance(seed):
     """Figure 2 / Theorem 3.5: a hard single table lifted by Δ."""
     result = EXPERIMENTS["e3"](seed=seed)
-    rows = result["rows"]
+    rows = result["table"].rows
     for row in rows:
         # The Figure 2 construction: OUT = n·Δ and local sensitivity Δ.
         assert row["join_size"] == result["n"] * row["delta"]
@@ -101,7 +101,7 @@ def test_e3_theorem_3_5_lifted_hard_instance(seed):
 @seeds
 def test_e4_theorem_3_4_count_error_floor_grows_with_delta(seed):
     """Theorem 3.4: the Ω(Δ) floor on the counting query's error."""
-    rows = EXPERIMENTS["e4"](seed=seed)["rows"]
+    rows = EXPERIMENTS["e4"](seed=seed)["table"].rows
     # 0.25: Ω(Δ)'s constant is unstated; seeds 0–19 read error / Δ ≥ 54.7.
     for row in rows:
         assert row["count_error"] >= 0.25 * row["delta_ls"]
@@ -115,7 +115,7 @@ def test_e4_theorem_3_4_count_error_floor_grows_with_delta(seed):
 @seeds
 def test_e5_theorem_1_5_error_tracks_residual_sensitivity(seed):
     """Theorem 1.5 / Algorithm 3: the 3-table chain along the scale sweep."""
-    rows = EXPERIMENTS["e5"](seed=seed)["rows"]
+    rows = EXPERIMENTS["e5"](seed=seed)["table"].rows
     # RS^β is at least the local sensitivity, which is at least 1 on a
     # non-empty join, and it grows with the scale.
     assert rows[0]["residual_sensitivity"] >= 1
@@ -135,7 +135,7 @@ def test_e5_theorem_1_5_error_tracks_residual_sensitivity(seed):
 @seeds
 def test_e6_theorem_4_4_uniformization_on_figure_3(seed):
     """Figure 3 / Theorem 4.4: join-as-one vs uniformized on a skewed join."""
-    rows = EXPERIMENTS["e6"](seed=seed)["rows"]
+    rows = EXPERIMENTS["e6"](seed=seed)["table"].rows
     for row in rows:
         # Each algorithm stays within the E2 band (6) of its own bound;
         # seeds 0–19 read ≤ 1.17 (Theorem 3.3) and ≤ 0.93 (Theorem 4.4).
@@ -150,7 +150,7 @@ def test_e6_theorem_4_4_uniformization_on_figure_3(seed):
 @seeds
 def test_e7_example_4_2_gap_grows_with_k(seed):
     """Example 4.2: the k^(1/3) gap between Algorithms 1 and 4."""
-    rows = EXPERIMENTS["e7"](seed=seed)["rows"]
+    rows = EXPERIMENTS["e7"](seed=seed)["table"].rows
     for row in rows:
         # The instance's largest degree level is 2^⌊(2/3)·log₂ k⌋ (k^(2/3)
         # when k is a power of √8).
@@ -169,22 +169,22 @@ def test_e7_example_4_2_gap_grows_with_k(seed):
 @seeds
 def test_e8_lemma_4_10_and_theorem_c_2_on_figure_4(seed):
     """Figure 4 / Lemma 4.10 / Theorem C.2: the hierarchical partition."""
-    result = EXPERIMENTS["e8"](seed=seed)
+    values = EXPERIMENTS["e8"](seed=seed)["values"]
     # Lemma 4.10: each tuple lands in O(log^c n) sub-instances.  log^5 n
     # (floored at 16) is a generous c; seeds 0–19 read 1–2 at n = 55.
-    n = max(result["input_size"], 3)
-    assert result["tuple_multiplicity"] <= max(16.0, log(n) ** 5)
+    n = max(values["input_size"], 3)
+    assert values["tuple_multiplicity"] <= max(16.0, log(n) ** 5)
     # Theorem C.2: the configuration bound dominates the exact RS^β.
-    assert result["configuration_rs"] >= result["exact_rs"] - 1e-9
-    assert np.isfinite(result["error_multi_table"])
-    assert np.isfinite(result["error_uniformized"])
+    assert values["configuration_rs"] >= values["exact_rs"] - 1e-9
+    assert np.isfinite(values["error_multi_table"])
+    assert np.isfinite(values["error_uniformized"])
 
 
 @seeds
 def test_e9_appendix_b_3_agm_exponents_and_bounds(seed):
     """Appendix B.3: fractional edge covers and the AGM bound."""
-    result = EXPERIMENTS["e9"](seed=seed)
-    rows = {row["query"]: row for row in result["rows"]}
+    table_rows = EXPERIMENTS["e9"](seed=seed)["table"].rows
+    rows = {row["query"]: row for row in table_rows}
     # ρ(H) and max_E ρ(H_{E,∂E}) in closed form for the standard shapes.
     assert rows["two-table"]["rho"] == pytest.approx(2.0)
     assert rows["triangle"]["rho"] == pytest.approx(1.5)
@@ -193,7 +193,7 @@ def test_e9_appendix_b_3_agm_exponents_and_bounds(seed):
     assert rows["two-table"]["residual_exponent"] == pytest.approx(1.0)
     assert rows["3-chain"]["residual_exponent"] == pytest.approx(2.0)
     # 0/1 instances: OUT and every boundary query are at most n^ρ.
-    for row in result["rows"]:
+    for row in table_rows:
         assert row["measured_out"] <= row["agm_bound"] + 1e-9
         assert row["measured_rs"] <= row["agm_bound"] + 1e-9
 
@@ -201,7 +201,7 @@ def test_e9_appendix_b_3_agm_exponents_and_bounds(seed):
 @seeds
 def test_e10_theorem_4_5_conforming_instances(seed):
     """Theorem 4.5: Algorithm 4 between the per-bucket lower and upper bounds."""
-    rows = EXPERIMENTS["e10"](seed=seed)["rows"]
+    rows = EXPERIMENTS["e10"](seed=seed)["table"].rows
     for row in rows:
         assert row["lower_bound"] <= row["upper_bound"]
         # Within the E2 band above (6) and a tenth below; seeds 0–19 read
@@ -216,7 +216,7 @@ def test_e10_theorem_4_5_conforming_instances(seed):
 @seeds
 def test_e11_section_1_2_one_release_beats_per_query_composition(seed):
     """Section 1.2: one synthetic release vs per-query Laplace, |Q| = 8 → 256."""
-    rows = EXPERIMENTS["e11"](seed=seed)["rows"]
+    rows = EXPERIMENTS["e11"](seed=seed)["table"].rows
     ratios = [row["ratio"] for row in rows]
     assert ratios[-1] > ratios[0]
     # Composition gives each query ε/|Q|, so the Laplace error grows about
@@ -233,10 +233,10 @@ def test_e11_section_1_2_one_release_beats_per_query_composition(seed):
 @seeds
 def test_e12_tpch_joins_error_sublinear_and_chain_costlier(seed):
     """TPC-H-style joins: Theorems 3.3 and 1.5 on generated data."""
-    rows = EXPERIMENTS["e12"](seed=seed)["rows"]
+    rows = EXPERIMENTS["e12"](seed=seed)["table"].rows
     assert len(rows) == 6  # two joins per scale factor
-    two_table_rows = [row for row in rows if row["join"] == "customer-orders"]
-    chain_rows = [row for row in rows if row["join"] == "nation-customer-orders"]
+    two_table_rows = [row for row in rows if row["join"] == "Customer⋈Orders"]
+    chain_rows = [row for row in rows if row["join"] == "Nation⋈Cust⋈Orders"]
     assert two_table_rows[-1]["join_size"] > two_table_rows[0]["join_size"]
     # The error grows like √OUT, so error / OUT does not rise with scale:
     # 1.5 allows for noise; seeds 0–19 read last / first ≤ 0.87.
@@ -253,7 +253,7 @@ def test_e12_tpch_joins_error_sublinear_and_chain_costlier(seed):
 @seeds
 def test_e13_theorem_1_3_single_table_error_is_sqrt_n(seed):
     """Theorem 1.3: single-table PMW error against √n·f_upper."""
-    rows = EXPERIMENTS["e13"](seed=seed)["rows"]
+    rows = EXPERIMENTS["e13"](seed=seed)["table"].rows
     # [0.1, 4]: a constant band as in E2; seeds 0–19 read 0.52–2.15.
     for row in rows:
         assert 0.1 <= row["ratio"] <= 4.0
@@ -268,17 +268,18 @@ def test_e13_theorem_1_3_single_table_error_is_sqrt_n(seed):
 def test_e14_lemma_3_2_audit_and_ledger_stay_within_budget(seed):
     """Lemma 3.2: Algorithm 1's empirical privacy loss and its ledger."""
     result = EXPERIMENTS["e14"](seed=seed)
+    values = result["values"]
     # The histogram estimate over 8 bins and 60 trials per instance stays
     # below ε plus 1.0 of estimation slack; seeds 0–19 read ≤ 1.70 at ε = 1.
-    assert result["empirical_epsilon"] <= result["declared_epsilon"] + 1.0
+    assert values["empirical_epsilon"] <= values["declared_epsilon"] + 1.0
     # The run already called ledger.assert_within(budget), which raises on
     # overspend; the odometer's arithmetic must also cohere: every release
     # charged, the spend within 2·trials releases at (ε, δ), and remaining()
     # the exact complement, clamped at zero.
-    assert result["ledger_charges"] >= 2 * result["trials"]
-    assert 0.0 < result["spent_epsilon"] <= result["budget_epsilon"]
-    assert result["remaining_epsilon"] >= 0.0
-    assert result["remaining_epsilon"] == max(
-        0.0, result["budget_epsilon"] - result["spent_epsilon"]
+    assert values["ledger_charges"] >= 2 * values["trials"]
+    assert 0.0 < values["spent_epsilon"] <= result["budget_epsilon"]
+    assert values["remaining_epsilon"] >= 0.0
+    assert values["remaining_epsilon"] == max(
+        0.0, result["budget_epsilon"] - values["spent_epsilon"]
     )
     assert not result["budget_exhausted"]

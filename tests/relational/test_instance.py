@@ -39,6 +39,13 @@ class TestConstruction:
         assert instance.relation("R1").total() == 4
         assert instance.relation("R2").total() == 0
 
+    def test_unknown_relation_name_rejected(self, query):
+        # A misspelt name must not silently leave its relation empty.
+        with pytest.raises(ValueError, match=r"\['r1'\]"):
+            Instance.from_tuple_lists(query, {"r1": [(0, 1)], "R2": [(1, 2)]})
+        with pytest.raises(ValueError, match=r"\['R3'\]"):
+            Instance.from_frequencies(query, {"R3": np.zeros((3, 3), dtype=np.int64)})
+
     def test_wrong_relation_count_rejected(self, query):
         r1 = Relation.empty(query.relations[0])
         with pytest.raises(ValueError):
