@@ -46,19 +46,9 @@ def _edge_cover_lp(query: JoinQuery, relations: Sequence[int], names: Sequence[s
     return float(result.fun)
 
 
-def fractional_edge_cover_number(
-    query: JoinQuery, attributes: frozenset[str] | None = None
-) -> float:
-    """``ρ(H)``: the minimum total weight of a fractional edge cover.
-
-    With ``attributes`` given, only those attributes must be covered (the
-    residual-query case ``H_{E, ∂E}`` where the boundary attributes have been
-    removed); relations still contribute their full hyperedges.
-    """
-    names = list(query.attribute_names if attributes is None else sorted(attributes))
-    if not names:
-        return 0.0
-    return _edge_cover_lp(query, range(query.num_relations), names)
+def fractional_edge_cover_number(query: JoinQuery) -> float:
+    """``ρ(H)``: the minimum total weight of a fractional edge cover."""
+    return _edge_cover_lp(query, range(query.num_relations), list(query.attribute_names))
 
 
 def agm_bound(query: JoinQuery, n: int) -> float:

@@ -7,12 +7,3 @@
   separately with Laplace noise under basic composition (the approach the
   introduction argues does not scale with |Q|).
 """
-
-from repro.baselines.flawed import flawed_exact_count_release, flawed_padded_release
-from repro.baselines.independent_laplace import independent_laplace_answers
-
-__all__ = [
-    "flawed_exact_count_release",
-    "flawed_padded_release",
-    "independent_laplace_answers",
-]

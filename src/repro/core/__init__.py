@@ -11,27 +11,3 @@
 * :mod:`repro.core.release` — the public one-call entry point;
 * :mod:`repro.core.synthetic` — the released synthetic-dataset object.
 """
-
-from repro.core.synthetic import SyntheticDataset
-from repro.core.result import ReleaseResult
-from repro.core.pmw import PMWConfig, private_multiplicative_weights
-from repro.core.two_table import two_table_release
-from repro.core.multi_table import multi_table_release
-from repro.core.partition_two_table import partition_two_table
-from repro.core.hierarchical import decompose_by_attribute, partition_hierarchical
-from repro.core.uniformize import uniformize_release
-from repro.core.release import release_synthetic_data
-
-__all__ = [
-    "PMWConfig",
-    "ReleaseResult",
-    "SyntheticDataset",
-    "decompose_by_attribute",
-    "multi_table_release",
-    "partition_hierarchical",
-    "partition_two_table",
-    "private_multiplicative_weights",
-    "release_synthetic_data",
-    "two_table_release",
-    "uniformize_release",
-]

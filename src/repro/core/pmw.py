@@ -27,52 +27,12 @@ budget), at least one and at most ``PMWConfig.max_iterations``.
 
 **Evaluator.**  The routine takes only (I, Q, ε, δ, Δ̃), as in the paper: it
 answers the workload through the workload's one evaluator,
-:func:`~repro.queries.evaluation.shared_evaluator`, so repeated runs over one
-workload (the uniformized per-bucket releases, trial sweeps) reuse its
-stacks, each over only the axes its queries' weights vary on, and box factors.
-
-The inner loop never touches full-domain query vectors.  The multiplicative
-update rescales only the selected query's support box — the update factor
-is exactly 1 outside it and on the box's zeros — so the answers move only
-through that box.  The evaluator builds the query's values on the box
-afresh each round, and the loop turns that array into the update factors
-in place (multiply by the step, clip, exponentiate), so a round allocates
-one box-sized array and the evaluator keeps nothing box-sized per query.
-The loop carries its answer vector across rounds as ``(a + change)·scale``:
-``change`` is how every answer moves with the box's change, which the
-session's support update returns group by group where a full evaluation
-is costly (``|Q|·|D|`` over the evaluator's matrix budget), and ``scale``
-the renormalisation factor.  It falls back to one full
-workload evaluation (one planned chain per group of stacked queries) in
-round one, after a renormalisation reset, and whenever the support update
-returns ``None``: always under the budget, and on a whole-domain box, such
-as the counting query's or a ±1 query's.  Carried answers drift from a full
-evaluation only by rounding: at most 5.1e-15 of the largest answer over
-3000 rounds on the release benchmark's 321 marginals at ``|D| = 2^20``, and
-4.1e-15 over the drift test's 1200 rounds, which mix in ±1 queries over two
-relations and ``np.ix_`` boxes, without growing, against the 1e-9 the tests
-allow, so no periodic refresh is needed.  The histogram lives in a
-:class:`~repro.queries.evaluation.HistogramSession` owned by the loop, and
-the loop speaks only the session's op protocol: each round sends only the
-selected query's support delta plus one renormalisation scale, the averaged
-iterates accumulate inside the session, and the released histogram is
-assembled from the session's ``averaged_slices``.  Nothing here ever sees
-the backing storage.
-
-The session holds the histogram as a scale times a cell array, and the sum
-of the iterates as an offset from the running weight times those cells, so
-a round on a support ``S`` costs O(|S|) in the session: the support update
-O(|S|), ``total``, ``scale`` and ``accumulate`` O(1).  Only whole-domain
-supports (the counting query, ±1 queries), a renormalisation reset, the
-final ``averaged_slices`` and a rare rebase — when the scale leaves
-``2^±8`` or the running average weight passes ``2^20`` times it — pass
-over all of ``|D|``, and none of those passes allocates a ``|D|``-length
-temporary: the session holds two ``|D|``-length arrays, the cells and the
-offset, and forms the average in place in the cells.  A round's factors
-are dropped once applied, so they are not held beside the next round's.
-The released histogram stays within 1e-9 relative of an eagerly kept one
-(1.4e-15 over a 3000-round stress run, and 3e-14 on ``|D| = 2^20``,
-200-round releases).
+:func:`~repro.queries.evaluation.shared_evaluator`, and keeps the histogram
+in a :class:`~repro.queries.evaluation.HistogramSession` that it drives
+through the session's op protocol.  Each round rescales only the selected
+query's support box and carries the answers where the session returns how
+they move; :mod:`repro.queries.evaluation` describes the supports, the
+carried answers, the session's storage and their drift bounds.
 
 **Telemetry.**  When :mod:`repro.telemetry` is enabled, a run is one
 ``pmw.run`` span carrying its ``epsilon``, ``delta``, ``iterations``,

@@ -68,13 +68,12 @@ def generate_tpch(
     rng: np.random.Generator | None = None,
     seed: int | None = None,
     order_skew: float = 1.1,
-    customer_skew: float = 0.8,
 ) -> TPCHData:
     """Generate scaled-down TPC-H-style tables.
 
     ``scale = 1.0`` produces roughly 60 customers and 600 orders; the counts
-    grow linearly with ``scale``.  ``order_skew`` / ``customer_skew`` control
-    the Zipf exponents of orders-per-customer and customers-per-nation.
+    grow linearly with ``scale``.  ``order_skew`` is the Zipf exponent of
+    orders per customer; customers per nation follow a Zipf exponent of 0.8.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -98,7 +97,7 @@ def generate_tpch(
     # ------------------------------------------------------------------ #
     # base data
     # ------------------------------------------------------------------ #
-    customer_nation = _zipf_assignments(num_customers, num_nations, customer_skew, generator)
+    customer_nation = _zipf_assignments(num_customers, num_nations, 0.8, generator)
     customer_segment = generator.integers(0, len(MARKET_SEGMENTS), size=num_customers)
     nation_region = generator.integers(0, len(REGIONS), size=num_nations)
     order_customer = _zipf_assignments(num_orders, num_customers, order_skew, generator)

@@ -31,12 +31,7 @@ class ConformingInstance:
         return sum(self.bucket_join_sizes.values())
 
 
-def conforming_two_table_instance(
-    out_vector: dict[int, int],
-    lam: float,
-    *,
-    attribute_names: tuple[str, str, str] = ("A", "B", "C"),
-) -> ConformingInstance:
+def conforming_two_table_instance(out_vector: dict[int, int], lam: float) -> ConformingInstance:
     """Build a two-table instance conforming to ``{bucket index: OUT_i}``.
 
     For every bucket ``i`` with a positive target, join values of degree
@@ -70,7 +65,7 @@ def conforming_two_table_instance(
     size_a = total_values * max_degree
     size_b = total_values
     size_c = total_values * max_degree
-    query = two_table_query(size_a, size_b, size_c, attribute_names=attribute_names)
+    query = two_table_query(size_a, size_b, size_c)
 
     r1_tuples = []
     r2_tuples = []

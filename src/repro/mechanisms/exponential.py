@@ -42,7 +42,8 @@ def exponential_mechanism(
     scores: np.ndarray,
     epsilon: float,
     sensitivity: float = 1.0,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> int:
     """Sample a candidate index with the ε-DP exponential mechanism.
 

@@ -16,7 +16,8 @@ from repro.telemetry import trace as _trace
 def sample_laplace(
     scale: float,
     size: int | tuple[int, ...] | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> np.ndarray | float:
     """Sample zero-mean Laplace noise with scale ``b`` (PDF ∝ exp(-|x|/b))."""
     if scale < 0:
@@ -33,7 +34,8 @@ def laplace_mechanism(
     value: float | np.ndarray,
     sensitivity: float,
     epsilon: float,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> float | np.ndarray:
     """Release ``value`` with ε-DP Laplace noise calibrated to ``sensitivity``.
 

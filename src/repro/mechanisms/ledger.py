@@ -24,9 +24,9 @@ budget — today the PMW routine's total-count and adaptive-rounds charges —
 record into it without every call chain having to thread a ledger argument
 through.  Scopes nest, and a charge lands in every ledger in scope: E14
 audits its own runs in a ledger of its own while the CLI's run ledger,
-installed around it, still records them.  :func:`ambient_ledger` is the
-innermost one.  No ambient ledger is installed by default, so existing call
-sites pay one context-variable read and nothing else.
+installed around it, still records them; :func:`ambient_ledgers` lists
+them, outermost first.  No ambient ledger is installed by default, so
+existing call sites pay one context-variable read and nothing else.
 """
 
 from __future__ import annotations
@@ -178,12 +178,6 @@ def ambient_ledgers() -> tuple[PrivacyLedger, ...]:
     context-variable read.
     """
     return _AMBIENT_LEDGERS.get()
-
-
-def ambient_ledger() -> PrivacyLedger | None:
-    """The innermost ledger installed for the current context, or ``None``."""
-    ledgers = _AMBIENT_LEDGERS.get()
-    return ledgers[-1] if ledgers else None
 
 
 @contextmanager

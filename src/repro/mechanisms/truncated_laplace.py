@@ -42,7 +42,8 @@ def sample_truncated_laplace(
     scale: float,
     radius: float,
     size: int | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> float | np.ndarray:
     """Sample from ``TLap^radius_scale``: support ``[0, 2·radius]``, mode ``radius``.
 
@@ -80,7 +81,8 @@ def truncated_laplace_mechanism(
     sensitivity: float,
     epsilon: float,
     delta: float,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> float:
     """Release ``value + TLap^{τ(ε, δ, Δ)}_{Δ/ε}``.
 

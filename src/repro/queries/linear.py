@@ -106,9 +106,9 @@ class TableQuery:
 class ProductQuery:
     """A multi-table linear query ``q = (q_1, ..., q_m)``.
 
-    Relations without an explicit :class:`TableQuery` default to the all-+1
-    weight function, so a query touching only some relations can be written
-    compactly.
+    ``table_queries`` holds at most one :class:`TableQuery` per relation.
+    Relations without one default to the all-+1 weight function, so a query
+    touching only some relations can be written compactly.
     """
 
     __slots__ = ("_join_query", "_table_queries", "name")
@@ -116,15 +116,18 @@ class ProductQuery:
     def __init__(
         self,
         join_query: JoinQuery,
-        table_queries: Sequence[TableQuery] | Mapping[str, TableQuery] = (),
+        table_queries: Sequence[TableQuery] = (),
         name: str = "q",
     ):
         self._join_query = join_query
         self.name = name
-        if isinstance(table_queries, Mapping):
-            provided = dict(table_queries)
-        else:
-            provided = {query.relation_name: query for query in table_queries}
+        provided: dict[str, TableQuery] = {}
+        for query in table_queries:
+            if not isinstance(query, TableQuery):
+                raise TypeError(f"expected TableQuery objects, got {type(query).__name__}")
+            if query.relation_name in provided:
+                raise ValueError(f"relation {query.relation_name!r} is given two table queries")
+            provided[query.relation_name] = query
         unknown = set(provided) - set(join_query.relation_names)
         if unknown:
             raise ValueError(f"table queries reference unknown relations: {sorted(unknown)}")
@@ -229,7 +232,7 @@ def require_same_join(expected: JoinQuery, given: JoinQuery) -> None:
             )
 
 
-def all_one_query(join_query: JoinQuery, name: str = "count") -> ProductQuery:
+def all_one_query(join_query: JoinQuery) -> ProductQuery:
     """The counting query: every table component is all-+1."""
-    return ProductQuery(join_query, (), name=name)
+    return ProductQuery(join_query, (), name="count")
 

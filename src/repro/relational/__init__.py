@@ -7,22 +7,3 @@ This subpackage implements that model directly with dense non-negative integer
 hypergraph machinery (boundaries, hierarchical attribute trees) that the
 sensitivity and partitioning code in the rest of the library builds on.
 """
-
-from repro.relational.schema import Attribute, Domain, RelationSchema
-from repro.relational.relation import Relation
-from repro.relational.hypergraph import AttributeTree, JoinQuery
-from repro.relational.instance import Instance
-from repro.relational.join import join_size
-from repro.relational.neighbors import random_neighbor
-
-__all__ = [
-    "Attribute",
-    "AttributeTree",
-    "Domain",
-    "Instance",
-    "JoinQuery",
-    "Relation",
-    "RelationSchema",
-    "join_size",
-    "random_neighbor",
-]

@@ -318,7 +318,7 @@ def two_table_query(
     return JoinQuery((a, b, c), (r1, r2))
 
 
-def chain_query(domain_sizes: Sequence[int], *, prefix: str = "R") -> JoinQuery:
+def chain_query(domain_sizes: Sequence[int]) -> JoinQuery:
     """A chain join ``R1(X0, X1) ⋈ R2(X1, X2) ⋈ ... ⋈ Rk(X_{k-1}, X_k)``.
 
     ``domain_sizes`` lists the domain size of each attribute ``X0..Xk``; the
@@ -330,13 +330,13 @@ def chain_query(domain_sizes: Sequence[int], *, prefix: str = "R") -> JoinQuery:
         Attribute(f"X{i}", Domain.integers(size)) for i, size in enumerate(domain_sizes)
     )
     relations = tuple(
-        RelationSchema(f"{prefix}{i + 1}", (attributes[i], attributes[i + 1]))
+        RelationSchema(f"R{i + 1}", (attributes[i], attributes[i + 1]))
         for i in range(len(attributes) - 1)
     )
     return JoinQuery(attributes, relations)
 
 
-def star_query(center_size: int, leaf_sizes: Sequence[int], *, prefix: str = "R") -> JoinQuery:
+def star_query(center_size: int, leaf_sizes: Sequence[int]) -> JoinQuery:
     """A star join: every relation shares the single centre attribute.
 
     ``R1(H, X1) ⋈ R2(H, X2) ⋈ ...`` — this is a hierarchical query.
@@ -347,9 +347,7 @@ def star_query(center_size: int, leaf_sizes: Sequence[int], *, prefix: str = "R"
     leaves = tuple(
         Attribute(f"X{i}", Domain.integers(size)) for i, size in enumerate(leaf_sizes)
     )
-    relations = tuple(
-        RelationSchema(f"{prefix}{i + 1}", (hub, leaf)) for i, leaf in enumerate(leaves)
-    )
+    relations = tuple(RelationSchema(f"R{i + 1}", (hub, leaf)) for i, leaf in enumerate(leaves))
     return JoinQuery((hub,) + leaves, relations)
 
 

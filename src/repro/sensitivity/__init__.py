@@ -13,41 +13,3 @@ sensitivity, up to ``n^{m-1}`` for joins, is what they avoid):
 * degree configurations (Definition 4.9) and per-configuration residual
   sensitivity upper bounds, which E8 reports for the hierarchical analysis.
 """
-
-from repro.sensitivity.local import local_sensitivity, per_relation_local_sensitivity
-from repro.sensitivity.boundary import boundary_query, all_boundary_queries
-from repro.sensitivity.residual import (
-    residual_sensitivity,
-    residual_sensitivity_profile,
-)
-from repro.sensitivity.smooth import (
-    local_sensitivity_at_distance,
-    smooth_sensitivity_bruteforce,
-)
-from repro.sensitivity.degrees import (
-    degree_vector,
-    max_degree,
-    t_upper_bound,
-)
-from repro.sensitivity.configurations import (
-    DegreeConfiguration,
-    configuration_of_instance,
-    configuration_residual_upper_bound,
-)
-
-__all__ = [
-    "DegreeConfiguration",
-    "all_boundary_queries",
-    "boundary_query",
-    "configuration_of_instance",
-    "configuration_residual_upper_bound",
-    "degree_vector",
-    "local_sensitivity",
-    "local_sensitivity_at_distance",
-    "max_degree",
-    "per_relation_local_sensitivity",
-    "residual_sensitivity",
-    "residual_sensitivity_profile",
-    "smooth_sensitivity_bruteforce",
-    "t_upper_bound",
-]

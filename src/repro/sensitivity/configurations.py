@@ -110,7 +110,7 @@ def configuration_t_upper_bound(
             bucket_upper_value(configuration.bucket_of(name), lam) for name in candidates
         )
 
-    result = t_upper_bound_symbolic(query, sorted(relation_subset), None, degree_bound)
+    result = t_upper_bound_symbolic(query, sorted(relation_subset), degree_bound)
     return result.value
 
 
@@ -119,14 +119,12 @@ def configuration_residual_upper_bound(
     configuration: DegreeConfiguration,
     beta: float,
     lam: float,
-    *,
-    k_max: int | None = None,
 ) -> float:
     """``RS^σ_count``: residual sensitivity computed from configuration bounds.
 
     Mirrors Definition 3.6 with every boundary query ``T_E`` replaced by its
     configuration upper bound, giving the quantity used in the Theorem C.2
-    error expression.  The default cutoff is ``residual_sensitivity``'s,
+    error expression.  The cutoff is ``residual_sensitivity``'s,
     :func:`~repro.sensitivity.residual.certified_cutoff`.
     """
     if beta <= 0:
@@ -140,7 +138,4 @@ def configuration_residual_upper_bound(
                 t_bounds[key] = 1.0
             else:
                 t_bounds[key] = configuration_t_upper_bound(query, configuration, key, lam)
-
-    if k_max is None:
-        k_max = certified_cutoff(m, beta)
-    return maximize_residual(t_bounds, m, beta, k_max)
+    return maximize_residual(t_bounds, m, beta, certified_cutoff(m, beta))

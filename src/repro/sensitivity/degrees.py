@@ -155,23 +155,16 @@ def _t_upper_bound(
     return TBoundResult(float(exact_fn(subset)), (), True)
 
 
-def t_upper_bound(
-    instance: Instance,
-    relation_subset: Sequence[int],
-    group_attributes: Sequence[str] | None = None,
-) -> TBoundResult:
-    """Upper bound on ``T_{E, y}(I)`` as a product of maximum degrees.
+def t_upper_bound(instance: Instance, relation_subset: Sequence[int]) -> TBoundResult:
+    """Upper bound on ``T_E(I)`` (Equation 1) as a product of maximum degrees.
 
-    With ``group_attributes=None`` the boundary ``∂E`` is used, matching
-    ``T_E(I)`` of Equation 1.  The returned factors satisfy Lemma 4.8: each
-    corresponds to a distinct attribute of the attribute tree.
+    The recursion groups by the boundary ``∂E``.  The returned factors
+    satisfy Lemma 4.8: each corresponds to a distinct attribute of the
+    attribute tree.
     """
     query = instance.query
     subset = frozenset(relation_subset)
-    if group_attributes is None:
-        group = frozenset(query.boundary(subset))
-    else:
-        group = frozenset(group_attributes)
+    group = frozenset(query.boundary(subset))
 
     def degree_fn(sub: frozenset[int], attrs: frozenset[str]) -> float:
         ordered = sorted(attrs)
@@ -186,7 +179,6 @@ def t_upper_bound(
 def t_upper_bound_symbolic(
     query: JoinQuery,
     relation_subset: Sequence[int],
-    group_attributes: Sequence[str] | None,
     degree_bound: Callable[[frozenset[int], frozenset[str]], float],
 ) -> TBoundResult:
     """The same recursion with degrees supplied by ``degree_bound``.
@@ -197,8 +189,4 @@ def t_upper_bound_symbolic(
     happen for hierarchical joins.
     """
     subset = frozenset(relation_subset)
-    if group_attributes is None:
-        group = frozenset(query.boundary(subset))
-    else:
-        group = frozenset(group_attributes)
-    return _t_upper_bound(query, subset, group, degree_bound, None)
+    return _t_upper_bound(query, subset, frozenset(query.boundary(subset)), degree_bound, None)

@@ -128,8 +128,7 @@ def _simplex_points(num_parts: int, total_cap: int) -> np.ndarray:
         return np.zeros((1, 0), dtype=np.int64)
     if comb(total_cap + num_parts, num_parts) > _MAX_ENUMERATION_ROWS:
         raise MemoryError(
-            "residual-sensitivity enumeration exceeded the row budget; "
-            "use a larger beta or pass an explicit k_max"
+            "residual-sensitivity enumeration exceeded the row budget; use a larger beta"
         )
     points = np.arange(total_cap + 1, dtype=np.int64).reshape(-1, 1)
     for _ in range(num_parts - 1):
@@ -377,18 +376,12 @@ def _branch_and_bound(
 class ResidualSensitivityProfile:
     """Diagnostic breakdown of a residual-sensitivity computation."""
 
-    beta: float
     value: float
     maximizing_k: int
     ls_hat_by_k: dict[int, float]
-    boundary_queries: dict[frozenset[int], int]
-    cutoff: int
-    certified: bool
 
 
-def residual_sensitivity_profile(
-    instance: Instance, beta: float, *, k_max: int | None = None
-) -> ResidualSensitivityProfile:
+def residual_sensitivity_profile(instance: Instance, beta: float) -> ResidualSensitivityProfile:
     """Compute ``RS^β_count(I)`` together with its intermediate quantities.
 
     Enumerates the whole simplex, so it raises :class:`MemoryError` where
@@ -400,11 +393,8 @@ def residual_sensitivity_profile(
     query = instance.query
     m = query.num_relations
     relation_indices = tuple(range(m))
-    boundary_values = all_boundary_queries(instance)
-    coefficients = {key: float(value) for key, value in boundary_values.items()}
-
-    certified = k_max is None
-    cutoff = k_max if k_max is not None else certified_cutoff(m, beta)
+    coefficients = {key: float(value) for key, value in all_boundary_queries(instance).items()}
+    cutoff = certified_cutoff(m, beta)
 
     best_value = 0.0
     ls_hat_by_k: dict[int, float] = {}
@@ -425,30 +415,21 @@ def residual_sensitivity_profile(
             best_weighted = weighted
             maximizing_k = k
     return ResidualSensitivityProfile(
-        beta=beta,
-        value=best_value,
-        maximizing_k=maximizing_k,
-        ls_hat_by_k=ls_hat_by_k,
-        boundary_queries=boundary_values,
-        cutoff=cutoff,
-        certified=certified,
+        value=best_value, maximizing_k=maximizing_k, ls_hat_by_k=ls_hat_by_k
     )
 
 
-def residual_sensitivity(instance: Instance, beta: float, *, k_max: int | None = None) -> float:
+def residual_sensitivity(instance: Instance, beta: float) -> float:
     """``RS^β_count(I)``.
 
     Always at least ``LS_count(I)`` (the ``k = 0`` term is exactly the local
     sensitivity) and β-smooth: on neighbouring instances the value changes by
     at most a factor ``e^β``.  Bitwise equal to
-    ``residual_sensitivity_profile(instance, beta, k_max=k_max).value``, in
-    bounded memory whatever the cutoff.
+    ``residual_sensitivity_profile(instance, beta).value``, in bounded memory
+    whatever the cutoff.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     m = instance.query.num_relations
-    coefficients = {
-        key: float(value) for key, value in all_boundary_queries(instance).items()
-    }
-    cutoff = k_max if k_max is not None else certified_cutoff(m, beta)
-    return maximize_residual(coefficients, m, beta, cutoff)
+    coefficients = {key: float(value) for key, value in all_boundary_queries(instance).items()}
+    return maximize_residual(coefficients, m, beta, certified_cutoff(m, beta))

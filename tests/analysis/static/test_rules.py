@@ -143,7 +143,7 @@ def test_dpa103_quiet_inside_queries_and_for_numpy(scan, path, source):
     [
         pytest.param("import numpy\n", id="third-party"),
         pytest.param("import scipy.sparse\n", id="third-party-submodule"),
-        pytest.param("from repro.queries import backends\n", id="cross-package"),
+        pytest.param("from repro.queries import evaluation\n", id="cross-package"),
         pytest.param("from repro import queries\n", id="facade-of-another-package"),
         pytest.param("from repro.analysis import lint\n", id="another-stdlib-only-module"),
     ],

@@ -8,7 +8,7 @@ import pytest
 
 from repro import cli, telemetry
 from repro.cli import _budget, main
-from repro.mechanisms.ledger import PrivacyLedger, ambient_ledger
+from repro.mechanisms.ledger import PrivacyLedger, ambient_ledgers
 from repro.mechanisms.spec import PrivacySpec
 from repro.telemetry.spans import SpanRing
 
@@ -205,7 +205,7 @@ class TestCli:
         self, tmp_path, monkeypatch
     ):
         def failing_demo(seed, ledger):
-            assert ambient_ledger() is ledger
+            assert ambient_ledgers()[-1] is ledger
             with telemetry.trace("before.failure"):
                 pass
             raise RuntimeError("command failed")

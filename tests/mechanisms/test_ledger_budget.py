@@ -18,7 +18,7 @@ from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.mechanisms.ledger import (
     BudgetExceededError,
     PrivacyLedger,
-    ambient_ledger,
+    ambient_ledgers,
     use_ledger,
 )
 from repro.mechanisms.spec import PrivacySpec
@@ -113,34 +113,37 @@ class TestAssertWithin:
 
 class TestAmbientLedger:
     def test_default_is_none(self):
-        assert ambient_ledger() is None
+        assert ambient_ledgers() == ()
 
     def test_use_ledger_installs_and_restores(self):
         ledger = PrivacyLedger()
         with use_ledger(ledger) as installed:
             assert installed is ledger
-            assert ambient_ledger() is ledger
-        assert ambient_ledger() is None
+            (only,) = ambient_ledgers()
+            assert only is ledger
+        assert ambient_ledgers() == ()
 
     def test_use_ledger_nests(self):
         outer, inner = PrivacyLedger(), PrivacyLedger()
         with use_ledger(outer):
             with use_ledger(inner):
-                assert ambient_ledger() is inner
-            assert ambient_ledger() is outer
+                first, second = ambient_ledgers()
+                assert first is outer and second is inner
+            (only,) = ambient_ledgers()
+            assert only is outer
 
     def test_ambient_ledger_is_per_thread_context(self):
         ledger = PrivacyLedger()
         seen = []
 
         def probe():
-            seen.append(ambient_ledger())
+            seen.append(ambient_ledgers())
 
         with use_ledger(ledger):
             thread = threading.Thread(target=probe)
             thread.start()
             thread.join()
-        assert seen == [None]  # a fresh thread starts with a fresh context
+        assert seen == [()]  # a fresh thread starts with a fresh context
 
 
 class TestPMWCharges:

@@ -18,6 +18,25 @@ from repro.mechanisms.truncated_laplace import (
 )
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        pytest.param(lambda: sample_laplace(1.0), id="sample_laplace"),
+        pytest.param(lambda: laplace_mechanism(0.0, 1.0, 1.0), id="laplace_mechanism"),
+        pytest.param(lambda: sample_truncated_laplace(1.0, 1.0), id="sample_truncated_laplace"),
+        pytest.param(
+            lambda: truncated_laplace_mechanism(0.0, 1.0, 1.0, 1e-5),
+            id="truncated_laplace_mechanism",
+        ),
+        pytest.param(lambda: exponential_mechanism(np.zeros(3), 1.0), id="exponential_mechanism"),
+    ],
+)
+def test_a_draw_without_rng_is_refused(draw):
+    """A forgotten ``rng=`` would draw from a generator outside the run's seed."""
+    with pytest.raises(TypeError, match="rng"):
+        draw()
+
+
 class TestRng:
     def test_resolve_with_seed_is_deterministic(self):
         first = resolve_rng(seed=7).integers(1000)
@@ -38,9 +57,9 @@ class TestRng:
 
 
 class TestLaplace:
-    def test_zero_scale_returns_value(self):
-        assert sample_laplace(0.0) == 0.0
-        assert laplace_mechanism(5.0, 0.0, 1.0) == 5.0
+    def test_zero_scale_returns_value(self, rng):
+        assert sample_laplace(0.0, rng=rng) == 0.0
+        assert laplace_mechanism(5.0, 0.0, 1.0, rng=rng) == 5.0
 
     def test_scalar_output_type(self, rng):
         value = laplace_mechanism(10.0, 1.0, 1.0, rng=rng)
@@ -55,13 +74,13 @@ class TestLaplace:
         # Laplace(b) has standard deviation b·√2.
         assert np.std(samples) == pytest.approx(2.0 * math.sqrt(2.0), rel=0.1)
 
-    def test_invalid_parameters(self):
+    def test_invalid_parameters(self, rng):
         with pytest.raises(ValueError):
-            laplace_mechanism(0.0, -1.0, 1.0)
+            laplace_mechanism(0.0, -1.0, 1.0, rng=rng)
         with pytest.raises(ValueError):
-            laplace_mechanism(0.0, 1.0, 0.0)
+            laplace_mechanism(0.0, 1.0, 0.0, rng=rng)
         with pytest.raises(ValueError):
-            sample_laplace(-1.0)
+            sample_laplace(-1.0, rng=rng)
 
 
 class TestTruncatedLaplace:
@@ -106,11 +125,11 @@ class TestTruncatedLaplace:
     def test_zero_sensitivity_is_exact(self, rng):
         assert truncated_laplace_mechanism(3.0, 0.0, 1.0, 1e-5, rng=rng) == 3.0
 
-    def test_invalid_parameters(self):
+    def test_invalid_parameters(self, rng):
         with pytest.raises(ValueError):
-            sample_truncated_laplace(0.0, 1.0)
+            sample_truncated_laplace(0.0, 1.0, rng=rng)
         with pytest.raises(ValueError):
-            sample_truncated_laplace(1.0, 0.0)
+            sample_truncated_laplace(1.0, 0.0, rng=rng)
 
 
 class TestExponentialMechanism:

@@ -15,7 +15,6 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.queries.backends import EvaluatorContext
 from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import path3_query, two_table_query
@@ -108,23 +107,22 @@ def test_answers_match_the_references(case):
 
 def test_support_size_matches_nnz(workload):
     evaluator = WorkloadEvaluator(workload)
-    context = EvaluatorContext(workload)
     for index in range(len(workload)):
         nnz = int(np.count_nonzero(workload[index].joint_values()))
-        assert context.support_size(index) == nnz
+        assert evaluator._support_size(index) == nnz
     assert evaluator.total_support_size() == sum(
-        context.support_size(index) for index in range(len(workload))
+        evaluator._support_size(index) for index in range(len(workload))
     )
 
 
 def test_marginal_supports_are_small(query):
     workload = Workload.attribute_marginals(query, "B", include_counting=False)
-    context = EvaluatorContext(workload)
+    evaluator = WorkloadEvaluator(workload)
     # Each B-marginal touches exactly |dom(A)|·|dom(C)| of the |D| cells.
     domain = query.joint_domain_size
     expected = domain // query.attribute("B").domain.size
     for index in range(len(workload)):
-        assert context.support_size(index) == expected
+        assert evaluator._support_size(index) == expected
 
 
 class TestSharedEvaluator:

@@ -38,7 +38,6 @@ import pytest
 from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.datagen.tpch import generate_tpch
 from repro.queries import evaluation
-from repro.queries.backends import EvaluatorContext
 from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
 from repro.queries.linear import ProductQuery, TableQuery, all_one_query
 from repro.queries.workload import Workload
@@ -327,7 +326,6 @@ def test_box_values_are_the_dense_values_on_the_box(join, generator):
     query = JOINS[join]
     workload = _workload(query, generator)
     evaluator = WorkloadEvaluator(workload)
-    context = EvaluatorContext(workload)
     for index in range(len(workload)):
         dense = workload[index].joint_values()
         box, values = evaluator.query_support(index)
@@ -339,7 +337,7 @@ def test_box_values_are_the_dense_values_on_the_box(join, generator):
         outside = dense.copy()
         outside[box] = 0.0
         assert not outside.any(), index
-        assert context.support_size(index) == np.count_nonzero(dense), index
+        assert evaluator._support_size(index) == np.count_nonzero(dense), index
     assert evaluator.total_support_size() == sum(
         np.count_nonzero(product.joint_values()) for product in workload
     )
@@ -365,7 +363,7 @@ def test_an_all_zero_query_has_an_empty_box_and_changes_no_cell(carried, monkeyp
     workload = Workload.attribute_marginals(query, "A").extended([ProductQuery(query, [zero])])
     evaluator = WorkloadEvaluator(workload)
     box, values = evaluator.query_support(len(workload) - 1)
-    assert values.size == 0 and EvaluatorContext(workload).support_size(len(workload) - 1) == 0
+    assert values.size == 0 and evaluator._support_size(len(workload) - 1) == 0
     initial = np.random.default_rng(11).random(query.joint_domain_size)
     session = evaluator.histogram_session(initial)
     session.accumulate()
@@ -495,7 +493,7 @@ def test_memory_counts_stacks_and_box_factor_copies_once(monkeypatch):
         box, values = evaluator.query_support(index)
         change = session.scale_support(box, np.exp(values * 0.1))
         assert (change is None) == (index == signs)  # the ±1 box is the whole domain
-    boxes = evaluator._context._boxes
+    boxes = evaluator._boxes
     assert sorted(boxes) == sorted(selected)
     factors = [factor for index in selected for factor in boxes[index].factors]
     weights = [table.weights for product in workload for table in product.table_queries]

@@ -119,6 +119,18 @@ class TestProductQuery:
         with pytest.raises(ValueError):
             ProductQuery(query, (TableQuery("R1", np.ones((2, 2))),))
 
+    def test_a_mapping_is_refused_not_misfiled(self, query):
+        """A mapping keyed by another relation's name would put R2's weights in R1's slot."""
+        misfiled = {"R1": TableQuery("R2", np.zeros((3, 3)))}
+        with pytest.raises(TypeError, match="TableQuery"):
+            ProductQuery(query, misfiled)
+
+    def test_a_relation_given_twice_is_refused(self, query):
+        first = TableQuery.indicator(query.relation("R1"), {"A": [0]})
+        second = TableQuery.indicator(query.relation("R1"), {"A": [1]})
+        with pytest.raises(ValueError, match="'R1' is given two table queries"):
+            ProductQuery(query, (first, second))
+
     def test_evaluation_matches_histogram_evaluation(self, instance):
         rng = np.random.default_rng(3)
         query = instance.query

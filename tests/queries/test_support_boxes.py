@@ -1,7 +1,7 @@
 """Support boxes on the zero patterns that shape a box, against the dense reference.
 
-``EvaluatorContext.support`` returns a query's non-zero box and its values
-there.  Over two-table, chain and star joins, and over the counting and
+``WorkloadEvaluator.query_support`` returns a query's non-zero box and its
+values there.  Over two-table, chain and star joins, and over the counting and
 all-zero queries, single-value marginals and prefix ranges on every axis,
 and diagonal weights (whose box is the whole domain but whose support is
 not), plus random weights: the values must be bitwise
@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.queries import evaluation
-from repro.queries.backends import EvaluatorContext
 from repro.queries.evaluation import WorkloadEvaluator
 from repro.queries.linear import ProductQuery, TableQuery
 from repro.queries.workload import Workload
@@ -50,15 +49,15 @@ def _zero_patterns(query) -> Workload:
 
 
 def _assert_boxes_match_reference(workload: Workload) -> None:
-    context = EvaluatorContext(workload)
+    evaluator = WorkloadEvaluator(workload)
     for index, product in enumerate(workload):
         dense = product.joint_values()
-        box, values = context.support(index)
+        box, values = evaluator.query_support(index)
         assert values.tobytes() == dense[box].tobytes(), index
         outside = dense.copy()
         outside[box] = 0.0
         assert not outside.any(), index
-        assert context.support_size(index) == np.count_nonzero(dense), index
+        assert evaluator._support_size(index) == np.count_nonzero(dense), index
 
 
 def _assert_changes_match_full_evaluations(workload: Workload) -> None:

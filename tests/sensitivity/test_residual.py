@@ -20,6 +20,7 @@ from repro.sensitivity.boundary import all_boundary_queries
 from repro.sensitivity.local import local_sensitivity
 from repro.sensitivity.residual import (
     certified_cutoff,
+    maximize_residual,
     maximize_residual_objective,
     residual_sensitivity,
     residual_sensitivity_profile,
@@ -128,19 +129,13 @@ class TestMultiTable:
 
     def test_profile_fields(self, path3_instance):
         profile = residual_sensitivity_profile(path3_instance, 0.5)
-        assert profile.certified
-        assert profile.cutoff >= certified_cutoff(3, 0.5) - 1
         assert profile.value == pytest.approx(
             max(
                 math.exp(-0.5 * k) * v for k, v in profile.ls_hat_by_k.items()
             )
         )
         assert profile.maximizing_k in profile.ls_hat_by_k
-
-    def test_explicit_k_max_is_uncertified(self, path3_instance):
-        profile = residual_sensitivity_profile(path3_instance, 0.5, k_max=2)
-        assert not profile.certified
-        assert profile.cutoff == 2
+        assert max(profile.ls_hat_by_k) == certified_cutoff(3, 0.5)
 
 
 class TestCutoffAndMaximizer:
@@ -218,16 +213,28 @@ class TestSearchMatchesEnumeration:
         seed=st.integers(0, 2**32 - 1),
         num_relations=st.integers(1, 4),
         beta=st.sampled_from([0.05, 0.2, 0.5, 1.0]),
-        k_max=st.none() | st.integers(0, 40),
+        cap=st.none() | st.integers(0, 40),
     )
     @settings(max_examples=60, deadline=None)
-    def test_random_chains(self, search, seed, num_relations, beta, k_max):
+    def test_random_chains(self, search, seed, num_relations, beta, cap):
+        """At the certified cutoff (``cap`` None) through RS^β itself, else at ``cap``."""
         instance = random_chain(seed, num_relations)
+        coefficients = {key: float(value) for key, value in all_boundary_queries(instance).items()}
+        indices = tuple(range(num_relations))
         with pytest.MonkeyPatch.context() as patch:
             for name, value in SEARCH_SETTINGS[search].items():
                 patch.setattr(residual, name, value)
-            found = residual_sensitivity(instance, beta, k_max=k_max)
-        expected = residual_sensitivity_profile(instance, beta, k_max=k_max).value
+            if cap is None:
+                found = residual_sensitivity(instance, beta)
+            else:
+                found = maximize_residual(coefficients, num_relations, beta, cap)
+        if cap is None:
+            expected = residual_sensitivity_profile(instance, beta).value
+        else:
+            expected = max(
+                maximize_residual_objective(coefficients, indices, i, beta, cap)[0]
+                for i in indices
+            )
         assert type(found) is float
         assert found == expected
 

@@ -55,7 +55,7 @@ def test_each_draw_is_one_span_and_keeps_its_value(mechanism):
 
 def test_zero_scale_laplace_adds_no_noise_and_records_no_span():
     telemetry.configure()
-    assert sample_laplace(0.0) == 0.0
+    assert sample_laplace(0.0, rng=np.random.default_rng(0)) == 0.0
     assert telemetry.snapshot()["stages"] == {}
 
 
