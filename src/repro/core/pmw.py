@@ -296,13 +296,16 @@ def private_multiplicative_weights(
         )
 
         # Step 3: multiplicative weights over the joint domain.  The update
-        # rescales only the selected query's support cells (the factor is
-        # exp(0) = 1 elsewhere), and the answers are carried across rounds
-        # from the change it reports; the workload is evaluated in full only
-        # when there are no carried answers (see _update).  The histogram
-        # lives in a session driven purely through its op protocol: each
-        # round sends only the support delta and the renormalisation scale,
-        # and the averaged iterates accumulate inside the session.
+        # rescales only the selected query's support box (the factor is
+        # exp(0) = 1 elsewhere), with factors over only the axes the query's
+        # weights are held on, which the session broadcasts onto the box (a
+        # one-way marginal's are one cell).  Where |Q|·|D| is over the
+        # evaluator's 2^20-cell budget, the answers are carried across rounds
+        # from the change the update reports; the workload is evaluated in
+        # full only when there are no carried answers (see _update).  The
+        # histogram lives in a session driven purely through its op protocol:
+        # each round sends only the support delta and the renormalisation
+        # scale, and the averaged iterates accumulate inside the session.
         true_answers = evaluator.answers_on_instance(instance)
         # The session copies its start, so a broadcast view costs no |D|-sized array.
         session = evaluator.histogram_session(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mechanisms.rng import resolve_rng
+from repro.mechanisms.rng import require_generator
 from repro.telemetry import trace as _trace
 
 
@@ -51,7 +51,7 @@ def exponential_mechanism(
     count is the number of draws (no-op while disabled; the RNG is untouched
     by instrumentation).
     """
+    generator = require_generator(rng)
     with _trace("mechanism.exponential", candidates=np.asarray(scores).size):
         probabilities = exponential_mechanism_probabilities(scores, epsilon, sensitivity)
-        generator = resolve_rng(rng)
         return int(generator.choice(len(probabilities), p=probabilities))

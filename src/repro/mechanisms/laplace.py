@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mechanisms.rng import resolve_rng
+from repro.mechanisms.rng import require_generator
 from repro.telemetry import trace as _trace
 
 
@@ -20,9 +20,9 @@ def sample_laplace(
     rng: np.random.Generator,
 ) -> np.ndarray | float:
     """Sample zero-mean Laplace noise with scale ``b`` (PDF ∝ exp(-|x|/b))."""
+    generator = require_generator(rng)
     if scale < 0:
         raise ValueError(f"scale must be non-negative, got {scale}")
-    generator = resolve_rng(rng)
     if scale == 0:
         return 0.0 if size is None else np.zeros(size)
     with _trace("mechanism.laplace", scale=scale):

@@ -1,8 +1,10 @@
 """Randomness plumbing.
 
-All mechanisms and algorithms accept either a ready-made
-``numpy.random.Generator`` or a plain integer seed.  ``resolve_rng`` funnels
+The release entry points accept either a ready-made
+``numpy.random.Generator`` or a plain integer seed; ``resolve_rng`` funnels
 both into a Generator so callers never have to care which form they hold.
+The samplers take only a Generator (``require_generator``): a draw from a
+generator made where it is drawn would leave the run's seed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,12 @@ def resolve_rng(rng: np.random.Generator | None = None, seed: int | None = None)
     if rng is not None and seed is not None:
         raise ValueError("provide either rng or seed, not both")
     if rng is not None:
-        if not isinstance(rng, np.random.Generator):
-            raise TypeError(f"rng must be a numpy Generator, got {type(rng)!r}")
-        return rng
+        return require_generator(rng)
     return np.random.default_rng(seed)
+
+
+def require_generator(rng: object) -> np.random.Generator:
+    """``rng`` itself; raises ``TypeError`` unless it is a ``numpy.random.Generator``."""
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, got {type(rng)!r}")
+    return rng

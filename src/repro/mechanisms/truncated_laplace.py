@@ -14,7 +14,7 @@ from math import exp, expm1, log
 
 import numpy as np
 
-from repro.mechanisms.rng import resolve_rng
+from repro.mechanisms.rng import require_generator
 from repro.telemetry import trace as _trace
 
 
@@ -50,11 +50,11 @@ def sample_truncated_laplace(
     Sampling is by inverse-CDF so a single uniform drives each draw (keeps the
     number of RNG calls deterministic for reproducibility).
     """
+    generator = require_generator(rng)
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    generator = resolve_rng(rng)
 
     def _inverse_cdf(u: np.ndarray | float) -> np.ndarray | float:
         u = np.asarray(u, dtype=float)

@@ -57,24 +57,33 @@ Supports
     as an index into the joint-shaped histogram — a slice on each axis
     whose kept values form one run (a whole axis, a single value or a
     range), an ``np.ix_`` index otherwise — and the query's values on it,
-    zeros included.  A zero weight gives the update a factor of
+    zeros included, over only the axes some relation's weights are held
+    on: extent one on every other axis, so that they broadcast onto the
+    box.  A one-way marginal's values are one cell; a ±1 query over two
+    relations fills its box.  A zero weight gives the update a factor of
     ``exp(0) = 1``, so those cells stay bitwise unchanged.  Slices read and
     write the histogram through views; an ``np.ix_`` box gathers and
     scatters.  Per query the evaluator keeps, once built, only the box
-    index, its shape and the box-restricted weights of each relation whose
-    weights are not all one; the values are built on every call from them,
-    into a fresh array the caller may overwrite: a copy of the first
-    factor, multiplied in place by each further one (a fill with ones when
-    there is none).
+    index, the values' shape and, for each relation whose weights are not
+    all one, its held weights restricted to the box on the held axes
+    (restricted before any gather, so a gather copies no broadcast axis).
+    The values are built on every call from them, into a fresh array the
+    caller may overwrite: a copy of the first factor, multiplied in place
+    by each further one (a fill with ones when there is none), so each
+    cell takes the same float operations as over the whole box.
 Carried answers
-    Where a full evaluation sweeps more than ``_MATRIX_CELL_BUDGET`` matrix
-    cells (``|Q|·|D|``), a session's support update also returns how every
-    answer moves, group by group, from the box's change ``Δ``: ``ΣΔ`` for
-    the counting query, and for every other group its plan run on ``Δ``
-    summed in the same two stages onto the group's held axes and
-    zero-padded outside the box.  A whole-domain box returns no change, and
-    the PMW loop then evaluates the workload in full, as it does every
-    round below the budget, in round one and after a renormalisation reset.
+    Where a full evaluation sweeps more than ``_MATRIX_CELL_BUDGET`` = 2^20
+    matrix cells (``|Q|·|D|``; see the constant for the measured
+    crossover), a session's support update also returns how every answer
+    moves, group by group, from the box's change ``Δ``: ``ΣΔ`` for the
+    counting query, and for every other group its plan run on ``Δ`` summed
+    in the same two stages onto the group's held axes and zero-padded
+    outside the box.  A whole-domain box (every part of its index
+    ``slice(0, n)``) returns no change, and the PMW loop then evaluates the
+    workload in full, as it does every round below the budget, in round
+    one and after a renormalisation reset.  On the release benchmark,
+    ``two_table_marginals`` and ``chain_residual`` carry; ``uniformize_zipf``
+    is over the budget too, but its ±1 boxes are the whole domain.
     Carried answers drift from a full evaluation only by rounding, without
     growing: at most 5.1e-15 of the largest answer over 3000 rounds on the
     release benchmark's 321 marginals at ``|D| = 2^20``, and 4.1e-15 over
@@ -112,9 +121,20 @@ from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 from repro.relational.join import _EINSUM_LETTERS, _letters_for, expand_to_joint
 
-#: Above this many matrix cells (``|Q|·|D|``) a full evaluation is costly
-#: enough that sessions return the answer change of each support update.
-_MATRIX_CELL_BUDGET = 60_000_000
+#: Above this many matrix cells (``|Q|·|D|``) sessions return the answer
+#: change of each support update instead of leaving the PMW loop to evaluate
+#: the workload in full.  ``python tests/carried_crossover.py`` times both
+#: over a grid of shapes.  The largest on which a full evaluation was faster
+#: in either of two runs is the evaluator tests' 17-attribute chain with
+#: random predicates (786,432 cells, ``np.ix_`` boxes; 2,227 against
+#: 2,429 µs in one run, 1,368 against 1,325 µs in the other), and this is
+#: the smallest power of two above it.  Below it lie ``np.ix_`` boxes and
+#: tiny domains; above it every shape on the grid carried no slower in
+#: both runs, ``chain_query([8] * 5)``'s one-way marginals in under half
+#: the time.  The 60,000,000 this replaced came from the dense/sparse cost
+#: model the factored evaluator retired and was never measured against
+#: carrying.
+_MATRIX_CELL_BUDGET = 2**20
 
 #: A query block's temporaries stay within this many multiples of ``|D|``
 #: float64 cells.
@@ -193,14 +213,16 @@ class _Box:
     """One query's box and what its values there are built from.
 
     ``factors`` are the box-restricted weights of the relations whose
-    weights are not all one, in relation order, each with one axis per
-    joint attribute (extent one where the relation does not hold it).
-    ``owned`` is the bytes of those that are copies, made where the box
-    gathers; the others are views of the workload's weights.
+    weights are not all one, in relation order, each over the axes its
+    weights are held on and with one axis per joint attribute (extent one
+    on every other).  ``values_shape`` is the shape of their broadcast,
+    which broadcasts onto the box.  ``owned`` is the bytes of the factors
+    that are copies, made where the box gathers; the others are views of
+    the workload's weights.
     """
 
     index: tuple
-    shape: tuple[int, ...]
+    values_shape: tuple[int, ...]
     factors: tuple[np.ndarray, ...]
     owned: int
 
@@ -448,13 +470,14 @@ class HistogramSession:
         evaluation, of ``g``, times ``c``.
     ``scale_support(box, factors)``
         Multiply the cells of ``box`` (a query's support box, see
-        :meth:`WorkloadEvaluator.query_support`) by the box-shaped
-        ``factors``, the PMW support delta: O(|S|), one strided read and
-        one strided write of ``g`` and one strided update of ``A′``, and
-        ``Σg`` moves by the delta's sum.  A whole-domain box (the counting
-        query, full-domain ±1 queries) instead folds, rescales ``g`` in
-        place and recomputes ``Σg`` exactly, with no ``|D|``-length
-        temporary.
+        :meth:`WorkloadEvaluator.query_support`) by ``factors``, the PMW
+        support delta, broadcast onto the box (a one-way marginal's is one
+        cell): O(|S|), one strided read and one strided write of ``g`` and
+        one strided update of ``A′``, and ``Σg`` moves by the delta's sum.
+        A whole-domain box (the counting query, full-domain ±1 queries),
+        told from its index (every part ``slice(0, n)``), instead folds,
+        rescales ``g`` in place and recomputes ``Σg`` exactly, with no
+        ``|D|``-length temporary.
         Returns the change in every answer when the evaluator carries
         answers (``|Q|·|D|`` over ``_MATRIX_CELL_BUDGET``) and the box is
         not the whole domain; otherwise ``None``, and the caller must call
@@ -503,13 +526,16 @@ class HistogramSession:
         return self._evaluator._answers(self._cells) * self._scale
 
     def scale_support(self, box: tuple, factors: np.ndarray) -> np.ndarray | None:
-        """Multiply the cells of ``box`` by ``factors`` (a support delta).
+        """Multiply the cells of ``box`` by ``factors`` broadcast onto it (a support delta).
 
         Returns the change in every answer, or ``None`` when the session
         did not compute it.
         """
         cells = self._cells
-        if factors.size == cells.size:  # the whole domain
+        if all(
+            isinstance(part, slice) and part == slice(0, size)
+            for part, size in zip(box, cells.shape)
+        ):  # the whole domain
             self._fold()
             cells *= factors
             self._cells_total = float(cells.sum())
@@ -664,14 +690,17 @@ class WorkloadEvaluator:
         if box is not None:
             return box
         join = self._workload.join_query
-        factors = [  # (joint axes, weights) of each relation whose weights are not all one
-            (tuple(map(join.axis_of, schema.attribute_names)), table_query.weights)
-            for schema, table_query in zip(join.relations, self._workload[index].table_queries)
-            if not table_query.is_all_one()
-        ]
+        # (held joint axes, held weights) of each relation whose weights are not all one
+        factors = []
+        for schema, table_query in zip(join.relations, self._workload[index].table_queries):
+            if not table_query.is_all_one():
+                names = [schema.attribute_names[axis] for axis in table_query.held_axes]
+                factors.append((tuple(map(join.axis_of, names)), table_query.held_weights()))
         keep = [np.ones(size, dtype=bool) for size in self._shape]
         for axes, weights in factors:
             nonzero = weights != 0.0
+            if not axes:  # held on no axis, a constant: zero empties the box
+                keep[0] &= bool(nonzero)
             for position, axis in enumerate(axes):
                 keep[axis] &= nonzero.any(axis=tuple(a for a in range(len(axes)) if a != position))
         parts: list[slice | np.ndarray] = []
@@ -684,17 +713,13 @@ class WorkloadEvaluator:
             parts.append(slice(first, last + 1) if last - first == kept.size - 1 else kept)
         restricted, owned = [], 0
         for axes, weights in factors:
-            factor = expand_to_joint(
-                join,
-                weights[box_index([parts[axis] for axis in axes])],
-                [join.attribute_names[axis] for axis in axes],
-            )
+            # Restricted on the held axes alone, so a gather copies no broadcast axis.
+            held = weights[box_index([parts[axis] for axis in axes])] if axes else weights
+            factor = expand_to_joint(join, held, [join.attribute_names[axis] for axis in axes])
             restricted.append(factor)
             if not np.may_share_memory(factor, weights):
                 owned += factor.nbytes
-        shape = tuple(
-            part.stop - part.start if isinstance(part, slice) else part.size for part in parts
-        )
+        shape = np.broadcast_shapes((1,) * len(parts), *(factor.shape for factor in restricted))
         box = self._boxes[index] = _Box(box_index(parts), shape, tuple(restricted), owned)
         return box
 
@@ -706,13 +731,16 @@ class WorkloadEvaluator:
         ``slice(0, 0)`` on every axis when the query is zero everywhere.
         The PMW multiplicative update touches only these cells (its factor
         is exactly 1 everywhere else, and on the box's zeros).  The values
-        are built on every call in
-        :meth:`~repro.queries.linear.ProductQuery.joint_values`' order, so
-        each is bit-identical to the dense array's on the box, and the
-        caller owns them and may overwrite them in place.
+        have one axis per joint attribute, extent one on every axis no
+        relation's weights are held on, and broadcast onto the box: a
+        one-way marginal's are one cell, a ±1 query over two relations
+        fills its box.  They are built on every call in
+        :meth:`~repro.queries.linear.ProductQuery.joint_values`' order, so,
+        broadcast onto the box, each is bit-identical to the dense array's
+        there, and the caller owns them and may overwrite them in place.
         """
         box = self._box(index)
-        values = np.empty(box.shape)
+        values = np.empty(box.values_shape)
         if not box.factors:
             values.fill(1.0)
             return box.index, values

@@ -15,7 +15,7 @@ from repro.queries import evaluation
 from repro.queries.evaluation import WorkloadEvaluator, shared_evaluator
 from repro.queries.linear import ProductQuery, TableQuery
 from repro.queries.workload import Workload
-from repro.relational.hypergraph import two_table_query
+from repro.relational.hypergraph import chain_query, two_table_query
 from repro.relational.instance import Instance
 from repro.relational.join import join_size
 
@@ -299,8 +299,9 @@ class TestRenormalisation:
 
 
 def _one_way_marginals(query, *, include_counting):
-    workload = Workload.attribute_marginals(query, "A", include_counting=include_counting)
-    for name in ("B", "C"):
+    first, *rest = query.attribute_names
+    workload = Workload.attribute_marginals(query, first, include_counting=include_counting)
+    for name in rest:
         workload = workload.extended(
             Workload.attribute_marginals(query, name, include_counting=False).queries
         )
@@ -393,34 +394,62 @@ class TestCarriedAnswers:
         r2 = [(int(rng.integers(5)), int(rng.integers(6))) for _ in range(110)]
         instance = Instance.from_tuple_lists(query, {"R1": r1, "R2": r2})
         workload = _one_way_marginals(query, include_counting=False)
-        evaluator = shared_evaluator(workload)
-        calls = []
-        open_session = evaluator.histogram_session
-
-        def counted_session(*args, **kwargs):
-            session = open_session(*args, **kwargs)
-            answers = session.answers
-            monkeypatch.setattr(session, "answers", lambda: calls.append(1) or answers())
-            return session
-
-        monkeypatch.setattr(evaluator, "histogram_session", counted_session)
+        calls = _counted_full_evaluations(workload, monkeypatch)
         result = private_multiplicative_weights(
             instance, workload, 1.0, 1e-5, 2.0, seed=5, config=PMWConfig(num_iterations=12)
         )
         assert result.iterations == 12
         assert len(calls) == full_evaluations
 
+    def test_chain_marginals_carry_under_the_default_budget(self, monkeypatch):
+        """``chain_query([8] * 5)``'s marginals are over the budget, unpatched.
+
+        40 one-way marginals over ``|D| = 8^5`` sweep 1,310,720 matrix cells
+        per full evaluation, above ``_MATRIX_CELL_BUDGET`` = 2^20, and no box
+        is the whole domain, so a 30-round run evaluates the workload once.
+        """
+        query = chain_query([8] * 5)
+        rng = np.random.default_rng(9)
+        frequencies = {
+            schema.name: 100 + rng.integers(0, 21, size=schema.shape) for schema in query.relations
+        }
+        instance = Instance.from_frequencies(query, frequencies)
+        workload = _one_way_marginals(query, include_counting=False)
+        assert shared_evaluator(workload)._carries()
+        calls = _counted_full_evaluations(workload, monkeypatch)
+        result = private_multiplicative_weights(
+            instance, workload, 0.2, 1e-6, 2.0, seed=1, config=PMWConfig(num_iterations=30)
+        )
+        assert result.iterations == 30
+        assert len(calls) == 1
+
+
+def _counted_full_evaluations(workload, monkeypatch) -> list:
+    """A list that gains an entry per full evaluation of ``workload``'s PMW sessions."""
+    evaluator = shared_evaluator(workload)
+    calls = []
+    open_session = evaluator.histogram_session
+
+    def counted_session(*args, **kwargs):
+        session = open_session(*args, **kwargs)
+        answers = session.answers
+        monkeypatch.setattr(session, "answers", lambda: calls.append(1) or answers())
+        return session
+
+    monkeypatch.setattr(evaluator, "histogram_session", counted_session)
+    return calls
+
 
 def test_in_place_factors_never_reach_the_evaluator(monkeypatch):
     """PMW turns each round's support values into its factors in place.
 
     Those values must be the loop's own array: after an Algorithm 4 release
-    and an Algorithm 1 release over one workload, every support is still
-    bitwise the dense values taken before the releases, on its box, and
-    every stack is bitwise what it was.  The releases update one-relation
-    marginals (values copied from one factor), ±1 queries over both
-    relations (two factors multiplied out) and the boxed queries,
-    ``np.ix_`` boxes among them.
+    and an Algorithm 1 release over one workload, every support, broadcast
+    onto its box, is still bitwise the dense values taken before the
+    releases there, and every stack is bitwise what it was.  The releases
+    update one-relation marginals (values copied from one factor, one cell),
+    ±1 queries over both relations (two factors multiplied out over the
+    box) and the boxed queries, ``np.ix_`` boxes among them.
     """
     query = two_table_query(12, 5, 6)
     rng = np.random.default_rng(8)
@@ -456,6 +485,7 @@ def test_in_place_factors_never_reach_the_evaluator(monkeypatch):
     assert any(index >= first_sign for index in asked)  # a ±1 query
     for index, values in enumerate(dense):
         box, support = evaluator.query_support(index)
-        assert support.tobytes() == values[box].tobytes(), index
+        on_box = np.broadcast_to(support, values[box].shape)
+        assert on_box.tobytes() == values[box].tobytes(), index
     after = [stack for group in evaluator._groups() for stack in group.stacks]
     assert all(stack.tobytes() == kept.tobytes() for stack, kept in zip(after, stacks))

@@ -16,9 +16,12 @@ single-table path, on hypothesis-drawn instances and workloads — the
 counting query, a marginal, ±1 queries, random predicates (``np.ix_``
 boxes) and sometimes an all-zero query — over the evaluator tests' joins
 (the 17-attribute chain aside: Algorithm 3's residual sensitivity over 16
-relations takes minutes) and a one-relation join.  The real path runs with
-every round evaluated in full and, with ``_MATRIX_CELL_BUDGET`` patched to
-0, with its answers carried.
+relations takes minutes) and a one-relation join.  The real path runs
+twice: under the default ``_MATRIX_CELL_BUDGET`` of 2^20 matrix cells,
+above every drawn ``|Q|·|D|``, so that every round is evaluated in full,
+and with the budget patched to 0, so that its answers are carried.  Either
+way each round's factors span only the axes the selected query's weights
+are held on, and the session broadcasts them onto the query's box.
 """
 
 from math import ceil, log, sqrt

@@ -18,23 +18,44 @@ from repro.mechanisms.truncated_laplace import (
 )
 
 
-@pytest.mark.parametrize(
-    "draw",
-    [
-        pytest.param(lambda: sample_laplace(1.0), id="sample_laplace"),
-        pytest.param(lambda: laplace_mechanism(0.0, 1.0, 1.0), id="laplace_mechanism"),
-        pytest.param(lambda: sample_truncated_laplace(1.0, 1.0), id="sample_truncated_laplace"),
-        pytest.param(
-            lambda: truncated_laplace_mechanism(0.0, 1.0, 1.0, 1e-5),
-            id="truncated_laplace_mechanism",
-        ),
-        pytest.param(lambda: exponential_mechanism(np.zeros(3), 1.0), id="exponential_mechanism"),
-    ],
-)
+#: Each sampler and the mechanisms that call through them, given only ``rng=``.
+DRAWS = [
+    pytest.param(lambda **rng: sample_laplace(1.0, **rng), id="sample_laplace"),
+    pytest.param(lambda **rng: laplace_mechanism(0.0, 1.0, 1.0, **rng), id="laplace_mechanism"),
+    pytest.param(
+        lambda **rng: sample_truncated_laplace(1.0, 1.0, **rng), id="sample_truncated_laplace"
+    ),
+    pytest.param(
+        lambda **rng: truncated_laplace_mechanism(0.0, 1.0, 1.0, 1e-5, **rng),
+        id="truncated_laplace_mechanism",
+    ),
+    pytest.param(
+        lambda **rng: exponential_mechanism(np.zeros(3), 1.0, **rng), id="exponential_mechanism"
+    ),
+]
+
+
+@pytest.mark.parametrize("draw", DRAWS)
 def test_a_draw_without_rng_is_refused(draw):
     """A forgotten ``rng=`` would draw from a generator outside the run's seed."""
     with pytest.raises(TypeError, match="rng"):
         draw()
+
+
+@pytest.mark.parametrize("draw", DRAWS)
+def test_a_draw_from_anything_but_a_generator_is_refused(draw, monkeypatch):
+    """``rng=None`` or a seed would draw from a generator made outside the run's seed.
+
+    Each is refused before numpy makes a generator, so before any draw.
+    """
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
+    for rng in (None, 0, np.random.RandomState(0)):
+        with pytest.raises(TypeError, match="rng"):
+            draw(rng=rng)
+    assert made == []
+    assert isinstance(draw(rng=np.random.default_rng(0)), (float, int))
 
 
 class TestRng:

@@ -18,12 +18,14 @@ layout the plan reads, and a group's stacks are views of those arrays.
 On the same generators and joins: the groups partition the workload by the
 relations whose weights are not all one and, per relation, the axes its
 weights are held on (not broadcast along), and each stack row is those
-weights over those axes alone; each query's support box holds the dense
-query values bitwise and the dense values are zero outside it; a session's
-answers follow its in-place updates; and, with carried answers forced on
-(``_MATRIX_CELL_BUDGET`` patched to 0), every update on a box that is not
-the whole domain reports an answer change equal to what a full evaluation
-moves by, while whole-domain boxes report none.  Besides the workload
+weights over those axes alone; each query's support values span only
+those axes and, broadcast onto its box, hold the dense query values
+bitwise, and the dense values are zero outside it; a session's answers
+follow its in-place updates, which the values make as if they filled the
+box; and, with carried answers forced on (``_MATRIX_CELL_BUDGET`` patched
+to 0), every update on a box that is not the whole domain reports an
+answer change equal to what a full evaluation moves by, while
+whole-domain boxes report none.  Besides the workload
 generators, the generators include products of indicator pools (groups
 over several relations, each narrowed to one attribute), two-attribute
 indicators, weights broadcast from 0.5 and from 0 (no held axis) and dense
@@ -31,6 +33,7 @@ weights that are constant along an axis (every axis held).
 """
 
 import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
@@ -320,6 +323,21 @@ def _is_sliced(box: tuple) -> bool:
     return isinstance(box[0], slice)
 
 
+def _box_shape(box: tuple, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The shape of the cells ``box`` indexes in a joint-shaped array of ``shape``."""
+    return np.empty(shape)[box].shape
+
+
+def _on_box(values: np.ndarray, shape: tuple[int, ...], box: tuple) -> np.ndarray:
+    """A query's support values broadcast onto its box."""
+    return np.broadcast_to(values, _box_shape(box, shape))
+
+
+def _is_whole(box: tuple, shape: tuple[int, ...]) -> bool:
+    """Whether ``box`` holds every cell of the joint ``shape``."""
+    return prod(_box_shape(box, shape)) == prod(shape)
+
+
 @pytest.mark.parametrize("generator", GENERATORS)
 @pytest.mark.parametrize("join", JOINS)
 def test_box_values_are_the_dense_values_on_the_box(join, generator):
@@ -332,8 +350,8 @@ def test_box_values_are_the_dense_values_on_the_box(join, generator):
         assert all(isinstance(part, slice) for part in box) or not any(
             isinstance(part, slice) for part in box
         )
-        assert values.dtype == np.float64 and values.shape == dense[box].shape, index
-        assert values.tobytes() == dense[box].tobytes(), index
+        assert values.dtype == np.float64 and values.ndim == dense.ndim, index
+        assert _on_box(values, query.shape, box).tobytes() == dense[box].tobytes(), index
         outside = dense.copy()
         outside[box] = 0.0
         assert not outside.any(), index
@@ -341,6 +359,67 @@ def test_box_values_are_the_dense_values_on_the_box(join, generator):
     assert evaluator.total_support_size() == sum(
         np.count_nonzero(product.joint_values()) for product in workload
     )
+
+
+def test_values_span_only_the_axes_the_weights_are_held_on():
+    """A one-way marginal's values are one cell; a ±1 query over two relations fills its box."""
+    for query in JOINS.values():
+        marginals = Workload.attribute_marginals(query, query.attribute_names[-1])
+        evaluator = WorkloadEvaluator(marginals)
+        for index in range(1, len(marginals)):
+            box, values = evaluator.query_support(index)
+            assert values.shape == (1,) * len(query.shape), index
+            assert prod(_box_shape(box, query.shape)) * query.shape[-1] == prod(query.shape)
+    query = JOINS["two_table"]
+    first, second = query.relations
+    rng = np.random.default_rng(0)
+    signs = rng.choice((-1.0, 1.0), size=first.shape)
+    signs[:2] = 0.0  # the box keeps A from 2 on
+    signed = ProductQuery(
+        query,
+        [
+            TableQuery(first.name, signs),
+            TableQuery(second.name, rng.choice((-1.0, 1.0), size=second.shape)),
+        ],
+    )
+    box, values = WorkloadEvaluator(Workload(query, [signed])).query_support(0)
+    assert box == (slice(2, 5), slice(0, 4), slice(0, 6))
+    assert values.shape == (3, 4, 6)
+    assert values.tobytes() == signed.joint_values()[box].tobytes()
+
+
+@pytest.mark.parametrize("generator", GENERATORS)
+@pytest.mark.parametrize("join", JOINS)
+def test_values_update_a_session_as_if_they_filled_the_box(join, generator, monkeypatch):
+    """``scale_support`` broadcasts the values onto the box, bitwise.
+
+    Two sessions over one start take every query's update, one with the
+    factors as ``query_support`` shapes them, one with them broadcast onto
+    the box first.  With carried answers forced on and a running weight in
+    the accumulator, the cells, totals, accumulators and answer changes of
+    the two stay bitwise equal, whole-domain boxes included.
+    """
+    monkeypatch.setattr(evaluation, "_MATRIX_CELL_BUDGET", 0)
+    query = JOINS[join]
+    workload = _workload(query, generator)
+    evaluator = WorkloadEvaluator(workload)
+    rng = np.random.default_rng(13)
+    initial = rng.random(query.joint_domain_size)
+    reduced, filled = evaluator.histogram_session(initial), evaluator.histogram_session(initial)
+    for index in range(len(workload)):
+        box, values = evaluator.query_support(index)
+        factors = np.exp(values * rng.normal(scale=0.3))
+        reduced.accumulate()
+        filled.accumulate()
+        change = reduced.scale_support(box, factors)
+        expected = filled.scale_support(box, _on_box(factors, query.shape, box).copy())
+        if expected is None:
+            assert change is None, index
+        else:
+            assert change.tobytes() == expected.tobytes(), index
+        assert reduced.total() == filled.total(), index
+        for name in ("_cells", "_accumulator"):
+            assert vars(reduced)[name].tobytes() == vars(filled)[name].tobytes(), (index, name)
 
 
 def test_random_predicates_give_scattered_and_empty_boxes():
@@ -393,7 +472,9 @@ def test_session_answers_follow_its_updates(join, generator):
     for index in range(len(workload)):
         box, values = evaluator.query_support(index)
         factors = np.exp(values * rng.normal(scale=0.3))
-        assert session.scale_support(box, factors) is None  # under the matrix budget
+        change = session.scale_support(box, factors)
+        # Under the matrix budget, or on a whole-domain box, nothing is carried.
+        assert (change is None) == (not evaluator._carries() or _is_whole(box, query.shape))
         expected[box] *= factors
         session.accumulate()
         accumulated += expected
@@ -431,7 +512,7 @@ def test_changes_equal_the_move_of_a_full_evaluation(join, generator, monkeypatc
         before = session.answers()
         change = session.scale_support(box, np.exp(values * rng.normal(scale=0.3)))
         after = session.answers()
-        assert (change is None) == (values.size == query.joint_domain_size), index
+        assert (change is None) == _is_whole(box, query.shape), index
         if change is not None:  # after − before rounds at the answers' scale
             scale = max(1.0, float(np.abs(after).max()))
             assert np.max(np.abs(change - (after - before))) <= 1e-12 * scale, index
@@ -453,8 +534,8 @@ def test_every_change_path_occurs():
                 sizes = [len(query.relations[position].shape) for position in group.relations]
                 several = len(group.relations) > 1
                 for index in group.rows:
-                    box, values = evaluator.query_support(int(index))
-                    if 0 < values.size < query.joint_domain_size:
+                    box, _ = evaluator.query_support(int(index))
+                    if 0 < prod(_box_shape(box, query.shape)) < query.joint_domain_size:
                         paths.add("several" if several else "one")
                         paths.add("sliced" if _is_sliced(box) else "ix_")
                         if any(len(held) < size for held, size in zip(group.held, sizes)):

@@ -1,13 +1,14 @@
 """Support boxes on the zero patterns that shape a box, against the dense reference.
 
 ``WorkloadEvaluator.query_support`` returns a query's non-zero box and its
-values there.  Over two-table, chain and star joins, and over the counting and
-all-zero queries, single-value marginals and prefix ranges on every axis,
-and diagonal weights (whose box is the whole domain but whose support is
-not), plus random weights: the values must be bitwise
-``ProductQuery.joint_values()`` on the box, the dense values zero outside
-it, and, with carried answers forced on, every update on a box that is not
-the whole domain must report the change a full evaluation moves by.
+values there, over the axes the query's weights are held on.  Over
+two-table, chain and star joins, and over the counting and all-zero
+queries, single-value marginals and prefix ranges on every axis, and
+diagonal weights (whose box is the whole domain but whose support is not),
+plus random weights: the values, broadcast onto the box, must be bitwise
+``ProductQuery.joint_values()`` there, the dense values zero outside it,
+and, with carried answers forced on, every update on a box that is not the
+whole domain must report the change a full evaluation moves by.
 """
 
 import numpy as np
@@ -53,7 +54,8 @@ def _assert_boxes_match_reference(workload: Workload) -> None:
     for index, product in enumerate(workload):
         dense = product.joint_values()
         box, values = evaluator.query_support(index)
-        assert values.tobytes() == dense[box].tobytes(), index
+        assert values.ndim == dense.ndim, index
+        assert np.broadcast_to(values, dense[box].shape).tobytes() == dense[box].tobytes(), index
         outside = dense.copy()
         outside[box] = 0.0
         assert not outside.any(), index
@@ -62,16 +64,16 @@ def _assert_boxes_match_reference(workload: Workload) -> None:
 
 def _assert_changes_match_full_evaluations(workload: Workload) -> None:
     """Needs ``_MATRIX_CELL_BUDGET`` patched to 0."""
-    domain_size = workload.join_query.joint_domain_size
+    shape = workload.join_query.shape
     evaluator = WorkloadEvaluator(workload)
     rng = np.random.default_rng(0)
-    session = evaluator.histogram_session(rng.random(domain_size))
+    session = evaluator.histogram_session(rng.random(shape))
     for index in range(len(workload)):
         box, values = evaluator.query_support(index)
         before = session.answers()
         change = session.scale_support(box, np.exp(values * rng.normal(scale=0.3)))
         after = session.answers()
-        assert (change is None) == (values.size == domain_size), index
+        assert (change is None) == (np.empty(shape)[box].size == np.prod(shape)), index
         if change is not None:
             scale = max(1.0, float(np.abs(after).max()))
             assert np.max(np.abs(change - (after - before))) <= 1e-12 * scale, index
