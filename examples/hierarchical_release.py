@@ -16,10 +16,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro import Workload, join_size, local_sensitivity
+import numpy as np
+
+from repro import Workload, join_size, local_sensitivity, release_synthetic_data
 from repro.core.hierarchical import partition_hierarchical
-from repro.core.multi_table import default_beta, multi_table_release
-from repro.core.uniformize import uniformize_release
+from repro.core.multi_table import default_beta
 from repro.experiments.e08_hierarchical import figure4_skewed_instance
 from repro.sensitivity.configurations import configuration_of_instance
 from repro.sensitivity.residual import residual_sensitivity
@@ -44,7 +45,9 @@ def main() -> None:
     configuration = configuration_of_instance(instance, lam=1.0 / beta)
     print(f"degree configuration under the uniform partition: {configuration}")
 
-    partition = partition_hierarchical(instance, EPSILON / 2, DELTA / 2, seed=1)
+    partition = partition_hierarchical(
+        instance, EPSILON / 2, DELTA / 2, rng=np.random.default_rng(1)
+    )
     print(f"\nhierarchical partition: {partition.num_buckets} sub-instance(s)")
     for bucket in partition.buckets:
         sizes = bucket.sub_instance.relation_sizes()
@@ -52,9 +55,11 @@ def main() -> None:
     print(f"per-tuple multiplicity (Lemma 4.10): {partition.tuple_multiplicity(instance)}")
 
     workload = Workload.random_sign(query, 16, seed=2)
-    plain = multi_table_release(instance, workload, EPSILON, DELTA, seed=3)
-    uniform = uniformize_release(
-        instance, workload, EPSILON, DELTA, method="hierarchical", seed=3
+    plain = release_synthetic_data(
+        instance, workload, EPSILON, DELTA, method="multi_table", seed=3
+    )
+    uniform = release_synthetic_data(
+        instance, workload, EPSILON, DELTA, method="uniformize_hierarchical", seed=3
     )
     error_plain = plain.max_error(instance, workload)
     error_uniform = uniform.max_error(instance, workload)

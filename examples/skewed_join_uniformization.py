@@ -16,11 +16,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro import Workload, join_size, local_sensitivity
+from repro import Workload, join_size, local_sensitivity, release_synthetic_data
 from repro.analysis.bounds import theorem_33_error, theorem_44_error
 from repro.analysis.reporting import ExperimentTable
-from repro.core.two_table import two_table_release
-from repro.core.uniformize import uniformize_release
 from repro.datagen.synthetic import figure3_instance
 from repro.experiments.e06_uniformize_two_table import uniform_bucket_join_sizes
 from repro.mechanisms.truncated_laplace import default_lambda
@@ -39,9 +37,11 @@ def main() -> None:
         f"Δ = {local_sensitivity(instance)}"
     )
 
-    join_as_one = two_table_release(instance, workload, EPSILON, DELTA, seed=1)
-    uniformized = uniformize_release(
+    join_as_one = release_synthetic_data(
         instance, workload, EPSILON, DELTA, method="two_table", seed=1
+    )
+    uniformized = release_synthetic_data(
+        instance, workload, EPSILON, DELTA, method="uniformize_two_table", seed=1
     )
 
     error_one = join_as_one.max_error(instance, workload)

@@ -33,7 +33,9 @@ DELTA = 1e-5
 
 def run_join(instance, workload, label: str, table: ExperimentTable) -> None:
     release = release_synthetic_data(instance, workload, EPSILON, DELTA, seed=7)
-    laplace = independent_laplace_answers(instance, workload, EPSILON, DELTA, seed=8)
+    laplace = independent_laplace_answers(
+        instance, workload, EPSILON, DELTA, rng=np.random.default_rng(8)
+    )
 
     synthetic_error = release.max_error(instance, workload)
     exact = shared_evaluator(workload).answers_on_instance(instance)

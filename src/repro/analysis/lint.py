@@ -55,7 +55,9 @@ def rng_discipline(path: str, nodes: list[ast.AST]) -> Iterator[tuple[int, str]]
     """DPA101: randomness enters only through ``mechanisms/rng.py``.
 
     Every run replays bitwise from its seed because each generator descends
-    from one seeded root via ``resolve_rng``; a stray stream breaks that.
+    from one seeded root: ``resolve_rng`` turns the seed into a Generator at
+    the boundaries that take ``seed=``, and everything below draws from the
+    Generator it is handed.  A stray stream breaks that.
     Flags calls through ``numpy.random`` under any alias, generator
     constructors imported from it (and their calls), and the stdlib
     ``random`` module.  The experiments' seeded entry points are exempt.
@@ -85,8 +87,8 @@ def rng_discipline(path: str, nodes: list[ast.AST]) -> Iterator[tuple[int, str]]
                     constructor_aliases.add(bound)
 
     route = (
-        " — route randomness through repro.mechanisms.rng.resolve_rng "
-        "so every stream descends from the run's seed"
+        " — draw from the Generator the caller hands in (rng=), made from the "
+        "run's seed by repro.mechanisms.rng.resolve_rng where a seed enters"
     )
     stdlib = "the stdlib random module is process-global state" + route
     for node in nodes:
@@ -118,24 +120,31 @@ def rng_discipline(path: str, nodes: list[ast.AST]) -> Iterator[tuple[int, str]]
 
 
 def noise_locality(path: str, nodes: list[ast.AST]) -> Iterator[tuple[int, str]]:
-    """DPA102: noise is drawn only inside ``mechanisms/``.
+    """DPA102: noise is drawn, and calibrated, only inside ``mechanisms/``.
 
     Flags calls of a generator's noise methods (``rng.laplace(...)``,
-    ``.normal``, ``.gumbel``, ...) anywhere else: other code calls a
-    mechanism (``laplace_mechanism``, ``sample_laplace``, ...), so every
-    draw sits where the Lemma 3.2 budget split can account for it.
+    ``.normal``, ``.gumbel``, ...) and of ``truncation_radius`` anywhere
+    else: other code hands a mechanism (``laplace_mechanism``,
+    ``sample_laplace``, ...) the (Δ, ε, δ) it releases, so every draw sits
+    where the Lemma 3.2 budget split can account for it and its scale and
+    radius are worked out in one place.
     """
     if path.startswith("mechanisms/"):
         return
     for node in nodes:
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _NOISE_METHODS
-        ):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if isinstance(func, ast.Attribute) and name in _NOISE_METHODS:
             yield node.lineno, (
-                f".{node.func.attr}(...) samples noise outside src/repro/mechanisms/ "
+                f".{name}(...) samples noise outside src/repro/mechanisms/ "
                 "— noise is drawn only inside mechanisms/; call a mechanism API"
+            )
+        elif name == "truncation_radius":
+            yield node.lineno, (
+                "truncation_radius(...) calibrates noise outside src/repro/mechanisms/ "
+                "— hand the sampler (Δ, ε, δ); it works out the scale and radius"
             )
 
 

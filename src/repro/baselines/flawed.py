@@ -26,9 +26,9 @@ from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.core.result import ReleaseResult
 from repro.core.synthetic import SyntheticDataset
 from repro.core.two_table import noisy_local_sensitivity
-from repro.mechanisms.rng import resolve_rng
+from repro.mechanisms.rng import require_generator
 from repro.mechanisms.spec import PrivacySpec
-from repro.mechanisms.truncated_laplace import sample_truncated_laplace, truncation_radius
+from repro.mechanisms.truncated_laplace import sample_truncated_laplace
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 from repro.relational.join import join_size
@@ -42,14 +42,14 @@ def flawed_exact_count_release(
     epsilon: float,
     delta: float,
     *,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
     pmw_config: PMWConfig | None = None,
 ) -> ReleaseResult:
     """Flawed variant 1: PMW on the join with the *exact* join size (NOT DP)."""
+    require_generator(rng)
     config = replace(pmw_config or PMWConfig(), force_total=float(join_size(instance)))
     pmw = private_multiplicative_weights(
-        instance, workload, epsilon, delta, 1.0, rng=rng, seed=seed, config=config
+        instance, workload, epsilon, delta, 1.0, rng=rng, config=config
     )
     return ReleaseResult.from_pmw(
         "flawed_exact_count",
@@ -66,8 +66,7 @@ def flawed_padded_release(
     epsilon: float,
     delta: float,
     *,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
     pmw_config: PMWConfig | None = None,
 ) -> ReleaseResult:
     """Flawed variant 2: exact-count PMW plus uniform dummy padding (NOT DP).
@@ -77,18 +76,15 @@ def flawed_padded_release(
     sensitivity, and the padded mass is spread uniformly over the joint
     domain (the continuous analogue of sampling η random records).
     """
-    generator = resolve_rng(rng, seed)
+    require_generator(rng)
     query = workload.join_query
 
     base = flawed_exact_count_release(
-        instance, workload, epsilon / 2.0, delta / 2.0, rng=generator, pmw_config=pmw_config
+        instance, workload, epsilon / 2.0, delta / 2.0, rng=rng, pmw_config=pmw_config
     )
 
-    delta_tilde = noisy_local_sensitivity(instance, epsilon / 4.0, delta / 4.0, rng=generator)
-    radius = truncation_radius(epsilon / 4.0, delta / 4.0, delta_tilde)
-    eta = float(
-        sample_truncated_laplace(4.0 * delta_tilde / epsilon, radius, rng=generator)
-    )
+    delta_tilde = noisy_local_sensitivity(instance, epsilon / 4.0, delta / 4.0, rng=rng)
+    eta = sample_truncated_laplace(delta_tilde, epsilon / 4.0, delta / 4.0, rng=rng)
     padding = np.full(query.shape, eta / query.joint_domain_size, dtype=float)
 
     return ReleaseResult(

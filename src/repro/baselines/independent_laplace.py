@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.multi_table import default_beta, noisy_residual_sensitivity
 from repro.core.two_table import noisy_local_sensitivity
 from repro.mechanisms.laplace import sample_laplace
-from repro.mechanisms.rng import resolve_rng
+from repro.mechanisms.rng import require_generator
 from repro.queries.evaluation import shared_evaluator
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
@@ -41,28 +41,23 @@ def independent_laplace_answers(
     epsilon: float,
     delta: float,
     *,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
 ) -> IndependentLaplaceResult:
     """Answer the workload query-by-query with Laplace noise (the composition baseline)."""
-    generator = resolve_rng(rng, seed)
+    require_generator(rng)
     query = instance.query
     num_queries = len(workload)
 
     if query.num_relations <= 2:
-        sensitivity_bound = noisy_local_sensitivity(
-            instance, epsilon / 2.0, delta / 2.0, rng=generator
-        )
+        sensitivity_bound = noisy_local_sensitivity(instance, epsilon / 2.0, delta / 2.0, rng=rng)
     else:
         sensitivity_bound = noisy_residual_sensitivity(
-            instance, epsilon / 2.0, delta / 2.0, default_beta(epsilon, delta), rng=generator
+            instance, epsilon / 2.0, delta / 2.0, default_beta(epsilon, delta), rng=rng
         )
 
     per_query_epsilon = (epsilon / 2.0) / num_queries
     true_answers = shared_evaluator(workload).answers_on_instance(instance)
-    noise = sample_laplace(
-        sensitivity_bound / per_query_epsilon, size=num_queries, rng=generator
-    )
+    noise = sample_laplace(sensitivity_bound, per_query_epsilon, size=num_queries, rng=rng)
     return IndependentLaplaceResult(
         answers=true_answers + noise,
         sensitivity_bound=float(sensitivity_bound),

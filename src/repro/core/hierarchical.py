@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.partition_two_table import bucket_by_noisy_degree
-from repro.mechanisms.rng import resolve_rng
+from repro.mechanisms.rng import require_generator
 from repro.mechanisms.truncated_laplace import default_lambda
 from repro.relational.instance import Instance
 from repro.sensitivity.degrees import degree_vector
@@ -78,23 +78,23 @@ def decompose_by_attribute(
     delta: float,
     *,
     lam: float,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
 ) -> list[tuple[int, Instance]]:
     """Algorithm 7: split an instance by the noisy degrees of one attribute.
 
     Returns ``(bucket_index, sub_instance)`` pairs.  The relations containing
     ``attribute_name`` are restricted to the join values of each bucket;
-    relations outside ``atom(x)`` are carried over unchanged.
+    relations outside ``atom(x)`` are carried over unchanged.  ``lam`` is
+    the λ Algorithm 6 hands down.
     """
-    generator = resolve_rng(rng, seed)
+    require_generator(rng)
     ancestors = list(strict_ancestor_attributes(instance, attribute_name))
     atom = sorted(instance.query.atom(attribute_name))
     # With no ancestors dom(y) is the single empty tuple: one 0-d degree, one
     # draw, and one bucket holding the whole instance.
     degrees = degree_vector(instance, atom, ancestors)
     _, buckets = bucket_by_noisy_degree(
-        instance, atom, ancestors, degrees, epsilon, delta, lam, generator
+        instance, atom, ancestors, degrees, epsilon, delta, lam, rng
     )
     return [(bucket.index, bucket.sub_instance) for bucket in buckets]
 
@@ -104,21 +104,19 @@ def partition_hierarchical(
     epsilon: float,
     delta: float,
     *,
-    lam: float | None = None,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
 ) -> HierarchicalPartition:
     """Algorithm 6: decompose an instance along every attribute of the tree.
 
     Attributes are processed in the tree's bottom-up order (children before
-    parents); each step refines every sub-instance with :func:`decompose_by_attribute`.
+    parents); each step refines every sub-instance with :func:`decompose_by_attribute`
+    on the grid of ``λ = default_lambda(ε, δ)``.
     """
+    require_generator(rng)
     query = instance.query
     if not query.is_hierarchical():
         raise ValueError("partition_hierarchical requires a hierarchical join query")
-    generator = resolve_rng(rng, seed)
-    if lam is None:
-        lam = default_lambda(epsilon, delta)
+    lam = default_lambda(epsilon, delta)
 
     current: list[tuple[dict[str, int], Instance]] = [({}, instance)]
     for attribute_name in query.attribute_tree().bottom_up_order():
@@ -130,7 +128,7 @@ def partition_hierarchical(
                 epsilon,
                 delta,
                 lam=lam,
-                rng=generator,
+                rng=rng,
             ):
                 updated = dict(configuration)
                 updated[attribute_name] = index

@@ -18,13 +18,9 @@ import numpy as np
 
 from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.core.result import ReleaseResult
-from repro.mechanisms.rng import resolve_rng
+from repro.mechanisms.rng import require_generator
 from repro.mechanisms.spec import PrivacySpec
-from repro.mechanisms.truncated_laplace import (
-    default_lambda,
-    sample_truncated_laplace,
-    truncation_radius,
-)
+from repro.mechanisms.truncated_laplace import default_lambda, sample_truncated_laplace
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
 from repro.sensitivity.residual import residual_sensitivity
@@ -50,8 +46,7 @@ def noisy_residual_sensitivity(
     β-sensitivity truncated Laplace in log space.
     """
     rs_value = max(residual_sensitivity(instance, beta), 1.0)
-    radius = truncation_radius(epsilon, delta, beta)
-    log_noise = sample_truncated_laplace(beta / epsilon, radius, rng=rng)
+    log_noise = sample_truncated_laplace(beta, epsilon, delta, rng=rng)
     return rs_value * exp(float(log_noise))
 
 
@@ -61,8 +56,7 @@ def multi_table_release(
     epsilon: float,
     delta: float,
     *,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
     pmw_config: PMWConfig | None = None,
 ) -> ReleaseResult:
     """Release synthetic data for a general multi-way join (Algorithm 3).
@@ -70,18 +64,16 @@ def multi_table_release(
     The overall guarantee is (ε, δ)-DP: (ε/2, δ/2) for the noisy residual
     sensitivity and (ε/2, δ/2) for the PMW run (Lemma 3.7).
     """
+    require_generator(rng)
     privacy = PrivacySpec(epsilon, delta)  # refuses a bad budget before any draw
     query = instance.query
     workload.require_compatible(query)
-    generator = resolve_rng(rng, seed)
 
     # Line 1: β ← 1/λ.
     beta = default_beta(epsilon, delta)
 
     # Line 2: Δ̃ ← RS^β(I) · e^{TLap}.
-    delta_tilde = noisy_residual_sensitivity(
-        instance, epsilon / 2.0, delta / 2.0, beta, rng=generator
-    )
+    delta_tilde = noisy_residual_sensitivity(instance, epsilon / 2.0, delta / 2.0, beta, rng=rng)
 
     # Line 3: PMW with the remaining half of the budget.
     pmw = private_multiplicative_weights(
@@ -90,7 +82,7 @@ def multi_table_release(
         epsilon / 2.0,
         delta / 2.0,
         delta_tilde,
-        rng=generator,
+        rng=rng,
         config=pmw_config,
     )
     return ReleaseResult.from_pmw(

@@ -17,12 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.mechanisms.rng import resolve_rng
-from repro.mechanisms.truncated_laplace import (
-    default_lambda,
-    sample_truncated_laplace,
-    truncation_radius,
-)
+from repro.mechanisms.rng import require_generator
+from repro.mechanisms.truncated_laplace import default_lambda, sample_truncated_laplace
 from repro.relational.instance import Instance
 from repro.sensitivity.configurations import bucket_index
 from repro.sensitivity.degrees import degree_vector
@@ -56,9 +52,7 @@ def partition_two_table(
     epsilon: float,
     delta: float,
     *,
-    lam: float | None = None,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
 ) -> TwoTablePartition:
     """Partition a two-table instance by noisy join-value degrees (Algorithm 5).
 
@@ -66,14 +60,14 @@ def partition_two_table(
     assignment of each join value, driven by its degree plus sensitivity-1
     truncated Laplace noise (the degree of a join value changes by at most one
     between neighbouring instances), and the bucketing of different join
-    values touches disjoint tuples (parallel composition).
+    values touches disjoint tuples (parallel composition).  The buckets lie
+    on the grid of ``λ = default_lambda(ε, δ)``.
     """
+    require_generator(rng)
     query = instance.query
     if query.num_relations != 2:
         raise ValueError("partition_two_table expects exactly two relations")
-    generator = resolve_rng(rng, seed)
-    if lam is None:
-        lam = default_lambda(epsilon, delta)
+    lam = default_lambda(epsilon, delta)
 
     shared = sorted(query.boundary((0,)))
     if not shared:
@@ -83,7 +77,7 @@ def partition_two_table(
         degree_vector(instance, [0], shared), degree_vector(instance, [1], shared)
     )
     noisy, buckets = bucket_by_noisy_degree(
-        instance, (0, 1), shared, degrees, epsilon, delta, lam, generator
+        instance, (0, 1), shared, degrees, epsilon, delta, lam, rng
     )
     return TwoTablePartition(
         shared_attributes=tuple(shared),
@@ -116,8 +110,7 @@ def bucket_by_noisy_degree(
     """
     if not 0 < lam < inf:
         raise ValueError(f"lam (λ) must be positive and finite, got {lam}")
-    radius = truncation_radius(epsilon, delta, 1.0)
-    noise = sample_truncated_laplace(1.0 / epsilon, radius, size=int(degrees.size), rng=rng)
+    noise = sample_truncated_laplace(1.0, epsilon, delta, size=int(degrees.size), rng=rng)
     noisy = degrees.reshape(-1) + np.asarray(noise, dtype=float)
     noisy = noisy.reshape(degrees.shape)
 

@@ -8,7 +8,7 @@ parameterised — as in the paper — by an externally supplied sensitivity boun
    sensitivity ``Δ̃`` (budget ε/2, δ/2);
 2. the remaining budget drives ``k`` adaptive rounds, each selecting the
    currently worst-approximated workload query with the exponential mechanism
-   and measuring it with Laplace noise of scale ``Δ̃/ε'``;
+   and measuring it with sensitivity-``Δ̃`` Laplace noise at ε';
 3. each measurement multiplicatively re-weights the joint-domain histogram,
    and the released synthetic dataset is the average of the iterates.
 
@@ -61,12 +61,13 @@ from math import ceil, inf, log, sqrt
 
 import numpy as np
 
+from repro.mechanisms.composition import per_step_epsilon_for_advanced_composition
 from repro.mechanisms.exponential import exponential_mechanism
 from repro.mechanisms.laplace import sample_laplace
 from repro.mechanisms.ledger import ambient_ledgers
-from repro.mechanisms.rng import resolve_rng
+from repro.mechanisms.rng import require_generator
 from repro.mechanisms.spec import PrivacySpec
-from repro.mechanisms.truncated_laplace import sample_truncated_laplace, truncation_radius
+from repro.mechanisms.truncated_laplace import sample_truncated_laplace
 from repro.core.synthetic import assemble_flat_histogram
 from repro.telemetry import trace
 from repro.queries.evaluation import shared_evaluator
@@ -198,8 +199,7 @@ def private_multiplicative_weights(
     delta: float,
     sensitivity_bound: float,
     *,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
     config: PMWConfig | None = None,
 ) -> PMWResult:
     """Run ``PMW_{ε, δ, Δ̃}`` on an instance and return the averaged histogram.
@@ -219,7 +219,10 @@ def private_multiplicative_weights(
     sensitivity_bound:
         The noisy sensitivity bound ``Δ̃`` — must upper bound the change of any
         workload answer between neighbouring instances.
+    rng:
+        The Generator every draw of the run comes from.
     """
+    require_generator(rng)
     if not 0 < epsilon < inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0 < delta < 1:
@@ -229,7 +232,6 @@ def private_multiplicative_weights(
             f"sensitivity bound must be positive and finite, got {sensitivity_bound}"
         )
     config = config or PMWConfig()
-    generator = resolve_rng(rng, seed)
     evaluator = shared_evaluator(workload)
 
     join_query = workload.join_query
@@ -246,9 +248,8 @@ def private_multiplicative_weights(
             total_privacy = None
             rounds_epsilon, rounds_delta = epsilon, delta
         else:
-            radius = truncation_radius(epsilon / 2.0, delta / 2.0, sensitivity_bound)
             noise = sample_truncated_laplace(
-                2.0 * sensitivity_bound / epsilon, radius, rng=generator
+                sensitivity_bound, epsilon / 2.0, delta / 2.0, rng=rng
             )
             noisy_total = float(true_total) + float(noise)
             total_privacy = PrivacySpec(epsilon / 2.0, delta / 2.0)
@@ -276,7 +277,8 @@ def private_multiplicative_weights(
                 rounds_privacy=rounds_privacy,
             )
 
-        # Step 2: the adaptive rounds draw from the *remaining* budget (Lemma 3.2).
+        # Step 2: the adaptive rounds draw from the *remaining* budget (Lemma 3.2),
+        # each at Algorithm 2's per-round ε'.
         iterations = _auto_iterations(
             noisy_total,
             rounds_epsilon,
@@ -286,8 +288,8 @@ def private_multiplicative_weights(
             len(workload),
             config,
         )
-        epsilon_per_round = rounds_epsilon / (
-            16.0 * sqrt(iterations * max(log(1.0 / rounds_delta), 1.0))
+        epsilon_per_round = per_step_epsilon_for_advanced_composition(
+            rounds_epsilon, iterations, rounds_delta
         )
         run_span.set(
             iterations=iterations,
@@ -320,15 +322,14 @@ def private_multiplicative_weights(
                     if current_answers is None:
                         with trace("pmw.scores"):
                             current_answers = session.answers()
+                    # |q(F) − q(I)|/Δ̃: the paper's sensitivity-one scores.
                     scores = np.abs(current_answers - true_answers) / sensitivity_bound
-                    query_index = exponential_mechanism(
-                        scores, epsilon_per_round, 1.0, rng=generator
-                    )
+                    query_index = exponential_mechanism(scores, epsilon_per_round, rng=rng)
                     selected.append(query_index)
                     round_span.set(selected=query_index)
 
                     measurement = float(true_answers[query_index]) + sample_laplace(
-                        sensitivity_bound / epsilon_per_round, rng=generator
+                        sensitivity_bound, epsilon_per_round, rng=rng
                     )
                     with trace("pmw.update"):
                         # Fresh values this loop owns: they become the factors in place.

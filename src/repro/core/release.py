@@ -95,7 +95,7 @@ def _single_table_release(
     epsilon: float,
     delta: float,
     *,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     pmw_config: PMWConfig | None,
 ) -> ReleaseResult:
     """Theorem 1.3: the single-table case has sensitivity one."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.core.result import ReleaseResult
-from repro.mechanisms.rng import resolve_rng
+from repro.mechanisms.rng import require_generator
 from repro.mechanisms.spec import PrivacySpec
 from repro.mechanisms.truncated_laplace import truncated_laplace_mechanism
 from repro.queries.workload import Workload
@@ -47,8 +47,7 @@ def two_table_release(
     epsilon: float,
     delta: float,
     *,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
     pmw_config: PMWConfig | None = None,
 ) -> ReleaseResult:
     """Release synthetic data for a two-table join (Algorithm 1).
@@ -56,6 +55,7 @@ def two_table_release(
     The overall guarantee is (ε, δ)-DP: (ε/2, δ/2) for the noisy sensitivity
     bound Δ̃ and (ε/2, δ/2) for the PMW run (Lemma 3.2).
     """
+    require_generator(rng)
     privacy = PrivacySpec(epsilon, delta)  # refuses a bad budget before any draw
     query = instance.query
     if query.num_relations != 2:
@@ -63,12 +63,9 @@ def two_table_release(
             f"two_table_release expects exactly two relations, got {query.num_relations}"
         )
     workload.require_compatible(query)
-    generator = resolve_rng(rng, seed)
 
     # Line 1: Δ̃ ← Δ + TLap.
-    delta_tilde = noisy_local_sensitivity(
-        instance, epsilon / 2.0, delta / 2.0, rng=generator
-    )
+    delta_tilde = noisy_local_sensitivity(instance, epsilon / 2.0, delta / 2.0, rng=rng)
 
     # Line 2: PMW with the remaining half of the budget.
     pmw = private_multiplicative_weights(
@@ -77,7 +74,7 @@ def two_table_release(
         epsilon / 2.0,
         delta / 2.0,
         delta_tilde,
-        rng=generator,
+        rng=rng,
         config=pmw_config,
     )
     return ReleaseResult.from_pmw(

@@ -35,7 +35,7 @@ from repro.core.result import ReleaseResult
 from repro.core.synthetic import SyntheticDataset
 from repro.core.two_table import two_table_release
 from repro.mechanisms.composition import basic_composition, group_privacy
-from repro.mechanisms.rng import resolve_rng
+from repro.mechanisms.rng import require_generator
 from repro.mechanisms.spec import PrivacySpec
 from repro.queries.workload import Workload
 from repro.relational.instance import Instance
@@ -48,8 +48,7 @@ def uniformize_release(
     delta: float,
     *,
     method: str = "auto",
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
     pmw_config: PMWConfig | None = None,
 ) -> ReleaseResult:
     """Release synthetic data with uniformized sensitivities (Algorithm 4).
@@ -67,10 +66,10 @@ def uniformize_release(
     per-bucket release answers the workload through its one shared
     evaluator, so the buckets reuse its stacks and box factors.
     """
+    require_generator(rng)
     nominal_privacy = PrivacySpec(epsilon, delta)  # refuses a bad budget before any draw
     query = instance.query
     workload.require_compatible(query)
-    generator = resolve_rng(rng, seed)
     if method == "auto":
         method = "two_table" if query.num_relations == 2 else "hierarchical"
     if method not in ("two_table", "hierarchical"):
@@ -85,14 +84,14 @@ def uniformize_release(
     per_bucket: list[dict] = []
 
     if method == "two_table":
-        partition = partition_two_table(instance, epsilon / 2.0, delta / 2.0, rng=generator)
+        partition = partition_two_table(instance, epsilon / 2.0, delta / 2.0, rng=rng)
         release, label_key = two_table_release, "bucket"
         labels = [bucket.index for bucket in partition.buckets]
         # Lemma 4.1: partition (ε/2, δ/2) + parallel releases (ε/2, δ/2).
         privacy = nominal_privacy
         method_diagnostics = {}
     else:
-        partition = partition_hierarchical(instance, epsilon / 2.0, delta / 2.0, rng=generator)
+        partition = partition_hierarchical(instance, epsilon / 2.0, delta / 2.0, rng=rng)
         release, label_key = multi_table_release, "configuration"
         labels = [bucket.configuration for bucket in partition.buckets]
         # Lemma 4.11: the partition noise is charged once per attribute a tuple
@@ -111,7 +110,7 @@ def uniformize_release(
             workload,
             epsilon / 2.0,
             delta / 2.0,
-            rng=generator,
+            rng=rng,
             pmw_config=pmw_config,
         )
         histogram += result.synthetic.histogram

@@ -6,7 +6,8 @@
 * **parallel composition** — mechanisms on disjoint data pay only the worst
   budget (Lemma 4.1); the ledger applies it within a parallel group;
 * **advanced composition** — √k scaling across adaptive steps, and the
-  per-step ε of Algorithm 2; no algorithm here composes with it;
+  per-step ε of Algorithm 2, which PMW's rounds spend; no algorithm here
+  composes with it;
 * **group privacy** — the multiplicative blow-up when one tuple affects
   several sub-instances (Lemma 4.11's ``O(log^c n)`` factor), which
   Algorithm 4 applies on a hierarchical join.
@@ -76,8 +77,9 @@ def per_step_epsilon_for_advanced_composition(
 ) -> float:
     """The per-step ε that advanced composition turns into ``total_epsilon``.
 
-    Algorithm 2's inverse ``ε' = ε / (16·√(k·log(1/δ)))``; PMW computes
-    its per-round ε inline (:mod:`repro.core.pmw`) and does not call this.
+    Algorithm 2's per-round ``ε' = ε / (16·√(k·log(1/δ)))``, with
+    ``log(1/δ)`` floored at one so a large δ cannot raise ε' above
+    ``ε / (16·√k)``.
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
@@ -85,4 +87,4 @@ def per_step_epsilon_for_advanced_composition(
         raise ValueError("delta_slack must be in (0, 1)")
     if total_epsilon <= 0:
         raise ValueError("total_epsilon must be positive")
-    return total_epsilon / (16.0 * sqrt(steps * log(1.0 / delta_slack)))
+    return total_epsilon / (16.0 * sqrt(steps * max(log(1.0 / delta_slack), 1.0)))

@@ -1,10 +1,11 @@
 """Randomness plumbing.
 
-The release entry points accept either a ready-made
-``numpy.random.Generator`` or a plain integer seed; ``resolve_rng`` funnels
-both into a Generator so callers never have to care which form they hold.
-The samplers take only a Generator (``require_generator``): a draw from a
-generator made where it is drawn would leave the run's seed.
+A seed becomes a Generator in one place per run: ``resolve_rng`` at the
+boundaries that take ``seed=`` — ``release_synthetic_data``, the workload,
+instance and data generators, and the experiments.  Below them every
+release step and every sampler takes only the Generator its caller hands it
+(``require_generator``): a draw from a generator made where it is drawn
+would leave the run's seed.
 """
 
 from __future__ import annotations

@@ -6,11 +6,13 @@
 ``u + TLap^τ_b`` is (ε, δ)-DP for sensitivity-Δ values and — crucially for the
 algorithms in this library — never *under*-estimates ``u``: the noise is
 always non-negative, so noisy sensitivities remain valid upper bounds.
+The sampler takes (Δ, ε, δ) and works out ``b`` and ``τ`` itself, so the
+calibration is written here and nowhere else.
 """
 
 from __future__ import annotations
 
-from math import exp, expm1, log
+from math import exp, expm1, inf, log
 
 import numpy as np
 
@@ -28,33 +30,40 @@ def default_lambda(epsilon: float, delta: float) -> float:
 
 
 def truncation_radius(epsilon: float, delta: float, sensitivity: float) -> float:
-    """``τ(ε, δ, Δ) = (Δ/ε)·ln(1 + (e^ε − 1)/δ)``."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    """``τ(ε, δ, Δ) = (Δ/ε)·ln(1 + (e^ε − 1)/δ)``.
+
+    Raises ``ValueError`` unless ``0 < ε < ∞``, ``0 < δ < 1`` and ``Δ ≥ 0``.
+    """
+    if not 0 < epsilon < inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if sensitivity < 0:
+    if not sensitivity >= 0:
         raise ValueError(f"sensitivity must be non-negative, got {sensitivity}")
     return (sensitivity / epsilon) * log(1.0 + expm1(epsilon) / delta)
 
 
 def sample_truncated_laplace(
-    scale: float,
-    radius: float,
+    sensitivity: float,
+    epsilon: float,
+    delta: float,
     size: int | None = None,
     *,
     rng: np.random.Generator,
 ) -> float | np.ndarray:
-    """Sample from ``TLap^radius_scale``: support ``[0, 2·radius]``, mode ``radius``.
+    """Sample the (ε, δ)-DP noise ``TLap^τ_b`` of a sensitivity-Δ value.
 
-    Sampling is by inverse-CDF so a single uniform drives each draw (keeps the
-    number of RNG calls deterministic for reproducibility).
+    ``b = Δ/ε`` and ``τ = τ(ε, δ, Δ)``: support ``[0, 2τ]``, mode ``τ``.
+    Raises ``ValueError`` before any draw unless ``Δ > 0``, ``0 < ε < ∞``
+    and ``0 < δ < 1``.  Sampling is by inverse-CDF so a single uniform
+    drives each draw (keeps the number of RNG calls deterministic for
+    reproducibility).
     """
     generator = require_generator(rng)
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not sensitivity > 0:
+        raise ValueError(f"sensitivity must be positive, got {sensitivity}")
+    radius = truncation_radius(epsilon, delta, sensitivity)
+    scale = sensitivity / epsilon
 
     def _inverse_cdf(u: np.ndarray | float) -> np.ndarray | float:
         u = np.asarray(u, dtype=float)
@@ -88,11 +97,8 @@ def truncated_laplace_mechanism(
 
     The result is always at least ``value`` and at most ``value + 2·τ``, and is
     (ε, δ)-DP for neighbouring values differing by at most ``sensitivity``.
+    A sensitivity-zero value needs no noise and is released as it is.
     """
-    if sensitivity < 0:
-        raise ValueError(f"sensitivity must be non-negative, got {sensitivity}")
     if sensitivity == 0:
         return float(value)
-    radius = truncation_radius(epsilon, delta, sensitivity)
-    noise = sample_truncated_laplace(sensitivity / epsilon, radius, rng=rng)
-    return float(value) + float(noise)
+    return float(value) + sample_truncated_laplace(sensitivity, epsilon, delta, rng=rng)

@@ -110,6 +110,39 @@ def test_dpa102_quiet_inside_mechanisms_and_on_other_methods(scan):
     assert findings == []
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        pytest.param(
+            "from repro.mechanisms.truncated_laplace import truncation_radius\n\n"
+            "radius = truncation_radius(1.0, 1e-5, 2.0)\n",
+            id="imported-name",
+        ),
+        pytest.param(
+            "from repro.mechanisms import truncated_laplace\n\n"
+            "radius = truncated_laplace.truncation_radius(1.0, 1e-5, 2.0)\n",
+            id="module-attribute",
+        ),
+    ],
+)
+def test_dpa102_fires_on_calibration_outside_mechanisms(scan, source):
+    findings = scan({"core/foo.py": source})
+    assert code_lines(findings) == [("DPA102", 3)]
+
+
+def test_dpa102_quiet_on_calibration_inside_mechanisms_and_on_the_sampler(scan):
+    findings = scan(
+        {
+            "mechanisms/foo.py": "from repro.mechanisms.truncated_laplace import "
+            "truncation_radius\n\nradius = truncation_radius(1.0, 1e-5, 2.0)\n",
+            "core/foo.py": "from repro.mechanisms.truncated_laplace import "
+            "sample_truncated_laplace\n\n\ndef draw(rng):\n"
+            "    return sample_truncated_laplace(2.0, 1.0, 1e-5, rng=rng)\n",
+        }
+    )
+    assert findings == []
+
+
 # --- DPA103 session-encapsulation ------------------------------------------
 
 

@@ -38,9 +38,6 @@ ALLOWED = {
     "repro.mechanisms.composition.advanced_composition": (
         "the privacy accounting adopts or deletes it (ROADMAP item 1)"
     ),
-    "repro.mechanisms.composition.per_step_epsilon_for_advanced_composition": (
-        "the inverse of advanced_composition, adopted or deleted with it (ROADMAP item 1)"
-    ),
     "repro.telemetry.span_dicts": (
         "the spans' parent links, which the tests check and the run report's span tree "
         "is to read (ROADMAP)"

@@ -20,7 +20,7 @@ class TestFlawedVariants:
         """The defining flaw: the released total equals count(I) exactly."""
         workload = Workload.counting(two_table_instance.query)
         result = flawed_exact_count_release(
-            two_table_instance, workload, 1.0, 1e-5, seed=0, pmw_config=FAST
+            two_table_instance, workload, 1.0, 1e-5, rng=np.random.default_rng(0), pmw_config=FAST
         )
         assert result.synthetic.total_mass() == pytest.approx(
             join_size(two_table_instance), rel=1e-6
@@ -33,10 +33,10 @@ class TestFlawedVariants:
         pair = figure1_pair(12)
         workload = Workload.counting(pair.query)
         on_instance = flawed_exact_count_release(
-            pair.instance, workload, 1.0, 1e-5, seed=1, pmw_config=FAST
+            pair.instance, workload, 1.0, 1e-5, rng=np.random.default_rng(1), pmw_config=FAST
         )
         on_neighbor = flawed_exact_count_release(
-            pair.neighbor, workload, 1.0, 1e-5, seed=1, pmw_config=FAST
+            pair.neighbor, workload, 1.0, 1e-5, rng=np.random.default_rng(1), pmw_config=FAST
         )
         assert on_instance.synthetic.total_mass() == pytest.approx(12, rel=1e-6)
         assert on_neighbor.synthetic.total_mass() == pytest.approx(0, abs=1e-9)
@@ -44,7 +44,7 @@ class TestFlawedVariants:
     def test_padded_release_adds_uniform_mass(self, two_table_instance):
         workload = Workload.counting(two_table_instance.query)
         result = flawed_padded_release(
-            two_table_instance, workload, 1.0, 1e-5, seed=0, pmw_config=FAST
+            two_table_instance, workload, 1.0, 1e-5, rng=np.random.default_rng(0), pmw_config=FAST
         )
         assert result.synthetic.total_mass() > join_size(two_table_instance)
         assert result.diagnostics["eta"] >= 0
@@ -53,7 +53,7 @@ class TestFlawedVariants:
     def test_padded_histogram_strictly_positive(self, two_table_instance):
         workload = Workload.counting(two_table_instance.query)
         result = flawed_padded_release(
-            two_table_instance, workload, 1.0, 1e-5, seed=0, pmw_config=FAST
+            two_table_instance, workload, 1.0, 1e-5, rng=np.random.default_rng(0), pmw_config=FAST
         )
         assert np.all(result.synthetic.histogram > 0)
 
@@ -62,7 +62,7 @@ class TestIndependentLaplace:
     def test_answers_shape_and_calibration(self, two_table_instance):
         workload = Workload.random_sign(two_table_instance.query, 10, seed=0)
         result = independent_laplace_answers(
-            two_table_instance, workload, 1.0, 1e-5, seed=1
+            two_table_instance, workload, 1.0, 1e-5, rng=np.random.default_rng(1)
         )
         assert result.answers.shape == (len(workload),)
         assert result.per_query_epsilon == pytest.approx(0.5 / len(workload))
@@ -85,11 +85,17 @@ class TestIndependentLaplace:
 
     def test_multi_table_uses_residual_sensitivity(self, path3_instance):
         workload = Workload.counting(path3_instance.query)
-        result = independent_laplace_answers(path3_instance, workload, 1.0, 1e-3, seed=2)
+        result = independent_laplace_answers(
+            path3_instance, workload, 1.0, 1e-3, rng=np.random.default_rng(2)
+        )
         assert result.sensitivity_bound >= 1.0
 
     def test_reproducible(self, two_table_instance):
         workload = Workload.counting(two_table_instance.query)
-        first = independent_laplace_answers(two_table_instance, workload, 1.0, 1e-5, seed=3)
-        second = independent_laplace_answers(two_table_instance, workload, 1.0, 1e-5, seed=3)
+        first = independent_laplace_answers(
+            two_table_instance, workload, 1.0, 1e-5, rng=np.random.default_rng(3)
+        )
+        second = independent_laplace_answers(
+            two_table_instance, workload, 1.0, 1e-5, rng=np.random.default_rng(3)
+        )
         assert np.array_equal(first.answers, second.answers)

@@ -10,11 +10,7 @@ from repro.core.hierarchical import (
 )
 from repro.core.partition_two_table import bucket_by_noisy_degree, partition_two_table
 from repro.datagen.synthetic import figure3_instance
-from repro.mechanisms.truncated_laplace import (
-    default_lambda,
-    sample_truncated_laplace,
-    truncation_radius,
-)
+from repro.mechanisms.truncated_laplace import default_lambda, sample_truncated_laplace
 from repro.relational.hypergraph import two_table_query
 from repro.relational.instance import Instance
 from repro.relational.join import join_size
@@ -34,19 +30,25 @@ class TestPartitionTwoTable:
             default_lambda(1.0, 0.0)
 
     def test_tuples_partitioned(self, two_table_instance):
-        partition = partition_two_table(two_table_instance, 0.5, 1e-4, seed=0)
+        partition = partition_two_table(
+            two_table_instance, 0.5, 1e-4, rng=np.random.default_rng(0)
+        )
         total = sum(bucket.sub_instance.total_size() for bucket in partition.buckets)
         assert total == two_table_instance.total_size()
 
     def test_join_results_partitioned(self, two_table_instance):
-        partition = partition_two_table(two_table_instance, 0.5, 1e-4, seed=0)
+        partition = partition_two_table(
+            two_table_instance, 0.5, 1e-4, rng=np.random.default_rng(0)
+        )
         combined = np.zeros(two_table_instance.query.shape, dtype=np.int64)
         for bucket in partition.buckets:
             combined += join_result(bucket.sub_instance)
         assert np.array_equal(combined, join_result(two_table_instance))
 
     def test_masks_partition_domain(self, two_table_instance):
-        partition = partition_two_table(two_table_instance, 0.5, 1e-4, seed=0)
+        partition = partition_two_table(
+            two_table_instance, 0.5, 1e-4, rng=np.random.default_rng(0)
+        )
         coverage = np.zeros_like(partition.buckets[0].join_value_mask, dtype=int)
         for bucket in partition.buckets:
             coverage += bucket.join_value_mask.astype(int)
@@ -60,7 +62,7 @@ class TestPartitionTwoTable:
             two_table_query(230, 31, 230),
             {"R1": list(enumerate(values)), "R2": [(b, a) for a, b in enumerate(values)]},
         )
-        partition = partition_two_table(instance, 1.0, 1e-4, seed=1)
+        partition = partition_two_table(instance, 1.0, 1e-4, rng=np.random.default_rng(1))
         assert partition.num_buckets >= 2
         heavy_bucket = max(bucket.index for bucket in partition.buckets)
         heavy = [b for b in partition.buckets if b.index == heavy_bucket][0]
@@ -70,7 +72,8 @@ class TestPartitionTwoTable:
         """True degrees in bucket i are at most λ·2^i (noise only pushes up)."""
         instance = figure3_instance(100)
         lam = default_lambda(1.0, 1e-4)
-        partition = partition_two_table(instance, 1.0, 1e-4, lam=lam, seed=2)
+        partition = partition_two_table(instance, 1.0, 1e-4, rng=np.random.default_rng(2))
+        assert partition.lam == lam
         assert partition.shared_attributes == ("B",)  # R1(A, B) ⋈ R2(B, C)
         for bucket in partition.buckets:
             first, second = bucket.sub_instance.relations
@@ -85,9 +88,9 @@ class TestPartitionTwoTable:
             {"R1": np.array([[1]]), "R2": np.array([[2**62, 2**62]])},
         )
         with pytest.raises(OverflowError, match=r"\bR2\b.*2\*\*63"):
-            partition_two_table(instance, 1.0, 1e-4, seed=0)
+            partition_two_table(instance, 1.0, 1e-4, rng=np.random.default_rng(0))
 
-    def test_rejects_cross_product(self):
+    def test_rejects_cross_product(self, rng):
         from repro.relational.hypergraph import JoinQuery
         from repro.relational.schema import Attribute, Domain, RelationSchema
 
@@ -96,15 +99,15 @@ class TestPartitionTwoTable:
         query = JoinQuery((a, b), (RelationSchema("R1", (a,)), RelationSchema("R2", (b,))))
         instance = Instance.empty(query)
         with pytest.raises(ValueError):
-            partition_two_table(instance, 1.0, 1e-4)
+            partition_two_table(instance, 1.0, 1e-4, rng=rng)
 
-    def test_rejects_three_tables(self, path3_instance):
+    def test_rejects_three_tables(self, path3_instance, rng):
         with pytest.raises(ValueError):
-            partition_two_table(path3_instance, 1.0, 1e-4)
+            partition_two_table(path3_instance, 1.0, 1e-4, rng=rng)
 
     def test_reproducible(self, two_table_instance):
-        first = partition_two_table(two_table_instance, 0.5, 1e-4, seed=5)
-        second = partition_two_table(two_table_instance, 0.5, 1e-4, seed=5)
+        first = partition_two_table(two_table_instance, 0.5, 1e-4, rng=np.random.default_rng(5))
+        second = partition_two_table(two_table_instance, 0.5, 1e-4, rng=np.random.default_rng(5))
         assert [b.index for b in first.buckets] == [b.index for b in second.buckets]
         assert np.array_equal(first.noisy_degrees, second.noisy_degrees)
 
@@ -121,8 +124,7 @@ class TestBucketByNoisyDegree:
         noisy, buckets = bucket_by_noisy_degree(
             figure4_instance, atom, ancestors, degrees, 0.5, 1e-2, 2.0, generator
         )
-        radius = truncation_radius(0.5, 1e-2, 1.0)
-        noise = sample_truncated_laplace(2.0, radius, size=degrees.size, rng=reference)
+        noise = sample_truncated_laplace(1.0, 0.5, 1e-2, size=degrees.size, rng=reference)
         assert np.array_equal(noisy, degrees + noise.reshape(degrees.shape))
         grid = np.vectorize(lambda value: bucket_index(value, 2.0))(noisy)
         assert [bucket.index for bucket in buckets] == sorted(set(grid.flat))
@@ -139,28 +141,30 @@ class TestBucketByNoisyDegree:
         noisy, buckets = bucket_by_noisy_degree(
             figure4_instance, atom, [], degree, 0.5, 1e-2, 2.0, generator
         )
-        scalar = float(degree) + sample_truncated_laplace(
-            2.0, truncation_radius(0.5, 1e-2, 1.0), rng=reference
-        )
+        scalar = float(degree) + sample_truncated_laplace(1.0, 0.5, 1e-2, rng=reference)
         assert noisy.shape == () and float(noisy) == scalar
         assert [bucket.index for bucket in buckets] == [bucket_index(scalar, 2.0)]
         assert buckets[0].sub_instance == figure4_instance
         assert generator.uniform() == reference.uniform()  # the same stream position
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
-    @pytest.mark.parametrize("partition", ["two_table", "hierarchical"])
+    @pytest.mark.parametrize("step", ["bucket_by_noisy_degree", "decompose_by_attribute"])
     def test_a_bad_lambda_is_refused_before_any_draw(
-        self, partition, lam, two_table_instance, figure4_instance
+        self, step, lam, two_table_instance, figure4_instance
     ):
         # Both partitions used to draw first, then fail on λ: "lam must be
         # positive" for 0 and −1, a NaN-to-integer error and a math domain error.
+        # The partitions take λ from (ε, δ); these two steps are handed it.
         generator = np.random.default_rng(0)
         before = generator.bit_generator.state
         with pytest.raises(ValueError, match="lam"):
-            if partition == "two_table":
-                partition_two_table(two_table_instance, 1.0, 1e-4, lam=lam, rng=generator)
+            if step == "bucket_by_noisy_degree":
+                degrees = degree_vector(two_table_instance, [0], ["B"])
+                bucket_by_noisy_degree(
+                    two_table_instance, (0, 1), ["B"], degrees, 1.0, 1e-4, lam, generator
+                )
             else:
-                partition_hierarchical(figure4_instance, 1.0, 1e-2, lam=lam, rng=generator)
+                decompose_by_attribute(figure4_instance, "K", 1.0, 1e-2, lam=lam, rng=generator)
         assert generator.bit_generator.state == before
 
 
@@ -172,14 +176,14 @@ class TestDecomposeByAttribute:
 
     def test_root_attribute_gives_single_bucket(self, figure4_instance):
         pieces = decompose_by_attribute(
-            figure4_instance, "A", 0.5, 1e-2, lam=10.0, seed=0
+            figure4_instance, "A", 0.5, 1e-2, lam=10.0, rng=np.random.default_rng(0)
         )
         assert len(pieces) == 1
         assert pieces[0][1] == figure4_instance
 
     def test_join_results_partitioned(self, figure4_instance):
         pieces = decompose_by_attribute(
-            figure4_instance, "D", 0.5, 1e-2, lam=2.0, seed=0
+            figure4_instance, "D", 0.5, 1e-2, lam=2.0, rng=np.random.default_rng(0)
         )
         combined = np.zeros(figure4_instance.query.shape, dtype=np.int64)
         for _index, sub in pieces:
@@ -188,7 +192,7 @@ class TestDecomposeByAttribute:
 
     def test_untouched_relations_carried_over(self, figure4_instance):
         pieces = decompose_by_attribute(
-            figure4_instance, "D", 0.5, 1e-2, lam=2.0, seed=0
+            figure4_instance, "D", 0.5, 1e-2, lam=2.0, rng=np.random.default_rng(0)
         )
         for _index, sub in pieces:
             # D only appears in R1, so every other relation is unchanged.
@@ -198,7 +202,9 @@ class TestDecomposeByAttribute:
 
 class TestPartitionHierarchical:
     def test_join_results_partitioned(self, figure4_instance):
-        partition = partition_hierarchical(figure4_instance, 0.5, 1e-2, seed=0)
+        partition = partition_hierarchical(
+            figure4_instance, 0.5, 1e-2, rng=np.random.default_rng(0)
+        )
         combined = np.zeros(figure4_instance.query.shape, dtype=np.int64)
         for bucket in partition.buckets:
             combined += join_result(bucket.sub_instance)
@@ -208,37 +214,46 @@ class TestPartitionHierarchical:
         )
 
     def test_configurations_are_distinct(self, figure4_instance):
-        partition = partition_hierarchical(figure4_instance, 0.5, 1e-2, seed=0)
+        partition = partition_hierarchical(
+            figure4_instance, 0.5, 1e-2, rng=np.random.default_rng(0)
+        )
         configurations = [tuple(sorted(b.configuration.items())) for b in partition.buckets]
         assert len(configurations) == len(set(configurations))
 
     def test_configuration_covers_all_attributes(self, figure4_instance):
-        partition = partition_hierarchical(figure4_instance, 0.5, 1e-2, seed=0)
+        partition = partition_hierarchical(
+            figure4_instance, 0.5, 1e-2, rng=np.random.default_rng(0)
+        )
         for bucket in partition.buckets:
             assert set(bucket.configuration) == set(
                 figure4_instance.query.attribute_names
             )
 
     def test_tuple_multiplicity_bounded(self, figure4_instance):
-        partition = partition_hierarchical(figure4_instance, 0.5, 1e-2, seed=0)
+        partition = partition_hierarchical(
+            figure4_instance, 0.5, 1e-2, rng=np.random.default_rng(0)
+        )
         multiplicity = partition.tuple_multiplicity(figure4_instance)
         assert 1 <= multiplicity <= partition.num_buckets
 
     def test_two_table_query_is_also_hierarchical(self, two_table_instance):
-        partition = partition_hierarchical(two_table_instance, 0.5, 1e-3, seed=1)
+        partition = partition_hierarchical(
+            two_table_instance, 0.5, 1e-3, rng=np.random.default_rng(1)
+        )
         combined = np.zeros(two_table_instance.query.shape, dtype=np.int64)
         for bucket in partition.buckets:
             combined += join_result(bucket.sub_instance)
         assert np.array_equal(combined, join_result(two_table_instance))
 
-    def test_rejects_non_hierarchical(self, path3_instance):
+    def test_rejects_non_hierarchical(self, path3_instance, rng):
         with pytest.raises(ValueError):
-            partition_hierarchical(path3_instance, 0.5, 1e-2)
+            partition_hierarchical(path3_instance, 0.5, 1e-2, rng=rng)
 
     def test_skewed_instance_splits(self):
         """A join value with degree far above λ forces at least two buckets."""
         from repro.experiments.e08_hierarchical import figure4_skewed_instance
 
         instance = figure4_skewed_instance(3, heavy_fanout=40, light_tuples=4, seed=1)
-        partition = partition_hierarchical(instance, 1.0, 1e-2, lam=4.0, seed=2)
+        partition = partition_hierarchical(instance, 1.0, 1e-2, rng=np.random.default_rng(2))
+        assert partition.lam == default_lambda(1.0, 1e-2)
         assert partition.num_buckets >= 2

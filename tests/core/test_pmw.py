@@ -44,7 +44,7 @@ class TestBasicProperties:
     def test_histogram_shape_and_nonnegativity(self, instance, query):
         workload = Workload.random_sign(query, 10, seed=0)
         result = private_multiplicative_weights(
-            instance, workload, 1.0, 1e-5, 2.0, seed=1
+            instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(1)
         )
         assert result.histogram.shape == query.shape
         assert np.all(result.histogram >= 0)
@@ -52,7 +52,7 @@ class TestBasicProperties:
     def test_total_mass_matches_noisy_total(self, instance, query):
         workload = Workload.random_sign(query, 10, seed=0)
         result = private_multiplicative_weights(
-            instance, workload, 1.0, 1e-5, 2.0, seed=1
+            instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(1)
         )
         assert result.histogram.sum() == pytest.approx(result.noisy_total, rel=1e-6)
 
@@ -60,14 +60,18 @@ class TestBasicProperties:
         workload = Workload.counting(query)
         for seed in range(5):
             result = private_multiplicative_weights(
-                instance, workload, 1.0, 1e-5, 2.0, seed=seed
+                instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(seed)
             )
             assert result.noisy_total >= join_size(instance)
 
     def test_reproducible_with_seed(self, instance, query):
         workload = Workload.random_sign(query, 10, seed=0)
-        first = private_multiplicative_weights(instance, workload, 1.0, 1e-5, 2.0, seed=3)
-        second = private_multiplicative_weights(instance, workload, 1.0, 1e-5, 2.0, seed=3)
+        first = private_multiplicative_weights(
+            instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(3)
+        )
+        second = private_multiplicative_weights(
+            instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(3)
+        )
         assert np.array_equal(first.histogram, second.histogram)
         assert first.selected_queries == second.selected_queries
 
@@ -75,7 +79,7 @@ class TestBasicProperties:
         workload = Workload.random_sign(query, 10, seed=0)
         config = PMWConfig(num_iterations=3)
         result = private_multiplicative_weights(
-            instance, workload, 1.0, 1e-5, 2.0, seed=1, config=config
+            instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(1), config=config
         )
         assert result.iterations == 3
         assert len(result.selected_queries) == 3
@@ -84,7 +88,7 @@ class TestBasicProperties:
         workload = Workload.random_sign(query, 10, seed=0)
         config = PMWConfig(max_iterations=2)
         result = private_multiplicative_weights(
-            instance, workload, 1.0, 1e-5, 1.0, seed=1, config=config
+            instance, workload, 1.0, 1e-5, 1.0, rng=np.random.default_rng(1), config=config
         )
         assert result.iterations <= 2
 
@@ -105,7 +109,7 @@ class TestBasicProperties:
         workload = Workload.counting(query)
         config = PMWConfig(force_total=123.0, num_iterations=2)
         result = private_multiplicative_weights(
-            instance, workload, 1.0, 1e-5, 1.0, seed=1, config=config
+            instance, workload, 1.0, 1e-5, 1.0, rng=np.random.default_rng(1), config=config
         )
         assert result.noisy_total == 123.0
 
@@ -113,7 +117,8 @@ class TestBasicProperties:
         workload = Workload.counting(query)
         config = PMWConfig(force_total=0.0)
         result = private_multiplicative_weights(
-            Instance.empty(query), workload, 1.0, 1e-5, 1.0, seed=1, config=config
+            Instance.empty(query), workload, 1.0, 1e-5, 1.0, rng=np.random.default_rng(1),
+            config=config
         )
         assert result.iterations == 0
         assert np.all(result.histogram == 0)
@@ -129,19 +134,21 @@ class TestBasicProperties:
             return sessions[-1]
 
         monkeypatch.setattr(evaluator, "histogram_session", counted_session)
-        result = private_multiplicative_weights(instance, workload, 1.0, 1e-5, 2.0, seed=2)
+        result = private_multiplicative_weights(
+            instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(2)
+        )
         assert result.iterations > 0
         assert len(sessions) == 1
         assert shared_evaluator(workload) is evaluator
 
-    def test_parameter_validation(self, instance, query):
+    def test_parameter_validation(self, instance, query, rng):
         workload = Workload.counting(query)
         with pytest.raises(ValueError):
-            private_multiplicative_weights(instance, workload, 0.0, 1e-5, 1.0)
+            private_multiplicative_weights(instance, workload, 0.0, 1e-5, 1.0, rng=rng)
         with pytest.raises(ValueError):
-            private_multiplicative_weights(instance, workload, 1.0, 0.0, 1.0)
+            private_multiplicative_weights(instance, workload, 1.0, 0.0, 1.0, rng=rng)
         with pytest.raises(ValueError):
-            private_multiplicative_weights(instance, workload, 1.0, 1e-5, 0.0)
+            private_multiplicative_weights(instance, workload, 1.0, 1e-5, 0.0, rng=rng)
 
 
 class TestBudgetSplit:
@@ -151,7 +158,7 @@ class TestBudgetSplit:
         workload = Workload.counting(query)
         epsilon, delta = 1.0, 1e-5
         result = private_multiplicative_weights(
-            instance, workload, epsilon, delta, 2.0, seed=0
+            instance, workload, epsilon, delta, 2.0, rng=np.random.default_rng(0)
         )
         assert result.total_privacy.epsilon == pytest.approx(epsilon / 2.0)
         assert result.total_privacy.delta == pytest.approx(delta / 2.0)
@@ -164,7 +171,7 @@ class TestBudgetSplit:
         workload = Workload.random_sign(query, 10, seed=0)
         epsilon, delta = 1.0, 1e-5
         result = private_multiplicative_weights(
-            instance, workload, epsilon, delta, 2.0, seed=1
+            instance, workload, epsilon, delta, 2.0, rng=np.random.default_rng(1)
         )
         expected = (epsilon / 2.0) / (
             16.0 * sqrt(result.iterations * max(log(2.0 / delta), 1.0))
@@ -178,7 +185,7 @@ class TestBudgetSplit:
         epsilon, delta = 1.0, 1e-5
         config = PMWConfig(force_total=50.0, num_iterations=4)
         result = private_multiplicative_weights(
-            instance, workload, epsilon, delta, 1.0, seed=0, config=config
+            instance, workload, epsilon, delta, 1.0, rng=np.random.default_rng(0), config=config
         )
         assert result.total_privacy is None
         assert result.rounds_privacy.epsilon == pytest.approx(epsilon)
@@ -194,7 +201,7 @@ class TestBudgetSplit:
             1.0,
             1e-5,
             1.0,
-            seed=1,
+            rng=np.random.default_rng(1),
             config=PMWConfig(force_total=0.0),
         )
         assert result.iterations == 0
@@ -205,7 +212,9 @@ class TestBudgetSplit:
 def test_run_span_carries_the_runs_figures(instance, query, recording, force_total):
     workload = Workload.random_sign(query, 10, seed=0)
     result = private_multiplicative_weights(
-        instance, workload, 1.0, 1e-5, 2.0, seed=1, config=PMWConfig(force_total=force_total)
+        instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(
+            1), config=PMWConfig(force_total=force_total
+        )
     )
     (run,) = [span for span in telemetry.span_dicts() if span["name"] == "pmw.run"]
     assert run["attrs"]["iterations"] == result.iterations
@@ -232,7 +241,7 @@ class TestUtility:
             epsilon=4.0,
             delta=1e-3,
             sensitivity_bound=1.0,
-            seed=7,
+            rng=np.random.default_rng(7),
             config=PMWConfig(force_total=float(join_size(instance)), num_iterations=40),
         )
         released = evaluator.answers_on_histogram(result.histogram)
@@ -396,7 +405,9 @@ class TestCarriedAnswers:
         workload = _one_way_marginals(query, include_counting=False)
         calls = _counted_full_evaluations(workload, monkeypatch)
         result = private_multiplicative_weights(
-            instance, workload, 1.0, 1e-5, 2.0, seed=5, config=PMWConfig(num_iterations=12)
+            instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(
+                5), config=PMWConfig(num_iterations=12
+            )
         )
         assert result.iterations == 12
         assert len(calls) == full_evaluations
@@ -418,7 +429,9 @@ class TestCarriedAnswers:
         assert shared_evaluator(workload)._carries()
         calls = _counted_full_evaluations(workload, monkeypatch)
         result = private_multiplicative_weights(
-            instance, workload, 0.2, 1e-6, 2.0, seed=1, config=PMWConfig(num_iterations=30)
+            instance, workload, 0.2, 1e-6, 2.0, rng=np.random.default_rng(
+                1), config=PMWConfig(num_iterations=30
+            )
         )
         assert result.iterations == 30
         assert len(calls) == 1

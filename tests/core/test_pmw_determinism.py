@@ -47,7 +47,9 @@ def _run_pmw(instance, workload, seed: int, monkeypatch):
         return session
 
     monkeypatch.setattr(evaluator, "histogram_session", counted_session)
-    result = private_multiplicative_weights(instance, workload, 1.0, 1e-5, 2.0, seed=seed)
+    result = private_multiplicative_weights(
+        instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(seed)
+    )
     return result, len(calls)
 
 

@@ -35,9 +35,8 @@ from repro.core.pmw import PMWConfig, PMWResult, private_multiplicative_weights
 from repro.core.release import release_synthetic_data
 from repro.mechanisms.exponential import exponential_mechanism
 from repro.mechanisms.laplace import sample_laplace
-from repro.mechanisms.rng import resolve_rng
 from repro.mechanisms.spec import PrivacySpec
-from repro.mechanisms.truncated_laplace import sample_truncated_laplace, truncation_radius
+from repro.mechanisms.truncated_laplace import sample_truncated_laplace
 from repro.queries import evaluation
 from repro.queries.linear import ProductQuery, TableQuery
 from repro.queries.workload import Workload
@@ -48,11 +47,10 @@ from tests.relational.test_oracles import join_result
 
 
 def reference_pmw(
-    instance, workload, epsilon, delta, sensitivity_bound, *, rng=None, seed=None, config=None
+    instance, workload, epsilon, delta, sensitivity_bound, *, rng, config=None
 ) -> PMWResult:
     """``PMW_{ε, δ, Δ̃}`` over a dense query matrix and an eager histogram."""
     config = config or PMWConfig()
-    generator = resolve_rng(rng, seed)
     shape = workload.join_query.shape
     domain_size = workload.join_query.joint_domain_size
     matrix = np.array([product.joint_values().reshape(-1) for product in workload])
@@ -64,8 +62,7 @@ def reference_pmw(
         noisy_total, total_privacy = float(config.force_total), None
         rounds_epsilon, rounds_delta = epsilon, delta
     else:
-        radius = truncation_radius(epsilon / 2.0, delta / 2.0, sensitivity_bound)
-        noise = sample_truncated_laplace(2.0 * sensitivity_bound / epsilon, radius, rng=generator)
+        noise = sample_truncated_laplace(sensitivity_bound, epsilon / 2.0, delta / 2.0, rng=rng)
         noisy_total = float(join.sum()) + float(noise)
         total_privacy = PrivacySpec(epsilon / 2.0, delta / 2.0)
         rounds_epsilon, rounds_delta = epsilon / 2.0, delta / 2.0
@@ -101,10 +98,10 @@ def reference_pmw(
     for _ in range(iterations):
         answers = matrix @ histogram
         scores = np.abs(answers - true_answers) / sensitivity_bound
-        index = exponential_mechanism(scores, epsilon_per_round, 1.0, rng=generator)
+        index = exponential_mechanism(scores, epsilon_per_round, rng=rng)
         selected.append(index)
         measurement = true_answers[index] + sample_laplace(
-            sensitivity_bound / epsilon_per_round, rng=generator
+            sensitivity_bound, epsilon_per_round, rng=rng
         )
         step = (measurement - answers[index]) / (2.0 * noisy_total)
         histogram *= np.exp(np.clip(matrix[index] * step, -1.0, 1.0))

@@ -10,7 +10,9 @@ import pytest
 
 from repro.baselines.flawed import flawed_exact_count_release, flawed_padded_release
 from repro.baselines.independent_laplace import independent_laplace_answers
+from repro.core.hierarchical import decompose_by_attribute, partition_hierarchical
 from repro.core.multi_table import default_beta, multi_table_release, noisy_residual_sensitivity
+from repro.core.partition_two_table import partition_two_table
 from repro.core.pmw import PMWConfig, private_multiplicative_weights
 from repro.core import pmw as pmw_module
 from repro.core import release
@@ -19,6 +21,7 @@ from repro.core.two_table import noisy_local_sensitivity, two_table_release
 from repro.core.uniformize import uniformize_release
 from repro.datagen.tpch import generate_tpch
 from repro.mechanisms.spec import PrivacySpec
+from repro.mechanisms.truncated_laplace import default_lambda
 from repro.queries import evaluation
 from repro.queries.linear import ProductQuery, TableQuery
 from repro.queries.workload import Workload
@@ -51,7 +54,7 @@ class TestTwoTableRelease:
     def test_basic_release(self, two_table_instance):
         workload = Workload.random_sign(two_table_instance.query, 8, seed=0)
         result = two_table_release(
-            two_table_instance, workload, 1.0, 1e-5, seed=1, pmw_config=FAST
+            two_table_instance, workload, 1.0, 1e-5, rng=np.random.default_rng(1), pmw_config=FAST
         )
         assert result.algorithm == "two_table"
         assert result.privacy == PrivacySpec(1.0, 1e-5)
@@ -62,7 +65,8 @@ class TestTwoTableRelease:
         workload = Workload.counting(two_table_instance.query)
         for seed in range(5):
             result = two_table_release(
-                two_table_instance, workload, 1.0, 1e-5, seed=seed, pmw_config=FAST
+                two_table_instance, workload, 1.0, 1e-5, rng=np.random.default_rng(seed),
+                pmw_config=FAST
             )
             assert result.diagnostics["delta_tilde"] >= local_sensitivity(
                 two_table_instance
@@ -72,43 +76,49 @@ class TestTwoTableRelease:
         """Algorithm 1 and both baselines that need Δ̃ draw it through one function."""
         instance, workload = two_table_instance, Workload.counting(two_table_instance.query)
         delta_tilde = noisy_local_sensitivity(instance, 0.5, 5e-6, rng=np.random.default_rng(4))
-        result = two_table_release(instance, workload, 1.0, 1e-5, seed=4, pmw_config=FAST)
+        result = two_table_release(
+            instance, workload, 1.0, 1e-5, rng=np.random.default_rng(4), pmw_config=FAST
+        )
         assert result.diagnostics["delta_tilde"] == delta_tilde
-        baseline = independent_laplace_answers(instance, workload, 1.0, 1e-5, seed=4)
+        baseline = independent_laplace_answers(
+            instance, workload, 1.0, 1e-5, rng=np.random.default_rng(4)
+        )
         assert baseline.sensitivity_bound == delta_tilde
         # The padded variant draws its Δ̃ at (ε/4, δ/4) after its base PMW run.
         rng = np.random.default_rng(4)
         flawed_exact_count_release(instance, workload, 0.5, 5e-6, rng=rng, pmw_config=FAST)
         padded_tilde = noisy_local_sensitivity(instance, 0.25, 2.5e-6, rng=rng)
-        padded = flawed_padded_release(instance, workload, 1.0, 1e-5, seed=4, pmw_config=FAST)
+        padded = flawed_padded_release(
+            instance, workload, 1.0, 1e-5, rng=np.random.default_rng(4), pmw_config=FAST
+        )
         assert padded.diagnostics["delta_tilde"] == padded_tilde
 
     def test_noisy_total_upper_bounds_join_size(self, two_table_instance):
         workload = Workload.counting(two_table_instance.query)
         result = two_table_release(
-            two_table_instance, workload, 1.0, 1e-5, seed=2, pmw_config=FAST
+            two_table_instance, workload, 1.0, 1e-5, rng=np.random.default_rng(2), pmw_config=FAST
         )
         assert result.diagnostics["noisy_total"] >= join_size(two_table_instance)
 
-    def test_rejects_non_two_table(self, path3_instance):
+    def test_rejects_non_two_table(self, path3_instance, rng):
         workload = Workload.counting(path3_instance.query)
         with pytest.raises(ValueError):
-            two_table_release(path3_instance, workload, 1.0, 1e-5, pmw_config=FAST)
+            two_table_release(path3_instance, workload, 1.0, 1e-5, rng=rng, pmw_config=FAST)
 
     def test_reproducible(self, two_table_instance):
         workload = Workload.random_sign(two_table_instance.query, 6, seed=0)
         first = two_table_release(
-            two_table_instance, workload, 1.0, 1e-5, seed=9, pmw_config=FAST
+            two_table_instance, workload, 1.0, 1e-5, rng=np.random.default_rng(9), pmw_config=FAST
         )
         second = two_table_release(
-            two_table_instance, workload, 1.0, 1e-5, seed=9, pmw_config=FAST
+            two_table_instance, workload, 1.0, 1e-5, rng=np.random.default_rng(9), pmw_config=FAST
         )
         assert np.array_equal(first.synthetic.histogram, second.synthetic.histogram)
 
     def test_error_report_helper(self, two_table_instance):
         workload = Workload.counting(two_table_instance.query)
         result = two_table_release(
-            two_table_instance, workload, 1.0, 1e-5, seed=3, pmw_config=FAST
+            two_table_instance, workload, 1.0, 1e-5, rng=np.random.default_rng(3), pmw_config=FAST
         )
         report = result.error_report(two_table_instance, workload)
         assert report.num_queries == 1
@@ -119,7 +129,7 @@ class TestMultiTableRelease:
     def test_basic_release(self, path3_instance):
         workload = Workload.random_sign(path3_instance.query, 6, seed=0)
         result = multi_table_release(
-            path3_instance, workload, 1.0, 1e-3, seed=1, pmw_config=FAST
+            path3_instance, workload, 1.0, 1e-3, rng=np.random.default_rng(1), pmw_config=FAST
         )
         assert result.algorithm == "multi_table"
         assert result.privacy == PrivacySpec(1.0, 1e-3)
@@ -131,7 +141,8 @@ class TestMultiTableRelease:
         rs_value = residual_sensitivity(path3_instance, beta)
         for seed in range(4):
             result = multi_table_release(
-                path3_instance, workload, 1.0, 1e-3, seed=seed, pmw_config=FAST
+                path3_instance, workload, 1.0, 1e-3, rng=np.random.default_rng(seed),
+                pmw_config=FAST
             )
             assert result.diagnostics["delta_tilde"] >= rs_value - 1e-9
 
@@ -144,10 +155,13 @@ class TestMultiTableRelease:
                 path3_instance, 0.5, 5e-4, beta, rng=np.random.default_rng(seed)
             )
             result = multi_table_release(
-                path3_instance, workload, 1.0, 1e-3, seed=seed, pmw_config=FAST
+                path3_instance, workload, 1.0, 1e-3, rng=np.random.default_rng(seed),
+                pmw_config=FAST
             )
             assert result.diagnostics["delta_tilde"] == delta_tilde
-            baseline = independent_laplace_answers(path3_instance, workload, 1.0, 1e-3, seed=seed)
+            baseline = independent_laplace_answers(
+                path3_instance, workload, 1.0, 1e-3, rng=np.random.default_rng(seed)
+            )
             assert baseline.sensitivity_bound == delta_tilde
 
     def test_default_beta_is_inverse_lambda(self):
@@ -165,20 +179,22 @@ class TestMultiTableRelease:
 
     def test_beta_is_algorithm_3s_line_1(self, path3_instance):
         workload = Workload.counting(path3_instance.query)
-        result = multi_table_release(path3_instance, workload, 1.0, 1e-3, seed=0, pmw_config=FAST)
+        result = multi_table_release(
+            path3_instance, workload, 1.0, 1e-3, rng=np.random.default_rng(0), pmw_config=FAST
+        )
         assert result.diagnostics["beta"] == default_beta(1.0, 1e-3)
 
     def test_works_on_two_table_instances_as_well(self, two_table_instance):
         workload = Workload.counting(two_table_instance.query)
         result = multi_table_release(
-            two_table_instance, workload, 1.0, 1e-3, seed=0, pmw_config=FAST
+            two_table_instance, workload, 1.0, 1e-3, rng=np.random.default_rng(0), pmw_config=FAST
         )
         assert result.synthetic.total_mass() > 0
 
     def test_hierarchical_instance(self, figure4_instance):
         workload = Workload.random_sign(figure4_instance.query, 4, seed=0)
         result = multi_table_release(
-            figure4_instance, workload, 1.0, 1e-2, seed=0, pmw_config=FAST
+            figure4_instance, workload, 1.0, 1e-2, rng=np.random.default_rng(0), pmw_config=FAST
         )
         assert result.synthetic.histogram.shape == figure4_instance.query.shape
 
@@ -205,26 +221,33 @@ class TestWorkloadInstanceCompatibility:
     def test_two_table_rejects_mismatched_domains(self):
         workload, instance = self._mismatched_pair()
         with pytest.raises(ValueError, match="domain of attribute"):
-            two_table_release(instance, workload, 1.0, 1e-5, seed=0, pmw_config=FAST)
+            two_table_release(
+                instance, workload, 1.0, 1e-5, rng=np.random.default_rng(0), pmw_config=FAST
+            )
 
     def test_multi_table_rejects_mismatched_domains(self):
         workload, instance = self._mismatched_pair()
         with pytest.raises(ValueError, match="domain of attribute"):
-            multi_table_release(instance, workload, 1.0, 1e-3, seed=0, pmw_config=FAST)
+            multi_table_release(
+                instance, workload, 1.0, 1e-3, rng=np.random.default_rng(0), pmw_config=FAST
+            )
 
     def test_uniformize_rejects_mismatched_domains(self):
         from repro.core.uniformize import uniformize_release
 
         workload, instance = self._mismatched_pair()
         with pytest.raises(ValueError, match="domain of attribute"):
-            uniformize_release(instance, workload, 1.0, 1e-3, seed=0, pmw_config=FAST)
+            uniformize_release(
+                instance, workload, 1.0, 1e-3, rng=np.random.default_rng(0), pmw_config=FAST
+            )
 
     def test_mismatched_relation_names_still_rejected(self, two_table_instance):
         other_query = two_table_query(5, 4, 5, names=("S1", "S2"))
         workload = Workload.counting(other_query)
         with pytest.raises(ValueError, match="different join queries"):
             two_table_release(
-                two_table_instance, workload, 1.0, 1e-5, seed=0, pmw_config=FAST
+                two_table_instance, workload, 1.0, 1e-5, rng=np.random.default_rng(0),
+                pmw_config=FAST
             )
 
     def test_equal_structure_is_accepted(self, two_table_instance):
@@ -233,7 +256,7 @@ class TestWorkloadInstanceCompatibility:
         twin_query = two_table_query(5, 4, 5)
         workload = Workload.counting(twin_query)
         result = two_table_release(
-            two_table_instance, workload, 1.0, 1e-5, seed=0, pmw_config=FAST
+            two_table_instance, workload, 1.0, 1e-5, rng=np.random.default_rng(0), pmw_config=FAST
         )
         assert result.algorithm == "two_table"
 
@@ -357,10 +380,69 @@ class TestNonFiniteBudget:
         assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("bound", [float("nan"), float("inf")], ids=["nan", "inf"])
-    def test_pmw_refuses_a_non_finite_sensitivity_bound(self, bound, two_table_instance):
+    def test_pmw_refuses_a_non_finite_sensitivity_bound(self, bound, two_table_instance, rng):
         workload = Workload.counting(two_table_instance.query)
         with pytest.raises(ValueError, match="sensitivity bound"):
-            private_multiplicative_weights(two_table_instance, workload, 1.0, 1e-5, bound)
+            private_multiplicative_weights(two_table_instance, workload, 1.0, 1e-5, bound, rng=rng)
+
+
+class TestStepsTakeAGenerator:
+    """Every release step draws only from the Generator its caller hands it."""
+
+    STEPS = {
+        "private_multiplicative_weights": lambda instance, workload, **rng: (
+            private_multiplicative_weights(instance, workload, 1.0, 1e-5, 1.0, config=FAST, **rng)
+        ),
+        "two_table_release": lambda instance, workload, **rng: two_table_release(
+            instance, workload, 1.0, 1e-5, pmw_config=FAST, **rng
+        ),
+        "multi_table_release": lambda instance, workload, **rng: multi_table_release(
+            instance, workload, 1.0, 1e-5, pmw_config=FAST, **rng
+        ),
+        "uniformize_release": lambda instance, workload, **rng: uniformize_release(
+            instance, workload, 1.0, 1e-5, pmw_config=FAST, **rng
+        ),
+        "partition_two_table": lambda instance, workload, **rng: partition_two_table(
+            instance, 1.0, 1e-5, **rng
+        ),
+        "partition_hierarchical": lambda instance, workload, **rng: partition_hierarchical(
+            instance, 1.0, 1e-5, **rng
+        ),
+        "decompose_by_attribute": lambda instance, workload, **rng: decompose_by_attribute(
+            instance, "A", 1.0, 1e-5, lam=default_lambda(1.0, 1e-5), **rng
+        ),
+        "flawed_exact_count_release": lambda instance, workload, **rng: (
+            flawed_exact_count_release(instance, workload, 1.0, 1e-5, pmw_config=FAST, **rng)
+        ),
+        "flawed_padded_release": lambda instance, workload, **rng: flawed_padded_release(
+            instance, workload, 1.0, 1e-5, pmw_config=FAST, **rng
+        ),
+        "independent_laplace_answers": lambda instance, workload, **rng: (
+            independent_laplace_answers(instance, workload, 1.0, 1e-5, **rng)
+        ),
+    }
+
+    @pytest.mark.parametrize("step", sorted(STEPS))
+    def test_anything_but_a_generator_is_refused(self, step, two_table_instance, monkeypatch):
+        """A missing ``rng=``, ``None``, a seed or a ``RandomState`` raises ``TypeError``.
+
+        Each is refused before numpy makes a generator, so before any draw.
+        Without ``rng=``, or with ``None``, a step used to draw from a
+        generator seeded by the operating system.
+        """
+        run = self.STEPS[step]
+        workload = Workload.counting(two_table_instance.query)
+        generator = np.random.default_rng(0)
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
+        with pytest.raises(TypeError, match="rng"):
+            run(two_table_instance, workload)
+        for rng in (None, 0, np.random.RandomState(0)):
+            with pytest.raises(TypeError, match="rng"):
+                run(two_table_instance, workload, rng=rng)
+        assert made == []
+        assert run(two_table_instance, workload, rng=generator) is not None
 
 
 class TestReleaseMemoryCheck:
@@ -544,7 +626,9 @@ class TestReleaseRecord:
             instance = request.getfixturevalue(fixture)
         workload = Workload.counting(instance.query)
         if algorithm in FLAWED:
-            result = FLAWED[algorithm](instance, workload, 1.0, 1e-2, seed=0, pmw_config=FAST)
+            result = FLAWED[algorithm](
+                instance, workload, 1.0, 1e-2, rng=np.random.default_rng(0), pmw_config=FAST
+            )
         else:
             result = release_synthetic_data(
                 instance, workload, 1.0, 1e-2, method=algorithm, seed=0, pmw_config=FAST
@@ -567,7 +651,8 @@ class TestReleaseRecord:
         workload = Workload.counting(two_table_instance.query)
         config = PMWConfig(num_iterations=3)
         result = flawed_exact_count_release(
-            two_table_instance, workload, 1.0, 1e-3, seed=0, pmw_config=config
+            two_table_instance, workload, 1.0, 1e-3, rng=np.random.default_rng(0),
+            pmw_config=config
         )
         assert result.diagnostics["iterations"] == 3
         assert result.diagnostics["noisy_total"] == join_size(two_table_instance)

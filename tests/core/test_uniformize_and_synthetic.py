@@ -22,7 +22,7 @@ class TestUniformizeRelease:
     def test_two_table_privacy_spec_is_nominal(self, two_table_instance):
         workload = Workload.counting(two_table_instance.query)
         result = uniformize_release(
-            two_table_instance, workload, 1.0, 1e-3, seed=0, pmw_config=FAST
+            two_table_instance, workload, 1.0, 1e-3, rng=np.random.default_rng(0), pmw_config=FAST
         )
         # Lemma 4.1: the two-table uniformization pays exactly (ε, δ).
         assert result.privacy == PrivacySpec(1.0, 1e-3)
@@ -32,7 +32,7 @@ class TestUniformizeRelease:
     def test_histogram_is_sum_of_buckets(self, two_table_instance):
         workload = Workload.counting(two_table_instance.query)
         result = uniformize_release(
-            two_table_instance, workload, 1.0, 1e-3, seed=0, pmw_config=FAST
+            two_table_instance, workload, 1.0, 1e-3, rng=np.random.default_rng(0), pmw_config=FAST
         )
         per_bucket_totals = [entry["noisy_total"] for entry in result.diagnostics["buckets"]]
         assert result.synthetic.total_mass() == pytest.approx(
@@ -47,7 +47,7 @@ class TestUniformizeRelease:
             1.0,
             1e-2,
             method="hierarchical",
-            seed=0,
+            rng=np.random.default_rng(0),
             pmw_config=FAST,
         )
         assert result.algorithm == "uniformize_hierarchical"
@@ -56,7 +56,9 @@ class TestUniformizeRelease:
         # widest relation (R3 and R4 hold four), composed with group privacy
         # over the multiplicity m of the release's own partition (its first
         # draws), which the record does not hold.
-        partition = partition_hierarchical(figure4_instance, 0.5, 5e-3, seed=0)
+        partition = partition_hierarchical(
+            figure4_instance, 0.5, 5e-3, rng=np.random.default_rng(0)
+        )
         multiplicity = partition.tuple_multiplicity(figure4_instance)
         assert multiplicity >= 1
         half = PrivacySpec(0.5, 5e-3)
@@ -68,36 +70,37 @@ class TestUniformizeRelease:
     def test_auto_method_selection(self, two_table_instance, figure4_instance):
         workload2 = Workload.counting(two_table_instance.query)
         result2 = uniformize_release(
-            two_table_instance, workload2, 1.0, 1e-3, seed=0, pmw_config=FAST
+            two_table_instance, workload2, 1.0, 1e-3, rng=np.random.default_rng(0), pmw_config=FAST
         )
         assert result2.algorithm == "uniformize_two_table"
         workload4 = Workload.counting(figure4_instance.query)
         result4 = uniformize_release(
-            figure4_instance, workload4, 1.0, 1e-2, seed=0, pmw_config=FAST
+            figure4_instance, workload4, 1.0, 1e-2, rng=np.random.default_rng(0), pmw_config=FAST
         )
         assert result4.algorithm == "uniformize_hierarchical"
 
-    def test_non_hierarchical_rejected(self, path3_instance):
+    def test_non_hierarchical_rejected(self, path3_instance, rng):
         workload = Workload.counting(path3_instance.query)
         with pytest.raises(ValueError):
             uniformize_release(
-                path3_instance, workload, 1.0, 1e-3, method="hierarchical", pmw_config=FAST
+                path3_instance, workload, 1.0, 1e-3, method="hierarchical", rng=rng,
+                pmw_config=FAST,
             )
 
-    def test_unknown_method_rejected(self, two_table_instance):
+    def test_unknown_method_rejected(self, two_table_instance, rng):
         workload = Workload.counting(two_table_instance.query)
         with pytest.raises(ValueError):
             uniformize_release(
-                two_table_instance, workload, 1.0, 1e-3, method="magic", pmw_config=FAST
+                two_table_instance, workload, 1.0, 1e-3, method="magic", rng=rng, pmw_config=FAST
             )
 
     def test_reproducible(self, two_table_instance):
         workload = Workload.counting(two_table_instance.query)
         first = uniformize_release(
-            two_table_instance, workload, 1.0, 1e-3, seed=4, pmw_config=FAST
+            two_table_instance, workload, 1.0, 1e-3, rng=np.random.default_rng(4), pmw_config=FAST
         )
         second = uniformize_release(
-            two_table_instance, workload, 1.0, 1e-3, seed=4, pmw_config=FAST
+            two_table_instance, workload, 1.0, 1e-3, rng=np.random.default_rng(4), pmw_config=FAST
         )
         assert np.array_equal(first.synthetic.histogram, second.synthetic.histogram)
 

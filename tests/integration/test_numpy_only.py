@@ -71,7 +71,8 @@ SCRIPT = textwrap.dedent(
 
     evaluator.histogram_session = counted_session
     result = private_multiplicative_weights(
-        instance, workload, 1.0, 1e-5, 2.0, seed=5, config=PMWConfig(num_iterations=12)
+        instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(5),
+        config=PMWConfig(num_iterations=12),
     )
     del evaluator.histogram_session
     evaluation._MATRIX_CELL_BUDGET = budget

@@ -74,7 +74,8 @@ class TestPMWBudgetSplitRegression:
         instance = uniform_two_table(4, 3)
         workload = Workload.counting(instance.query)
         pmw = private_multiplicative_weights(
-            instance, workload, epsilon / 2.0, delta / 2.0, 3.0, seed=0, config=FAST
+            instance, workload, epsilon / 2.0, delta / 2.0, 3.0, rng=np.random.default_rng(0),
+            config=FAST
         )
         assert pmw.total_privacy.epsilon == pytest.approx(epsilon / 4.0)
         assert pmw.rounds_privacy.epsilon == pytest.approx(epsilon / 4.0)

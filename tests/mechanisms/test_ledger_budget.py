@@ -166,7 +166,7 @@ class TestPMWCharges:
         ledger = PrivacyLedger()
         with use_ledger(ledger):
             private_multiplicative_weights(
-                instance, workload, epsilon, delta, 2.0, seed=1,
+                instance, workload, epsilon, delta, 2.0, rng=np.random.default_rng(1),
                 config=PMWConfig(num_iterations=4),
             )
         labels = [entry.label for entry in ledger.entries]
@@ -184,7 +184,7 @@ class TestPMWCharges:
 
         def run():
             private_multiplicative_weights(
-                instance, workload, 1.0, 1e-5, 2.0, seed=1,
+                instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(1),
                 config=PMWConfig(num_iterations=4),
             )
 
@@ -200,20 +200,20 @@ class TestPMWCharges:
         instance, workload = setup
         ledger = PrivacyLedger()
         private_multiplicative_weights(
-            instance, workload, 1.0, 1e-5, 2.0, seed=1,
+            instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(1),
             config=PMWConfig(num_iterations=4),
         )
         assert len(ledger) == 0
 
     def test_charging_never_touches_the_rng(self, setup):
         instance, workload = setup
-        kwargs = dict(seed=1, config=PMWConfig(num_iterations=4))
+        config = PMWConfig(num_iterations=4)
         bare = private_multiplicative_weights(
-            instance, workload, 1.0, 1e-5, 2.0, **kwargs
+            instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(1), config=config
         )
         with use_ledger(PrivacyLedger()):
             observed = private_multiplicative_weights(
-                instance, workload, 1.0, 1e-5, 2.0, **kwargs
+                instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(1), config=config
             )
         assert np.array_equal(bare.histogram, observed.histogram)
         assert bare.selected_queries == observed.selected_queries

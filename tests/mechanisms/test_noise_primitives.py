@@ -20,10 +20,11 @@ from repro.mechanisms.truncated_laplace import (
 
 #: Each sampler and the mechanisms that call through them, given only ``rng=``.
 DRAWS = [
-    pytest.param(lambda **rng: sample_laplace(1.0, **rng), id="sample_laplace"),
+    pytest.param(lambda **rng: sample_laplace(1.0, 1.0, **rng), id="sample_laplace"),
     pytest.param(lambda **rng: laplace_mechanism(0.0, 1.0, 1.0, **rng), id="laplace_mechanism"),
     pytest.param(
-        lambda **rng: sample_truncated_laplace(1.0, 1.0, **rng), id="sample_truncated_laplace"
+        lambda **rng: sample_truncated_laplace(1.0, 1.0, 1e-5, **rng),
+        id="sample_truncated_laplace",
     ),
     pytest.param(
         lambda **rng: truncated_laplace_mechanism(0.0, 1.0, 1.0, 1e-5, **rng),
@@ -58,6 +59,46 @@ def test_a_draw_from_anything_but_a_generator_is_refused(draw, monkeypatch):
     assert isinstance(draw(rng=np.random.default_rng(0)), (float, int))
 
 
+#: Each sampler and mechanism with Δ = 1 at a budget (ε, δ); the Laplace forms take no δ.
+CALIBRATED = {
+    "sample_laplace": lambda epsilon, delta, rng: sample_laplace(1.0, epsilon, rng=rng),
+    "laplace_mechanism": lambda epsilon, delta, rng: laplace_mechanism(5.0, 1.0, epsilon, rng=rng),
+    "sample_truncated_laplace": lambda epsilon, delta, rng: sample_truncated_laplace(
+        1.0, epsilon, delta, rng=rng
+    ),
+    "truncated_laplace_mechanism": lambda epsilon, delta, rng: truncated_laplace_mechanism(
+        5.0, 1.0, epsilon, delta, rng=rng
+    ),
+}
+REFUSED_BUDGETS = [
+    *(
+        pytest.param(name, epsilon, 1e-5, id=f"{name}-epsilon={epsilon}")
+        for name in CALIBRATED
+        for epsilon in (0.0, -1.0, math.inf, math.nan)
+    ),
+    *(
+        pytest.param(name, 1.0, delta, id=f"{name}-delta={delta}")
+        for name in CALIBRATED
+        if "truncated" in name
+        for delta in (0.0, 1.0, math.nan)
+    ),
+]
+
+
+@pytest.mark.parametrize(("draw", "epsilon", "delta"), REFUSED_BUDGETS)
+def test_a_budget_out_of_range_is_refused_before_any_draw(draw, epsilon, delta):
+    """ε ∉ (0, ∞) and δ ∉ (0, 1) raise ``ValueError`` with the generator untouched.
+
+    At ε = ∞ the Laplace scale Δ/ε was 0, so a Laplace draw returned its
+    value with no noise; the truncated radius τ(∞, δ, Δ) was NaN.
+    """
+    generator = np.random.default_rng(0)
+    before = generator.bit_generator.state
+    with pytest.raises(ValueError):
+        CALIBRATED[draw](epsilon, delta, generator)
+    assert generator.bit_generator.state == before
+
+
 class TestRng:
     def test_resolve_with_seed_is_deterministic(self):
         first = resolve_rng(seed=7).integers(1000)
@@ -79,7 +120,7 @@ class TestRng:
 
 class TestLaplace:
     def test_zero_scale_returns_value(self, rng):
-        assert sample_laplace(0.0, rng=rng) == 0.0
+        assert sample_laplace(0.0, 1.0, rng=rng) == 0.0
         assert laplace_mechanism(5.0, 0.0, 1.0, rng=rng) == 5.0
 
     def test_scalar_output_type(self, rng):
@@ -91,7 +132,7 @@ class TestLaplace:
         assert values.shape == (100,)
 
     def test_noise_scale_roughly_correct(self, rng):
-        samples = sample_laplace(2.0, size=20000, rng=rng)
+        samples = sample_laplace(2.0, 1.0, size=20000, rng=rng)
         # Laplace(b) has standard deviation b·√2.
         assert np.std(samples) == pytest.approx(2.0 * math.sqrt(2.0), rel=0.1)
 
@@ -101,7 +142,7 @@ class TestLaplace:
         with pytest.raises(ValueError):
             laplace_mechanism(0.0, 1.0, 0.0, rng=rng)
         with pytest.raises(ValueError):
-            sample_laplace(-1.0, rng=rng)
+            sample_laplace(-1.0, 1.0, rng=rng)
 
 
 class TestTruncatedLaplace:
@@ -122,14 +163,14 @@ class TestTruncatedLaplace:
 
     def test_support(self, rng):
         radius = truncation_radius(1.0, 1e-4, 1.0)
-        samples = sample_truncated_laplace(1.0, radius, size=5000, rng=rng)
+        samples = sample_truncated_laplace(1.0, 1.0, 1e-4, size=5000, rng=rng)
         assert np.all(samples >= 0.0)
         assert np.all(samples <= 2.0 * radius)
 
     def test_mode_at_radius(self, rng):
         # The density peaks at the radius; the sample mean is the radius by symmetry.
-        radius = 10.0
-        samples = sample_truncated_laplace(1.0, radius, size=40000, rng=rng)
+        radius = truncation_radius(1.0, 1e-4, 1.0)  # ≈ 9.75 at scale 1
+        samples = sample_truncated_laplace(1.0, 1.0, 1e-4, size=40000, rng=rng)
         assert np.mean(samples) == pytest.approx(radius, rel=0.05)
 
     def test_mechanism_never_underestimates(self, rng):
@@ -148,9 +189,9 @@ class TestTruncatedLaplace:
 
     def test_invalid_parameters(self, rng):
         with pytest.raises(ValueError):
-            sample_truncated_laplace(0.0, 1.0, rng=rng)
+            sample_truncated_laplace(0.0, 1.0, 1e-5, rng=rng)
         with pytest.raises(ValueError):
-            sample_truncated_laplace(1.0, 0.0, rng=rng)
+            sample_truncated_laplace(1.0, 0.0, 1e-5, rng=rng)
 
 
 class TestExponentialMechanism:
@@ -183,7 +224,8 @@ class TestExponentialMechanism:
     def test_validation(self):
         with pytest.raises(ValueError):
             exponential_mechanism_probabilities(np.array([1.0]), -1.0)
-        with pytest.raises(ValueError):
-            exponential_mechanism_probabilities(np.array([1.0]), 1.0, 0.0)
+        for epsilon in (math.inf, math.nan):  # both gave NaN probabilities
+            with pytest.raises(ValueError):
+                exponential_mechanism_probabilities(np.array([1.0]), epsilon)
         with pytest.raises(ValueError):
             exponential_mechanism_probabilities(np.array([]), 1.0)

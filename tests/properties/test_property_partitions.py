@@ -33,7 +33,7 @@ class TestTwoTablePartitionProperties:
     @given(two_table_instances(), st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_tuples_and_join_results_partitioned(self, instance, seed):
-        partition = partition_two_table(instance, 1.0, 1e-3, seed=seed)
+        partition = partition_two_table(instance, 1.0, 1e-3, rng=np.random.default_rng(seed))
         assert sum(bucket.sub_instance.total_size() for bucket in partition.buckets) == (
             instance.total_size()
         )
@@ -45,7 +45,7 @@ class TestTwoTablePartitionProperties:
     @given(two_table_instances(), st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_bucket_indices_positive_and_masks_disjoint(self, instance, seed):
-        partition = partition_two_table(instance, 1.0, 1e-3, seed=seed)
+        partition = partition_two_table(instance, 1.0, 1e-3, rng=np.random.default_rng(seed))
         coverage = None
         for bucket in partition.buckets:
             assert bucket.index >= 1
@@ -58,7 +58,7 @@ class TestHierarchicalPartitionProperties:
     @given(star_instances(), st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_join_results_partitioned(self, instance, seed):
-        partition = partition_hierarchical(instance, 1.0, 1e-2, seed=seed)
+        partition = partition_hierarchical(instance, 1.0, 1e-2, rng=np.random.default_rng(seed))
         combined = np.zeros(instance.query.shape, dtype=np.int64)
         for bucket in partition.buckets:
             combined += join_result(bucket.sub_instance)
@@ -70,13 +70,13 @@ class TestHierarchicalPartitionProperties:
     @given(star_instances(), st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_multiplicity_within_bucket_count(self, instance, seed):
-        partition = partition_hierarchical(instance, 1.0, 1e-2, seed=seed)
+        partition = partition_hierarchical(instance, 1.0, 1e-2, rng=np.random.default_rng(seed))
         multiplicity = partition.tuple_multiplicity(instance)
         assert 1 <= multiplicity <= max(1, partition.num_buckets)
 
     @given(star_instances(), st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_configurations_distinct(self, instance, seed):
-        partition = partition_hierarchical(instance, 1.0, 1e-2, seed=seed)
+        partition = partition_hierarchical(instance, 1.0, 1e-2, rng=np.random.default_rng(seed))
         keys = [tuple(sorted(bucket.configuration.items())) for bucket in partition.buckets]
         assert len(keys) == len(set(keys))

@@ -54,7 +54,7 @@ class TestMechanismProperties:
     def test_truncated_laplace_support(self, epsilon, delta, sensitivity, seed):
         radius = truncation_radius(epsilon, delta, sensitivity)
         rng = np.random.default_rng(seed)
-        samples = sample_truncated_laplace(sensitivity / epsilon, radius, size=50, rng=rng)
+        samples = sample_truncated_laplace(sensitivity, epsilon, delta, size=50, rng=rng)
         assert np.all(samples >= 0.0)
         assert np.all(samples <= 2.0 * radius + 1e-9)
 

@@ -619,7 +619,7 @@ def test_repeated_pmw_runs_keep_one_traced_peak():
         for seed in range(1, 7):
             tracemalloc.reset_peak()
             result = private_multiplicative_weights(
-                instance, workload, 1.0, 1e-6, 1.0, seed=seed, config=config
+                instance, workload, 1.0, 1e-6, 1.0, rng=np.random.default_rng(seed), config=config
             )
             peaks.append(tracemalloc.get_traced_memory()[1])
             new.append(len(set(result.selected_queries) - selected))

@@ -265,7 +265,7 @@ class TestSearchAtSmallEpsilon:
             Workload.counting(instance.query),
             0.1,
             1e-6,
-            seed=0,
+            rng=np.random.default_rng(0),
             pmw_config=PMWConfig(num_iterations=2),
         )
         assert result.privacy == PrivacySpec(0.1, 1e-6)

@@ -128,7 +128,7 @@ class TestRecordingIsInert:
 
         def run_once():
             return private_multiplicative_weights(
-                instance, workload, 1.0, 1e-5, 2.0, seed=3, config=config
+                instance, workload, 1.0, 1e-5, 2.0, rng=np.random.default_rng(3), config=config
             )
 
         telemetry.disable()

@@ -22,19 +22,19 @@ from repro.datagen.random_instances import random_instance
 from repro.mechanisms.exponential import exponential_mechanism
 from repro.mechanisms.laplace import sample_laplace
 from repro.mechanisms.ledger import PrivacyLedger, use_ledger
-from repro.mechanisms.truncated_laplace import sample_truncated_laplace
+from repro.mechanisms.truncated_laplace import sample_truncated_laplace, truncation_radius
 from repro.queries.workload import Workload
 from repro.relational.hypergraph import single_table_query
 
 _DRAWS = {
-    "laplace": (lambda rng: sample_laplace(2.0, rng=rng), {"scale": 2.0}),
+    "laplace": (lambda rng: sample_laplace(2.0, 1.0, rng=rng), {"scale": 2.0}),
     "exponential": (
         lambda rng: exponential_mechanism(np.arange(4.0), 1.0, rng=rng),
         {"candidates": 4},
     ),
     "truncated_laplace": (
-        lambda rng: sample_truncated_laplace(1.0, 3.0, rng=rng),
-        {"scale": 1.0, "radius": 3.0},
+        lambda rng: sample_truncated_laplace(1.0, 1.0, 1e-5, rng=rng),
+        {"scale": 1.0, "radius": truncation_radius(1.0, 1e-5, 1.0)},
     ),
 }
 
@@ -55,7 +55,7 @@ def test_each_draw_is_one_span_and_keeps_its_value(mechanism):
 
 def test_zero_scale_laplace_adds_no_noise_and_records_no_span():
     telemetry.configure()
-    assert sample_laplace(0.0, rng=np.random.default_rng(0)) == 0.0
+    assert sample_laplace(0.0, 1.0, rng=np.random.default_rng(0)) == 0.0
     assert telemetry.snapshot()["stages"] == {}
 
 
@@ -84,7 +84,7 @@ def test_snapshots_taken_while_pmw_runs_never_count_backwards():
             for seed in range(runs):
                 results.append(
                     private_multiplicative_weights(
-                        instance, workload, 1.0, 1e-5, 1.0, seed=seed,
+                        instance, workload, 1.0, 1e-5, 1.0, rng=np.random.default_rng(seed),
                         config=PMWConfig(num_iterations=6),
                     )
                 )
